@@ -118,14 +118,24 @@ class Coalgebra:
             return NotImplemented
         if self.dim != other.dim or self.field != other.field or self.epsilon != other.epsilon:
             return False
-        if (
-            self._factors is not None
-            and other._factors is not None
-            and self._factors[0] == other._factors[0]
-            and self._factors[1] == other._factors[1]
-        ):
-            return True
-        return self.delta == other.delta
+        # tensor products are strictly associative under row-major indices,
+        # so equal factor sequences give equal coalgebras however bracketed
+        if self._factors is not None or other._factors is not None:
+            mine, theirs = self._leaves(), other._leaves()
+            if len(mine) == len(theirs) and all(x == y for x, y in zip(mine, theirs)):
+                return True
+        return all(
+            {(x, y): v for x, y, v in self.delta_column(j)}
+            == {(x, y): v for x, y, v in other.delta_column(j)}
+            for j in range(self.dim)
+        )
+
+    def _leaves(self):
+        """The non-tensor factors of this coalgebra, left to right."""
+        if self._factors is None:
+            return [self]
+        a, b = self._factors
+        return a._leaves() + b._leaves()
 
     def __repr__(self):
         return f"Coalgebra(dim={self.dim}, field={self.field!r})"
@@ -148,10 +158,19 @@ class CoalgMap:
     def __eq__(self, other):
         if not isinstance(other, CoalgMap):
             return NotImplemented
-        return self.mat == other.mat and self.src.dim == other.src.dim and self.tgt.dim == other.tgt.dim
+        return (
+            self.mat == other.mat
+            and _same_object(self.src, other.src)
+            and _same_object(self.tgt, other.tgt)
+        )
 
     def __repr__(self):
         return f"CoalgMap({self.src.dim} -> {self.tgt.dim})"
+
+
+def _same_object(x: Coalgebra, y: Coalgebra) -> bool:
+    """Identity first, so maps on one object never materialize a tensor δ."""
+    return x is y or x == y
 
 
 def cid(c: Coalgebra) -> CoalgMap:
@@ -350,7 +369,7 @@ class CoalgCategory(BaseCategory):
         return cid(obj)
 
     def compose(self, g: CoalgMap, f: CoalgMap) -> CoalgMap:
-        if f.tgt is not g.src and f.tgt.dim != g.src.dim:
+        if not _same_object(f.tgt, g.src):
             raise CodomainMismatch("compose: cod(f) != dom(g)")
         return CoalgMap(f.src, g.tgt, g.mat @ f.mat)
 
@@ -515,9 +534,9 @@ def _hat_difference_cols(f: CoalgMap, g: CoalgMap):
 
 def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
     """Equalizer of parallel coalgebra maps, as a coalgebra with inclusion."""
-    if f.src is not g.src and f.src != g.src:
+    if not _same_object(f.src, g.src):
         raise ShapeMismatch("equalizer needs a shared domain coalgebra")
-    if f.tgt is not g.tgt and f.tgt != g.tgt:
+    if not _same_object(f.tgt, g.tgt):
         raise ShapeMismatch("equalizer needs a shared codomain coalgebra")
     a = f.src
     cols = _hat_difference_cols(f, g)
@@ -529,7 +548,7 @@ def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
 def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
     """Factor an equalizing map h: D -> A uniquely through the inclusion j."""
     a = eq.j.tgt
-    if h.tgt is not a and h.tgt != a:
+    if not _same_object(h.tgt, a):
         raise ShapeMismatch("map does not land in the equalizer's ambient coalgebra")
     u = eq.left_inv @ h.mat
     if eq.j.mat @ u != h.mat:
@@ -556,7 +575,7 @@ class CoalgPullback:
 
 
 def _check_cospan(f: CoalgMap, g: CoalgMap):
-    if f.tgt is not g.tgt and f.tgt != g.tgt:
+    if not _same_object(f.tgt, g.tgt):
         raise CodomainMismatch("cospan needs a common codomain")
 
 
@@ -602,7 +621,7 @@ def relative_pullback_coalg(f: CoalgMap, g: CoalgMap) -> CoalgPullback:
 def pullback_factor_coalg(pb: CoalgPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap:
     """The unique filler h with p_A∘h = k and p_C∘h = l for a class-S span
     (k, l); computed by factoring (k⊗l)∘δ_D through the equalizer inclusion."""
-    if k.src is not l.src and k.src != l.src:
+    if not _same_object(k.src, l.src):
         raise ShapeMismatch("test span legs must share their domain")
     if pb.f.mat @ k.mat != pb.g.mat @ l.mat:
         raise SquareDoesNotCommute("f∘k != g∘l")

@@ -1,8 +1,9 @@
 """Exact scalar arithmetic: the rationals and prime fields F_p.
 
-Scalars are plain values (Fraction for Q, canonical int residues in [0, p) for
-F_p); a field object owns construction, normalization, inversion and string
-formatting.  No floating point anywhere.
+Scalars are plain values.  A rational is an int while it is integral and a
+normalized fractions.Fraction otherwise, never a bool; an F_p element is an
+int residue in [0, p).  A field object owns construction, normalization,
+inversion and string formatting.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -11,49 +12,82 @@ from fractions import Fraction
 
 from .errors import FieldMismatch
 
+# Miller-Rabin with the first 13 prime bases is exact for every n below this
+# bound (the least strong pseudoprime to all of them); larger moduli are
+# refused rather than guessed.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME_MODULUS = 3317044064679887385961981
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
+
+def _is_prime(n: int) -> bool:
+    """Deterministic primality for n < MAX_PRIME_MODULUS."""
+    if n >= MAX_PRIME_MODULUS:
+        raise ValueError(f"{n} is not below {MAX_PRIME_MODULUS}, the bound of the exact primality test")
+    if n < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
+def _parse_error(s: str, exc: Exception) -> ValueError:
+    return ValueError(f"bad scalar {s!r}: {exc}")
+
+
 class RationalField:
-    """The field Q; elements are fractions.Fraction (always normalized)."""
+    """The field Q; an element is an int when integral, else a normalized
+    Fraction (see normalize)."""
 
     tag = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def of(self, x) -> Fraction:
-        if isinstance(x, Fraction):
-            return x
+    def of(self, x):
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
+        if isinstance(x, Fraction):
+            return self.normalize(x)
         if isinstance(x, str):
             return self.parse(x)
         raise TypeError(f"cannot coerce {x!r} into Q")
 
     def normalize(self, x):
-        """Post-arithmetic canonicalization (Fraction already is canonical)."""
+        """Post-arithmetic canonicalization: an integral value becomes an int."""
+        if type(x) is int:
+            return x
+        if x.denominator == 1:
+            return int(x.numerator)
         return x
 
     def neg(self, x):
         return -x
 
     def inv(self, x):
-        if x == 0:
+        if not x:
             raise ZeroDivisionError("inverse of 0 in Q")
-        return 1 / Fraction(x)
+        return self.normalize(Fraction(x.denominator, x.numerator))
 
-    def parse(self, s: str) -> Fraction:
-        return Fraction(s.strip())
+    def parse(self, s: str):
+        try:
+            return self.normalize(Fraction(s.strip()))
+        except ZeroDivisionError as exc:
+            raise _parse_error(s, exc) from exc
 
     def fmt(self, x) -> str:
         return str(x)
@@ -106,7 +140,10 @@ class PrimeField:
         s = s.strip()
         if "/" in s:
             num, den = s.split("/")
-            return self.of(Fraction(int(num), int(den)))
+            try:
+                return self.of(Fraction(int(num), int(den)))
+            except ZeroDivisionError as exc:
+                raise _parse_error(s, exc) from exc
         return int(s) % self.p
 
     def fmt(self, x) -> str:

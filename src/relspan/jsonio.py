@@ -46,7 +46,10 @@ def parse_field_flag(text: str):
     if text == "Q":
         return QQ
     if text.startswith("Fp:"):
-        return GF(int(text[3:]))
+        try:
+            return GF(int(text[3:]))
+        except ValueError as exc:
+            raise ParseError(f"bad field flag {text!r}: {exc}") from exc
     raise ParseError(f"unknown field flag {text!r} (use Q or Fp:<p>)")
 
 

@@ -1,5 +1,9 @@
 """Dense exact linear algebra over Q and F_p.
 
+A Matrix stores its entries as dense row lists of canonical field scalars
+(see fields: ints and Fractions over Q, int residues over F_p), so an entry
+is zero exactly when it is falsy.
+
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
 g∘f is the product G @ F.  Tensor indices are row-major throughout:
@@ -316,23 +320,39 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
-    """(A⊗B) @ M computed columnwise without materializing A⊗B."""
+    """(A⊗B) @ M without materializing A⊗B: each nonzero v at row p·b.cols+q
+    of a column of M adds v·A[:,p]⊗B[:,q] to that column of the result."""
     require_same_field(a.field, b.field)
     require_same_field(a.field, m.field)
     if m.rows != a.cols * b.cols:
         raise ShapeMismatch("kron_apply: M row count must be a.cols * b.cols")
     f = m.field
-    out = Matrix.zeros(f, a.rows * b.rows, m.cols)
-    for j in range(m.cols):
-        grid = [[m.data[p * b.cols + q][j] for q in range(b.cols)] for p in range(a.cols)]
-        v = Matrix(f, grid, a.cols, b.cols)
-        w = a @ v @ b.transpose()
-        for p in range(a.rows):
-            wrow = w.data[p]
-            base = p * b.rows
-            for q in range(b.rows):
-                if wrow[q]:
-                    out.data[base + q][j] = wrow[q]
+    z = f.zero
+    nb = b.rows
+    acols = [[(i * nb, v) for i, v in a.col_sparse(p).items()] for p in range(a.cols)]
+    bcols = [list(b.col_sparse(q).items()) for q in range(b.cols)]
+    accs = [{} for _ in range(m.cols)]
+    for idx, mrow in enumerate(m.data):
+        p, q = divmod(idx, b.cols)
+        ap, bq = acols[p], bcols[q]
+        if not (ap and bq):
+            continue
+        for j, v in enumerate(mrow):
+            if not v:
+                continue
+            acc = accs[j]
+            for base, av in ap:
+                w = v * av
+                for i2, bv in bq:
+                    k = base + i2
+                    acc[k] = acc.get(k, z) + w * bv
+    out = Matrix.zeros(f, a.rows * nb, m.cols)
+    od = out.data
+    for j, acc in enumerate(accs):
+        for k, x in acc.items():
+            x = f.normalize(x)
+            if x:
+                od[k][j] = x
     return out
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 from relspan import (
     GF,
@@ -32,6 +33,16 @@ def rand_matrix(rng, field, rows, cols, lo=-3, hi=3):
     return Matrix(
         field, [[rand_scalar(rng, field, lo, hi) for _ in range(cols)] for _ in range(rows)]
     )
+
+
+def rand_q_matrix(rng, rows, cols, density=0.7):
+    """A ℚ matrix with zeros, integers and non-integral entries mixed."""
+    def entry():
+        if rng.random() > density:
+            return QQ.zero
+        return QQ.of(Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3, 6))))
+
+    return Matrix(QQ, [[entry() for _ in range(cols)] for _ in range(rows)], rows, cols)
 
 
 def rand_finfun(rng, dom: int, cod: int) -> FinFun:

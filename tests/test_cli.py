@@ -215,3 +215,53 @@ def test_finset_object_and_fun_declarations(tmp_path):
     code, doc = run_json(["check", str(p)])
     assert code == 0
     assert len(doc["checks"]) == 2
+
+
+def run_no_traceback(argv):
+    import contextlib
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, json.loads(out.getvalue())
+
+
+@pytest.mark.parametrize("entry", ["1/0", "2/0"])
+@pytest.mark.parametrize("field", ["Q", {"Fp": 5}])
+def test_zero_denominator_entry_exits_2(tmp_path, entry, field):
+    one = {"field": field, "rows": 1, "cols": 1, "entries": [[entry]]}
+    p = tmp_path / "zero_den.json"
+    p.write_text(json.dumps({"k": {"kind": "coalgebra", "field": field, "dim": 1,
+                                   "delta": one, "epsilon": one}}))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["exit"] == 2
+    assert "error" in doc
+
+
+@pytest.mark.parametrize("flag", ["Fp:4", "Fp:1", "Fp:abc", "Fp:", "Fp:3317044064679887385961981"])
+def test_bad_field_flag_exits_2(flag):
+    code, doc = run_no_traceback(
+        ["pullback", fx("cospan_finset.json"), "--cospan", "cs", "--instance", "coalg",
+         "--field", flag]
+    )
+    assert code == 2 and doc["exit"] == 2
+    assert "error" in doc
+
+
+def test_bad_field_in_fixture_exits_2(tmp_path):
+    one = {"field": {"Fp": 4}, "rows": 1, "cols": 1, "entries": [["1"]]}
+    p = tmp_path / "f4.json"
+    p.write_text(json.dumps({"k": {"kind": "coalgebra", "field": {"Fp": 4}, "dim": 1,
+                                   "delta": one, "epsilon": one}}))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2
+
+
+def test_large_prime_field_flag_runs():
+    code, doc = run_no_traceback(
+        ["pullback", fx("cospan_finset.json"), "--cospan", "cs", "--instance", "coalg",
+         "--field", "Fp:2305843009213693951"]
+    )
+    assert code == 0
+    assert doc["result"]["apex"]["dim"] == 3

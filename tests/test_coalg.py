@@ -42,7 +42,7 @@ from relspan import (
     trivial,
 )
 from relspan.coalg import cid, equalizer_factor
-from relspan.errors import SpanNotInClass, SquareDoesNotCommute
+from relspan.errors import CodomainMismatch, SpanNotInClass, SquareDoesNotCommute
 from relspan.linalg import is_injective
 
 
@@ -453,3 +453,46 @@ def test_post_closure_of_projection_span():
         if class_S_member(a_map, cid(pb.f.src)):
             comp = CoalgMap(pb.apex, a_map.tgt, a_map.mat @ pb.p_a.mat)
             assert class_S_member(comp, pb.p_c)
+
+
+# -- morphism identity ----------------------------------------------------------------
+
+
+def test_maps_between_different_coalgebras_are_not_equal():
+    base = CoalgCategory(QQ)
+    assert not base.equal_mor(cid(grouplike(QQ, 2)), cid(primitive_block(QQ)))
+    # same counit as k[C2], different δ
+    odd = Coalgebra(2, QQ, delta=primitive_block(QQ).delta, epsilon=grouplike(QQ, 2).epsilon)
+    assert cid(grouplike(QQ, 2)) != cid(odd)
+    # structurally equal objects built twice still give equal maps
+    assert base.equal_mor(cid(grouplike(QQ, 2)), cid(grouplike(QQ, 2)))
+
+
+def test_compose_rejects_maps_between_different_coalgebras_of_equal_dimension():
+    base = CoalgCategory(QQ)
+    k2, prim = grouplike(QQ, 2), primitive_block(QQ)
+    with pytest.raises(CodomainMismatch):
+        base.compose(cid(k2), cid(prim))
+    assert base.compose(cid(k2), cid(grouplike(QQ, 2))) == cid(k2)
+
+
+def test_map_equality_on_identical_objects_keeps_tensor_delta_lazy():
+    x = tensor_coalgebra(grouplike(QQ, 3), grouplike(QQ, 3))
+    f = cid(x)
+    assert f == CoalgMap(x, x, f.mat.copy())
+    assert x._delta is None
+
+
+def test_tensor_equality_ignores_bracketing_and_stays_lazy():
+    a = primitive_block(QQ)
+    left = tensor_coalgebra(tensor_coalgebra(a, a), a)
+    right = tensor_coalgebra(a, tensor_coalgebra(a, a))
+    assert left == right
+    assert left._delta is None and right._delta is None
+    assert left.delta == right.delta
+    assert left != tensor_coalgebra(tensor_coalgebra(a, grouplike(QQ, 2)), a)
+    explicit = Coalgebra(8, QQ, delta=left.delta, epsilon=left.epsilon)
+    assert explicit == right and right == explicit
+    # same counit as a, different δ: only the column-by-column comparison tells
+    odd = Coalgebra(2, QQ, delta=grouplike(QQ, 2).delta, epsilon=a.epsilon)
+    assert explicit != tensor_coalgebra(a, tensor_coalgebra(a, odd))

@@ -1,10 +1,12 @@
 """Exact linear algebra: canonical solves, kernels, Kronecker products, swaps."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import FIELDS, rand_matrix, rng_for
+from gen import FIELDS, rand_matrix, rand_q_matrix, rand_scalar, rng_for
 from relspan import GF, QQ, Matrix
 from relspan.errors import FieldMismatch, ShapeMismatch
 from relspan.linalg import (
@@ -181,6 +183,37 @@ def test_kron_apply_matches_kron():
         assert kron_apply(a, b, m) == kron(a, b) @ m
 
 
+@pytest.mark.parametrize("field", [QQ, F5])
+def test_kron_apply_matches_kron_on_random_shapes(field):
+    rng = rng_for(f"kron-apply-random-{field!r}")
+    for _ in range(40):
+        ar, ac, br, bc = (rng.randint(0, 3) for _ in range(4))
+        mc = rng.randint(0, 4)
+        if field == QQ:
+            gen_matrix = rand_q_matrix
+        else:
+            def gen_matrix(rng, rows, cols):
+                data = [[rand_scalar(rng, field) for _ in range(cols)] for _ in range(rows)]
+                return Matrix(field, data, rows, cols)
+        a, b = gen_matrix(rng, ar, ac), gen_matrix(rng, br, bc)
+        m = gen_matrix(rng, ac * bc, mc)
+        assert kron_apply(a, b, m) == kron(a, b) @ m
+
+
+def test_kron_apply_zero_rows_and_columns():
+    a = Matrix.zeros(QQ, 0, 2)
+    b = mat(QQ, [[1, 2], [3, 4]])
+    m = rand_q_matrix(rng_for("kron-apply-zero"), 4, 3)
+    out = kron_apply(a, b, m)
+    assert (out.rows, out.cols) == (0, 3)
+    out = kron_apply(b, b, Matrix.zeros(QQ, 4, 0))
+    assert (out.rows, out.cols) == (4, 0)
+    assert kron_apply(b, b, Matrix.zeros(QQ, 4, 2)) == Matrix.zeros(QQ, 4, 2)
+    assert kron_apply(Matrix.zeros(QQ, 2, 2), b, m) == Matrix.zeros(QQ, 4, 3)
+    with pytest.raises(ShapeMismatch):
+        kron_apply(b, b, Matrix.zeros(QQ, 3, 1))
+
+
 def test_swap_basics():
     assert swap_map(QQ, 1, 1) == Matrix.identity(QQ, 1)
     s22 = swap_map(QQ, 2, 2)
@@ -250,3 +283,46 @@ def test_zero_dimensional_edge_cases():
     assert (kernel_basis(n).rows, kernel_basis(n).cols) == (0, 0)
     assert kron(z, Matrix.identity(QQ, 2)).rows == 0
     assert is_injective(n) and not is_surjective(n)
+
+
+# -- sympy as an independent oracle ----------------------------------------------
+
+
+def _to_sympy(sp, m):
+    return sp.Matrix(m.rows, m.cols, lambda i, j: sp.Rational(m.data[i][j].numerator,
+                                                                 m.data[i][j].denominator))
+
+
+def _from_sympy(sm):
+    return Matrix.from_rows(QQ, [[Fraction(int(x.p), int(x.q)) for x in sm.row(i)]
+                                 for i in range(sm.rows)])
+
+
+def test_rref_kernel_and_solve_agree_with_sympy():
+    sp = pytest.importorskip("sympy")
+    rng = rng_for("sympy-differential")
+    for _ in range(40):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        a = rand_q_matrix(rng, rows, cols)
+        sa = _to_sympy(sp, a)
+        r, pivots = a.rref()
+        sr, spivots = sa.rref()
+        assert pivots == list(spivots)
+        assert r == _from_sympy(sr)
+        k = kernel_basis(a)
+        null = sa.nullspace()
+        want = sp.Matrix.hstack(*null) if null else sp.zeros(cols, 0)
+        assert (k.rows, k.cols) == (want.rows, want.cols)
+        if k.cols:
+            assert k == _from_sympy(want)
+        cols_sparse = [a.col_sparse(j) for j in range(a.cols)]
+        assert kernel_basis_sparse(QQ, a.cols, cols_sparse) == k
+        b = rand_q_matrix(rng, rows, rng.randint(1, 3))
+        x = solve(a, b)
+        try:
+            sol, params = sa.gauss_jordan_solve(_to_sympy(sp, b))
+        except ValueError:
+            assert x is None
+            continue
+        sol = sol.subs({t: 0 for t in params})
+        assert x == _from_sympy(sol)
