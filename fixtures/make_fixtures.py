@@ -5,7 +5,7 @@ import os
 
 from relspan import GF, QQ, grouplike, linearize_fun, path_coalgebra
 from relspan.finset import FINSET, FinFun, FinSetObj
-from relspan.jsonio import coalgebra_to_json, matrix_to_json, small_category_to_json
+from relspan.jsonio import field_to_json, matrix_to_json
 from relspan.relcat import (
     fixture_discrete,
     fixture_groupoid5,
@@ -21,6 +21,28 @@ def write(name, doc):
     with open(os.path.join(HERE, name), "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
+
+
+def coalgebra_to_json(c):
+    return {
+        "kind": "coalgebra",
+        "field": field_to_json(c.field),
+        "dim": c.dim,
+        "delta": matrix_to_json(c.delta),
+        "epsilon": matrix_to_json(c.epsilon),
+    }
+
+
+def small_category_to_json(cat):
+    return {
+        "kind": "small_category",
+        "objects": cat.n_obj,
+        "arrows": cat.n_arr,
+        "src": list(cat.src),
+        "tgt": list(cat.tgt),
+        "id": list(cat.ids),
+        "comp": [list(row) for row in cat.comp],
+    }
 
 
 def coalg_map_json(src, tgt, mat):

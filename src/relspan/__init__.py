@@ -48,14 +48,10 @@ from .finset import (
     finset_monoid_check,
     linearize_fun,
     linearize_obj,
-    pullback,
-    universal_factor,
 )
 from .linalg import (
     Matrix,
-    column_span_equal,
     is_injective,
-    is_surjective,
     kernel_basis,
     kron,
     solve,
@@ -98,6 +94,7 @@ from .relpull import (
     monoid_on_pullback,
     relative_pullback,
     unit_isos,
+    universal_factor,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

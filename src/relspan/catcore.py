@@ -2,7 +2,9 @@
 
 A BaseCategory bundles the operations a symmetric monoidal category instance
 must provide (identity, composition, monoidal product, unit, symmetry) over
-opaque object/morphism types.  A SpanClass is a membership predicate on spans.
+opaque object/morphism types, and its own relative pullback, pullback filler
+and extra monoid axioms, so generic code never asks which instance it is on.
+A SpanClass is a membership predicate on spans.
 Admissibility of a class is not decidable in general, so this module only
 exposes instance-level checks of (POST), (PRE), (UNITAL), (MULTIPLICATIVE) and
 the split-epimorphism implication suite; the shipped classes are closed by
@@ -127,10 +129,19 @@ class BaseCategory(ABC):
     def span_class(self) -> "SpanClass":
         """The admissible class this instance ships with."""
 
-    # convenience
+    @abstractmethod
+    def pullback(self, f, g):
+        """(apex, p_A, p_C, jointly_monic, payload) of the relative pullback of
+        a cospan with legs in the class (checked by the caller)."""
 
-    def apex(self, span: Span):
-        return self.dom(span.left)
+    @abstractmethod
+    def factor(self, payload, a, c):
+        """The h with p_A∘h = a, p_C∘h = c for a class-member span (checked by
+        the caller), through the payload of pullback()."""
+
+    def monoid_checks(self, mon) -> Report:
+        """Monoid axioms beyond associativity and the unit laws (none here)."""
+        return Report()
 
     def check_span(self, span: Span):
         if not self.equal_obj(self.dom(span.left), self.dom(span.right)):
@@ -194,7 +205,7 @@ def check_pre_instance(cls: SpanClass, span: Span, h) -> bool:
     """Single-instance witness of (PRE): both legs precomposed with h: B -> A."""
     base = cls.base
     base.check_span(span)
-    if not base.equal_obj(base.cod(h), base.apex(span)):
+    if not base.equal_obj(base.cod(h), base.dom(span.left)):
         raise CompositionMismatch("h does not precompose with the span")
     return cls.contains(Span(base.compose(span.left, h), base.compose(span.right, h)))
 

@@ -89,11 +89,9 @@ def _check_one(name: str, decl, report: Report):
     elif decl.kind == "relative_category":
         report.extend(_relcat.check_relative_category(decl.value), prefix)
     elif decl.kind == "cospan":
-        left, right = decl.value
-        base = _base_of(left)
         report.add(
             prefix + "legs in class",
-            legs_in_class(base.span_class, Cospan(left, right)),
+            legs_in_class(decl.base.span_class, Cospan(*decl.value)),
             "a leg span escapes the admissible class",
         )
     elif decl.kind == "chain":
@@ -104,12 +102,6 @@ def _check_one(name: str, decl, report: Report):
         report.add(prefix + "function total and bounded", True)
     elif decl.kind == "functor":
         report.add(prefix + "functor declaration parsed", True)
-
-
-def _base_of(mor):
-    if isinstance(mor, _finset.FinFun):
-        return _finset.FINSET
-    return _coalg.CoalgCategory(mor.mat.field)
 
 
 def cmd_check(args, argv):
@@ -123,38 +115,58 @@ def cmd_check(args, argv):
     return _report_payload(argv, report)
 
 
-def _finset_universality_probes(pb, rng, report):
+def _finset_result(pb, args, report):
+    """The apex as matching pairs, and fillers of random spans through them."""
+    rng = random.Random(args.seed)
     pairs = pb.payload.pairs
     for probe in range(3):
         size = rng.randrange(0, 4)
-        x = _finset.FinSetObj(size)
-        if pairs:
-            chosen = [pairs[rng.randrange(len(pairs))] for _ in range(size)]
-        else:
-            chosen = []
-            x = _finset.FinSetObj(0)
+        chosen = [pairs[rng.randrange(len(pairs))] for _ in range(size)] if pairs else []
+        x = _finset.FinSetObj(len(chosen))
         a = _finset.FinFun(x, pb.f.dom, tuple(p[0] for p in chosen))
         c = _finset.FinFun(x, pb.g.dom, tuple(p[1] for p in chosen))
         h = universal_factor(pb, a, c)
-        ok = (
-            pb.base.compose(pb.p_a, h) == a
-            and pb.base.compose(pb.p_c, h) == c
-        )
+        ok = pb.base.compose(pb.p_a, h) == a and pb.base.compose(pb.p_c, h) == c
         report.add(f"universality probe {probe}", ok, "filler does not reproduce the span")
+    apex = {"set": pb.apex.size, "pairs": [list(p) for p in pairs]}
+    return {"apex": apex, "p_a": list(pb.p_a.table), "p_c": list(pb.p_c.table)}
+
+
+def _coalg_result(pb, args, report):
+    """The apex coalgebra and projections, its axioms, the filler of the
+    projection span and, on request, the cotensor comparison."""
+    report.extend(_coalg.check_coalgebra(pb.apex), "apex: ")
+    h = universal_factor(pb, pb.p_a, pb.p_c)
+    report.add(
+        "universality probe (projection span)",
+        h.mat == pb.base.identity(pb.apex).mat,
+        "filler of the projection span is not the identity",
+    )
+    if args.compare_cotensor:
+        report.extend(_coalg.compare_cotensor_pullback(pb.f, pb.g), "cotensor comparison: ")
+    apex = {"dim": pb.apex.dim, "delta": matrix_to_json(pb.apex.delta),
+            "epsilon": matrix_to_json(pb.apex.epsilon)}
+    return {"apex": apex, "p_a": matrix_to_json(pb.p_a.mat), "p_c": matrix_to_json(pb.p_c.mat)}
+
+
+_PULLBACK_RESULTS = {"finset": _finset_result, "coalg": _coalg_result}
+
+
+def _linearized(decl, args):
+    """A cospan's base and legs, finite-set legs linearized over --field."""
+    if decl.base is not _finset.FINSET:
+        return decl.base, decl.value
+    fld = parse_field_flag(args.field)
+    return _coalg.CoalgCategory(fld), [_finset.linearize_fun(m, fld) for m in decl.value]
 
 
 def cmd_pullback(args, argv):
     ctx = load_context(args.path)
     _, decl = _pick(ctx, args.cospan, {"cospan"}, "cospan")
-    left, right = decl.value
-    rng = random.Random(args.seed)
+    base, (left, right) = decl.base, decl.value
+    if args.instance == "coalg":
+        base, (left, right) = _linearized(decl, args)
     report = Report()
-    extra = {}
-    if isinstance(left, _finset.FinFun) and args.instance == "coalg":
-        fld = parse_field_flag(args.field)
-        left = _finset.linearize_fun(left, fld)
-        right = _finset.linearize_fun(right, fld)
-    base = _base_of(left)
     try:
         pb = relative_pullback(base, left, right)
     except LegsNotInClass as exc:
@@ -167,39 +179,14 @@ def cmd_pullback(args, argv):
         "f∘p_A != g∘p_C",
     )
     report.add("jointly monic projections", pb.jointly_monic, "joint kernel is nonzero")
-    if isinstance(base, _finset.FinSetCategory):
-        extra["apex"] = {"set": pb.apex.size, "pairs": [list(p) for p in pb.payload.pairs]}
-        extra["p_a"] = list(pb.p_a.table)
-        extra["p_c"] = list(pb.p_c.table)
-        _finset_universality_probes(pb, rng, report)
-    else:
-        extra["apex"] = {
-            "dim": pb.apex.dim,
-            "delta": matrix_to_json(pb.apex.delta),
-            "epsilon": matrix_to_json(pb.apex.epsilon),
-        }
-        extra["p_a"] = matrix_to_json(pb.p_a.mat)
-        extra["p_c"] = matrix_to_json(pb.p_c.mat)
-        report.extend(_coalg.check_coalgebra(pb.apex), "apex: ")
-        h = universal_factor(pb, pb.p_a, pb.p_c)
-        report.add(
-            "universality probe (projection span)",
-            h.mat == pb.base.identity(pb.apex).mat,
-            "filler of the projection span is not the identity",
-        )
-        if args.compare_cotensor:
-            report.extend(_coalg.compare_cotensor_pullback(pb.f, pb.g), "cotensor comparison: ")
+    extra = _PULLBACK_RESULTS[base.name](pb, args, report)
     return _report_payload(argv, report, extra)
 
 
 def cmd_cotensor(args, argv):
     ctx = load_context(args.path)
     _, decl = _pick(ctx, args.cospan, {"cospan"}, "cospan")
-    left, right = decl.value
-    if isinstance(left, _finset.FinFun):
-        fld = parse_field_flag(args.field)
-        left = _finset.linearize_fun(left, fld)
-        right = _finset.linearize_fun(right, fld)
+    _, (left, right) = _linearized(decl, args)
     report = Report()
     ct = _coalg.cotensor(left, right)
     extra = {"dim": ct.dim, "inclusion": matrix_to_json(ct.inclusion)}

@@ -84,6 +84,8 @@ class RationalField:
         return self.normalize(Fraction(x.denominator, x.numerator))
 
     def parse(self, s: str):
+        if "e" in s or "E" in s:  # Fraction would expand the power unchecked
+            raise ValueError(f"bad scalar {s!r}: exponent forms are not accepted")
         try:
             return self.normalize(Fraction(s.strip()))
         except ZeroDivisionError as exc:

@@ -117,6 +117,13 @@ class FinSetCategory(BaseCategory):
     def span_class(self):
         return self._class
 
+    def pullback(self, f, g):
+        pb = pullback(f, g)
+        return pb.obj, pb.p_a, pb.p_c, True, pb
+
+    def factor(self, payload, a, c):
+        return universal_factor(payload, a, c)
+
 
 FINSET = FinSetCategory()
 
@@ -128,9 +135,6 @@ class FinSetPullback(NamedTuple):
     pairs: tuple
     f: FinFun
     g: FinFun
-
-    def index(self, a, c):
-        return self.pairs.index((a, c))
 
 
 def pullback(f: FinFun, g: FinFun) -> FinSetPullback:

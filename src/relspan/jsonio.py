@@ -3,7 +3,10 @@
 A fixture file is a single JSON object mapping names to declarations; each
 declaration carries a "kind" field.  Matrices are exact: entries are strings,
 rationals as "a/b".  Decoding is a pure function from the file to a context
-dict of live objects; encoding is its inverse on the supported types.
+dict of live objects; it rejects what the constructions cannot take, such as a
+cospan whose legs are not two morphisms of one base category, and records the
+base category of each cospan.  Encoding covers fields and matrices, for the
+CLI's results.
 """
 
 from __future__ import annotations
@@ -79,16 +82,6 @@ def matrix_from_json(obj) -> Matrix:
 # -- declarations -----------------------------------------------------------------
 
 
-def coalgebra_to_json(c: _coalg.Coalgebra):
-    return {
-        "kind": "coalgebra",
-        "field": field_to_json(c.field),
-        "dim": c.dim,
-        "delta": matrix_to_json(c.delta),
-        "epsilon": matrix_to_json(c.epsilon),
-    }
-
-
 def _decode_coalgebra(obj) -> _coalg.Coalgebra:
     fld = field_from_json(obj["field"])
     return _coalg.Coalgebra(
@@ -131,18 +124,6 @@ def _decode_small_category(obj) -> _relcat.SmallCategory:
     )
 
 
-def small_category_to_json(cat: _relcat.SmallCategory):
-    return {
-        "kind": "small_category",
-        "objects": cat.n_obj,
-        "arrows": cat.n_arr,
-        "src": list(cat.src),
-        "tgt": list(cat.tgt),
-        "id": list(cat.ids),
-        "comp": [list(row) for row in cat.comp],
-    }
-
-
 def _decode_relative_category(obj) -> _relcat.RelativeCategory:
     if obj.get("instance", "finset") != "finset":
         raise ParseError("raw relative_category declarations are finset-only")
@@ -179,8 +160,21 @@ KNOWN_KINDS = set(_SIMPLE_KINDS) | {
 }
 
 
+def _cospan_base(left: "Decl", right: "Decl"):
+    """The one base category that both legs of a cospan are morphisms of."""
+    if left.kind == right.kind == "finset_fun":
+        return _finset.FINSET
+    if left.kind == right.kind == "coalgebra_map" and left.value.mat.field == right.value.mat.field:
+        return _coalg.CoalgCategory(left.value.mat.field)
+    raise ValueError(f"cospan legs must be two finset_fun or two coalgebra_map declarations "
+                     f"over one field, got {left.kind} and {right.kind}")
+
+
 class Decl:
-    """A decoded declaration: the live object plus its raw JSON."""
+    """A decoded declaration: the live object plus its raw JSON.  A cospan's
+    value is its (left, right) legs and its base their base category."""
+
+    base = None
 
     def __init__(self, kind, value, raw):
         self.kind = kind
@@ -248,9 +242,10 @@ def load_context(path: str) -> dict:
                     kind, _coalg.CoalgMap(src, tgt, matrix_from_json(obj["matrix"])), obj
                 )
             elif kind == "cospan":
-                left = ctx[obj["left"]].value
-                right = ctx[obj["right"]].value
-                ctx[name] = Decl(kind, (left, right), obj)
+                left, right = ctx[obj["left"]], ctx[obj["right"]]
+                base = _cospan_base(left, right)
+                ctx[name] = Decl(kind, (left.value, right.value), obj)
+                ctx[name].base = base
             elif kind == "functor":
                 ctx[name] = Decl(kind, obj, obj)
         except ParseError:

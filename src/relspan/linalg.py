@@ -30,6 +30,8 @@ class Matrix:
             rows = len(data)
         if cols is None:
             cols = len(data[0]) if data else 0
+        if len(data) != rows:
+            raise ShapeMismatch(f"{len(data)} rows given for a {rows}x{cols} matrix")
         for row in data:
             if len(row) != cols:
                 raise ShapeMismatch("ragged rows")
@@ -133,13 +135,6 @@ class Matrix:
         f = self.field
         return Matrix(f, [[f.neg(x) for x in row] for row in self.data], self.rows, self.cols)
 
-    def scale(self, c):
-        f = self.field
-        c = f.of(c)
-        return Matrix(
-            f, [[f.normalize(c * x) for x in row] for row in self.data], self.rows, self.cols
-        )
-
     def __matmul__(self, other):
         require_same_field(self.field, other.field)
         if self.cols != other.rows:
@@ -168,12 +163,6 @@ class Matrix:
             raise ShapeMismatch("row count mismatch in hstack")
         data = [ra + rb for ra, rb in zip(self.data, other.data)]
         return Matrix(self.field, data, self.rows, self.cols + other.cols)
-
-    def vstack(self, other):
-        require_same_field(self.field, other.field)
-        if self.cols != other.cols:
-            raise ShapeMismatch("column count mismatch in vstack")
-        return Matrix(self.field, [r[:] for r in self.data] + [r[:] for r in other.data])
 
     # -- echelon forms -----------------------------------------------------
 
@@ -219,10 +208,6 @@ class Matrix:
 
 def is_injective(a: Matrix) -> bool:
     return a.rank() == a.cols
-
-
-def is_surjective(a: Matrix) -> bool:
-    return a.rank() == a.rows
 
 
 def solve(a: Matrix, b: Matrix):
@@ -279,14 +264,6 @@ def kernel_basis_sparse(field, ncols, sparse_cols) -> Matrix:
     compact = Matrix(field, data, len(live), ncols)
     R, pivots = compact.rref()
     return _kernel_from_rref(field, ncols, R, pivots)
-
-
-def column_span_equal(a: Matrix, b: Matrix) -> bool:
-    """True iff the column spans of A and B coincide (mutual solvability)."""
-    require_same_field(a.field, b.field)
-    if a.rows != b.rows:
-        raise ShapeMismatch("row count mismatch")
-    return solve(a, b) is not None and solve(b, a) is not None
 
 
 def left_inverse(a: Matrix) -> Matrix:
@@ -363,13 +340,4 @@ def swap_map(field, m: int, n: int) -> Matrix:
     for i in range(m):
         for j in range(n):
             out.data[j * m + i][i * n + j] = one
-    return out
-
-
-def swap_sparse(vec, dim_x, dim_y):
-    """Apply the symmetry to a sparse vector in V_x ⊗ V_y."""
-    out = {}
-    for idx, v in vec.items():
-        x, y = divmod(idx, dim_y)
-        out[y * dim_x + x] = v
     return out

@@ -7,8 +7,9 @@ between monoid morphisms out of a product and compatible pairs, and the
 factorization of pairs through an invertible q.
 
 Over finite sets these are ordinary monoids; over coalgebras a monoid is a
-bialgebra, and check_monoid additionally verifies that the multiplication and
-unit are coalgebra maps.
+bialgebra.  check_monoid adds the base category's own monoid_checks to the
+three monoid axioms (over coalgebras: multiplication and unit are coalgebra
+maps).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .catcore import BaseCategory, Report
-from .coalg import CoalgCategory, CoalgMap, check_coalg_map
 from .errors import (
     CodomainMismatch,
     CompatibilityFails,
@@ -47,19 +47,6 @@ class DistLaw:
     a: MonoidObj
     b: MonoidObj
     x: object  # B⊗A -> A⊗B
-
-
-def _extra_instance_checks(m: MonoidObj) -> list:
-    """In the coalgebra instance, monoid means bialgebra: the structure maps
-    must themselves be comonoid morphisms."""
-    out = []
-    if isinstance(m.base, CoalgCategory):
-        for label, mor in (("multiplication", m.m), ("unit", m.u)):
-            if isinstance(mor, CoalgMap):
-                sub = check_coalg_map(mor)
-                for c in sub.checks:
-                    out.append((f"{label} is a coalgebra map: {c.name}", c.ok, c.witness))
-    return out
 
 
 def check_monoid(mon: MonoidObj) -> Report:
@@ -93,8 +80,7 @@ def check_monoid(mon: MonoidObj) -> Report:
         base.equal_mor(base.compose(mon.m, base.tensor_mor(ida, mon.u)), ida),
         "m∘(1⊗u) != 1",
     )
-    for name, ok, witness in _extra_instance_checks(mon):
-        rep.add(name, ok, witness)
+    rep.extend(base.monoid_checks(mon))
     return rep
 
 

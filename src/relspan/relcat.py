@@ -210,10 +210,6 @@ def check_relative_functor(fun: RelativeFunctor, src: RelativeCategory, tgt: Rel
     return rep
 
 
-def compose_functors(f2: RelativeFunctor, f1: RelativeFunctor, base: BaseCategory) -> RelativeFunctor:
-    return RelativeFunctor(base.compose(f2.b, f1.b), base.compose(f2.a, f1.a))
-
-
 # -- small categories ----------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
-"""The relative-pullback calculus, generic over the two shipped instances.
+"""The relative-pullback calculus, generic over any base category.
 
-Constructs relative pullbacks (dispatching to ordinary pullbacks over finite
-sets and to comonoid equalizers over coalgebras), the induced morphism a□c
+Constructs relative pullbacks and their universal fillers with the base
+category's own construction (ordinary pullbacks over finite sets, comonoid
+equalizers over coalgebras), after deciding here, once per call, that the legs
+or the test span are in the class.  Also constructs the induced morphism a□c
 between pullbacks, the unit and associativity isomorphisms with their
 coherence (triangle and pentagon) checks, the monoid structure on a pullback
 of monoid morphisms, and instance checks of the reflection property.
@@ -14,8 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import coalg as _coalg
-from . import finset as _finset
 from .catcore import BaseCategory, Cospan, Report, Span, legs_in_class
 from .errors import (
     LegsNotInClass,
@@ -48,17 +48,10 @@ class BoxMorphism:
 
 
 def relative_pullback(base: BaseCategory, f, g) -> RelPullback:
-    """Dispatch: ordinary pullback over finite sets, comonoid equalizer of
-    (f⊗ε, ε⊗g) over coalgebras.  The cospan must have its legs in the class."""
+    """The base category's pullback of a cospan whose legs are in the class."""
     if not legs_in_class(base.span_class, Cospan(f, g)):
         raise LegsNotInClass("cospan legs are not in the admissible class")
-    if isinstance(base, _finset.FinSetCategory):
-        pb = _finset.pullback(f, g)
-        return RelPullback(base, f, g, pb.obj, pb.p_a, pb.p_c, True, pb)
-    if isinstance(base, _coalg.CoalgCategory):
-        pb = _coalg.relative_pullback_coalg(f, g)
-        return RelPullback(base, f, g, pb.apex, pb.p_a, pb.p_c, pb.jointly_monic, pb)
-    raise TypeError(f"no pullback construction for base category {base.name!r}")
+    return RelPullback(base, f, g, *base.pullback(f, g))
 
 
 def universal_factor(pb: RelPullback, a, c):
@@ -68,11 +61,7 @@ def universal_factor(pb: RelPullback, a, c):
     w = base.span_class.failure_witness(Span(a, c))
     if w is not None:
         raise SpanNotInClass(w)
-    if isinstance(base, _finset.FinSetCategory):
-        return _finset.universal_factor(pb.payload, a, c)
-    if isinstance(base, _coalg.CoalgCategory):
-        return _coalg.pullback_factor_coalg(pb.payload, a, c)
-    raise TypeError(f"no universal factor for base category {base.name!r}")
+    return base.factor(pb.payload, a, c)
 
 
 def box(source: RelPullback, target: RelPullback, a, c, b) -> BoxMorphism:

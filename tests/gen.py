@@ -31,7 +31,8 @@ def rand_scalar(rng, field, lo=-3, hi=3):
 
 def rand_matrix(rng, field, rows, cols, lo=-3, hi=3):
     return Matrix(
-        field, [[rand_scalar(rng, field, lo, hi) for _ in range(cols)] for _ in range(rows)]
+        field, [[rand_scalar(rng, field, lo, hi) for _ in range(cols)] for _ in range(rows)],
+        rows, cols,
     )
 
 

@@ -67,13 +67,13 @@ from relspan import (
     pair_from_morphism,
     path_coalgebra,
     product_monoid,
-    pullback,
     relative_pullback,
     split_epi_class_facts,
     unit_isos,
 )
 from relspan.catcore import Report
 from relspan.coalg import cid, equalizer_factor
+from relspan.finset import pullback
 from relspan.errors import CompatibilityFails
 from relspan.linalg import is_injective
 from relspan.monoids import DistLaw, inclusion_a, inclusion_b

@@ -265,3 +265,44 @@ def test_large_prime_field_flag_runs():
     )
     assert code == 0
     assert doc["result"]["apex"]["dim"] == 3
+
+
+def _cospan_fixture(tmp_path, left, right):
+    one = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
+    p = tmp_path / "legs.json"
+    p.write_text(json.dumps({
+        "A": {"kind": "coalgebra", "field": "Q", "dim": 1, "delta": one, "epsilon": one},
+        "X": {"kind": "finset_obj", "set": 1},
+        "f": {"kind": "finset_fun", "fun": {"dom": 1, "cod": 1, "table": [0]}},
+        "m": {"kind": "coalgebra_map", "src": "A", "tgt": "A", "matrix": one},
+        "cs": {"kind": "cospan", "left": left, "right": right},
+    }))
+    return str(p)
+
+
+@pytest.mark.parametrize("legs", [("f", "m"), ("m", "f"), ("A", "A"), ("m", "A"), ("X", "f")])
+@pytest.mark.parametrize("command", ["check", "pullback", "cotensor"])
+def test_cospan_legs_of_different_instances_or_not_morphisms_exit_2(tmp_path, legs, command):
+    path = _cospan_fixture(tmp_path, *legs)
+    argv = [command, path, "--name" if command == "check" else "--cospan", "cs"]
+    code, doc = run_no_traceback(argv)
+    assert code == 2 and doc["exit"] == 2
+    assert "cospan" in doc["error"]
+
+
+def test_cospan_legs_of_one_instance_are_accepted(tmp_path):
+    for legs in (("f", "f"), ("m", "m")):
+        code, doc = run_no_traceback(["check", _cospan_fixture(tmp_path, *legs), "--name", "cs"])
+        assert code == 0 and [c["name"] for c in doc["checks"]] == ["cs: legs in class"]
+
+
+@pytest.mark.parametrize("entry", ["1e2000000", "1E5", "2.5e-3"])
+def test_rational_exponent_entry_exits_2(tmp_path, entry):
+    one = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
+    odd = {"field": "Q", "rows": 1, "cols": 1, "entries": [[entry]]}
+    p = tmp_path / "exponent.json"
+    p.write_text(json.dumps({"k": {"kind": "coalgebra", "field": "Q", "dim": 1,
+                                   "delta": one, "epsilon": odd}}))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["exit"] == 2
+    assert "exponent" in doc["error"]

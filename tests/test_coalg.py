@@ -18,9 +18,11 @@ from relspan import (
     CoalgCategory,
     CoalgMap,
     Coalgebra,
+    Cospan,
     FinFun,
     FinSetObj,
     Matrix,
+    RelPullback,
     check_coalg_map,
     check_coalgebra,
     class_S_member,
@@ -31,17 +33,20 @@ from relspan import (
     direct_sum,
     grouplike,
     is_cocommutative,
+    legs_in_class,
     linearize_fun,
     linearize_obj,
     path_coalgebra,
     primitive_block,
-    pullback,
     pullback_factor_coalg,
+    relative_pullback,
     relative_pullback_coalg,
     tensor_coalgebra,
     trivial,
+    universal_factor,
 )
 from relspan.coalg import cid, equalizer_factor
+from relspan.finset import pullback
 from relspan.errors import CodomainMismatch, SpanNotInClass, SquareDoesNotCommute
 from relspan.linalg import is_injective
 
@@ -279,9 +284,29 @@ def test_pullback_grouplike_matches_finset_oracle():
                 assert pb.j.mat.col_sparse(k) == {a * nc + c: field.one}
             assert pb.p_a.mat == linearize_fun(fpb.p_a, field).mat
             assert pb.p_c.mat == linearize_fun(fpb.p_c, field).mat
-            assert pb.legs_in_s and pb.jointly_monic
+            assert legs_in_class(CoalgCategory(field).span_class, Cospan(f, g))
+            assert pb.jointly_monic
             assert check_coalgebra(pb.apex).ok
             assert check_coalg_map(pb.p_a).ok and check_coalg_map(pb.p_c).ok
+
+
+def test_grouplike_pullback_agrees_over_q_and_f5():
+    """𝔽_5 against ℚ: one group-like cospan gives the same apex dimension and
+    the same matching-pair basis of the inclusion, in the same order."""
+    rng = rng_for("pb-q-vs-f5")
+    for _ in range(12):
+        f0 = rand_finfun(rng, rng.randint(1, 5), rng.randint(1, 3))
+        g0 = rand_finfun(rng, rng.randint(1, 5), f0.cod.size)
+        nc = g0.dom.size
+        pairs = [(a, c) for a in range(f0.dom.size) for c in range(nc) if f0(a) == g0(c)]
+        pbs = [
+            relative_pullback(CoalgCategory(field), linearize_fun(f0, field), linearize_fun(g0, field))
+            for field in (QQ, GF(5))
+        ]
+        assert pbs[0].apex.dim == pbs[1].apex.dim == len(pairs)
+        for pb in pbs:
+            j = pb.payload.j.mat
+            assert [j.col_sparse(k) for k in range(j.cols)] == [{a * nc + c: 1} for a, c in pairs]
 
 
 def test_pullback_over_trivial_base_is_full_tensor():
@@ -331,12 +356,11 @@ def test_pullback_fillers_are_coalgebra_maps():
 
 def test_category_equalizer_capability():
     field = QQ
-    base = CoalgCategory(field)
     f = linearize_fun(FinFun(FinSetObj(3), FinSetObj(2), (0, 1, 0)), field)
     g = CoalgMap(
         f.src, f.tgt, linearize_fun(FinFun(FinSetObj(3), FinSetObj(2), (0, 1, 1)), field).mat
     )
-    eq = base.equalizer(f, g)
+    eq = coalg_equalizer(f, g)
     assert eq.object.dim == 2
 
 
@@ -386,11 +410,13 @@ def test_pullback_factor_rejections():
     l = CoalgMap(two, two, swapm)
     with pytest.raises(SquareDoesNotCommute):
         pullback_factor_coalg(pb, k, l)
-    # the identity span on the path coalgebra is not in S
+    # the identity span on the path coalgebra is not in S; the generic layer
+    # decides class membership of the test span
     p = path_coalgebra(field)
-    pbp = relative_pullback_coalg(cid(p), cid(p))
+    base = CoalgCategory(field)
+    pbp = RelPullback(base, cid(p), cid(p), *base.pullback(cid(p), cid(p)))
     with pytest.raises(SpanNotInClass):
-        pullback_factor_coalg(pbp, cid(p), cid(p))
+        universal_factor(pbp, cid(p), cid(p))
 
 
 # -- cotensor ------------------------------------------------------------------------

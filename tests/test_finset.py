@@ -15,9 +15,8 @@ from relspan import (
     is_cocommutative,
     linearize_fun,
     linearize_obj,
-    pullback,
-    universal_factor,
 )
+from relspan.finset import pullback, universal_factor
 from relspan.errors import CodomainMismatch, SquareDoesNotCommute
 
 

@@ -10,9 +10,7 @@ from gen import FIELDS, rand_matrix, rand_q_matrix, rand_scalar, rng_for
 from relspan import GF, QQ, Matrix
 from relspan.errors import FieldMismatch, ShapeMismatch
 from relspan.linalg import (
-    column_span_equal,
     is_injective,
-    is_surjective,
     kernel_basis,
     kernel_basis_sparse,
     kron,
@@ -20,7 +18,6 @@ from relspan.linalg import (
     left_inverse,
     solve,
     swap_map,
-    swap_sparse,
 )
 
 F5 = GF(5)
@@ -243,31 +240,16 @@ def test_swap_naturality():
         )
 
 
-def test_swap_sparse_matches_matrix():
-    vec = {0 * 3 + 1: QQ.of(2), 1 * 3 + 2: QQ.of(5)}
-    out = swap_sparse(vec, 2, 3)
-    assert out == {1 * 2 + 0: QQ.of(2), 2 * 2 + 1: QQ.of(5)}
-
-
-# -- rank predicates and span comparison ---------------------------------------
+# -- rank predicates --------------------------------------------------------------
 
 
 def test_rank_predicates():
     i3 = Matrix.identity(QQ, 3)
-    assert is_surjective(i3) and is_injective(i3)
+    assert i3.rank() == i3.rows and is_injective(i3)
     a = mat(QQ, [[1, 0]])
-    assert is_surjective(a) and not is_injective(a)
+    assert a.rank() == a.rows and not is_injective(a)
     z = Matrix.zeros(QQ, 1, 1)
-    assert not is_surjective(z) and not is_injective(z)
-
-
-def test_column_span_equal():
-    i2 = Matrix.identity(QQ, 2)
-    assert column_span_equal(i2, i2)
-    assert column_span_equal(mat(QQ, [[1], [1]]), mat(QQ, [[2], [2]]))
-    assert not column_span_equal(mat(QQ, [[1], [0]]), i2)
-    with pytest.raises(ShapeMismatch):
-        column_span_equal(i2, mat(QQ, [[1]]))
+    assert z.rank() != z.rows and not is_injective(z)
 
 
 def test_left_inverse():
@@ -276,13 +258,29 @@ def test_left_inverse():
     assert l @ a == Matrix.identity(QQ, 2)
 
 
+def test_shape_must_match_the_rows_held():
+    with pytest.raises(ShapeMismatch):
+        Matrix(QQ, [[1]], 3, 1)
+    with pytest.raises(ShapeMismatch):
+        Matrix(QQ, [[1], [2]], 1, 1)
+    assert (Matrix(QQ, [], 0, 3).rows, Matrix(QQ, [], 0, 3).cols) == (0, 3)
+
+
+def test_rand_matrix_keeps_empty_shapes():
+    rng = rng_for("empty-shapes")
+    for field in FIELDS:
+        for rows, cols in ((0, 3), (3, 0), (0, 0), (2, 3)):
+            m = rand_matrix(rng, field, rows, cols)
+            assert (m.rows, m.cols) == (rows, cols)
+
+
 def test_zero_dimensional_edge_cases():
     z = Matrix.zeros(QQ, 0, 3)
     assert kernel_basis(z) == Matrix.identity(QQ, 3)
     n = Matrix.zeros(QQ, 3, 0)
     assert (kernel_basis(n).rows, kernel_basis(n).cols) == (0, 0)
     assert kron(z, Matrix.identity(QQ, 2)).rows == 0
-    assert is_injective(n) and not is_surjective(n)
+    assert is_injective(n) and n.rank() != n.rows
 
 
 # -- sympy as an independent oracle ----------------------------------------------

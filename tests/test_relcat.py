@@ -24,7 +24,6 @@ from relspan.coalg import cid
 from relspan.errors import BaseMismatch, LegsNotInClass, NotACategory
 from relspan.relcat import (
     RelativeCategory,
-    compose_functors,
     composition_table,
     fixture_discrete,
     fixture_groupoid5,
@@ -297,7 +296,7 @@ def test_inclusion_functor_and_composition():
     tgt = from_small_category(fixture_discrete(1))
     fun2 = RelativeFunctor(ffun(2, 1, [0, 0]), ffun(3, 1, [0, 0, 0]))
     assert check_relative_functor(fun2, mid, tgt).ok
-    comp = compose_functors(fun2, fun1, FINSET)
+    comp = RelativeFunctor(FINSET.compose(fun2.b, fun1.b), FINSET.compose(fun2.a, fun1.a))
     assert check_relative_functor(comp, src, tgt).ok
 
 

@@ -33,12 +33,12 @@ from relspan import (
     linearize_fun,
     monoid_on_pullback,
     path_coalgebra,
-    pullback,
     relative_pullback,
     relative_pullback_coalg,
     unit_isos,
 )
 from relspan.coalg import cid
+from relspan.finset import pullback
 from relspan.errors import LegsNotInClass, SquaresDoNotCommute, WrongShape
 from relspan.relpull import assoc_iso, check_pullback_invariants
 
