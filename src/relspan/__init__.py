@@ -34,8 +34,6 @@ from .coalg import (
     is_cocommutative,
     path_coalgebra,
     primitive_block,
-    pullback_factor_coalg,
-    relative_pullback_coalg,
     tensor_coalgebra,
     trivial,
 )

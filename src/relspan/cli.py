@@ -193,9 +193,7 @@ def cmd_cotensor(args, argv):
     report.add("cotensor computed", True)
     if ct.coalgebra is not None:
         report.extend(_coalg.check_coalgebra(ct.coalgebra), "induced structure: ")
-        report.extend(
-            _coalg.compare_cotensor_pullback(left, right), "pullback comparison: "
-        )
+        report.extend(_coalg.compare_with_pullback(ct, left, right), "pullback comparison: ")
     return _report_payload(argv, report, extra)
 
 

@@ -587,8 +587,9 @@ def _check_cospan(f: CoalgMap, g: CoalgMap):
 
 def relative_pullback_coalg(f: CoalgMap, g: CoalgMap) -> CoalgPullback:
     """The class-S relative pullback of f: A -> B <- C :g, computed as the
-    comonoid equalizer of f⊗ε and ε⊗g on A⊗C.  Whether the legs are in class
-    S is decided by the caller (relpull.relative_pullback)."""
+    comonoid equalizer of f⊗ε and ε⊗g on A⊗C.  Unchecked: on legs outside S
+    the equalizer is not the relative pullback; relpull.relative_pullback
+    decides the legs before calling this."""
     _check_cospan(f, g)
     a, c = f.src, g.src
     fld = a.field
@@ -623,8 +624,9 @@ def relative_pullback_coalg(f: CoalgMap, g: CoalgMap) -> CoalgPullback:
 
 
 def pullback_factor_coalg(pb: CoalgPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap:
-    """The unique filler h with p_A∘h = k and p_C∘h = l for a class-S span (k, l)
-    (checked by the caller), factoring (k⊗l)∘δ_D through the equalizer inclusion."""
+    """The unique filler h with p_A∘h = k and p_C∘h = l for a class-S span (k, l),
+    factoring (k⊗l)∘δ_D through the equalizer inclusion.  Unchecked: class S is
+    decided by relpull.universal_factor, which calls this."""
     if not _same_object(k.src, l.src):
         raise ShapeMismatch("test span legs must share their domain")
     if pb.f.mat @ k.mat != pb.g.mat @ l.mat:
@@ -712,9 +714,13 @@ def cotensor(f: CoalgMap, g: CoalgMap) -> Cotensor:
 
 def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
     """Verify that the cotensor product and the relative pullback are the same
-    subobject: the mutual universal factorizations compose to identities.
-    The cotensor decides whether the legs are in class S."""
-    ct = cotensor(f, g)
+    subobject: the mutual universal factorizations compose to identities."""
+    return compare_with_pullback(cotensor(f, g), f, g)
+
+
+def compare_with_pullback(ct: Cotensor, f: CoalgMap, g: CoalgMap) -> Report:
+    """compare_cotensor_pullback for ct = cotensor(f, g), already computed;
+    ct decided whether the legs are in class S."""
     if ct.coalgebra is None:
         raise LegsNotInClass("cotensor comparison needs legs in class S")
     pb = relative_pullback_coalg(f, g)

@@ -38,14 +38,12 @@ from relspan import (
     linearize_obj,
     path_coalgebra,
     primitive_block,
-    pullback_factor_coalg,
     relative_pullback,
-    relative_pullback_coalg,
     tensor_coalgebra,
     trivial,
     universal_factor,
 )
-from relspan.coalg import cid, equalizer_factor
+from relspan.coalg import cid, equalizer_factor, pullback_factor_coalg, relative_pullback_coalg
 from relspan.finset import pullback
 from relspan.errors import CodomainMismatch, SpanNotInClass, SquareDoesNotCommute
 from relspan.linalg import is_injective

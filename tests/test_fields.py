@@ -15,8 +15,8 @@ from relspan import (
     Matrix,
     check_coalgebra,
     linearize_fun,
-    relative_pullback_coalg,
 )
+from relspan.coalg import relative_pullback_coalg
 from relspan.fields import MAX_PRIME_MODULUS, _is_prime
 from relspan.jsonio import load_context
 from relspan.linalg import kernel_basis_sparse, kron, kron_apply, solve

@@ -34,10 +34,9 @@ from relspan import (
     monoid_on_pullback,
     path_coalgebra,
     relative_pullback,
-    relative_pullback_coalg,
     unit_isos,
 )
-from relspan.coalg import cid
+from relspan.coalg import cid, relative_pullback_coalg
 from relspan.finset import pullback
 from relspan.errors import LegsNotInClass, SquaresDoNotCommute, WrongShape
 from relspan.relpull import assoc_iso, check_pullback_invariants
