@@ -2,8 +2,20 @@
 
 import json
 import os
+import random
 
-from relspan import GF, QQ, grouplike, linearize_fun, path_coalgebra
+from relspan import (
+    GF,
+    QQ,
+    Coalgebra,
+    CoalgMap,
+    Matrix,
+    grouplike,
+    kron,
+    linearize_fun,
+    path_coalgebra,
+    solve,
+)
 from relspan.finset import FINSET, FinFun, FinSetObj
 from relspan.jsonio import field_to_json, matrix_to_json
 from relspan.relcat import (
@@ -49,6 +61,22 @@ def coalg_map_json(src, tgt, mat):
     return {"kind": "coalgebra_map", "src": src, "tgt": tgt, "matrix": matrix_to_json(mat)}
 
 
+def rebased(c, pm):
+    """c re-expressed in the basis of the columns of the invertible pm:
+    δ' = (P⁻¹⊗P⁻¹)∘δ∘P and ε' = ε∘P.  Returns the coalgebra and P⁻¹."""
+    pinv = solve(pm, Matrix.identity(c.field, c.dim))
+    delta = kron(pinv, pinv) @ c.delta @ pm
+    return Coalgebra(c.dim, c.field, delta=delta, epsilon=c.epsilon @ pm), pinv
+
+
+def random_basis(rng, fld, n):
+    """An invertible n x n matrix with every entry nonzero."""
+    while True:
+        pm = Matrix.from_rows(fld, [[rng.randrange(1, fld.p) for _ in range(n)] for _ in range(n)])
+        if pm.rank() == n:
+            return pm
+
+
 def main():
     # coalgebras: valid group-like, a corrupted copy, the non-cocommutative path
     k2 = grouplike(QQ, 2)
@@ -92,6 +120,30 @@ def main():
             "idp": coalg_map_json("P", "P", __import__("relspan").Matrix.identity(f5, 3)),
             "cs": {"kind": "cospan", "left": "f", "right": "g"},
             "bad": {"kind": "cospan", "left": "idp", "right": "idp"},
+        },
+    )
+
+    # the same kind of group-like cospan over F11 in random bases: every δ
+    # column is dense
+    f11 = GF(11)
+    rng = random.Random(11)
+    f = linearize_fun(FinFun(FinSetObj(3), FinSetObj(2), (0, 1, 0)), f11)
+    g = linearize_fun(FinFun(FinSetObj(3), FinSetObj(2), (1, 0, 1)), f11)
+    pa, pb, pc = (random_basis(rng, f11, n) for n in (3, 2, 3))
+    a, _ = rebased(f.src, pa)
+    b, pb_inv = rebased(f.tgt, pb)
+    c, _ = rebased(g.src, pc)
+    f = CoalgMap(a, b, pb_inv @ f.mat @ pa)
+    g = CoalgMap(c, b, pb_inv @ g.mat @ pc)
+    write(
+        "cospan_dense.json",
+        {
+            "A": coalgebra_to_json(a),
+            "B": coalgebra_to_json(b),
+            "C": coalgebra_to_json(c),
+            "f": coalg_map_json("A", "B", f.mat),
+            "g": coalg_map_json("C", "B", g.mat),
+            "cs": {"kind": "cospan", "left": "f", "right": "g"},
         },
     )
 

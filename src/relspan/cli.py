@@ -143,7 +143,8 @@ def _coalg_result(pb, args, report):
         "filler of the projection span is not the identity",
     )
     if args.compare_cotensor:
-        report.extend(_coalg.compare_cotensor_pullback(pb.f, pb.g), "cotensor comparison: ")
+        ct = _coalg.cotensor(pb.f, pb.g)
+        report.extend(_coalg.compare_with_pullback(ct, pb.payload), "cotensor comparison: ")
     apex = {"dim": pb.apex.dim, "delta": matrix_to_json(pb.apex.delta),
             "epsilon": matrix_to_json(pb.apex.epsilon)}
     return {"apex": apex, "p_a": matrix_to_json(pb.p_a.mat), "p_c": matrix_to_json(pb.p_c.mat)}
@@ -193,7 +194,8 @@ def cmd_cotensor(args, argv):
     report.add("cotensor computed", True)
     if ct.coalgebra is not None:
         report.extend(_coalg.check_coalgebra(ct.coalgebra), "induced structure: ")
-        report.extend(_coalg.compare_with_pullback(ct, left, right), "pullback comparison: ")
+        pb = _coalg.relative_pullback_coalg(left, right)
+        report.extend(_coalg.compare_with_pullback(ct, pb), "pullback comparison: ")
     return _report_payload(argv, report, extra)
 
 

@@ -160,6 +160,9 @@ KNOWN_KINDS = set(_SIMPLE_KINDS) | {
 }
 
 
+_LEG_KINDS = ("finset_fun", "coalgebra_map")
+
+
 def _cospan_base(left: "Decl", right: "Decl"):
     """The one base category that both legs of a cospan are morphisms of."""
     if left.kind == right.kind == "finset_fun":
@@ -233,16 +236,19 @@ def load_context(path: str) -> dict:
             raise
         except (RelspanError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad declaration {name!r}: {exc}") from exc
-    for name, kind, obj in deferred:
+    # coalgebra maps first, so a cospan may name maps declared after it; the
+    # context keeps the deferred declarations in file order
+    for name, kind, obj in sorted(deferred, key=lambda d: d[1] != "coalgebra_map"):
         try:
             if kind == "coalgebra_map":
-                src = ctx[obj["src"]].value
-                tgt = ctx[obj["tgt"]].value
+                src = _declared(doc, ctx, obj["src"], "src", ("coalgebra",)).value
+                tgt = _declared(doc, ctx, obj["tgt"], "tgt", ("coalgebra",)).value
                 ctx[name] = Decl(
                     kind, _coalg.CoalgMap(src, tgt, matrix_from_json(obj["matrix"])), obj
                 )
             elif kind == "cospan":
-                left, right = ctx[obj["left"]], ctx[obj["right"]]
+                left, right = (_declared(doc, ctx, obj[side], "cospan leg", _LEG_KINDS)
+                               for side in ("left", "right"))
                 base = _cospan_base(left, right)
                 ctx[name] = Decl(kind, (left.value, right.value), obj)
                 ctx[name].base = base
@@ -252,4 +258,16 @@ def load_context(path: str) -> dict:
             raise
         except (RelspanError, KeyError, TypeError, ValueError) as exc:
             raise ParseError(f"bad declaration {name!r}: {exc}") from exc
+    for name, _, _ in deferred:
+        ctx[name] = ctx.pop(name)
     return ctx
+
+
+def _declared(doc, ctx, name, role, kinds) -> Decl:
+    """The decoded declaration that a reference names; it must be of one of kinds."""
+    if not isinstance(name, str) or name not in doc:
+        raise ValueError(f"{role} {name!r} is not declared")
+    kind = doc[name]["kind"]
+    if kind not in kinds:
+        raise ValueError(f"{role} {name!r} is a {kind}, expected {' or '.join(kinds)}")
+    return ctx[name]

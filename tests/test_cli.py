@@ -306,3 +306,49 @@ def test_rational_exponent_entry_exits_2(tmp_path, entry):
     code, doc = run_no_traceback(["check", str(p)])
     assert code == 2 and doc["exit"] == 2
     assert "exponent" in doc["error"]
+
+
+def _maps_after_cospan_fixture(tmp_path, left="m", src="A"):
+    """A cospan declared before the coalgebra maps it names."""
+    one = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
+    p = tmp_path / "order.json"
+    p.write_text(json.dumps({
+        "cs": {"kind": "cospan", "left": left, "right": "m2"},
+        "m": {"kind": "coalgebra_map", "src": src, "tgt": "A", "matrix": one},
+        "m2": {"kind": "coalgebra_map", "src": "A", "tgt": "A", "matrix": one},
+        "A": {"kind": "coalgebra", "field": "Q", "dim": 1, "delta": one, "epsilon": one},
+    }))
+    return str(p)
+
+
+def test_cospan_declared_before_its_maps_loads(tmp_path):
+    path = _maps_after_cospan_fixture(tmp_path)
+    code, doc = run_no_traceback(["check", path])
+    assert code == 0
+    assert [c["name"] for c in doc["checks"]][-5:] == [
+        "cs: legs in class",
+        "m: comultiplication intertwined", "m: counit preserved",
+        "m2: comultiplication intertwined", "m2: counit preserved",
+    ]
+    code, doc = run_no_traceback(["pullback", path, "--cospan", "cs"])
+    assert code == 0 and doc["result"]["apex"]["dim"] == 1
+
+
+@pytest.mark.parametrize("field", ["left", "src"])
+def test_reference_to_undeclared_name_exits_2_naming_it(tmp_path, field):
+    path = _maps_after_cospan_fixture(tmp_path, **{field: "nowhere"})
+    code, doc = run_no_traceback(["check", path])
+    assert code == 2 and doc["exit"] == 2
+    assert "'nowhere'" in doc["error"] and "not declared" in doc["error"]
+
+
+def test_coalgebra_map_between_non_coalgebras_exits_2(tmp_path):
+    one = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
+    p = tmp_path / "src_kind.json"
+    p.write_text(json.dumps({
+        "X": {"kind": "finset_obj", "set": 1},
+        "m": {"kind": "coalgebra_map", "src": "X", "tgt": "X", "matrix": one},
+    }))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["exit"] == 2
+    assert "'X' is a finset_obj" in doc["error"]

@@ -9,6 +9,8 @@ from gen import (
     rand_block_map,
     rand_blocks,
     rand_finfun,
+    rand_matrix,
+    rand_q_matrix,
     rng_for,
 )
 from relspan import (
@@ -43,10 +45,16 @@ from relspan import (
     trivial,
     universal_factor,
 )
-from relspan.coalg import cid, equalizer_factor, pullback_factor_coalg, relative_pullback_coalg
+from relspan.coalg import (
+    _hat_difference_cols,
+    cid,
+    equalizer_factor,
+    pullback_factor_coalg,
+    relative_pullback_coalg,
+)
 from relspan.finset import pullback
 from relspan.errors import CodomainMismatch, SpanNotInClass, SquareDoesNotCommute
-from relspan.linalg import is_injective
+from relspan.linalg import is_injective, kron, solve
 
 
 # -- axiom checks -----------------------------------------------------------------
@@ -244,6 +252,85 @@ def test_equalizer_universality_randomized():
                 assert eq.j.mat @ u.mat == h.mat
                 assert u.mat == r_mat  # unique: j is injective
                 assert check_coalg_map(u).ok
+
+
+def _hat_difference_oracle(f, g):
+    """f_hat - g_hat = (1⊗(F-G)⊗1)∘(δ⊗1)∘δ as one dense product."""
+    fld, n = f.mat.field, f.src.dim
+    i_n = Matrix.identity(fld, n)
+    delta = f.src.delta
+    return kron(kron(i_n, f.mat - g.mat), i_n) @ kron(delta, i_n) @ delta
+
+
+def _random_basis(rng, field, n):
+    while True:
+        pm = rand_matrix(rng, field, n, n)
+        if pm.rank() == n:
+            return pm
+
+
+def _rebased(c, pm):
+    """c in the basis of the columns of pm: δ' = (P⁻¹⊗P⁻¹)∘δ∘P, ε' = ε∘P."""
+    pinv = solve(pm, Matrix.identity(c.field, c.dim))
+    return Coalgebra(c.dim, c.field, delta=kron(pinv, pinv) @ c.delta @ pm,
+                     epsilon=c.epsilon @ pm)
+
+
+def _assert_hat_difference_matches_oracle(f, g):
+    cols = _hat_difference_cols(f, g)
+    assert len(cols) == f.src.dim
+    oracle = _hat_difference_oracle(f, g)
+    assert cols == [oracle.col_sparse(j) for j in range(f.src.dim)]
+    return cols
+
+
+def test_hat_difference_dense_basis_matches_oracle():
+    rng = rng_for("hat-dense")
+    for field in FIELDS:
+        for _ in range(4):
+            n, nb = rng.randint(1, 4), rng.randint(1, 3)
+            a = _rebased(grouplike(field, n), _random_basis(rng, field, n))
+            b = _rebased(grouplike(field, nb), _random_basis(rng, field, nb))
+            assert check_coalgebra(a).ok
+            f = CoalgMap(a, b, rand_matrix(rng, field, nb, n))
+            g = CoalgMap(a, b, rand_matrix(rng, field, nb, n))
+            _assert_hat_difference_matches_oracle(f, g)
+
+
+def test_hat_difference_pins_left_bracketing_on_a_non_coassociative_delta():
+    """A random δ is not coassociative, so (δ⊗1)∘δ and (1⊗δ)∘δ differ; the
+    columns must follow the first."""
+    rng = rng_for("hat-noncoassoc")
+    for field in FIELDS:
+        told = False
+        for _ in range(4):
+            n, nb = rng.randint(2, 3), rng.randint(1, 3)
+            if field == QQ:
+                delta = rand_q_matrix(rng, n * n, n)
+            else:
+                delta = rand_matrix(rng, field, n * n, n)
+            a = Coalgebra(n, field, delta=delta, epsilon=rand_matrix(rng, field, 1, n))
+            b = grouplike(field, nb)
+            f = CoalgMap(a, b, rand_matrix(rng, field, nb, n))
+            g = CoalgMap(a, b, rand_matrix(rng, field, nb, n))
+            cols = _assert_hat_difference_matches_oracle(f, g)
+            i_n = Matrix.identity(field, n)
+            right = kron(kron(i_n, f.mat - g.mat), i_n) @ kron(i_n, delta) @ delta
+            told = told or cols != [right.col_sparse(j) for j in range(n)]
+        assert told, "no sample told (δ⊗1)∘δ from (1⊗δ)∘δ"
+
+
+def test_hat_difference_of_equal_maps_and_of_dimension_zero():
+    rng = rng_for("hat-edge")
+    for field in FIELDS:
+        a = _rebased(grouplike(field, 3), _random_basis(rng, field, 3))
+        f = CoalgMap(a, grouplike(field, 2), rand_matrix(rng, field, 2, 3))
+        assert _assert_hat_difference_matches_oracle(f, f) == [{}, {}, {}]
+        zero = Coalgebra(0, field, delta=Matrix(field, [], 0, 0),
+                         epsilon=Matrix(field, [[]], 1, 0))
+        assert _hat_difference_cols(cid(zero), cid(zero)) == []
+        into_zero = CoalgMap(a, zero, Matrix(field, [], 0, 3))
+        assert _assert_hat_difference_matches_oracle(into_zero, into_zero) == [{}, {}, {}]
 
 
 # -- relative pullbacks -------------------------------------------------------------
