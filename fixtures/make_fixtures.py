@@ -3,6 +3,7 @@
 import json
 import os
 import random
+from fractions import Fraction
 
 from relspan import (
     GF,
@@ -67,6 +68,24 @@ def rebased(c, pm):
     pinv = solve(pm, Matrix.identity(c.field, c.dim))
     delta = kron(pinv, pinv) @ c.delta @ pm
     return Coalgebra(c.dim, c.field, delta=delta, epsilon=c.epsilon @ pm), pinv
+
+
+def divided_power(fld, m):
+    """D_m = (k[x]/xᵐ)*: δ(d_n) = Σ_{i+j=n} d_i⊗d_j, ε(d_n) = [n = 0]."""
+    cols = [{i * m + (n - i): fld.one for i in range(n + 1)} for n in range(m)]
+    eps = Matrix.from_rows(fld, [[1] + [0] * (m - 1)])
+    return Coalgebra(m, fld, delta=Matrix.from_cols(fld, m * m, cols), epsilon=eps)
+
+
+def substitution_dual(src, tgt, p):
+    """The map D_a -> D_b dual to z ↦ p(x), for p with a coefficients and
+    ord p ≥ ⌈a/b⌉: entry (k, n) is the coefficient of xⁿ in p(x)ᵏ."""
+    a = src.dim
+    rows, power = [], [1] + [0] * (a - 1)
+    for _ in range(tgt.dim):
+        rows.append(power)
+        power = [sum(power[i] * p[n - i] for i in range(n + 1)) for n in range(a)]
+    return CoalgMap(src, tgt, Matrix.from_rows(src.field, rows))
 
 
 def random_basis(rng, fld, n):
@@ -137,6 +156,23 @@ def main():
     g = CoalgMap(c, b, pb_inv @ g.mat @ pc)
     write(
         "cospan_dense.json",
+        {
+            "A": coalgebra_to_json(a),
+            "B": coalgebra_to_json(b),
+            "C": coalgebra_to_json(c),
+            "f": coalg_map_json("A", "B", f.mat),
+            "g": coalg_map_json("C", "B", g.mat),
+            "cs": {"kind": "cospan", "left": "f", "right": "g"},
+        },
+    )
+
+    # a cospan of divided-power coalgebras over Q, dual to z ↦ x² + 3x³ − x⁴
+    # and z ↦ 2y² + y³/2: cocommutative and not group-like
+    a, b, c = divided_power(QQ, 5), divided_power(QQ, 3), divided_power(QQ, 4)
+    f = substitution_dual(a, b, [0, 0, 1, 3, -1])
+    g = substitution_dual(c, b, [0, 0, 2, Fraction(1, 2)])
+    write(
+        "cospan_divided.json",
         {
             "A": coalgebra_to_json(a),
             "B": coalgebra_to_json(b),

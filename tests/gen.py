@@ -191,6 +191,38 @@ def mutate_one_entry(rng, field, mat: Matrix) -> Matrix:
     return out
 
 
+
+# -- divided-power coalgebras ------------------------------------------------------
+
+
+def divided_power(field, m) -> Coalgebra:
+    """D_m = (k[x]/xᵐ)*: δ(d_n) = Σ_{i+j=n} d_i⊗d_j, ε(d_n) = [n = 0]."""
+    cols = [{i * m + (n - i): field.one for i in range(n + 1)} for n in range(m)]
+    eps = Matrix.from_rows(field, [[1] + [0] * (m - 1)])
+    return Coalgebra(m, field, delta=Matrix.from_cols(field, m * m, cols), epsilon=eps)
+
+
+def substitution_dual(src: Coalgebra, tgt: Coalgebra, poly) -> CoalgMap:
+    """The coalgebra map D_a -> D_b dual to the algebra map k[z]/zᵇ -> k[x]/xᵃ,
+    z ↦ p(x) = Σ poly[i]·xⁱ, which is well defined when ord p ≥ ⌈a/b⌉: the
+    entry (k, n) is the coefficient of xⁿ in p(x)ᵏ."""
+    field, a = src.field, src.dim
+    p = [field.of(c) for c in poly[:a]] + [field.zero] * (a - len(poly))
+    rows, power = [], [field.one] + [field.zero] * (a - 1)
+    for _ in range(tgt.dim):
+        rows.append(power)
+        power = [
+            field.normalize(sum((power[i] * p[n - i] for i in range(n + 1)), field.zero))
+            for n in range(a)
+        ]
+    return CoalgMap(src, tgt, Matrix(field, rows, tgt.dim, a))
+
+
+def rand_substitution_poly(rng, field, a, b):
+    """Coefficients of a random p with ord p ≥ ⌈a/b⌉ and deg p < a."""
+    order = -(-a // b)
+    return [0] * order + [rand_scalar(rng, field) for _ in range(order, a)]
+
 # -- small groups and their algebras ----------------------------------------------
 
 

@@ -1,6 +1,6 @@
 """Byte-identical CLI contract: the README and benchmark fixture commands
-and a pullback of the dense-basis cospan, each against its recorded stdout
-and exit code.
+and pullbacks of the dense-basis and divided-power cospans, each against its
+recorded stdout and exit code.
 
 The outputs echo argv, so every command runs from the repository root with
 relative paths.  A golden file changes only with a deliberate change of the
@@ -24,6 +24,8 @@ COMMANDS = (
     ("pullback_coalg_compare", "pullback fixtures/cospan_coalg.json --cospan cs --compare-cotensor", 0),
     ("pullback_dense_compare",
      "pullback fixtures/cospan_dense.json --cospan cs --instance coalg --compare-cotensor", 0),
+    ("pullback_divided_compare",
+     "pullback fixtures/cospan_divided.json --cospan cs --instance coalg --compare-cotensor", 0),
     ("pullback_finset_linearized",
      "pullback fixtures/cospan_finset.json --cospan cs --instance coalg --field Fp:5", 0),
     ("cotensor_coalg", "cotensor fixtures/cospan_coalg.json --cospan cs", 0),
