@@ -291,12 +291,8 @@ def main():
     # monoids: Z/2 as a table and the group algebra of C2 as a bialgebra
     kc2 = coalgebra_to_json(grouplike(QQ, 2))
     kc2["kind"] = "bialgebra"
-    m_mat = __import__("relspan").Matrix.zeros(QQ, 2, 4)
-    for a in range(2):
-        for b in range(2):
-            m_mat.data[a ^ b][a * 2 + b] = QQ.one
-    u_mat = __import__("relspan").Matrix.zeros(QQ, 2, 1)
-    u_mat.data[0][0] = QQ.one
+    m_mat = Matrix.from_cols(QQ, 2, [{a ^ b: QQ.one} for a in range(2) for b in range(2)])
+    u_mat = Matrix.from_cols(QQ, 2, [{0: QQ.one}])
     kc2["m"] = matrix_to_json(m_mat)
     kc2["u"] = matrix_to_json(u_mat)
     write(

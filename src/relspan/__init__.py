@@ -50,7 +50,6 @@ from .finset import (
 from .linalg import (
     Matrix,
     is_injective,
-    kernel_basis,
     kron,
     solve,
     swap_map,

@@ -46,6 +46,15 @@ class FinFun:
         object.__setattr__(self, "cod", cod)
         object.__setattr__(self, "table", table)
 
+    @classmethod
+    def _valid(cls, dom, cod, table: tuple):
+        """A FinFun from a table that maps dom into cod by construction; not re-validated."""
+        f = cls.__new__(cls)
+        object.__setattr__(f, "dom", dom)
+        object.__setattr__(f, "cod", cod)
+        object.__setattr__(f, "table", table)
+        return f
+
     def __call__(self, x):
         return self.table[x]
 
@@ -66,7 +75,7 @@ class FinSetCategory(BaseCategory):
     def compose(self, g: FinFun, f: FinFun) -> FinFun:
         if f.cod != g.dom:
             raise CodomainMismatch("compose: cod(f) != dom(g)")
-        return FinFun(f.dom, g.cod, tuple(g.table[v] for v in f.table))
+        return FinFun._valid(f.dom, g.cod, tuple(map(g.table.__getitem__, f.table)))
 
     def dom(self, f):
         return f.dom
@@ -85,11 +94,8 @@ class FinSetCategory(BaseCategory):
 
     def tensor_mor(self, f: FinFun, g: FinFun) -> FinFun:
         gm = g.cod.size
-        table = []
-        for a in f.table:
-            base = a * gm
-            table.extend(base + b for b in g.table)
-        return FinFun(self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod), table)
+        table = tuple(a * gm + b for a in f.table for b in g.table)
+        return FinFun._valid(self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod), table)
 
     def unit_obj(self):
         return FinSetObj(1)
@@ -100,7 +106,7 @@ class FinSetCategory(BaseCategory):
         for i in range(m):
             for j in range(n):
                 table[i * n + j] = j * m + i
-        return FinFun(FinSetObj(m * n), FinSetObj(n * m), table)
+        return FinFun._valid(FinSetObj(m * n), FinSetObj(n * m), tuple(table))
 
     def is_epi(self, f: FinFun) -> bool:
         return set(f.table) == set(range(f.cod.size))
@@ -204,7 +210,5 @@ def linearize_fun(f: FinFun, fld) -> coalg.CoalgMap:
     """e_x -> e_{f(x)}; a comonoid morphism between group-like coalgebras."""
     src = linearize_obj(f.dom, fld)
     tgt = linearize_obj(f.cod, fld)
-    mat = Matrix.zeros(fld, f.cod.size, f.dom.size)
-    for x, y in enumerate(f.table):
-        mat.data[y][x] = fld.one
+    mat = Matrix.from_cols(fld, f.cod.size, [{y: fld.one} for y in f.table])
     return coalg.CoalgMap(src, tgt, mat)

@@ -1,8 +1,10 @@
-"""Dense exact linear algebra over Q and F_p.
+"""Column-sparse exact linear algebra over Q and F_p.
 
-A Matrix stores its entries as dense row lists of canonical field scalars
-(see fields: ints and Fractions over Q, int residues over F_p), so an entry
-is zero exactly when it is falsy.
+A Matrix stores one dict per column, {row index: value}, holding only the
+nonzero entries as canonical field scalars (see fields: ints and Fractions
+over Q, int residues over F_p).  Every operation returns that form, so two
+matrices are equal exactly when their columns are equal dicts, and storage
+and work grow with the number of nonzeros, not with rows × columns.
 
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
@@ -10,8 +12,9 @@ g∘f is the product G @ F.  Tensor indices are row-major throughout:
 e_i ⊗ f_j lives at index i * dim(second factor) + j.
 
 All canonical forms (reduced row echelon, kernel bases, solve with zeroed free
-variables) use first-nonzero pivoting, so every result is reproducible
-bit-for-bit.
+variables) come from one elimination on sparse rows.  The reduced row echelon
+form is unique, so they are the forms first-nonzero pivoting gives, and every
+result is reproducible bit-for-bit.
 """
 
 from __future__ import annotations
@@ -21,11 +24,10 @@ from .fields import require_same_field
 
 
 class Matrix:
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "columns")
 
     def __init__(self, field, data, rows=None, cols=None):
-        """data: list of row lists of field values (not copied)."""
-        self.field = field
+        """data: list of row lists of canonical field values."""
         if rows is None:
             rows = len(data)
         if cols is None:
@@ -35,11 +37,23 @@ class Matrix:
         for row in data:
             if len(row) != cols:
                 raise ShapeMismatch("ragged rows")
+        self.field = field
         self.rows = rows
         self.cols = cols
-        self.data = data
+        self.columns = [{i: row[j] for i, row in enumerate(data) if row[j]} for j in range(cols)]
 
     # -- constructors ------------------------------------------------------
+
+    @classmethod
+    def from_cols(cls, field, nrows, cols):
+        """From sparse columns: {row index: canonical nonzero value} dicts,
+        taken as they are (not copied, no zero values)."""
+        m = cls.__new__(cls)
+        m.field = field
+        m.rows = nrows
+        m.cols = len(cols)
+        m.columns = cols
+        return m
 
     @classmethod
     def from_rows(cls, field, rows):
@@ -47,24 +61,11 @@ class Matrix:
 
     @classmethod
     def zeros(cls, field, rows, cols):
-        z = field.zero
-        return cls(field, [[z] * cols for _ in range(rows)], rows, cols)
+        return cls.from_cols(field, rows, [{} for _ in range(cols)])
 
     @classmethod
     def identity(cls, field, n):
-        m = cls.zeros(field, n, n)
-        for i in range(n):
-            m.data[i][i] = field.one
-        return m
-
-    @classmethod
-    def from_cols(cls, field, nrows, cols):
-        """Build from a list of sparse columns ({row_index: value} dicts)."""
-        m = cls.zeros(field, nrows, len(cols))
-        for j, col in enumerate(cols):
-            for i, v in col.items():
-                m.data[i][j] = v
-        return m
+        return cls.from_cols(field, n, [{i: field.one} for i in range(n)])
 
     # -- basics ------------------------------------------------------------
 
@@ -78,25 +79,24 @@ class Matrix:
             self.field == other.field
             and self.rows == other.rows
             and self.cols == other.cols
-            and self.data == other.data
+            and self.columns == other.columns
         )
 
-    def copy(self):
-        return Matrix(self.field, [row[:] for row in self.data], self.rows, self.cols)
-
-    def col(self, j):
-        return [row[j] for row in self.data]
+    @property
+    def data(self):
+        """A fresh dense list of row lists; writing to it leaves the matrix as it is."""
+        z = self.field.zero
+        out = [[z] * self.cols for _ in range(self.rows)]
+        for j, col in enumerate(self.columns):
+            for i, v in col.items():
+                out[i][j] = v
+        return out
 
     def col_sparse(self, j):
-        return {i: row[j] for i, row in enumerate(self.data) if row[j]}
-
-    def is_zero(self):
-        return all(not x for row in self.data for x in row)
+        return dict(self.columns[j])
 
     def transpose(self):
-        f = self.field
-        out = [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)]
-        return Matrix(f, out, self.cols, self.rows)
+        return Matrix.from_cols(self.field, self.cols, _flip(self.columns, self.rows))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -107,103 +107,121 @@ class Matrix:
 
     def __add__(self, other):
         self._check_same_shape(other)
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.normalize(a + b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            self.rows,
-            self.cols,
-        )
+        return self._merge(other, 1)
 
     def __sub__(self, other):
         self._check_same_shape(other)
-        f = self.field
-        return Matrix(
-            f,
-            [
-                [f.normalize(a - b) for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.data, other.data)
-            ],
-            self.rows,
-            self.cols,
-        )
+        return self._merge(other, -1)
 
-    def __neg__(self):
-        f = self.field
-        return Matrix(f, [[f.neg(x) for x in row] for row in self.data], self.rows, self.cols)
+    def _merge(self, other, sign):
+        cols = []
+        for ca, cb in zip(self.columns, other.columns):
+            acc = dict(ca)
+            for i, v in cb.items():
+                acc[i] = acc.get(i, 0) + sign * v
+            cols.append(_canonical(self.field, acc))
+        return Matrix.from_cols(self.field, self.rows, cols)
 
     def __matmul__(self, other):
         require_same_field(self.field, other.field)
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        f = self.field
-        z = f.zero
-        bd = other.data
-        out = []
-        for row in self.data:
-            acc = [z] * other.cols
-            for k, a in enumerate(row):
-                if not a:
-                    continue
-                brow = bd[k]
-                for j, b in enumerate(brow):
-                    if b:
-                        acc[j] = acc[j] + a * b
-            out.append([f.normalize(x) for x in acc])
-        return Matrix(f, out, self.rows, other.cols)
-
-    # -- stacking ----------------------------------------------------------
+        acols = self.columns
+        cols = []
+        for col in other.columns:
+            acc = {}
+            get = acc.get
+            for k, b in col.items():
+                for i, a in acols[k].items():
+                    acc[i] = get(i, 0) + a * b
+            cols.append(_canonical(self.field, acc))
+        return Matrix.from_cols(self.field, self.rows, cols)
 
     def hstack(self, other):
         require_same_field(self.field, other.field)
         if self.rows != other.rows:
             raise ShapeMismatch("row count mismatch in hstack")
-        data = [ra + rb for ra, rb in zip(self.data, other.data)]
-        return Matrix(self.field, data, self.rows, self.cols + other.cols)
+        return Matrix.from_cols(self.field, self.rows, self.columns + other.columns)
 
     # -- echelon forms -----------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
-        f = self.field
-        R = [row[:] for row in self.data]
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pr = None
-            for i in range(r, self.rows):
-                if R[i][c]:
-                    pr = i
-                    break
-            if pr is None:
-                continue
-            R[r], R[pr] = R[pr], R[r]
-            piv = R[r][c]
-            if piv != f.one:
-                inv = f.inv(piv)
-                R[r] = [f.normalize(inv * x) if x else x for x in R[r]]
-            Rr = R[r]
-            for i in range(self.rows):
-                if i == r:
-                    continue
-                factor = R[i][c]
-                if not factor:
-                    continue
-                Ri = R[i]
-                for j in range(c, self.cols):
-                    if Rr[j]:
-                        Ri[j] = f.normalize(Ri[j] - factor * Rr[j])
-            pivots.append(c)
-            r += 1
-        return Matrix(f, R, self.rows, self.cols), pivots
+        red = _reduce(self.field, _live_rows(self))
+        r = Matrix.from_cols(self.field, self.rows, _flip(list(red.values()), self.cols))
+        return r, list(red)
 
     def rank(self):
-        return len(self.rref()[1])
+        return len(_reduce(self.field, _live_rows(self)))
+
+
+def _canonical(field, acc):
+    """A sparse column from accumulated sums: normalized, zeros dropped."""
+    norm = field.normalize
+    return {i: x for i, y in acc.items() if (x := norm(y))}
+
+
+def _flip(vectors, n):
+    """The same entries indexed the other way: entry k of vector i becomes
+    entry i of vector k, for k < n."""
+    out = [{} for _ in range(n)]
+    for i, vec in enumerate(vectors):
+        for k, v in vec.items():
+            out[k][i] = v
+    return out
+
+
+def _live_rows(m: Matrix):
+    """The distinct nonzero rows of m as {column: value} dicts, top to bottom;
+    a repeated row changes no echelon form."""
+    rows = {}
+    for j, col in enumerate(m.columns):
+        for i, v in col.items():
+            rows.setdefault(i, {})[j] = v
+    distinct = {}
+    for i in sorted(rows):
+        distinct.setdefault(tuple(rows[i].items()), rows[i])
+    return list(distinct.values())
+
+
+def _reduce(field, rows):
+    """Reduced row echelon form of the matrix with the given sparse rows: its
+    nonzero rows as {pivot column: row}, in ascending pivot order.
+
+    Each row is inserted with its leading entry reduced against the rows
+    already inserted and scaled to 1; then rows are back-substituted in
+    descending pivot order, so every pivot column is a unit vector."""
+    norm = field.normalize
+    echelon = {}
+    for row in rows:
+        r = dict(row)
+        while r:
+            c = min(r)
+            if c not in echelon:
+                break
+            _subtract(norm, r, r[c], echelon[c])
+        if r:
+            if r[c] != field.one:
+                inv = field.inv(r[c])
+                r = {k: norm(inv * v) for k, v in r.items()}
+            echelon[c] = r
+    pivots = sorted(echelon)
+    for c in reversed(pivots):
+        r = echelon[c]
+        for c2 in [k for k in r if k != c and k in echelon]:
+            _subtract(norm, r, r[c2], echelon[c2])
+    return {c: echelon[c] for c in pivots}
+
+
+def _subtract(norm, r, factor, p):
+    """r -= factor·p in place, dropping the entries that become zero."""
+    get = r.get
+    for k, v in p.items():
+        x = norm(get(k, 0) - factor * v)
+        if x:
+            r[k] = x
+        else:
+            del r[k]
 
 
 def is_injective(a: Matrix) -> bool:
@@ -219,51 +237,42 @@ def solve(a: Matrix, b: Matrix):
     require_same_field(a.field, b.field)
     if a.rows != b.rows:
         raise ShapeMismatch("A and B must have the same number of rows")
-    f = a.field
-    aug = a.hstack(b)
-    R, pivots = aug.rref()
-    for p in pivots:
-        if p >= a.cols:
-            return None
-    x = Matrix.zeros(f, a.cols, b.cols)
-    for i, p in enumerate(pivots):
-        x.data[p] = R.data[i][a.cols:]
-    return x
+    red = _reduce(a.field, _live_rows(a.hstack(b)))
+    if any(p >= a.cols for p in red):
+        return None
+    xcols = [{} for _ in range(b.cols)]
+    for p, row in red.items():
+        for k, v in row.items():
+            if k >= a.cols:
+                xcols[k - a.cols][p] = v
+    return Matrix.from_cols(a.field, a.cols, xcols)
 
 
-def _kernel_from_rref(field, ncols, R: Matrix, pivots):
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    cols = []
-    for c in free:
-        col = {c: field.one}
-        for i, p in enumerate(pivots):
-            v = R.data[i][c]
-            if v:
-                col[p] = field.neg(v)
-        cols.append(col)
-    return Matrix.from_cols(field, ncols, cols)
+def kernel_basis_sparse(a: Matrix) -> Matrix:
+    """Canonical basis of ker A as columns: one per free column c, equal to 1
+    at c and to minus the reduced row echelon entries at the pivots; A·K = 0."""
+    fld = a.field
+    red = _reduce(fld, _live_rows(a))
+    kcols = {c: {c: fld.one} for c in range(a.cols) if c not in red}
+    for p, row in red.items():
+        for c, v in row.items():
+            if c != p:
+                kcols[c][p] = fld.neg(v)
+    return Matrix.from_cols(fld, a.cols, list(kcols.values()))
 
 
-def kernel_basis(a: Matrix) -> Matrix:
-    """Canonical basis of ker A as columns (deterministic echelon form); A·K = 0."""
-    R, pivots = a.rref()
-    return _kernel_from_rref(a.field, a.cols, R, pivots)
+def kernel_left_inverse(k: Matrix) -> Matrix:
+    """L with L·K = I for a canonical kernel basis K (kernel_basis_sparse).
 
-
-def kernel_basis_sparse(field, ncols, sparse_cols) -> Matrix:
-    """kernel_basis for a matrix given as sparse columns; zero rows are dropped
-    before elimination (the canonical kernel is unchanged)."""
-    live = sorted({i for col in sparse_cols for i in col})
-    remap = {i: k for k, i in enumerate(live)}
-    z = field.zero
-    data = [[z] * ncols for _ in live]
-    for j, col in enumerate(sparse_cols):
-        for i, v in col.items():
-            data[remap[i]][j] = v
-    compact = Matrix(field, data, len(live), ncols)
-    R, pivots = compact.rref()
-    return _kernel_from_rref(field, ncols, R, pivots)
+    K is the identity on its free coordinates, the largest row of each
+    column, so L is the 0/1 projection onto them.  L·K = I is verified."""
+    cols = [{} for _ in range(k.rows)]
+    for t, col in enumerate(k.columns):
+        cols[max(col)] = {t: k.field.one}
+    lk = Matrix.from_cols(k.field, k.cols, cols)
+    if lk @ k != Matrix.identity(k.field, k.cols):
+        raise InternalSolveFailure("kernel basis is not the identity on its free coordinates")
+    return lk
 
 
 def left_inverse(a: Matrix) -> Matrix:
@@ -274,70 +283,52 @@ def left_inverse(a: Matrix) -> Matrix:
     return lt.transpose()
 
 
+def first_difference(a: Matrix, b: Matrix):
+    """The first column index at which two matrices of one shape differ, or None."""
+    return next((j for j, (x, y) in enumerate(zip(a.columns, b.columns)) if x != y), None)
+
+
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with row-major basis convention:
     (A⊗B)(e_i⊗f_j) indexes at i * b.cols + j in the domain and the analogous
     row-major position in the codomain."""
     require_same_field(a.field, b.field)
-    f = a.field
-    out = Matrix.zeros(f, a.rows * b.rows, a.cols * b.cols)
-    od = out.data
-    for i1, arow in enumerate(a.data):
-        base_r = i1 * b.rows
-        for j1, av in enumerate(arow):
-            if not av:
-                continue
-            base_c = j1 * b.cols
-            for i2, brow in enumerate(b.data):
-                orow = od[base_r + i2]
-                for j2, bv in enumerate(brow):
-                    if bv:
-                        orow[base_c + j2] = f.normalize(av * bv)
-    return out
+    norm, nb = a.field.normalize, b.rows
+    cols = []
+    for acol in a.columns:
+        terms = [(i * nb, v) for i, v in acol.items()]
+        for bcol in b.columns:
+            cols.append({base + i: norm(av * bv) for base, av in terms for i, bv in bcol.items()})
+    return Matrix.from_cols(a.field, a.rows * nb, cols)
 
 
 def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     """(A⊗B) @ M without materializing A⊗B: each nonzero v at row p·b.cols+q
-    of a column of M adds v·A[:,p]⊗B[:,q] to that column of the result."""
+    of a column of M adds v·A[:,p]⊗B[:,q] to that column of the result.  Each
+    column A[:,p]⊗B[:,q] is built once, when a row of M first uses it."""
     require_same_field(a.field, b.field)
     require_same_field(a.field, m.field)
     if m.rows != a.cols * b.cols:
         raise ShapeMismatch("kron_apply: M row count must be a.cols * b.cols")
-    f = m.field
-    z = f.zero
-    nb = b.rows
-    acols = [[(i * nb, v) for i, v in a.col_sparse(p).items()] for p in range(a.cols)]
-    bcols = [list(b.col_sparse(q).items()) for q in range(b.cols)]
-    accs = [{} for _ in range(m.cols)]
-    for idx, mrow in enumerate(m.data):
-        p, q = divmod(idx, b.cols)
-        ap, bq = acols[p], bcols[q]
-        if not (ap and bq):
-            continue
-        for j, v in enumerate(mrow):
-            if not v:
-                continue
-            acc = accs[j]
-            for base, av in ap:
-                w = v * av
-                for i2, bv in bq:
-                    k = base + i2
-                    acc[k] = acc.get(k, z) + w * bv
-    out = Matrix.zeros(f, a.rows * nb, m.cols)
-    od = out.data
-    for j, acc in enumerate(accs):
-        for k, x in acc.items():
-            x = f.normalize(x)
-            if x:
-                od[k][j] = x
-    return out
+    norm, nb, bc = m.field.normalize, b.rows, b.cols
+    acols, bcols = a.columns, b.columns
+    terms = {}
+    out = []
+    for mcol in m.columns:
+        acc = {}
+        get = acc.get
+        for idx, v in mcol.items():
+            t = terms.get(idx)
+            if t is None:
+                p, q = divmod(idx, bc)
+                bq = bcols[q].items()
+                t = terms[idx] = [(i * nb + k, norm(av * bv)) for i, av in acols[p].items() for k, bv in bq]
+            for k, w in t:
+                acc[k] = get(k, 0) + v * w
+        out.append(_canonical(m.field, acc))
+    return Matrix.from_cols(m.field, a.rows * nb, out)
 
 
 def swap_map(field, m: int, n: int) -> Matrix:
     """The symmetry c: V_m ⊗ V_n -> V_n ⊗ V_m, e_i⊗f_j -> f_j⊗e_i."""
-    out = Matrix.zeros(field, m * n, m * n)
-    one = field.one
-    for i in range(m):
-        for j in range(n):
-            out.data[j * m + i][i * n + j] = one
-    return out
+    return Matrix.from_cols(field, m * n, [{j * m + i: field.one} for i in range(m) for j in range(n)])

@@ -312,16 +312,9 @@ def linearize_relcat(rc: RelativeCategory, fld) -> RelativeCategory:
     pairs = rc.pb.payload.pairs
     if pb.apex.dim != len(pairs):
         raise ShapeMismatch("linearized pullback dimension does not match the pair count")
-    nc = a.dim
-    expected = [{pairs[k][0] * nc + pairs[k][1]: fld.one} for k in range(len(pairs))]
-    for k in range(len(pairs)):
-        if pb.payload.j.mat.col_sparse(k) != expected[k]:
-            raise ShapeMismatch(
-                "pullback basis is not the group-like pair basis; cannot identify"
-            )
-    d_mat = Matrix.zeros(fld, a.dim, len(pairs))
-    for k in range(len(pairs)):
-        d_mat.data[rc.d.table[k]][k] = fld.one
+    if pb.payload.j.mat.columns != [{x * a.dim + y: fld.one} for x, y in pairs]:
+        raise ShapeMismatch("pullback basis is not the group-like pair basis; cannot identify")
+    d_mat = Matrix.from_cols(fld, a.dim, [{rc.d.table[k]: fld.one} for k in range(len(pairs))])
     d = _coalg.CoalgMap(pb.apex, a, d_mat)
     return RelativeCategory(base, b, a, s, t, i, d, pb)
 

@@ -156,21 +156,21 @@ def rand_block_map(rng, field, src_blocks, tgt_blocks) -> CoalgMap:
     toffs, _ = block_offsets(tgt_blocks)
     gl_targets = grouplike_indices(tgt_blocks)
     prim_targets = [toffs[i] for i, b in enumerate(tgt_blocks) if b == "p"]
-    mat = Matrix.zeros(field, tgt.dim, src.dim)
+    rows = [[field.zero] * src.dim for _ in range(tgt.dim)]
     for i, b in enumerate(src_blocks):
         o = soffs[i]
         if b == "g":
-            mat.data[rng.choice(gl_targets)][o] = field.one
+            rows[rng.choice(gl_targets)][o] = field.one
         else:
             if prim_targets and rng.random() < 0.7:
                 t = rng.choice(prim_targets)
-                mat.data[t][o] = field.one
+                rows[t][o] = field.one
                 lam = rand_scalar(rng, field)
                 if lam:
-                    mat.data[t + 1][o + 1] = lam
+                    rows[t + 1][o + 1] = lam
             else:
-                mat.data[rng.choice(gl_targets)][o] = field.one
-    return CoalgMap(src, tgt, mat)
+                rows[rng.choice(gl_targets)][o] = field.one
+    return CoalgMap(src, tgt, Matrix(field, rows, tgt.dim, src.dim))
 
 
 def rand_cocommutative(rng, field, max_blocks=3):
@@ -179,16 +179,16 @@ def rand_cocommutative(rng, field, max_blocks=3):
 
 def mutate_one_entry(rng, field, mat: Matrix) -> Matrix:
     """Flip one entry to a different value (never a no-op)."""
-    out = mat.copy()
+    rows = mat.data
     i = rng.randrange(mat.rows)
     j = rng.randrange(mat.cols)
-    old = out.data[i][j]
+    old = rows[i][j]
     while True:
         new = rand_scalar(rng, field, -2, 2)
         if new != old:
             break
-    out.data[i][j] = new
-    return out
+    rows[i][j] = new
+    return Matrix(field, rows, mat.rows, mat.cols)
 
 
 
@@ -275,21 +275,15 @@ def group_algebra(field, table) -> MonoidObj:
     n = len(table)
     base = CoalgCategory(field)
     carrier = grouplike(field, n)
-    m_mat = Matrix.zeros(field, n, n * n)
-    for g in range(n):
-        for h in range(n):
-            m_mat.data[table[g][h]][g * n + h] = field.one
-    u_mat = Matrix.zeros(field, n, 1)
-    u_mat.data[0][0] = field.one
+    m_mat = Matrix.from_cols(field, n, [{table[g][h]: field.one} for g in range(n) for h in range(n)])
+    u_mat = Matrix.from_cols(field, n, [{0: field.one}])
     m = CoalgMap(base.tensor_obj(carrier, carrier), carrier, m_mat)
     u = CoalgMap(base.unit_obj(), carrier, u_mat)
     return MonoidObj(base, carrier, m, u)
 
 
 def group_algebra_hom(field, mon_src: MonoidObj, mon_tgt: MonoidObj, hom) -> MonoidMorphism:
-    mat = Matrix.zeros(field, mon_tgt.carrier.dim, mon_src.carrier.dim)
-    for g, h in enumerate(hom):
-        mat.data[h][g] = field.one
+    mat = Matrix.from_cols(field, mon_tgt.carrier.dim, [{h: field.one} for h in hom])
     return MonoidMorphism(
         mon_src, mon_tgt, CoalgMap(mon_src.carrier, mon_tgt.carrier, mat)
     )

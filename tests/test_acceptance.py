@@ -319,8 +319,9 @@ def test_criterion_6_monoid_on_pullback():
                         # perturbed multiplication stops being a filler
                         ok = ok and pb.jointly_monic
                         pair_map = pb.payload.j.mat @ mon.m.mat
-                        pert = mon.m.mat.copy()
-                        pert.data[0][0] = pert.data[0][0] + field.one
+                        rows = mon.m.mat.data
+                        rows[0][0] += field.one
+                        pert = Matrix(field, rows, mon.m.mat.rows, mon.m.mat.cols)
                         still_filler = (
                             pb.payload.j.mat @ pert == pair_map
                             and pb.p_a.mat @ pert == pb.p_a.mat @ mon.m.mat
@@ -556,6 +557,4 @@ def _grouplike_selector(rng, field, coalgebra):
             blocks.append("g")
             i += 1
     choice = rng.choice(grouplike_indices(tuple(blocks)))
-    mat = Matrix.zeros(field, coalgebra.dim, 1)
-    mat.data[choice][0] = field.one
-    return mat
+    return Matrix.from_cols(field, coalgebra.dim, [{choice: field.one}])

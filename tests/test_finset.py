@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from gen import FIELDS, rand_finfun, rng_for
 from relspan import (
     FINSET,
+    QQ,
     FinFun,
     FinSetObj,
     check_coalg_map,
@@ -169,6 +170,16 @@ def test_linearize_two_points_delta_columns():
         c = linearize_obj(FinSetObj(2), field)
         assert c.delta.col_sparse(0) == {0: field.one}
         assert c.delta.col_sparse(1) == {3: field.one}
+
+
+def test_linearize_fun_stores_one_nonzero_per_element():
+    """|dom| = |cod| = 10⁵: the matrix holds 10⁵ entries, not 10¹⁰ cells."""
+    n = 10**5
+    f = FinFun(FinSetObj(n), FinSetObj(n), [(7 * x + 3) % n for x in range(n)])
+    mat = linearize_fun(f, QQ).mat
+    assert (mat.rows, mat.cols) == (n, n)
+    assert sum(len(col) for col in mat.columns) == n
+    assert mat.col_sparse(1) == {10: QQ.one}
 
 
 def test_linearize_identity_is_identity_matrix():

@@ -8,11 +8,11 @@ from hypothesis import strategies as st
 
 from gen import FIELDS, rand_matrix, rand_q_matrix, rand_scalar, rng_for
 from relspan import GF, QQ, Matrix
-from relspan.errors import FieldMismatch, ShapeMismatch
+from relspan.errors import FieldMismatch, InternalSolveFailure, ShapeMismatch
 from relspan.linalg import (
     is_injective,
-    kernel_basis,
     kernel_basis_sparse,
+    kernel_left_inverse,
     kron,
     kron_apply,
     left_inverse,
@@ -94,16 +94,16 @@ def test_solve_random_consistency(n, m, k, rh):
 
 
 def test_kernel_zero_map_is_identity_basis():
-    assert kernel_basis(Matrix.zeros(QQ, 2, 2)) == Matrix.identity(QQ, 2)
+    assert kernel_basis_sparse(Matrix.zeros(QQ, 2, 2)) == Matrix.identity(QQ, 2)
 
 
 def test_kernel_injective_is_empty():
-    k = kernel_basis(Matrix.identity(QQ, 2))
+    k = kernel_basis_sparse(Matrix.identity(QQ, 2))
     assert (k.rows, k.cols) == (2, 0)
 
 
 def test_kernel_one_relation():
-    k = kernel_basis(mat(QQ, [[1, 1]]))
+    k = kernel_basis_sparse(mat(QQ, [[1, 1]]))
     assert k == mat(QQ, [[-1], [1]])
     assert k.rank() == 1
 
@@ -113,10 +113,24 @@ def test_kernel_one_relation():
 def test_kernel_rank_nullity_and_annihilation(n, m, rh):
     for field in FIELDS:
         a = rand_matrix(rh, field, n, m)
-        k = kernel_basis(a)
-        assert (a @ k).is_zero()
+        k = kernel_basis_sparse(a)
+        assert a @ k == Matrix.zeros(field, a.rows, k.cols)
         assert k.rank() == k.cols  # independent columns
         assert a.rank() + k.cols == a.cols
+
+
+def _kernel_from_dense_rref(a):
+    """The canonical kernel read off the dense rows of the reduced echelon form."""
+    f = a.field
+    r, pivots = a.rref()
+    rows = r.data
+    free = [c for c in range(a.cols) if c not in pivots]
+    k = [[f.zero] * len(free) for _ in range(a.cols)]
+    for t, c in enumerate(free):
+        k[c][t] = f.one
+        for i, p in enumerate(pivots):
+            k[p][t] = f.neg(rows[i][c])
+    return Matrix(f, k, a.cols, len(free))
 
 
 def test_kernel_sparse_agrees_with_dense():
@@ -124,8 +138,25 @@ def test_kernel_sparse_agrees_with_dense():
     for _ in range(25):
         for field in FIELDS:
             a = rand_matrix(rng, field, rng.randint(1, 5), rng.randint(1, 5))
-            cols = [a.col_sparse(j) for j in range(a.cols)]
-            assert kernel_basis_sparse(field, a.cols, cols) == kernel_basis(a)
+            k = kernel_basis_sparse(a)
+            assert k == _kernel_from_dense_rref(a)
+            # zero rows change neither the echelon form nor the kernel
+            padded = a.data
+            padded.insert(rng.randint(0, a.rows), [field.zero] * a.cols)
+            assert kernel_basis_sparse(Matrix(field, padded, a.rows + 1, a.cols)) == k
+
+
+def test_kernel_left_inverse_is_a_verified_projection():
+    rng = rng_for("kernel-left-inverse")
+    for _ in range(25):
+        for field in FIELDS:
+            k = kernel_basis_sparse(rand_matrix(rng, field, rng.randint(1, 4), rng.randint(1, 5)))
+            lk = kernel_left_inverse(k)
+            assert lk @ k == Matrix.identity(field, k.cols)
+            assert all(col in ({}, {t: field.one}) for col in lk.columns for t in col)
+    # not the identity on the largest row of its column: no projection inverts it
+    with pytest.raises(InternalSolveFailure):
+        kernel_left_inverse(mat(QQ, [[1], [2]]))
 
 
 # -- kron and swap -----------------------------------------------------------
@@ -139,15 +170,14 @@ def test_kron_identities():
 def kron_oracle(a, b):
     """Direct basis-by-basis expansion, independent of the library kron."""
     f = a.field
-    out = Matrix.zeros(f, a.rows * b.rows, a.cols * b.cols)
+    ad, bd = a.data, b.data
+    out = [[f.zero] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
     for i1 in range(a.rows):
         for j1 in range(a.cols):
             for i2 in range(b.rows):
                 for j2 in range(b.cols):
-                    out.data[i1 * b.rows + i2][j1 * b.cols + j2] = f.normalize(
-                        a.data[i1][j1] * b.data[i2][j2]
-                    )
-    return out
+                    out[i1 * b.rows + i2][j1 * b.cols + j2] = f.normalize(ad[i1][j1] * bd[i2][j2])
+    return Matrix(f, out, a.rows * b.rows, a.cols * b.cols)
 
 
 def test_kron_matches_expansion_oracle_and_mixed_product():
@@ -222,8 +252,7 @@ def test_swap_2_3_is_a_permutation():
     assert s.rows == s.cols == 6
     for i in range(2):
         for j in range(3):
-            col = s.col(i * 3 + j)
-            assert col.count(QQ.one) == 1 and col[j * 2 + i] == QQ.one
+            assert s.col_sparse(i * 3 + j) == {j * 2 + i: QQ.one}
     for row in s.data:
         assert row.count(QQ.one) == 1
     assert swap_map(QQ, 3, 2) @ s == Matrix.identity(QQ, 6)
@@ -276,9 +305,9 @@ def test_rand_matrix_keeps_empty_shapes():
 
 def test_zero_dimensional_edge_cases():
     z = Matrix.zeros(QQ, 0, 3)
-    assert kernel_basis(z) == Matrix.identity(QQ, 3)
+    assert kernel_basis_sparse(z) == Matrix.identity(QQ, 3)
     n = Matrix.zeros(QQ, 3, 0)
-    assert (kernel_basis(n).rows, kernel_basis(n).cols) == (0, 0)
+    assert (kernel_basis_sparse(n).rows, kernel_basis_sparse(n).cols) == (0, 0)
     assert kron(z, Matrix.identity(QQ, 2)).rows == 0
     assert is_injective(n) and n.rank() != n.rows
 
@@ -307,14 +336,12 @@ def test_rref_kernel_and_solve_agree_with_sympy():
         sr, spivots = sa.rref()
         assert pivots == list(spivots)
         assert r == _from_sympy(sr)
-        k = kernel_basis(a)
+        k = kernel_basis_sparse(a)
         null = sa.nullspace()
         want = sp.Matrix.hstack(*null) if null else sp.zeros(cols, 0)
         assert (k.rows, k.cols) == (want.rows, want.cols)
         if k.cols:
             assert k == _from_sympy(want)
-        cols_sparse = [a.col_sparse(j) for j in range(a.cols)]
-        assert kernel_basis_sparse(QQ, a.cols, cols_sparse) == k
         b = rand_q_matrix(rng, rows, rng.randint(1, 3))
         x = solve(a, b)
         try:

@@ -444,9 +444,9 @@ def test_reflection_coalg_grouplike():
             if pb.apex.dim == 0:
                 continue
             d0 = rng.randint(1, 3)
-            k_mat = Matrix.zeros(field, pb.apex.dim, d0)
-            for col in range(d0):
-                k_mat.data[rng.randrange(pb.apex.dim)][col] = field.one
+            k_mat = Matrix.from_cols(
+                field, pb.apex.dim, [{rng.randrange(pb.apex.dim): field.one} for _ in range(d0)]
+            )
             d = grouplike(field, d0)
             from relspan import CoalgMap
 
