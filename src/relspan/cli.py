@@ -3,8 +3,9 @@
 Loads a JSON fixture file of named declarations, runs constructions and axiom
 suites, and emits a machine-readable report to stdout.  Exit codes: 0 when
 every check passes, 1 when a check fails, 2 on parse/usage errors.  Output is
-deterministic for a fixed input; --json switches from indented to compact
-single-line JSON.
+deterministic for a fixed input.  Each subcommand takes a fixture path, the
+flags its command reads (listed in _COMMANDS) and --json, which switches from
+indented to compact single-line JSON.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .catcore import Cospan, Report, legs_in_class
 from .errors import LegsNotInClass, RelspanError
 from .jsonio import (
     ParseError,
+    cospan_base,
     load_context,
     matrix_to_json,
     parse_field_flag,
@@ -36,32 +38,30 @@ from .relpull import (
 DEFAULT_SEED = 20180301
 
 
-def _report_payload(argv, report: Report, extra=None):
-    payload = {
-        "command": list(argv),
-        "checks": [c.as_dict() for c in report.checks],
-        "exit": 0 if report.ok else 1,
-    }
-    if extra:
-        payload["result"] = extra
-    return payload
+_CATEGORIES = {"small_category", "relative_category"}
+
+# What `check` reports for a declaration that decoding alone verifies.
+_PARSED = {
+    "chain": "chain parsed",
+    "finset_obj": "finite set parsed",
+    "finset_fun": "function total and bounded",
+    "functor": "functor declaration parsed",
+}
 
 
-def _emit(payload, compact: bool) -> int:
-    if compact:
-        print(json.dumps(payload, separators=(",", ":")))
-    else:
-        print(json.dumps(payload, indent=2))
-    return payload["exit"]
+def _named(ctx, name, kinds=None):
+    """The declaration called name; it must be of one of kinds, if given."""
+    if name not in ctx:
+        raise ParseError(f"no declaration named {name!r}")
+    if kinds is not None and ctx[name].kind not in kinds:
+        raise ParseError(f"{name!r} is a {ctx[name].kind}, expected one of {sorted(kinds)}")
+    return ctx[name]
 
 
 def _pick(ctx, name, kinds, what):
+    """The declaration called name, or else the first one of kinds."""
     if name is not None:
-        if name not in ctx:
-            raise ParseError(f"no declaration named {name!r}")
-        if ctx[name].kind not in kinds:
-            raise ParseError(f"{name!r} is a {ctx[name].kind}, expected one of {sorted(kinds)}")
-        return name, ctx[name]
+        return name, _named(ctx, name, kinds)
     for nm in ctx:
         if ctx[nm].kind in kinds:
             return nm, ctx[nm]
@@ -91,28 +91,18 @@ def _check_one(name: str, decl, report: Report):
     elif decl.kind == "cospan":
         report.add(
             prefix + "legs in class",
-            legs_in_class(decl.base.span_class, Cospan(*decl.value)),
+            legs_in_class(cospan_base(*decl.value).span_class, Cospan(*decl.value)),
             "a leg span escapes the admissible class",
         )
-    elif decl.kind == "chain":
-        report.add(prefix + "chain parsed", True)
-    elif decl.kind == "finset_obj":
-        report.add(prefix + "finite set parsed", True)
-    elif decl.kind == "finset_fun":
-        report.add(prefix + "function total and bounded", True)
-    elif decl.kind == "functor":
-        report.add(prefix + "functor declaration parsed", True)
+    else:
+        report.add(prefix + _PARSED[decl.kind], True)
 
 
-def cmd_check(args, argv):
-    ctx = load_context(args.path)
+def cmd_check(ctx, args):
     report = Report()
-    names = [args.name] if args.name else list(ctx)
-    for name in names:
-        if name not in ctx:
-            raise ParseError(f"no declaration named {name!r}")
-        _check_one(name, ctx[name], report)
-    return _report_payload(argv, report)
+    for name in [args.name] if args.name else list(ctx):
+        _check_one(name, _named(ctx, name), report)
+    return report, None
 
 
 def _finset_result(pb, args, report):
@@ -153,26 +143,30 @@ def _coalg_result(pb, args, report):
 _PULLBACK_RESULTS = {"finset": _finset_result, "coalg": _coalg_result}
 
 
-def _linearized(decl, args):
-    """A cospan's base and legs, finite-set legs linearized over --field."""
-    if decl.base is not _finset.FINSET:
-        return decl.base, decl.value
-    fld = parse_field_flag(args.field)
-    return _coalg.CoalgCategory(fld), [_finset.linearize_fun(m, fld) for m in decl.value]
+def _linearized(base, legs, field):
+    """A cospan's base and legs, finite-set legs linearized over field."""
+    if base is not _finset.FINSET:
+        return base, legs
+    fld = parse_field_flag(field)
+    return _coalg.CoalgCategory(fld), [_finset.linearize_fun(m, fld) for m in legs]
 
 
-def cmd_pullback(args, argv):
-    ctx = load_context(args.path)
-    _, decl = _pick(ctx, args.cospan, {"cospan"}, "cospan")
-    base, (left, right) = decl.base, decl.value
+def _cospan(ctx, name):
+    """The base category and (left, right) legs of a cospan declaration."""
+    _, decl = _pick(ctx, name, {"cospan"}, "cospan")
+    return cospan_base(*decl.value), decl.value
+
+
+def cmd_pullback(ctx, args):
+    base, legs = _cospan(ctx, args.cospan)
     if args.instance == "coalg":
-        base, (left, right) = _linearized(decl, args)
+        base, legs = _linearized(base, legs, args.field)
     report = Report()
     try:
-        pb = relative_pullback(base, left, right)
+        pb = relative_pullback(base, *legs)
     except LegsNotInClass as exc:
         report.add("legs in class", False, str(exc))
-        return _report_payload(argv, report)
+        return report, None
     report.add("legs in class", True)
     report.add(
         "square commutes",
@@ -180,14 +174,11 @@ def cmd_pullback(args, argv):
         "f∘p_A != g∘p_C",
     )
     report.add("jointly monic projections", pb.jointly_monic, "joint kernel is nonzero")
-    extra = _PULLBACK_RESULTS[base.name](pb, args, report)
-    return _report_payload(argv, report, extra)
+    return report, _PULLBACK_RESULTS[base.name](pb, args, report)
 
 
-def cmd_cotensor(args, argv):
-    ctx = load_context(args.path)
-    _, decl = _pick(ctx, args.cospan, {"cospan"}, "cospan")
-    _, (left, right) = _linearized(decl, args)
+def cmd_cotensor(ctx, args):
+    _, (left, right) = _linearized(*_cospan(ctx, args.cospan), args.field)
     report = Report()
     ct = _coalg.cotensor(left, right)
     extra = {"dim": ct.dim, "inclusion": matrix_to_json(ct.inclusion)}
@@ -196,11 +187,10 @@ def cmd_cotensor(args, argv):
         report.extend(_coalg.check_coalgebra(ct.coalgebra), "induced structure: ")
         pb = _coalg.relative_pullback_coalg(left, right)
         report.extend(_coalg.compare_with_pullback(ct, pb), "pullback comparison: ")
-    return _report_payload(argv, report, extra)
+    return report, extra
 
 
-def cmd_coherence(args, argv):
-    ctx = load_context(args.path)
+def cmd_coherence(ctx, args):
     _, decl = _pick(ctx, args.name, {"chain"}, "chain")
     maps = decl.value
     want = 2 if args.shape == "triangle" else 6
@@ -218,21 +208,16 @@ def cmd_coherence(args, argv):
         else:
             ok = coherence_pentagon(base, *ms)
         report.add(f"{args.shape} ({label})", ok, "composites differ")
-    return _report_payload(argv, report)
+    return report, None
 
 
-def cmd_relcat(args, argv):
-    ctx = load_context(args.path)
+def cmd_relcat(ctx, args):
     report = Report()
-    names = [args.name] if args.name else [
-        nm for nm in ctx if ctx[nm].kind in ("small_category", "relative_category")
-    ]
+    names = [args.name] if args.name else [nm for nm in ctx if ctx[nm].kind in _CATEGORIES]
     if not names:
         raise ParseError("no relative-category or small-category declaration in the file")
     for name in names:
-        if name not in ctx:
-            raise ParseError(f"no declaration named {name!r}")
-        decl = ctx[name]
+        decl = _named(ctx, name, _CATEGORIES)
         prefix = f"{name}: "
         if decl.kind == "small_category":
             try:
@@ -246,102 +231,83 @@ def cmd_relcat(args, argv):
                 _relcat.composition_table(rc) == [list(r) for r in decl.value.comp],
                 "table read back through the pullback differs",
             )
-        elif decl.kind == "relative_category":
-            rc = decl.value
         else:
-            raise ParseError(f"{name!r} is not a category declaration")
+            rc = decl.value
         sub = _relcat.check_relative_category(rc)
         report.extend(sub, prefix)
         if args.instance == "coalg" and sub.ok:
             fld = parse_field_flag(args.field)
             rcq = _relcat.linearize_relcat(rc, fld)
             report.extend(_relcat.check_relative_category(rcq), prefix + "linearized: ")
-    return _report_payload(argv, report)
+    return report, None
 
 
 def _resolve_relcat(ctx, name):
-    if name not in ctx:
-        raise ParseError(f"no declaration named {name!r}")
-    decl = ctx[name]
+    decl = _named(ctx, name, _CATEGORIES)
     if decl.kind == "small_category":
         return _relcat.from_small_category(decl.value)
-    if decl.kind == "relative_category":
-        return decl.value
-    raise ParseError(f"{name!r} is not a category declaration")
+    return decl.value
 
 
-def cmd_functor(args, argv):
-    ctx = load_context(args.path)
+def cmd_functor(ctx, args):
     src = _resolve_relcat(ctx, args.src)
     tgt = _resolve_relcat(ctx, args.tgt)
     _, decl = _pick(ctx, args.map, {"functor"}, "functor")
-    raw = decl.value
-    b = _finset.FinFun(src.b, tgt.b, [int(v) for v in raw["b"]])
-    a = _finset.FinFun(src.a, tgt.a, [int(v) for v in raw["a"]])
-    fun = _relcat.RelativeFunctor(b, a)
-    report = _relcat.check_relative_functor(fun, src, tgt)
-    return _report_payload(argv, report)
+    b_table, a_table = decl.value
+    fun = _relcat.RelativeFunctor(_finset.FinFun(src.b, tgt.b, b_table),
+                                  _finset.FinFun(src.a, tgt.a, a_table))
+    return _relcat.check_relative_functor(fun, src, tgt), None
 
 
-def cmd_monoid(args, argv):
-    ctx = load_context(args.path)
+def cmd_monoid(ctx, args):
     name, decl = _pick(ctx, args.name, {"finset_monoid", "bialgebra"}, "monoid")
     report = Report()
     _check_one(name, decl, report)
-    return _report_payload(argv, report)
+    return report, None
+
+
+# Every flag a subcommand may take, and the flags each subcommand reads.
+_FLAGS = {
+    "--name": {},
+    "--cospan": {},
+    "--instance": {"choices": ["finset", "coalg"], "default": "finset"},
+    "--field": {"default": "Q", "help": "Q or Fp:<p>"},
+    "--seed": {"type": int, "default": DEFAULT_SEED},
+    "--compare-cotensor": {"action": "store_true"},
+    "--shape": {"choices": ["triangle", "pentagon"], "required": True},
+    "--src": {"required": True},
+    "--tgt": {"required": True},
+    "--map": {"required": True},
+    "--json": {"action": "store_true", "help": "compact single-line output"},
+}
+
+_COMMANDS = (
+    ("check", cmd_check, "run the axiom suite of every declaration", ("--name",)),
+    ("pullback", cmd_pullback, "construct and verify a relative pullback",
+     ("--cospan", "--instance", "--field", "--seed", "--compare-cotensor")),
+    ("cotensor", cmd_cotensor, "compute the cotensor product of a cospan",
+     ("--cospan", "--field")),
+    ("coherence", cmd_coherence, "triangle/pentagon coherence over a chain",
+     ("--name", "--shape", "--instance", "--field")),
+    ("relcat", cmd_relcat, "check relative-category declarations",
+     ("--name", "--instance", "--field")),
+    ("functor", cmd_functor, "check a relative functor between two categories",
+     ("--src", "--tgt", "--map")),
+    ("monoid", cmd_monoid, "check a monoid/bialgebra declaration", ("--name",)),
+)
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="relspan", description="exact verification of span-relative constructions"
     )
-    parser.add_argument("--json", action="store_true", help="compact single-line output")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_name=True):
+    for name, fn, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         p.add_argument("path")
-        if with_name:
-            p.add_argument("--name")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--field", default="Q", help="Q or Fp:<p>")
-        p.add_argument("--instance", choices=["finset", "coalg"], default="finset")
-        p.add_argument("--json", action="store_true", help="compact single-line output")
-
-    p = sub.add_parser("check", help="run the axiom suite of every declaration")
-    common(p)
-    p.set_defaults(fn=cmd_check)
-
-    p = sub.add_parser("pullback", help="construct and verify a relative pullback")
-    common(p, with_name=False)
-    p.add_argument("--cospan")
-    p.add_argument("--compare-cotensor", action="store_true")
-    p.set_defaults(fn=cmd_pullback)
-
-    p = sub.add_parser("cotensor", help="compute the cotensor product of a cospan")
-    common(p, with_name=False)
-    p.add_argument("--cospan")
-    p.set_defaults(fn=cmd_cotensor)
-
-    p = sub.add_parser("coherence", help="triangle/pentagon coherence over a chain")
-    common(p)
-    p.add_argument("--shape", choices=["triangle", "pentagon"], required=True)
-    p.set_defaults(fn=cmd_coherence)
-
-    p = sub.add_parser("relcat", help="check relative-category declarations")
-    common(p)
-    p.set_defaults(fn=cmd_relcat)
-
-    p = sub.add_parser("functor", help="check a relative functor between two categories")
-    common(p, with_name=False)
-    p.add_argument("--src", required=True)
-    p.add_argument("--tgt", required=True)
-    p.add_argument("--map", required=True)
-    p.set_defaults(fn=cmd_functor)
-
-    p = sub.add_parser("monoid", help="check a monoid/bialgebra declaration")
-    common(p)
-    p.set_defaults(fn=cmd_monoid)
-
+        for flag in flags + ("--json",):
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(fn=fn)
     return parser
 
 
@@ -353,14 +319,19 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 2 if exc.code else 0
     try:
-        payload = args.fn(args, argv)
-    except ParseError as exc:
-        print(json.dumps({"command": argv, "error": str(exc), "exit": 2}, indent=2))
-        return 2
+        report, result = args.fn(load_context(args.path), args)
     except RelspanError as exc:
         print(json.dumps({"command": argv, "error": str(exc), "exit": 2}, indent=2))
         return 2
-    return _emit(payload, args.json)
+    payload = {"command": argv, "checks": [c.as_dict() for c in report.checks],
+               "exit": 0 if report.ok else 1}
+    if result:
+        payload["result"] = result
+    if args.json:
+        print(json.dumps(payload, separators=(",", ":")))
+    else:
+        print(json.dumps(payload, indent=2))
+    return payload["exit"]
 
 
 if __name__ == "__main__":

@@ -2,16 +2,20 @@
 
 A fixture file is a single JSON object mapping names to declarations; each
 declaration carries a "kind" field.  Matrices are exact: entries are strings,
-rationals as "a/b".  Decoding is a pure function from the file to a context
-dict of live objects; it rejects what the constructions cannot take, such as a
-cospan whose legs are not two morphisms of one base category, and records the
-base category of each cospan.  Encoding covers fields and matrices, for the
-CLI's results.
+rationals as "a/b", and each matrix must have the shape its declaration
+implies before it is built.  Decoding is a pure function from the file to a
+context dict of live objects in file order: one table maps each kind to its
+decoder, and a reference to another declaration is checked and decoded on
+first use, so declarations may come in any order.  It rejects what the
+constructions cannot take, such as a cospan whose legs are not two morphisms
+of one base category.  Encoding covers fields and matrices, for the CLI's
+results.
 """
 
 from __future__ import annotations
 
 import json
+from typing import NamedTuple
 
 from . import coalg as _coalg
 from . import finset as _finset
@@ -66,38 +70,60 @@ def matrix_to_json(m: Matrix):
     }
 
 
-def matrix_from_json(obj) -> Matrix:
+def matrix_from_json(obj, rows: int, cols: int) -> Matrix:
+    """The rows x cols matrix obj encodes; any other header is rejected
+    before anything is built."""
     try:
         fld = field_from_json(obj["field"])
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        header = int(obj["rows"]), int(obj["cols"])
+        if header != (rows, cols):
+            raise ParseError(f"matrix is {header[0]} x {header[1]}, expected {rows} x {cols}")
         entries = obj["entries"]
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ParseError("matrix entry grid does not match rows x cols")
         data = [[fld.parse(str(x)) for x in row] for row in entries]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix: {exc}") from exc
     return Matrix(fld, data, rows, cols)
 
 
 # -- declarations -----------------------------------------------------------------
+#
+# Each decoder takes the declaration's JSON object and ref(name, role, kinds),
+# which returns the decoded value of the declaration a reference names.
 
 
-def _decode_coalgebra(obj) -> _coalg.Coalgebra:
-    fld = field_from_json(obj["field"])
+def _coalgebra(obj, ref=None) -> _coalg.Coalgebra:
+    dim = int(obj["dim"])
     return _coalg.Coalgebra(
-        int(obj["dim"]),
-        fld,
-        delta=matrix_from_json(obj["delta"]),
-        epsilon=matrix_from_json(obj["epsilon"]),
+        dim,
+        field_from_json(obj["field"]),
+        delta=matrix_from_json(obj["delta"], dim * dim, dim),
+        epsilon=matrix_from_json(obj["epsilon"], 1, dim),
     )
 
 
-def _decode_finset_obj(obj) -> _finset.FinSetObj:
+def _coalgebra_map(obj, ref) -> _coalg.CoalgMap:
+    src = ref(obj["src"], "src", ("coalgebra",))
+    tgt = ref(obj["tgt"], "tgt", ("coalgebra",))
+    return _coalg.CoalgMap(src, tgt, matrix_from_json(obj["matrix"], tgt.dim, src.dim))
+
+
+def _bialgebra(obj, ref) -> MonoidObj:
+    c = _coalgebra(obj)
+    base = _coalg.CoalgCategory(c.field)
+    m = _coalg.CoalgMap(_coalg.tensor_coalgebra(c, c), c,
+                        matrix_from_json(obj["m"], c.dim, c.dim * c.dim))
+    u = _coalg.CoalgMap(base.unit_obj(), c, matrix_from_json(obj["u"], c.dim, 1))
+    return MonoidObj(base, c, m, u)
+
+
+def _finset_obj(obj, ref) -> _finset.FinSetObj:
     return _finset.FinSetObj(int(obj["set"]))
 
 
-def _decode_finset_fun(obj) -> _finset.FinFun:
-    body = obj.get("fun", obj)
+def _finset_fun(obj, ref) -> _finset.FinFun:
+    body = obj["fun"]
     return _finset.FinFun(
         _finset.FinSetObj(int(body["dom"])),
         _finset.FinSetObj(int(body["cod"])),
@@ -105,15 +131,17 @@ def _decode_finset_fun(obj) -> _finset.FinFun:
     )
 
 
-def _decode_bialgebra(obj) -> MonoidObj:
-    c = _decode_coalgebra(obj)
-    base = _coalg.CoalgCategory(c.field)
-    m = _coalg.CoalgMap(_coalg.tensor_coalgebra(c, c), c, matrix_from_json(obj["m"]))
-    u = _coalg.CoalgMap(base.unit_obj(), c, matrix_from_json(obj["u"]))
-    return MonoidObj(base, c, m, u)
+def _finset_monoid(obj, ref):
+    """(carrier, multiplication, unit) of a monoid given by its table."""
+    size = int(obj["size"])
+    table = [int(v) for v in obj["table"]]
+    if len(table) != size * size:
+        raise ParseError("monoid table must have size^2 entries")
+    carrier = _finset.FinSetObj(size)
+    return carrier, _finset.FinFun(_finset.FinSetObj(size * size), carrier, table), int(obj["unit"])
 
 
-def _decode_small_category(obj) -> _relcat.SmallCategory:
+def _small_category(obj, ref) -> _relcat.SmallCategory:
     return _relcat.SmallCategory(
         int(obj["objects"]),
         int(obj["arrows"]),
@@ -124,7 +152,7 @@ def _decode_small_category(obj) -> _relcat.SmallCategory:
     )
 
 
-def _decode_relative_category(obj) -> _relcat.RelativeCategory:
+def _relative_category(obj, ref) -> _relcat.RelativeCategory:
     if obj.get("instance", "finset") != "finset":
         raise ParseError("raw relative_category declarations are finset-only")
     b = _finset.FinSetObj(int(obj["objects"]))
@@ -142,51 +170,80 @@ def _decode_relative_category(obj) -> _relcat.RelativeCategory:
     return _relcat.RelativeCategory(_finset.FINSET, b, a, s, t, i, d, pb)
 
 
-_SIMPLE_KINDS = {
-    "coalgebra": _decode_coalgebra,
-    "finset_obj": _decode_finset_obj,
-    "finset_fun": _decode_finset_fun,
-    "bialgebra": _decode_bialgebra,
-    "small_category": _decode_small_category,
-    "relative_category": _decode_relative_category,
+def _chain(obj, ref) -> list:
+    """The maps X_0 -> Y_1 <- X_2 -> ... of a zigzag of finite sets."""
+    if obj.get("instance", "finset") != "finset":
+        raise ParseError("chains are declared over finset (linearize via --instance)")
+    sizes = [int(v) for v in obj["sizes"]]
+    if len(sizes) % 2 == 0 or len(sizes) < 3:
+        raise ParseError("a chain needs an odd number (>= 3) of objects")
+    maps = []
+    for idx, table in enumerate(obj["maps"]):
+        # even maps point right (X_i -> Y_{i+1}), odd maps left
+        dom = _finset.FinSetObj(sizes[idx] if idx % 2 == 0 else sizes[idx + 1])
+        cod = _finset.FinSetObj(sizes[idx + 1] if idx % 2 == 0 else sizes[idx])
+        maps.append(_finset.FinFun(dom, cod, [int(v) for v in table]))
+    if len(maps) != len(sizes) - 1:
+        raise ParseError("a chain needs one map per adjacent pair")
+    return maps
+
+
+def _cospan(obj, ref) -> tuple:
+    """The (left, right) legs; cospan_base checks they share a base category."""
+    legs = tuple(ref(obj[side], "cospan leg", ("finset_fun", "coalgebra_map"))
+                 for side in ("left", "right"))
+    cospan_base(*legs)
+    return legs
+
+
+def _functor(obj, ref) -> tuple:
+    """The object and arrow tables (b, a) of a relative functor."""
+    return [int(v) for v in obj["b"]], [int(v) for v in obj["a"]]
+
+
+_DECODERS = {
+    "coalgebra": _coalgebra,
+    "coalgebra_map": _coalgebra_map,
+    "bialgebra": _bialgebra,
+    "finset_obj": _finset_obj,
+    "finset_fun": _finset_fun,
+    "finset_monoid": _finset_monoid,
+    "small_category": _small_category,
+    "relative_category": _relative_category,
+    "chain": _chain,
+    "cospan": _cospan,
+    "functor": _functor,
 }
 
-KNOWN_KINDS = set(_SIMPLE_KINDS) | {
-    "coalgebra_map",
-    "finset_monoid",
-    "cospan",
-    "chain",
-    "functor",
-}
 
-
-_LEG_KINDS = ("finset_fun", "coalgebra_map")
-
-
-def _cospan_base(left: "Decl", right: "Decl"):
+def cospan_base(left, right):
     """The one base category that both legs of a cospan are morphisms of."""
-    if left.kind == right.kind == "finset_fun":
+    if type(left) is type(right) is _finset.FinFun:
         return _finset.FINSET
-    if left.kind == right.kind == "coalgebra_map" and left.value.mat.field == right.value.mat.field:
-        return _coalg.CoalgCategory(left.value.mat.field)
-    raise ValueError(f"cospan legs must be two finset_fun or two coalgebra_map declarations "
-                     f"over one field, got {left.kind} and {right.kind}")
+    if type(left) is type(right) is _coalg.CoalgMap and left.mat.field == right.mat.field:
+        return _coalg.CoalgCategory(left.mat.field)
+    raise ValueError("cospan legs must be two finset_fun or two coalgebra_map declarations "
+                     "over one field")
 
 
-class Decl:
-    """A decoded declaration: the live object plus its raw JSON.  A cospan's
-    value is its (left, right) legs and its base their base category."""
+class Decl(NamedTuple):
+    """A decoded declaration: its kind and its live object."""
 
-    base = None
+    kind: str
+    value: object
 
-    def __init__(self, kind, value, raw):
-        self.kind = kind
-        self.value = value
-        self.raw = raw
+
+def _kind(name, obj) -> str:
+    if not isinstance(obj, dict) or "kind" not in obj:
+        raise ParseError(f"declaration {name!r} has no kind")
+    kind = obj["kind"]
+    if not isinstance(kind, str) or kind not in _DECODERS:
+        raise ParseError(f"declaration {name!r} has unknown kind {kind!r}")
+    return kind
 
 
 def load_context(path: str) -> dict:
-    """Decode a fixture file into an ordered {name: Decl} context."""
+    """Decode a fixture file into a {name: Decl} context in file order."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -194,80 +251,25 @@ def load_context(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("fixture file must be a JSON object of named declarations")
-    if "kind" in doc and isinstance(doc["kind"], str):
-        doc = {"it": doc}
-    ctx: dict[str, Decl] = {}
-    deferred = []
-    for name, obj in doc.items():
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ParseError(f"declaration {name!r} has no kind")
-        kind = obj["kind"]
-        if kind not in KNOWN_KINDS:
-            raise ParseError(f"declaration {name!r} has unknown kind {kind!r}")
-        try:
-            if kind in _SIMPLE_KINDS:
-                ctx[name] = Decl(kind, _SIMPLE_KINDS[kind](obj), obj)
-            elif kind == "finset_monoid":
-                size = int(obj["size"])
-                table = [int(v) for v in obj["table"]]
-                if len(table) != size * size:
-                    raise ParseError("monoid table must have size^2 entries")
-                carrier = _finset.FinSetObj(size)
-                m = _finset.FinFun(_finset.FinSetObj(size * size), carrier, table)
-                ctx[name] = Decl(kind, (carrier, m, int(obj["unit"])), obj)
-            elif kind == "chain":
-                if obj.get("instance", "finset") != "finset":
-                    raise ParseError("chains are declared over finset (linearize via --instance)")
-                sizes = [int(v) for v in obj["sizes"]]
-                if len(sizes) % 2 == 0 or len(sizes) < 3:
-                    raise ParseError("a chain needs an odd number (>= 3) of objects")
-                maps = []
-                for idx, table in enumerate(obj["maps"]):
-                    # even maps point right (X_i -> Y_{i+1}), odd maps left
-                    dom = _finset.FinSetObj(sizes[idx] if idx % 2 == 0 else sizes[idx + 1])
-                    cod = _finset.FinSetObj(sizes[idx + 1] if idx % 2 == 0 else sizes[idx])
-                    maps.append(_finset.FinFun(dom, cod, [int(v) for v in table]))
-                if len(maps) != len(sizes) - 1:
-                    raise ParseError("a chain needs one map per adjacent pair")
-                ctx[name] = Decl(kind, maps, obj)
-            else:
-                deferred.append((name, kind, obj))
-        except ParseError:
-            raise
-        except (RelspanError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad declaration {name!r}: {exc}") from exc
-    # coalgebra maps first, so a cospan may name maps declared after it; the
-    # context keeps the deferred declarations in file order
-    for name, kind, obj in sorted(deferred, key=lambda d: d[1] != "coalgebra_map"):
-        try:
-            if kind == "coalgebra_map":
-                src = _declared(doc, ctx, obj["src"], "src", ("coalgebra",)).value
-                tgt = _declared(doc, ctx, obj["tgt"], "tgt", ("coalgebra",)).value
-                ctx[name] = Decl(
-                    kind, _coalg.CoalgMap(src, tgt, matrix_from_json(obj["matrix"])), obj
-                )
-            elif kind == "cospan":
-                left, right = (_declared(doc, ctx, obj[side], "cospan leg", _LEG_KINDS)
-                               for side in ("left", "right"))
-                base = _cospan_base(left, right)
-                ctx[name] = Decl(kind, (left.value, right.value), obj)
-                ctx[name].base = base
-            elif kind == "functor":
-                ctx[name] = Decl(kind, obj, obj)
-        except ParseError:
-            raise
-        except (RelspanError, KeyError, TypeError, ValueError) as exc:
-            raise ParseError(f"bad declaration {name!r}: {exc}") from exc
-    for name, _, _ in deferred:
-        ctx[name] = ctx.pop(name)
-    return ctx
+    done: dict[str, Decl] = {}
 
+    def decl(name) -> Decl:
+        if name not in done:
+            kind = _kind(name, doc[name])
+            try:
+                done[name] = Decl(kind, _DECODERS[kind](doc[name], ref))
+            except ParseError:
+                raise
+            except (RelspanError, KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise ParseError(f"bad declaration {name!r}: {exc}") from exc
+        return done[name]
 
-def _declared(doc, ctx, name, role, kinds) -> Decl:
-    """The decoded declaration that a reference names; it must be of one of kinds."""
-    if not isinstance(name, str) or name not in doc:
-        raise ValueError(f"{role} {name!r} is not declared")
-    kind = doc[name]["kind"]
-    if kind not in kinds:
-        raise ValueError(f"{role} {name!r} is a {kind}, expected {' or '.join(kinds)}")
-    return ctx[name]
+    def ref(name, role, kinds):
+        if not isinstance(name, str) or name not in doc:
+            raise ValueError(f"{role} {name!r} is not declared")
+        kind = _kind(name, doc[name])
+        if kind not in kinds:
+            raise ValueError(f"{role} {name!r} is a {kind}, expected {' or '.join(kinds)}")
+        return decl(name).value
+
+    return {name: decl(name) for name in doc}

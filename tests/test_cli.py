@@ -325,10 +325,11 @@ def test_cospan_declared_before_its_maps_loads(tmp_path):
     path = _maps_after_cospan_fixture(tmp_path)
     code, doc = run_no_traceback(["check", path])
     assert code == 0
-    assert [c["name"] for c in doc["checks"]][-5:] == [
+    assert [c["name"] for c in doc["checks"]] == [
         "cs: legs in class",
         "m: comultiplication intertwined", "m: counit preserved",
         "m2: comultiplication intertwined", "m2: counit preserved",
+        "A: coassociativity", "A: left counit law", "A: right counit law",
     ]
     code, doc = run_no_traceback(["pullback", path, "--cospan", "cs"])
     assert code == 0 and doc["result"]["apex"]["dim"] == 1
@@ -352,3 +353,115 @@ def test_coalgebra_map_between_non_coalgebras_exits_2(tmp_path):
     code, doc = run_no_traceback(["check", str(p)])
     assert code == 2 and doc["exit"] == 2
     assert "'X' is a finset_obj" in doc["error"]
+
+
+@pytest.mark.parametrize("change", [{"b": None}, {"a": ["x"]}, {"b": 3}])
+def test_malformed_functor_tables_exit_2(tmp_path, change):
+    with open(fx("relcats.json")) as fh:
+        doc = json.load(fh)
+    functor = {k: v for k, v in {**doc["collapse"], **change}.items() if v is not None}
+    doc["collapse"] = functor
+    p = tmp_path / "functor.json"
+    p.write_text(json.dumps(doc))
+    code, doc = run_no_traceback(
+        ["functor", str(p), "--src", "poset01", "--tgt", "discrete3", "--map", "collapse"])
+    assert code == 2 and doc["exit"] == 2
+    assert "'collapse'" in doc["error"]
+
+
+@pytest.mark.parametrize("kind", [[[1]], {}])
+def test_non_string_kind_exits_2(tmp_path, kind):
+    p = tmp_path / "kind.json"
+    p.write_text(json.dumps({"x": {"kind": kind}}))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"].startswith("declaration 'x' has unknown kind")
+
+
+@pytest.mark.parametrize("where", ["set", "rows"])
+def test_infinite_number_exits_2(tmp_path, where):
+    one = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
+    k = {"kind": "coalgebra", "field": "Q", "dim": 1, "delta": one, "epsilon": one}
+    doc = {"X": {"kind": "finset_obj", "set": 1}, "k": k}
+    if where == "set":
+        doc["X"]["set"] = float("inf")
+    else:
+        k["delta"] = {**one, "rows": float("inf")}
+    p = tmp_path / "inf.json"
+    p.write_text(json.dumps(doc))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["exit"] == 2
+    assert "infinity" in doc["error"]
+
+
+HUGE = 10**9
+
+
+def _bad_header_fixture(tmp_path, where):
+    """Declarations whose named matrix has a 0 x 10^9 header and no entries."""
+    one = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
+    empty = {"field": "Q", "rows": 0, "cols": HUGE, "entries": []}
+    k = {"kind": "coalgebra", "field": "Q", "dim": 1, "delta": one, "epsilon": one}
+    doc = {
+        "k": {**k, **({where: empty} if where in ("delta", "epsilon") else {})},
+        "m": {"kind": "coalgebra_map", "src": "k", "tgt": "k",
+              "matrix": empty if where == "matrix" else one},
+    }
+    if where in ("m", "u"):
+        doc["b"] = {**k, "kind": "bialgebra", "m": one, "u": one, where: empty}
+    p = tmp_path / "header.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("where", ["delta", "epsilon", "matrix", "m", "u"])
+def test_matrix_header_checked_before_it_is_built(tmp_path, where):
+    code, doc = run_no_traceback(["check", _bad_header_fixture(tmp_path, where)])
+    assert code == 2 and doc["exit"] == 2
+    assert f"0 x {HUGE}" in doc["error"]
+
+
+# Flags that no longer exist on a subcommand: one (subcommand, flag, value)
+# per flag its command does not read.
+DROPPED_FLAGS = [
+    ("check", "--seed", "1"), ("check", "--field", "Fp:5"), ("check", "--instance", "coalg"),
+    ("cotensor", "--seed", "1"), ("cotensor", "--instance", "coalg"),
+    ("coherence", "--seed", "1"), ("relcat", "--seed", "1"),
+    ("functor", "--seed", "1"), ("functor", "--field", "Fp:5"),
+    ("functor", "--instance", "coalg"),
+    ("monoid", "--seed", "1"), ("monoid", "--field", "Fp:5"), ("monoid", "--instance", "coalg"),
+]
+
+VALID_COMMANDS = {
+    "check": ["check", fx("coalgebras.json"), "--name", "k2"],
+    "cotensor": ["cotensor", fx("cospan_coalg.json"), "--cospan", "cs"],
+    "coherence": ["coherence", fx("chains.json"), "--name", "tri", "--shape", "triangle"],
+    "relcat": ["relcat", fx("relcats.json")],
+    "functor": ["functor", fx("relcats.json"), "--src", "poset01", "--tgt", "discrete3",
+                "--map", "collapse"],
+    "monoid": ["monoid", fx("monoids.json"), "--name", "z2"],
+}
+
+
+def _usage_error(argv):
+    import contextlib
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command,flag,value", DROPPED_FLAGS)
+def test_flag_a_command_does_not_read_exits_2(command, flag, value):
+    assert _usage_error(VALID_COMMANDS[command])[0] == 0
+    code, err = _usage_error(VALID_COMMANDS[command] + [flag, value])
+    assert code == 2 and f"unrecognized arguments: {flag}" in err
+
+
+def test_json_flag_goes_after_the_subcommand():
+    code, out = run(VALID_COMMANDS["check"] + ["--json"])
+    assert code == 0 and out.count("\n") == 1
+    code, err = _usage_error(["--json"] + VALID_COMMANDS["check"])
+    assert code == 2 and "unrecognized arguments: --json" in err
