@@ -11,6 +11,7 @@ indented to compact single-line JSON.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -133,7 +134,7 @@ def _coalg_result(pb, args, report):
         "filler of the projection span is not the identity",
     )
     if args.compare_cotensor:
-        ct = _coalg.cotensor(pb.f, pb.g)
+        ct = _coalg.cotensor(pb.f, pb.g, legs_in_s=True)  # relative_pullback decided them
         report.extend(_coalg.compare_with_pullback(ct, pb.payload), "cotensor comparison: ")
     apex = {"dim": pb.apex.dim, "delta": matrix_to_json(pb.apex.delta),
             "epsilon": matrix_to_json(pb.apex.epsilon)}
@@ -297,7 +298,10 @@ _COMMANDS = (
 )
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process; parse_args returns a
+    fresh namespace on every call."""
     parser = argparse.ArgumentParser(
         prog="relspan", description="exact verification of span-relative constructions"
     )

@@ -477,19 +477,23 @@ class Cotensor:
     left_inv: Matrix
 
 
-def cotensor(f: CoalgMap, g: CoalgMap) -> Cotensor:
+def cotensor(f: CoalgMap, g: CoalgMap, legs_in_s: bool | None = None) -> Cotensor:
     """The one-step equalizer of (1⊗f⊗1)∘(δ_A⊗1) and (1⊗g⊗1)∘(1⊗δ_C) on A⊗C.
 
     Always a linear subspace; when the cospan has legs in S it also carries
     the induced coalgebra structure (and is isomorphic to the relative
-    pullback, which is verified by compare_cotensor_pullback)."""
+    pullback, which is verified by compare_cotensor_pullback).  legs_in_s is
+    the caller's verdict on (id_A, f) and (g, id_C) being in S, if it has
+    decided them; None decides them here."""
     _check_cospan(f, g)
     a, c = f.src, g.src
     i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(a.field, c.dim)
     k = kernel_basis_sparse(
         kron(kron_apply(i_a, f.mat, a.delta), i_c) - kron(i_a, kron_apply(g.mat, i_c, c.delta))
     )
-    if class_S_witness(cid(a), f) is None and class_S_witness(g, cid(c)) is None:
+    if legs_in_s is None:
+        legs_in_s = class_S_witness(cid(a), f) is None and class_S_witness(g, cid(c)) is None
+    if legs_in_s:
         x = tensor_coalgebra(a, c)
         obj, lk = _structure_on_kernel(x, k)
         return Cotensor(k.cols, k, obj, CoalgMap(obj, x, k), lk)

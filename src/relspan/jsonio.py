@@ -6,15 +6,16 @@ rationals as "a/b", and each matrix must have the shape its declaration
 implies before it is built.  Decoding is a pure function from the file to a
 context dict of live objects in file order: one table maps each kind to its
 decoder, and a reference to another declaration is checked and decoded on
-first use, so declarations may come in any order.  It rejects what the
-constructions cannot take, such as a cospan whose legs are not two morphisms
-of one base category.  Encoding covers fields and matrices, for the CLI's
-results.
+first use, so declarations may come in any order.  Sizes, indices and
+table entries must be JSON integers.  It rejects what the constructions
+cannot take, such as a cospan whose legs are not two morphisms of one base
+category.  Encoding covers fields and matrices, for the CLI's results.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import NamedTuple
 
 from . import coalg as _coalg
@@ -31,6 +32,22 @@ class ParseError(RelspanError):
     pass
 
 
+def _int(v) -> int:
+    """A size, index or table entry: a JSON integer and nothing else (no
+    float, string or boolean)."""
+    if type(v) is int:
+        return v
+    if isinstance(v, float) and math.isinf(v):  # JSON Infinity
+        raise ValueError(f"expected an integer, got {'-' if v < 0 else ''}infinity")
+    raise ValueError(f"expected an integer, got {v!r}")
+
+
+def _ints(vs) -> list:
+    if not isinstance(vs, list):
+        raise ValueError(f"expected a list of integers, got {vs!r}")
+    return [_int(v) for v in vs]
+
+
 # -- fields and matrices ---------------------------------------------------------
 
 
@@ -44,7 +61,7 @@ def field_from_json(obj):
     if obj == "Q":
         return QQ
     if isinstance(obj, dict) and "Fp" in obj:
-        return GF(int(obj["Fp"]))
+        return GF(_int(obj["Fp"]))
     raise ParseError(f"unknown field description {obj!r}")
 
 
@@ -75,7 +92,7 @@ def matrix_from_json(obj, rows: int, cols: int) -> Matrix:
     before anything is built."""
     try:
         fld = field_from_json(obj["field"])
-        header = int(obj["rows"]), int(obj["cols"])
+        header = _int(obj["rows"]), _int(obj["cols"])
         if header != (rows, cols):
             raise ParseError(f"matrix is {header[0]} x {header[1]}, expected {rows} x {cols}")
         entries = obj["entries"]
@@ -94,7 +111,7 @@ def matrix_from_json(obj, rows: int, cols: int) -> Matrix:
 
 
 def _coalgebra(obj, ref=None) -> _coalg.Coalgebra:
-    dim = int(obj["dim"])
+    dim = _int(obj["dim"])
     return _coalg.Coalgebra(
         dim,
         field_from_json(obj["field"]),
@@ -119,49 +136,49 @@ def _bialgebra(obj, ref) -> MonoidObj:
 
 
 def _finset_obj(obj, ref) -> _finset.FinSetObj:
-    return _finset.FinSetObj(int(obj["set"]))
+    return _finset.FinSetObj(_int(obj["set"]))
 
 
 def _finset_fun(obj, ref) -> _finset.FinFun:
     body = obj["fun"]
     return _finset.FinFun(
-        _finset.FinSetObj(int(body["dom"])),
-        _finset.FinSetObj(int(body["cod"])),
-        [int(v) for v in body["table"]],
+        _finset.FinSetObj(_int(body["dom"])),
+        _finset.FinSetObj(_int(body["cod"])),
+        _ints(body["table"]),
     )
 
 
 def _finset_monoid(obj, ref):
     """(carrier, multiplication, unit) of a monoid given by its table."""
-    size = int(obj["size"])
-    table = [int(v) for v in obj["table"]]
+    size = _int(obj["size"])
+    table = _ints(obj["table"])
     if len(table) != size * size:
         raise ParseError("monoid table must have size^2 entries")
     carrier = _finset.FinSetObj(size)
-    return carrier, _finset.FinFun(_finset.FinSetObj(size * size), carrier, table), int(obj["unit"])
+    return carrier, _finset.FinFun(_finset.FinSetObj(size * size), carrier, table), _int(obj["unit"])
 
 
 def _small_category(obj, ref) -> _relcat.SmallCategory:
     return _relcat.SmallCategory(
-        int(obj["objects"]),
-        int(obj["arrows"]),
-        [int(v) for v in obj["src"]],
-        [int(v) for v in obj["tgt"]],
-        [int(v) for v in obj["id"]],
-        [[int(v) for v in row] for row in obj["comp"]],
+        _int(obj["objects"]),
+        _int(obj["arrows"]),
+        _ints(obj["src"]),
+        _ints(obj["tgt"]),
+        _ints(obj["id"]),
+        [_ints(row) for row in obj["comp"]],
     )
 
 
 def _relative_category(obj, ref) -> _relcat.RelativeCategory:
     if obj.get("instance", "finset") != "finset":
         raise ParseError("raw relative_category declarations are finset-only")
-    b = _finset.FinSetObj(int(obj["objects"]))
-    a = _finset.FinSetObj(int(obj["arrows"]))
-    s = _finset.FinFun(a, b, [int(v) for v in obj["s"]])
-    t = _finset.FinFun(a, b, [int(v) for v in obj["t"]])
-    i = _finset.FinFun(b, a, [int(v) for v in obj["i"]])
+    b = _finset.FinSetObj(_int(obj["objects"]))
+    a = _finset.FinSetObj(_int(obj["arrows"]))
+    s = _finset.FinFun(a, b, _ints(obj["s"]))
+    t = _finset.FinFun(a, b, _ints(obj["t"]))
+    i = _finset.FinFun(b, a, _ints(obj["i"]))
     pb = relative_pullback(_finset.FINSET, s, t)
-    d_table = [int(v) for v in obj["d"]]
+    d_table = _ints(obj["d"])
     if len(d_table) != pb.apex.size:
         raise ParseError(
             f"d table has {len(d_table)} entries but the pullback has {pb.apex.size} pairs"
@@ -174,7 +191,7 @@ def _chain(obj, ref) -> list:
     """The maps X_0 -> Y_1 <- X_2 -> ... of a zigzag of finite sets."""
     if obj.get("instance", "finset") != "finset":
         raise ParseError("chains are declared over finset (linearize via --instance)")
-    sizes = [int(v) for v in obj["sizes"]]
+    sizes = _ints(obj["sizes"])
     if len(sizes) % 2 == 0 or len(sizes) < 3:
         raise ParseError("a chain needs an odd number (>= 3) of objects")
     maps = []
@@ -182,7 +199,7 @@ def _chain(obj, ref) -> list:
         # even maps point right (X_i -> Y_{i+1}), odd maps left
         dom = _finset.FinSetObj(sizes[idx] if idx % 2 == 0 else sizes[idx + 1])
         cod = _finset.FinSetObj(sizes[idx + 1] if idx % 2 == 0 else sizes[idx])
-        maps.append(_finset.FinFun(dom, cod, [int(v) for v in table]))
+        maps.append(_finset.FinFun(dom, cod, _ints(table)))
     if len(maps) != len(sizes) - 1:
         raise ParseError("a chain needs one map per adjacent pair")
     return maps
@@ -198,7 +215,7 @@ def _cospan(obj, ref) -> tuple:
 
 def _functor(obj, ref) -> tuple:
     """The object and arrow tables (b, a) of a relative functor."""
-    return [int(v) for v in obj["b"]], [int(v) for v in obj["a"]]
+    return _ints(obj["b"]), _ints(obj["a"])
 
 
 _DECODERS = {

@@ -6,6 +6,17 @@ over Q, int residues over F_p).  Every operation returns that form, so two
 matrices are equal exactly when their columns are equal dicts, and storage
 and work grow with the number of nonzeros, not with rows × columns.
 
+Products build each output column by a rule chosen by how many nonzeros of
+the right operand feed it.  A column of @ or kron_apply fed by one nonzero v
+is v times one column (of the left operand, or A[:,p]⊗B[:,q]), built in one
+pass with no accumulator; a column fed by several nonzeros accumulates its
+sums and normalizes each entry once.  kron never sums.  A product is
+normalized only when a factor is not one (a Q product of two Fractions can be
+integral, an F_p product needs its reduction), so a factor column whose only
+nonzero is one gives a copy of the other column.  Group-like data, whose δ,
+0/1 maps and identities have one nonzero per column, takes only the one-pass
+path.
+
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
 g∘f is the product G @ F.  Tensor indices are row-major throughout:
@@ -126,16 +137,21 @@ class Matrix:
         require_same_field(self.field, other.field)
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
-        acols = self.columns
+        fld, acols = self.field, self.columns
+        norm, one = fld.normalize, fld.one
         cols = []
         for col in other.columns:
+            if len(col) == 1:
+                ((k, b),) = col.items()
+                cols.append(dict(acols[k]) if b == one else {i: norm(a * b) for i, a in acols[k].items()})
+                continue
             acc = {}
             get = acc.get
             for k, b in col.items():
                 for i, a in acols[k].items():
                     acc[i] = get(i, 0) + a * b
-            cols.append(_canonical(self.field, acc))
-        return Matrix.from_cols(self.field, self.rows, cols)
+            cols.append(_canonical(fld, acc))
+        return Matrix.from_cols(fld, self.rows, cols)
 
     def hstack(self, other):
         require_same_field(self.field, other.field)
@@ -291,30 +307,42 @@ def first_difference(a: Matrix, b: Matrix):
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with row-major basis convention:
     (A⊗B)(e_i⊗f_j) indexes at i * b.cols + j in the domain and the analogous
-    row-major position in the codomain."""
+    row-major position in the codomain.  A product with a factor equal to one
+    is the other factor as it is, so a factor column whose only nonzero is one
+    gives a shifted copy of the other column."""
     require_same_field(a.field, b.field)
-    norm, nb = a.field.normalize, b.rows
+    norm, one, nb = a.field.normalize, a.field.one, b.rows
     cols = []
     for acol in a.columns:
-        terms = [(i * nb, v) for i, v in acol.items()]
+        terms = [(i * nb, x) for i, x in acol.items()]
         for bcol in b.columns:
-            cols.append({base + i: norm(av * bv) for base, av in terms for i, bv in bcol.items()})
+            cols.append({base + k: y if x == one else x if y == one else norm(x * y)
+                         for base, x in terms for k, y in bcol.items()})
     return Matrix.from_cols(a.field, a.rows * nb, cols)
 
 
 def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     """(A⊗B) @ M without materializing A⊗B: each nonzero v at row p·b.cols+q
-    of a column of M adds v·A[:,p]⊗B[:,q] to that column of the result.  Each
-    column A[:,p]⊗B[:,q] is built once, when a row of M first uses it."""
+    of a column of M adds v·A[:,p]⊗B[:,q] to that column of the result.  A
+    column of M with one nonzero is that one term, built in one pass.  For
+    the other columns each A[:,p]⊗B[:,q] is built once, when a row of M
+    first uses it, and the sums are normalized once per entry."""
     require_same_field(a.field, b.field)
     require_same_field(a.field, m.field)
     if m.rows != a.cols * b.cols:
         raise ShapeMismatch("kron_apply: M row count must be a.cols * b.cols")
-    norm, nb, bc = m.field.normalize, b.rows, b.cols
+    norm, one, nb, bc = m.field.normalize, m.field.one, b.rows, b.cols
     acols, bcols = a.columns, b.columns
     terms = {}
     out = []
     for mcol in m.columns:
+        if len(mcol) == 1:
+            ((idx, v),) = mcol.items()
+            p, q = divmod(idx, bc)
+            bq = bcols[q].items()
+            out.append({i * nb + k: one if v == x == y == one else norm(v * x * y)
+                        for i, x in acols[p].items() for k, y in bq})
+            continue
         acc = {}
         get = acc.get
         for idx, v in mcol.items():

@@ -3,11 +3,14 @@
 import io
 import json
 import os
-from contextlib import redirect_stdout
+import subprocess
+import sys
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from relspan.cli import main
+from relspan import coalg
+from relspan.cli import build_parser, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -465,3 +468,62 @@ def test_json_flag_goes_after_the_subcommand():
     assert code == 0 and out.count("\n") == 1
     code, err = _usage_error(["--json"] + VALID_COMMANDS["check"])
     assert code == 2 and "unrecognized arguments: --json" in err
+
+
+def _fresh_process(argv):
+    """Exit code and stdout of `python -m relspan.cli argv` in a new interpreter."""
+    src = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "relspan.cli", *argv], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, check=False)
+    return proc.returncode, proc.stdout
+
+
+def test_main_in_one_process_matches_fresh_processes():
+    good = ["pullback", fx("cospan_finset.json"), "--cospan", "cs"]
+    calls = [good, ["coherence", fx("chains.json")], good + ["--json"], good]
+    in_process = []
+    for argv in calls:
+        out = io.StringIO()
+        with redirect_stdout(out), redirect_stderr(io.StringIO()):
+            in_process.append((main(argv), out.getvalue()))
+    assert [code for code, _ in in_process] == [0, 2, 0, 0]
+    assert in_process[3] == in_process[0] != in_process[2]
+    assert in_process == [_fresh_process(argv) for argv in calls]
+    assert build_parser() is build_parser()
+
+
+NON_INTEGERS = {
+    "float, string and bool in a function": {"kind": "finset_fun",
+                                              "fun": {"dom": 2.9, "cod": "2", "table": [1.7, True]}},
+    "bool table entry": {"kind": "finset_fun", "fun": {"dom": 2, "cod": 2, "table": [0, True]}},
+    "integral float size": {"kind": "finset_obj", "set": 3.0},
+    "string size": {"kind": "finset_obj", "set": "3"},
+    "string table": {"kind": "finset_monoid", "size": 1, "table": "0", "unit": 0},
+    "bool unit": {"kind": "finset_monoid", "size": 1, "table": [0], "unit": False},
+    "float chain size": {"kind": "chain", "sizes": [1, 1.0, 1], "maps": [[0], [0]]},
+    "float prime": {"kind": "coalgebra", "field": {"Fp": 5.0}, "dim": 0,
+                    "delta": {"field": {"Fp": 5}, "rows": 0, "cols": 0, "entries": []},
+                    "epsilon": {"field": {"Fp": 5}, "rows": 1, "cols": 0, "entries": [[]]}},
+    "string matrix header": {"kind": "coalgebra", "field": "Q", "dim": 1,
+                             "delta": {"field": "Q", "rows": "1", "cols": 1, "entries": [["1"]]},
+                             "epsilon": {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}},
+}
+
+
+@pytest.mark.parametrize("decl", NON_INTEGERS.values(), ids=NON_INTEGERS.keys())
+def test_sizes_indices_and_table_entries_must_be_json_integers(tmp_path, decl):
+    p = tmp_path / "numbers.json"
+    p.write_text(json.dumps({"x": decl}))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"].startswith("bad ") and "expected " in doc["error"]
+
+
+def test_pullback_compare_cotensor_decides_class_S_three_times(monkeypatch):
+    calls = []
+    decide = coalg.class_S_witness
+    monkeypatch.setattr(coalg, "class_S_witness", lambda f, g: calls.append((f, g)) or decide(f, g))
+    code, _ = run(["pullback", fx("cospan_coalg.json"), "--cospan", "cs", "--compare-cotensor"])
+    assert code == 0
+    assert len(calls) == 3  # the two legs, then the projection span of the filler

@@ -241,6 +241,71 @@ def test_kron_apply_zero_rows_and_columns():
         kron_apply(b, b, Matrix.zeros(QQ, 3, 1))
 
 
+def _dense_product(a, b):
+    """A·B entry by entry from the dense views, each sum normalized once."""
+    f, ad, bd = a.field, a.data, b.data
+    out = [[f.normalize(sum((ad[i][k] * bd[k][j] for k in range(a.cols)), f.zero))
+            for j in range(b.cols)] for i in range(a.rows)]
+    return Matrix(f, out, a.rows, b.cols)
+
+
+def _mixed_columns(rng, field, rows, cols):
+    """Columns with zero, one or several nonzeros, over unit and non-unit
+    scalars, including 2/3 and 3/2, whose product is integral."""
+    pool = [field.of(x) for x in (1, 1, -1, 2, Fraction(2, 3), Fraction(3, 2))]
+    out = []
+    for _ in range(cols):
+        n = min(rows, rng.choice((0, 1, 1, 1, 2, 3)))
+        out.append({i: rng.choice(pool) for i in rng.sample(range(rows), n)})
+    return Matrix.from_cols(field, rows, out)
+
+
+def _assert_canonical(m):
+    """Every stored entry is a nonzero canonical scalar: an int whenever it is
+    integral over Q (1 == Fraction(1), so equality alone would not see it),
+    a residue in [1, p) over F_p."""
+    for col in m.columns:
+        for v in col.values():
+            if m.field == QQ:
+                assert type(v) is int or (type(v) is Fraction and v.denominator != 1), v
+            else:
+                assert type(v) is int and 0 < v < m.field.p, v
+
+
+@pytest.mark.parametrize("field", [QQ, F5, GF(7)])
+def test_products_match_dense_oracle_on_mixed_columns(field):
+    rng = rng_for(f"mixed-columns-{field!r}")
+    for _ in range(60):
+        r, k, c, br, bc = (rng.randint(0, 4) for _ in range(5))
+        a, b = _mixed_columns(rng, field, r, k), _mixed_columns(rng, field, k, c)
+        m = _mixed_columns(rng, field, k * bc, c)
+        bb = _mixed_columns(rng, field, br, bc)
+        for got, want in ((a @ b, _dense_product(a, b)),
+                          (kron(a, bb), kron_oracle(a, bb)),
+                          (kron_apply(a, bb, m), _dense_product(kron_oracle(a, bb), m))):
+            assert got == want
+            _assert_canonical(got)
+
+
+def test_integral_products_of_fractions_are_ints():
+    two_thirds = Matrix.from_cols(QQ, 1, [{0: Fraction(2, 3)}])
+    three_halves = Matrix.from_cols(QQ, 1, [{0: Fraction(3, 2)}])
+    one = Matrix.identity(QQ, 1)
+    wide = Matrix.from_cols(QQ, 2, [{0: Fraction(2, 3), 1: Fraction(4, 3)}])
+    products = (
+        (two_thirds @ three_halves, [{0: 1}]),
+        (kron(two_thirds, three_halves), [{0: 1}]),
+        (kron_apply(two_thirds, three_halves, one), [{0: 1}]),
+        (kron_apply(two_thirds, one, three_halves), [{0: 1}]),
+        (wide @ three_halves, [{0: 1, 1: 2}]),
+        (kron(wide, three_halves), [{0: 1, 1: 2}]),
+        (kron_apply(wide, three_halves, one), [{0: 1, 1: 2}]),
+    )
+    for got, want in products:
+        assert got.columns == want
+        _assert_canonical(got)
+
+
 def test_swap_basics():
     assert swap_map(QQ, 1, 1) == Matrix.identity(QQ, 1)
     s22 = swap_map(QQ, 2, 2)
