@@ -134,7 +134,7 @@ def _coalg_result(pb, args, report):
         "filler of the projection span is not the identity",
     )
     if args.compare_cotensor:
-        ct = _coalg.cotensor(pb.f, pb.g, legs_in_s=True)  # relative_pullback decided them
+        ct = _coalg.cotensor(pb.f, pb.g)
         report.extend(_coalg.compare_with_pullback(ct, pb.payload), "cotensor comparison: ")
     apex = {"dim": pb.apex.dim, "delta": matrix_to_json(pb.apex.delta),
             "epsilon": matrix_to_json(pb.apex.epsilon)}
@@ -179,15 +179,18 @@ def cmd_pullback(ctx, args):
 
 
 def cmd_cotensor(ctx, args):
-    _, (left, right) = _linearized(*_cospan(ctx, args.cospan), args.field)
+    base, (left, right) = _linearized(*_cospan(ctx, args.cospan), args.field)
     report = Report()
     ct = _coalg.cotensor(left, right)
     extra = {"dim": ct.dim, "inclusion": matrix_to_json(ct.inclusion)}
     report.add("cotensor computed", True)
-    if ct.coalgebra is not None:
-        report.extend(_coalg.check_coalgebra(ct.coalgebra), "induced structure: ")
-        pb = _coalg.relative_pullback_coalg(left, right)
-        report.extend(_coalg.compare_with_pullback(ct, pb), "pullback comparison: ")
+    try:
+        pb = relative_pullback(base, left, right)
+    except LegsNotInClass:
+        return report, extra
+    sub = _coalg.subcoalgebra(_coalg.tensor_coalgebra(left.src, right.src), ct.inclusion)
+    report.extend(_coalg.check_coalgebra(sub.object), "induced structure: ")
+    report.extend(_coalg.compare_with_pullback(ct, pb.payload), "pullback comparison: ")
     return report, extra
 
 
@@ -325,16 +328,14 @@ def main(argv=None) -> int:
     try:
         report, result = args.fn(load_context(args.path), args)
     except RelspanError as exc:
-        print(json.dumps({"command": argv, "error": str(exc), "exit": 2}, indent=2))
-        return 2
-    payload = {"command": argv, "checks": [c.as_dict() for c in report.checks],
-               "exit": 0 if report.ok else 1}
-    if result:
-        payload["result"] = result
-    if args.json:
-        print(json.dumps(payload, separators=(",", ":")))
+        payload = {"command": argv, "error": str(exc), "exit": 2}
     else:
-        print(json.dumps(payload, indent=2))
+        payload = {"command": argv, "checks": [c.as_dict() for c in report.checks],
+                   "exit": 0 if report.ok else 1}
+        if result:
+            payload["result"] = result
+    layout = {"separators": (",", ":")} if args.json else {"indent": 2}
+    print(json.dumps(payload, **layout))
     return payload["exit"]
 
 

@@ -10,16 +10,17 @@ linalg): an axiom holds when two such products are equal, and its witness
 names the first basis vector on which they differ.
 
 Equalizers of coalgebra maps are computed in two steps: the underlying
-subspace is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and the
-comultiplication on it is obtained by first factoring an auxiliary map
-δ_r: E -> E⊗A through the injective j⊗1 and then δ_E through 1⊗j, both with
-the left inverse L of j.  Both factorizations are guaranteed by the theory and
-verified, so failure raises InternalSolveFailure.  f_hat - g_hat is built as
-(T⊗1)∘δ from the images T = (1⊗(f-g))∘δ, so a dense δ costs n·n²·(n·|B|)
-multiply-adds rather than n·n²·n²·|B|.
-Relative pullbacks arise as the equalizer of f⊗ε and ε⊗g on A⊗C; the cotensor
-product is the independent one-step linear equalizer on A⊗C used to
-cross-check it.
+subspace is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and
+subcoalgebra equips it with the comultiplication, by first factoring an
+auxiliary map δ_r: E -> E⊗A through the injective j⊗1 and then δ_E through
+1⊗j, both with the left inverse L of j.  Both factorizations are guaranteed
+by the theory and verified, so failure raises InternalSolveFailure.
+f_hat - g_hat is built as (T⊗1)∘δ from the images T = (1⊗(f-g))∘δ, so a
+dense δ costs n·n²·(n·|B|) multiply-adds rather than n·n²·n²·|B|.
+Relative pullbacks arise as the equalizer of f⊗ε and ε⊗g on A⊗C.  The
+cotensor product, the independent one-step linear equalizer on A⊗C that
+cross-checks it, is an unchecked linear subspace; once the legs are decided
+to be in S, subcoalgebra gives its induced structure.
 
 Tensor products of coalgebras keep their factors and build their sparse δ on
 first use, so sparse structures (group-likes in particular) stay cheap even
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catcore import BaseCategory, Report, SpanClass
+from .catcore import BaseCategory, Cospan, Report, SpanClass, legs_in_class
 from .errors import (
     CodomainMismatch,
     InternalSolveFailure,
@@ -358,10 +359,10 @@ class CoalgEqualizer:
     left_inv: Matrix
 
 
-def _structure_on_kernel(x: Coalgebra, k: Matrix):
-    """Equip the subspace spanned by the columns of k, a canonical kernel
-    basis, with the induced comonoid structure; returns it with the left
-    inverse L of k.  Both factorizations are verified."""
+def subcoalgebra(x: Coalgebra, k: Matrix) -> CoalgEqualizer:
+    """The span of the columns of k, a canonical kernel basis, with the
+    comonoid structure it inherits from x, its inclusion and the left inverse
+    L of k.  Both factorizations are verified."""
     fld = x.field
     lk = kernel_left_inverse(k)
     i_n, i_e = Matrix.identity(fld, x.dim), Matrix.identity(fld, k.cols)
@@ -372,7 +373,8 @@ def _structure_on_kernel(x: Coalgebra, k: Matrix):
     delta_e = kron_apply(i_e, lk, delta_r)
     if kron_apply(i_e, k, delta_e) != delta_r:
         raise InternalSolveFailure("δ_E does not factor through 1⊗j")
-    return Coalgebra(k.cols, fld, delta=delta_e, epsilon=x.epsilon @ k), lk
+    obj = Coalgebra(k.cols, fld, delta=delta_e, epsilon=x.epsilon @ k)
+    return CoalgEqualizer(obj, CoalgMap(obj, x, k), lk)
 
 
 def _hat_difference(f: CoalgMap, g: CoalgMap) -> Matrix:
@@ -390,9 +392,7 @@ def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
         raise ShapeMismatch("equalizer needs a shared domain coalgebra")
     if not _same_object(f.tgt, g.tgt):
         raise ShapeMismatch("equalizer needs a shared codomain coalgebra")
-    k = kernel_basis_sparse(_hat_difference(f, g))
-    obj, lk = _structure_on_kernel(f.src, k)
-    return CoalgEqualizer(obj, CoalgMap(obj, f.src, k), lk)
+    return subcoalgebra(f.src, kernel_basis_sparse(_hat_difference(f, g)))
 
 
 def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
@@ -471,42 +471,31 @@ def pullback_factor_coalg(pb: CoalgPullback, k: CoalgMap, l: CoalgMap) -> CoalgM
 @dataclass
 class Cotensor:
     dim: int
-    inclusion: Matrix              # into A⊗C
-    coalgebra: Coalgebra | None    # induced structure, when the legs are in S
-    j: CoalgMap | None
+    inclusion: Matrix    # into A⊗C
     left_inv: Matrix
 
 
-def cotensor(f: CoalgMap, g: CoalgMap, legs_in_s: bool | None = None) -> Cotensor:
-    """The one-step equalizer of (1⊗f⊗1)∘(δ_A⊗1) and (1⊗g⊗1)∘(1⊗δ_C) on A⊗C.
-
-    Always a linear subspace; when the cospan has legs in S it also carries
-    the induced coalgebra structure (and is isomorphic to the relative
-    pullback, which is verified by compare_cotensor_pullback).  legs_in_s is
-    the caller's verdict on (id_A, f) and (g, id_C) being in S, if it has
-    decided them; None decides them here."""
+def cotensor(f: CoalgMap, g: CoalgMap) -> Cotensor:
+    """The one-step equalizer of (1⊗f⊗1)∘(δ_A⊗1) and (1⊗g⊗1)∘(1⊗δ_C) on A⊗C,
+    a linear subspace.  Unchecked: only for legs in S is it a subcoalgebra
+    (see subcoalgebra) and the relative pullback (compare_cotensor_pullback)."""
     _check_cospan(f, g)
     a, c = f.src, g.src
     i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(a.field, c.dim)
     k = kernel_basis_sparse(
         kron(kron_apply(i_a, f.mat, a.delta), i_c) - kron(i_a, kron_apply(g.mat, i_c, c.delta))
     )
-    if legs_in_s is None:
-        legs_in_s = class_S_witness(cid(a), f) is None and class_S_witness(g, cid(c)) is None
-    if legs_in_s:
-        x = tensor_coalgebra(a, c)
-        obj, lk = _structure_on_kernel(x, k)
-        return Cotensor(k.cols, k, obj, CoalgMap(obj, x, k), lk)
-    return Cotensor(k.cols, k, None, None, kernel_left_inverse(k))
+    return Cotensor(k.cols, k, kernel_left_inverse(k))
 
 
 def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
-    """Verify that the cotensor product and the relative pullback are the same
-    subobject: the mutual universal factorizations compose to identities."""
-    ct = cotensor(f, g)
-    if ct.coalgebra is None:
+    """Decide that the legs are in S, then verify that the cotensor product and
+    the relative pullback are the same subobject: the mutual universal
+    factorizations compose to identities."""
+    _check_cospan(f, g)
+    if not legs_in_class(CoalgCategory(f.mat.field).span_class, Cospan(f, g)):
         raise LegsNotInClass("cotensor comparison needs legs in class S")
-    return compare_with_pullback(ct, relative_pullback_coalg(f, g))
+    return compare_with_pullback(cotensor(f, g), relative_pullback_coalg(f, g))
 
 
 def compare_with_pullback(ct: Cotensor, pb: CoalgPullback) -> Report:

@@ -42,6 +42,13 @@ def _int(v) -> int:
     raise ValueError(f"expected an integer, got {v!r}")
 
 
+def _text(v) -> str:
+    """A matrix entry: a JSON string and nothing else (no number or boolean)."""
+    if type(v) is str:
+        return v
+    raise ValueError(f"expected a string, got {v!r}")
+
+
 def _ints(vs) -> list:
     if not isinstance(vs, list):
         raise ValueError(f"expected a list of integers, got {vs!r}")
@@ -98,7 +105,7 @@ def matrix_from_json(obj, rows: int, cols: int) -> Matrix:
         entries = obj["entries"]
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ParseError("matrix entry grid does not match rows x cols")
-        data = [[fld.parse(str(x)) for x in row] for row in entries]
+        data = [[fld.parse(_text(x)) for x in row] for row in entries]
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix: {exc}") from exc
     return Matrix(fld, data, rows, cols)

@@ -520,10 +520,48 @@ def test_sizes_indices_and_table_entries_must_be_json_integers(tmp_path, decl):
     assert doc["error"].startswith("bad ") and "expected " in doc["error"]
 
 
+def _counting(monkeypatch, name):
+    """The calls to coalg.<name> from here on, recorded as they happen."""
+    calls, fn = [], getattr(coalg, name)
+    monkeypatch.setattr(coalg, name, lambda *a: calls.append(a) or fn(*a))
+    return calls
+
+
 def test_pullback_compare_cotensor_decides_class_S_three_times(monkeypatch):
-    calls = []
-    decide = coalg.class_S_witness
-    monkeypatch.setattr(coalg, "class_S_witness", lambda f, g: calls.append((f, g)) or decide(f, g))
+    subs = _counting(monkeypatch, "subcoalgebra")
+    calls = _counting(monkeypatch, "class_S_witness")
     code, _ = run(["pullback", fx("cospan_coalg.json"), "--cospan", "cs", "--compare-cotensor"])
     assert code == 0
     assert len(calls) == 3  # the two legs, then the projection span of the filler
+    assert len(subs) == 1  # the pullback's equalizer; the cotensor stays linear
+
+
+def test_cotensor_command_decides_the_legs_once(monkeypatch):
+    subs = _counting(monkeypatch, "subcoalgebra")
+    decisions = _counting(monkeypatch, "class_S_witness")
+    code, doc = run_json(["cotensor", fx("cospan_coalg.json"), "--cospan", "cs"])
+    assert code == 0 and any(c["name"].startswith("induced structure") for c in doc["checks"])
+    assert len(subs) == 2  # the induced structure, then the pullback's equalizer
+    assert len(decisions) == 2
+
+
+def _bad_entry_fixture(tmp_path, entry):
+    one = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
+    p = tmp_path / "entry.json"
+    p.write_text(json.dumps({"k": {"kind": "coalgebra", "field": "Q", "dim": 1,
+                                   "delta": one, "epsilon": {**one, "entries": [[entry]]}}}))
+    return str(p)
+
+
+@pytest.mark.parametrize("entry", [0.1, 1e16, True, 7])
+def test_matrix_entries_must_be_json_strings(tmp_path, entry):
+    code, doc = run_no_traceback(["check", _bad_entry_fixture(tmp_path, entry)])
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"].startswith("bad matrix: ") and "expected a string" in doc["error"]
+
+
+def test_error_document_is_one_line_under_json(tmp_path):
+    code, out = run(["check", _bad_entry_fixture(tmp_path, True), "--json"])
+    assert code == 2
+    assert out.count("\n") == 1 and out.endswith("\n")
+    assert json.loads(out)["exit"] == 2

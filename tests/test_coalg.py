@@ -51,9 +51,15 @@ from relspan.coalg import (
     equalizer_factor,
     pullback_factor_coalg,
     relative_pullback_coalg,
+    subcoalgebra,
 )
 from relspan.finset import pullback
-from relspan.errors import CodomainMismatch, SpanNotInClass, SquareDoesNotCommute
+from relspan.errors import (
+    CodomainMismatch,
+    LegsNotInClass,
+    SpanNotInClass,
+    SquareDoesNotCommute,
+)
 from relspan.linalg import is_injective, kron, solve
 
 
@@ -540,10 +546,17 @@ def test_cotensor_carries_structure_when_legs_in_s():
     a = primitive_block(field)
     t = trivial(field)
     f = CoalgMap(a, t, a.epsilon)
-    ct = cotensor(f, f)
-    assert ct.coalgebra is not None
-    assert check_coalgebra(ct.coalgebra).ok
-    assert check_coalg_map(ct.j).ok
+    sub = subcoalgebra(tensor_coalgebra(a, a), cotensor(f, f).inclusion)
+    assert check_coalgebra(sub.object).ok
+    assert check_coalg_map(sub.j).ok
+
+
+def test_compare_cotensor_pullback_decides_the_legs():
+    p = path_coalgebra(QQ)
+    with pytest.raises(LegsNotInClass):
+        compare_cotensor_pullback(cid(p), cid(p))
+    with pytest.raises(CodomainMismatch):
+        compare_cotensor_pullback(cid(p), cid(primitive_block(QQ)))
 
 
 # -- closure and reflection shapes ----------------------------------------------------
