@@ -16,7 +16,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from .errors import CompositionMismatch, NotASection
+from .errors import CodomainMismatch, CompositionMismatch, NotASection
 
 
 # -- reports ----------------------------------------------------------------
@@ -182,7 +182,7 @@ def legs_in_class(cls: SpanClass, cs: Cospan) -> bool:
     """Both identity-padded spans of the cospan A -f-> B <-g- C are members."""
     base = cls.base
     if not base.equal_obj(base.cod(cs.left), base.cod(cs.right)):
-        raise CompositionMismatch("cospan legs must share their codomain")
+        raise CodomainMismatch("cospan legs must share their codomain")
     a = base.dom(cs.left)
     c = base.dom(cs.right)
     return cls.contains(Span(base.identity(a), cs.left)) and cls.contains(

@@ -79,6 +79,8 @@ class RationalField:
         return -x
 
     def inv(self, x):
+        if x == 1 or x == -1:  # canonical, so an int: its own inverse
+            return x
         if not x:
             raise ZeroDivisionError("inverse of 0 in Q")
         return self.normalize(Fraction(x.denominator, x.numerator))

@@ -125,12 +125,23 @@ class Matrix:
         return self._merge(other, -1)
 
     def _merge(self, other, sign):
+        """self + sign·other for sign ±1.  An entry only one operand has is
+        copied (a right-only entry of a difference negated); only the shared
+        entries are normalized, and dropped when they cancel."""
+        norm, neg = self.field.normalize, self.field.neg
         cols = []
         for ca, cb in zip(self.columns, other.columns):
             acc = dict(ca)
+            get = acc.get
             for i, v in cb.items():
-                acc[i] = acc.get(i, 0) + sign * v
-            cols.append(_canonical(self.field, acc))
+                a = get(i)
+                if a is None:
+                    acc[i] = v if sign > 0 else neg(v)
+                elif x := norm(a + sign * v):
+                    acc[i] = x
+                else:
+                    del acc[i]
+            cols.append(acc)
         return Matrix.from_cols(self.field, self.rows, cols)
 
     def __matmul__(self, other):

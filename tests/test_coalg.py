@@ -46,7 +46,7 @@ from relspan import (
     universal_factor,
 )
 from relspan.coalg import (
-    _hat_difference,
+    _equalizer_system,
     cid,
     equalizer_factor,
     pullback_factor_coalg,
@@ -60,7 +60,7 @@ from relspan.errors import (
     SpanNotInClass,
     SquareDoesNotCommute,
 )
-from relspan.linalg import is_injective, kron, solve
+from relspan.linalg import is_injective, kernel_basis_sparse, kron, solve
 
 
 # -- axiom checks -----------------------------------------------------------------
@@ -281,8 +281,19 @@ def _rebased(c, pm):
 
 
 def _assert_hat_difference_matches_oracle(f, g):
-    hat = _hat_difference(f, g)
-    assert hat.cols == f.src.dim
+    """The equalizer system S = (R⊗1)∘δ, R the nonzero rows of rref(T) for
+    T = (1⊗(F-G))∘δ, gives back the exact f_hat - g_hat as (T_P⊗1)∘S with
+    T_P the pivot columns of T.  T_P⊗1 is injective, so this pins S, not
+    only its kernel.  Returns (T_P⊗1)∘S."""
+    fld, n = f.mat.field, f.src.dim
+    i_n = Matrix.identity(fld, n)
+    system = _equalizer_system(f, g)
+    t = kron(i_n, f.mat - g.mat) @ f.src.delta
+    _, pivots = t.rref()
+    t_p = Matrix.from_cols(fld, t.rows, [t.columns[p] for p in pivots])
+    assert is_injective(t_p)
+    assert (system.rows, system.cols) == (len(pivots) * n, n)
+    hat = kron(t_p, i_n) @ system
     assert hat == _hat_difference_oracle(f, g)
     return hat
 
@@ -329,11 +340,42 @@ def test_hat_difference_of_equal_maps_and_of_dimension_zero():
         a = _rebased(grouplike(field, 3), _random_basis(rng, field, 3))
         f = CoalgMap(a, grouplike(field, 2), rand_matrix(rng, field, 2, 3))
         assert _assert_hat_difference_matches_oracle(f, f).columns == [{}, {}, {}]
+        assert _equalizer_system(f, f).rows == 0
         zero = Coalgebra(0, field, delta=Matrix(field, [], 0, 0),
                          epsilon=Matrix(field, [[]], 1, 0))
-        assert _hat_difference(cid(zero), cid(zero)).cols == 0
+        assert _equalizer_system(cid(zero), cid(zero)).cols == 0
         into_zero = CoalgMap(a, zero, Matrix(field, [], 0, 3))
         assert _assert_hat_difference_matches_oracle(into_zero, into_zero).columns == [{}, {}, {}]
+
+
+def test_equalizer_inclusion_is_the_kernel_of_the_unreduced_oracle():
+    """coalg_equalizer solves the reduced system; its inclusion must be the
+    canonical kernel basis of the exact f_hat - g_hat.  A = X ⊕ k[Y] in a
+    random basis, the legs agreeing on the first point of Y (so the kernel
+    is nonzero) and random on X, with X group-like or with a random δ."""
+    rng = rng_for("eq-reduced")
+    for field in (QQ, GF(5), GF(7)):
+        told = False
+        for coassociative in (True, False, False):
+            m, k, nb = rng.randint(2, 3), rng.randint(2, 4), rng.randint(1, 3)
+            if coassociative:
+                x = grouplike(field, m)
+            else:
+                delta = rand_q_matrix(rng, m * m, m) if field == QQ else rand_matrix(rng, field, m * m, m)
+                x = Coalgebra(m, field, delta=delta, epsilon=rand_matrix(rng, field, 1, m))
+            a0 = direct_sum(x, grouplike(field, k))
+            b = grouplike(field, nb)
+            f0, g0 = rand_finfun(rng, k, nb), rand_finfun(rng, k, nb)
+            g0 = FinFun(f0.dom, f0.cod, (f0.table[0],) + tuple(g0.table[1:]))
+            pm = _random_basis(rng, field, a0.dim)
+            a = _rebased(a0, pm)
+            told = told or not check_coalgebra(a).ok
+            f = CoalgMap(a, b, rand_matrix(rng, field, nb, m).hstack(linearize_fun(f0, field).mat) @ pm)
+            g = CoalgMap(a, b, rand_matrix(rng, field, nb, m).hstack(linearize_fun(g0, field).mat) @ pm)
+            eq = coalg_equalizer(f, g)
+            assert eq.j.mat.cols >= 1
+            assert eq.j.mat == kernel_basis_sparse(_hat_difference_oracle(f, g))
+        assert told, "every δ drawn was coassociative"
 
 
 # -- relative pullbacks -------------------------------------------------------------
@@ -549,6 +591,15 @@ def test_cotensor_carries_structure_when_legs_in_s():
     sub = subcoalgebra(tensor_coalgebra(a, a), cotensor(f, f).inclusion)
     assert check_coalgebra(sub.object).ok
     assert check_coalg_map(sub.j).ok
+
+
+def test_mismatched_cospan_codomains_raise_one_error_class():
+    f, g = cid(path_coalgebra(QQ)), cid(primitive_block(QQ))
+    for build in (lambda: relative_pullback(CoalgCategory(QQ), f, g),
+                  lambda: cotensor(f, g),
+                  lambda: compare_cotensor_pullback(f, g)):
+        with pytest.raises(CodomainMismatch):
+            build()
 
 
 def test_compare_cotensor_pullback_decides_the_legs():

@@ -67,6 +67,7 @@ def test_q_normalize_inv_and_parse_are_canonical():
         assert canonical_q(y), repr(y)
         assert x * y == 1
     assert type(QQ.inv(Fraction(1, 4))) is int
+    assert [(QQ.inv(x), type(QQ.inv(x))) for x in (1, -1)] == [(1, int), (-1, int)]
     with pytest.raises(ZeroDivisionError):
         QQ.inv(0)
 

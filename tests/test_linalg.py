@@ -306,6 +306,39 @@ def test_integral_products_of_fractions_are_ints():
         _assert_canonical(got)
 
 
+@pytest.mark.parametrize("field", [QQ, F5, GF(7)])
+def test_sum_and_difference_match_dense_oracle_on_mixed_supports(field):
+    rng = rng_for(f"merge-{field!r}")
+    for _ in range(60):
+        r, c = rng.randint(0, 4), rng.randint(0, 4)
+        a, b = _mixed_columns(rng, field, r, c), _mixed_columns(rng, field, r, c)
+        ad, bd = a.data, b.data
+        for got, sign in ((a + b, 1), (a - b, -1)):
+            want = [[field.normalize(ad[i][j] + sign * bd[i][j]) for j in range(c)] for i in range(r)]
+            assert got == Matrix(field, want, r, c)
+            _assert_canonical(got)
+
+
+def test_sum_and_difference_drop_entries_that_cancel():
+    for field in (QQ, F5):
+        two, half = field.of(2), field.of(Fraction(1, 2))
+        a = Matrix.from_cols(field, 3, [{0: two, 2: half}, {1: half}])
+        b = Matrix.from_cols(field, 3, [{0: field.neg(two), 1: field.one}, {1: half}])
+        assert (a - a).columns == [{}, {}]
+        assert (a + b).columns == [{1: field.one, 2: half}, {1: field.normalize(2 * half)}]
+        assert (a - b).columns[1] == {}
+
+
+def test_fp_difference_negates_right_only_entries_into_residues():
+    f7 = GF(7)
+    a = Matrix.from_cols(f7, 3, [{0: 3}])
+    b = Matrix.from_cols(f7, 3, [{1: 1, 2: 6}])
+    assert (a - b).columns == [{0: 3, 1: 6, 2: 1}]
+    assert (b - a).columns == [{0: 4, 1: 1, 2: 6}]
+    _assert_canonical(a - b)
+    _assert_canonical(b - a)
+
+
 def test_swap_basics():
     assert swap_map(QQ, 1, 1) == Matrix.identity(QQ, 1)
     s22 = swap_map(QQ, 2, 2)
