@@ -81,7 +81,6 @@ from .relcat import (
     span_tensor,
 )
 from .relpull import (
-    BoxMorphism,
     RelPullback,
     assoc_iso,
     box,

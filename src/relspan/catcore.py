@@ -4,6 +4,8 @@ A BaseCategory bundles the operations a symmetric monoidal category instance
 must provide (identity, composition, monoidal product, unit, symmetry) over
 opaque object/morphism types, and its own relative pullback, pullback filler
 and extra monoid axioms, so generic code never asks which instance it is on.
+Each instance builds its pullbacks as one RelPullback record, whose payload
+holds only the instance's own filler data.
 A SpanClass is a membership predicate on spans.
 Admissibility of a class is not decidable in general, so this module only
 exposes instance-level checks of (POST), (PRE), (UNITAL), (MULTIPLICATIVE) and
@@ -77,6 +79,23 @@ class Cospan:
     right: object
 
 
+@dataclass
+class RelPullback:
+    """The relative pullback apex of A -f-> B <-g- C with projections p_A,
+    p_C, its joint-mono certificate and the payload its base category
+    factors fillers through (matching pairs over finite sets, the
+    equalizer over coalgebras)."""
+
+    base: BaseCategory
+    f: object
+    g: object
+    apex: object
+    p_a: object
+    p_c: object
+    jointly_monic: bool
+    payload: object
+
+
 # -- the base-category interface ----------------------------------------------
 
 
@@ -130,14 +149,14 @@ class BaseCategory(ABC):
         """The admissible class this instance ships with."""
 
     @abstractmethod
-    def pullback(self, f, g):
-        """(apex, p_A, p_C, jointly_monic, payload) of the relative pullback of
-        a cospan with legs in the class (checked by the caller)."""
+    def pullback(self, f, g) -> RelPullback:
+        """The relative pullback of a cospan with legs in the class (checked
+        by the caller)."""
 
     @abstractmethod
-    def factor(self, payload, a, c):
+    def factor(self, pb: RelPullback, a, c):
         """The h with p_A∘h = a, p_C∘h = c for a class-member span (checked by
-        the caller), through the payload of pullback()."""
+        the caller)."""
 
     def monoid_checks(self, mon) -> Report:
         """Monoid axioms beyond associativity and the unit laws (none here)."""

@@ -109,7 +109,7 @@ def cmd_check(ctx, args):
 def _finset_result(pb, args, report):
     """The apex as matching pairs, and fillers of random spans through them."""
     rng = random.Random(args.seed)
-    pairs = pb.payload.pairs
+    pairs = pb.payload
     for probe in range(3):
         size = rng.randrange(0, 4)
         chosen = [pairs[rng.randrange(len(pairs))] for _ in range(size)] if pairs else []
@@ -149,7 +149,7 @@ def _linearized(base, legs, field):
     if base is not _finset.FINSET:
         return base, legs
     fld = parse_field_flag(field)
-    return _coalg.CoalgCategory(fld), [_finset.linearize_fun(m, fld) for m in legs]
+    return _coalg.CoalgCategory(fld), _finset.linearize_funs(legs, fld)
 
 
 def _cospan(ctx, name):
@@ -204,8 +204,7 @@ def cmd_coherence(ctx, args):
     runs = [("finset", _finset.FINSET, maps)]
     if args.instance == "coalg":
         fld = parse_field_flag(args.field)
-        runs.append(("coalg", _coalg.CoalgCategory(fld),
-                     [_finset.linearize_fun(m, fld) for m in maps]))
+        runs.append(("coalg", _coalg.CoalgCategory(fld), _finset.linearize_funs(maps, fld)))
     for label, base, ms in runs:
         if args.shape == "triangle":
             ok = coherence_triangle(base, ms[0], ms[1])

@@ -10,19 +10,20 @@ linalg): an axiom holds when two such products are equal, and its witness
 names the first basis vector on which they differ.
 
 Equalizers of coalgebra maps are computed in two steps: the underlying
-subspace is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and
-subcoalgebra equips it with the comultiplication, by first factoring an
-auxiliary map δ_r: E -> E⊗A through the injective j⊗1 and then δ_E through
-1⊗j, both with the left inverse L of j.  Both factorizations are guaranteed
-by the theory and verified, so failure raises InternalSolveFailure.
+subspace E is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and
+subcoalgebra equips it with δ_E = (L⊗L)∘δ∘j, L the left inverse of the
+inclusion j.  The one check (j⊗j)∘δ_E = δ∘j holds exactly when δ(E) ⊆ E⊗E;
+the theory guarantees it, so failure raises InternalSolveFailure.
 f_hat - g_hat is (T⊗1)∘δ with T = (1⊗(f-g))∘δ, and its kernel is solved as
 that of (R⊗1)∘δ, R the nonzero rows of rref(T): R has T's row space, so
 T = T_P·R with T_P the independent pivot columns of T, and T_P⊗1 is
 injective.  That system has rank(T)·n = (n - dim E)·n rows, not n·|B|·n.
-Relative pullbacks arise as the equalizer of f⊗ε and ε⊗g on A⊗C.  The
-cotensor product, the independent one-step linear equalizer on A⊗C that
-cross-checks it, is an unchecked linear subspace; once the legs are decided
-to be in S, subcoalgebra gives its induced structure.
+Relative pullbacks arise as the equalizer of f⊗ε and ε⊗g on A⊗C:
+CoalgCategory builds them as a RelPullback whose payload is that equalizer,
+through which every filler factors.  The cotensor product, the independent
+one-step linear equalizer on A⊗C that cross-checks it, is an unchecked
+linear subspace; once the legs are decided to be in S, subcoalgebra gives
+its induced structure.
 
 Tensor products of coalgebras keep their factors and build their sparse δ on
 first use, so sparse structures (group-likes in particular) stay cheap even
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catcore import BaseCategory, Cospan, Report, SpanClass, legs_in_class
+from .catcore import BaseCategory, Cospan, RelPullback, Report, SpanClass, legs_in_class
 from .errors import (
     CodomainMismatch,
     InternalSolveFailure,
@@ -327,11 +328,10 @@ class CoalgCategory(BaseCategory):
         return self._class
 
     def pullback(self, f, g):
-        pb = relative_pullback_coalg(f, g)
-        return pb.apex, pb.p_a, pb.p_c, pb.jointly_monic, pb
+        return relative_pullback_coalg(self, f, g)
 
-    def factor(self, payload, a, c):
-        return pullback_factor_coalg(payload, a, c)
+    def factor(self, pb, a, c):
+        return pullback_factor_coalg(pb, a, c)
 
     def monoid_checks(self, mon) -> Report:
         """A monoid here is a bialgebra: m and u are coalgebra maps."""
@@ -362,20 +362,16 @@ class CoalgEqualizer:
 
 
 def subcoalgebra(x: Coalgebra, k: Matrix) -> CoalgEqualizer:
-    """The span of the columns of k, a canonical kernel basis, with the
-    comonoid structure it inherits from x, its inclusion and the left inverse
-    L of k.  Both factorizations are verified."""
-    fld = x.field
+    """The span E of the columns of k, a canonical kernel basis, with the
+    comonoid structure δ_E = (L⊗L)∘δ∘k it inherits from x, its inclusion and
+    the left inverse L of k.  The factorization (k⊗k)∘δ_E = δ∘k is
+    verified."""
     lk = kernel_left_inverse(k)
-    i_n, i_e = Matrix.identity(fld, x.dim), Matrix.identity(fld, k.cols)
-    delta_j = x.delta @ k
-    delta_r = kron_apply(lk, i_n, delta_j)
-    if kron_apply(k, i_n, delta_r) != delta_j:
-        raise InternalSolveFailure("δ_r does not factor through j⊗1")
-    delta_e = kron_apply(i_e, lk, delta_r)
-    if kron_apply(i_e, k, delta_e) != delta_r:
-        raise InternalSolveFailure("δ_E does not factor through 1⊗j")
-    obj = Coalgebra(k.cols, fld, delta=delta_e, epsilon=x.epsilon @ k)
+    delta_k = x.delta @ k
+    delta_e = kron_apply(lk, lk, delta_k)
+    if kron_apply(k, k, delta_e) != delta_k:
+        raise InternalSolveFailure("δ∘j does not factor through j⊗j")
+    obj = Coalgebra(k.cols, x.field, delta=delta_e, epsilon=x.epsilon @ k)
     return CoalgEqualizer(obj, CoalgMap(obj, x, k), lk)
 
 
@@ -412,28 +408,16 @@ def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
 # -- relative pullbacks and the cotensor product ----------------------------------
 
 
-@dataclass
-class CoalgPullback:
-    apex: Coalgebra
-    j: CoalgMap            # inclusion into the tensor coalgebra A⊗C
-    p_a: CoalgMap
-    p_c: CoalgMap
-    left_inv: Matrix
-    f: CoalgMap
-    g: CoalgMap
-    jointly_monic: bool
-
-
 def _check_cospan(f: CoalgMap, g: CoalgMap):
     if not _same_object(f.tgt, g.tgt):
         raise CodomainMismatch("cospan needs a common codomain")
 
 
-def relative_pullback_coalg(f: CoalgMap, g: CoalgMap) -> CoalgPullback:
-    """The class-S relative pullback of f: A -> B <- C :g, computed as the
-    comonoid equalizer of f⊗ε and ε⊗g on A⊗C.  Unchecked: on legs outside S
-    the equalizer is not the relative pullback; relpull.relative_pullback
-    decides the legs before calling this."""
+def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> RelPullback:
+    """The class-S relative pullback of f: A -> B <- C :g in base, computed as
+    the comonoid equalizer of f⊗ε and ε⊗g on A⊗C, which is its payload.
+    Unchecked: on legs outside S the equalizer is not the relative pullback;
+    relpull.relative_pullback decides the legs before calling this."""
     _check_cospan(f, g)
     a, c = f.src, g.src
     fld = a.field
@@ -451,10 +435,10 @@ def relative_pullback_coalg(f: CoalgMap, g: CoalgMap) -> CoalgPullback:
     # a 2x2 rectangle of matching group-like pairs already has a joint kernel
     # vector.)
     cert = kron_apply(p_a.mat, p_c.mat, apex.delta) == j
-    return CoalgPullback(apex, eq.j, p_a, p_c, eq.left_inv, f, g, cert)
+    return RelPullback(base, f, g, apex, p_a, p_c, cert, eq)
 
 
-def pullback_factor_coalg(pb: CoalgPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap:
+def pullback_factor_coalg(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap:
     """The unique filler h with p_A∘h = k and p_C∘h = l for a class-S span (k, l),
     factoring (k⊗l)∘δ_D through the equalizer inclusion.  Unchecked: class S is
     decided by relpull.universal_factor, which calls this."""
@@ -463,8 +447,8 @@ def pullback_factor_coalg(pb: CoalgPullback, k: CoalgMap, l: CoalgMap) -> CoalgM
     if pb.f.mat @ k.mat != pb.g.mat @ l.mat:
         raise SquareDoesNotCommute("f∘k != g∘l")
     pair = kron_apply(k.mat, l.mat, k.src.delta)
-    h = pb.left_inv @ pair
-    if pb.j.mat @ h != pair:
+    h = pb.payload.left_inv @ pair
+    if pb.payload.j.mat @ h != pair:
         raise InternalSolveFailure("filler does not factor through the inclusion")
     if pb.p_a.mat @ h != k.mat or pb.p_c.mat @ h != l.mat:
         raise InternalSolveFailure("filler does not reproduce the test span")
@@ -495,29 +479,31 @@ def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
     """Decide that the legs are in S, then verify that the cotensor product and
     the relative pullback are the same subobject: the mutual universal
     factorizations compose to identities."""
-    if not legs_in_class(CoalgCategory(f.mat.field).span_class, Cospan(f, g)):
+    base = CoalgCategory(f.mat.field)
+    if not legs_in_class(base.span_class, Cospan(f, g)):
         raise LegsNotInClass("cotensor comparison needs legs in class S")
-    return compare_with_pullback(cotensor(f, g), relative_pullback_coalg(f, g))
+    return compare_with_pullback(cotensor(f, g), relative_pullback_coalg(base, f, g).payload)
 
 
-def compare_with_pullback(ct: Cotensor, pb: CoalgPullback) -> Report:
-    """compare_cotensor_pullback for a cotensor and a relative pullback already
-    computed from one cospan whose legs are in class S."""
-    fld = pb.f.mat.field
+def compare_with_pullback(ct: Cotensor, eq: CoalgEqualizer) -> Report:
+    """compare_cotensor_pullback for a cotensor and the payload of a relative
+    pullback already computed from one cospan whose legs are in class S."""
+    dim = eq.object.dim
     rep = Report()
-    rep.add("dimensions agree", pb.apex.dim == ct.dim, f"{pb.apex.dim} vs {ct.dim}")
-    u = pb.left_inv @ ct.inclusion
+    rep.add("dimensions agree", dim == ct.dim, f"{dim} vs {ct.dim}")
+    u = eq.left_inv @ ct.inclusion
     rep.add(
         "cotensor factors through the pullback",
-        pb.j.mat @ u == ct.inclusion,
+        eq.j.mat @ u == ct.inclusion,
         "inclusion escapes the pullback subobject",
     )
-    v = ct.left_inv @ pb.j.mat
+    v = ct.left_inv @ eq.j.mat
     rep.add(
         "pullback factors through the cotensor",
-        ct.inclusion @ v == pb.j.mat,
+        ct.inclusion @ v == eq.j.mat,
         "inclusion escapes the cotensor subobject",
     )
-    rep.add("u∘v is the identity", u @ v == Matrix.identity(fld, pb.apex.dim), "u∘v != id")
+    fld = eq.object.field
+    rep.add("u∘v is the identity", u @ v == Matrix.identity(fld, dim), "u∘v != id")
     rep.add("v∘u is the identity", v @ u == Matrix.identity(fld, ct.dim), "v∘u != id")
     return rep

@@ -5,17 +5,18 @@ product is the Cartesian product with the row-major pairing index
 (x, y) -> x * |Y| + y, which makes the product strictly associative and
 strictly unital against the singleton, matching the tensor conventions of the
 linear instance.  The admissible span class here is the class of all spans,
-and relative pullbacks are ordinary pullbacks on lexicographically ordered
-matching pairs.
+and relative pullbacks are ordinary pullbacks: a RelPullback whose payload is
+the tuple of matching pairs in lexicographic order.  linearize_funs, the
+group-like linearization the CLI uses, refuses sets of more than
+MAX_LINEARIZED elements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import coalg
-from .catcore import AllSpans, BaseCategory, Report
+from .catcore import AllSpans, BaseCategory, RelPullback, Report
 from .errors import CodomainMismatch, ShapeMismatch, SquareDoesNotCommute
 from .linalg import Matrix
 
@@ -124,27 +125,18 @@ class FinSetCategory(BaseCategory):
         return self._class
 
     def pullback(self, f, g):
-        pb = pullback(f, g)
-        return pb.obj, pb.p_a, pb.p_c, True, pb
+        return pullback(f, g)
 
-    def factor(self, payload, a, c):
-        return universal_factor(payload, a, c)
+    def factor(self, pb, a, c):
+        return universal_factor(pb, a, c)
 
 
 FINSET = FinSetCategory()
 
 
-class FinSetPullback(NamedTuple):
-    obj: FinSetObj
-    p_a: FinFun
-    p_c: FinFun
-    pairs: tuple
-    f: FinFun
-    g: FinFun
-
-
-def pullback(f: FinFun, g: FinFun) -> FinSetPullback:
-    """Ordinary pullback of f: A -> B <- C :g on lexicographic matching pairs."""
+def pullback(f: FinFun, g: FinFun) -> RelPullback:
+    """Ordinary pullback of f: A -> B <- C :g on lexicographic matching pairs,
+    which are its payload."""
     if f.cod != g.cod:
         raise CodomainMismatch("pullback needs a common codomain")
     pairs = tuple(
@@ -153,22 +145,22 @@ def pullback(f: FinFun, g: FinFun) -> FinSetPullback:
     p = FinSetObj(len(pairs))
     p_a = FinFun(p, f.dom, tuple(a for a, _ in pairs))
     p_c = FinFun(p, g.dom, tuple(c for _, c in pairs))
-    return FinSetPullback(p, p_a, p_c, pairs, f, g)
+    return RelPullback(FINSET, f, g, p, p_a, p_c, True, pairs)
 
 
-def universal_factor(pb: FinSetPullback, a: FinFun, c: FinFun) -> FinFun:
+def universal_factor(pb: RelPullback, a: FinFun, c: FinFun) -> FinFun:
     """The unique h with p_A∘h = a and p_C∘h = c, for a commuting span (a, c)."""
     if a.dom != c.dom:
         raise ShapeMismatch("span legs must share their domain")
     if a.cod != pb.f.dom or c.cod != pb.g.dom:
         raise ShapeMismatch("span legs do not match the pullback cospan")
-    idx = {pair: k for k, pair in enumerate(pb.pairs)}
+    idx = {pair: k for k, pair in enumerate(pb.payload)}
     table = []
     for x in range(a.dom.size):
         if pb.f.table[a.table[x]] != pb.g.table[c.table[x]]:
             raise SquareDoesNotCommute(f"f(a({x})) != g(c({x}))")
         table.append(idx[(a.table[x], c.table[x])])
-    return FinFun(a.dom, pb.obj, table)
+    return FinFun(a.dom, pb.apex, table)
 
 
 def finset_monoid_check(m_obj: FinSetObj, m: FinFun, u: int) -> Report:
@@ -199,6 +191,23 @@ def finset_monoid_check(m_obj: FinSetObj, m: FinFun, u: int) -> Report:
             break
     rep.add("two-sided unit", unit_witness is None, unit_witness)
     return rep
+
+
+# The most elements of a finite set that linearize_funs turns into a
+# coalgebra: k[X] keeps a sparse δ column per element, about 1 KB each.
+MAX_LINEARIZED = 100_000
+
+
+def linearize_funs(maps, fld) -> list:
+    """linearize_fun of each map, after refusing, before any coalgebra is
+    built, a map whose domain or codomain has more than MAX_LINEARIZED
+    elements."""
+    largest = max((x.size for f in maps for x in (f.dom, f.cod)), default=0)
+    if largest > MAX_LINEARIZED:
+        raise ShapeMismatch(
+            f"a set of {largest} elements is too large to linearize (at most {MAX_LINEARIZED})"
+        )
+    return [linearize_fun(f, fld) for f in maps]
 
 
 def linearize_obj(x: FinSetObj, fld) -> coalg.Coalgebra:

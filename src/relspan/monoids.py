@@ -193,23 +193,25 @@ def inclusion_b(dl: DistLaw, prod: MonoidObj) -> MonoidMorphism:
     return MonoidMorphism(dl.b, prod, base.tensor_mor(dl.a.u, base.identity(dl.b.carrier)))
 
 
+def _require_inverse(base, q, q_inverse):
+    if not (
+        base.equal_mor(base.compose(q, q_inverse), base.identity(base.cod(q)))
+        and base.equal_mor(base.compose(q_inverse, q), base.identity(base.dom(q)))
+    ):
+        raise NotInverse("supplied q_inverse is not a two-sided inverse of q")
+
+
 def factorization_dlaw(f: MonoidMorphism, g: MonoidMorphism, q_inverse=None) -> DistLaw:
     """For monoid morphisms f: A -> C <- B :g with invertible q, the unique
     distributive law x = q^{-1}∘m∘(g⊗f) making q a monoid isomorphism from
     the product monoid to C."""
     base = f.src.base
-    qres = induced_q(f, g)
+    q = induced_q(f, g).q
     if q_inverse is None:
-        q_inverse = base.invert(qres.q)
+        q_inverse = base.invert(q)
         if q_inverse is None:
             raise NotInverse("q is not invertible and no inverse was supplied")
-    dom_q = base.dom(qres.q)
-    cod_q = base.cod(qres.q)
-    if not (
-        base.equal_mor(base.compose(qres.q, q_inverse), base.identity(cod_q))
-        and base.equal_mor(base.compose(q_inverse, qres.q), base.identity(dom_q))
-    ):
-        raise NotInverse("supplied q_inverse is not a two-sided inverse of q")
+    _require_inverse(base, q, q_inverse)
     x = base.compose(q_inverse, base.compose(f.tgt.m, base.tensor_mor(g.f, f.f)))
     dl = DistLaw(f.src, g.src, x)
     rep = check_dist_law(dl)
@@ -223,12 +225,10 @@ def morphism_from_pair(dl: DistLaw, a: MonoidMorphism, b: MonoidMorphism) -> Mon
     (requires m∘(a⊗b)∘x = m∘(b⊗a))."""
     base = dl.a.base
     c = a.tgt
-    lhs = base.compose(base.compose(c.m, base.tensor_mor(a.f, b.f)), dl.x)
-    rhs = base.compose(c.m, base.tensor_mor(b.f, a.f))
-    if not base.equal_mor(lhs, rhs):
+    m_ab = base.compose(c.m, base.tensor_mor(a.f, b.f))
+    if not base.equal_mor(base.compose(m_ab, dl.x), base.compose(c.m, base.tensor_mor(b.f, a.f))):
         raise CompatibilityFails("m∘(a⊗b)∘x != m∘(b⊗a)")
-    prod = product_monoid(dl)
-    return MonoidMorphism(prod, c, base.compose(c.m, base.tensor_mor(a.f, b.f)))
+    return MonoidMorphism(product_monoid(dl), c, m_ab)
 
 
 def pair_from_morphism(dl: DistLaw, c: MonoidMorphism):
@@ -248,12 +248,7 @@ def factor_through(
     """The unique c: C -> D with c∘f = a and c∘g = b, for an invertible q and a
     compatible pair (a, b): c = m∘(a⊗b)∘q^{-1}."""
     base = f.src.base
-    qres = induced_q(f, g)
-    if not (
-        base.equal_mor(base.compose(qres.q, q_inverse), base.identity(base.cod(qres.q)))
-        and base.equal_mor(base.compose(q_inverse, qres.q), base.identity(base.dom(qres.q)))
-    ):
-        raise NotInverse("supplied q_inverse is not a two-sided inverse of q")
+    _require_inverse(base, induced_q(f, g).q, q_inverse)
     d = a.tgt
     m_ab = base.compose(d.m, base.tensor_mor(a.f, b.f))
     compat_lhs = base.compose(
@@ -262,5 +257,4 @@ def factor_through(
     compat_rhs = base.compose(d.m, base.tensor_mor(b.f, a.f))
     if not base.equal_mor(compat_lhs, compat_rhs):
         raise CompatibilityFails("m∘(a⊗b)∘q⁻¹∘m∘(g⊗f) != m∘(b⊗a)")
-    c = MonoidMorphism(f.tgt, d, base.compose(m_ab, q_inverse))
-    return c
+    return MonoidMorphism(f.tgt, d, base.compose(m_ab, q_inverse))

@@ -151,14 +151,14 @@ def check_relative_category(rc: RelativeCategory) -> Report:
     i_box = box(pb_ba, pb, rc.i, base.identity(rc.a), id_b)
     rep.add(
         "(d) left unit law",
-        base.equal_mor(base.compose(rc.d, i_box.mor), pb_ba.p_c),
+        base.equal_mor(base.compose(rc.d, i_box), pb_ba.p_c),
         "d∘(i□1) is not the unit isomorphism",
     )
     pb_ab = relative_pullback(base, rc.s, id_b)
     i_box2 = box(pb_ab, pb, base.identity(rc.a), rc.i, id_b)
     rep.add(
         "(d) right unit law",
-        base.equal_mor(base.compose(rc.d, i_box2.mor), pb_ab.p_a),
+        base.equal_mor(base.compose(rc.d, i_box2), pb_ab.p_a),
         "d∘(1□i) is not the unit isomorphism",
     )
 
@@ -171,8 +171,8 @@ def check_relative_category(rc: RelativeCategory) -> Report:
     rep.add(
         "(e) associativity",
         base.equal_mor(
-            base.compose(rc.d, d_box.mor),
-            base.compose(base.compose(rc.d, d_box2.mor), l),
+            base.compose(rc.d, d_box),
+            base.compose(base.compose(rc.d, d_box2), l),
         ),
         "d∘(d□1) != d∘(1□d)∘l",
     )
@@ -204,7 +204,7 @@ def check_relative_functor(fun: RelativeFunctor, src: RelativeCategory, tgt: Rel
     aa = box(src.pb, tgt.pb, fun.a, fun.a, fun.b)
     rep.add(
         "composition compatibility: a∘d = d'∘(a□a)",
-        base.equal_mor(base.compose(fun.a, src.d), base.compose(tgt.d, aa.mor)),
+        base.equal_mor(base.compose(fun.a, src.d), base.compose(tgt.d, aa)),
         "composition not preserved",
     )
     return rep
@@ -280,7 +280,7 @@ def from_small_category(cat: SmallCategory) -> RelativeCategory:
     t = _finset.FinFun(a, b, cat.tgt)
     i = _finset.FinFun(b, a, cat.ids)
     pb = relative_pullback(base, s, t)
-    d = _finset.FinFun(pb.apex, a, tuple(cat.comp[x][y] for x, y in pb.payload.pairs))
+    d = _finset.FinFun(pb.apex, a, tuple(cat.comp[x][y] for x, y in pb.payload))
     return RelativeCategory(base, b, a, s, t, i, d, pb)
 
 
@@ -289,9 +289,8 @@ def composition_table(rc: RelativeCategory) -> list:
     m x m table with -1 on non-composable pairs (round-trip of
     from_small_category)."""
     m = rc.a.size
-    pairs = rc.pb.payload.pairs
     table = [[-1] * m for _ in range(m)]
-    for idx, (x, y) in enumerate(pairs):
+    for idx, (x, y) in enumerate(rc.pb.payload):
         table[x][y] = rc.d.table[idx]
     return table
 
@@ -303,13 +302,10 @@ def linearize_relcat(rc: RelativeCategory, fld) -> RelativeCategory:
     if not isinstance(rc.base, _finset.FinSetCategory):
         raise BaseMismatch("can only linearize a finite-set relative category")
     base = _coalg.CoalgCategory(fld)
-    b = _finset.linearize_obj(rc.b, fld)
-    s = _finset.linearize_fun(rc.s, fld)
-    t = _finset.linearize_fun(rc.t, fld)
-    i = _finset.linearize_fun(rc.i, fld)
-    a = s.src
+    s, t, i = _finset.linearize_funs((rc.s, rc.t, rc.i), fld)
+    b, a = s.tgt, s.src
     pb = relative_pullback(base, s, t)
-    pairs = rc.pb.payload.pairs
+    pairs = rc.pb.payload
     if pb.apex.dim != len(pairs):
         raise ShapeMismatch("linearized pullback dimension does not match the pair count")
     if pb.payload.j.mat.columns != [{x * a.dim + y: fld.one} for x, y in pairs]:
@@ -320,9 +316,7 @@ def linearize_relcat(rc: RelativeCategory, fld) -> RelativeCategory:
 
 
 def linearize_functor(fun: RelativeFunctor, fld) -> RelativeFunctor:
-    return RelativeFunctor(
-        _finset.linearize_fun(fun.b, fld), _finset.linearize_fun(fun.a, fld)
-    )
+    return RelativeFunctor(*_finset.linearize_funs((fun.b, fun.a), fld))
 
 
 # -- shipped fixtures ------------------------------------------------------------

@@ -1,12 +1,13 @@
 """The relative-pullback calculus, generic over any base category.
 
-Constructs relative pullbacks and their universal fillers with the base
-category's own construction (ordinary pullbacks over finite sets, comonoid
-equalizers over coalgebras), after deciding here, once per call, that the legs
-or the test span are in the class.  Also constructs the induced morphism a□c
-between pullbacks, the unit and associativity isomorphisms with their
-coherence (triangle and pentagon) checks, the monoid structure on a pullback
-of monoid morphisms, and instance checks of the reflection property.
+Constructs relative pullbacks (catcore.RelPullback) and their universal
+fillers with the base category's own construction (ordinary pullbacks over
+finite sets, comonoid equalizers over coalgebras), after deciding here, once
+per call, that the legs or the test span are in the class.  Also constructs
+the induced morphism a□c between pullbacks, as a morphism of the base
+category, the unit and associativity isomorphisms with their coherence
+(triangle and pentagon) checks, the monoid structure on a pullback of monoid
+morphisms, and instance checks of the reflection property.
 
 The associativity and unit isomorphisms are materialized morphisms, never
 identities; every coherence statement here composes with them explicitly.
@@ -14,9 +15,7 @@ identities; every coherence statement here composes with them explicitly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .catcore import BaseCategory, Cospan, Report, Span, legs_in_class
+from .catcore import BaseCategory, Cospan, RelPullback, Report, Span, legs_in_class
 from .errors import (
     LegsNotInClass,
     MissingPullback,
@@ -28,30 +27,11 @@ from .errors import (
 from .monoids import MonoidMorphism, MonoidObj, check_monoid_morphism
 
 
-@dataclass
-class RelPullback:
-    base: BaseCategory
-    f: object
-    g: object
-    apex: object
-    p_a: object
-    p_c: object
-    jointly_monic: bool
-    payload: object
-
-
-@dataclass
-class BoxMorphism:
-    source: RelPullback
-    target: RelPullback
-    mor: object
-
-
 def relative_pullback(base: BaseCategory, f, g) -> RelPullback:
     """The base category's pullback of a cospan whose legs are in the class."""
     if not legs_in_class(base.span_class, Cospan(f, g)):
         raise LegsNotInClass("cospan legs are not in the admissible class")
-    return RelPullback(base, f, g, *base.pullback(f, g))
+    return base.pullback(f, g)
 
 
 def universal_factor(pb: RelPullback, a, c):
@@ -61,10 +41,10 @@ def universal_factor(pb: RelPullback, a, c):
     w = base.span_class.failure_witness(Span(a, c))
     if w is not None:
         raise SpanNotInClass(w)
-    return base.factor(pb.payload, a, c)
+    return base.factor(pb, a, c)
 
 
-def box(source: RelPullback, target: RelPullback, a, c, b) -> BoxMorphism:
+def box(source: RelPullback, target: RelPullback, a, c, b):
     """The unique a□c: source apex -> target apex for morphisms a, b, c with
     b∘f = f'∘a and b∘g = g'∘c."""
     base = source.base
@@ -72,10 +52,7 @@ def box(source: RelPullback, target: RelPullback, a, c, b) -> BoxMorphism:
         raise SquaresDoNotCommute("b∘f != f'∘a")
     if not base.equal_mor(base.compose(b, source.g), base.compose(target.g, c)):
         raise SquaresDoNotCommute("b∘g != g'∘c")
-    mor = universal_factor(
-        target, base.compose(a, source.p_a), base.compose(c, source.p_c)
-    )
-    return BoxMorphism(source, target, mor)
+    return universal_factor(target, base.compose(a, source.p_a), base.compose(c, source.p_c))
 
 
 def unit_isos(pb: RelPullback, side: str):
@@ -126,15 +103,11 @@ def assoc_iso(pb_xy: RelPullback, pb_xy_z: RelPullback, pb_yz: RelPullback, pb_x
     # p_Y□1: (X□Y)□Z -> Y□Z over b = id of the middle base
     q = box(pb_xy_z, pb_yz, pb_xy.p_c, base.identity(base.dom(pb_yz.g)),
             base.identity(base.cod(pb_yz.f)))
-    l = universal_factor(
-        pb_x_yz, base.compose(pb_xy.p_a, pb_xy_z.p_a), q.mor
-    )
+    l = universal_factor(pb_x_yz, base.compose(pb_xy.p_a, pb_xy_z.p_a), q)
     # 1□p_Y: X□(Y□Z) -> X□Y
     q2 = box(pb_x_yz, pb_xy, base.identity(base.dom(pb_xy.f)), pb_yz.p_a,
              base.identity(base.cod(pb_xy.f)))
-    l_inv = universal_factor(
-        pb_xy_z, q2.mor, base.compose(pb_yz.p_c, pb_x_yz.p_c)
-    )
+    l_inv = universal_factor(pb_xy_z, q2, base.compose(pb_yz.p_c, pb_x_yz.p_c))
     if not base.equal_mor(base.compose(l, l_inv), base.identity(pb_x_yz.apex)):
         raise MissingPullback("l∘l⁻¹ is not the identity")
     if not base.equal_mor(base.compose(l_inv, l), base.identity(pb_xy_z.apex)):
@@ -160,7 +133,7 @@ def coherence_triangle(base: BaseCategory, f, g) -> bool:
     l, _ = assoc_iso(pb_ab, pb_ab_c, pb_bc, pb_a_bc)
     lam = box(pb_a_bc, pb_ac, base.identity(base.dom(f)), pb_bc.p_c, id_b)
     rho = box(pb_ab_c, pb_ac, pb_ab.p_a, base.identity(base.dom(g)), id_b)
-    return base.equal_mor(base.compose(lam.mor, l), rho.mor)
+    return base.equal_mor(base.compose(lam, l), rho)
 
 
 def coherence_pentagon(base: BaseCategory, f, g, h, k, r, s) -> bool:
@@ -199,7 +172,7 @@ def coherence_pentagon(base: BaseCategory, f, g, h, k, r, s) -> bool:
     a5, _ = assoc_iso(pb_ce, pb_ce_g, pb_eg, pb_c_eg)
     a5_box = box(pb_a__ce_g, pb_a_c_eg, base.identity(base.dom(f)), a5,
                  base.identity(base.cod(f)))
-    path2 = base.compose(a5_box.mor, base.compose(a4, a3_box.mor))
+    path2 = base.compose(a5_box, base.compose(a4, a3_box))
 
     return base.equal_mor(path1, path2)
 

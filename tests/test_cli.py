@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from relspan import coalg
+from relspan import coalg, finset
 from relspan.cli import build_parser, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -565,3 +566,40 @@ def test_error_document_is_one_line_under_json(tmp_path):
     assert code == 2
     assert out.count("\n") == 1 and out.endswith("\n")
     assert json.loads(out)["exit"] == 2
+
+
+def _large_sets_fixture(tmp_path):
+    """The cospan 1 -> 10^6 <- 1 and the chain 0 -> 10^6 <- 0 of finite sets:
+    a file of a few hundred bytes that would linearize a set of 10^6 elements."""
+    big = 10**6
+    p = tmp_path / "large.json"
+    p.write_text(json.dumps({
+        "f": {"kind": "finset_fun", "fun": {"dom": 1, "cod": big, "table": [0]}},
+        "cs": {"kind": "cospan", "left": "f", "right": "f"},
+        "ch": {"kind": "chain", "sizes": [0, big, 0], "maps": [[], []]},
+    }))
+    return str(p)
+
+
+@pytest.mark.parametrize("command", [
+    ["pullback", "--cospan", "cs", "--instance", "coalg"],
+    ["cotensor", "--cospan", "cs"],
+    ["coherence", "--name", "ch", "--shape", "triangle", "--instance", "coalg"],
+])
+def test_finite_set_too_large_to_linearize_exits_2_at_once(tmp_path, command):
+    path = _large_sets_fixture(tmp_path)
+    start = time.perf_counter()
+    code, doc = run_no_traceback([command[0], path, *command[1:]])
+    assert time.perf_counter() - start < 0.5
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == "a set of 1000000 elements is too large to linearize (at most 100000)"
+
+
+def test_linearization_bound_is_inclusive_and_covers_relcat(monkeypatch):
+    assert finset.MAX_LINEARIZED >= 10**5
+    # relcats.json linearizes sets of at most 5 elements
+    monkeypatch.setattr(finset, "MAX_LINEARIZED", 5)
+    assert run_no_traceback(["relcat", fx("relcats.json"), "--instance", "coalg"])[0] == 0
+    monkeypatch.setattr(finset, "MAX_LINEARIZED", 4)
+    code, doc = run_no_traceback(["relcat", fx("relcats.json"), "--instance", "coalg"])
+    assert code == 2 and "a set of 5 elements is too large" in doc["error"]

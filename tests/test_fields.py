@@ -16,7 +16,7 @@ from relspan import (
     check_coalgebra,
     linearize_fun,
 )
-from relspan.coalg import relative_pullback_coalg
+from relspan.coalg import CoalgCategory, relative_pullback_coalg
 from relspan.fields import MAX_PRIME_MODULUS, _is_prime
 from relspan.jsonio import load_context
 from relspan.linalg import kernel_basis_sparse, kron, kron_apply, solve
@@ -170,13 +170,13 @@ def _rebased(c, p):
 
 
 def _pullback_matrices(pb):
-    return [pb.apex.delta, pb.apex.epsilon, pb.p_a.mat, pb.p_c.mat, pb.j.mat, pb.left_inv]
+    return [pb.apex.delta, pb.apex.epsilon, pb.p_a.mat, pb.p_c.mat, pb.payload.j.mat, pb.payload.left_inv]
 
 
 def test_linearized_fixture_pullback_over_q_is_canonical():
     ctx = load_context(os.path.join(FIXTURES, "cospan_finset.json"))
     f, g = (linearize_fun(m, QQ) for m in ctx["cs"].value)
-    pb = relative_pullback_coalg(f, g)
+    pb = relative_pullback_coalg(CoalgCategory(QQ), f, g)
     assert pb.apex.dim == 3
     for m in _pullback_matrices(pb):
         assert_canonical(m)
@@ -194,7 +194,7 @@ def test_rebased_grouplike_pullback_over_q_is_canonical():
     c, pc = _rebased(g.src, p_of[g.src.dim])
     fr = CoalgMap(a, b, pb_inv @ f.mat @ p_of[f.src.dim])
     gr = CoalgMap(c, b, pb_inv @ g.mat @ p_of[g.src.dim])
-    pb = relative_pullback_coalg(fr, gr)
+    pb = relative_pullback_coalg(CoalgCategory(QQ), fr, gr)
     assert pb.apex.dim == 3 and pb.jointly_monic
     assert check_coalgebra(pb.apex).ok
     entries = [x for m in _pullback_matrices(pb) for row in m.data for x in row]

@@ -39,22 +39,22 @@ def test_pullback_over_singleton_is_product():
     f = ffun(2, 1, [0, 0])
     g = ffun(3, 1, [0, 0, 0])
     pb = pullback(f, g)
-    assert pb.obj.size == 6
-    assert list(pb.pairs) == [(a, c) for a in range(2) for c in range(3)]
+    assert pb.apex.size == 6
+    assert list(pb.payload) == [(a, c) for a in range(2) for c in range(3)]
 
 
 def test_pullback_of_identities_is_diagonal():
     i = FINSET.identity(FinSetObj(3))
     pb = pullback(i, i)
-    assert list(pb.pairs) == [(b, b) for b in range(3)]
+    assert list(pb.payload) == [(b, b) for b in range(3)]
 
 
 def test_pullback_explicit_example():
     f = ffun(2, 2, [0, 1])
     g = ffun(3, 2, [0, 1, 0])
     pb = pullback(f, g)
-    assert list(pb.pairs) == [(0, 0), (0, 2), (1, 1)]
-    assert list(pb.pairs) == brute_pullback(f, g)
+    assert list(pb.payload) == [(0, 0), (0, 2), (1, 1)]
+    assert list(pb.payload) == brute_pullback(f, g)
     assert FINSET.compose(f, pb.p_a) == FINSET.compose(g, pb.p_c)
 
 
@@ -64,9 +64,9 @@ def test_pullback_randomized_against_brute_force():
         f = rand_finfun(rng, rng.randint(0, 4), rng.randint(1, 3))
         g = rand_finfun(rng, rng.randint(0, 4), FINSET.cod(f).size)
         pb = pullback(f, g)
-        assert list(pb.pairs) == brute_pullback(f, g)
+        assert list(pb.payload) == brute_pullback(f, g)
         # jointly injective pair map
-        assert len(set(pb.pairs)) == len(pb.pairs)
+        assert len(set(pb.payload)) == len(pb.payload)
 
 
 def test_pullback_codomain_mismatch():
@@ -79,7 +79,7 @@ def test_universal_factor_identity_on_projections():
     g = ffun(3, 2, [0, 1, 0])
     pb = pullback(f, g)
     h = universal_factor(pb, pb.p_a, pb.p_c)
-    assert h == FINSET.identity(pb.obj)
+    assert h == FINSET.identity(pb.apex)
 
 
 def test_universal_factor_singleton_and_empty():
@@ -98,10 +98,10 @@ def test_universal_factor_uniqueness_pointwise():
         f = rand_finfun(rng, 3, 2)
         g = rand_finfun(rng, 3, 2)
         pb = pullback(f, g)
-        if pb.obj.size == 0:
+        if pb.apex.size == 0:
             continue
         x = FinSetObj(2)
-        h = FinFun(x, pb.obj, [rng.randrange(pb.obj.size) for _ in range(2)])
+        h = FinFun(x, pb.apex, [rng.randrange(pb.apex.size) for _ in range(2)])
         a = FINSET.compose(pb.p_a, h)
         c = FINSET.compose(pb.p_c, h)
         back = universal_factor(pb, a, c)
@@ -119,9 +119,9 @@ def test_pullback_universal_property(data):
     g = ffun(nc, nb, [data.draw(st.integers(0, nb - 1)) for _ in range(nc)])
     pb = pullback(f, g)
     assert FINSET.compose(f, pb.p_a) == FINSET.compose(g, pb.p_c)
-    nx = data.draw(st.integers(0, 3)) if pb.obj.size else 0
+    nx = data.draw(st.integers(0, 3)) if pb.apex.size else 0
     h = FinFun(
-        FinSetObj(nx), pb.obj, [data.draw(st.integers(0, pb.obj.size - 1)) for _ in range(nx)]
+        FinSetObj(nx), pb.apex, [data.draw(st.integers(0, pb.apex.size - 1)) for _ in range(nx)]
     )
     a = FINSET.compose(pb.p_a, h)
     c = FINSET.compose(pb.p_c, h)

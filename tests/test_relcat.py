@@ -61,8 +61,8 @@ def test_span_tensor_unit_laws():
     # the apexes biject with A via the materialized unit isomorphisms
     assert left.a.size == sp.a.size
     assert right.a.size == sp.a.size
-    assert set(left.pullback.payload.pairs) == {(sp.t.table[x], x) for x in range(sp.a.size)}
-    assert set(right.pullback.payload.pairs) == {(x, sp.s.table[x]) for x in range(sp.a.size)}
+    assert set(left.pullback.payload) == {(sp.t.table[x], x) for x in range(sp.a.size)}
+    assert set(right.pullback.payload) == {(x, sp.s.table[x]) for x in range(sp.a.size)}
     proj_l, inv_l = unit_isos(left.pullback, "left")
     proj_r, inv_r = unit_isos(right.pullback, "right")
     assert FINSET.compose(proj_l, inv_l) == FINSET.identity(sp.a)
@@ -78,7 +78,7 @@ def test_span_tensor_composable_pairs_oracle():
         sp = SpanOverB(FINSET, FinSetObj(nb), FinSetObj(na), t, s)
         sq = span_tensor(sp, sp)
         brute = [(x, y) for x in range(na) for y in range(na) if s.table[x] == t.table[y]]
-        assert list(sq.pullback.payload.pairs) == brute
+        assert list(sq.pullback.payload) == brute
         assert sq.t.table == tuple(t.table[x] for x, _ in brute)
         assert sq.s.table == tuple(s.table[y] for _, y in brute)
 
@@ -182,7 +182,7 @@ def test_poset_linearization_composition_matrix():
     # 3-dim arrow coalgebra; d is a 0/1 matrix matching the finite table
     assert rcq.d.mat.rows == 3
     assert all(x in (QQ.zero, QQ.one) for row in rcq.d.mat.data for x in row)
-    for k, pair in enumerate(rc.pb.payload.pairs):
+    for k, pair in enumerate(rc.pb.payload):
         col = rcq.d.mat.col_sparse(k)
         assert col == {rc.d.table[k]: QQ.one}
         del pair
@@ -217,7 +217,7 @@ def test_violation_bad_composition_endpoint():
     # poset category with d sending (id1, arrow) to id0: breaks axiom (c)
     rc = _raw_relcat(fixture_poset01())
     d_table = list(rc.d.table)
-    pairs = rc.pb.payload.pairs
+    pairs = rc.pb.payload
     idx = pairs.index((1, 2))  # id1 after the 0->1 arrow
     d_table[idx] = 0
     bad = RelativeCategory(
@@ -231,7 +231,7 @@ def test_violation_bad_composition_endpoint():
 def test_violation_bad_unit_law():
     # Z/5 with d(0, x) corrupted on one non-identity arrow: breaks (d) or (e)
     rc = _raw_relcat(fixture_groupoid5())
-    pairs = rc.pb.payload.pairs
+    pairs = rc.pb.payload
     d_table = list(rc.d.table)
     idx = pairs.index((0, 1))
     d_table[idx] = 2
@@ -263,7 +263,7 @@ def test_violation_bad_associativity():
     from relspan import relative_pullback
 
     pb = relative_pullback(FINSET, s, t)
-    d = ffun(9, 3, [table[x][y] for x, y in pb.payload.pairs])
+    d = ffun(9, 3, [table[x][y] for x, y in pb.payload])
     bad = RelativeCategory(FINSET, b, a, s, t, i, d, pb)
     rep = check_relative_category(bad)
     assert not rep.ok

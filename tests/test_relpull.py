@@ -23,6 +23,7 @@ from relspan import (
     FinSetObj,
     Matrix,
     MonoidMorphism,
+    RelPullback,
     box,
     check_monoid,
     check_monoid_morphism,
@@ -36,7 +37,7 @@ from relspan import (
     relative_pullback,
     unit_isos,
 )
-from relspan.coalg import cid, relative_pullback_coalg
+from relspan.coalg import CoalgEqualizer, CoalgMap, cid, relative_pullback_coalg
 from relspan.finset import pullback
 from relspan.errors import LegsNotInClass, SquaresDoNotCommute, WrongShape
 from relspan.relpull import assoc_iso, check_pullback_invariants
@@ -55,8 +56,20 @@ def test_dispatch_finset_equals_plain_pullback():
     g = rand_finfun(rng, 4, 2)
     pb = relative_pullback(FINSET, f, g)
     plain = pullback(f, g)
-    assert pb.apex == plain.obj and pb.p_a == plain.p_a and pb.p_c == plain.p_c
+    assert pb.apex == plain.apex and pb.p_a == plain.p_a and pb.p_c == plain.p_c
     assert check_pullback_invariants(pb).ok
+    assert type(pb) is RelPullback and pb.base is FINSET
+    assert (pb.f, pb.g) == (f, g)
+    # the payload is the matching pairs in lexicographic order
+    pairs = [(a, c) for a in range(f.dom.size) for c in range(g.dom.size) if f(a) == g(c)]
+    assert type(pb.payload) is tuple and list(pb.payload) == pairs
+
+
+def test_rel_pullback_is_one_record_for_every_instance():
+    import relspan.catcore
+    import relspan.relpull
+
+    assert RelPullback is relspan.relpull.RelPullback is relspan.catcore.RelPullback
 
 
 def test_dispatch_coalg_equals_coalg_pullback():
@@ -66,10 +79,14 @@ def test_dispatch_coalg_equals_coalg_pullback():
         f = linearize_fun(rand_finfun(rng, 3, 2), field)
         g0 = linearize_fun(rand_finfun(rng, 4, 2), field)
         pb = relative_pullback(base, f, g0)
-        plain = relative_pullback_coalg(f, g0)
+        plain = relative_pullback_coalg(base, f, g0)
         assert pb.apex == plain.apex
         assert pb.p_a.mat == plain.p_a.mat and pb.p_c.mat == plain.p_c.mat
         assert check_pullback_invariants(pb).ok
+        assert type(pb) is RelPullback and pb.base is base
+        assert (pb.f, pb.g) == (f, g0)
+        # the payload is the equalizer on A⊗C, whose object is the apex
+        assert type(pb.payload) is CoalgEqualizer and pb.payload.object is pb.apex
 
 
 def test_trivial_base_gives_product_both_instances():
@@ -100,7 +117,7 @@ def test_box_identity_is_identity():
     g = rand_finfun(rng, 3, 2)
     pb = relative_pullback(FINSET, f, g)
     bm = box(pb, pb, FINSET.identity(f.dom), FINSET.identity(g.dom), FINSET.identity(f.cod))
-    assert bm.mor == FINSET.identity(pb.apex)
+    assert bm == FINSET.identity(pb.apex)
 
 
 def test_box_componentwise_on_pairs_and_projections():
@@ -110,10 +127,10 @@ def test_box_componentwise_on_pairs_and_projections():
         src = relative_pullback(FINSET, f, g)
         tgt = relative_pullback(FINSET, f2, g2)
         bm = box(src, tgt, a, c, b)
-        for idx, (x, y) in enumerate(src.payload.pairs):
-            assert tgt.payload.pairs[bm.mor.table[idx]] == (a.table[x], c.table[y])
-        assert FINSET.compose(tgt.p_a, bm.mor) == FINSET.compose(a, src.p_a)
-        assert FINSET.compose(tgt.p_c, bm.mor) == FINSET.compose(c, src.p_c)
+        for idx, (x, y) in enumerate(src.payload):
+            assert tgt.payload[bm.table[idx]] == (a.table[x], c.table[y])
+        assert FINSET.compose(tgt.p_a, bm) == FINSET.compose(a, src.p_a)
+        assert FINSET.compose(tgt.p_c, bm) == FINSET.compose(c, src.p_c)
 
 
 def test_box_functoriality_finset_and_coalg():
@@ -132,7 +149,9 @@ def test_box_functoriality_finset_and_coalg():
             direct = box(
                 pb1, pb3, FINSET.compose(a2, a), FINSET.compose(c2, c), FINSET.compose(b2, b)
             )
-            assert FINSET.compose(bm2.mor, bm1.mor) == direct.mor
+            # box returns the morphism a□c of the base category itself
+            assert type(bm1) is FinFun and (bm1.dom, bm1.cod) == (pb1.apex, pb2.apex)
+            assert FINSET.compose(bm2, bm1) == direct
 
             # linearized configuration exercises the coalgebra instance
             lf = lambda h: linearize_fun(h, field)  # noqa: E731
@@ -141,6 +160,7 @@ def test_box_functoriality_finset_and_coalg():
             q3 = relative_pullback(base, lf(f4), lf(g4))
             qm1 = box(q1, q2, lf(a), lf(c), lf(b))
             qm2 = box(q2, q3, lf(a2), lf(c2), lf(b2))
+            assert type(qm1) is CoalgMap and (qm1.src, qm1.tgt) == (q1.apex, q2.apex)
             qdirect = box(
                 q1,
                 q3,
@@ -148,7 +168,7 @@ def test_box_functoriality_finset_and_coalg():
                 base.compose(lf(c2), lf(c)),
                 base.compose(lf(b2), lf(b)),
             )
-            assert base.compose(qm2.mor, qm1.mor).mat == qdirect.mor.mat
+            assert base.compose(qm2, qm1).mat == qdirect.mat
 
 
 def test_box_rejects_noncommuting_squares():
@@ -170,7 +190,7 @@ def test_unit_iso_right_is_graph_of_f():
     assert proj == pb.p_a
     # the apex is the graph of f; the inverse sends a to (a, f(a))
     for a in range(3):
-        assert pb.payload.pairs[inv.table[a]] == (a, f.table[a])
+        assert pb.payload[inv.table[a]] == (a, f.table[a])
 
 
 def test_unit_iso_left_and_coalg_dims():
@@ -230,10 +250,10 @@ def test_assoc_iso_is_rebracketing_bijection():
         pb_xy, pb_xy_z, pb_yz, pb_x_yz = _chain_pullbacks(FINSET, f, g, h, k)
         l, l_inv = assoc_iso(pb_xy, pb_xy_z, pb_yz, pb_x_yz)
         # oracle: decompose indices into matching triples and rebracket
-        for idx, (i_xy, z) in enumerate(pb_xy_z.payload.pairs):
-            x, y = pb_xy.payload.pairs[i_xy]
-            j_yz = pb_yz.payload.pairs.index((y, z))
-            want = pb_x_yz.payload.pairs.index((x, j_yz))
+        for idx, (i_xy, z) in enumerate(pb_xy_z.payload):
+            x, y = pb_xy.payload[i_xy]
+            j_yz = pb_yz.payload.index((y, z))
+            want = pb_x_yz.payload.index((x, j_yz))
             assert l.table[idx] == want
         assert FINSET.compose(l, l_inv) == FINSET.identity(pb_x_yz.apex)
 
@@ -272,12 +292,12 @@ def test_unit_constraint_naturality_over_fixed_base():
         pb1 = relative_pullback(FINSET, s1, id_b)
         pb2 = relative_pullback(FINSET, s2, id_b)
         bm = box(pb1, pb2, a, id_b, id_b)
-        assert FINSET.compose(pb2.p_a, bm.mor) == FINSET.compose(a, pb1.p_a)
+        assert FINSET.compose(pb2.p_a, bm) == FINSET.compose(a, pb1.p_a)
         # left unit: B□_B A -> A
         qb1 = relative_pullback(FINSET, id_b, t1)
         qb2 = relative_pullback(FINSET, id_b, t2)
         qm = box(qb1, qb2, id_b, a, id_b)
-        assert FINSET.compose(qb2.p_c, qm.mor) == FINSET.compose(a, qb1.p_c)
+        assert FINSET.compose(qb2.p_c, qm) == FINSET.compose(a, qb1.p_c)
 
 
 def test_assoc_constraint_naturality():
@@ -312,9 +332,9 @@ def test_assoc_constraint_naturality():
         l_up, _ = assoc_iso(*upper)
         ac = box(lower[0], upper[0], a, c, id_b)
         ce = box(lower[2], upper[2], c, e, id_b)
-        ac_e = box(lower[1], upper[1], ac.mor, e, id_b)
-        a_ce = box(lower[3], upper[3], a, ce.mor, id_b)
-        assert FINSET.compose(l_up, ac_e.mor) == FINSET.compose(a_ce.mor, l_low)
+        ac_e = box(lower[1], upper[1], ac, e, id_b)
+        a_ce = box(lower[3], upper[3], a, ce, id_b)
+        assert FINSET.compose(l_up, ac_e) == FINSET.compose(a_ce, l_low)
 
 
 # -- coherence ---------------------------------------------------------------------
@@ -378,7 +398,7 @@ def test_monoid_on_pullback_finset_is_matching_submonoid():
                 assert check_monoid(mon).ok
                 assert check_monoid_morphism(MonoidMorphism(mon, m1, pb.p_a)).ok
                 assert check_monoid_morphism(MonoidMorphism(mon, m1, pb.p_c)).ok
-                pairs = pb.payload.pairs
+                pairs = pb.payload
                 for i1, (a1, c1) in enumerate(pairs):
                     for i2, (a2, c2) in enumerate(pairs):
                         got = pairs[mon.m.table[i1 * len(pairs) + i2]]
