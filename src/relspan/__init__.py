@@ -3,13 +3,11 @@ monoid structures and relative (internal) categories over two fully computable
 base categories: finite sets and finite-dimensional coalgebras."""
 
 from .catcore import (
-    AllSpans,
     BaseCategory,
     Check,
     Cospan,
     Report,
     Span,
-    SpanClass,
     check_monoidal_instance,
     check_post_instance,
     check_pre_instance,
@@ -21,8 +19,6 @@ from .coalg import (
     Coalgebra,
     CoalgCategory,
     CoalgMap,
-    ClassS,
-    class_S_member,
     class_S_witness,
     check_coalg_map,
     check_coalgebra,

@@ -6,7 +6,8 @@ opaque object/morphism types, and its own relative pullback, pullback filler
 and extra monoid axioms, so generic code never asks which instance it is on.
 Each instance builds its pullbacks as one RelPullback record, whose payload
 holds only the instance's own filler data.
-A SpanClass is a membership predicate on spans.
+An instance is the pair (C, S) of a relative setting: it decides membership in
+its own admissible class of spans through failure_witness and contains.
 Admissibility of a class is not decidable in general, so this module only
 exposes instance-level checks of (POST), (PRE), (UNITAL), (MULTIPLICATIVE) and
 the split-epimorphism implication suite; the shipped classes are closed by
@@ -100,7 +101,8 @@ class RelPullback:
 
 
 class BaseCategory(ABC):
-    """Symmetric monoidal category instance over opaque objects/morphisms."""
+    """Symmetric monoidal category instance over opaque objects/morphisms,
+    together with the one admissible class of spans it decides itself."""
 
     name: str
 
@@ -117,11 +119,11 @@ class BaseCategory(ABC):
     @abstractmethod
     def cod(self, f): ...
 
-    @abstractmethod
-    def equal_mor(self, f, g) -> bool: ...
+    def equal_mor(self, f, g) -> bool:
+        return f == g
 
-    @abstractmethod
-    def equal_obj(self, x, y) -> bool: ...
+    def equal_obj(self, x, y) -> bool:
+        return x == y
 
     @abstractmethod
     def tensor_obj(self, x, y): ...
@@ -143,10 +145,13 @@ class BaseCategory(ABC):
         """Two-sided inverse of f when it exists, else None."""
         raise NotImplementedError
 
-    @property
     @abstractmethod
-    def span_class(self) -> "SpanClass":
-        """The admissible class this instance ships with."""
+    def failure_witness(self, span: Span) -> str | None:
+        """None if the span is in the admissible class, else a human-readable
+        witness."""
+
+    def contains(self, span: Span) -> bool:
+        return self.failure_witness(span) is None
 
     @abstractmethod
     def pullback(self, f, g) -> RelPullback:
@@ -167,88 +172,56 @@ class BaseCategory(ABC):
             raise CompositionMismatch("span legs must share their apex")
 
 
-# -- span classes --------------------------------------------------------------
-
-
-class SpanClass(ABC):
-    """Membership predicate realizing an admissible class of spans."""
-
-    base: BaseCategory
-
-    @abstractmethod
-    def failure_witness(self, span: Span) -> str | None:
-        """None if the span is a member, else a human-readable witness."""
-
-    def contains(self, span: Span) -> bool:
-        return self.failure_witness(span) is None
-
-
-class AllSpans(SpanClass):
-    """The class of all spans (admissible and monoidal for trivial reasons)."""
-
-    def __init__(self, base: BaseCategory):
-        self.base = base
-
-    def failure_witness(self, span: Span) -> str | None:
-        self.base.check_span(span)
-        return None
-
-
 # -- instance-level admissibility checks ---------------------------------------
 
 
-def legs_in_class(cls: SpanClass, cs: Cospan) -> bool:
+def legs_in_class(base: BaseCategory, cs: Cospan) -> bool:
     """Both identity-padded spans of the cospan A -f-> B <-g- C are members."""
-    base = cls.base
     if not base.equal_obj(base.cod(cs.left), base.cod(cs.right)):
         raise CodomainMismatch("cospan legs must share their codomain")
     a = base.dom(cs.left)
     c = base.dom(cs.right)
-    return cls.contains(Span(base.identity(a), cs.left)) and cls.contains(
+    return base.contains(Span(base.identity(a), cs.left)) and base.contains(
         Span(cs.right, base.identity(c))
     )
 
 
-def check_post_instance(cls: SpanClass, span: Span, f2, g2) -> bool:
+def check_post_instance(base: BaseCategory, span: Span, f2, g2) -> bool:
     """Single-instance witness of (POST): (f2∘f, A, g2∘g) is a member too."""
-    base = cls.base
     base.check_span(span)
     if not base.equal_obj(base.dom(f2), base.cod(span.left)):
         raise CompositionMismatch("f2 does not postcompose with the left leg")
     if not base.equal_obj(base.dom(g2), base.cod(span.right)):
         raise CompositionMismatch("g2 does not postcompose with the right leg")
-    return cls.contains(Span(base.compose(f2, span.left), base.compose(g2, span.right)))
+    return base.contains(Span(base.compose(f2, span.left), base.compose(g2, span.right)))
 
 
-def check_pre_instance(cls: SpanClass, span: Span, h) -> bool:
+def check_pre_instance(base: BaseCategory, span: Span, h) -> bool:
     """Single-instance witness of (PRE): both legs precomposed with h: B -> A."""
-    base = cls.base
     base.check_span(span)
     if not base.equal_obj(base.cod(h), base.dom(span.left)):
         raise CompositionMismatch("h does not precompose with the span")
-    return cls.contains(Span(base.compose(span.left, h), base.compose(span.right, h)))
+    return base.contains(Span(base.compose(span.left, h), base.compose(span.right, h)))
 
 
-def check_monoidal_instance(cls: SpanClass, span1: Span, span2: Span) -> bool:
+def check_monoidal_instance(base: BaseCategory, span1: Span, span2: Span) -> bool:
     """Single-instance witness of (MULTIPLICATIVE): the product span is a member."""
-    base = cls.base
     base.check_span(span1)
     base.check_span(span2)
-    return cls.contains(
+    return base.contains(
         Span(base.tensor_mor(span1.left, span2.left), base.tensor_mor(span1.right, span2.right))
     )
 
 
-def check_unital_instance(cls: SpanClass, f, g) -> bool:
+def check_unital_instance(base: BaseCategory, f, g) -> bool:
     """Single-instance witness of (UNITAL): a span with apex I is a member."""
-    base = cls.base
     unit = base.unit_obj()
     if not (base.equal_obj(base.dom(f), unit) and base.equal_obj(base.dom(g), unit)):
         raise CompositionMismatch("unitality check needs legs out of the monoidal unit")
-    return cls.contains(Span(f, g))
+    return base.contains(Span(f, g))
 
 
-def split_epi_class_facts(cls: SpanClass, i, s, probes=()) -> Report:
+def split_epi_class_facts(base: BaseCategory, i, s, probes=()) -> Report:
     """Implication suite for a split epimorphism s: A -> B with section i: B -> A.
 
     Checks, on the supplied probe spans out of B, the cycle
@@ -258,23 +231,22 @@ def split_epi_class_facts(cls: SpanClass, i, s, probes=()) -> Report:
       (c) the span (A <-i- B === B) is a member,
     and part (2): if (A === A -s-> B) is a member then (c) holds.
     """
-    base = cls.base
     b_obj = base.dom(i)
     a_obj = base.cod(i)
     if not base.equal_mor(base.compose(s, i), base.identity(b_obj)):
         raise NotASection("s∘i is not the identity")
 
     id_b = base.identity(b_obj)
-    a_holds = cls.contains(Span(id_b, id_b))
-    c_holds = cls.contains(Span(i, id_b))
-    part2_premise = cls.contains(Span(base.identity(a_obj), s))
+    a_holds = base.contains(Span(id_b, id_b))
+    c_holds = base.contains(Span(i, id_b))
+    part2_premise = base.contains(Span(base.identity(a_obj), s))
 
     rep = Report()
     rep.add("(a) identity span on B in class", a_holds)
     for k, (f, g) in enumerate(probes):
         if not base.equal_obj(base.dom(f), b_obj) or not base.equal_obj(base.dom(g), b_obj):
             raise CompositionMismatch("probe spans must have apex B")
-        member = cls.contains(Span(f, g))
+        member = base.contains(Span(f, g))
         rep.add(
             f"(a)=>(b) probe {k}",
             (not a_holds) or member,

@@ -92,7 +92,7 @@ def _check_one(name: str, decl, report: Report):
     elif decl.kind == "cospan":
         report.add(
             prefix + "legs in class",
-            legs_in_class(cospan_base(*decl.value).span_class, Cospan(*decl.value)),
+            legs_in_class(cospan_base(*decl.value), Cospan(*decl.value)),
             "a leg span escapes the admissible class",
         )
     else:

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catcore import BaseCategory, Cospan, RelPullback, Report, SpanClass, legs_in_class
+from .catcore import BaseCategory, Cospan, RelPullback, Report, legs_in_class
 from .errors import (
     CodomainMismatch,
     InternalSolveFailure,
@@ -261,10 +261,6 @@ def class_S_witness(f: CoalgMap, g: CoalgMap) -> str | None:
     return None if j is None else f"basis {j}"
 
 
-def class_S_member(f: CoalgMap, g: CoalgMap) -> bool:
-    return class_S_witness(f, g) is None
-
-
 # -- the base-category instance --------------------------------------------------
 
 
@@ -274,7 +270,6 @@ class CoalgCategory(BaseCategory):
     def __init__(self, field):
         self.field = field
         self._unit = trivial(field)
-        self._class = ClassS(self)
 
     def identity(self, obj):
         return cid(obj)
@@ -289,12 +284,6 @@ class CoalgCategory(BaseCategory):
 
     def cod(self, f):
         return f.tgt
-
-    def equal_mor(self, f, g):
-        return f == g
-
-    def equal_obj(self, x, y):
-        return x == y
 
     def tensor_obj(self, x, y):
         return tensor_coalgebra(x, y)
@@ -323,9 +312,9 @@ class CoalgCategory(BaseCategory):
             return None
         return CoalgMap(f.tgt, f.src, inv)
 
-    @property
-    def span_class(self):
-        return self._class
+    def failure_witness(self, span) -> str | None:
+        """Class S: the paired legs composed with δ form a comonoid morphism."""
+        return class_S_witness(span.left, span.right)
 
     def pullback(self, f, g):
         return relative_pullback_coalg(self, f, g)
@@ -339,16 +328,6 @@ class CoalgCategory(BaseCategory):
         for label, mor in (("multiplication", mon.m), ("unit", mon.u)):
             rep.extend(check_coalg_map(mor), f"{label} is a coalgebra map: ")
         return rep
-
-
-class ClassS(SpanClass):
-    """Spans whose paired legs composed with δ form a comonoid morphism."""
-
-    def __init__(self, base: CoalgCategory):
-        self.base = base
-
-    def failure_witness(self, span) -> str | None:
-        return class_S_witness(span.left, span.right)
 
 
 # -- equalizers ------------------------------------------------------------------
@@ -480,7 +459,7 @@ def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
     the relative pullback are the same subobject: the mutual universal
     factorizations compose to identities."""
     base = CoalgCategory(f.mat.field)
-    if not legs_in_class(base.span_class, Cospan(f, g)):
+    if not legs_in_class(base, Cospan(f, g)):
         raise LegsNotInClass("cotensor comparison needs legs in class S")
     return compare_with_pullback(cotensor(f, g), relative_pullback_coalg(base, f, g).payload)
 

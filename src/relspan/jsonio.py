@@ -9,7 +9,8 @@ decoder, and a reference to another declaration is checked and decoded on
 first use, so declarations may come in any order.  Sizes, indices and
 table entries must be JSON integers.  It rejects what the constructions
 cannot take, such as a cospan whose legs are not two morphisms of one base
-category.  Encoding covers fields and matrices, for the CLI's results.
+category.  Encoding covers fields and matrices, for the CLI's results; a
+matrix of more than MAX_ENCODED_CELLS cells is refused.
 """
 
 from __future__ import annotations
@@ -84,7 +85,16 @@ def parse_field_flag(text: str):
     raise ParseError(f"unknown field flag {text!r} (use Q or Fp:<p>)")
 
 
+# The most cells of the dense grid matrix_to_json builds, about 80 B a cell.
+MAX_ENCODED_CELLS = 10**6
+
+
 def matrix_to_json(m: Matrix):
+    """The dense entry grid of m, refused before it is built when m has more
+    than MAX_ENCODED_CELLS cells."""
+    if m.rows * m.cols > MAX_ENCODED_CELLS:
+        raise RelspanError(f"a {m.rows} x {m.cols} matrix is too large to encode"
+                           f" (at most {MAX_ENCODED_CELLS} cells)")
     fld = m.field
     return {
         "field": field_to_json(fld),

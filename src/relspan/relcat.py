@@ -47,9 +47,9 @@ class SpanOverB:
         ):
             raise ShapeMismatch("span legs must come out of A")
         id_b = base.identity(self.b)
-        if not base.span_class.contains(Span(id_b, id_b)):
+        if not base.contains(Span(id_b, id_b)):
             raise LegsNotInClass("the identity span on B is not in the class")
-        if not legs_in_class(base.span_class, Cospan(self.s, self.t)):
+        if not legs_in_class(base, Cospan(self.s, self.t)):
             raise LegsNotInClass("the span does not have its legs in the class")
 
 
@@ -110,12 +110,12 @@ def check_relative_category(rc: RelativeCategory) -> Report:
     id_b = base.identity(rc.b)
     rep.add(
         "(a) identity span on B in class",
-        base.span_class.contains(Span(id_b, id_b)),
+        base.contains(Span(id_b, id_b)),
         "B's identity span escapes the class",
     )
     rep.add(
         "(a) legs of (t, s) in class",
-        legs_in_class(base.span_class, Cospan(rc.s, rc.t)),
+        legs_in_class(base, Cospan(rc.s, rc.t)),
         "a leg span escapes the class",
     )
     rep.add(

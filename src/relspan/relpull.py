@@ -29,7 +29,7 @@ from .monoids import MonoidMorphism, MonoidObj, check_monoid_morphism
 
 def relative_pullback(base: BaseCategory, f, g) -> RelPullback:
     """The base category's pullback of a cospan whose legs are in the class."""
-    if not legs_in_class(base.span_class, Cospan(f, g)):
+    if not legs_in_class(base, Cospan(f, g)):
         raise LegsNotInClass("cospan legs are not in the admissible class")
     return base.pullback(f, g)
 
@@ -38,7 +38,7 @@ def universal_factor(pb: RelPullback, a, c):
     """The unique filler h with p_A∘h = a and p_C∘h = c for a class-member
     span (a, c) whose square commutes."""
     base = pb.base
-    w = base.span_class.failure_witness(Span(a, c))
+    w = base.failure_witness(Span(a, c))
     if w is not None:
         raise SpanNotInClass(w)
     return base.factor(pb, a, c)
@@ -203,15 +203,14 @@ def check_reflection_instance(pb: RelPullback, k, l, side: str = "left") -> Repo
     (p_A∘k, l) and (p_C∘k, l) are members then (k, l) must be.
     side='right' is the mirrored statement for spans (l, k)."""
     base = pb.base
-    cls = base.span_class
     if side == "left":
-        hyp1 = cls.contains(Span(base.compose(pb.p_a, k), l))
-        hyp2 = cls.contains(Span(base.compose(pb.p_c, k), l))
-        concl = cls.contains(Span(k, l))
+        hyp1 = base.contains(Span(base.compose(pb.p_a, k), l))
+        hyp2 = base.contains(Span(base.compose(pb.p_c, k), l))
+        concl = base.contains(Span(k, l))
     elif side == "right":
-        hyp1 = cls.contains(Span(l, base.compose(pb.p_a, k)))
-        hyp2 = cls.contains(Span(l, base.compose(pb.p_c, k)))
-        concl = cls.contains(Span(l, k))
+        hyp1 = base.contains(Span(l, base.compose(pb.p_a, k)))
+        hyp2 = base.contains(Span(l, base.compose(pb.p_c, k)))
+        concl = base.contains(Span(l, k))
     else:
         raise ValueError("side must be 'left' or 'right'")
     rep = Report()
@@ -235,7 +234,7 @@ def check_pullback_invariants(pb: RelPullback) -> Report:
         base.equal_mor(base.compose(pb.f, pb.p_a), base.compose(pb.g, pb.p_c)),
         "f∘p_A != g∘p_C",
     )
-    w = base.span_class.failure_witness(Span(pb.p_a, pb.p_c))
+    w = base.failure_witness(Span(pb.p_a, pb.p_c))
     rep.add("projection span in class", w is None, w)
     rep.add("joint-mono certificate", pb.jointly_monic, "projection pair does not determine fillers")
     return rep

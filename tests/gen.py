@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -222,6 +223,35 @@ def rand_substitution_poly(rng, field, a, b):
     """Coefficients of a random p with ord p ≥ ⌈a/b⌉ and deg p < a."""
     order = -(-a // b)
     return [0] * order + [rand_scalar(rng, field) for _ in range(order, a)]
+
+# -- matrix coalgebras ------------------------------------------------------------
+
+
+def matrix_coalgebra(field, n) -> Coalgebra:
+    """M_nᶜ on the basis e_ij (index i·n + j): δ(e_ij) = Σ_k e_ik⊗e_kj,
+    ε(e_ij) = [i = j]."""
+    d = n * n
+    cols = [
+        {(i * n + k) * d + k * n + j: field.one for k in range(n)}
+        for i in range(n)
+        for j in range(n)
+    ]
+    eps = Matrix.from_rows(field, [[int(i == j) for i in range(n) for j in range(n)]])
+    return Coalgebra(d, field, delta=Matrix.from_cols(field, d * d, cols), epsilon=eps)
+
+
+def block_inclusion_dual(src: Coalgebra, tgt: Coalgebra) -> CoalgMap:
+    """M_nᶜ -> M_mᶜ dual to the algebra map M_m -> M_n, E_kl ↦ E_kl⊗I_{n/m}:
+    e_{(k,a),(l,b)} ↦ [a = b]·e_kl, with (k, a) the index k·(n/m) + a."""
+    field, n, m = src.field, math.isqrt(src.dim), math.isqrt(tgt.dim)
+    r = n // m
+    cols = []
+    for row in range(n):
+        for col in range(n):
+            (k, a), (l, b) = divmod(row, r), divmod(col, r)
+            cols.append({k * m + l: field.one} if a == b else {})
+    return CoalgMap(src, tgt, Matrix.from_cols(field, tgt.dim, cols))
+
 
 # -- small groups and their algebras ----------------------------------------------
 

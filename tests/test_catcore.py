@@ -1,4 +1,4 @@
-"""Categorical interfaces: category laws, span classes, admissibility instances."""
+"""Categorical interfaces: category laws, each instance's span class, admissibility instances."""
 
 import pytest
 
@@ -13,9 +13,11 @@ from gen import (
 from relspan import (
     FINSET,
     QQ,
+    BaseCategory,
     CoalgCategory,
     CoalgMap,
     Cospan,
+    FinSetCategory,
     FinSetObj,
     Matrix,
     Span,
@@ -29,7 +31,7 @@ from relspan import (
     path_coalgebra,
     split_epi_class_facts,
 )
-from relspan.errors import NotASection
+from relspan.errors import CompositionMismatch, NotASection
 
 
 def test_finset_category_laws_randomized():
@@ -97,39 +99,40 @@ def test_coalg_category_laws_randomized():
 
 def test_all_spans_class_and_legs():
     rng = rng_for("allspans")
-    cls = FINSET.span_class
+    base = FINSET
     for _ in range(20):
         f = rand_finfun(rng, 3, rng.randint(1, 3))
         g = rand_finfun(rng, 3, rng.randint(1, 3))
-        assert cls.contains(Span(f, g))
+        assert base.failure_witness(Span(f, g)) is None
+        assert base.contains(Span(f, g))
         h = rand_finfun(rng, g.cod.size, 4)
         k = rand_finfun(rng, 2, 3)
-        assert check_post_instance(cls, Span(f, g), rand_finfun(rng, f.cod.size, 2), h)
-        assert check_pre_instance(cls, Span(f, g), k)
+        assert check_post_instance(base, Span(f, g), rand_finfun(rng, f.cod.size, 2), h)
+        assert check_pre_instance(base, Span(f, g), k)
         cs = Cospan(rand_finfun(rng, 2, 3), rand_finfun(rng, 2, 3))
-        assert legs_in_class(cls, cs)
+        assert legs_in_class(base, cs)
 
 
 def test_class_s_instances_on_cocommutative_data():
     rng = rng_for("classS-inst")
     for field in FIELDS:
-        cls = CoalgCategory(field).span_class
+        base = CoalgCategory(field)
         for _ in range(15):
             apex = rand_blocks(rng)
             f = rand_block_map(rng, field, apex, rand_blocks(rng))
             g = rand_block_map(rng, field, apex, rand_blocks(rng))
             g = CoalgMap(f.src, g.tgt, g.mat)  # share the apex object
             span = Span(f, g)
-            assert cls.contains(span)
+            assert base.contains(span)
             f2 = rand_block_map(rng, field, _blocks_of(f.tgt, field), rand_blocks(rng))
             g2 = rand_block_map(rng, field, _blocks_of(g.tgt, field), rand_blocks(rng))
-            assert check_post_instance(cls, span, _rebase(f2, f.tgt), _rebase(g2, g.tgt))
+            assert check_post_instance(base, span, _rebase(f2, f.tgt), _rebase(g2, g.tgt))
             h = rand_block_map(rng, field, rand_blocks(rng), apex)
-            assert check_pre_instance(cls, span, CoalgMap(h.src, f.src, h.mat))
+            assert check_pre_instance(base, span, CoalgMap(h.src, f.src, h.mat))
             span2_src = rand_blocks(rng)
             s2f = rand_block_map(rng, field, span2_src, rand_blocks(rng))
             s2g = rand_block_map(rng, field, span2_src, rand_blocks(rng))
-            assert check_monoidal_instance(cls, span, Span(s2f, CoalgMap(s2f.src, s2g.tgt, s2g.mat)))
+            assert check_monoidal_instance(base, span, Span(s2f, CoalgMap(s2f.src, s2g.tgt, s2g.mat)))
 
 
 def _blocks_of(coalgebra, field):
@@ -156,24 +159,25 @@ def test_class_s_unitality_from_unit_span():
     # a class satisfying (POST) is unital iff the identity span on I belongs to it
     for field in FIELDS:
         base = CoalgCategory(field)
-        cls = base.span_class
         e = base.identity(base.unit_obj())
-        assert check_unital_instance(cls, e, e)
+        assert check_unital_instance(base, e, e)
 
 
 def test_class_s_rejects_noncocommutative_identity_span():
     for field in FIELDS:
         base = CoalgCategory(field)
         p = path_coalgebra(field)
-        w = base.span_class.failure_witness(Span(base.identity(p), base.identity(p)))
+        w = base.failure_witness(Span(base.identity(p), base.identity(p)))
         assert w == "basis 2"  # the arrow x witnesses the failure
+        assert not base.contains(Span(base.identity(p), base.identity(p)))
 
 
 def test_grouplike_identity_span_accepted():
     for field in FIELDS:
         base = CoalgCategory(field)
         g = grouplike(field, 3)
-        assert base.span_class.contains(Span(base.identity(g), base.identity(g)))
+        assert base.failure_witness(Span(base.identity(g), base.identity(g))) is None
+        assert base.contains(Span(base.identity(g), base.identity(g)))
 
 
 # -- split-epimorphism implication suite --------------------------------------------
@@ -181,13 +185,12 @@ def test_grouplike_identity_span_accepted():
 
 def test_split_epi_facts_finset():
     base = FINSET
-    cls = base.span_class
     a, b = FinSetObj(2), FinSetObj(1)
     s = rand_finfun(rng_for("se"), 2, 1)
     i = rand_finfun(rng_for("se2"), 1, 2)
     rng = rng_for("split-epi-probes")
     probes = [(rand_finfun(rng, 1, 3), rand_finfun(rng, 1, 2)) for _ in range(5)]
-    rep = split_epi_class_facts(cls, i, s, probes)
+    rep = split_epi_class_facts(base, i, s, probes)
     assert rep.ok
     del a, b
 
@@ -195,7 +198,6 @@ def test_split_epi_facts_finset():
 def test_split_epi_facts_coalg_grouplike():
     for field in FIELDS:
         base = CoalgCategory(field)
-        cls = base.span_class
         k2 = grouplike(field, 2)
         k1 = grouplike(field, 1)
         i = CoalgMap(k1, k2, Matrix.from_rows(field, [[1], [0]]))
@@ -206,7 +208,7 @@ def test_split_epi_facts_coalg_grouplike():
             f = linearize_fun(rand_finfun(rng, 1, 3), field)
             g = linearize_fun(rand_finfun(rng, 1, 2), field)
             probes.append((CoalgMap(k1, f.tgt, f.mat), CoalgMap(k1, g.tgt, g.mat)))
-        rep = split_epi_class_facts(cls, i, s, probes)
+        rep = split_epi_class_facts(base, i, s, probes)
         assert rep.ok
 
 
@@ -218,15 +220,33 @@ def test_split_epi_rejects_non_section():
     )
     # build an s with s(i(0)) != 0
     bad_s = __import__("relspan").FinFun(FinSetObj(2), FinSetObj(1), [0, 0])
-    good = split_epi_class_facts(base.span_class, i, bad_s, [])
+    good = split_epi_class_facts(base, i, bad_s, [])
     assert good.ok  # 1-element codomain: always a section
     bad_i = __import__("relspan").FinFun(FinSetObj(2), FinSetObj(2), [0, 0])
     bad_ss = __import__("relspan").FinFun(FinSetObj(2), FinSetObj(2), [1, 1])
     with pytest.raises(NotASection):
-        split_epi_class_facts(base.span_class, bad_i, bad_ss, [])
+        split_epi_class_facts(base, bad_i, bad_ss, [])
     del s
 
 
 def test_identity_span_on_unit_member_finset():
     e = FINSET.identity(FinSetObj(1))
-    assert check_unital_instance(FINSET.span_class, e, e)
+    assert check_unital_instance(FINSET, e, e)
+
+
+# -- each instance decides its own class ----------------------------------------
+
+
+def test_finset_failure_witness_rejects_legs_of_different_apexes():
+    span = Span(rand_finfun(rng_for("apex2"), 2, 2), rand_finfun(rng_for("apex3"), 3, 2))
+    with pytest.raises(CompositionMismatch):
+        FINSET.failure_witness(span)
+    with pytest.raises(CompositionMismatch):
+        FINSET.contains(span)
+
+
+def test_equality_is_defined_once_on_the_base_category():
+    for instance in (FinSetCategory, CoalgCategory):
+        assert issubclass(instance, BaseCategory)
+        assert "equal_mor" not in vars(instance) and "equal_obj" not in vars(instance)
+    assert "equal_mor" in vars(BaseCategory) and "equal_obj" in vars(BaseCategory)

@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from relspan import coalg, finset
+from relspan import coalg, finset, jsonio
 from relspan.cli import build_parser, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -603,3 +603,43 @@ def test_linearization_bound_is_inclusive_and_covers_relcat(monkeypatch):
     monkeypatch.setattr(finset, "MAX_LINEARIZED", 4)
     code, doc = run_no_traceback(["relcat", fx("relcats.json"), "--instance", "coalg"])
     assert code == 2 and "a set of 5 elements is too large" in doc["error"]
+
+
+def _cells(encoded):
+    return encoded["rows"] * encoded["cols"]
+
+
+def test_matrix_too_large_to_encode_exits_2_at_once(tmp_path):
+    # δ of the apex of 14 -> 1 <- 14, linearized, is a 196^2 x 196 grid
+    p = tmp_path / "sets14.json"
+    p.write_text(json.dumps({
+        "f": {"kind": "finset_fun", "fun": {"dom": 14, "cod": 1, "table": [0] * 14}},
+        "cs": {"kind": "cospan", "left": "f", "right": "f"},
+    }))
+    start = time.perf_counter()
+    code, doc = run_no_traceback(["pullback", str(p), "--cospan", "cs", "--instance", "coalg"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == "a 38416 x 196 matrix is too large to encode (at most 1000000 cells)"
+
+
+def test_encoding_bound_is_inclusive(monkeypatch):
+    assert jsonio.MAX_ENCODED_CELLS == 10**6
+    argv = ["pullback", fx("cospan_coalg.json"), "--cospan", "cs"]
+    code, doc = run_json(argv)
+    assert code == 0
+    res = doc["result"]
+    largest = max(_cells(res["apex"]["delta"]), _cells(res["p_a"]), _cells(res["p_c"]))
+    monkeypatch.setattr(jsonio, "MAX_ENCODED_CELLS", largest)
+    assert run_no_traceback(argv)[0] == 0
+    monkeypatch.setattr(jsonio, "MAX_ENCODED_CELLS", largest - 1)
+    code, doc = run_no_traceback(argv)
+    assert code == 2 and "too large to encode" in doc["error"]
+
+
+def test_empty_finset_monoid_has_no_unit_and_exits_2(tmp_path):
+    p = tmp_path / "empty.json"
+    p.write_text(json.dumps({"e": {"kind": "finset_monoid", "size": 0, "table": [], "unit": 7}}))
+    code, doc = run_no_traceback(["monoid", str(p), "--name", "e"])
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == "unit element outside the carrier"
