@@ -19,7 +19,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from .errors import CodomainMismatch, CompositionMismatch, NotASection
+from .errors import BaseMismatch, CodomainMismatch, CompositionMismatch, NotASection
 
 
 # -- reports ----------------------------------------------------------------
@@ -166,6 +166,10 @@ class BaseCategory(ABC):
     def monoid_checks(self, mon) -> Report:
         """Monoid axioms beyond associativity and the unit laws (none here)."""
         return Report()
+
+    def linearize(self, maps, fld) -> list:
+        """The group-like linearizations of maps over fld (finite sets only)."""
+        raise BaseMismatch("can only linearize a finite-set relative category")
 
     def check_span(self, span: Span):
         if not self.equal_obj(self.dom(span.left), self.dom(span.right)):

@@ -11,19 +11,21 @@ names the first basis vector on which they differ.
 
 Equalizers of coalgebra maps are computed in two steps: the underlying
 subspace E is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and
-subcoalgebra equips it with δ_E = (L⊗L)∘δ∘j, L the left inverse of the
-inclusion j.  The one check (j⊗j)∘δ_E = δ∘j holds exactly when δ(E) ⊆ E⊗E;
-the theory guarantees it, so failure raises InternalSolveFailure.
-f_hat - g_hat is (T⊗1)∘δ with T = (1⊗(f-g))∘δ, and its kernel is solved as
-that of (R⊗1)∘δ, R the nonzero rows of rref(T): R has T's row space, so
-T = T_P·R with T_P the independent pivot columns of T, and T_P⊗1 is
-injective.  That system has rank(T)·n = (n - dim E)·n rows, not n·|B|·n.
-Relative pullbacks arise as the equalizer of f⊗ε and ε⊗g on A⊗C:
-CoalgCategory builds them as a RelPullback whose payload is that equalizer,
-through which every filler factors.  The cotensor product, the independent
-one-step linear equalizer on A⊗C that cross-checks it, is an unchecked
-linear subspace; once the legs are decided to be in S, subcoalgebra gives
-its induced structure.
+it inherits δ_E = (L⊗L)∘δ∘j, L the left inverse of the inclusion j.  The one
+check (j⊗j)∘δ_E = δ∘j holds exactly when δ(E) ⊆ E⊗E; the theory guarantees
+it, so failure raises InternalSolveFailure.  f_hat - g_hat is (T⊗1)∘δ with
+T = (1⊗(f-g))∘δ = T_P·R, R the nonzero rows of rref(t) for any t with T's
+row space and T_P the pivot columns of T, so T_P⊗1 is injective.  As
+(1⊗1⊗ε)∘(T⊗1)∘δ = T∘z for z = (1⊗ε)∘δ, E lies in K' = ker(R∘z), with no
+counit law assumed, and E = K'·ker((R⊗1)∘δ∘K').  This basis is canonical:
+each column is 1 at its largest nonzero coordinate, where the others are 0.
+A relative pullback's payload is the equalizer of f⊗ε and ε⊗g on A⊗C; there
+δ = (1⊗c⊗1)∘(δ_A⊗δ_C) gives z = Z_A⊗Z_C and T, rows in A⊗B⊗C order, as
+X_f⊗Z_C - Z_A⊗(c∘Y_g), for X_f = (1⊗f)∘δ_A, Y_g = (1⊗g)∘δ_C and
+Z = (1⊗ε)∘δ on each factor.  The cotensor product, the independent one-step
+linear equalizer on A⊗C that cross-checks it, is an unchecked linear
+subspace; once the legs are decided to be in S, subcoalgebra gives its
+induced structure.
 
 Tensor products of coalgebras keep their factors and build their sparse δ on
 first use, so sparse structures (group-likes in particular) stay cheap even
@@ -343,10 +345,13 @@ class CoalgEqualizer:
 def subcoalgebra(x: Coalgebra, k: Matrix) -> CoalgEqualizer:
     """The span E of the columns of k, a canonical kernel basis, with the
     comonoid structure δ_E = (L⊗L)∘δ∘k it inherits from x, its inclusion and
-    the left inverse L of k.  The factorization (k⊗k)∘δ_E = δ∘k is
-    verified."""
+    the left inverse L of k; (k⊗k)∘δ_E = δ∘k is verified."""
+    return _subcoalgebra(x, k, x.delta @ k)
+
+
+def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer:
+    """subcoalgebra(x, k) given delta_k = δ∘k."""
     lk = kernel_left_inverse(k)
-    delta_k = x.delta @ k
     delta_e = kron_apply(lk, lk, delta_k)
     if kron_apply(k, k, delta_e) != delta_k:
         raise InternalSolveFailure("δ∘j does not factor through j⊗j")
@@ -354,14 +359,21 @@ def subcoalgebra(x: Coalgebra, k: Matrix) -> CoalgEqualizer:
     return CoalgEqualizer(obj, CoalgMap(obj, x, k), lk)
 
 
-def _equalizer_system(f: CoalgMap, g: CoalgMap) -> Matrix:
-    """(R⊗1)∘δ with R the nonzero rows of rref((1⊗(f-g))∘δ): its kernel is
-    that of f_hat - g_hat (see the module docstring).  It keeps the
-    bracketing (δ⊗1)∘δ, so coassociativity is not assumed."""
-    a = f.src
-    i_a = Matrix.identity(a.field, a.dim)
-    r, pivots = kron_apply(i_a, f.mat - g.mat, a.delta).rref()
-    return kron_apply(Matrix.from_cols(a.field, len(pivots), r.columns), i_a, a.delta)
+def _equalizer_system(x: Coalgebra, t: Matrix, z: Matrix):
+    """(K', δ∘K', (R⊗1)∘δ∘K') for t, z, R and K' as in the module docstring;
+    it keeps the bracketing (δ⊗1)∘δ, so coassociativity is not assumed."""
+    r, pivots = t.rref()
+    r = Matrix.from_cols(x.field, len(pivots), r.columns)
+    k = kernel_basis_sparse(r @ z)
+    delta_k = x.delta @ k
+    return k, delta_k, kron_apply(r, Matrix.identity(x.field, x.dim), delta_k)
+
+
+def _equalizer(x: Coalgebra, t: Matrix, z: Matrix) -> CoalgEqualizer:
+    """The equalizer that t and z describe in x, on the basis K'∘N."""
+    k, delta_k, system = _equalizer_system(x, t, z)
+    n = kernel_basis_sparse(system)
+    return _subcoalgebra(x, k @ n, delta_k @ n)
 
 
 def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
@@ -370,7 +382,8 @@ def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
         raise ShapeMismatch("equalizer needs a shared domain coalgebra")
     if not _same_object(f.tgt, g.tgt):
         raise ShapeMismatch("equalizer needs a shared codomain coalgebra")
-    return subcoalgebra(f.src, kernel_basis_sparse(_equalizer_system(f, g)))
+    x, i_x = f.src, Matrix.identity(f.src.field, f.src.dim)
+    return _equalizer(x, kron_apply(i_x, f.mat - g.mat, x.delta), kron_apply(i_x, x.epsilon, x.delta))
 
 
 def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
@@ -398,13 +411,15 @@ def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> Re
     Unchecked: on legs outside S the equalizer is not the relative pullback;
     relpull.relative_pullback decides the legs before calling this."""
     _check_cospan(f, g)
-    a, c = f.src, g.src
-    fld = a.field
-    x = tensor_coalgebra(a, c)
-    eq = coalg_equalizer(CoalgMap(x, f.tgt, kron(f.mat, c.epsilon)), CoalgMap(x, g.tgt, kron(a.epsilon, g.mat)))
+    a, c, fld = f.src, g.src, f.mat.field
+    i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
+    z_a, z_c = kron_apply(i_a, a.epsilon, a.delta), kron_apply(i_c, c.epsilon, c.delta)
+    y_g = swap_map(fld, c.dim, f.tgt.dim) @ kron_apply(i_c, g.mat, c.delta)
+    t = kron(kron_apply(i_a, f.mat, a.delta), z_c) - kron(z_a, y_g)
+    eq = _equalizer(tensor_coalgebra(a, c), t, kron(z_a, z_c))
     apex, j = eq.object, eq.j.mat
-    p_a = CoalgMap(apex, a, kron_apply(Matrix.identity(fld, a.dim), c.epsilon, j))
-    p_c = CoalgMap(apex, c, kron_apply(a.epsilon, Matrix.identity(fld, c.dim), j))
+    p_a = CoalgMap(apex, a, kron_apply(i_a, c.epsilon, j))
+    p_c = CoalgMap(apex, c, kron_apply(a.epsilon, i_c, j))
     if f.mat @ p_a.mat != g.mat @ p_c.mat:
         raise InternalSolveFailure("pullback square does not commute")
     # joint-mono certificate at the comonoid level: j is injective (L·j = I was

@@ -122,6 +122,9 @@ class FinSetCategory(BaseCategory):
     def factor(self, pb, a, c):
         return universal_factor(pb, a, c)
 
+    def linearize(self, maps, fld):
+        return linearize_funs(maps, fld)
+
 
 FINSET = FinSetCategory()
 

@@ -299,10 +299,8 @@ def linearize_relcat(rc: RelativeCategory, fld) -> RelativeCategory:
     """Transport a finite-set relative category along the group-like
     linearization; the coalgebra pullback apex is identified with the
     linearized pair set (verified, not assumed)."""
-    if not isinstance(rc.base, _finset.FinSetCategory):
-        raise BaseMismatch("can only linearize a finite-set relative category")
+    s, t, i = rc.base.linearize((rc.s, rc.t, rc.i), fld)
     base = _coalg.CoalgCategory(fld)
-    s, t, i = _finset.linearize_funs((rc.s, rc.t, rc.i), fld)
     b, a = s.tgt, s.src
     pb = relative_pullback(base, s, t)
     pairs = rc.pb.payload

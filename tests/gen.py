@@ -22,6 +22,7 @@ from relspan import (
     grouplike,
     primitive_block,
 )
+from relspan.linalg import kron, solve
 
 FIELDS = (QQ, GF(5))
 
@@ -35,6 +36,13 @@ def rand_matrix(rng, field, rows, cols, lo=-3, hi=3):
         field, [[rand_scalar(rng, field, lo, hi) for _ in range(cols)] for _ in range(rows)],
         rows, cols,
     )
+
+
+def rand_sparse_matrix(rng, field, rows, cols, density):
+    """Each entry nonzero with probability density, drawn from ±1..±6."""
+    return Matrix(field, [[field.of(rng.choice((-1, 1)) * rng.randint(1, 6))
+                           if rng.random() < density else field.zero
+                           for _ in range(cols)] for _ in range(rows)], rows, cols)
 
 
 def rand_q_matrix(rng, rows, cols, density=0.7):
@@ -176,6 +184,35 @@ def rand_block_map(rng, field, src_blocks, tgt_blocks) -> CoalgMap:
 
 def rand_cocommutative(rng, field, max_blocks=3):
     return block_coalgebra(field, rand_blocks(rng, max_blocks))
+
+
+def rand_raw_coalgebra(rng, field, n) -> Coalgebra:
+    """A sparse random δ and ε: in general neither coassociative nor counital,
+    and sparse enough that equalizers on it are often nonzero."""
+    return Coalgebra(n, field, delta=rand_sparse_matrix(rng, field, n * n, n, 0.25),
+                     epsilon=rand_sparse_matrix(rng, field, 1, n, 0.6))
+
+
+def random_basis(rng, field, n) -> Matrix:
+    """A random invertible n x n matrix."""
+    while True:
+        pm = rand_matrix(rng, field, n, n)
+        if pm.rank() == n:
+            return pm
+
+
+def rebased(c: Coalgebra, pm: Matrix) -> Coalgebra:
+    """c in the basis of the columns of pm: δ' = (P⁻¹⊗P⁻¹)∘δ∘P, ε' = ε∘P."""
+    pinv = solve(pm, Matrix.identity(c.field, c.dim))
+    return Coalgebra(c.dim, c.field, delta=kron(pinv, pinv) @ c.delta @ pm,
+                     epsilon=c.epsilon @ pm)
+
+
+def rebased_map(f: CoalgMap, p_src: Matrix, p_tgt: Matrix) -> CoalgMap:
+    """f between the copies of its ends rebased by p_src and p_tgt:
+    P_tgt⁻¹∘f∘P_src."""
+    pinv = solve(p_tgt, Matrix.identity(f.tgt.field, f.tgt.dim))
+    return CoalgMap(rebased(f.src, p_src), rebased(f.tgt, p_tgt), pinv @ f.mat @ p_src)
 
 
 def mutate_one_entry(rng, field, mat: Matrix) -> Matrix:

@@ -529,7 +529,7 @@ def _counting(monkeypatch, name):
 
 
 def test_pullback_compare_cotensor_decides_class_S_three_times(monkeypatch):
-    subs = _counting(monkeypatch, "subcoalgebra")
+    subs = _counting(monkeypatch, "_subcoalgebra")
     calls = _counting(monkeypatch, "class_S_witness")
     code, _ = run(["pullback", fx("cospan_coalg.json"), "--cospan", "cs", "--compare-cotensor"])
     assert code == 0
@@ -538,7 +538,7 @@ def test_pullback_compare_cotensor_decides_class_S_three_times(monkeypatch):
 
 
 def test_cotensor_command_decides_the_legs_once(monkeypatch):
-    subs = _counting(monkeypatch, "subcoalgebra")
+    subs = _counting(monkeypatch, "_subcoalgebra")
     decisions = _counting(monkeypatch, "class_S_witness")
     code, doc = run_json(["cotensor", fx("cospan_coalg.json"), "--cospan", "cs"])
     assert code == 0 and any(c["name"].startswith("induced structure") for c in doc["checks"])

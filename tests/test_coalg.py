@@ -11,6 +11,10 @@ from gen import (
     rand_finfun,
     rand_matrix,
     rand_q_matrix,
+    rand_raw_coalgebra,
+    rand_sparse_matrix,
+    random_basis,
+    rebased,
     rng_for,
 )
 from relspan import (
@@ -43,6 +47,7 @@ from relspan import (
     trivial,
     universal_factor,
 )
+from relspan import coalg
 from relspan.coalg import (
     _equalizer_system,
     cid,
@@ -59,7 +64,7 @@ from relspan.errors import (
     SpanNotInClass,
     SquareDoesNotCommute,
 )
-from relspan.linalg import is_injective, kernel_basis_sparse, kron, solve
+from relspan.linalg import is_injective, kernel_basis_sparse, kron, kron_apply, solve, swap_map
 
 
 # -- axiom checks -----------------------------------------------------------------
@@ -278,36 +283,32 @@ def _hat_difference_oracle(f, g):
     return kron(kron(i_n, f.mat - g.mat), i_n) @ kron(delta, i_n) @ delta
 
 
-def _random_basis(rng, field, n):
-    while True:
-        pm = rand_matrix(rng, field, n, n)
-        if pm.rank() == n:
-            return pm
-
-
-def _rebased(c, pm):
-    """c in the basis of the columns of pm: δ' = (P⁻¹⊗P⁻¹)∘δ∘P, ε' = ε∘P."""
-    pinv = solve(pm, Matrix.identity(c.field, c.dim))
-    return Coalgebra(c.dim, c.field, delta=kron(pinv, pinv) @ c.delta @ pm,
-                     epsilon=c.epsilon @ pm)
+def _t_and_z(f, g):
+    """T = (1⊗(F-G))∘δ and Z = (1⊗ε)∘δ on the domain of f and g."""
+    a = f.src
+    i_n = Matrix.identity(a.field, a.dim)
+    return kron(i_n, f.mat - g.mat) @ a.delta, kron(i_n, a.epsilon) @ a.delta
 
 
 def _assert_hat_difference_matches_oracle(f, g):
-    """The equalizer system S = (R⊗1)∘δ, R the nonzero rows of rref(T) for
-    T = (1⊗(F-G))∘δ, gives back the exact f_hat - g_hat as (T_P⊗1)∘S with
-    T_P the pivot columns of T.  T_P⊗1 is injective, so this pins S, not
-    only its kernel.  Returns (T_P⊗1)∘S."""
+    """The restricted system S' = (R⊗1)∘δ∘K', R the nonzero rows of rref(T)
+    for T = (1⊗(F-G))∘δ and K' = ker(R∘Z), gives back the exact
+    (f_hat - g_hat)∘K' as (T_P⊗1)∘S' with T_P the pivot columns of T.
+    T_P⊗1 is injective, so this pins S', not only its kernel.  K' is pinned
+    as the canonical basis of ker(T∘Z).  Returns ((T_P⊗1)∘S', K')."""
     fld, n = f.mat.field, f.src.dim
     i_n = Matrix.identity(fld, n)
-    system = _equalizer_system(f, g)
-    t = kron(i_n, f.mat - g.mat) @ f.src.delta
+    t, z = _t_and_z(f, g)
+    k, delta_k, system = _equalizer_system(f.src, t, z)
+    assert k == kernel_basis_sparse(t @ z)
+    assert delta_k == f.src.delta @ k
     _, pivots = t.rref()
     t_p = Matrix.from_cols(fld, t.rows, [t.columns[p] for p in pivots])
     assert is_injective(t_p)
-    assert (system.rows, system.cols) == (len(pivots) * n, n)
+    assert (system.rows, system.cols) == (len(pivots) * n, k.cols)
     hat = kron(t_p, i_n) @ system
-    assert hat == _hat_difference_oracle(f, g)
-    return hat
+    assert hat == _hat_difference_oracle(f, g) @ k
+    return hat, k
 
 
 def test_hat_difference_dense_basis_matches_oracle():
@@ -315,8 +316,8 @@ def test_hat_difference_dense_basis_matches_oracle():
     for field in FIELDS:
         for _ in range(4):
             n, nb = rng.randint(1, 4), rng.randint(1, 3)
-            a = _rebased(grouplike(field, n), _random_basis(rng, field, n))
-            b = _rebased(grouplike(field, nb), _random_basis(rng, field, nb))
+            a = rebased(grouplike(field, n), random_basis(rng, field, n))
+            b = rebased(grouplike(field, nb), random_basis(rng, field, nb))
             assert check_coalgebra(a).ok
             f = CoalgMap(a, b, rand_matrix(rng, field, nb, n))
             g = CoalgMap(a, b, rand_matrix(rng, field, nb, n))
@@ -339,25 +340,26 @@ def test_hat_difference_pins_left_bracketing_on_a_non_coassociative_delta():
             b = grouplike(field, nb)
             f = CoalgMap(a, b, rand_matrix(rng, field, nb, n))
             g = CoalgMap(a, b, rand_matrix(rng, field, nb, n))
-            hat = _assert_hat_difference_matches_oracle(f, g)
+            hat, k = _assert_hat_difference_matches_oracle(f, g)
             i_n = Matrix.identity(field, n)
             right = kron(kron(i_n, f.mat - g.mat), i_n) @ kron(i_n, delta) @ delta
-            told = told or hat != right
+            told = told or hat != right @ k
         assert told, "no sample told (δ⊗1)∘δ from (1⊗δ)∘δ"
 
 
 def test_hat_difference_of_equal_maps_and_of_dimension_zero():
     rng = rng_for("hat-edge")
     for field in FIELDS:
-        a = _rebased(grouplike(field, 3), _random_basis(rng, field, 3))
+        a = rebased(grouplike(field, 3), random_basis(rng, field, 3))
         f = CoalgMap(a, grouplike(field, 2), rand_matrix(rng, field, 2, 3))
-        assert _assert_hat_difference_matches_oracle(f, f).columns == [{}, {}, {}]
-        assert _equalizer_system(f, f).rows == 0
+        hat, k = _assert_hat_difference_matches_oracle(f, f)
+        assert hat.columns == [{}, {}, {}] and k == Matrix.identity(field, 3)
+        assert _equalizer_system(a, *_t_and_z(f, f))[2].rows == 0
         zero = Coalgebra(0, field, delta=Matrix(field, [], 0, 0),
                          epsilon=Matrix(field, [[]], 1, 0))
-        assert _equalizer_system(cid(zero), cid(zero)).cols == 0
+        assert _equalizer_system(zero, *_t_and_z(cid(zero), cid(zero)))[2].cols == 0
         into_zero = CoalgMap(a, zero, Matrix(field, [], 0, 3))
-        assert _assert_hat_difference_matches_oracle(into_zero, into_zero).columns == [{}, {}, {}]
+        assert _assert_hat_difference_matches_oracle(into_zero, into_zero)[0].columns == [{}, {}, {}]
 
 
 def test_equalizer_inclusion_is_the_kernel_of_the_unreduced_oracle():
@@ -379,8 +381,8 @@ def test_equalizer_inclusion_is_the_kernel_of_the_unreduced_oracle():
             b = grouplike(field, nb)
             f0, g0 = rand_finfun(rng, k, nb), rand_finfun(rng, k, nb)
             g0 = FinFun(f0.dom, f0.cod, (f0.table[0],) + tuple(g0.table[1:]))
-            pm = _random_basis(rng, field, a0.dim)
-            a = _rebased(a0, pm)
+            pm = random_basis(rng, field, a0.dim)
+            a = rebased(a0, pm)
             told = told or not check_coalgebra(a).ok
             f = CoalgMap(a, b, rand_matrix(rng, field, nb, m).hstack(linearize_fun(f0, field).mat) @ pm)
             g = CoalgMap(a, b, rand_matrix(rng, field, nb, m).hstack(linearize_fun(g0, field).mat) @ pm)
@@ -388,6 +390,104 @@ def test_equalizer_inclusion_is_the_kernel_of_the_unreduced_oracle():
             assert eq.j.mat.cols >= 1
             assert eq.j.mat == kernel_basis_sparse(_hat_difference_oracle(f, g))
         assert told, "every δ drawn was coassociative"
+
+
+RESTRICTION_FIELDS = (QQ, GF(2), GF(3), GF(5), GF(7))
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the message of the InternalSolveFailure it raises."""
+    try:
+        return fn(*args)
+    except InternalSolveFailure as e:
+        return str(e)
+
+
+def _restriction_facts(x, t, z, e):
+    """Assert that the solve on t and z in x gives e, the canonical basis of
+    E, as K'∘N; return whether dim K' > dim E and whether E ⊄ ker T, for T
+    with the row space of t."""
+    k, _, system = _equalizer_system(x, t, z)
+    assert k @ kernel_basis_sparse(system) == e
+    return k.cols > e.cols, any((t @ e).columns)
+
+
+def test_equalizer_matches_the_oracle_where_the_restriction_matters():
+    """On sparse random δ, neither counital nor coassociative, coalg_equalizer
+    gives what subcoalgebra gives on the kernel of the exact f_hat - g_hat
+    (the structure, or the same failure).  Some samples must have K' larger
+    than E and some E outside ker T, or neither the restriction to K' nor z
+    is tested."""
+    rng = rng_for("eq-restricted")
+    seen = [False, False]
+    for field in RESTRICTION_FIELDS:
+        for _ in range(30):
+            n, nb = rng.randint(2, 4), rng.randint(1, 2)
+            a, b = rand_raw_coalgebra(rng, field, n), rand_raw_coalgebra(rng, field, nb)
+            fm = rand_sparse_matrix(rng, field, nb, n, 0.5)
+            f = CoalgMap(a, b, fm)
+            g = CoalgMap(a, b, fm + rand_sparse_matrix(rng, field, nb, n, 0.3))
+            e = kernel_basis_sparse(_hat_difference_oracle(f, g))
+            assert _outcome(coalg_equalizer, f, g) == _outcome(subcoalgebra, a, e)
+            seen = [s or x for s, x in zip(seen, _restriction_facts(a, *_t_and_z(f, g), e))]
+    assert seen == [True, True]
+
+
+def _legs_on_tensor(f, g):
+    """f⊗ε and ε⊗g on A⊗C."""
+    a, c = f.src, g.src
+    x = tensor_coalgebra(a, c)
+    return CoalgMap(x, f.tgt, kron(f.mat, c.epsilon)), CoalgMap(x, g.tgt, kron(a.epsilon, g.mat))
+
+
+def test_pullback_matches_the_oracle_where_the_restriction_matters():
+    """The pullback of non-counital, non-coassociative data has the equalizer
+    of f⊗ε and ε⊗g that subcoalgebra gives on the oracle kernel, or fails as
+    it fails, or, when that square does not commute, says so."""
+    rng = rng_for("pb-restricted")
+    seen = [False, False]
+    for field in RESTRICTION_FIELDS:
+        base = CoalgCategory(field)
+        for _ in range(16):
+            na, nc, nb = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
+            a, c, b = (rand_raw_coalgebra(rng, field, d) for d in (na, nc, nb))
+            f = CoalgMap(a, b, rand_sparse_matrix(rng, field, nb, na, 0.5))
+            g = CoalgMap(c, b, rand_sparse_matrix(rng, field, nb, nc, 0.5))
+            fe, eg = _legs_on_tensor(f, g)
+            e = kernel_basis_sparse(_hat_difference_oracle(fe, eg))
+            want = _outcome(subcoalgebra, fe.src, e)
+            if not isinstance(want, str) and fe.mat @ e != eg.mat @ e:
+                want = "pullback square does not commute"
+            got = _outcome(relative_pullback_coalg, base, f, g)
+            assert (got if isinstance(got, str) else got.payload) == want
+            seen = [s or x for s, x in zip(seen, _restriction_facts(fe.src, *_t_and_z(fe, eg), e))]
+    assert seen == [True, True]
+
+
+def test_pullback_builds_t_and_z_from_the_factors(monkeypatch):
+    """The t and z that the pullback hands the solve, built from the factors,
+    are T = (1⊗(f⊗ε - ε⊗g))∘δ_{A⊗C} with its rows in A⊗B⊗C order (so
+    rref(t) = rref(T)) and (1⊗ε)∘δ_{A⊗C}, on random A and C that are neither
+    counital nor coassociative."""
+    systems = []
+    solve_in = coalg._equalizer
+    monkeypatch.setattr(coalg, "_equalizer", lambda *a: systems.append(a) or solve_in(*a))
+    rng = rng_for("pb-factors")
+    for field in RESTRICTION_FIELDS:
+        for _ in range(6):
+            na, nc, nb = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 3)
+            a, c, b = (rand_raw_coalgebra(rng, field, d) for d in (na, nc, nb))
+            f = CoalgMap(a, b, rand_sparse_matrix(rng, field, nb, na, 0.6))
+            g = CoalgMap(c, b, rand_sparse_matrix(rng, field, nb, nc, 0.6))
+            _outcome(relative_pullback_coalg, CoalgCategory(field), f, g)
+            x, t, z = systems.pop()
+            fe, eg = _legs_on_tensor(f, g)
+            i_x = Matrix.identity(field, x.dim)
+            big_t = kron_apply(i_x, fe.mat - eg.mat, x.delta)
+            assert t == kron(Matrix.identity(field, na), swap_map(field, nc, nb)) @ big_t
+            assert t.rref() == big_t.rref()
+            assert z == kron_apply(i_x, x.epsilon, x.delta)
+            assert not systems
 
 
 # -- relative pullbacks -------------------------------------------------------------

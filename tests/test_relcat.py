@@ -22,6 +22,7 @@ from relspan import (
 )
 from relspan.coalg import cid
 from relspan.errors import BaseMismatch, LegsNotInClass, NotACategory
+from relspan.finset import linearize_funs
 from relspan.relcat import (
     RelativeCategory,
     composition_table,
@@ -167,6 +168,19 @@ def test_linearized_fixtures_pass():
             rcq = linearize_relcat(rc, field)
             rep = check_relative_category(rcq)
             assert rep.ok, (name, field.tag, [c.name for c in rep.failures()])
+
+
+def test_only_the_finite_set_instance_linearizes():
+    """Each base category answers linearize itself: finite sets give the
+    group-like linearizations, the coalgebra instance refuses, so a
+    linearized relative category is not linearized again."""
+    rc = from_small_category(fixture_poset01())
+    maps = (rc.s, rc.t, rc.i)
+    assert FINSET.linearize(maps, QQ) == linearize_funs(maps, QQ)
+    rcq = linearize_relcat(rc, QQ)
+    for refused in (lambda: CoalgCategory(QQ).linearize(maps, QQ), lambda: linearize_relcat(rcq, QQ)):
+        with pytest.raises(BaseMismatch, match="can only linearize a finite-set relative category"):
+            refused()
 
 
 def test_linearize_discrete_composition_is_unit_iso():
