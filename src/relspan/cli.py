@@ -182,13 +182,13 @@ def cmd_cotensor(ctx, args):
     base, (left, right) = _linearized(*_cospan(ctx, args.cospan), args.field)
     report = Report()
     ct = _coalg.cotensor(left, right)
-    extra = {"dim": ct.dim, "inclusion": matrix_to_json(ct.inclusion)}
+    extra = {"dim": ct.cols, "inclusion": matrix_to_json(ct)}
     report.add("cotensor computed", True)
     try:
         pb = relative_pullback(base, left, right)
     except LegsNotInClass:
         return report, extra
-    sub = _coalg.subcoalgebra(_coalg.tensor_coalgebra(left.src, right.src), ct.inclusion)
+    sub = _coalg.subcoalgebra(_coalg.tensor_coalgebra(left.src, right.src), ct)
     report.extend(_coalg.check_coalgebra(sub.object), "induced structure: ")
     report.extend(_coalg.compare_with_pullback(ct, pb.payload), "pullback comparison: ")
     return report, extra

@@ -449,24 +449,17 @@ def pullback_factor_coalg(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap
     return CoalgMap(k.src, pb.apex, h)
 
 
-@dataclass
-class Cotensor:
-    dim: int
-    inclusion: Matrix    # into A⊗C
-    left_inv: Matrix
-
-
-def cotensor(f: CoalgMap, g: CoalgMap) -> Cotensor:
+def cotensor(f: CoalgMap, g: CoalgMap) -> Matrix:
     """The one-step equalizer of (1⊗f⊗1)∘(δ_A⊗1) and (1⊗g⊗1)∘(1⊗δ_C) on A⊗C,
-    a linear subspace.  Unchecked: only for legs in S is it a subcoalgebra
+    a linear subspace given by its canonical basis, the columns of its
+    inclusion into A⊗C.  Unchecked: only for legs in S is it a subcoalgebra
     (see subcoalgebra) and the relative pullback (compare_cotensor_pullback)."""
     _check_cospan(f, g)
     a, c = f.src, g.src
     i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(a.field, c.dim)
-    k = kernel_basis_sparse(
+    return kernel_basis_sparse(
         kron(kron_apply(i_a, f.mat, a.delta), i_c) - kron(i_a, kron_apply(g.mat, i_c, c.delta))
     )
-    return Cotensor(k.cols, k, kernel_left_inverse(k))
 
 
 def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
@@ -479,25 +472,26 @@ def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
     return compare_with_pullback(cotensor(f, g), relative_pullback_coalg(base, f, g).payload)
 
 
-def compare_with_pullback(ct: Cotensor, eq: CoalgEqualizer) -> Report:
-    """compare_cotensor_pullback for a cotensor and the payload of a relative
-    pullback already computed from one cospan whose legs are in class S."""
+def compare_with_pullback(ct: Matrix, eq: CoalgEqualizer) -> Report:
+    """compare_cotensor_pullback for a cotensor basis and the payload of a
+    relative pullback already computed from one cospan whose legs are in
+    class S."""
     dim = eq.object.dim
     rep = Report()
-    rep.add("dimensions agree", dim == ct.dim, f"{dim} vs {ct.dim}")
-    u = eq.left_inv @ ct.inclusion
+    rep.add("dimensions agree", dim == ct.cols, f"{dim} vs {ct.cols}")
+    u = eq.left_inv @ ct
     rep.add(
         "cotensor factors through the pullback",
-        eq.j.mat @ u == ct.inclusion,
+        eq.j.mat @ u == ct,
         "inclusion escapes the pullback subobject",
     )
-    v = ct.left_inv @ eq.j.mat
+    v = kernel_left_inverse(ct) @ eq.j.mat
     rep.add(
         "pullback factors through the cotensor",
-        ct.inclusion @ v == eq.j.mat,
+        ct @ v == eq.j.mat,
         "inclusion escapes the cotensor subobject",
     )
     fld = eq.object.field
     rep.add("u∘v is the identity", u @ v == Matrix.identity(fld, dim), "u∘v != id")
-    rep.add("v∘u is the identity", v @ u == Matrix.identity(fld, ct.dim), "v∘u != id")
+    rep.add("v∘u is the identity", v @ u == Matrix.identity(fld, ct.cols), "v∘u != id")
     return rep

@@ -25,10 +25,6 @@ class SquareDoesNotCommute(RelspanError):
     pass
 
 
-class SquaresDoNotCommute(RelspanError):
-    pass
-
-
 class SpanNotInClass(RelspanError):
     pass
 
@@ -54,10 +50,6 @@ class CompatibilityFails(RelspanError):
 
 
 class NotMonoidMorphisms(RelspanError):
-    pass
-
-
-class WrongShape(RelspanError):
     pass
 
 

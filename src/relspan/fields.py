@@ -2,8 +2,9 @@
 
 Scalars are plain values.  A rational is an int while it is integral and a
 normalized fractions.Fraction otherwise, never a bool; an F_p element is an
-int residue in [0, p).  A field object owns construction, normalization,
-inversion and string formatting.  No floating point anywhere.
+int residue in [0, p), so str gives the text form of either.  A field object
+owns construction, normalization, inversion and parsing.  No floating point
+anywhere.
 """
 
 from __future__ import annotations
@@ -93,9 +94,6 @@ class RationalField:
         except ZeroDivisionError as exc:
             raise _parse_error(s, exc) from exc
 
-    def fmt(self, x) -> str:
-        return str(x)
-
     def __eq__(self, other):
         return isinstance(other, RationalField)
 
@@ -149,9 +147,6 @@ class PrimeField:
             except ZeroDivisionError as exc:
                 raise _parse_error(s, exc) from exc
         return int(s) % self.p
-
-    def fmt(self, x) -> str:
-        return str(x)
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p

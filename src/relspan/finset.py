@@ -134,9 +134,10 @@ def pullback(f: FinFun, g: FinFun) -> RelPullback:
     which are its payload."""
     if f.cod != g.cod:
         raise CodomainMismatch("pullback needs a common codomain")
-    pairs = tuple(
-        (a, c) for a in range(f.dom.size) for c in range(g.dom.size) if f.table[a] == g.table[c]
-    )
+    fibers = {}
+    for c, y in enumerate(g.table):
+        fibers.setdefault(y, []).append(c)
+    pairs = tuple((a, c) for a, y in enumerate(f.table) for c in fibers.get(y, ()))
     p = FinSetObj(len(pairs))
     p_a = FinFun(p, f.dom, tuple(a for a, _ in pairs))
     p_c = FinFun(p, g.dom, tuple(c for _, c in pairs))

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from typing import NamedTuple
 
 from . import coalg as _coalg
@@ -95,12 +96,11 @@ def matrix_to_json(m: Matrix):
     if m.rows * m.cols > MAX_ENCODED_CELLS:
         raise RelspanError(f"a {m.rows} x {m.cols} matrix is too large to encode"
                            f" (at most {MAX_ENCODED_CELLS} cells)")
-    fld = m.field
     return {
-        "field": field_to_json(fld),
+        "field": field_to_json(m.field),
         "rows": m.rows,
         "cols": m.cols,
-        "entries": [[fld.fmt(x) for x in row] for row in m.data],
+        "entries": [[str(x) for x in row] for row in m.data],
     }
 
 
@@ -113,6 +113,8 @@ def matrix_from_json(obj, rows: int, cols: int) -> Matrix:
         if header != (rows, cols):
             raise ParseError(f"matrix is {header[0]} x {header[1]}, expected {rows} x {cols}")
         entries = obj["entries"]
+        if not isinstance(entries, list) or not all(isinstance(r, list) for r in entries):
+            raise ParseError("matrix entries must be a JSON array of JSON arrays")
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ParseError("matrix entry grid does not match rows x cols")
         data = [[fld.parse(_text(x)) for x in row] for row in entries]
@@ -194,12 +196,14 @@ def _relative_category(obj, ref) -> _relcat.RelativeCategory:
     s = _finset.FinFun(a, b, _ints(obj["s"]))
     t = _finset.FinFun(a, b, _ints(obj["t"]))
     i = _finset.FinFun(b, a, _ints(obj["i"]))
-    pb = relative_pullback(_finset.FINSET, s, t)
     d_table = _ints(obj["d"])
-    if len(d_table) != pb.apex.size:
-        raise ParseError(
-            f"d table has {len(d_table)} entries but the pullback has {pb.apex.size} pairs"
-        )
+    # the pullback of (s, t) has Σ_b |s⁻¹(b)|·|t⁻¹(b)| pairs: count them from
+    # the fibers, so a d of the wrong length is refused before they are built
+    targets = Counter(t.table)
+    pairs = sum(n * targets[x] for x, n in Counter(s.table).items())
+    if len(d_table) != pairs:
+        raise ParseError(f"d table has {len(d_table)} entries but the pullback has {pairs} pairs")
+    pb = relative_pullback(_finset.FINSET, s, t)
     d = _finset.FinFun(pb.apex, a, d_table)
     return _relcat.RelativeCategory(_finset.FINSET, b, a, s, t, i, d, pb)
 

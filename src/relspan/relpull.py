@@ -20,9 +20,9 @@ from .errors import (
     LegsNotInClass,
     MissingPullback,
     NotMonoidMorphisms,
+    ShapeMismatch,
     SpanNotInClass,
-    SquaresDoNotCommute,
-    WrongShape,
+    SquareDoesNotCommute,
 )
 from .monoids import MonoidMorphism, MonoidObj, check_monoid_morphism
 
@@ -49,9 +49,9 @@ def box(source: RelPullback, target: RelPullback, a, c, b):
     b∘f = f'∘a and b∘g = g'∘c."""
     base = source.base
     if not base.equal_mor(base.compose(b, source.f), base.compose(target.f, a)):
-        raise SquaresDoNotCommute("b∘f != f'∘a")
+        raise SquareDoesNotCommute("b∘f != f'∘a")
     if not base.equal_mor(base.compose(b, source.g), base.compose(target.g, c)):
-        raise SquaresDoNotCommute("b∘g != g'∘c")
+        raise SquareDoesNotCommute("b∘g != g'∘c")
     return universal_factor(target, base.compose(a, source.p_a), base.compose(c, source.p_c))
 
 
@@ -65,20 +65,20 @@ def unit_isos(pb: RelPullback, side: str):
     base = pb.base
     if side == "right":
         if not base.equal_mor(pb.g, base.identity(base.cod(pb.f))):
-            raise WrongShape("right unit iso needs the right leg to be the identity")
+            raise ShapeMismatch("right unit iso needs the right leg to be the identity")
         proj = pb.p_a
         inv = universal_factor(pb, base.identity(base.dom(pb.f)), pb.f)
     elif side == "left":
         if not base.equal_mor(pb.f, base.identity(base.cod(pb.g))):
-            raise WrongShape("left unit iso needs the left leg to be the identity")
+            raise ShapeMismatch("left unit iso needs the left leg to be the identity")
         proj = pb.p_c
         inv = universal_factor(pb, pb.g, base.identity(base.dom(pb.g)))
     else:
         raise ValueError("side must be 'left' or 'right'")
     if not base.equal_mor(base.compose(proj, inv), base.identity(base.cod(proj))):
-        raise WrongShape("projection inverse failed on one side")
+        raise ShapeMismatch("projection inverse failed on one side")
     if not base.equal_mor(base.compose(inv, proj), base.identity(pb.apex)):
-        raise WrongShape("projection inverse failed on the other side")
+        raise ShapeMismatch("projection inverse failed on the other side")
     return proj, inv
 
 
@@ -221,20 +221,4 @@ def check_reflection_instance(pb: RelPullback, k, l, side: str = "left") -> Repo
         (not (hyp1 and hyp2)) or concl,
         "both hypotheses hold but the conclusion span is not a member",
     )
-    return rep
-
-
-def check_pullback_invariants(pb: RelPullback) -> Report:
-    """Definition-level facts about a constructed pullback: the square
-    commutes and the projection span is a class member."""
-    base = pb.base
-    rep = Report()
-    rep.add(
-        "square commutes",
-        base.equal_mor(base.compose(pb.f, pb.p_a), base.compose(pb.g, pb.p_c)),
-        "f∘p_A != g∘p_C",
-    )
-    w = base.failure_witness(Span(pb.p_a, pb.p_c))
-    rep.add("projection span in class", w is None, w)
-    rep.add("joint-mono certificate", pb.jointly_monic, "projection pair does not determine fillers")
     return rep

@@ -167,8 +167,7 @@ def test_criterion_2_grouplike_oracle():
         g0 = rand_finfun(rng, nc, nb)
         f = linearize_fun(f0, field)
         g = linearize_fun(g0, field)
-        ct = cotensor(f, g)
-        ok = ok and ct.dim == pullback(f0, g0).apex.size
+        ok = ok and cotensor(f, g).cols == pullback(f0, g0).apex.size
         ok = ok and compare_cotensor_pullback(f, g).ok
     verdict(2, "group-like oracle: cotensor dim and comparison iso", ok)
 

@@ -17,6 +17,7 @@ from relspan import (
     CoalgCategory,
     CoalgMap,
     Cospan,
+    FinFun,
     FinSetCategory,
     FinSetObj,
     Matrix,
@@ -232,6 +233,27 @@ def test_split_epi_rejects_non_section():
 def test_identity_span_on_unit_member_finset():
     e = FINSET.identity(FinSetObj(1))
     assert check_unital_instance(FINSET, e, e)
+
+
+def test_instance_checks_reject_morphisms_that_do_not_compose():
+    two, three = FINSET.identity(FinSetObj(2)), FINSET.identity(FinSetObj(3))
+    span = Span(two, two)
+    with pytest.raises(CompositionMismatch, match="f2 does not postcompose"):
+        check_post_instance(FINSET, span, three, two)
+    with pytest.raises(CompositionMismatch, match="g2 does not postcompose"):
+        check_post_instance(FINSET, span, two, three)
+    with pytest.raises(CompositionMismatch, match="h does not precompose"):
+        check_pre_instance(FINSET, span, three)
+    with pytest.raises(CompositionMismatch, match="monoidal unit"):
+        check_unital_instance(FINSET, two, two)
+
+
+def test_split_epi_rejects_a_probe_out_of_another_apex():
+    one, two = FinSetObj(1), FinSetObj(2)
+    i, s = FinFun(one, two, (0,)), FinFun(two, one, (0, 0))
+    probe = (FINSET.identity(two), FINSET.identity(two))
+    with pytest.raises(CompositionMismatch, match="apex B"):
+        split_epi_class_facts(FINSET, i, s, [probe])
 
 
 # -- each instance decides its own class ----------------------------------------

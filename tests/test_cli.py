@@ -561,6 +561,37 @@ def test_matrix_entries_must_be_json_strings(tmp_path, entry):
     assert doc["error"].startswith("bad matrix: ") and "expected a string" in doc["error"]
 
 
+@pytest.mark.parametrize("dim, entries", [(2, ["10", "01"]), (1, "1"), (1, {"1": 0})])
+def test_matrix_grid_and_rows_must_be_json_arrays(tmp_path, dim, entries):
+    def mat(rows, grid):
+        return {"field": "Q", "rows": rows, "cols": dim, "entries": grid}
+
+    delta = [["1" if r == x * dim + x else "0" for x in range(dim)] for r in range(dim * dim)]
+    p = tmp_path / "grid.json"
+    p.write_text(json.dumps({
+        "k": {"kind": "coalgebra", "field": "Q", "dim": dim,
+              "delta": mat(dim * dim, delta), "epsilon": mat(1, [["1"] * dim])},
+        "id": {"kind": "coalgebra_map", "src": "k", "tgt": "k", "matrix": mat(dim, entries)},
+    }))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == "matrix entries must be a JSON array of JSON arrays"
+
+
+def test_relative_category_d_length_is_checked_before_the_pullback(tmp_path, monkeypatch):
+    def no_pullback(*args):
+        raise AssertionError("the pullback of (s, t) was built before d was checked")
+
+    monkeypatch.setattr(jsonio, "relative_pullback", no_pullback)
+    # s⁻¹(0) = {0, 1}, t⁻¹(0) = {0}, s⁻¹(1) = {2}, t⁻¹(1) = {1, 2}: 2 + 2 pairs
+    p = tmp_path / "rc.json"
+    p.write_text(json.dumps({"rc": {"kind": "relative_category", "objects": 2, "arrows": 3,
+                                    "s": [0, 0, 1], "t": [0, 1, 1], "i": [0, 2], "d": [0, 1, 2]}}))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == "d table has 3 entries but the pullback has 4 pairs"
+
+
 def test_error_document_is_one_line_under_json(tmp_path):
     code, out = run(["check", _bad_entry_fixture(tmp_path, True), "--json"])
     assert code == 2

@@ -61,6 +61,7 @@ from relspan.errors import (
     CodomainMismatch,
     InternalSolveFailure,
     LegsNotInClass,
+    ShapeMismatch,
     SpanNotInClass,
     SquareDoesNotCommute,
 )
@@ -173,6 +174,12 @@ def test_class_s_path_identity_span_rejected_at_x():
     for field in FIELDS:
         p = path_coalgebra(field)
         assert class_S_witness(cid(p), cid(p)) == "basis 2"
+
+
+def test_class_s_witness_rejects_legs_out_of_different_apexes():
+    for field in FIELDS:
+        with pytest.raises(ShapeMismatch, match="share their apex"):
+            class_S_witness(cid(grouplike(field, 2)), cid(grouplike(field, 3)))
 
 
 # -- comonoid equalizers -----------------------------------------------------------
@@ -604,6 +611,29 @@ def test_category_equalizer_capability():
     assert eq.object.dim == 2
 
 
+def test_equalizer_factor_rejects_a_foreign_or_non_equalizing_map():
+    two = FinSetObj(2)
+    for field in FIELDS:
+        f = linearize_fun(FINSET.identity(two), field)
+        g = CoalgMap(f.src, f.tgt, linearize_fun(FinFun(two, two, (0, 0)), field).mat)
+        eq = coalg_equalizer(f, g)  # spanned by e_0
+        with pytest.raises(ShapeMismatch, match="ambient"):
+            equalizer_factor(eq, cid(grouplike(field, 3)))
+        e_1 = CoalgMap(trivial(field), f.src, Matrix.from_cols(field, 2, [{1: field.one}]))
+        with pytest.raises(SquareDoesNotCommute, match="does not factor"):
+            equalizer_factor(eq, e_1)
+
+
+def test_invert_returns_none_unless_the_map_is_bijective():
+    two = FinSetObj(2)
+    for field in FIELDS:
+        base = CoalgCategory(field)
+        assert base.invert(linearize_fun(FinFun(FinSetObj(3), two, (0, 1, 1)), field)) is None
+        assert base.invert(linearize_fun(FinFun(two, two, (0, 0)), field)) is None
+        swap = linearize_fun(FinFun(two, two, (1, 0)), field)
+        assert base.invert(swap).mat == swap.mat
+
+
 def test_pullback_factor_identity_and_point():
     rng = rng_for("pb-factor")
     for field in FIELDS:
@@ -669,8 +699,7 @@ def test_cotensor_over_trivial_base_is_everything():
         c = primitive_block(field)
         t = trivial(field)
         ct = cotensor(CoalgMap(a, t, a.epsilon), CoalgMap(c, t, c.epsilon))
-        assert ct.dim == 4
-        assert ct.inclusion == Matrix.identity(field, 4)
+        assert ct == Matrix.identity(field, 4)
 
 
 def test_cotensor_grouplike_dim_matches_pullback_count():
@@ -680,7 +709,7 @@ def test_cotensor_grouplike_dim_matches_pullback_count():
             f0 = rand_finfun(rng, rng.randint(1, 4), rng.randint(1, 3))
             g0 = rand_finfun(rng, rng.randint(1, 4), f0.cod.size)
             ct = cotensor(linearize_fun(f0, field), linearize_fun(g0, field))
-            assert ct.dim == pullback(f0, g0).apex.size
+            assert ct.cols == pullback(f0, g0).apex.size
 
 
 def test_cotensor_pullback_comparison_iso():
@@ -700,7 +729,7 @@ def test_cotensor_carries_structure_when_legs_in_s():
     a = primitive_block(field)
     t = trivial(field)
     f = CoalgMap(a, t, a.epsilon)
-    sub = subcoalgebra(tensor_coalgebra(a, a), cotensor(f, f).inclusion)
+    sub = subcoalgebra(tensor_coalgebra(a, a), cotensor(f, f))
     assert check_coalgebra(sub.object).ok
     assert check_coalg_map(sub.j).ok
 

@@ -76,7 +76,6 @@ def test_q_output_is_unchanged_by_the_integral_form():
     for n in (-5, 0, 1, 12):
         assert str(QQ.of(n)) == str(Fraction(n))
         assert hash(QQ.of(n)) == hash(Fraction(n))
-        assert QQ.fmt(QQ.of(n)) == QQ.fmt(Fraction(n))
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])

@@ -1,5 +1,7 @@
 """Finite sets: pullbacks, universal factorization, monoid tables, linearization."""
 
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from relspan import (
     linearize_obj,
 )
 from relspan.finset import pullback, universal_factor
-from relspan.errors import CodomainMismatch, SquareDoesNotCommute
+from relspan.errors import CodomainMismatch, ShapeMismatch, SquareDoesNotCommute
 
 
 def ffun(dom, cod, table):
@@ -136,6 +138,25 @@ def test_universal_factor_rejects_noncommuting_square():
         universal_factor(pb, ffun(1, 2, [0]), ffun(1, 2, [1]))
 
 
+def test_universal_factor_rejects_a_span_that_does_not_fit_the_cospan():
+    f = ffun(2, 2, [0, 1])
+    pb = pullback(f, f)
+    with pytest.raises(ShapeMismatch, match="share their domain"):
+        universal_factor(pb, ffun(1, 2, [0]), ffun(2, 2, [0, 1]))
+    with pytest.raises(ShapeMismatch, match="do not match the pullback cospan"):
+        universal_factor(pb, ffun(1, 3, [0]), ffun(1, 2, [0]))
+
+
+def test_pullback_visits_only_matching_pairs():
+    # two 10^4-element maps with disjoint images: 10^8 pairs, none matching
+    n = 10**4
+    f, g = ffun(n, 2, [0] * n), ffun(n, 2, [1] * n)
+    start = time.process_time()
+    pb = pullback(f, g)
+    assert time.process_time() - start < 1.0
+    assert pb.apex.size == 0 and pb.payload == ()
+
+
 # -- monoid tables ----------------------------------------------------------------
 
 
@@ -198,7 +219,7 @@ def test_linearize_outputs_are_coalgebras_and_cocommutative():
             assert is_cocommutative(c)
 
 
-def test_linearize_functoriality():
+def test_linearize_fun_is_functorial():
     rng = rng_for("finset-fun")
     for _ in range(20):
         for field in FIELDS:

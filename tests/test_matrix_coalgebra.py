@@ -71,7 +71,7 @@ def _rebased_cospan(field, n, m, p):
 
 def _assert_cospan_oracle(field, f, g, n, m, p):
     assert check_coalg_map(f).ok and check_coalg_map(g).ok
-    assert cotensor(f, g).dim == n * n * p * p // (m * m)
+    assert cotensor(f, g).cols == n * n * p * p // (m * m)
     base = CoalgCategory(field)
     in_class = legs_in_class(base, Cospan(f, g))
     assert in_class == (m == 1)

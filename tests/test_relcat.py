@@ -31,7 +31,6 @@ from relspan.relcat import (
     fixture_one_object_group,
     fixture_poset01,
     fixture_z2,
-    linearize_functor,
     unit_span,
 )
 
@@ -109,6 +108,12 @@ def test_span_power_counts():
         if rc.s.table[brute[xy][1]] == rc.t.table[z]
     ]
     assert p3.a.size == len(brute3)
+
+
+def test_span_power_rejects_a_negative_exponent():
+    rc = from_small_category(fixture_poset01())
+    with pytest.raises(ValueError, match="negative monoidal power"):
+        span_power(SpanOverB(FINSET, rc.b, rc.a, rc.t, rc.s), -1)
 
 
 def test_span_base_mismatch():
@@ -330,5 +335,5 @@ def test_linearized_functor_passes():
     for field in FIELDS:
         srcq = linearize_relcat(src, field)
         tgtq = linearize_relcat(tgt, field)
-        funq = linearize_functor(fun, field)
+        funq = RelativeFunctor(*linearize_funs((fun.b, fun.a), field))
         assert check_relative_functor(funq, srcq, tgtq).ok

@@ -24,6 +24,7 @@ from relspan import (
     Matrix,
     MonoidMorphism,
     RelPullback,
+    Span,
     box,
     check_monoid,
     check_monoid_morphism,
@@ -39,12 +40,21 @@ from relspan import (
 )
 from relspan.coalg import CoalgEqualizer, CoalgMap, cid, relative_pullback_coalg
 from relspan.finset import pullback
-from relspan.errors import LegsNotInClass, SquaresDoNotCommute, WrongShape
-from relspan.relpull import assoc_iso, check_pullback_invariants
+from relspan.errors import LegsNotInClass, ShapeMismatch, SquareDoesNotCommute
+from relspan.relpull import assoc_iso
 
 
 def ffun(dom, cod, table):
     return FinFun(FinSetObj(dom), FinSetObj(cod), table)
+
+
+def _assert_pullback_invariants(pb):
+    """The square commutes, the projection span is a class member and the
+    projections carry the joint-mono certificate."""
+    base = pb.base
+    assert base.compose(pb.f, pb.p_a) == base.compose(pb.g, pb.p_c)
+    assert base.failure_witness(Span(pb.p_a, pb.p_c)) is None
+    assert pb.jointly_monic
 
 
 # -- construction and dispatch -------------------------------------------------
@@ -57,7 +67,7 @@ def test_dispatch_finset_equals_plain_pullback():
     pb = relative_pullback(FINSET, f, g)
     plain = pullback(f, g)
     assert pb.apex == plain.apex and pb.p_a == plain.p_a and pb.p_c == plain.p_c
-    assert check_pullback_invariants(pb).ok
+    _assert_pullback_invariants(pb)
     assert type(pb) is RelPullback and pb.base is FINSET
     assert (pb.f, pb.g) == (f, g)
     # the payload is the matching pairs in lexicographic order
@@ -82,7 +92,7 @@ def test_dispatch_coalg_equals_coalg_pullback():
         plain = relative_pullback_coalg(base, f, g0)
         assert pb.apex == plain.apex
         assert pb.p_a.mat == plain.p_a.mat and pb.p_c.mat == plain.p_c.mat
-        assert check_pullback_invariants(pb).ok
+        _assert_pullback_invariants(pb)
         assert type(pb) is RelPullback and pb.base is base
         assert (pb.f, pb.g) == (f, g0)
         # the payload is the equalizer on A⊗C, whose object is the apex
@@ -175,7 +185,7 @@ def test_box_rejects_noncommuting_squares():
     f = ffun(2, 2, [0, 1])
     pb = relative_pullback(FINSET, f, f)
     flip = ffun(2, 2, [1, 0])
-    with pytest.raises(SquaresDoNotCommute):
+    with pytest.raises(SquareDoesNotCommute):
         box(pb, pb, flip, FINSET.identity(f.dom), FINSET.identity(f.cod))
 
 
@@ -217,8 +227,17 @@ def test_unit_iso_b_box_b():
 def test_unit_iso_wrong_shape():
     f = ffun(2, 2, [0, 0])
     pb = relative_pullback(FINSET, f, f)
-    with pytest.raises(WrongShape):
+    with pytest.raises(ShapeMismatch):
         unit_isos(pb, "right")
+
+
+def test_unit_isos_and_reflection_reject_an_unknown_side():
+    i = FINSET.identity(FinSetObj(2))
+    pb = relative_pullback(FINSET, i, i)
+    with pytest.raises(ValueError, match="side must be"):
+        unit_isos(pb, "middle")
+    with pytest.raises(ValueError, match="side must be"):
+        check_reflection_instance(pb, pb.p_a, pb.p_a, side="middle")
 
 
 # -- associativity isomorphism --------------------------------------------------------
