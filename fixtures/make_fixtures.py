@@ -235,12 +235,12 @@ def main():
 
     # single-axiom violations as raw relative-category declarations
     rc = from_small_category(fixture_poset01())
-    pairs = rc.pb.payload.pairs
+    pairs = rc.pb.payload
     d = list(rc.d.table)
     d_bad_c = list(d)
     d_bad_c[pairs.index((1, 2))] = 0
     z5 = from_small_category(fixture_groupoid5())
-    z5_pairs = z5.pb.payload.pairs
+    z5_pairs = z5.pb.payload
     d_z5 = list(z5.d.table)
     d_bad_unit = list(d_z5)
     d_bad_unit[z5_pairs.index((0, 1))] = 2

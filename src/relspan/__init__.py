@@ -5,7 +5,6 @@ base categories: finite sets and finite-dimensional coalgebras."""
 from .catcore import (
     BaseCategory,
     Check,
-    Cospan,
     Report,
     Span,
     check_monoidal_instance,

@@ -19,7 +19,7 @@ import sys
 from . import coalg as _coalg
 from . import finset as _finset
 from . import relcat as _relcat
-from .catcore import Cospan, Report, legs_in_class
+from .catcore import Report, legs_in_class
 from .errors import LegsNotInClass, RelspanError
 from .jsonio import (
     ParseError,
@@ -92,7 +92,7 @@ def _check_one(name: str, decl, report: Report):
     elif decl.kind == "cospan":
         report.add(
             prefix + "legs in class",
-            legs_in_class(cospan_base(*decl.value), Cospan(*decl.value)),
+            legs_in_class(cospan_base(*decl.value), *decl.value),
             "a leg span escapes the admissible class",
         )
     else:
@@ -171,7 +171,7 @@ def cmd_pullback(ctx, args):
     report.add("legs in class", True)
     report.add(
         "square commutes",
-        base.equal_mor(base.compose(pb.f, pb.p_a), base.compose(pb.g, pb.p_c)),
+        base.compose(pb.f, pb.p_a) == base.compose(pb.g, pb.p_c),
         "f∘p_A != g∘p_C",
     )
     report.add("jointly monic projections", pb.jointly_monic, "joint kernel is nonzero")

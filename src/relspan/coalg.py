@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .catcore import BaseCategory, Cospan, RelPullback, Report, legs_in_class
+from .catcore import BaseCategory, RelPullback, Report, legs_in_class
 from .errors import (
     CodomainMismatch,
     InternalSolveFailure,
@@ -94,6 +94,7 @@ class Coalgebra:
         return self.delta.columns[j]
 
     def __eq__(self, other):
+        # identity first, so maps on one object never materialize a tensor δ
         if self is other:
             return True
         if not isinstance(other, Coalgebra):
@@ -136,11 +137,7 @@ class CoalgMap:
     def __eq__(self, other):
         if not isinstance(other, CoalgMap):
             return NotImplemented
-        return (
-            self.mat == other.mat
-            and _same_object(self.src, other.src)
-            and _same_object(self.tgt, other.tgt)
-        )
+        return self.mat == other.mat and self.src == other.src and self.tgt == other.tgt
 
     def __repr__(self):
         return f"CoalgMap({self.src.dim} -> {self.tgt.dim})"
@@ -162,11 +159,6 @@ def _tensor_delta(a: Coalgebra, b: Coalgebra) -> Matrix:
                 for b1, b2, w in bq
             })
     return Matrix.from_cols(a.field, n * n, cols)
-
-
-def _same_object(x: Coalgebra, y: Coalgebra) -> bool:
-    """Identity first, so maps on one object never materialize a tensor δ."""
-    return x is y or x == y
 
 
 def cid(c: Coalgebra) -> CoalgMap:
@@ -277,7 +269,7 @@ class CoalgCategory(BaseCategory):
         return cid(obj)
 
     def compose(self, g: CoalgMap, f: CoalgMap) -> CoalgMap:
-        if not _same_object(f.tgt, g.src):
+        if f.tgt != g.src:
             raise CodomainMismatch("compose: cod(f) != dom(g)")
         return CoalgMap(f.src, g.tgt, g.mat @ f.mat)
 
@@ -378,9 +370,9 @@ def _equalizer(x: Coalgebra, t: Matrix, z: Matrix) -> CoalgEqualizer:
 
 def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
     """Equalizer of parallel coalgebra maps, as a coalgebra with inclusion."""
-    if not _same_object(f.src, g.src):
+    if f.src != g.src:
         raise ShapeMismatch("equalizer needs a shared domain coalgebra")
-    if not _same_object(f.tgt, g.tgt):
+    if f.tgt != g.tgt:
         raise ShapeMismatch("equalizer needs a shared codomain coalgebra")
     x, i_x = f.src, Matrix.identity(f.src.field, f.src.dim)
     return _equalizer(x, kron_apply(i_x, f.mat - g.mat, x.delta), kron_apply(i_x, x.epsilon, x.delta))
@@ -389,7 +381,7 @@ def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
 def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
     """Factor an equalizing map h: D -> A uniquely through the inclusion j."""
     a = eq.j.tgt
-    if not _same_object(h.tgt, a):
+    if h.tgt != a:
         raise ShapeMismatch("map does not land in the equalizer's ambient coalgebra")
     u = eq.left_inv @ h.mat
     if eq.j.mat @ u != h.mat:
@@ -401,7 +393,7 @@ def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
 
 
 def _check_cospan(f: CoalgMap, g: CoalgMap):
-    if not _same_object(f.tgt, g.tgt):
+    if f.tgt != g.tgt:
         raise CodomainMismatch("cospan needs a common codomain")
 
 
@@ -436,7 +428,7 @@ def pullback_factor_coalg(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap
     """The unique filler h with p_A∘h = k and p_C∘h = l for a class-S span (k, l),
     factoring (k⊗l)∘δ_D through the equalizer inclusion.  Unchecked: class S is
     decided by relpull.universal_factor, which calls this."""
-    if not _same_object(k.src, l.src):
+    if k.src != l.src:
         raise ShapeMismatch("test span legs must share their domain")
     if pb.f.mat @ k.mat != pb.g.mat @ l.mat:
         raise SquareDoesNotCommute("f∘k != g∘l")
@@ -467,7 +459,7 @@ def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
     the relative pullback are the same subobject: the mutual universal
     factorizations compose to identities."""
     base = CoalgCategory(f.mat.field)
-    if not legs_in_class(base, Cospan(f, g)):
+    if not legs_in_class(base, f, g):
         raise LegsNotInClass("cotensor comparison needs legs in class S")
     return compare_with_pullback(cotensor(f, g), relative_pullback_coalg(base, f, g).payload)
 

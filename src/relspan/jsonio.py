@@ -9,7 +9,8 @@ decoder, and a reference to another declaration is checked and decoded on
 first use, so declarations may come in any order.  Sizes, indices and
 table entries must be JSON integers.  It rejects what the constructions
 cannot take, such as a cospan whose legs are not two morphisms of one base
-category.  Encoding covers fields and matrices, for the CLI's results; a
+category, or a category with more than MAX_COMPOSABLE_TRIPLES composable
+triples.  Encoding covers fields and matrices, for the CLI's results; a
 matrix of more than MAX_ENCODED_CELLS cells is refused.
 """
 
@@ -91,17 +92,16 @@ MAX_ENCODED_CELLS = 10**6
 
 
 def matrix_to_json(m: Matrix):
-    """The dense entry grid of m, refused before it is built when m has more
-    than MAX_ENCODED_CELLS cells."""
+    """The dense entry grid of m, "0" off its stored entries, refused before
+    it is built when m has more than MAX_ENCODED_CELLS cells."""
     if m.rows * m.cols > MAX_ENCODED_CELLS:
         raise RelspanError(f"a {m.rows} x {m.cols} matrix is too large to encode"
                            f" (at most {MAX_ENCODED_CELLS} cells)")
-    return {
-        "field": field_to_json(m.field),
-        "rows": m.rows,
-        "cols": m.cols,
-        "entries": [[str(x) for x in row] for row in m.data],
-    }
+    grid = [["0"] * m.cols for _ in range(m.rows)]
+    for j, col in enumerate(m.columns):
+        for i, v in col.items():
+            grid[i][j] = str(v)
+    return {"field": field_to_json(m.field), "rows": m.rows, "cols": m.cols, "entries": grid}
 
 
 def matrix_from_json(obj, rows: int, cols: int) -> Matrix:
@@ -177,14 +177,27 @@ def _finset_monoid(obj, ref):
     return carrier, _finset.FinFun(_finset.FinSetObj(size * size), carrier, table), _int(obj["unit"])
 
 
+# The most composable triples of a decoded category: its associativity checks
+# visit each one, and the coalgebra instance builds a pullback of them all.
+MAX_COMPOSABLE_TRIPLES = 250_000
+
+
+def _bound_triples(src, tgt):
+    """Refuse arrows with more than MAX_COMPOSABLE_TRIPLES triples i∘j∘k:
+    for each middle arrow j there are |src⁻¹(tgt j)|·|tgt⁻¹(src j)| of them."""
+    sources, targets = Counter(src), Counter(tgt)
+    n = sum(sources[y] * targets[x] for x, y in zip(src, tgt))
+    if n > MAX_COMPOSABLE_TRIPLES:
+        raise ParseError(f"a category with {n} composable triples is too large to check"
+                         f" (at most {MAX_COMPOSABLE_TRIPLES})")
+
+
 def _small_category(obj, ref) -> _relcat.SmallCategory:
+    n_obj, n_arr = _int(obj["objects"]), _int(obj["arrows"])
+    src, tgt = _ints(obj["src"]), _ints(obj["tgt"])
+    _bound_triples(src, tgt)
     return _relcat.SmallCategory(
-        _int(obj["objects"]),
-        _int(obj["arrows"]),
-        _ints(obj["src"]),
-        _ints(obj["tgt"]),
-        _ints(obj["id"]),
-        [_ints(row) for row in obj["comp"]],
+        n_obj, n_arr, src, tgt, _ints(obj["id"]), [_ints(row) for row in obj["comp"]]
     )
 
 
@@ -203,6 +216,7 @@ def _relative_category(obj, ref) -> _relcat.RelativeCategory:
     pairs = sum(n * targets[x] for x, n in Counter(s.table).items())
     if len(d_table) != pairs:
         raise ParseError(f"d table has {len(d_table)} entries but the pullback has {pairs} pairs")
+    _bound_triples(s.table, t.table)
     pb = relative_pullback(_finset.FINSET, s, t)
     d = _finset.FinFun(pb.apex, a, d_table)
     return _relcat.RelativeCategory(_finset.FINSET, b, a, s, t, i, d, pb)

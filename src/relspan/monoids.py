@@ -15,7 +15,6 @@ maps).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from .catcore import BaseCategory, Report
 from .errors import (
@@ -52,32 +51,26 @@ class DistLaw:
 def check_monoid(mon: MonoidObj) -> Report:
     base = mon.base
     a = mon.carrier
-    if not base.equal_obj(base.dom(mon.m), base.tensor_obj(a, a)) or not base.equal_obj(
-        base.cod(mon.m), a
-    ):
+    if base.dom(mon.m) != base.tensor_obj(a, a) or base.cod(mon.m) != a:
         raise ShapeMismatch("multiplication has the wrong shape")
-    if not base.equal_obj(base.dom(mon.u), base.unit_obj()) or not base.equal_obj(
-        base.cod(mon.u), a
-    ):
+    if base.dom(mon.u) != base.unit_obj() or base.cod(mon.u) != a:
         raise ShapeMismatch("unit has the wrong shape")
     ida = base.identity(a)
     rep = Report()
     rep.add(
         "associativity",
-        base.equal_mor(
-            base.compose(mon.m, base.tensor_mor(mon.m, ida)),
-            base.compose(mon.m, base.tensor_mor(ida, mon.m)),
-        ),
+        base.compose(mon.m, base.tensor_mor(mon.m, ida))
+        == base.compose(mon.m, base.tensor_mor(ida, mon.m)),
         "m∘(m⊗1) != m∘(1⊗m)",
     )
     rep.add(
         "left unit",
-        base.equal_mor(base.compose(mon.m, base.tensor_mor(mon.u, ida)), ida),
+        base.compose(mon.m, base.tensor_mor(mon.u, ida)) == ida,
         "m∘(u⊗1) != 1",
     )
     rep.add(
         "right unit",
-        base.equal_mor(base.compose(mon.m, base.tensor_mor(ida, mon.u)), ida),
+        base.compose(mon.m, base.tensor_mor(ida, mon.u)) == ida,
         "m∘(1⊗u) != 1",
     )
     rep.extend(base.monoid_checks(mon))
@@ -89,15 +82,12 @@ def check_monoid_morphism(mm: MonoidMorphism) -> Report:
     rep = Report()
     rep.add(
         "multiplicative",
-        base.equal_mor(
-            base.compose(mm.f, mm.src.m),
-            base.compose(mm.tgt.m, base.tensor_mor(mm.f, mm.f)),
-        ),
+        base.compose(mm.f, mm.src.m) == base.compose(mm.tgt.m, base.tensor_mor(mm.f, mm.f)),
         "f∘m != m'∘(f⊗f)",
     )
     rep.add(
         "unital",
-        base.equal_mor(base.compose(mm.f, mm.src.u), mm.tgt.u),
+        base.compose(mm.f, mm.src.u) == mm.tgt.u,
         "f∘u != u'",
     )
     return rep
@@ -112,55 +102,41 @@ def check_dist_law(dl: DistLaw) -> Report:
     rep = Report()
     rep.add(
         "x∘(m⊗1) = (1⊗m)∘(x⊗1)∘(1⊗x)",
-        base.equal_mor(
-            base.compose(x, base.tensor_mor(b.m, ida)),
-            base.compose(
-                base.tensor_mor(ida, b.m),
-                base.compose(base.tensor_mor(x, idb), base.tensor_mor(idb, x)),
-            ),
+        base.compose(x, base.tensor_mor(b.m, ida))
+        == base.compose(
+            base.tensor_mor(ida, b.m),
+            base.compose(base.tensor_mor(x, idb), base.tensor_mor(idb, x)),
         ),
         "multiplication of B not respected",
     )
     rep.add(
         "x∘(u⊗1) = 1⊗u",
-        base.equal_mor(
-            base.compose(x, base.tensor_mor(b.u, ida)), base.tensor_mor(ida, b.u)
-        ),
+        base.compose(x, base.tensor_mor(b.u, ida)) == base.tensor_mor(ida, b.u),
         "unit of B not respected",
     )
     rep.add(
         "x∘(1⊗m) = (m⊗1)∘(1⊗x)∘(x⊗1)",
-        base.equal_mor(
-            base.compose(x, base.tensor_mor(idb, a.m)),
-            base.compose(
-                base.tensor_mor(a.m, idb),
-                base.compose(base.tensor_mor(ida, x), base.tensor_mor(x, ida)),
-            ),
+        base.compose(x, base.tensor_mor(idb, a.m))
+        == base.compose(
+            base.tensor_mor(a.m, idb),
+            base.compose(base.tensor_mor(ida, x), base.tensor_mor(x, ida)),
         ),
         "multiplication of A not respected",
     )
     rep.add(
         "x∘(1⊗u) = u⊗1",
-        base.equal_mor(
-            base.compose(x, base.tensor_mor(idb, a.u)), base.tensor_mor(a.u, idb)
-        ),
+        base.compose(x, base.tensor_mor(idb, a.u)) == base.tensor_mor(a.u, idb),
         "unit of A not respected",
     )
     return rep
 
 
-class InducedQ(NamedTuple):
-    q: object
-    epi: bool
-
-
-def induced_q(f: MonoidMorphism, g: MonoidMorphism) -> InducedQ:
-    """q = m_C∘(f⊗g): A⊗B -> C; epi-ness of q certifies (f, g) joint epi."""
+def induced_q(f: MonoidMorphism, g: MonoidMorphism):
+    """q = m_C∘(f⊗g): A⊗B -> C; q is epi exactly when (f, g) is jointly epi."""
     base = f.src.base
-    if f.tgt is not g.tgt and not base.equal_obj(f.tgt.carrier, g.tgt.carrier):
+    if f.tgt is not g.tgt and f.tgt.carrier != g.tgt.carrier:
         raise CodomainMismatch("induced_q needs a common codomain monoid")
-    q = base.compose(f.tgt.m, base.tensor_mor(f.f, g.f))
-    return InducedQ(q, base.is_epi(q))
+    return base.compose(f.tgt.m, base.tensor_mor(f.f, g.f))
 
 
 def product_monoid(dl: DistLaw) -> MonoidObj:
@@ -194,9 +170,9 @@ def inclusion_b(dl: DistLaw, prod: MonoidObj) -> MonoidMorphism:
 
 
 def _require_inverse(base, q, q_inverse):
-    if not (
-        base.equal_mor(base.compose(q, q_inverse), base.identity(base.cod(q)))
-        and base.equal_mor(base.compose(q_inverse, q), base.identity(base.dom(q)))
+    if (
+        base.compose(q, q_inverse) != base.identity(base.cod(q))
+        or base.compose(q_inverse, q) != base.identity(base.dom(q))
     ):
         raise NotInverse("supplied q_inverse is not a two-sided inverse of q")
 
@@ -206,7 +182,7 @@ def factorization_dlaw(f: MonoidMorphism, g: MonoidMorphism, q_inverse=None) -> 
     distributive law x = q^{-1}∘m∘(g⊗f) making q a monoid isomorphism from
     the product monoid to C."""
     base = f.src.base
-    q = induced_q(f, g).q
+    q = induced_q(f, g)
     if q_inverse is None:
         q_inverse = base.invert(q)
         if q_inverse is None:
@@ -226,7 +202,7 @@ def morphism_from_pair(dl: DistLaw, a: MonoidMorphism, b: MonoidMorphism) -> Mon
     base = dl.a.base
     c = a.tgt
     m_ab = base.compose(c.m, base.tensor_mor(a.f, b.f))
-    if not base.equal_mor(base.compose(m_ab, dl.x), base.compose(c.m, base.tensor_mor(b.f, a.f))):
+    if base.compose(m_ab, dl.x) != base.compose(c.m, base.tensor_mor(b.f, a.f)):
         raise CompatibilityFails("m∘(a⊗b)∘x != m∘(b⊗a)")
     return MonoidMorphism(product_monoid(dl), c, m_ab)
 
@@ -248,13 +224,13 @@ def factor_through(
     """The unique c: C -> D with c∘f = a and c∘g = b, for an invertible q and a
     compatible pair (a, b): c = m∘(a⊗b)∘q^{-1}."""
     base = f.src.base
-    _require_inverse(base, induced_q(f, g).q, q_inverse)
+    _require_inverse(base, induced_q(f, g), q_inverse)
     d = a.tgt
     m_ab = base.compose(d.m, base.tensor_mor(a.f, b.f))
     compat_lhs = base.compose(
         m_ab, base.compose(q_inverse, base.compose(f.tgt.m, base.tensor_mor(g.f, f.f)))
     )
     compat_rhs = base.compose(d.m, base.tensor_mor(b.f, a.f))
-    if not base.equal_mor(compat_lhs, compat_rhs):
+    if compat_lhs != compat_rhs:
         raise CompatibilityFails("m∘(a⊗b)∘q⁻¹∘m∘(g⊗f) != m∘(b⊗a)")
     return MonoidMorphism(f.tgt, d, base.compose(m_ab, q_inverse))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import coalg as _coalg
 from . import finset as _finset
-from .catcore import BaseCategory, Cospan, Report, Span, legs_in_class
+from .catcore import BaseCategory, Report, Span, legs_in_class
 from .errors import BaseMismatch, LegsNotInClass, NotACategory, ShapeMismatch
 from .linalg import Matrix
 from .relpull import RelPullback, assoc_iso, box, relative_pullback
@@ -38,18 +38,14 @@ class SpanOverB:
 
     def __post_init__(self):
         base = self.base
-        if not base.equal_obj(base.cod(self.s), self.b) or not base.equal_obj(
-            base.cod(self.t), self.b
-        ):
+        if base.cod(self.s) != self.b or base.cod(self.t) != self.b:
             raise ShapeMismatch("span legs must land in B")
-        if not base.equal_obj(base.dom(self.s), self.a) or not base.equal_obj(
-            base.dom(self.t), self.a
-        ):
+        if base.dom(self.s) != self.a or base.dom(self.t) != self.a:
             raise ShapeMismatch("span legs must come out of A")
         id_b = base.identity(self.b)
         if not base.contains(Span(id_b, id_b)):
             raise LegsNotInClass("the identity span on B is not in the class")
-        if not legs_in_class(base, Cospan(self.s, self.t)):
+        if not legs_in_class(base, self.s, self.t):
             raise LegsNotInClass("the span does not have its legs in the class")
 
 
@@ -61,7 +57,7 @@ def unit_span(base: BaseCategory, b) -> SpanOverB:
 def span_tensor(x: SpanOverB, y: SpanOverB) -> SpanOverB:
     """Monoidal product of spans over B: apex is the pullback of (s, t'),
     legs t∘p and s'∘p'."""
-    if x.base is not y.base or not x.base.equal_obj(x.b, y.b):
+    if x.base is not y.base or x.b != y.b:
         raise BaseMismatch("span tensor needs the same base object")
     base = x.base
     pb = relative_pullback(base, x.s, y.t)
@@ -111,28 +107,28 @@ def check_relative_category(rc: RelativeCategory) -> Report:
     )
     rep.add(
         "(a) legs of (t, s) in class",
-        legs_in_class(base, Cospan(rc.s, rc.t)),
+        legs_in_class(base, rc.s, rc.t),
         "a leg span escapes the class",
     )
     rep.add(
         "(b) s∘i = 1",
-        base.equal_mor(base.compose(rc.s, rc.i), id_b),
+        base.compose(rc.s, rc.i) == id_b,
         "i is not a section of s",
     )
     rep.add(
         "(b) t∘i = 1",
-        base.equal_mor(base.compose(rc.t, rc.i), id_b),
+        base.compose(rc.t, rc.i) == id_b,
         "i is not a section of t",
     )
     pb = rc.pb
     rep.add(
         "(c) t∘d = t∘p1",
-        base.equal_mor(base.compose(rc.t, rc.d), base.compose(rc.t, pb.p_a)),
+        base.compose(rc.t, rc.d) == base.compose(rc.t, pb.p_a),
         "target of a composite is not the target of the first factor",
     )
     rep.add(
         "(c) s∘d = s∘p2",
-        base.equal_mor(base.compose(rc.s, rc.d), base.compose(rc.s, pb.p_c)),
+        base.compose(rc.s, rc.d) == base.compose(rc.s, pb.p_c),
         "source of a composite is not the source of the second factor",
     )
     if not rep.ok:
@@ -147,14 +143,14 @@ def check_relative_category(rc: RelativeCategory) -> Report:
     i_box = box(pb_ba, pb, rc.i, base.identity(rc.a), id_b)
     rep.add(
         "(d) left unit law",
-        base.equal_mor(base.compose(rc.d, i_box), pb_ba.p_c),
+        base.compose(rc.d, i_box) == pb_ba.p_c,
         "d∘(i□1) is not the unit isomorphism",
     )
     pb_ab = relative_pullback(base, rc.s, id_b)
     i_box2 = box(pb_ab, pb, base.identity(rc.a), rc.i, id_b)
     rep.add(
         "(d) right unit law",
-        base.equal_mor(base.compose(rc.d, i_box2), pb_ab.p_a),
+        base.compose(rc.d, i_box2) == pb_ab.p_a,
         "d∘(1□i) is not the unit isomorphism",
     )
 
@@ -166,10 +162,7 @@ def check_relative_category(rc: RelativeCategory) -> Report:
     l, _ = assoc_iso(pb, pb_left, pb, pb_right)
     rep.add(
         "(e) associativity",
-        base.equal_mor(
-            base.compose(rc.d, d_box),
-            base.compose(base.compose(rc.d, d_box2), l),
-        ),
+        base.compose(rc.d, d_box) == base.compose(base.compose(rc.d, d_box2), l),
         "d∘(d□1) != d∘(1□d)∘l",
     )
     return rep
@@ -180,17 +173,17 @@ def check_relative_functor(fun: RelativeFunctor, src: RelativeCategory, tgt: Rel
     rep = Report()
     rep.add(
         "span morphism: b∘s = s'∘a",
-        base.equal_mor(base.compose(fun.b, src.s), base.compose(tgt.s, fun.a)),
+        base.compose(fun.b, src.s) == base.compose(tgt.s, fun.a),
         "sources not preserved",
     )
     rep.add(
         "span morphism: b∘t = t'∘a",
-        base.equal_mor(base.compose(fun.b, src.t), base.compose(tgt.t, fun.a)),
+        base.compose(fun.b, src.t) == base.compose(tgt.t, fun.a),
         "targets not preserved",
     )
     rep.add(
         "unit compatibility: a∘i = i'∘b",
-        base.equal_mor(base.compose(fun.a, src.i), base.compose(tgt.i, fun.b)),
+        base.compose(fun.a, src.i) == base.compose(tgt.i, fun.b),
         "identities not preserved",
     )
     if not (rep.checks[0].ok and rep.checks[1].ok):
@@ -200,7 +193,7 @@ def check_relative_functor(fun: RelativeFunctor, src: RelativeCategory, tgt: Rel
     aa = box(src.pb, tgt.pb, fun.a, fun.a, fun.b)
     rep.add(
         "composition compatibility: a∘d = d'∘(a□a)",
-        base.equal_mor(base.compose(fun.a, src.d), base.compose(tgt.d, aa)),
+        base.compose(fun.a, src.d) == base.compose(tgt.d, aa),
         "composition not preserved",
     )
     return rep

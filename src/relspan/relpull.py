@@ -15,7 +15,7 @@ identities; every coherence statement here composes with them explicitly.
 
 from __future__ import annotations
 
-from .catcore import BaseCategory, Cospan, RelPullback, Report, Span, legs_in_class
+from .catcore import BaseCategory, RelPullback, Report, Span, legs_in_class
 from .errors import (
     LegsNotInClass,
     MissingPullback,
@@ -29,7 +29,7 @@ from .monoids import MonoidMorphism, MonoidObj, check_monoid_morphism
 
 def relative_pullback(base: BaseCategory, f, g) -> RelPullback:
     """The base category's pullback of a cospan whose legs are in the class."""
-    if not legs_in_class(base, Cospan(f, g)):
+    if not legs_in_class(base, f, g):
         raise LegsNotInClass("cospan legs are not in the admissible class")
     return base.pullback(f, g)
 
@@ -48,9 +48,9 @@ def box(source: RelPullback, target: RelPullback, a, c, b):
     """The unique a□c: source apex -> target apex for morphisms a, b, c with
     b∘f = f'∘a and b∘g = g'∘c."""
     base = source.base
-    if not base.equal_mor(base.compose(b, source.f), base.compose(target.f, a)):
+    if base.compose(b, source.f) != base.compose(target.f, a):
         raise SquareDoesNotCommute("b∘f != f'∘a")
-    if not base.equal_mor(base.compose(b, source.g), base.compose(target.g, c)):
+    if base.compose(b, source.g) != base.compose(target.g, c):
         raise SquareDoesNotCommute("b∘g != g'∘c")
     return universal_factor(target, base.compose(a, source.p_a), base.compose(c, source.p_c))
 
@@ -64,26 +64,26 @@ def unit_isos(pb: RelPullback, side: str):
     """
     base = pb.base
     if side == "right":
-        if not base.equal_mor(pb.g, base.identity(base.cod(pb.f))):
+        if pb.g != base.identity(base.cod(pb.f)):
             raise ShapeMismatch("right unit iso needs the right leg to be the identity")
         proj = pb.p_a
         inv = universal_factor(pb, base.identity(base.dom(pb.f)), pb.f)
     elif side == "left":
-        if not base.equal_mor(pb.f, base.identity(base.cod(pb.g))):
+        if pb.f != base.identity(base.cod(pb.g)):
             raise ShapeMismatch("left unit iso needs the left leg to be the identity")
         proj = pb.p_c
         inv = universal_factor(pb, pb.g, base.identity(base.dom(pb.g)))
     else:
         raise ValueError("side must be 'left' or 'right'")
-    if not base.equal_mor(base.compose(proj, inv), base.identity(base.cod(proj))):
+    if base.compose(proj, inv) != base.identity(base.cod(proj)):
         raise ShapeMismatch("projection inverse failed on one side")
-    if not base.equal_mor(base.compose(inv, proj), base.identity(pb.apex)):
+    if base.compose(inv, proj) != base.identity(pb.apex):
         raise ShapeMismatch("projection inverse failed on the other side")
     return proj, inv
 
 
-def _require_equal_mor(base, f, g, what):
-    if not base.equal_mor(f, g):
+def _require_equal_mor(f, g, what):
+    if f != g:
         raise MissingPullback(f"pullback data mismatch: {what}")
 
 
@@ -95,10 +95,10 @@ def assoc_iso(pb_xy: RelPullback, pb_xy_z: RelPullback, pb_yz: RelPullback, pb_x
     (ry∘p_Y, lz) and pb_x_yz over (rx, ly∘p_Y), each from relative_pullback,
     which decided that its legs are in the class."""
     base = pb_xy.base
-    _require_equal_mor(base, pb_xy_z.f, base.compose(pb_yz.f, pb_xy.p_c), "(X□Y)□Z left leg")
-    _require_equal_mor(base, pb_xy_z.g, pb_yz.g, "(X□Y)□Z right leg")
-    _require_equal_mor(base, pb_x_yz.f, pb_xy.f, "X□(Y□Z) left leg")
-    _require_equal_mor(base, pb_x_yz.g, base.compose(pb_xy.g, pb_yz.p_a), "X□(Y□Z) right leg")
+    _require_equal_mor(pb_xy_z.f, base.compose(pb_yz.f, pb_xy.p_c), "(X□Y)□Z left leg")
+    _require_equal_mor(pb_xy_z.g, pb_yz.g, "(X□Y)□Z right leg")
+    _require_equal_mor(pb_x_yz.f, pb_xy.f, "X□(Y□Z) left leg")
+    _require_equal_mor(pb_x_yz.g, base.compose(pb_xy.g, pb_yz.p_a), "X□(Y□Z) right leg")
 
     # p_Y□1: (X□Y)□Z -> Y□Z over b = id of the middle base
     q = box(pb_xy_z, pb_yz, pb_xy.p_c, base.identity(base.dom(pb_yz.g)),
@@ -108,16 +108,11 @@ def assoc_iso(pb_xy: RelPullback, pb_xy_z: RelPullback, pb_yz: RelPullback, pb_x
     q2 = box(pb_x_yz, pb_xy, base.identity(base.dom(pb_xy.f)), pb_yz.p_a,
              base.identity(base.cod(pb_xy.f)))
     l_inv = universal_factor(pb_xy_z, q2, base.compose(pb_yz.p_c, pb_x_yz.p_c))
-    if not base.equal_mor(base.compose(l, l_inv), base.identity(pb_x_yz.apex)):
+    if base.compose(l, l_inv) != base.identity(pb_x_yz.apex):
         raise MissingPullback("l∘l⁻¹ is not the identity")
-    if not base.equal_mor(base.compose(l_inv, l), base.identity(pb_xy_z.apex)):
+    if base.compose(l_inv, l) != base.identity(pb_xy_z.apex):
         raise MissingPullback("l⁻¹∘l is not the identity")
     return l, l_inv
-
-
-def _iterated(base, left_pb: RelPullback, right_f, right_g):
-    """Pullback of (right_f∘p_last of left_pb, right_g)."""
-    return relative_pullback(base, base.compose(right_f, left_pb.p_c), right_g)
 
 
 def coherence_triangle(base: BaseCategory, f, g) -> bool:
@@ -133,7 +128,7 @@ def coherence_triangle(base: BaseCategory, f, g) -> bool:
     l, _ = assoc_iso(pb_ab, pb_ab_c, pb_bc, pb_a_bc)
     lam = box(pb_a_bc, pb_ac, base.identity(base.dom(f)), pb_bc.p_c, id_b)
     rho = box(pb_ab_c, pb_ac, pb_ab.p_a, base.identity(base.dom(g)), id_b)
-    return base.equal_mor(base.compose(lam, l), rho)
+    return base.compose(lam, l) == rho
 
 
 def coherence_pentagon(base: BaseCategory, f, g, h, k, r, s) -> bool:
@@ -143,12 +138,12 @@ def coherence_pentagon(base: BaseCategory, f, g, h, k, r, s) -> bool:
     pb_ce = relative_pullback(base, h, k)
     pb_eg = relative_pullback(base, r, s)
 
-    pb_ac_e = _iterated(base, pb_ac, h, k)              # (A□C)□E
+    pb_ac_e = relative_pullback(base, base.compose(h, pb_ac.p_c), k)   # (A□C)□E
     pb_c_eg = relative_pullback(base, h, base.compose(k, pb_eg.p_a))   # C□(E□G)
-    pb_ce_g = _iterated(base, pb_ce, r, s)              # (C□E)□G
+    pb_ce_g = relative_pullback(base, base.compose(r, pb_ce.p_c), s)   # (C□E)□G
     pb_a_ce = relative_pullback(base, f, base.compose(g, pb_ce.p_a))   # A□(C□E)
 
-    pb_ac_e_g = _iterated(base, pb_ac_e, r, s)          # ((A□C)□E)□G
+    pb_ac_e_g = relative_pullback(base, base.compose(r, pb_ac_e.p_c), s)  # ((A□C)□E)□G
     pb_ac_eg = relative_pullback(
         base, base.compose(h, pb_ac.p_c), base.compose(k, pb_eg.p_a)
     )                                                   # (A□C)□(E□G)
@@ -174,7 +169,7 @@ def coherence_pentagon(base: BaseCategory, f, g, h, k, r, s) -> bool:
                  base.identity(base.cod(f)))
     path2 = base.compose(a5_box, base.compose(a4, a3_box))
 
-    return base.equal_mor(path1, path2)
+    return path1 == path2
 
 
 def monoid_on_pullback(fm: MonoidMorphism, gm: MonoidMorphism, pb: RelPullback) -> MonoidObj:
@@ -184,7 +179,7 @@ def monoid_on_pullback(fm: MonoidMorphism, gm: MonoidMorphism, pb: RelPullback) 
     base = pb.base
     if not (check_monoid_morphism(fm).ok and check_monoid_morphism(gm).ok):
         raise NotMonoidMorphisms("both legs must be monoid morphisms")
-    if not base.equal_mor(fm.f, pb.f) or not base.equal_mor(gm.f, pb.g):
+    if fm.f != pb.f or gm.f != pb.g:
         raise NotMonoidMorphisms("monoid morphisms do not match the pullback cospan")
     a_mon, c_mon = fm.src, gm.src
     m = universal_factor(

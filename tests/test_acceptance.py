@@ -385,7 +385,7 @@ def test_criterion_7_section_one_lemma_suite():
             prod = product_monoid(dl)
             f = inclusion_a(dl, prod)
             g = inclusion_b(dl, prod)
-            q_inv = base.invert(induced_q(f, g).q)
+            q_inv = base.invert(induced_q(f, g))
             for c_mon in small:
                 for mor in monoid_morphisms(prod, c_mon):
                     pa, pb_ = pair_from_morphism(dl, mor)

@@ -636,6 +636,69 @@ def test_linearization_bound_is_inclusive_and_covers_relcat(monkeypatch):
     assert code == 2 and "a set of 5 elements is too large" in doc["error"]
 
 
+def _cyclic_group_category(n):
+    return {"kind": "small_category", "objects": 1, "arrows": n, "src": [0] * n,
+            "tgt": [0] * n, "id": [0],
+            "comp": [[(i + j) % n for j in range(n)] for i in range(n)]}
+
+
+@pytest.mark.parametrize("command", [
+    ["check"], ["relcat"], ["relcat", "--instance", "coalg"],
+])
+def test_category_with_too_many_composable_triples_exits_2_at_once(tmp_path, command):
+    assert jsonio.MAX_COMPOSABLE_TRIPLES == 250_000
+    p = tmp_path / "c64.json"
+    p.write_text(json.dumps({"c64": _cyclic_group_category(64)}))
+    start = time.process_time()
+    code, doc = run_no_traceback([command[0], str(p), *command[1:]])
+    assert time.process_time() - start < 0.25
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == ("a category with 262144 composable triples is too large to check"
+                            " (at most 250000)")
+
+
+def test_relative_category_triples_are_bounded_before_the_pullback(tmp_path, monkeypatch):
+    def no_pullback(*args):
+        raise AssertionError("the pullback of (s, t) was built before the triples were counted")
+
+    monkeypatch.setattr(jsonio, "relative_pullback", no_pullback)
+    monkeypatch.setattr(jsonio, "MAX_COMPOSABLE_TRIPLES", 63)
+    # one object and four arrows: 4 composable pairs, 4³ = 64 composable triples
+    p = tmp_path / "rc.json"
+    p.write_text(json.dumps({"rc": {"kind": "relative_category", "objects": 1, "arrows": 4,
+                                    "s": [0] * 4, "t": [0] * 4, "i": [0], "d": [0] * 16}}))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and "64 composable triples is too large" in doc["error"]
+
+
+def test_triple_bound_is_inclusive_and_counts_every_triple(monkeypatch):
+    with open(fx("relcats.json")) as fh:
+        cats = [d for d in json.load(fh).values() if d["kind"] == "small_category"]
+    # the largest count, by brute force over every triple i∘j∘k
+    largest = max(
+        sum(c["src"][i] == c["tgt"][j] and c["src"][j] == c["tgt"][k]
+            for i in range(c["arrows"]) for j in range(c["arrows"]) for k in range(c["arrows"]))
+        for c in cats
+    )
+    monkeypatch.setattr(jsonio, "MAX_COMPOSABLE_TRIPLES", largest)
+    assert run_no_traceback(["relcat", fx("relcats.json")])[0] == 0
+    monkeypatch.setattr(jsonio, "MAX_COMPOSABLE_TRIPLES", largest - 1)
+    code, doc = run_no_traceback(["relcat", fx("relcats.json")])
+    assert code == 2 and f"with {largest} composable triples" in doc["error"]
+
+
+def test_matrix_encoding_is_the_dense_grid_and_round_trips():
+    from gen import FIELDS, rand_matrix, rng_for
+
+    rng = rng_for("matrix-json")
+    for field in FIELDS:
+        for rows, cols in ((0, 3), (3, 0), (1, 1), (4, 3), (2, 5)):
+            m = rand_matrix(rng, field, rows, cols)
+            enc = jsonio.matrix_to_json(m)
+            assert enc["entries"] == [[str(x) for x in row] for row in m.data]
+            assert jsonio.matrix_from_json(enc, rows, cols) == m
+
+
 def _cells(encoded):
     return encoded["rows"] * encoded["cols"]
 

@@ -21,7 +21,7 @@ from relspan import (
     span_tensor,
 )
 from relspan.coalg import cid
-from relspan.errors import BaseMismatch, LegsNotInClass, NotACategory
+from relspan.errors import BaseMismatch, LegsNotInClass, NotACategory, ShapeMismatch
 from relspan.finset import linearize_funs
 from relspan.relcat import (
     RelativeCategory,
@@ -122,6 +122,17 @@ def test_span_base_mismatch():
     e = unit_span(FINSET, FinSetObj(5))
     with pytest.raises(BaseMismatch):
         span_tensor(sp, e)
+
+
+def test_span_over_b_guards():
+    b2, b3 = FinSetObj(2), FinSetObj(3)
+    with pytest.raises(ShapeMismatch, match="must land in B"):
+        SpanOverB(FINSET, b2, b2, FINSET.identity(b2), ffun(2, 3, [0, 1]))
+    with pytest.raises(ShapeMismatch, match="must come out of A"):
+        SpanOverB(FINSET, b2, b3, FINSET.identity(b2), FINSET.identity(b2))
+    p = path_coalgebra(QQ)
+    with pytest.raises(LegsNotInClass, match="identity span on B"):
+        SpanOverB(CoalgCategory(QQ), p, p, cid(p), cid(p))
 
 
 def test_span_over_noncocommutative_base_rejected():

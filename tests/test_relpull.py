@@ -1,5 +1,7 @@
 """Relative pullback calculus: box morphisms, unit/assoc isos, coherence, monoids."""
 
+import re
+
 import pytest
 
 from gen import (
@@ -40,7 +42,13 @@ from relspan import (
 )
 from relspan.coalg import CoalgEqualizer, CoalgMap, cid, relative_pullback_coalg
 from relspan.finset import pullback
-from relspan.errors import LegsNotInClass, ShapeMismatch, SquareDoesNotCommute
+from relspan.errors import (
+    LegsNotInClass,
+    MissingPullback,
+    NotMonoidMorphisms,
+    ShapeMismatch,
+    SquareDoesNotCommute,
+)
 from relspan.relpull import assoc_iso
 
 
@@ -189,6 +197,13 @@ def test_box_rejects_noncommuting_squares():
         box(pb, pb, flip, FINSET.identity(f.dom), FINSET.identity(f.cod))
 
 
+def test_box_rejects_a_noncommuting_second_square():
+    i = FINSET.identity(FinSetObj(2))
+    pb = relative_pullback(FINSET, i, i)
+    with pytest.raises(SquareDoesNotCommute, match="b∘g != g'∘c"):
+        box(pb, pb, i, ffun(2, 2, [1, 0]), i)
+
+
 # -- unit isomorphisms -------------------------------------------------------------
 
 
@@ -231,6 +246,13 @@ def test_unit_iso_wrong_shape():
         unit_isos(pb, "right")
 
 
+def test_unit_iso_left_needs_an_identity_left_leg():
+    f = ffun(2, 2, [0, 0])
+    pb = relative_pullback(FINSET, f, f)
+    with pytest.raises(ShapeMismatch, match="left unit iso"):
+        unit_isos(pb, "left")
+
+
 def test_unit_isos_and_reflection_reject_an_unknown_side():
     i = FINSET.identity(FinSetObj(2))
     pb = relative_pullback(FINSET, i, i)
@@ -257,6 +279,21 @@ def test_assoc_iso_identity_chain():
     pb_xy, pb_xy_z, pb_yz, pb_x_yz = _chain_pullbacks(FINSET, i, i, i, i)
     l, l_inv = assoc_iso(pb_xy, pb_xy_z, pb_yz, pb_x_yz)
     assert FINSET.compose(l_inv, l) == FINSET.identity(pb_xy_z.apex)
+
+
+@pytest.mark.parametrize("slot,legs,what", [
+    (1, "flip,id", "(X□Y)□Z left leg"),
+    (1, "id,flip", "(X□Y)□Z right leg"),
+    (3, "flip,id", "X□(Y□Z) left leg"),
+    (3, "id,flip", "X□(Y□Z) right leg"),
+])
+def test_assoc_iso_rejects_pullbacks_of_the_wrong_legs(slot, legs, what):
+    maps = {"id": FINSET.identity(FinSetObj(2)), "flip": ffun(2, 2, [1, 0])}
+    i = maps["id"]
+    pbs = list(_chain_pullbacks(FINSET, i, i, i, i))
+    pbs[slot] = relative_pullback(FINSET, *(maps[m] for m in legs.split(",")))
+    with pytest.raises(MissingPullback, match=re.escape(what)):
+        assoc_iso(*pbs)
 
 
 def test_assoc_iso_is_rebracketing_bijection():
@@ -455,6 +492,17 @@ def test_monoid_on_pullback_identity_leg():
     assert check_monoid(mon).ok
     # diagonal: isomorphic to Z/2 via either projection
     assert pb.apex.size == 2
+
+
+def test_monoid_on_pullback_guards():
+    z2 = finset_monoid((0, 1, 1, 0), 0, FINSET)
+    ident = MonoidMorphism(z2, z2, FINSET.identity(z2.carrier))
+    zero = MonoidMorphism(z2, z2, ffun(2, 2, [0, 0]))
+    one = MonoidMorphism(z2, z2, ffun(2, 2, [1, 1]))
+    with pytest.raises(NotMonoidMorphisms, match="both legs must be monoid morphisms"):
+        monoid_on_pullback(one, one, relative_pullback(FINSET, one.f, one.f))
+    with pytest.raises(NotMonoidMorphisms, match="do not match the pullback cospan"):
+        monoid_on_pullback(ident, ident, relative_pullback(FINSET, zero.f, zero.f))
 
 
 # -- reflection --------------------------------------------------------------------
