@@ -24,11 +24,8 @@ from .coalg import (
     coalg_equalizer,
     compare_cotensor_pullback,
     cotensor,
-    direct_sum,
     grouplike,
-    is_cocommutative,
     path_coalgebra,
-    primitive_block,
     tensor_coalgebra,
     trivial,
 )
@@ -44,7 +41,6 @@ from .finset import (
 )
 from .linalg import (
     Matrix,
-    is_injective,
     kron,
     solve,
     swap_map,

@@ -17,21 +17,25 @@ it, so failure raises InternalSolveFailure.  f_hat - g_hat is (T⊗1)∘δ with
 T = (1⊗(f-g))∘δ = T_P·R, R the nonzero rows of rref(t) for any t with T's
 row space and T_P the pivot columns of T, so T_P⊗1 is injective.  As
 (1⊗1⊗ε)∘(T⊗1)∘δ = T∘z for z = (1⊗ε)∘δ, E lies in K' = ker(R∘z), with no
-counit law assumed, and E = K'·ker((R⊗1)∘δ∘K').  This basis is canonical:
-each column is 1 at its largest nonzero coordinate, where the others are 0.
-A relative pullback's payload is the equalizer of f⊗ε and ε⊗g on A⊗C; there
-δ = (1⊗c⊗1)∘(δ_A⊗δ_C) gives z = Z_A⊗Z_C and T, rows in A⊗B⊗C order, as
+counit law assumed, and E = K'·ker((R⊗1)∘δ∘K').  On counital input z = 1,
+so K' = ker R = ker t comes from the one elimination of t that gives R.
+This basis is canonical: each column is 1 at its largest nonzero coordinate,
+where the others are 0.  A relative pullback's payload is the equalizer of
+f⊗ε and ε⊗g on A⊗C; there δ = (1⊗c⊗1)∘(δ_A⊗δ_C) gives z = Z_A⊗Z_C, taken
+as 1 when Z_A and Z_C are, and T, rows in A⊗B⊗C order, as
 X_f⊗Z_C - Z_A⊗(c∘Y_g), for X_f = (1⊗f)∘δ_A, Y_g = (1⊗g)∘δ_C and
-Z = (1⊗ε)∘δ on each factor.  The cotensor product, the independent one-step
-linear equalizer on A⊗C that cross-checks it, is an unchecked linear
-subspace; once the legs are decided to be in S, subcoalgebra gives its
-induced structure.
+Z = (1⊗ε)∘δ on each factor; each column of that difference is built in one
+pass, without either Kronecker product.  The cotensor product, the
+independent one-step linear equalizer on A⊗C that cross-checks it, is an
+unchecked linear subspace; once the legs are decided to be in S,
+subcoalgebra gives its induced structure.
 
-Tensor products of coalgebras keep their factors and build their sparse δ on
-first use, so sparse structures (group-likes in particular) stay cheap even
-at tensor dimensions in the thousands.  Unit identifications k⊗V ≅ V ≅ V⊗k
-are implicit: a Kronecker factor of dimension 1 changes no indices, so the
-dimension bookkeeping is the coercion.
+Tensor products of coalgebras keep their factors: a δ column is built from
+δ_A and δ_C when it is read, and ε = ε_A⊗ε_C on first use, so δ∘K' reads
+only the columns K' uses, ε∘K is (ε_A⊗ε_C)∘K, and sparse structures stay
+cheap even at tensor dimensions in the thousands.  Unit identifications
+k⊗V ≅ V ≅ V⊗k are implicit: a Kronecker factor of dimension 1 changes no
+indices, so the dimension bookkeeping is the coercion.
 """
 
 from __future__ import annotations
@@ -49,11 +53,13 @@ from .errors import (
 from .fields import require_same_field
 from .linalg import (
     Matrix,
+    _kron_difference,
     first_difference,
     kernel_basis_sparse,
     kernel_left_inverse,
     kron,
     kron_apply,
+    rref_and_kernel,
     solve,
     swap_map,
 )
@@ -65,16 +71,17 @@ from .linalg import (
 class Coalgebra:
     """A comonoid in exact finite-dimensional vector spaces."""
 
-    __slots__ = ("dim", "field", "epsilon", "_delta", "_factors")
+    __slots__ = ("dim", "field", "_epsilon", "_delta", "_factors")
 
     def __init__(self, dim, field, delta=None, epsilon=None, factors=None):
         self.dim = dim
         self.field = field
         self._factors = factors
-        if epsilon is None or epsilon.rows != 1 or epsilon.cols != dim:
-            raise ShapeMismatch("counit must be a 1 x dim matrix")
-        require_same_field(field, epsilon.field)
-        self.epsilon = epsilon
+        if epsilon is not None or factors is None:
+            if epsilon is None or epsilon.rows != 1 or epsilon.cols != dim:
+                raise ShapeMismatch("counit must be a 1 x dim matrix")
+            require_same_field(field, epsilon.field)
+        self._epsilon = epsilon
         if delta is not None:
             if delta.rows != dim * dim or delta.cols != dim:
                 raise ShapeMismatch("comultiplication must be a dim^2 x dim matrix")
@@ -84,14 +91,34 @@ class Coalgebra:
         self._delta = delta
 
     @property
+    def epsilon(self) -> Matrix:
+        if self._epsilon is None:
+            a, b = self._factors
+            self._epsilon = kron(a.epsilon, b.epsilon)
+        return self._epsilon
+
+    @property
     def delta(self) -> Matrix:
         if self._delta is None:
-            self._delta = _tensor_delta(*self._factors)
+            cols = [self.delta_column(j) for j in range(self.dim)]
+            self._delta = Matrix.from_cols(self.field, self.dim * self.dim, cols)
         return self._delta
 
     def delta_column(self, j):
-        """Sparse column of δ at basis index j, {row: value}; do not modify."""
-        return self.delta.columns[j]
+        """Sparse column of δ at basis index j, {row: value}; do not modify.
+        Of a tensor product A⊗B whose δ is not built, (1⊗c⊗1)∘(δ_A⊗δ_B) at
+        e_p⊗e_q: the term v·(a1⊗a2) of δ(e_p) and the term w·(b1⊗b2) of
+        δ(e_q) give v·w at (a1⊗b1)⊗(a2⊗b2)."""
+        if self._delta is not None:
+            return self._delta.columns[j]
+        a, b = self._factors
+        na, nb, fld = a.dim, b.dim, self.field
+        norm, one, n = fld.normalize, fld.one, self.dim
+        p, q = divmod(j, nb)
+        aterms = [(*divmod(k, na), v) for k, v in a.delta_column(p).items()]
+        bterms = [(*divmod(k, nb), w) for k, w in b.delta_column(q).items()]
+        return {(a1 * nb + b1) * n + a2 * nb + b2: w if v == one else v if w == one else norm(v * w)
+                for a1, a2, v in aterms for b1, b2, w in bterms}
 
     def __eq__(self, other):
         # identity first, so maps on one object never materialize a tensor δ
@@ -99,15 +126,16 @@ class Coalgebra:
             return True
         if not isinstance(other, Coalgebra):
             return NotImplemented
-        if self.dim != other.dim or self.field != other.field or self.epsilon != other.epsilon:
+        if self.dim != other.dim or self.field != other.field:
             return False
         # tensor products are strictly associative under row-major indices,
-        # so equal factor sequences give equal coalgebras however bracketed
+        # so equal factor sequences give equal coalgebras however bracketed;
+        # leaves come first, so equal tensor products never build their ε
         if self._factors is not None or other._factors is not None:
             mine, theirs = self._leaves(), other._leaves()
             if len(mine) == len(theirs) and all(x == y for x, y in zip(mine, theirs)):
                 return True
-        return self.delta == other.delta
+        return self.epsilon == other.epsilon and self.delta == other.delta
 
     def _leaves(self):
         """The non-tensor factors of this coalgebra, left to right."""
@@ -143,22 +171,11 @@ class CoalgMap:
         return f"CoalgMap({self.src.dim} -> {self.tgt.dim})"
 
 
-def _tensor_delta(a: Coalgebra, b: Coalgebra) -> Matrix:
-    """δ of A⊗B, (1⊗c⊗1)∘(δ_A⊗δ_B): the term v·(a1⊗a2) of δ(e_p) and the term
-    w·(b1⊗b2) of δ(e_q) give v·w at (a1⊗b1)⊗(a2⊗b2) in column p⊗q."""
-    na, nb = a.dim, b.dim
-    n, norm = na * nb, a.field.normalize
-    bterms = [[(*divmod(k, nb), w) for k, w in b.delta_column(q).items()] for q in range(nb)]
-    cols = []
-    for p in range(na):
-        aterms = [(*divmod(k, na), v) for k, v in a.delta_column(p).items()]
-        for bq in bterms:
-            cols.append({
-                (a1 * nb + b1) * n + a2 * nb + b2: norm(v * w)
-                for a1, a2, v in aterms
-                for b1, b2, w in bq
-            })
-    return Matrix.from_cols(a.field, n * n, cols)
+def _delta_apply(x: Coalgebra, m: Matrix) -> Matrix:
+    """δ∘m, building only the columns of δ that m reads."""
+    used = set().union(*m.columns)
+    cols = [x.delta_column(k) if k in used else {} for k in range(x.dim)]
+    return Matrix.from_cols(x.field, x.dim * x.dim, cols) @ m
 
 
 def cid(c: Coalgebra) -> CoalgMap:
@@ -179,14 +196,6 @@ def grouplike(field, n: int) -> Coalgebra:
     return Coalgebra(n, field, delta=Matrix.from_cols(field, n * n, cols), epsilon=eps)
 
 
-def primitive_block(field) -> Coalgebra:
-    """Basis {g, x}: δg = g⊗g, δx = g⊗x + x⊗g (cocommutative)."""
-    one = field.one
-    cols = [{0: one}, {1: one, 2: one}]
-    eps = Matrix(field, [[one, field.zero]], 1, 2)
-    return Coalgebra(2, field, delta=Matrix.from_cols(field, 4, cols), epsilon=eps)
-
-
 def path_coalgebra(field) -> Coalgebra:
     """Basis {e0, e1, x} with δx = e0⊗x + x⊗e1: not cocommutative."""
     one = field.one
@@ -195,24 +204,10 @@ def path_coalgebra(field) -> Coalgebra:
     return Coalgebra(3, field, delta=Matrix.from_cols(field, 9, cols), epsilon=eps)
 
 
-def direct_sum(a: Coalgebra, b: Coalgebra) -> Coalgebra:
-    require_same_field(a.field, b.field)
-    fld, n = a.field, a.dim + b.dim
-    ia = Matrix.from_cols(fld, n, [{i: fld.one} for i in range(a.dim)])
-    ib = Matrix.from_cols(fld, n, [{a.dim + i: fld.one} for i in range(b.dim)])
-    delta = kron_apply(ia, ia, a.delta).hstack(kron_apply(ib, ib, b.delta))
-    return Coalgebra(n, fld, delta=delta, epsilon=a.epsilon.hstack(b.epsilon))
-
-
 def tensor_coalgebra(a: Coalgebra, b: Coalgebra) -> Coalgebra:
-    """A⊗B with δ = (1⊗c⊗1)∘(δ_A⊗δ_B); δ is materialized lazily."""
+    """A⊗B with δ = (1⊗c⊗1)∘(δ_A⊗δ_B) and ε = ε_A⊗ε_B, both built on first use."""
     require_same_field(a.field, b.field)
-    eps = kron(a.epsilon, b.epsilon)
-    return Coalgebra(a.dim * b.dim, a.field, epsilon=eps, factors=(a, b))
-
-
-def is_cocommutative(c: Coalgebra) -> bool:
-    return swap_map(c.field, c.dim, c.dim) @ c.delta == c.delta
+    return Coalgebra(a.dim * b.dim, a.field, factors=(a, b))
 
 
 # -- axiom checks --------------------------------------------------------------
@@ -338,7 +333,7 @@ def subcoalgebra(x: Coalgebra, k: Matrix) -> CoalgEqualizer:
     """The span E of the columns of k, a canonical kernel basis, with the
     comonoid structure δ_E = (L⊗L)∘δ∘k it inherits from x, its inclusion and
     the left inverse L of k; (k⊗k)∘δ_E = δ∘k is verified."""
-    return _subcoalgebra(x, k, x.delta @ k)
+    return _subcoalgebra(x, k, _delta_apply(x, k))
 
 
 def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer:
@@ -347,21 +342,23 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer:
     delta_e = kron_apply(lk, lk, delta_k)
     if kron_apply(k, k, delta_e) != delta_k:
         raise InternalSolveFailure("δ∘j does not factor through j⊗j")
-    obj = Coalgebra(k.cols, x.field, delta=delta_e, epsilon=x.epsilon @ k)
+    eps_k = x.epsilon @ k if x._factors is None else kron_apply(*(f.epsilon for f in x._factors), k)
+    obj = Coalgebra(k.cols, x.field, delta=delta_e, epsilon=eps_k)
     return CoalgEqualizer(obj, CoalgMap(obj, x, k), lk)
 
 
-def _equalizer_system(x: Coalgebra, t: Matrix, z: Matrix):
-    """(K', δ∘K', (R⊗1)∘δ∘K') for t, z, R and K' as in the module docstring;
-    it keeps the bracketing (δ⊗1)∘δ, so coassociativity is not assumed."""
-    r, pivots = t.rref()
-    r = Matrix.from_cols(x.field, len(pivots), r.columns)
-    k = kernel_basis_sparse(r @ z)
-    delta_k = x.delta @ k
+def _equalizer_system(x: Coalgebra, t: Matrix, z: Matrix | None):
+    """(K', δ∘K', (R⊗1)∘δ∘K') for t, z, R and K' as in the module docstring,
+    z None when it is the identity; it keeps the bracketing (δ⊗1)∘δ, so
+    coassociativity is not assumed."""
+    r, k = rref_and_kernel(t)
+    if z is not None:
+        k = kernel_basis_sparse(r @ z)
+    delta_k = _delta_apply(x, k)
     return k, delta_k, kron_apply(r, Matrix.identity(x.field, x.dim), delta_k)
 
 
-def _equalizer(x: Coalgebra, t: Matrix, z: Matrix) -> CoalgEqualizer:
+def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None) -> CoalgEqualizer:
     """The equalizer that t and z describe in x, on the basis K'∘N."""
     k, delta_k, system = _equalizer_system(x, t, z)
     n = kernel_basis_sparse(system)
@@ -375,7 +372,8 @@ def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
     if f.tgt != g.tgt:
         raise ShapeMismatch("equalizer needs a shared codomain coalgebra")
     x, i_x = f.src, Matrix.identity(f.src.field, f.src.dim)
-    return _equalizer(x, kron_apply(i_x, f.mat - g.mat, x.delta), kron_apply(i_x, x.epsilon, x.delta))
+    z = kron_apply(i_x, x.epsilon, x.delta)
+    return _equalizer(x, kron_apply(i_x, f.mat - g.mat, x.delta), None if z == i_x else z)
 
 
 def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
@@ -407,8 +405,9 @@ def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> Re
     i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
     z_a, z_c = kron_apply(i_a, a.epsilon, a.delta), kron_apply(i_c, c.epsilon, c.delta)
     y_g = swap_map(fld, c.dim, f.tgt.dim) @ kron_apply(i_c, g.mat, c.delta)
-    t = kron(kron_apply(i_a, f.mat, a.delta), z_c) - kron(z_a, y_g)
-    eq = _equalizer(tensor_coalgebra(a, c), t, kron(z_a, z_c))
+    t = _kron_difference(kron_apply(i_a, f.mat, a.delta), z_c, z_a, y_g)
+    z = None if z_a == i_a and z_c == i_c else kron(z_a, z_c)
+    eq = _equalizer(tensor_coalgebra(a, c), t, z)
     apex, j = eq.object, eq.j.mat
     p_a = CoalgMap(apex, a, kron_apply(i_a, c.epsilon, j))
     p_c = CoalgMap(apex, c, kron_apply(a.epsilon, i_c, j))
@@ -450,7 +449,7 @@ def cotensor(f: CoalgMap, g: CoalgMap) -> Matrix:
     a, c = f.src, g.src
     i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(a.field, c.dim)
     return kernel_basis_sparse(
-        kron(kron_apply(i_a, f.mat, a.delta), i_c) - kron(i_a, kron_apply(g.mat, i_c, c.delta))
+        _kron_difference(kron_apply(i_a, f.mat, a.delta), i_c, i_a, kron_apply(g.mat, i_c, c.delta))
     )
 
 

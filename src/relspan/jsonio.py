@@ -188,7 +188,7 @@ def _bound_triples(src, tgt):
     sources, targets = Counter(src), Counter(tgt)
     n = sum(sources[y] * targets[x] for x, y in zip(src, tgt))
     if n > MAX_COMPOSABLE_TRIPLES:
-        raise ParseError(f"a category with {n} composable triples is too large to check"
+        raise ValueError(f"a category with {n} composable triples is too large to check"
                          f" (at most {MAX_COMPOSABLE_TRIPLES})")
 
 
@@ -215,7 +215,7 @@ def _relative_category(obj, ref) -> _relcat.RelativeCategory:
     targets = Counter(t.table)
     pairs = sum(n * targets[x] for x, n in Counter(s.table).items())
     if len(d_table) != pairs:
-        raise ParseError(f"d table has {len(d_table)} entries but the pullback has {pairs} pairs")
+        raise ValueError(f"d table has {len(d_table)} entries but the pullback has {pairs} pairs")
     _bound_triples(s.table, t.table)
     pb = relative_pullback(_finset.FINSET, s, t)
     d = _finset.FinFun(pb.apex, a, d_table)
@@ -310,7 +310,7 @@ def load_context(path: str) -> dict:
             kind = _kind(name, doc[name])
             try:
                 done[name] = Decl(kind, _DECODERS[kind](doc[name], ref))
-            except ParseError:
+            except ParseError:  # as raised, so a nested refusal keeps its one prefix
                 raise
             except (RelspanError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise ParseError(f"bad declaration {name!r}: {exc}") from exc

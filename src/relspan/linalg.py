@@ -10,7 +10,8 @@ Products build each output column by a rule chosen by how many nonzeros of
 the right operand feed it.  A column of @ or kron_apply fed by one nonzero v
 is v times one column (of the left operand, or A[:,p]⊗B[:,q]), built in one
 pass with no accumulator; a column fed by several nonzeros accumulates its
-sums and normalizes each entry once.  kron never sums.  A product is
+sums and normalizes each entry once.  kron never sums; X⊗Z - W⊗Y is built
+one column at a time, without either product.  A product is
 normalized only when a factor is not one (a Q product of two Fractions can be
 integral, an F_p product needs its reduction), so a factor column whose only
 nonzero is one gives a copy of the other column.  Group-like data, whose δ,
@@ -251,10 +252,6 @@ def _subtract(norm, r, factor, p):
             del r[k]
 
 
-def is_injective(a: Matrix) -> bool:
-    return a.rank() == a.cols
-
-
 def solve(a: Matrix, b: Matrix):
     """Deterministic exact solve of A·X = B.
 
@@ -278,14 +275,26 @@ def solve(a: Matrix, b: Matrix):
 def kernel_basis_sparse(a: Matrix) -> Matrix:
     """Canonical basis of ker A as columns: one per free column c, equal to 1
     at c and to minus the reduced row echelon entries at the pivots; A·K = 0."""
-    fld = a.field
-    red = _reduce(fld, _live_rows(a))
-    kcols = {c: {c: fld.one} for c in range(a.cols) if c not in red}
+    return _kernel(a.field, _reduce(a.field, _live_rows(a)), a.cols)
+
+
+def rref_and_kernel(a: Matrix):
+    """(R, K) from one elimination: R the nonzero rows of the reduced row
+    echelon form of A, so ker R = ker A, and K = kernel_basis_sparse(A)."""
+    red = _reduce(a.field, _live_rows(a))
+    r = Matrix.from_cols(a.field, len(red), _flip(list(red.values()), a.cols))
+    return r, _kernel(a.field, red, a.cols)
+
+
+def _kernel(field, red, n):
+    """The canonical kernel basis of the n-column matrix whose reduced row
+    echelon form is red ({pivot column: row})."""
+    kcols = {c: {c: field.one} for c in range(n) if c not in red}
     for p, row in red.items():
         for c, v in row.items():
             if c != p:
-                kcols[c][p] = fld.neg(v)
-    return Matrix.from_cols(fld, a.cols, list(kcols.values()))
+                kcols[c][p] = field.neg(v)
+    return Matrix.from_cols(field, n, list(kcols.values()))
 
 
 def kernel_left_inverse(k: Matrix) -> Matrix:
@@ -330,6 +339,42 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
             cols.append({base + k: y if x == one else x if y == one else norm(x * y)
                          for base, x in terms for k, y in bcol.items()})
     return Matrix.from_cols(a.field, a.rows * nb, cols)
+
+
+def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
+    """kron(x, z) - kron(w, y) in one pass, without either product: each
+    column is built as kron builds it, and the entries of the second product
+    are subtracted into it, dropping those that cancel."""
+    for m in (z, w, y):
+        require_same_field(x.field, m.field)
+    rows, cols = x.rows * z.rows, x.cols * z.cols
+    if (rows, cols) != (w.rows * y.rows, w.cols * y.cols):
+        raise ShapeMismatch(f"cannot subtract a {w.rows * y.rows}x{w.cols * y.cols} Kronecker "
+                            f"product from a {rows}x{cols} one")
+    fld = x.field
+    norm, neg, one, nz, ny = fld.normalize, fld.neg, fld.one, z.rows, y.rows
+    out = []
+    for j in range(cols):
+        p, q = divmod(j, z.cols)
+        zq = z.columns[q].items()
+        col = {i * nz + k: b if a == one else a if b == one else norm(a * b)
+               for i, a in x.columns[p].items() for k, b in zq}
+        get = col.get
+        p, q = divmod(j, y.cols)
+        yq = y.columns[q].items()
+        for i, a in w.columns[p].items():
+            for k, b in yq:
+                idx = i * ny + k
+                v = b if a == one else a if b == one else norm(a * b)
+                c = get(idx)
+                if c is None:
+                    col[idx] = neg(v)
+                elif s := norm(c - v):
+                    col[idx] = s
+                else:
+                    del col[idx]
+        out.append(col)
+    return Matrix.from_cols(fld, rows, out)
 
 
 def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:

@@ -18,13 +18,35 @@ from relspan import (
     Matrix,
     MonoidMorphism,
     MonoidObj,
-    direct_sum,
     grouplike,
-    primitive_block,
 )
-from relspan.linalg import kron, solve
+from relspan.linalg import kron, kron_apply, solve, swap_map
 
 FIELDS = (QQ, GF(5))
+
+
+def primitive_block(field) -> Coalgebra:
+    """Basis {g, x}: δg = g⊗g, δx = g⊗x + x⊗g (cocommutative)."""
+    one = field.one
+    eps = Matrix(field, [[one, field.zero]], 1, 2)
+    return Coalgebra(2, field, delta=Matrix.from_cols(field, 4, [{0: one}, {1: one, 2: one}]),
+                     epsilon=eps)
+
+
+def direct_sum(a: Coalgebra, b: Coalgebra) -> Coalgebra:
+    fld, n = a.field, a.dim + b.dim
+    ia = Matrix.from_cols(fld, n, [{i: fld.one} for i in range(a.dim)])
+    ib = Matrix.from_cols(fld, n, [{a.dim + i: fld.one} for i in range(b.dim)])
+    delta = kron_apply(ia, ia, a.delta).hstack(kron_apply(ib, ib, b.delta))
+    return Coalgebra(n, fld, delta=delta, epsilon=a.epsilon.hstack(b.epsilon))
+
+
+def is_cocommutative(c: Coalgebra) -> bool:
+    return swap_map(c.field, c.dim, c.dim) @ c.delta == c.delta
+
+
+def is_injective(a: Matrix) -> bool:
+    return a.rank() == a.cols
 
 
 def rand_scalar(rng, field, lo=-3, hi=3):

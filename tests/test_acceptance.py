@@ -19,6 +19,7 @@ from gen import (
     group_algebra_hom,
     group_pullback,
     grouplike_indices,
+    is_injective,
     mutate_one_entry,
     rand_blocks,
     rand_block_map,
@@ -75,7 +76,6 @@ from relspan.catcore import Report
 from relspan.coalg import cid, equalizer_factor
 from relspan.finset import pullback
 from relspan.errors import CompatibilityFails
-from relspan.linalg import is_injective
 from relspan.monoids import DistLaw, inclusion_a, inclusion_b
 from relspan.relcat import (
     RelativeCategory,

@@ -589,7 +589,20 @@ def test_relative_category_d_length_is_checked_before_the_pullback(tmp_path, mon
                                     "s": [0, 0, 1], "t": [0, 1, 1], "i": [0, 2], "d": [0, 1, 2]}}))
     code, doc = run_no_traceback(["check", str(p)])
     assert code == 2 and doc["exit"] == 2
-    assert doc["error"] == "d table has 3 entries but the pullback has 4 pairs"
+    assert doc["error"] == "bad declaration 'rc': d table has 3 entries but the pullback has 4 pairs"
+
+
+def test_a_refusal_in_a_nested_reference_names_its_declaration_once(tmp_path):
+    one = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
+    p = tmp_path / "nested.json"
+    # cs is decoded first, so f and then k are decoded through its references
+    p.write_text(json.dumps({
+        "cs": {"kind": "cospan", "left": "f", "right": "f"},
+        "f": {"kind": "coalgebra_map", "src": "k", "tgt": "k", "matrix": one},
+        "k": {"kind": "coalgebra", "field": "Q", "dim": 1, "delta": one},
+    }))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["error"] == "bad declaration 'k': 'epsilon'"
 
 
 def test_error_document_is_one_line_under_json(tmp_path):
@@ -653,8 +666,8 @@ def test_category_with_too_many_composable_triples_exits_2_at_once(tmp_path, com
     code, doc = run_no_traceback([command[0], str(p), *command[1:]])
     assert time.process_time() - start < 0.25
     assert code == 2 and doc["exit"] == 2
-    assert doc["error"] == ("a category with 262144 composable triples is too large to check"
-                            " (at most 250000)")
+    assert doc["error"] == ("bad declaration 'c64': a category with 262144 composable triples"
+                            " is too large to check (at most 250000)")
 
 
 def test_relative_category_triples_are_bounded_before_the_pullback(tmp_path, monkeypatch):

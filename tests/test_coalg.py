@@ -5,7 +5,11 @@ import pytest
 from gen import (
     FIELDS,
     block_coalgebra,
+    direct_sum,
+    is_cocommutative,
+    is_injective,
     mutate_one_entry,
+    primitive_block,
     rand_block_map,
     rand_blocks,
     rand_finfun,
@@ -15,6 +19,7 @@ from gen import (
     rand_sparse_matrix,
     random_basis,
     rebased,
+    rebased_map,
     rng_for,
 )
 from relspan import (
@@ -33,20 +38,17 @@ from relspan import (
     coalg_equalizer,
     compare_cotensor_pullback,
     cotensor,
-    direct_sum,
     grouplike,
-    is_cocommutative,
     legs_in_class,
     linearize_fun,
     linearize_obj,
     path_coalgebra,
-    primitive_block,
     relative_pullback,
     tensor_coalgebra,
     trivial,
     universal_factor,
 )
-from relspan import coalg
+from relspan import coalg, linalg
 from relspan.coalg import (
     _equalizer_system,
     cid,
@@ -64,7 +66,7 @@ from relspan.errors import (
     SpanNotInClass,
     SquareDoesNotCommute,
 )
-from relspan.linalg import is_injective, kernel_basis_sparse, kron, kron_apply, solve, swap_map
+from relspan.linalg import kernel_basis_sparse, kron, kron_apply, solve, swap_map
 
 
 # -- axiom checks -----------------------------------------------------------------
@@ -492,8 +494,84 @@ def test_pullback_builds_t_and_z_from_the_factors(monkeypatch):
             big_t = kron_apply(i_x, fe.mat - eg.mat, x.delta)
             assert t == kron(Matrix.identity(field, na), swap_map(field, nc, nb)) @ big_t
             assert t.rref() == big_t.rref()
-            assert z == kron_apply(i_x, x.epsilon, x.delta)
+            # z is None exactly when Z is the identity
+            assert (Matrix.identity(field, x.dim) if z is None else z) == kron_apply(
+                i_x, x.epsilon, x.delta)
             assert not systems
+
+
+def _tensor_delta_oracle(a, b):
+    """(1⊗c⊗1)∘(δ_A⊗δ_B) as one dense product."""
+    fld = a.field
+    mid = kron(kron(Matrix.identity(fld, a.dim), swap_map(fld, a.dim, b.dim)),
+               Matrix.identity(fld, b.dim))
+    return mid @ kron(a.delta, b.delta)
+
+
+def test_tensor_delta_columns_match_the_dense_formula():
+    """Each δ column of a tensor product, built on demand from the factors,
+    is the column of (1⊗c⊗1)∘(δ_A⊗δ_B), on rebased, non-counital and
+    nested factors; so are the full δ and ε built from them."""
+    rng = rng_for("tensor-delta")
+    for field in (QQ, GF(5), GF(7)):
+        for _ in range(3):
+            na, nb = rng.randint(1, 3), rng.randint(1, 3)
+            a = rebased(grouplike(field, na), random_basis(rng, field, na))
+            b = rand_raw_coalgebra(rng, field, nb)
+            ab = Coalgebra(na * nb, field, delta=_tensor_delta_oracle(a, b),
+                           epsilon=kron(a.epsilon, b.epsilon))
+            for x, y, oracle_x in ((a, b, a), (b, a, b), (tensor_coalgebra(a, b), b, ab)):
+                want = _tensor_delta_oracle(oracle_x, y)
+                t = tensor_coalgebra(x, y)
+                assert [t.delta_column(j) for j in range(t.dim)] == want.columns
+                assert t._delta is None and t._epsilon is None
+                assert t.delta == want
+                assert t.epsilon == kron(oracle_x.epsilon, y.epsilon)
+
+
+def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(monkeypatch):
+    """On counital input z = 1: the system comes from one elimination of t,
+    the same as the R∘z path with z the identity, it builds only the δ
+    columns of A⊗C that K' uses and never the ε of A⊗C.  Non-counital input
+    still eliminates R∘z as well."""
+    reduces, systems, columns = [], [], []
+    reduce_in, system_in, column_in = linalg._reduce, coalg._equalizer_system, Coalgebra.delta_column
+    monkeypatch.setattr(linalg, "_reduce", lambda *a: reduces.append(a) or reduce_in(*a))
+    monkeypatch.setattr(Coalgebra, "delta_column",
+                        lambda self, j: columns.append((self, j)) or column_in(self, j))
+
+    def spy(x, t, z):
+        before = len(reduces)
+        out = system_in(x, t, z)
+        systems.append((x, t, z, out, len(reduces) - before))
+        return out
+
+    monkeypatch.setattr(coalg, "_equalizer_system", spy)
+    rng = rng_for("pb-counital")
+    for field in FIELDS:
+        for dense in (False, True, True):
+            f0 = rand_finfun(rng, rng.randint(1, 4), rng.randint(1, 3))
+            g0 = rand_finfun(rng, rng.randint(1, 4), f0.cod.size)
+            f, g = linearize_fun(f0, field), linearize_fun(g0, field)
+            if dense:
+                p_b = random_basis(rng, field, f.tgt.dim)
+                f = rebased_map(f, random_basis(rng, field, f.src.dim), p_b)
+                g = rebased_map(g, random_basis(rng, field, g.src.dim), p_b)
+            columns.clear()
+            relative_pullback_coalg(CoalgCategory(field), f, g)
+            ((x, t, z, (k, delta_k, system), n_reduce),) = systems
+            systems.clear()
+            assert z is None and n_reduce == 1
+            assert x._delta is None and x._epsilon is None
+            assert sorted(j for c, j in columns if c is x) == sorted(set().union(*k.columns))
+            assert delta_k == x.delta @ k
+            assert system_in(x, t, Matrix.identity(field, x.dim)) == (k, delta_k, system)
+    field = GF(5)
+    a, c, b = (rand_raw_coalgebra(rng, field, d) for d in (2, 2, 1))
+    _outcome(relative_pullback_coalg, CoalgCategory(field), CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
+             CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
+    ((x, t, z, _, n_reduce),) = systems
+    assert z is not None and n_reduce == 2
 
 
 # -- relative pullbacks -------------------------------------------------------------
@@ -790,7 +868,7 @@ def test_map_equality_on_identical_objects_keeps_tensor_delta_lazy():
     x = tensor_coalgebra(grouplike(QQ, 3), grouplike(QQ, 3))
     f = cid(x)
     assert f == CoalgMap(x, x, Matrix.identity(QQ, 9))
-    assert x._delta is None
+    assert x._delta is None and x._epsilon is None
 
 
 def test_tensor_equality_ignores_bracketing_and_stays_lazy():
@@ -799,6 +877,7 @@ def test_tensor_equality_ignores_bracketing_and_stays_lazy():
     right = tensor_coalgebra(a, tensor_coalgebra(a, a))
     assert left == right
     assert left._delta is None and right._delta is None
+    assert left._epsilon is None and right._epsilon is None
     assert left.delta == right.delta
     assert left != tensor_coalgebra(tensor_coalgebra(a, grouplike(QQ, 2)), a)
     explicit = Coalgebra(8, QQ, delta=left.delta, epsilon=left.epsilon)

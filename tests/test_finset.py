@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import FIELDS, rand_finfun, rng_for
+from gen import FIELDS, is_cocommutative, rand_finfun, rng_for
 from relspan import (
     FINSET,
     QQ,
@@ -15,7 +15,6 @@ from relspan import (
     check_coalg_map,
     check_coalgebra,
     finset_monoid_check,
-    is_cocommutative,
     linearize_fun,
     linearize_obj,
 )
@@ -74,6 +73,18 @@ def test_pullback_randomized_against_brute_force():
 def test_pullback_codomain_mismatch():
     with pytest.raises(CodomainMismatch):
         pullback(ffun(1, 1, [0]), ffun(1, 2, [0]))
+
+
+def test_finset_category_refuses_or_declines_what_it_cannot_build():
+    with pytest.raises(ShapeMismatch, match="table value 2 outside the codomain"):
+        ffun(1, 2, [2])
+    with pytest.raises(CodomainMismatch):
+        FINSET.compose(ffun(1, 2, [0]), ffun(1, 3, [0]))
+    assert FINSET.invert(ffun(2, 2, [0, 0])) is None
+    assert FINSET.invert(ffun(1, 2, [0])) is None
+    assert FINSET.invert(ffun(2, 2, [1, 0])) == ffun(2, 2, [1, 0])
+    with pytest.raises(ShapeMismatch, match="wrong shape"):
+        finset_monoid_check(FinSetObj(2), ffun(3, 2, [0, 0, 0]), 0)
 
 
 def test_universal_factor_identity_on_projections():

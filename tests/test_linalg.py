@@ -6,19 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import FIELDS, rand_matrix, rand_q_matrix, rand_scalar, rng_for
+from gen import FIELDS, is_injective, rand_matrix, rand_q_matrix, rand_scalar, rand_sparse_matrix, rng_for
 from relspan import GF, QQ, Matrix
 from relspan.errors import FieldMismatch, InternalSolveFailure, ShapeMismatch
 from relspan.linalg import (
-    is_injective,
     kernel_basis_sparse,
     kernel_left_inverse,
     kron,
     kron_apply,
     left_inverse,
+    rref_and_kernel,
     solve,
     swap_map,
 )
+from relspan.linalg import _kron_difference
 
 F5 = GF(5)
 
@@ -190,6 +191,59 @@ def test_kron_matches_expansion_oracle_and_mixed_product():
             d = rand_matrix(rng, field, 2, 2)
             assert kron(a, b) == kron_oracle(a, b)
             assert kron(a, b) @ kron(c, d) == kron(a @ c, b @ d)
+
+
+def _with_columns_of(rng, m, other):
+    """m with about half of its columns replaced by the same columns of other."""
+    cols = [dict(o) if rng.random() < 0.5 else dict(c) for c, o in zip(m.columns, other.columns)]
+    return Matrix.from_cols(m.field, m.rows, cols)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F5])
+def test_kron_difference_is_kron_minus_kron(field):
+    """kron(x, z) - kron(w, y) in one pass, on sparse random factors of
+    different splits of one shape, and with w, y sharing columns with x, z so
+    that whole columns cancel."""
+    rng = rng_for(f"kron-diff-{field!r}")
+    draw = (lambda r, c: rand_q_matrix(rng, r, c, 0.4)) if field == QQ else (
+        lambda r, c: rand_sparse_matrix(rng, field, r, c, 0.4))
+    cancelled = 0
+    for _ in range(30):
+        xr, xc, zr, zc = (rng.randint(1, 3) for _ in range(4))
+        x, z = draw(xr, xc), draw(zr, zc)
+        if rng.random() < 0.5:
+            w, y = _with_columns_of(rng, draw(xr, xc), x), z
+        else:
+            # another split of the same shape: (xr·zr) x (xc·zc) as (zr·xr) x (zc·xc)
+            w, y = draw(zr, zc), draw(xr, xc)
+        got = _kron_difference(x, z, w, y)
+        want = kron(x, z) - kron(w, y)
+        assert got == want
+        _assert_canonical(got)
+        cancelled += sum(not c and bool(k) for c, k in zip(got.columns, kron(x, z).columns))
+    assert cancelled, "no column cancelled completely"
+
+
+def test_kron_difference_refuses_mismatched_shapes_and_fields():
+    a, b = Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)
+    assert _kron_difference(a, b, b, a) == kron(a, b) - kron(b, a)
+    with pytest.raises(ShapeMismatch):
+        _kron_difference(a, b, a, a)
+    with pytest.raises(ShapeMismatch):
+        _kron_difference(a, b, Matrix.zeros(QQ, 6, 1), Matrix.zeros(QQ, 1, 3))
+    with pytest.raises(FieldMismatch):
+        _kron_difference(a, b, Matrix.identity(F5, 2), b)
+
+
+def test_rref_and_kernel_come_from_one_elimination():
+    rng = rng_for("rref-kernel")
+    for field in (QQ, F5):
+        for _ in range(10):
+            a = rand_matrix(rng, field, rng.randint(0, 4), rng.randint(0, 4), -1, 1)
+            r, k = rref_and_kernel(a)
+            full, pivots = a.rref()
+            assert r == Matrix.from_cols(field, len(pivots), full.columns)
+            assert k == kernel_basis_sparse(a) == kernel_basis_sparse(r)
 
 
 def test_kron_associativity():

@@ -14,6 +14,7 @@ import pytest
 
 from gen import (
     block_inclusion_dual,
+    is_cocommutative,
     matrix_coalgebra,
     random_basis,
     rebased_map,
@@ -27,7 +28,6 @@ from relspan import (
     check_coalgebra,
     compare_cotensor_pullback,
     cotensor,
-    is_cocommutative,
     legs_in_class,
     relative_pullback,
 )

@@ -1,5 +1,7 @@
 """Relative categories: span tensors, axiom checks, fixtures, linearization, functors."""
 
+import dataclasses
+
 import pytest
 
 from gen import FIELDS, rand_finfun, rng_for
@@ -175,6 +177,39 @@ def test_not_a_category_witnesses():
     bad2 = SmallCategory(2, 2, (0, 1), (1, 0), (0, 1), ((-1, 0), (1, -1)))
     with pytest.raises(NotACategory):
         bad2.validate()
+
+
+@pytest.mark.parametrize("cat, message", [
+    (SmallCategory(1, 1, (0,), (0,), (0,), ((0, 0),)), "composition table must be m x m"),
+    (SmallCategory(1, 1, (0,), (0,), (0,), ()), "composition table must be m x m"),
+    (SmallCategory(1, 1, (1,), (0,), (0,), ((0,),)), "src/tgt value out of range"),
+    (SmallCategory(1, 1, (0,), (0,), (0,), ((-1,),)), "composable pair (0,0) has no composite"),
+    (SmallCategory(1, 1, (0,), (0,), (0,), ((1,),)), "composable pair (0,0) has no composite"),
+    # two objects with their identities only; id_1 as the composite id_0∘id_0
+    (SmallCategory(2, 2, (0, 1), (0, 1), (0, 1), ((1, -1), (-1, 1))),
+     "composite of (0,0) has wrong endpoints"),
+    (SmallCategory(2, 2, (0, 1), (0, 1), (0, 1), ((0, 0), (-1, 1))),
+     "non-composable pair (0,1) has an entry"),
+    # one object, arrows id and a, with a∘id = id
+    (SmallCategory(1, 2, (0, 0), (0, 0), (0,), ((0, 1), (0, 1))),
+     "right identity law fails at arrow 1"),
+])
+def test_validate_names_the_first_broken_axiom(cat, message):
+    with pytest.raises(NotACategory) as info:
+        cat.validate()
+    assert str(info.value) == message
+
+
+def test_linearize_relcat_refuses_pairs_it_cannot_identify():
+    """The linearized pullback's basis must be the pair set, in its order."""
+    rc = from_small_category(FIXTURES["z2"])
+    pairs = rc.pb.payload
+    more = dataclasses.replace(rc, pb=dataclasses.replace(rc.pb, payload=pairs + pairs[:1]))
+    with pytest.raises(ShapeMismatch, match="dimension does not match the pair count"):
+        linearize_relcat(more, QQ)
+    reordered = dataclasses.replace(rc, pb=dataclasses.replace(rc.pb, payload=pairs[::-1]))
+    with pytest.raises(ShapeMismatch, match="not the group-like pair basis"):
+        linearize_relcat(reordered, QQ)
 
 
 def test_linearized_fixtures_pass():

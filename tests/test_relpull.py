@@ -1,5 +1,6 @@
 """Relative pullback calculus: box morphisms, unit/assoc isos, coherence, monoids."""
 
+import dataclasses
 import re
 
 import pytest
@@ -41,7 +42,7 @@ from relspan import (
     unit_isos,
 )
 from relspan.coalg import CoalgEqualizer, CoalgMap, cid, relative_pullback_coalg
-from relspan.finset import pullback
+from relspan.finset import FinSetCategory, pullback
 from relspan.errors import (
     LegsNotInClass,
     MissingPullback,
@@ -262,6 +263,35 @@ def test_unit_isos_and_reflection_reject_an_unknown_side():
         check_reflection_instance(pb, pb.p_a, pb.p_a, side="middle")
 
 
+def _with_a_repeated_pair(pb):
+    """pb with its first matching pair listed again at the end: an apex one
+    larger, whose projections are not jointly monic."""
+    pairs = pb.payload + pb.payload[:1]
+    apex = FinSetObj(len(pairs))
+    return RelPullback(FINSET, pb.f, pb.g, apex, FinFun(apex, pb.f.dom, [a for a, _ in pairs]),
+                       FinFun(apex, pb.g.dom, [c for _, c in pairs]), False, pairs)
+
+
+class _ConstantFiller(FinSetCategory):
+    """Finite sets whose fillers send everything to the first one's value."""
+
+    def factor(self, pb, a, c):
+        h = super().factor(pb, a, c)
+        return FinFun(h.dom, h.cod, [h.table[0]] * h.dom.size)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_unit_isos_verify_both_inverse_laws(side):
+    i = FINSET.identity(FinSetObj(2))
+    pb = relative_pullback(FINSET, i, i)
+    wrong_filler = dataclasses.replace(pb, base=_ConstantFiller())
+    with pytest.raises(ShapeMismatch, match="projection inverse failed on one side"):
+        unit_isos(wrong_filler, side)
+    # the projection is onto but not injective: inv is only a section of it
+    with pytest.raises(ShapeMismatch, match="projection inverse failed on the other side"):
+        unit_isos(_with_a_repeated_pair(pb), side)
+
+
 # -- associativity isomorphism --------------------------------------------------------
 
 
@@ -293,6 +323,17 @@ def test_assoc_iso_rejects_pullbacks_of_the_wrong_legs(slot, legs, what):
     pbs = list(_chain_pullbacks(FINSET, i, i, i, i))
     pbs[slot] = relative_pullback(FINSET, *(maps[m] for m in legs.split(",")))
     with pytest.raises(MissingPullback, match=re.escape(what)):
+        assoc_iso(*pbs)
+
+
+@pytest.mark.parametrize("slot, message", [(3, "l∘l⁻¹ is not the identity"),
+                                           (1, "l⁻¹∘l is not the identity")])
+def test_assoc_iso_verifies_both_inverse_laws(slot, message):
+    """One apex listed with a repeated pair makes l or l⁻¹ a section only."""
+    i = FINSET.identity(FinSetObj(2))
+    pbs = list(_chain_pullbacks(FINSET, i, i, i, i))
+    pbs[slot] = _with_a_repeated_pair(pbs[slot])
+    with pytest.raises(MissingPullback, match=re.escape(message)):
         assoc_iso(*pbs)
 
 
