@@ -68,7 +68,6 @@ from .relcat import (
     check_relative_functor,
     from_small_category,
     linearize_relcat,
-    span_power,
     span_tensor,
 )
 from .relpull import (

@@ -128,9 +128,6 @@ class BaseCategory(ABC):
     def symmetry(self, x, y):
         """The braiding c: x⊗y -> y⊗x (an involution in both instances)."""
 
-    @abstractmethod
-    def is_epi(self, f) -> bool: ...
-
     def invert(self, f):
         """Two-sided inverse of f when it exists, else None."""
         raise NotImplementedError

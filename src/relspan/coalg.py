@@ -3,7 +3,9 @@
 A coalgebra is a comultiplication matrix δ: V -> V⊗V and a counit ε: V -> k,
 both exact.  The admissible span class S contains the spans (f, g) out of an
 apex A whose paired legs composed with δ give a comonoid morphism, i.e.
-c∘(f⊗g)∘δ = (g⊗f)∘δ.
+c∘(f⊗g)∘δ = (g⊗f)∘δ.  The symmetry c is natural, c∘(f⊗g) = (g⊗f)∘c, so the
+two sides differ by (g⊗f)∘(c∘δ - δ): S is decided by that one product, and
+without it when A is cocommutative, c∘δ = δ.
 
 Every construction and check is a product of column-sparse matrices (see
 linalg): an axiom holds when two such products are equal, and its witness
@@ -241,13 +243,17 @@ def check_coalg_map(m: CoalgMap) -> Report:
 
 
 def class_S_witness(f: CoalgMap, g: CoalgMap) -> str | None:
-    """None iff c∘(f⊗g)∘δ = (g⊗f)∘δ holds on the common apex; else a witness."""
+    """None iff c∘(f⊗g)∘δ = (g⊗f)∘δ holds on the common apex; else a witness,
+    the first column of (g⊗f)∘(c∘δ - δ), their difference, that is not 0."""
     if f.src.dim != g.src.dim or f.src.field != g.src.field:
         raise ShapeMismatch("span legs must share their apex")
-    d = f.src.delta
-    lhs = swap_map(f.mat.field, f.tgt.dim, g.tgt.dim) @ kron_apply(f.mat, g.mat, d)
-    j = first_difference(lhs, kron_apply(g.mat, f.mat, d))
-    return None if j is None else f"basis {j}"
+    n, d = f.src.dim, f.src.delta
+    swapped = Matrix.from_cols(d.field, d.rows, [{i % n * n + i // n: v for i, v in col.items()}
+                                                 for col in d.columns])
+    if swapped == d:
+        return None
+    diff = kron_apply(g.mat, f.mat, swapped - d)
+    return next((f"basis {j}" for j, col in enumerate(diff.columns) if col), None)
 
 
 # -- the base-category instance --------------------------------------------------
@@ -289,9 +295,6 @@ class CoalgCategory(BaseCategory):
         return CoalgMap(
             tensor_coalgebra(x, y), tensor_coalgebra(y, x), swap_map(self.field, x.dim, y.dim)
         )
-
-    def is_epi(self, f: CoalgMap) -> bool:
-        return f.mat.rank() == f.tgt.dim
 
     def invert(self, f: CoalgMap):
         if f.src.dim != f.tgt.dim:
@@ -359,9 +362,12 @@ def _equalizer_system(x: Coalgebra, t: Matrix, z: Matrix | None):
 
 
 def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None) -> CoalgEqualizer:
-    """The equalizer that t and z describe in x, on the basis K'∘N."""
+    """The equalizer that t and z describe in x, on the basis K'∘N; N is
+    the identity, and K'∘N is K', when the second system has rank 0."""
     k, delta_k, system = _equalizer_system(x, t, z)
     n = kernel_basis_sparse(system)
+    if n.cols == n.rows:
+        return _subcoalgebra(x, k, delta_k)
     return _subcoalgebra(x, k @ n, delta_k @ n)
 
 

@@ -100,9 +100,6 @@ class FinSetCategory(BaseCategory):
                 table[i * n + j] = j * m + i
         return FinFun._valid(FinSetObj(m * n), FinSetObj(n * m), tuple(table))
 
-    def is_epi(self, f: FinFun) -> bool:
-        return set(f.table) == set(range(f.cod.size))
-
     def invert(self, f: FinFun):
         if f.dom.size != f.cod.size or len(set(f.table)) != f.dom.size:
             return None

@@ -35,6 +35,10 @@ class ParseError(RelspanError):
     pass
 
 
+class _NamedRefusal(ParseError):
+    """A refused declaration, already named by its message."""
+
+
 def _int(v) -> int:
     """A size, index or table entry: a JSON integer and nothing else (no
     float, string or boolean)."""
@@ -310,10 +314,10 @@ def load_context(path: str) -> dict:
             kind = _kind(name, doc[name])
             try:
                 done[name] = Decl(kind, _DECODERS[kind](doc[name], ref))
-            except ParseError:  # as raised, so a nested refusal keeps its one prefix
+            except _NamedRefusal:  # as raised, so a nested refusal keeps its one prefix
                 raise
             except (RelspanError, KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise ParseError(f"bad declaration {name!r}: {exc}") from exc
+                raise _NamedRefusal(f"bad declaration {name!r}: {exc}") from exc
         return done[name]
 
     def ref(name, role, kinds):

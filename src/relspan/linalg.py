@@ -26,7 +26,12 @@ e_i ⊗ f_j lives at index i * dim(second factor) + j.
 All canonical forms (reduced row echelon, kernel bases, solve with zeroed free
 variables) come from one elimination on sparse rows.  The reduced row echelon
 form is unique, so they are the forms first-nonzero pivoting gives, and every
-result is reproducible bit-for-bit.
+result is reproducible bit-for-bit.  The elimination first peels the rows with
+one nonzero left, as structured Gaussian elimination does: such a row at
+column c puts the unit row e_c in the form and deletes c from every other row
+without arithmetic, which leaves the form as it is, and a worklist of columns
+keeps the peel linear in the nonzeros.  The pullback and cotensor systems of
+linearized finite sets have only such rows.
 """
 
 from __future__ import annotations
@@ -200,15 +205,16 @@ def _flip(vectors, n):
 
 
 def _live_rows(m: Matrix):
-    """The distinct nonzero rows of m as {column: value} dicts, top to bottom;
-    a repeated row changes no echelon form."""
+    """The nonzero rows of m as {column: value} dicts, top to bottom, a
+    repeated row of two or more entries once; a repeated row changes no
+    echelon form, and _reduce's peel collapses repeated one-entry rows."""
     rows = {}
     for j, col in enumerate(m.columns):
         for i, v in col.items():
             rows.setdefault(i, {})[j] = v
     distinct = {}
-    for i in sorted(rows):
-        distinct.setdefault(tuple(rows[i].items()), rows[i])
+    for i in sorted(rows):  # a one-entry row is keyed by its index, so it stays
+        distinct.setdefault(tuple(rows[i].items()) if len(rows[i]) > 1 else i, rows[i])
     return list(distinct.values())
 
 
@@ -216,29 +222,55 @@ def _reduce(field, rows):
     """Reduced row echelon form of the matrix with the given sparse rows: its
     nonzero rows as {pivot column: row}, in ascending pivot order.
 
-    Each row is inserted with its leading entry reduced against the rows
-    already inserted and scaled to 1; then rows are back-substituted in
-    descending pivot order, so every pivot column is a unit vector."""
-    norm = field.normalize
+    Rows with one live entry are peeled first (see the module docstring):
+    each column lists the rows of two or more entries that hold it, each
+    row counts its entries in columns not yet walked, and a row whose count
+    falls to one peels its last column unless that one is queued already.
+    A row whose count falls to zero is in the span of the unit rows.  Each
+    nonzero is visited a bounded number of times, where rescanning for
+    one-entry rows would be quadratic on a bidiagonal cascade.  Each row
+    left is inserted without its peeled columns, its leading entry reduced
+    against the rows already inserted and scaled to 1; back-substitution in
+    descending pivot order then makes every pivot column a unit vector.  The
+    unit rows need none: no row left holds their columns."""
+    norm, one = field.normalize, field.one
+    live = [len(row) for row in rows]
+    peeled = {c for row in rows if len(row) == 1 for c in row}
+    holding = {}
+    if peeled:
+        for n, row in enumerate(rows):
+            if live[n] > 1:
+                for c in row:
+                    holding.setdefault(c, []).append(n)
+    work = list(peeled)
+    for c in work:  # grows while it is walked
+        for m in holding.get(c, ()):
+            live[m] -= 1
+            if live[m] == 1:
+                last = [k for k in rows[m] if k not in peeled]  # empty if queued already
+                peeled.update(last)
+                work += last
     echelon = {}
-    for row in rows:
-        r = dict(row)
+    for n, row in enumerate(rows):
+        if live[n] < 2:
+            continue
+        r = {k: v for k, v in row.items() if k not in peeled}
         while r:
             c = min(r)
             if c not in echelon:
                 break
             _subtract(norm, r, r[c], echelon[c])
         if r:
-            if r[c] != field.one:
+            if r[c] != one:
                 inv = field.inv(r[c])
                 r = {k: norm(inv * v) for k, v in r.items()}
             echelon[c] = r
-    pivots = sorted(echelon)
-    for c in reversed(pivots):
+    for c in sorted(echelon, reverse=True):
         r = echelon[c]
         for c2 in [k for k in r if k != c and k in echelon]:
             _subtract(norm, r, r[c2], echelon[c2])
-    return {c: echelon[c] for c in pivots}
+    echelon.update((c, {c: one}) for c in peeled)
+    return {c: echelon[c] for c in sorted(echelon)}
 
 
 def _subtract(norm, r, factor, p):

@@ -66,18 +66,6 @@ def span_tensor(x: SpanOverB, y: SpanOverB) -> SpanOverB:
     )
 
 
-def span_power(x: SpanOverB, n: int) -> SpanOverB:
-    """Left-associated n-th monoidal power; the 0-th power is the unit span."""
-    if n < 0:
-        raise ValueError("negative monoidal power")
-    if n == 0:
-        return unit_span(x.base, x.b)
-    acc = x
-    for _ in range(n - 1):
-        acc = span_tensor(acc, x)
-    return acc
-
-
 @dataclass
 class RelativeCategory:
     base: BaseCategory

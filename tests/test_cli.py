@@ -558,7 +558,8 @@ def _bad_entry_fixture(tmp_path, entry):
 def test_matrix_entries_must_be_json_strings(tmp_path, entry):
     code, doc = run_no_traceback(["check", _bad_entry_fixture(tmp_path, entry)])
     assert code == 2 and doc["exit"] == 2
-    assert doc["error"].startswith("bad matrix: ") and "expected a string" in doc["error"]
+    assert doc["error"].startswith("bad declaration 'k': bad matrix: ")
+    assert "expected a string" in doc["error"]
 
 
 @pytest.mark.parametrize("dim, entries", [(2, ["10", "01"]), (1, "1"), (1, {"1": 0})])
@@ -575,7 +576,7 @@ def test_matrix_grid_and_rows_must_be_json_arrays(tmp_path, dim, entries):
     }))
     code, doc = run_no_traceback(["check", str(p)])
     assert code == 2 and doc["exit"] == 2
-    assert doc["error"] == "matrix entries must be a JSON array of JSON arrays"
+    assert doc["error"] == "bad declaration 'id': matrix entries must be a JSON array of JSON arrays"
 
 
 def test_relative_category_d_length_is_checked_before_the_pullback(tmp_path, monkeypatch):
@@ -592,17 +593,43 @@ def test_relative_category_d_length_is_checked_before_the_pullback(tmp_path, mon
     assert doc["error"] == "bad declaration 'rc': d table has 3 entries but the pullback has 4 pairs"
 
 
+_ONE = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
+
+
 def test_a_refusal_in_a_nested_reference_names_its_declaration_once(tmp_path):
-    one = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
-    p = tmp_path / "nested.json"
-    # cs is decoded first, so f and then k are decoded through its references
-    p.write_text(json.dumps({
-        "cs": {"kind": "cospan", "left": "f", "right": "f"},
-        "f": {"kind": "coalgebra_map", "src": "k", "tgt": "k", "matrix": one},
-        "k": {"kind": "coalgebra", "field": "Q", "dim": 1, "delta": one},
-    }))
+    k = {"kind": "coalgebra", "field": "Q", "dim": 1, "delta": _ONE}
+    for fault, message in (({}, "'epsilon'"),
+                           ({"epsilon": {**_ONE, "rows": 2}}, "matrix is 2 x 1, expected 1 x 1")):
+        p = tmp_path / "nested.json"
+        # cs is decoded first, so f and then k are decoded through its references
+        p.write_text(json.dumps({
+            "cs": {"kind": "cospan", "left": "f", "right": "f"},
+            "f": {"kind": "coalgebra_map", "src": "k", "tgt": "k", "matrix": _ONE},
+            "k": {**k, **fault},
+        }))
+        code, doc = run_no_traceback(["check", str(p)])
+        assert code == 2 and doc["error"] == f"bad declaration 'k': {message}"
+
+
+@pytest.mark.parametrize("decl, message", [
+    ({"kind": "coalgebra", "field": "Q", "dim": 1, "delta": {**_ONE, "cols": 2}, "epsilon": _ONE},
+     "matrix is 1 x 2, expected 1 x 1"),
+    ({"kind": "finset_monoid", "size": 2, "table": [0, 1, 1], "unit": 0},
+     "monoid table must have size^2 entries"),
+    ({"kind": "chain", "sizes": [1, 1], "maps": [[0]]},
+     "a chain needs an odd number (>= 3) of objects"),
+    ({"kind": "chain", "sizes": [1, 1, 1], "maps": [[0]]},
+     "a chain needs one map per adjacent pair"),
+    ({"kind": "chain", "instance": "coalg", "sizes": [1, 1, 1], "maps": [[0], [0]]},
+     "chains are declared over finset (linearize via --instance)"),
+    ({"kind": "relative_category", "instance": "coalg"},
+     "raw relative_category declarations are finset-only"),
+])
+def test_every_refusal_a_decoder_raises_names_its_declaration(tmp_path, decl, message):
+    p = tmp_path / "refused.json"
+    p.write_text(json.dumps({"x": decl}))
     code, doc = run_no_traceback(["check", str(p)])
-    assert code == 2 and doc["error"] == "bad declaration 'k': 'epsilon'"
+    assert code == 2 and doc["error"] == f"bad declaration 'x': {message}"
 
 
 def test_error_document_is_one_line_under_json(tmp_path):

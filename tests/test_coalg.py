@@ -6,8 +6,10 @@ from gen import (
     FIELDS,
     block_coalgebra,
     direct_sum,
+    divided_power,
     is_cocommutative,
     is_injective,
+    matrix_coalgebra,
     mutate_one_entry,
     primitive_block,
     rand_block_map,
@@ -181,6 +183,50 @@ def test_class_s_witness_rejects_legs_out_of_different_apexes():
     for field in FIELDS:
         with pytest.raises(ShapeMismatch, match="share their apex"):
             class_S_witness(cid(grouplike(field, 2)), cid(grouplike(field, 3)))
+
+
+def _class_s_two_products(f, g):
+    """The two-product oracle: the first column at which c∘(f⊗g)∘δ and
+    (g⊗f)∘δ differ, or None."""
+    d = f.src.delta
+    lhs = swap_map(f.mat.field, f.tgt.dim, g.tgt.dim) @ kron_apply(f.mat, g.mat, d)
+    rhs = kron_apply(g.mat, f.mat, d)
+    j = next((j for j, (x, y) in enumerate(zip(lhs.columns, rhs.columns)) if x != y), None)
+    return None if j is None else f"basis {j}"
+
+
+def test_class_s_witness_is_the_two_product_witness(monkeypatch):
+    """One product on c∘δ - δ gives the witness the two products give, on
+    named and random apexes and legs, both in S and not; on a cocommutative
+    apex it takes no Kronecker product at all."""
+    products = []
+    kron_apply_in = coalg.kron_apply
+    monkeypatch.setattr(coalg, "kron_apply", lambda *a: products.append(a) or kron_apply_in(*a))
+    rng = rng_for("classS-oracle")
+    outcomes = set()
+    for field in FIELDS:
+        named = [(path_coalgebra(field), False), (matrix_coalgebra(field, 2), False),
+                 (primitive_block(field), True), (grouplike(field, 3), True),
+                 (divided_power(field, 3), True)]
+        # None: a random δ, cocommutative or not
+        raw = [(rand_raw_coalgebra(rng, field, rng.randint(1, 3)), None) for _ in range(60)]
+        for apex, cocommutative in named + raw:
+            counit = CoalgMap(apex, trivial(field), apex.epsilon)
+            legs = [cid(apex), counit]
+            for _ in range(4):
+                tgt = rand_raw_coalgebra(rng, field, rng.randint(1, 3))
+                legs.append(CoalgMap(apex, tgt, rand_sparse_matrix(rng, field, tgt.dim, apex.dim,
+                                                                   rng.random())))
+            for f in legs:
+                for g in rng.sample(legs, 3):
+                    products.clear()
+                    got = class_S_witness(f, g)
+                    assert got == _class_s_two_products(f, g)
+                    if cocommutative:
+                        assert got is None and not products
+                    else:
+                        outcomes.add((cocommutative, got is None))
+    assert outcomes == {(c, s) for c in (False, None) for s in (True, False)}
 
 
 # -- comonoid equalizers -----------------------------------------------------------
@@ -572,6 +618,44 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
              CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
     ((x, t, z, _, n_reduce),) = systems
     assert z is not None and n_reduce == 2
+
+
+def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypatch):
+    """N = ker((R⊗1)∘δ∘K') is the identity exactly when that system has rank
+    0, and then the equalizer is K' itself: a counital group-like pullback
+    multiplies neither K' nor δ∘K' by N.  Random non-counital data, where N
+    is not the identity, still gets K'∘N and δ∘K'∘N."""
+    systems, subs = [], []
+    system_in, sub_in = coalg._equalizer_system, coalg._subcoalgebra
+    monkeypatch.setattr(coalg, "_equalizer_system", lambda *a: systems.append(system_in(*a)) or systems[-1])
+    monkeypatch.setattr(coalg, "_subcoalgebra", lambda x, k, dk: subs.append((k, dk)) or sub_in(x, k, dk))
+    rng = rng_for("eq-skip-n")
+    for field in FIELDS:
+        f = linearize_fun(rand_finfun(rng, 4, 2), field)
+        g = linearize_fun(rand_finfun(rng, 3, 2), field)
+        relative_pullback_coalg(CoalgCategory(field), f, g)
+        ((k, delta_k, _),), ((k_used, delta_k_used),) = systems, subs
+        assert k_used is k and delta_k_used is delta_k
+        systems.clear()
+        subs.clear()
+    multiplied = 0
+    for field in RESTRICTION_FIELDS:
+        for _ in range(30):
+            n, nb = rng.randint(2, 4), rng.randint(1, 2)
+            a, b = rand_raw_coalgebra(rng, field, n), rand_raw_coalgebra(rng, field, nb)
+            fm = rand_sparse_matrix(rng, field, nb, n, 0.5)
+            gm = fm + rand_sparse_matrix(rng, field, nb, n, 0.3)
+            _outcome(coalg_equalizer, CoalgMap(a, b, fm), CoalgMap(a, b, gm))
+            ((k, delta_k, system),), ((k_used, delta_k_used),) = systems, subs
+            if system.rank() == 0:
+                assert k_used is k and delta_k_used is delta_k
+            else:
+                multiplied += 1
+                n_basis = kernel_basis_sparse(system)
+                assert k_used == k @ n_basis and delta_k_used == delta_k @ n_basis
+            systems.clear()
+            subs.clear()
+    assert multiplied
 
 
 # -- relative pullbacks -------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Exact linear algebra: canonical solves, kernels, Kronecker products, swaps."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -477,17 +478,58 @@ def _from_sympy(sm):
                                  for i in range(sm.rows)])
 
 
+def _singleton_heavy(rng, field, shape):
+    """A sparse matrix made mostly of one-entry rows, as dense rows, in one
+    of four shapes, with its rows shuffled."""
+    def val():
+        return field.of(rng.choice((-1, 1)) * rng.randint(1, 6))
+
+    def sparse(n, cols):
+        row = [field.zero] * n
+        for c in cols:
+            row[c] = val()
+        return row
+
+    n = rng.randint(3, 8)
+    if shape == "duplicated singletons":
+        repeats = [(rng.randrange(n), rng.randint(1, 3)) for _ in range(n)]
+        rows = [sparse(n, [c]) for c, times in repeats for _ in range(times)]
+        rows.append(sparse(n, rng.sample(range(n), rng.randint(2, n))))
+    elif shape == "bidiagonal cascade":  # each peel frees the next row
+        rows = [sparse(n, [i, i + 1]) for i in range(n - 1)] + [sparse(n, [n - 1])]
+        if rng.random() < 0.5:
+            rows.pop()  # no singleton: the cascade is eliminated instead
+    elif shape == "rows that empty out":
+        peeled = rng.sample(range(n), rng.randint(1, n - 1))
+        rows = [sparse(n, [c]) for c in peeled]
+        rows += [sparse(n, rng.sample(peeled, rng.randint(1, len(peeled)))) for _ in range(3)]
+        rows.append(sparse(n, rng.sample(range(n), 2)))
+    else:  # mixed singleton and dense blocks
+        split = rng.randint(1, n - 1)
+        rows = [sparse(n, [c]) for c in rng.sample(range(split), rng.randint(1, split))]
+        rows += [sparse(n, [c for c in range(n) if c >= split or rng.random() < 0.3])
+                 for _ in range(rng.randint(1, 4))]
+    rng.shuffle(rows)
+    return Matrix(field, rows, len(rows), n)
+
+
+SINGLETON_SHAPES = ("duplicated singletons", "bidiagonal cascade", "rows that empty out",
+                    "mixed singleton and dense blocks")
+
+
 def test_rref_kernel_and_solve_agree_with_sympy():
     sp = pytest.importorskip("sympy")
     rng = rng_for("sympy-differential")
-    for _ in range(40):
-        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
-        a = rand_q_matrix(rng, rows, cols)
+    cases = [rand_q_matrix(rng, rng.randint(1, 5), rng.randint(1, 5)) for _ in range(40)]
+    cases += [_singleton_heavy(rng, QQ, shape) for shape in SINGLETON_SHAPES for _ in range(10)]
+    for a in cases:
+        rows, cols = a.rows, a.cols
         sa = _to_sympy(sp, a)
         r, pivots = a.rref()
         sr, spivots = sa.rref()
         assert pivots == list(spivots)
         assert r == _from_sympy(sr)
+        assert a.rank() == sa.rank()
         k = kernel_basis_sparse(a)
         null = sa.nullspace()
         want = sp.Matrix.hstack(*null) if null else sp.zeros(cols, 0)
@@ -503,3 +545,74 @@ def test_rref_kernel_and_solve_agree_with_sympy():
             continue
         sol = sol.subs({t: 0 for t in params})
         assert x == _from_sympy(sol)
+
+
+# -- a dense Gauss–Jordan oracle over F_p -----------------------------------------
+
+
+def _gauss_jordan(field, rows, ncols):
+    """The nonzero rows of the reduced row echelon form of dense rows, and
+    their pivots, by textbook Gauss–Jordan elimination."""
+    m, pivots = [list(r) for r in rows], []
+    for c in range(ncols):
+        p = next((i for i in range(len(pivots), len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        top = len(pivots)
+        m[top], m[p] = m[p], m[top]
+        inv = field.inv(m[top][c])
+        m[top] = [field.normalize(inv * x) for x in m[top]]
+        for i in range(len(m)):
+            if i != top and m[i][c]:
+                factor = m[i][c]
+                m[i] = [field.normalize(x - factor * y) for x, y in zip(m[i], m[top])]
+        pivots.append(c)
+    return m[:len(pivots)], pivots
+
+
+@pytest.mark.parametrize("field", [F5, GF(32003)], ids=str)
+@pytest.mark.parametrize("shape", SINGLETON_SHAPES)
+def test_peeled_elimination_matches_dense_gauss_jordan(field, shape):
+    rng = rng_for(f"gauss-jordan-{shape}-{field}")
+    for _ in range(30):
+        a = _singleton_heavy(rng, field, shape)
+        red, pivots = _gauss_jordan(field, a.data, a.cols)
+        r, got = a.rref()
+        assert got == pivots and a.rank() == len(pivots)
+        assert r.data == red + [[field.zero] * a.cols for _ in range(a.rows - len(red))]
+        free = [c for c in range(a.cols) if c not in pivots]
+        want = [[field.one if i == c else field.neg(red[pivots.index(i)][c]) if i in pivots
+                 else field.zero for c in free] for i in range(a.cols)]
+        assert kernel_basis_sparse(a) == Matrix(field, want, a.cols, len(free))
+        b = rand_sparse_matrix(rng, field, a.rows, rng.randint(1, 3), 0.3)
+        red, pivots = _gauss_jordan(field, [x + y for x, y in zip(a.data, b.data)], a.cols + b.cols)
+        if pivots and pivots[-1] >= a.cols:
+            assert solve(a, b) is None
+        else:
+            want = [[field.zero] * b.cols for _ in range(a.cols)]
+            for row, p in zip(red, pivots):
+                want[p] = row[a.cols:]
+            assert solve(a, b) == Matrix(field, want, a.cols, b.cols)
+
+
+def test_solve_refuses_when_only_a_one_entry_row_of_b_is_inconsistent():
+    for field in FIELDS:
+        # row 2 of A is zero, so row 2 of [A | B] is one entry in B's column
+        a = mat(field, [[1, 2, 0], [0, 1, 1], [0, 0, 0], [1, 0, 0]])
+        b = mat(field, [[0], [0], [3], [0]])
+        assert solve(a, b) is None
+        assert solve(a, mat(field, [[1], [1], [0], [1]])) is not None
+
+
+def test_peeling_a_long_cascade_is_linear():
+    """Rows e_i + 2·e_(i+1) and a last row e_n: each peel frees the row above
+    it.  A rescan for one-entry rows would take about 50 s at this size."""
+    n = 20_000
+    cols = [{i: 1} for i in range(n)] + [{n: 1}]
+    for i in range(n):
+        cols[i + 1][i] = 2
+    a = Matrix.from_cols(F5, n + 1, cols)
+    start = time.process_time()
+    k = kernel_basis_sparse(a)
+    assert time.process_time() - start < 5
+    assert (k.rows, k.cols) == (n + 1, 0)

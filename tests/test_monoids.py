@@ -40,6 +40,10 @@ def swap_dlaw(a: MonoidObj, b: MonoidObj) -> DistLaw:
     return DistLaw(a, b, a.base.symmetry(b.carrier, a.carrier))
 
 
+def _surjective(f: FinFun) -> bool:
+    return set(f.table) == set(range(f.cod.size))
+
+
 def trivial_finset_monoid():
     return finset_monoid((0,), 0, FINSET)
 
@@ -127,7 +131,7 @@ def test_q_identity_on_product_injections():
     assert check_monoid_morphism(f).ok and check_monoid_morphism(g).ok
     q = induced_q(f, g)
     assert q == FINSET.identity(prod.carrier)
-    assert FINSET.is_epi(q)
+    assert _surjective(q)
 
 
 def test_q_from_trivial_monoid():
@@ -136,7 +140,7 @@ def test_q_from_trivial_monoid():
     u = MonoidMorphism(t, c, FinFun(FinSetObj(1), FinSetObj(2), (0,)))
     q = induced_q(u, u)
     assert q.table == (0,)
-    assert not FINSET.is_epi(q)  # C is not trivial
+    assert not _surjective(q)  # C is not trivial
 
 
 def test_q_addition_table_surjective():
@@ -144,14 +148,14 @@ def test_q_addition_table_surjective():
     i = MonoidMorphism(c, c, FINSET.identity(c.carrier))
     q = induced_q(i, i)
     assert q == c.m
-    assert FINSET.is_epi(q)
+    assert _surjective(q)
 
 
 def test_joint_epi_consequence_small():
     """If q is epi then monoid morphisms out of C agree once they agree on f, g."""
     c = z2_monoid()
     i = MonoidMorphism(c, c, FINSET.identity(c.carrier))
-    assert FINSET.is_epi(induced_q(i, i))
+    assert _surjective(induced_q(i, i))
     targets = [finset_monoid(t, u, FINSET) for t, u in all_monoids(2)]
     for tgt in targets:
         homs = []

@@ -19,7 +19,6 @@ from relspan import (
     from_small_category,
     linearize_relcat,
     path_coalgebra,
-    span_power,
     span_tensor,
 )
 from relspan.coalg import cid
@@ -35,6 +34,18 @@ from relspan.relcat import (
     fixture_z2,
     unit_span,
 )
+
+
+def span_power(x: SpanOverB, n: int) -> SpanOverB:
+    """Left-associated n-th monoidal power; the 0-th power is the unit span."""
+    if n < 0:
+        raise ValueError("negative monoidal power")
+    if n == 0:
+        return unit_span(x.base, x.b)
+    acc = x
+    for _ in range(n - 1):
+        acc = span_tensor(acc, x)
+    return acc
 
 
 def ffun(dom, cod, table):
