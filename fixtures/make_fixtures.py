@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import sys
 from fractions import Fraction
 
 from relspan import (
@@ -19,15 +20,12 @@ from relspan import (
 )
 from relspan.finset import FINSET, FinFun, FinSetObj
 from relspan.jsonio import field_to_json, matrix_to_json
-from relspan.relcat import (
-    fixture_discrete,
-    fixture_groupoid5,
-    fixture_poset01,
-    fixture_z2,
-    from_small_category,
-)
+from relspan.relcat import from_small_category
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(HERE, os.pardir, "tests"))
+
+from gen import fixture_discrete, fixture_groupoid5, fixture_poset01, fixture_z2  # noqa: E402
 
 
 def write(name, doc):

@@ -13,24 +13,28 @@ names the first basis vector on which they differ.
 
 Equalizers of coalgebra maps are computed in two steps: the underlying
 subspace E is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and
-it inherits δ_E = (L⊗L)∘δ∘j, L the left inverse of the inclusion j.  The one
-check (j⊗j)∘δ_E = δ∘j holds exactly when δ(E) ⊆ E⊗E; the theory guarantees
-it, so failure raises InternalSolveFailure.  f_hat - g_hat is (T⊗1)∘δ with
-T = (1⊗(f-g))∘δ = T_P·R, R the nonzero rows of rref(t) for any t with T's
-row space and T_P the pivot columns of T, so T_P⊗1 is injective.  As
-(1⊗1⊗ε)∘(T⊗1)∘δ = T∘z for z = (1⊗ε)∘δ, E lies in K' = ker(R∘z), with no
-counit law assumed, and E = K'·ker((R⊗1)∘δ∘K').  On counital input z = 1,
-so K' = ker R = ker t comes from the one elimination of t that gives R.
-This basis is canonical: each column is 1 at its largest nonzero coordinate,
-where the others are 0.  A relative pullback's payload is the equalizer of
-f⊗ε and ε⊗g on A⊗C; there δ = (1⊗c⊗1)∘(δ_A⊗δ_C) gives z = Z_A⊗Z_C, taken
-as 1 when Z_A and Z_C are, and T, rows in A⊗B⊗C order, as
-X_f⊗Z_C - Z_A⊗(c∘Y_g), for X_f = (1⊗f)∘δ_A, Y_g = (1⊗g)∘δ_C and
-Z = (1⊗ε)∘δ on each factor; each column of that difference is built in one
-pass, without either Kronecker product.  The cotensor product, the
-independent one-step linear equalizer on A⊗C that cross-checks it, is an
-unchecked linear subspace; once the legs are decided to be in S,
-subcoalgebra gives its induced structure.
+it inherits δ_E = (L⊗L)∘δ∘j, L the left inverse of the inclusion j.  The
+closure check (j⊗j)∘δ_E = δ∘j holds exactly when δ(E) ⊆ E⊗E; the theory
+guarantees it, so failure raises InternalSolveFailure.  f_hat - g_hat is
+(T⊗1)∘δ with T = (1⊗(f-g))∘δ = T_P·R, R the nonzero rows of rref(t) for any
+t with T's row space and T_P the pivot columns of T, so T_P⊗1 is injective.
+As (1⊗1⊗ε)∘(T⊗1)∘δ = T∘z for z = (1⊗ε)∘δ, E lies in K' = ker(R∘z), with no
+counit law assumed, and E = K'·N for N = ker((R⊗1)∘δ∘K'), the second
+system.  On counital input z = 1, so K' = ker R = ker t comes from the one
+elimination of t that gives R, and R∘K' = 0.  The closure check on K' is
+then the certificate: when it passes, (R⊗1)∘δ∘K' = (R∘K'⊗K')∘δ_E = 0, so
+N = 1 and E = K'.  The second system is built only when z ≠ 1 or that check
+fails, and then gives the same E.  This basis is canonical: each column is
+1 at its largest nonzero coordinate, where the others are 0.
+
+A relative pullback's payload is the equalizer of f⊗ε and ε⊗g on A⊗C;
+there δ = (1⊗c⊗1)∘(δ_A⊗δ_C) gives z = Z_A⊗Z_C, taken as 1 when Z_A and Z_C
+are, and T, rows in A⊗B⊗C order, as X_f⊗Z_C - Z_A⊗(c∘Y_g), for
+X_f = (1⊗f)∘δ_A, Y_g = (1⊗g)∘δ_C and Z = (1⊗ε)∘δ on each factor; each
+column of that difference is built in one pass, without either Kronecker
+product.  The cotensor product, the independent one-step linear equalizer
+on A⊗C that cross-checks it, is an unchecked linear subspace; once the legs
+are decided to be in S, subcoalgebra gives its induced structure.
 
 Tensor products of coalgebras keep their factors: a δ column is built from
 δ_A and δ_C when it is read, and ε = ε_A⊗ε_C on first use, so δ∘K' reads
@@ -336,39 +340,43 @@ def subcoalgebra(x: Coalgebra, k: Matrix) -> CoalgEqualizer:
     """The span E of the columns of k, a canonical kernel basis, with the
     comonoid structure δ_E = (L⊗L)∘δ∘k it inherits from x, its inclusion and
     the left inverse L of k; (k⊗k)∘δ_E = δ∘k is verified."""
-    return _subcoalgebra(x, k, _delta_apply(x, k))
+    return _closed(_subcoalgebra(x, k, _delta_apply(x, k)))
 
 
-def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer:
-    """subcoalgebra(x, k) given delta_k = δ∘k."""
+def _closed(eq: CoalgEqualizer | None) -> CoalgEqualizer:
+    if eq is None:
+        raise InternalSolveFailure("δ∘j does not factor through j⊗j")
+    return eq
+
+
+def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer | None:
+    """subcoalgebra(x, k) given delta_k = δ∘k, or None when the check fails."""
     lk = kernel_left_inverse(k)
     delta_e = kron_apply(lk, lk, delta_k)
     if kron_apply(k, k, delta_e) != delta_k:
-        raise InternalSolveFailure("δ∘j does not factor through j⊗j")
+        return None
     eps_k = x.epsilon @ k if x._factors is None else kron_apply(*(f.epsilon for f in x._factors), k)
     obj = Coalgebra(k.cols, x.field, delta=delta_e, epsilon=eps_k)
     return CoalgEqualizer(obj, CoalgMap(obj, x, k), lk)
 
 
-def _equalizer_system(x: Coalgebra, t: Matrix, z: Matrix | None):
-    """(K', δ∘K', (R⊗1)∘δ∘K') for t, z, R and K' as in the module docstring,
-    z None when it is the identity; it keeps the bracketing (δ⊗1)∘δ, so
-    coassociativity is not assumed."""
+def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None) -> CoalgEqualizer:
+    """The equalizer that t and z describe in x, z None when it is the
+    identity, on the basis K'∘N of the module docstring.  On counital input
+    a passing closure check on K' certifies N = 1, and the second system
+    (R⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ, is not built."""
     r, k = rref_and_kernel(t)
     if z is not None:
         k = kernel_basis_sparse(r @ z)
     delta_k = _delta_apply(x, k)
-    return k, delta_k, kron_apply(r, Matrix.identity(x.field, x.dim), delta_k)
-
-
-def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None) -> CoalgEqualizer:
-    """The equalizer that t and z describe in x, on the basis K'∘N; N is
-    the identity, and K'∘N is K', when the second system has rank 0."""
-    k, delta_k, system = _equalizer_system(x, t, z)
-    n = kernel_basis_sparse(system)
-    if n.cols == n.rows:
-        return _subcoalgebra(x, k, delta_k)
-    return _subcoalgebra(x, k @ n, delta_k @ n)
+    eq = None if z is not None else _subcoalgebra(x, k, delta_k)
+    if eq is None:
+        n = kernel_basis_sparse(kron_apply(r, Matrix.identity(x.field, x.dim), delta_k))
+        if n.cols != n.rows:
+            eq = _subcoalgebra(x, k @ n, delta_k @ n)
+        elif z is not None:
+            eq = _subcoalgebra(x, k, delta_k)
+    return _closed(eq)
 
 
 def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:

@@ -18,6 +18,7 @@ from relspan import (
     Matrix,
     MonoidMorphism,
     MonoidObj,
+    SmallCategory,
     grouplike,
 )
 from relspan.linalg import kron, kron_apply, solve, swap_map
@@ -412,3 +413,52 @@ def finset_monoid(table, unit, base) -> MonoidObj:
 
 def rng_for(name: str) -> random.Random:
     return random.Random(f"relspan::{name}")
+
+
+# -- the small categories of the shipped relative-category fixtures --------------
+
+
+def fixture_discrete(n: int) -> SmallCategory:
+    """The discrete category on n objects."""
+    return SmallCategory(
+        n,
+        n,
+        tuple(range(n)),
+        tuple(range(n)),
+        tuple(range(n)),
+        tuple(tuple(i if i == j else -1 for j in range(n)) for i in range(n)),
+    )
+
+
+def fixture_poset01() -> SmallCategory:
+    """The poset 0 < 1 as a category: id0, id1 and one arrow 0 -> 1."""
+    return SmallCategory(
+        2,
+        3,
+        (0, 1, 0),
+        (0, 1, 1),
+        (0, 1),
+        ((0, -1, -1), (-1, 1, 2), (2, -1, -1)),
+    )
+
+
+def fixture_one_object_group(table, unit=0) -> SmallCategory:
+    """A one-object category from a group (or monoid) multiplication table."""
+    m = len(table)
+    return SmallCategory(
+        1,
+        m,
+        (0,) * m,
+        (0,) * m,
+        (unit,),
+        tuple(tuple(table[i][j] for j in range(m)) for i in range(m)),
+    )
+
+
+def fixture_z2() -> SmallCategory:
+    return fixture_one_object_group([[0, 1], [1, 0]])
+
+
+def fixture_groupoid5() -> SmallCategory:
+    """A 5-arrow groupoid: the one-object groupoid on the cyclic group C5."""
+    return fixture_one_object_group([[(i + j) % 5 for j in range(5)] for i in range(5)])

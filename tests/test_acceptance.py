@@ -15,6 +15,10 @@ from gen import (
     all_monoids,
     block_coalgebra,
     finset_monoid,
+    fixture_discrete,
+    fixture_groupoid5,
+    fixture_poset01,
+    fixture_z2,
     group_algebra,
     group_algebra_hom,
     group_pullback,
@@ -81,10 +85,6 @@ from relspan.relcat import (
     RelativeCategory,
     check_relative_category,
     composition_table,
-    fixture_discrete,
-    fixture_groupoid5,
-    fixture_poset01,
-    fixture_z2,
 )
 
 

@@ -522,27 +522,37 @@ def test_sizes_indices_and_table_entries_must_be_json_integers(tmp_path, decl):
 
 
 def _counting(monkeypatch, name):
-    """The calls to coalg.<name> from here on, recorded as they happen."""
+    """The calls to coalg.<name> from here on, as (args, result), recorded
+    as they happen."""
     calls, fn = [], getattr(coalg, name)
-    monkeypatch.setattr(coalg, name, lambda *a: calls.append(a) or fn(*a))
+
+    def spy(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(coalg, name, spy)
     return calls
 
 
 def test_pullback_compare_cotensor_decides_class_S_three_times(monkeypatch):
-    subs = _counting(monkeypatch, "_subcoalgebra")
+    checks = _counting(monkeypatch, "_subcoalgebra")
     calls = _counting(monkeypatch, "class_S_witness")
     code, _ = run(["pullback", fx("cospan_coalg.json"), "--cospan", "cs", "--compare-cotensor"])
     assert code == 0
     assert len(calls) == 3  # the two legs, then the projection span of the filler
-    assert len(subs) == 1  # the pullback's equalizer; the cotensor stays linear
+    # one closure check, which certifies the pullback's equalizer; the
+    # cotensor stays linear
+    assert len(checks) == 1 and checks[0][1] is not None
 
 
 def test_cotensor_command_decides_the_legs_once(monkeypatch):
-    subs = _counting(monkeypatch, "_subcoalgebra")
+    checks = _counting(monkeypatch, "_subcoalgebra")
     decisions = _counting(monkeypatch, "class_S_witness")
     code, doc = run_json(["cotensor", fx("cospan_coalg.json"), "--cospan", "cs"])
     assert code == 0 and any(c["name"].startswith("induced structure") for c in doc["checks"])
-    assert len(subs) == 2  # the induced structure, then the pullback's equalizer
+    # two closure checks, both passing: the induced structure, then the
+    # pullback's equalizer
+    assert [eq is not None for _, eq in checks] == [True, True]
     assert len(decisions) == 2
 
 

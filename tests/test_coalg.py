@@ -52,7 +52,6 @@ from relspan import (
 )
 from relspan import coalg, linalg
 from relspan.coalg import (
-    _equalizer_system,
     cid,
     equalizer_factor,
     pullback_factor_coalg,
@@ -68,7 +67,7 @@ from relspan.errors import (
     SpanNotInClass,
     SquareDoesNotCommute,
 )
-from relspan.linalg import kernel_basis_sparse, kron, kron_apply, solve, swap_map
+from relspan.linalg import kernel_basis_sparse, kron, kron_apply, rref_and_kernel, solve, swap_map
 
 
 # -- axiom checks -----------------------------------------------------------------
@@ -344,6 +343,19 @@ def _t_and_z(f, g):
     return kron(i_n, f.mat - g.mat) @ a.delta, kron(i_n, a.epsilon) @ a.delta
 
 
+def _equalizer_system(x, t, z):
+    """(K', δ∘K', S') for t, z, R and K' as in the coalg module docstring, z
+    None when it is the identity, with the second system S' = (R⊗1)∘δ∘K'
+    built on every input: the reference that coalg's equalizer, which builds
+    S' only when the closure check on K' fails or z is not the identity,
+    must agree with."""
+    r, k = rref_and_kernel(t)
+    if z is not None:
+        k = kernel_basis_sparse(r @ z)
+    delta_k = x.delta @ k
+    return k, delta_k, kron_apply(r, Matrix.identity(x.field, x.dim), delta_k)
+
+
 def _assert_hat_difference_matches_oracle(f, g):
     """The restricted system S' = (R⊗1)∘δ∘K', R the nonzero rows of rref(T)
     for T = (1⊗(F-G))∘δ and K' = ker(R∘Z), gives back the exact
@@ -455,6 +467,13 @@ def _outcome(fn, *args):
         return fn(*args)
     except InternalSolveFailure as e:
         return str(e)
+
+
+def _reference_equalizer(x, t, z):
+    """The equalizer on K'∘N with N = ker S' always solved, as subcoalgebra
+    gives it, or the message of the InternalSolveFailure it raises."""
+    k, _, system = _equalizer_system(x, t, z)
+    return _outcome(subcoalgebra, x, k @ kernel_basis_sparse(system))
 
 
 def _restriction_facts(x, t, z, e):
@@ -575,26 +594,43 @@ def test_tensor_delta_columns_match_the_dense_formula():
                 assert t.epsilon == kron(oracle_x.epsilon, y.epsilon)
 
 
+def _spy(monkeypatch, owner, name):
+    """The calls to owner.<name> from here on, as (args, result)."""
+    calls, fn = [], getattr(owner, name)
+
+    def spy(*args):
+        calls.append((args, fn(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
 def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(monkeypatch):
-    """On counital input z = 1: the system comes from one elimination of t,
-    the same as the R∘z path with z the identity, it builds only the δ
-    columns of A⊗C that K' uses and never the ε of A⊗C.  Non-counital input
-    still eliminates R∘z as well."""
-    reduces, systems, columns = [], [], []
-    reduce_in, system_in, column_in = linalg._reduce, coalg._equalizer_system, Coalgebra.delta_column
-    monkeypatch.setattr(linalg, "_reduce", lambda *a: reduces.append(a) or reduce_in(*a))
+    """On counital input z = 1 a pullback runs one elimination, of t, and
+    one closure check, on K' = ker t, which passes, and applies no
+    kron_apply with R, so the second system is never built.  It builds only
+    the δ columns of A⊗C that K' uses and never the ε of A⊗C, and its K' is
+    that of the R∘z path with z the identity.  Non-counital input still
+    eliminates R∘z as well, and then the second system."""
+    reduces = _spy(monkeypatch, linalg, "_reduce")
+    rrefs = _spy(monkeypatch, coalg, "rref_and_kernel")
+    checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    solves = _spy(monkeypatch, coalg, "_equalizer")
+    krons = _spy(monkeypatch, coalg, "kron_apply")
+    columns, column_in = [], Coalgebra.delta_column
     monkeypatch.setattr(Coalgebra, "delta_column",
                         lambda self, j: columns.append((self, j)) or column_in(self, j))
 
-    def spy(x, t, z):
-        before = len(reduces)
-        out = system_in(x, t, z)
-        systems.append((x, t, z, out, len(reduces) - before))
-        return out
+    def pullback(f, g):
+        for calls in (reduces, rrefs, checks, solves, krons, columns):
+            calls.clear()
+        _outcome(relative_pullback_coalg, CoalgCategory(f.mat.field), f, g)
+        (((x, t, z), _),), (((_,), (r, k)),) = solves, rrefs
+        return x, t, z, r, k
 
-    monkeypatch.setattr(coalg, "_equalizer_system", spy)
     rng = rng_for("pb-counital")
-    for field in FIELDS:
+    for field in (QQ, GF(2), GF(5)):
         for dense in (False, True, True):
             f0 = rand_finfun(rng, rng.randint(1, 4), rng.randint(1, 3))
             g0 = rand_finfun(rng, rng.randint(1, 4), f0.cod.size)
@@ -603,59 +639,165 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                 p_b = random_basis(rng, field, f.tgt.dim)
                 f = rebased_map(f, random_basis(rng, field, f.src.dim), p_b)
                 g = rebased_map(g, random_basis(rng, field, g.src.dim), p_b)
-            columns.clear()
-            relative_pullback_coalg(CoalgCategory(field), f, g)
-            ((x, t, z, (k, delta_k, system), n_reduce),) = systems
-            systems.clear()
-            assert z is None and n_reduce == 1
+            x, t, z, r, k = pullback(f, g)
+            assert z is None and len(reduces) == 1
+            (((x_used, k_used, delta_k), eq),) = checks
+            assert x_used is x and k_used is k and eq is not None
+            assert not any(args[0] == r for args, _ in krons)
             assert x._delta is None and x._epsilon is None
             assert sorted(j for c, j in columns if c is x) == sorted(set().union(*k.columns))
             assert delta_k == x.delta @ k
-            assert system_in(x, t, Matrix.identity(field, x.dim)) == (k, delta_k, system)
+            assert k == _equalizer_system(x, t, Matrix.identity(field, x.dim))[0]
     field = GF(5)
     a, c, b = (rand_raw_coalgebra(rng, field, d) for d in (2, 2, 1))
-    _outcome(relative_pullback_coalg, CoalgCategory(field), CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
-             CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
-    ((x, t, z, _, n_reduce),) = systems
-    assert z is not None and n_reduce == 2
+    x, _, z, r, _ = pullback(CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
+                          CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
+    assert z is not None and len(reduces) == 3
+    assert sum(args[0] == r for args, _ in krons) == 1
 
 
 def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypatch):
     """N = ker((R⊗1)∘δ∘K') is the identity exactly when that system has rank
     0, and then the equalizer is K' itself: a counital group-like pullback
-    multiplies neither K' nor δ∘K' by N.  Random non-counital data, where N
-    is not the identity, still gets K'∘N and δ∘K'∘N."""
-    systems, subs = [], []
-    system_in, sub_in = coalg._equalizer_system, coalg._subcoalgebra
-    monkeypatch.setattr(coalg, "_equalizer_system", lambda *a: systems.append(system_in(*a)) or systems[-1])
-    monkeypatch.setattr(coalg, "_subcoalgebra", lambda x, k, dk: subs.append((k, dk)) or sub_in(x, k, dk))
+    hands the closure check K' and δ∘K' as the elimination of t gave them.
+    Random non-counital data, where the reference's N is not the identity,
+    gets K'∘N and δ∘K'∘N."""
+    rrefs = _spy(monkeypatch, coalg, "rref_and_kernel")
+    checks = _spy(monkeypatch, coalg, "_subcoalgebra")
     rng = rng_for("eq-skip-n")
     for field in FIELDS:
         f = linearize_fun(rand_finfun(rng, 4, 2), field)
         g = linearize_fun(rand_finfun(rng, 3, 2), field)
         relative_pullback_coalg(CoalgCategory(field), f, g)
-        ((k, delta_k, _),), ((k_used, delta_k_used),) = systems, subs
-        assert k_used is k and delta_k_used is delta_k
-        systems.clear()
-        subs.clear()
+        ((_, (_, k)),), (((x, k_used, delta_k_used), _),) = rrefs, checks
+        assert k_used is k and delta_k_used == x.delta @ k
+        rrefs.clear()
+        checks.clear()
     multiplied = 0
     for field in RESTRICTION_FIELDS:
         for _ in range(30):
             n, nb = rng.randint(2, 4), rng.randint(1, 2)
             a, b = rand_raw_coalgebra(rng, field, n), rand_raw_coalgebra(rng, field, nb)
             fm = rand_sparse_matrix(rng, field, nb, n, 0.5)
-            gm = fm + rand_sparse_matrix(rng, field, nb, n, 0.3)
-            _outcome(coalg_equalizer, CoalgMap(a, b, fm), CoalgMap(a, b, gm))
-            ((k, delta_k, system),), ((k_used, delta_k_used),) = systems, subs
+            f, g = CoalgMap(a, b, fm), CoalgMap(a, b, fm + rand_sparse_matrix(rng, field, nb, n, 0.3))
+            t, z = _t_and_z(f, g)
+            assert z != Matrix.identity(field, n)
+            checks.clear()
+            _outcome(coalg_equalizer, f, g)
+            k, delta_k, system = _equalizer_system(a, t, z)
+            (((_, k_used, delta_k_used), _),) = checks
             if system.rank() == 0:
-                assert k_used is k and delta_k_used is delta_k
+                assert k_used == k and delta_k_used == delta_k
             else:
                 multiplied += 1
                 n_basis = kernel_basis_sparse(system)
                 assert k_used == k @ n_basis and delta_k_used == delta_k @ n_basis
-            systems.clear()
-            subs.clear()
     assert multiplied
+
+
+FALLBACK_FIELDS = (GF(5), GF(7), QQ)
+
+
+def _twisted_grouplike(field, n, j, u, w):
+    """k[n] with (u⊗w)·e_jᵀ added to its δ, for integer coordinate lists u
+    and w: counital when each sums to 0, ε(u) = ε(w) = 0, and in general not
+    coassociative."""
+    cols = [{x * n + x: field.one} for x in range(n)]
+    for a in range(n):
+        for b in range(n):
+            v = field.of(cols[j].pop(a * n + b, 0) + u[a] * w[b])
+            if v != field.zero:
+                cols[j][a * n + b] = v
+    return Coalgebra(n, field, delta=Matrix.from_cols(field, n * n, cols),
+                     epsilon=grouplike(field, n).epsilon)
+
+
+def _rand_twisted(rng, field, n):
+    """_twisted_grouplike at a random column with random u and w of sum 0."""
+    u, w = ([*v, -sum(v)] for v in ([rng.randint(-2, 2) for _ in range(n - 1)] for _ in "uw"))
+    x = _twisted_grouplike(field, n, rng.randrange(n), u, w)
+    rep = check_coalgebra(x)
+    assert [c.ok for c in rep.checks[1:]] == [True, True]
+    return x, rep.ok
+
+
+def test_counital_equalizer_falls_back_to_the_second_system_as_the_reference_does(monkeypatch):
+    """On counital coalgebras that are not coassociative, coalg_equalizer
+    gives what the reference gives, which always solves the second system:
+    on K' when the closure check passes, else on K'∘N with one more check
+    when N is not the identity.  Both branches must be seen."""
+    checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    rng = rng_for("eq-fallback")
+    seen, coassociative = set(), set()
+    for field in FALLBACK_FIELDS:
+        for _ in range(60):
+            x, ok = _rand_twisted(rng, field, rng.randint(2, 4))
+            coassociative.add(ok)
+            nb = rng.randint(1, 3)
+            b = grouplike(field, nb)
+            fm = rand_sparse_matrix(rng, field, nb, x.dim, 0.5)
+            f, g = CoalgMap(x, b, fm), CoalgMap(x, b, fm + rand_sparse_matrix(rng, field, nb, x.dim, 0.3))
+            checks.clear()
+            got = _outcome(coalg_equalizer, f, g)
+            passed = checks[0][1] is not None
+            seen.add(passed)
+            t, z = _t_and_z(f, g)
+            k, _, system = _equalizer_system(x, t, z)
+            assert len(checks) == 1 if passed else 1 + (system.rank() > 0)
+            assert got == _reference_equalizer(x, t, z)
+    assert seen == {True, False} and coassociative == {True, False}
+
+
+def test_counital_pullback_falls_back_to_the_second_system_as_the_reference_does(monkeypatch):
+    """The same on pullbacks of such coalgebras: the payload is the
+    reference's equalizer of f⊗ε and ε⊗g, or the same failure."""
+    checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    rng = rng_for("pb-fallback")
+    seen = set()
+    for field in FALLBACK_FIELDS:
+        base = CoalgCategory(field)
+        for _ in range(20):
+            (a, _), (c, _) = (_rand_twisted(rng, field, rng.randint(2, 3)) for _ in "ac")
+            nb = rng.randint(1, 2)
+            b = grouplike(field, nb)
+            f = CoalgMap(a, b, rand_sparse_matrix(rng, field, nb, a.dim, 0.5))
+            g = CoalgMap(c, b, rand_sparse_matrix(rng, field, nb, c.dim, 0.5))
+            checks.clear()
+            got = _outcome(relative_pullback_coalg, base, f, g)
+            seen.add(checks[0][1] is not None)
+            fe, eg = _legs_on_tensor(f, g)
+            want = _reference_equalizer(fe.src, *_t_and_z(fe, eg))
+            if not isinstance(want, str) and fe.mat @ want.j.mat != eg.mat @ want.j.mat:
+                want = "pullback square does not commute"
+            assert (got if isinstance(got, str) else got.payload) == want
+    assert seen == {True, False}
+
+
+def test_counital_equalizer_fails_as_the_reference_does_when_n_is_one(monkeypatch):
+    """k[4] with (e2 − e0)⊗(e1 − e3) added to δ(e2), and f − g = e1* + e3*
+    into k: K' = span(e0, e2) has δ(K') ⊆ K'⊗X, so (R⊗1)∘δ∘K' = 0 and
+    N = 1, but δ(e2) is not in K'⊗K'.  The closure check fails once and the
+    equalizer raises what the reference raises; so does the pullback of
+    f' = ε + e1* + e3* against the identity of k, whose t is the same."""
+    checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    for field in FALLBACK_FIELDS:
+        x = _twisted_grouplike(field, 4, 2, [-1, 0, 1, 0], [0, 1, 0, -1])
+        one = trivial(field)
+        f = CoalgMap(x, one, Matrix(field, [[0, 1, 0, 1]], 1, 4))
+        g = CoalgMap(x, one, Matrix(field, [[0, 0, 0, 0]], 1, 4))
+        t, z = _t_and_z(f, g)
+        k, _, system = _equalizer_system(x, t, z)
+        assert k == Matrix.from_cols(field, 4, [{0: field.one}, {2: field.one}])
+        assert system.rank() == 0
+        failure = "δ∘j does not factor through j⊗j"
+        checks.clear()
+        assert _outcome(coalg_equalizer, f, g) == failure
+        assert [eq for _, eq in checks] == [None]
+        assert _reference_equalizer(x, t, z) == failure
+        checks.clear()
+        f_pb = CoalgMap(x, one, Matrix(field, [[1, 2, 1, 2]], 1, 4))
+        assert _outcome(relative_pullback_coalg, CoalgCategory(field), f_pb, cid(one)) == failure
+        assert [eq for _, eq in checks] == [None]
 
 
 # -- relative pullbacks -------------------------------------------------------------

@@ -4,7 +4,16 @@ import dataclasses
 
 import pytest
 
-from gen import FIELDS, rand_finfun, rng_for
+from gen import (
+    FIELDS,
+    fixture_discrete,
+    fixture_groupoid5,
+    fixture_one_object_group,
+    fixture_poset01,
+    fixture_z2,
+    rand_finfun,
+    rng_for,
+)
 from relspan import (
     FINSET,
     QQ,
@@ -27,11 +36,6 @@ from relspan.finset import linearize_funs
 from relspan.relcat import (
     RelativeCategory,
     composition_table,
-    fixture_discrete,
-    fixture_groupoid5,
-    fixture_one_object_group,
-    fixture_poset01,
-    fixture_z2,
     unit_span,
 )
 
