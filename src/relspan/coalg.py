@@ -37,11 +37,12 @@ on A⊗C that cross-checks it, is an unchecked linear subspace; once the legs
 are decided to be in S, subcoalgebra gives its induced structure.
 
 Tensor products of coalgebras keep their factors: a δ column is built from
-δ_A and δ_C when it is read, and ε = ε_A⊗ε_C on first use, so δ∘K' reads
-only the columns K' uses, ε∘K is (ε_A⊗ε_C)∘K, and sparse structures stay
-cheap even at tensor dimensions in the thousands.  Unit identifications
-k⊗V ≅ V ≅ V⊗k are implicit: a Kronecker factor of dimension 1 changes no
-indices, so the dimension bookkeeping is the coercion.
+δ_A and δ_C when it is read, and ε = ε_A⊗ε_C on first use.  δ∘K' is
+(1⊗c⊗1)∘(δ_A⊗δ_C)∘K', one kron_apply whose entries then move to their rows
+of (A⊗C)⊗(A⊗C), so no δ column of A⊗C is built; ε∘K is (ε_A⊗ε_C)∘K, and
+sparse structures stay cheap even at tensor dimensions in the thousands.
+Unit identifications k⊗V ≅ V ≅ V⊗k are implicit: a Kronecker factor of
+dimension 1 changes no indices, so the dimension bookkeeping is the coercion.
 """
 
 from __future__ import annotations
@@ -178,10 +179,19 @@ class CoalgMap:
 
 
 def _delta_apply(x: Coalgebra, m: Matrix) -> Matrix:
-    """δ∘m, building only the columns of δ that m reads."""
-    used = set().union(*m.columns)
-    cols = [x.delta_column(k) if k in used else {} for k in range(x.dim)]
-    return Matrix.from_cols(x.field, x.dim * x.dim, cols) @ m
+    """δ∘m.  Of a tensor product A⊗B whose δ is not built, (1⊗c⊗1)∘(δ_A⊗δ_B)∘m,
+    so no δ column of A⊗B is built: the entry of kron_apply(δ_A, δ_B, m) at
+    (a1⊗a2)⊗(b1⊗b2) moves to (a1⊗b1)⊗(a2⊗b2)."""
+    if x._delta is not None:
+        return x._delta @ m
+    a, b = x._factors
+    na, nb, n, s = a.dim, b.dim, x.dim, b.dim * b.dim
+    # the moves of the rows δ_A and δ_B use, not tables of dim² entries
+    to_a = {i: i // na * nb * n + i % na * nb for col in a.delta.columns for i in col}
+    to_b = {k: k // nb * n + k % nb for col in b.delta.columns for k in col}
+    cols = [{to_a[r // s] + to_b[r % s]: v for r, v in col.items()}
+            for col in kron_apply(a.delta, b.delta, m).columns]
+    return Matrix.from_cols(x.field, n * n, cols)
 
 
 def cid(c: Coalgebra) -> CoalgMap:

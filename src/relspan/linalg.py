@@ -10,13 +10,16 @@ Products build each output column by a rule chosen by how many nonzeros of
 the right operand feed it.  A column of @ or kron_apply fed by one nonzero v
 is v times one column (of the left operand, or A[:,p]⊗B[:,q]), built in one
 pass with no accumulator; a column fed by several nonzeros accumulates its
-sums and normalizes each entry once.  kron never sums; X⊗Z - W⊗Y is built
-one column at a time, without either product.  A product is
-normalized only when a factor is not one (a Q product of two Fractions can be
-integral, an F_p product needs its reduction), so a factor column whose only
-nonzero is one gives a copy of the other column.  Group-like data, whose δ,
-0/1 maps and identities have one nonzero per column, takes only the one-pass
-path.
+sums and normalizes each entry once.  When both of its factors have more
+than one nonzero per column on average, kron_apply takes such a column
+through the middle, (A⊗1)∘(1⊗B): its nonzeros that share a p are summed
+into one combination of B's columns, which each nonzero of A[:,p] scales.
+kron never sums; X⊗Z - W⊗Y is built one column at a time, without either
+product.  A product is normalized only when a factor is not one (a Q
+product of two Fractions can be integral, an F_p product needs its
+reduction), so a factor column whose only nonzero is one gives a copy of the
+other column.  Group-like data, whose δ, 0/1 maps and identities have one
+nonzero per column, takes only the one-pass path.
 
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
@@ -412,15 +415,20 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
 def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     """(A⊗B) @ M without materializing A⊗B: each nonzero v at row p·b.cols+q
     of a column of M adds v·A[:,p]⊗B[:,q] to that column of the result.  A
-    column of M with one nonzero is that one term, built in one pass.  For
-    the other columns each A[:,p]⊗B[:,q] is built once, when a row of M
-    first uses it, and the sums are normalized once per entry."""
+    column of M with one nonzero is that one term, built in one pass.  The
+    other columns go through the middle, (A⊗1)∘(1⊗B), when both factors
+    have more than one nonzero per column on average: the nonzeros that
+    share a p are summed into one combination of B's columns, which each
+    nonzero of A[:,p] then scales.  Otherwise each A[:,p]⊗B[:,q] is built
+    once, when a row of M first uses it.  Either way the sums are normalized
+    once per entry."""
     require_same_field(a.field, b.field)
     require_same_field(a.field, m.field)
     if m.rows != a.cols * b.cols:
         raise ShapeMismatch("kron_apply: M row count must be a.cols * b.cols")
     norm, one, nb, bc = m.field.normalize, m.field.one, b.rows, b.cols
     acols, bcols = a.columns, b.columns
+    middle = sum(map(len, acols)) > len(acols) and sum(map(len, bcols)) > len(bcols)
     terms = {}
     out = []
     for mcol in m.columns:
@@ -433,14 +441,28 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
             continue
         acc = {}
         get = acc.get
-        for idx, v in mcol.items():
-            t = terms.get(idx)
-            if t is None:
+        if middle:
+            mid = {}
+            for idx, v in mcol.items():
                 p, q = divmod(idx, bc)
-                bq = bcols[q].items()
-                t = terms[idx] = [(i * nb + k, norm(av * bv)) for i, av in acols[p].items() for k, bv in bq]
-            for k, w in t:
-                acc[k] = get(k, 0) + v * w
+                c = mid.setdefault(p, {})
+                cget = c.get
+                for k, y in bcols[q].items():
+                    c[k] = cget(k, 0) + v * y
+            for p, c in mid.items():
+                for i, x in acols[p].items():
+                    base = i * nb
+                    for k, w in c.items():
+                        acc[base + k] = get(base + k, 0) + x * w
+        else:
+            for idx, v in mcol.items():
+                t = terms.get(idx)
+                if t is None:
+                    p, q = divmod(idx, bc)
+                    bq = bcols[q].items()
+                    t = terms[idx] = [(i * nb + k, av * bv) for i, av in acols[p].items() for k, bv in bq]
+                for k, w in t:
+                    acc[k] = get(k, 0) + v * w
         out.append(_canonical(m.field, acc))
     return Matrix.from_cols(m.field, a.rows * nb, out)
 

@@ -342,6 +342,64 @@ def test_products_match_dense_oracle_on_mixed_columns(field):
             _assert_canonical(got)
 
 
+def _scalars(field):
+    """Nonzero canonical scalars, 2/3 and 3/2 among them where they exist."""
+    out = []
+    for y in (1, -1, 2, 3, Fraction(2, 3), Fraction(3, 2)):
+        try:
+            x = field.of(y)
+        except ZeroDivisionError:
+            continue
+        if x:
+            out.append(x)
+    return out
+
+
+def _dense_factor(rng, field, rows):
+    """rows x (rows + 1), every entry nonzero: more than one nonzero per
+    column, and a kernel."""
+    pool = _scalars(field)
+    return Matrix(field, [[rng.choice(pool) for _ in range(rows + 1)] for _ in range(rows)])
+
+
+def _projection(rng, field, rows, cols):
+    """A 0/1 map with at most one nonzero per column, as kernel_left_inverse
+    gives: a coordinate projection, some columns zero."""
+    return Matrix.from_cols(field, rows, [{rng.randrange(rows): field.one} if rng.random() < 0.7
+                                          else {} for _ in range(cols)])
+
+
+def _test_columns(rng, field, a, b):
+    """Columns for M against A⊗B: six that are zero, single-entry or
+    multi-entry, then the kernel vectors of A⊗B and multiples of them, which
+    cancel to zero (in the middle when they lie in A⊗ker B)."""
+    n, pool = a.cols * b.cols, _scalars(field)
+    cols = [{i: rng.choice(pool) for i in rng.sample(range(n), min(n, k))} for k in (0, 1, 1, 2, 3, n)]
+    ker = kernel_basis_sparse(kron(a, b)).columns
+    cols += ker[:4] + [{i: field.normalize(pool[-1] * v) for i, v in c.items()} for c in ker[:2]]
+    return Matrix.from_cols(field, n, cols)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F5, GF(32003)])
+def test_kron_apply_matches_kron_on_each_path(field):
+    """kron_apply(a, b, m) = kron(a, b) @ m, in canonical form, when both
+    factors are dense (the middle path), when one is an identity or a
+    one-entry projection (the cached path), and on columns of M with one
+    entry, several, or several that cancel."""
+    rng = rng_for(f"kron-apply-paths-{field!r}")
+    for _ in range(12):
+        a, b = _dense_factor(rng, field, rng.randint(2, 3)), _dense_factor(rng, field, rng.randint(2, 3))
+        assert sum(map(len, a.columns)) > a.cols and sum(map(len, b.columns)) > b.cols
+        pairs = ((a, b), (Matrix.identity(field, a.cols), b), (a, Matrix.identity(field, b.cols)),
+                 (_projection(rng, field, 2, a.cols), b), (a, _projection(rng, field, b.rows, b.cols)))
+        for x, y in pairs:
+            m = _test_columns(rng, field, x, y)
+            got = kron_apply(x, y, m)
+            assert got == kron(x, y) @ m
+            _assert_canonical(got)
+            assert got.cols > 6 and not any(got.columns[6:])  # the kernel columns cancel
+
+
 def test_integral_products_of_fractions_are_ints():
     two_thirds = Matrix.from_cols(QQ, 1, [{0: Fraction(2, 3)}])
     three_halves = Matrix.from_cols(QQ, 1, [{0: Fraction(3, 2)}])
