@@ -233,14 +233,14 @@ def _chain(obj, ref) -> list:
     sizes = _ints(obj["sizes"])
     if len(sizes) % 2 == 0 or len(sizes) < 3:
         raise ParseError("a chain needs an odd number (>= 3) of objects")
+    if len(obj["maps"]) != len(sizes) - 1:
+        raise ParseError("a chain needs one map per adjacent pair")
     maps = []
     for idx, table in enumerate(obj["maps"]):
         # even maps point right (X_i -> Y_{i+1}), odd maps left
         dom = _finset.FinSetObj(sizes[idx] if idx % 2 == 0 else sizes[idx + 1])
         cod = _finset.FinSetObj(sizes[idx + 1] if idx % 2 == 0 else sizes[idx])
         maps.append(_finset.FinFun(dom, cod, _ints(table)))
-    if len(maps) != len(sizes) - 1:
-        raise ParseError("a chain needs one map per adjacent pair")
     return maps
 
 

@@ -10,13 +10,21 @@ Products build each output column by a rule chosen by how many nonzeros of
 the right operand feed it.  A column of @ or kron_apply fed by one nonzero v
 is v times one column (of the left operand, or A[:,p]⊗B[:,q]), built in one
 pass with no accumulator; a column fed by several nonzeros accumulates its
-sums and normalizes each entry once.  When both of its factors have more
-than one nonzero per column on average, kron_apply takes such a column
-through the middle, (A⊗1)∘(1⊗B): its nonzeros that share a p are summed
-into one combination of B's columns, which each nonzero of A[:,p] scales.
-kron never sums; X⊗Z - W⊗Y is built one column at a time, without either
-product.  A product is normalized only when a factor is not one (a Q
-product of two Fractions can be integral, an F_p product needs its
+sums and normalizes each entry once.  Over F_p, kron_apply accumulates such
+a column in ints that pack one 64-bit slot per row when neither factor has
+fewer than one nonzero per column on average, one has more, and the
+column's N nonzeros have N·(p-1)³ < 2⁶⁴, so that no slot can carry into the
+next before the one reduction per entry: one big-int multiply-add replaces
+a dict update per row (delayed reduction, as in FFLAS-FFPACK, on Kronecker
+substitution).  Otherwise, when both of its factors have more than one
+nonzero per column on average, kron_apply takes such a column through the
+middle, (A⊗1)∘(1⊗B): its nonzeros that share a p are summed into one
+combination of B's columns, which each nonzero of A[:,p] scales.  Q and a
+larger p keep these dict paths, as their sums have no 64-bit bound, and so
+does a factor with fewer nonzeros than columns, which would pack mostly
+empty slots.  kron never sums; X⊗Z - W⊗Y is built one column at a time,
+without either product.  A product is normalized only when a factor is not
+one (a Q product of two Fractions can be integral, an F_p product needs its
 reduction), so a factor column whose only nonzero is one gives a copy of the
 other column.  Group-like data, whose δ, 0/1 maps and identities have one
 nonzero per column, takes only the one-pass path.
@@ -39,8 +47,10 @@ linearized finite sets have only such rows.
 
 from __future__ import annotations
 
+import sys
+
 from .errors import InternalSolveFailure, ShapeMismatch
-from .fields import require_same_field
+from .fields import PrimeField, require_same_field
 
 
 class Matrix:
@@ -415,20 +425,36 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
 def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     """(A⊗B) @ M without materializing A⊗B: each nonzero v at row p·b.cols+q
     of a column of M adds v·A[:,p]⊗B[:,q] to that column of the result.  A
-    column of M with one nonzero is that one term, built in one pass.  The
-    other columns go through the middle, (A⊗1)∘(1⊗B), when both factors
-    have more than one nonzero per column on average: the nonzeros that
-    share a p are summed into one combination of B's columns, which each
-    nonzero of A[:,p] then scales.  Otherwise each A[:,p]⊗B[:,q] is built
-    once, when a row of M first uses it.  Either way the sums are normalized
-    once per entry."""
+    column of M with one nonzero is that one term, built in one pass.
+
+    Over F_p, a column of M with N nonzeros is accumulated in packed 64-bit
+    slots (_packed_column) when neither factor has fewer than one nonzero per
+    column on average and at least one has more (dense⊗dense, dense⊗identity)
+    and N·(p-1)³ < 2⁶⁴: every slot sums at most N products of three residues
+    below p, so none can carry into the next before the one reduction per
+    entry.  Q has no such bound on its sums, nor does a larger p, and a
+    factor with fewer nonzeros than columns would pack mostly empty slots, so
+    those keep the dict paths: through the middle, (A⊗1)∘(1⊗B), when both
+    factors have more than one nonzero per column on average, where the
+    nonzeros that share a p are summed into one combination of B's columns,
+    which each nonzero of A[:,p] then scales; otherwise each A[:,p]⊗B[:,q] is
+    built once, when a row of M first uses it.  Either way the sums are
+    normalized once per entry."""
     require_same_field(a.field, b.field)
     require_same_field(a.field, m.field)
     if m.rows != a.cols * b.cols:
         raise ShapeMismatch("kron_apply: M row count must be a.cols * b.cols")
     norm, one, nb, bc = m.field.normalize, m.field.one, b.rows, b.cols
     acols, bcols = a.columns, b.columns
-    middle = sum(map(len, acols)) > len(acols) and sum(map(len, bcols)) > len(bcols)
+    fp = isinstance(m.field, PrimeField)
+    # nonzeros beyond one per column; B's are counted only when they can decide a path, else -1
+    over_a = sum(map(len, acols)) - len(acols)
+    over_b = sum(map(len, bcols)) - len(bcols) if over_a > 0 or fp and over_a == 0 else -1
+    middle = over_a > 0 and over_b > 0
+    packable = fp and over_a >= 0 and over_b >= 0 and over_a + over_b > 0
+    # the most nonzeros a packed column may have; 0 when no column is packed
+    most = (2**64 - 1) // (m.field.p - 1) ** 3 if packable else 0
+    packed = {}
     terms = {}
     out = []
     for mcol in m.columns:
@@ -438,6 +464,9 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
             bq = bcols[q].items()
             out.append({i * nb + k: one if v == x == y == one else norm(v * x * y)
                         for i, x in acols[p].items() for k, y in bq})
+            continue
+        if 1 < len(mcol) <= most:
+            out.append(_packed_column(acols, bcols, nb, m.field.p, packed, mcol))
             continue
         acc = {}
         get = acc.get
@@ -465,6 +494,34 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
                     acc[k] = get(k, 0) + v * w
         out.append(_canonical(m.field, acc))
     return Matrix.from_cols(m.field, a.rows * nb, out)
+
+
+def _packed_column(acols, bcols, nb, prime, packed, mcol):
+    """One column of (A⊗B) @ M over F_p with every sum held in a 64-bit slot
+    of one int, for a column within kron_apply's slot bound.  Each column of
+    B is packed once per call, slot k holding B[k,q], and cached in packed.
+    The nonzeros of the column that share a p sum into mid_p = Σ v·B̂_q, each
+    row i of A reached sums Σ_p A[i,p]·mid_p into one block, and each block
+    is unpacked once, reduced, its zeros dropped, rows in ascending order."""
+    bc, width, order = len(bcols), 8 * nb, sys.byteorder
+    mid = {}
+    for idx, v in mcol.items():
+        p, q = divmod(idx, bc)
+        y = packed.get(q)
+        if y is None:
+            slots = memoryview(bytearray(width)).cast("Q")
+            for k, x in bcols[q].items():
+                slots[k] = x
+            y = packed[q] = int.from_bytes(slots, order)
+        if y:
+            mid[p] = mid.get(p, 0) + v * y
+    blocks = {}
+    for p, w in mid.items():
+        for i, x in acols[p].items():
+            blocks[i] = blocks.get(i, 0) + x * w
+    return {k: r for i in sorted(blocks)
+            for k, s in enumerate(memoryview(blocks[i].to_bytes(width, order)).cast("Q"), i * nb)
+            if (r := s % prime)}
 
 
 def swap_map(field, m: int, n: int) -> Matrix:

@@ -903,7 +903,8 @@ def test_dense_pullback_of_dimension_64_stays_fast():
     """A scale guard: |A| = |C| = 8 with fibers of 2 over |B| = 4, rebased
     over F_32003 so every δ is dense, gives a dim-64 A⊗C.  The pullback is
     exact, so its apex has one dimension per matching pair, 16, and it must
-    take under 2 s of process CPU time."""
+    take under 2 s of process CPU time; check_coalgebra on the apex, whose
+    coassociativity products are dense⊗identity, under 0.5 s."""
     rng = rng_for("dense-pullback-64")
     field = GF(32003)
     tables = [rng.sample([b for b in range(4) for _ in range(2)], 8) for _ in range(2)]
@@ -915,6 +916,9 @@ def test_dense_pullback_of_dimension_64_stays_fast():
     assert time.process_time() - start < 2.0
     assert pb.apex.dim == sum(tables[0].count(b) * tables[1].count(b) for b in range(4)) == 16
     assert pb.jointly_monic
+    start = time.process_time()
+    assert check_coalgebra(pb.apex).ok
+    assert time.process_time() - start < 0.5
 
 
 def test_pullback_span_in_class_and_square():

@@ -2,13 +2,14 @@
 
 import time
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gen import FIELDS, is_injective, rand_matrix, rand_q_matrix, rand_scalar, rand_sparse_matrix, rng_for
-from relspan import GF, QQ, Matrix
+from relspan import GF, QQ, Matrix, linalg
 from relspan.errors import FieldMismatch, InternalSolveFailure, ShapeMismatch
 from relspan.linalg import (
     kernel_basis_sparse,
@@ -398,6 +399,60 @@ def test_kron_apply_matches_kron_on_each_path(field):
             assert got == kron(x, y) @ m
             _assert_canonical(got)
             assert got.cols > 6 and not any(got.columns[6:])  # the kernel columns cancel
+
+
+def _top(field, rows, cols, empty=()):
+    """rows x cols with every entry p - 1 (-1 over Q), the columns in empty zero."""
+    top = field.of(-1)
+    return Matrix.from_cols(field, rows, [{} if j in empty else dict.fromkeys(range(rows), top)
+                                          for j in range(cols)])
+
+
+def _packs(x, y, col, field):
+    """Whether kron_apply takes this column of M through packed 64-bit slots:
+    over F_p, neither factor below one nonzero per column on average, one
+    above, and len(col)·(p-1)³ < 2⁶⁴."""
+    (nx, ny), (cx, cy) = (sum(map(len, f.columns)) for f in (x, y)), (x.cols, y.cols)
+    return (field != QQ and nx >= cx and ny >= cy and (nx > cx or ny > cy)
+            and 1 < len(col) and len(col) * (field.p - 1) ** 3 < 2**64)
+
+
+# 1664501 is the largest prime with 4·(p-1)³ < 2⁶⁴, so a four-entry column
+# whose products are all (p-1)³ fills a slot to the edge; 2097143 is the least
+# prime above it, for which 4·(p-1)³ needs 65 bits, and 2⁶¹-1 fails the bound
+# at every column length.
+@pytest.mark.parametrize("field", [QQ, GF(2), F5, GF(32003), GF(1664501), GF(2097143), GF(2**61 - 1)])
+def test_kron_apply_packed_slots_match_kron_up_to_the_overflow_edge(monkeypatch, field):
+    """kron_apply(a, b, m) = kron(a, b) @ m, canonical, on dense⊗dense,
+    dense⊗identity and identity⊗dense factors, factors with empty columns or
+    of dimension 1, with every entry p - 1 and with columns that cancel to 0
+    mod p; the packed path runs exactly on the columns within its bound."""
+    calls = []
+    packed_column = linalg._packed_column
+    monkeypatch.setattr(linalg, "_packed_column", lambda *args: calls.append(args[-1]) or packed_column(*args))
+    rng = rng_for(f"kron-apply-packed-{field!r}")
+    pool = [x for x in [field.of(-1), field.one] + [field.of(rng.randrange(2, 10**6)) for _ in range(4)] if x]
+    ident = partial(Matrix.identity, field)
+    pairs = [(_top(field, 2, 2), _top(field, 2, 2)), (_top(field, 3, 2), ident(3)),
+             (ident(2), _top(field, 2, 3)), (_top(field, 2, 3, empty={1}), _top(field, 3, 2)),
+             (_top(field, 2, 2), _top(field, 3, 3, empty={0, 2})), (_top(field, 1, 1), _top(field, 2, 1)),
+             (ident(1), _top(field, 3, 2)), (_top(field, 1, 2, empty={1}), _top(field, 2, 2)),
+             (_dense_factor(rng, field, 3), _dense_factor(rng, field, 2))]
+    expected = []
+    for x, y in pairs:
+        n = x.cols * y.cols
+        cols = [{}, {n - 1: pool[0]}, dict.fromkeys(range(n), pool[0])]
+        cols += [{i: rng.choice(pool) for i in rng.sample(range(n), rng.randint(2, n))} for _ in range(3) if n > 1]
+        ker = kernel_basis_sparse(kron(x, y)).columns
+        cancel = ker[:3] + [{i: field.normalize(pool[-1] * v) for i, v in c.items()} for c in ker[:2]]
+        m = Matrix.from_cols(field, n, cols + cancel)
+        got = kron_apply(x, y, m)
+        assert got == kron(x, y) @ m
+        _assert_canonical(got)
+        assert not any(got.columns[len(cols):])
+        expected += [c for c in m.columns if _packs(x, y, c, field)]
+    assert calls == expected
+    assert bool(calls) == (field not in (QQ, GF(2**61 - 1)))
 
 
 def test_integral_products_of_fractions_are_ints():
