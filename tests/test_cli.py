@@ -630,12 +630,12 @@ def test_a_refusal_in_a_nested_reference_names_its_declaration_once(tmp_path):
      "a chain needs an odd number (>= 3) of objects"),
     ({"kind": "chain", "sizes": [1, 1, 1], "maps": [[0]]},
      "a chain needs one map per adjacent pair"),
-    ({"kind": "chain", "sizes": [1, 1, 1], "maps": [[0], [0], [0]]},
-     "a chain needs one map per adjacent pair"),
     ({"kind": "chain", "instance": "coalg", "sizes": [1, 1, 1], "maps": [[0], [0]]},
      "chains are declared over finset (linearize via --instance)"),
     ({"kind": "relative_category", "instance": "coalg"},
      "raw relative_category declarations are finset-only"),
+    ({"kind": "chain", "sizes": [1, 1, 1], "maps": [[0], [0], [0]]},
+     "a chain needs one map per adjacent pair"),
 ])
 def test_every_refusal_a_decoder_raises_names_its_declaration(tmp_path, decl, message):
     p = tmp_path / "refused.json"
