@@ -11,23 +11,25 @@ the right operand feed it.  A column of @ or kron_apply fed by one nonzero v
 is v times one column (of the left operand, or A[:,p]⊗B[:,q]), built in one
 pass with no accumulator; a column fed by several nonzeros accumulates its
 sums and normalizes each entry once.  Over F_p, kron_apply accumulates such
-a column in ints that pack one 64-bit slot per row when neither factor has
-fewer than one nonzero per column on average, one has more, and the
-column's N nonzeros have N·(p-1)³ < 2⁶⁴, so that no slot can carry into the
-next before the one reduction per entry: one big-int multiply-add replaces
-a dict update per row (delayed reduction, as in FFLAS-FFPACK, on Kronecker
-substitution).  Otherwise, when both of its factors have more than one
-nonzero per column on average, kron_apply takes such a column through the
-middle, (A⊗1)∘(1⊗B): its nonzeros that share a p are summed into one
-combination of B's columns, which each nonzero of A[:,p] scales.  Q and a
-larger p keep these dict paths, as their sums have no 64-bit bound, and so
-does a factor with fewer nonzeros than columns, which would pack mostly
-empty slots.  kron never sums; X⊗Z - W⊗Y is built one column at a time,
-without either product.  A product is normalized only when a factor is not
-one (a Q product of two Fractions can be integral, an F_p product needs its
-reduction), so a factor column whose only nonzero is one gives a copy of the
-other column.  Group-like data, whose δ, 0/1 maps and identities have one
-nonzero per column, takes only the one-pass path.
+a column in ints that pack one 64-bit slot per row when no column of either
+factor is zero, one factor has more than one nonzero per column on average,
+the column's N nonzeros have N·(p-1)³ < 2⁶⁴, so that no slot can carry into
+the next before the one reduction per entry, and N·lo_A·lo_B ≥ A.rows·B.rows
+for lo_X the fewest nonzeros in a column of X, so that its products are at
+least the slots it can unpack: one big-int multiply-add replaces a dict
+update per row (delayed reduction, as in FFLAS-FFPACK, on Kronecker
+substitution).  Otherwise, when both factors
+have more than one nonzero per column on average, kron_apply takes such a
+column through the middle, (A⊗1)∘(1⊗B): its nonzeros that share a p are
+summed into one combination of B's columns, which each nonzero of A[:,p]
+scales.  Q and a larger p keep these dict paths, as their sums have no
+64-bit bound, and so do sparse factors (a matrix coalgebra's δ), which
+would unpack mostly empty slots.  kron never sums; X⊗Z - W⊗Y is built one
+column at a time, without either product.  A product is normalized only
+when a factor is not one (a Q product of two Fractions can be integral, an
+F_p product needs its reduction), so a factor column whose only nonzero is
+one gives a copy of the other column.  Group-like data, whose δ, 0/1 maps
+and identities have one nonzero per column, takes only the one-pass path.
 
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
@@ -428,18 +430,21 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     column of M with one nonzero is that one term, built in one pass.
 
     Over F_p, a column of M with N nonzeros is accumulated in packed 64-bit
-    slots (_packed_column) when neither factor has fewer than one nonzero per
-    column on average and at least one has more (dense⊗dense, dense⊗identity)
-    and N·(p-1)³ < 2⁶⁴: every slot sums at most N products of three residues
+    slots (_packed_column) when no column of A or B is zero, one of them has
+    more than one nonzero per column on average (dense⊗dense, dense⊗identity),
+    N·(p-1)³ < 2⁶⁴, as every slot sums at most N products of three residues
     below p, so none can carry into the next before the one reduction per
-    entry.  Q has no such bound on its sums, nor does a larger p, and a
-    factor with fewer nonzeros than columns would pack mostly empty slots, so
-    those keep the dict paths: through the middle, (A⊗1)∘(1⊗B), when both
-    factors have more than one nonzero per column on average, where the
-    nonzeros that share a p are summed into one combination of B's columns,
-    which each nonzero of A[:,p] then scales; otherwise each A[:,p]⊗B[:,q] is
-    built once, when a row of M first uses it.  Either way the sums are
-    normalized once per entry."""
+    entry, and N·lo_a·lo_b ≥ a.rows·b.rows, lo_a and lo_b being the fewest
+    nonzeros in a column of A and of B: the column then makes at least as
+    many products as the slots it can unpack, one Python step each.  Q has no
+    such bound on its sums, nor does a larger p, and a factor with a zero
+    column or a sparse one (a matrix coalgebra's δ, with n of its n⁴ rows)
+    would unpack mostly empty slots, so those keep the dict paths: through
+    the middle, (A⊗1)∘(1⊗B), when both factors have more than one nonzero
+    per column on average, where the nonzeros that share a p are summed into
+    one combination of B's columns, which each nonzero of A[:,p] then scales;
+    otherwise each A[:,p]⊗B[:,q] is built once, when a row of M first uses
+    it.  Either way the sums are normalized once per entry."""
     require_same_field(a.field, b.field)
     require_same_field(a.field, m.field)
     if m.rows != a.cols * b.cols:
@@ -451,12 +456,11 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     over_a = sum(map(len, acols)) - len(acols)
     over_b = sum(map(len, bcols)) - len(bcols) if over_a > 0 or fp and over_a == 0 else -1
     middle = over_a > 0 and over_b > 0
-    packable = fp and over_a >= 0 and over_b >= 0 and over_a + over_b > 0
-    # the most nonzeros a packed column may have; 0 when no column is packed
-    most = (2**64 - 1) // (m.field.p - 1) ** 3 if packable else 0
-    packed = {}
-    terms = {}
-    out = []
+    # every column of A has lo_a nonzeros or more and of B lo_b, so a column of M with N nonzeros makes at
+    # least N·lo_a·lo_b products; it is packed when they cover the a.rows·nb slots and N·(p-1)³ < 2⁶⁴
+    lo = fp and over_a + over_b > 0 and min(map(len, acols), default=0) * min(map(len, bcols), default=0)
+    least, most = (-(-a.rows * nb // lo), (2**64 - 1) // (m.field.p - 1) ** 3) if lo else (1, 0)
+    packed, terms, out = {}, {}, []
     for mcol in m.columns:
         if len(mcol) == 1:
             ((idx, v),) = mcol.items()
@@ -465,7 +469,7 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
             out.append({i * nb + k: one if v == x == y == one else norm(v * x * y)
                         for i, x in acols[p].items() for k, y in bq})
             continue
-        if 1 < len(mcol) <= most:
+        if least <= len(mcol) <= most:
             out.append(_packed_column(acols, bcols, nb, m.field.p, packed, mcol))
             continue
         acc = {}
@@ -497,12 +501,11 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
 
 
 def _packed_column(acols, bcols, nb, prime, packed, mcol):
-    """One column of (A⊗B) @ M over F_p with every sum held in a 64-bit slot
-    of one int, for a column within kron_apply's slot bound.  Each column of
-    B is packed once per call, slot k holding B[k,q], and cached in packed.
-    The nonzeros of the column that share a p sum into mid_p = Σ v·B̂_q, each
-    row i of A reached sums Σ_p A[i,p]·mid_p into one block, and each block
-    is unpacked once, reduced, its zeros dropped, rows in ascending order."""
+    """One column of (A⊗B) @ M over F_p, within kron_apply's slot bound, in
+    64-bit slots of ints: each column of B is packed once per call (slot k
+    holds B[k,q]) and cached in packed, mid_p = Σ v·B̂_q over the nonzeros
+    that share a p, block_i = Σ_p A[i,p]·mid_p for each row i of A reached,
+    and each block is unpacked once, reduced, zeros dropped, rows ascending."""
     bc, width, order = len(bcols), 8 * nb, sys.byteorder
     mid = {}
     for idx, v in mcol.items():

@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import FIELDS, is_injective, rand_matrix, rand_q_matrix, rand_scalar, rand_sparse_matrix, rng_for
+from gen import (
+    FIELDS,
+    divided_power,
+    is_injective,
+    matrix_coalgebra,
+    rand_matrix,
+    rand_q_matrix,
+    rand_scalar,
+    rand_sparse_matrix,
+    rng_for,
+)
 from relspan import GF, QQ, Matrix, linalg
 from relspan.errors import FieldMismatch, InternalSolveFailure, ShapeMismatch
 from relspan.linalg import (
@@ -410,11 +420,14 @@ def _top(field, rows, cols, empty=()):
 
 def _packs(x, y, col, field):
     """Whether kron_apply takes this column of M through packed 64-bit slots:
-    over F_p, neither factor below one nonzero per column on average, one
-    above, and len(col)·(p-1)³ < 2⁶⁴."""
+    over F_p, no zero column in either factor, one factor above one nonzero
+    per column on average, len(col)·(p-1)³ < 2⁶⁴, and len(col)·lo_x·lo_y at
+    least x.rows·y.rows, lo_f the fewest nonzeros in a column of f."""
     (nx, ny), (cx, cy) = (sum(map(len, f.columns)) for f in (x, y)), (x.cols, y.cols)
-    return (field != QQ and nx >= cx and ny >= cy and (nx > cx or ny > cy)
-            and 1 < len(col) and len(col) * (field.p - 1) ** 3 < 2**64)
+    lo_x, lo_y = (min(map(len, f.columns)) for f in (x, y))
+    return (field != QQ and lo_x > 0 and lo_y > 0 and (nx > cx or ny > cy)
+            and 1 < len(col) and len(col) * (field.p - 1) ** 3 < 2**64
+            and len(col) * lo_x * lo_y >= x.rows * y.rows)
 
 
 # 1664501 is the largest prime with 4·(p-1)³ < 2⁶⁴, so a four-entry column
@@ -453,6 +466,26 @@ def test_kron_apply_packed_slots_match_kron_up_to_the_overflow_edge(monkeypatch,
         expected += [c for c in m.columns if _packs(x, y, c, field)]
     assert calls == expected
     assert bool(calls) == (field not in (QQ, GF(2**61 - 1)))
+
+
+@pytest.mark.parametrize("n, make", [(3, matrix_coalgebra), (6, matrix_coalgebra), (8, divided_power)],
+                         ids=["M3c", "M6c", "D8"])
+def test_kron_apply_packs_no_column_of_sparse_coassociativity_products(monkeypatch, n, make):
+    """(δ⊗1)∘δ and (1⊗δ)∘δ of a matrix or divided-power coalgebra over F_7
+    have no zero factor column and δ has more than one nonzero per column,
+    but no column of δ has enough nonzeros to pay for the slots it could
+    unpack, so every column keeps the dict paths, and the products match
+    kron."""
+    calls = []
+    packed_column = linalg._packed_column
+    monkeypatch.setattr(linalg, "_packed_column", lambda *args: calls.append(args[-1]) or packed_column(*args))
+    d = make(GF(7), n).delta
+    ident = Matrix.identity(GF(7), d.cols)
+    assert sum(map(len, d.columns)) > d.cols
+    for x, y in ((d, ident), (ident, d)):
+        assert kron_apply(x, y, d) == kron(x, y) @ d
+        assert not any(_packs(x, y, c, GF(7)) for c in d.columns)
+    assert calls == []
 
 
 def test_integral_products_of_fractions_are_ints():
