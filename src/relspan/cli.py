@@ -27,6 +27,7 @@ from .jsonio import (
     load_context,
     matrix_to_json,
     parse_field_flag,
+    require_encodable,
 )
 from .monoids import check_monoid
 from .relpull import (
@@ -160,8 +161,15 @@ def _cospan(ctx, name):
 
 def cmd_pullback(ctx, args):
     base, legs = _cospan(ctx, args.cospan)
-    if args.instance == "coalg":
+    if args.instance == "coalg" and base is _finset.FINSET:
+        f, g = legs
+        # the field flag and the set sizes are refused first, as before
         base, legs = _linearized(base, legs, args.field)
+        if f.cod == g.cod:
+            # refused before the pullback is built, as matrix_to_json would
+            # refuse the apex δ: one basis vector per matching pair, δ d² x d
+            d = _finset.pair_count(f, g)
+            require_encodable(d * d, d)
     report = Report()
     try:
         pb = relative_pullback(base, *legs)

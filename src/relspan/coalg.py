@@ -43,6 +43,15 @@ of (A⊗C)⊗(A⊗C), so no δ column of A⊗C is built; ε∘K is (ε_A⊗ε_C)
 sparse structures stay cheap even at tensor dimensions in the thousands.
 Unit identifications k⊗V ≅ V ≅ V⊗k are implicit: a Kronecker factor of
 dimension 1 changes no indices, so the dimension bookkeeping is the coercion.
+
+A coalgebra keeps two facts about itself, each built on first use as ε of a
+tensor product is: z = (1⊗ε)∘δ, which the right counit law, the equalizer
+and the relative pullback (Z_A, Z_C) read, and whether c∘δ = δ, which
+decides class S on a cocommutative apex.  A command's iterated pullbacks
+read them on objects they share (a linearization gives equal sets one
+k[X]), so each is built once per object.  Both live and die with the
+object, so nothing outlives the objects of one command.  The class-S
+witness depends on the legs and is not kept.
 """
 
 from __future__ import annotations
@@ -78,7 +87,8 @@ from .linalg import (
 class Coalgebra:
     """A comonoid in exact finite-dimensional vector spaces."""
 
-    __slots__ = ("dim", "field", "_epsilon", "_delta", "_factors")
+    __slots__ = ("dim", "field", "_epsilon", "_delta", "_factors", "_right_counit",
+                 "_cocommutative")
 
     def __init__(self, dim, field, delta=None, epsilon=None, factors=None):
         self.dim = dim
@@ -96,6 +106,7 @@ class Coalgebra:
         elif factors is None:
             raise ShapeMismatch("a coalgebra needs either an explicit delta or factors")
         self._delta = delta
+        self._right_counit = self._cocommutative = None
 
     @property
     def epsilon(self) -> Matrix:
@@ -103,6 +114,21 @@ class Coalgebra:
             a, b = self._factors
             self._epsilon = kron(a.epsilon, b.epsilon)
         return self._epsilon
+
+    @property
+    def right_counit(self) -> Matrix:
+        """z = (1⊗ε)∘δ, built on first use; the right counit law is z = 1."""
+        if self._right_counit is None:
+            i_n = Matrix.identity(self.field, self.dim)
+            self._right_counit = kron_apply(i_n, self.epsilon, self.delta)
+        return self._right_counit
+
+    @property
+    def cocommutative(self) -> bool:
+        """c∘δ = δ, decided on first use."""
+        if self._cocommutative is None:
+            self._cocommutative = _swapped(self.delta, self.dim) == self.delta
+        return self._cocommutative
 
     @property
     def delta(self) -> Matrix:
@@ -240,7 +266,7 @@ def check_coalgebra(c: Coalgebra) -> Report:
     rep = Report()
     _add_equation(rep, "coassociativity", kron_apply(d, i_n, d), kron_apply(i_n, d, d))
     _add_equation(rep, "left counit law", kron_apply(eps, i_n, d), i_n)
-    _add_equation(rep, "right counit law", kron_apply(i_n, eps, d), i_n)
+    _add_equation(rep, "right counit law", c.right_counit, i_n)
     return rep
 
 
@@ -261,13 +287,17 @@ def class_S_witness(f: CoalgMap, g: CoalgMap) -> str | None:
     the first column of (g⊗f)∘(c∘δ - δ), their difference, that is not 0."""
     if f.src.dim != g.src.dim or f.src.field != g.src.field:
         raise ShapeMismatch("span legs must share their apex")
-    n, d = f.src.dim, f.src.delta
-    swapped = Matrix.from_cols(d.field, d.rows, [{i % n * n + i // n: v for i, v in col.items()}
-                                                 for col in d.columns])
-    if swapped == d:
+    if f.src.cocommutative:
         return None
-    diff = kron_apply(g.mat, f.mat, swapped - d)
+    d = f.src.delta
+    diff = kron_apply(g.mat, f.mat, _swapped(d, f.src.dim) - d)
     return next((f"basis {j}" for j, col in enumerate(diff.columns) if col), None)
+
+
+def _swapped(d: Matrix, n: int) -> Matrix:
+    """c∘d for a map d into V⊗V, dim V = n: the entry at v1⊗v2 moves to v2⊗v1."""
+    return Matrix.from_cols(d.field, d.rows, [{i % n * n + i // n: v for i, v in col.items()}
+                                              for col in d.columns])
 
 
 # -- the base-category instance --------------------------------------------------
@@ -396,7 +426,7 @@ def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
     if f.tgt != g.tgt:
         raise ShapeMismatch("equalizer needs a shared codomain coalgebra")
     x, i_x = f.src, Matrix.identity(f.src.field, f.src.dim)
-    z = kron_apply(i_x, x.epsilon, x.delta)
+    z = x.right_counit
     return _equalizer(x, kron_apply(i_x, f.mat - g.mat, x.delta), None if z == i_x else z)
 
 
@@ -427,7 +457,7 @@ def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> Re
     _check_cospan(f, g)
     a, c, fld = f.src, g.src, f.mat.field
     i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
-    z_a, z_c = kron_apply(i_a, a.epsilon, a.delta), kron_apply(i_c, c.epsilon, c.delta)
+    z_a, z_c = a.right_counit, c.right_counit
     y_g = swap_map(fld, c.dim, f.tgt.dim) @ kron_apply(i_c, g.mat, c.delta)
     t = _kron_difference(kron_apply(i_a, f.mat, a.delta), z_c, z_a, y_g)
     z = None if z_a == i_a and z_c == i_c else kron(z_a, z_c)

@@ -13,6 +13,7 @@ MAX_LINEARIZED elements.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import coalg
@@ -141,6 +142,13 @@ def pullback(f: FinFun, g: FinFun) -> RelPullback:
     return RelPullback(FINSET, f, g, p, p_a, p_c, True, pairs)
 
 
+def pair_count(f: FinFun, g: FinFun) -> int:
+    """The number of matching pairs of f and g, Σ_b |f⁻¹(b)|·|g⁻¹(b)|,
+    counted from g's fibers without listing the pairs."""
+    fiber_sizes = Counter(g.table)
+    return sum(fiber_sizes[y] for y in f.table)
+
+
 def universal_factor(pb: RelPullback, a: FinFun, c: FinFun) -> FinFun:
     """The unique h with p_A∘h = a and p_C∘h = c, for a commuting span (a, c)."""
     if a.dom != c.dom:
@@ -192,15 +200,16 @@ MAX_LINEARIZED = 100_000
 
 
 def linearize_funs(maps, fld) -> list:
-    """linearize_fun of each map, after refusing, before any coalgebra is
-    built, a map whose domain or codomain has more than MAX_LINEARIZED
-    elements."""
+    """linearize_fun of each map, equal sets sharing one k[X], after
+    refusing, before any coalgebra is built, a map whose domain or codomain
+    has more than MAX_LINEARIZED elements."""
     largest = max((x.size for f in maps for x in (f.dom, f.cod)), default=0)
     if largest > MAX_LINEARIZED:
         raise ShapeMismatch(
             f"a set of {largest} elements is too large to linearize (at most {MAX_LINEARIZED})"
         )
-    return [linearize_fun(f, fld) for f in maps]
+    objs = {}
+    return [linearize_fun(f, fld, objs) for f in maps]
 
 
 def linearize_obj(x: FinSetObj, fld) -> coalg.Coalgebra:
@@ -208,9 +217,13 @@ def linearize_obj(x: FinSetObj, fld) -> coalg.Coalgebra:
     return coalg.grouplike(fld, x.size)
 
 
-def linearize_fun(f: FinFun, fld) -> coalg.CoalgMap:
-    """e_x -> e_{f(x)}; a comonoid morphism between group-like coalgebras."""
-    src = linearize_obj(f.dom, fld)
-    tgt = linearize_obj(f.cod, fld)
+def linearize_fun(f: FinFun, fld, objs=None) -> coalg.CoalgMap:
+    """e_x -> e_{f(x)}; a comonoid morphism between group-like coalgebras.
+    objs maps each set already linearized to its k[X] and takes the new
+    ones, so maps linearized with one objs share their objects."""
+    objs = {} if objs is None else objs
+    for x in (f.dom, f.cod):
+        if x not in objs:
+            objs[x] = linearize_obj(x, fld)
     mat = Matrix.from_cols(fld, f.cod.size, [{y: fld.one} for y in f.table])
-    return coalg.CoalgMap(src, tgt, mat)
+    return coalg.CoalgMap(objs[f.dom], objs[f.cod], mat)

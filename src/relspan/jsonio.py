@@ -95,12 +95,17 @@ def parse_field_flag(text: str):
 MAX_ENCODED_CELLS = 10**6
 
 
+def require_encodable(rows: int, cols: int):
+    """Refuse a rows x cols matrix of more than MAX_ENCODED_CELLS cells."""
+    if rows * cols > MAX_ENCODED_CELLS:
+        raise RelspanError(f"a {rows} x {cols} matrix is too large to encode"
+                           f" (at most {MAX_ENCODED_CELLS} cells)")
+
+
 def matrix_to_json(m: Matrix):
     """The dense entry grid of m, "0" off its stored entries, refused before
     it is built when m has more than MAX_ENCODED_CELLS cells."""
-    if m.rows * m.cols > MAX_ENCODED_CELLS:
-        raise RelspanError(f"a {m.rows} x {m.cols} matrix is too large to encode"
-                           f" (at most {MAX_ENCODED_CELLS} cells)")
+    require_encodable(m.rows, m.cols)
     grid = [["0"] * m.cols for _ in range(m.rows)]
     for j, col in enumerate(m.columns):
         for i, v in col.items():

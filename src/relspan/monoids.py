@@ -131,11 +131,16 @@ def check_dist_law(dl: DistLaw) -> Report:
     return rep
 
 
+def _require_same_monoid(x: MonoidObj, y: MonoidObj, what: str):
+    """x and y are one monoid: carrier, multiplication and unit all equal."""
+    if x is not y and (x.carrier != y.carrier or x.m != y.m or x.u != y.u):
+        raise CodomainMismatch(f"{what} needs a common codomain monoid")
+
+
 def induced_q(f: MonoidMorphism, g: MonoidMorphism):
     """q = m_C∘(f⊗g): A⊗B -> C; q is epi exactly when (f, g) is jointly epi."""
     base = f.src.base
-    if f.tgt is not g.tgt and f.tgt.carrier != g.tgt.carrier:
-        raise CodomainMismatch("induced_q needs a common codomain monoid")
+    _require_same_monoid(f.tgt, g.tgt, "induced_q")
     return base.compose(f.tgt.m, base.tensor_mor(f.f, g.f))
 
 
@@ -201,6 +206,7 @@ def morphism_from_pair(dl: DistLaw, a: MonoidMorphism, b: MonoidMorphism) -> Mon
     (requires m∘(a⊗b)∘x = m∘(b⊗a))."""
     base = dl.a.base
     c = a.tgt
+    _require_same_monoid(c, b.tgt, "morphism_from_pair")
     m_ab = base.compose(c.m, base.tensor_mor(a.f, b.f))
     if base.compose(m_ab, dl.x) != base.compose(c.m, base.tensor_mor(b.f, a.f)):
         raise CompatibilityFails("m∘(a⊗b)∘x != m∘(b⊗a)")
@@ -226,6 +232,7 @@ def factor_through(
     base = f.src.base
     _require_inverse(base, induced_q(f, g), q_inverse)
     d = a.tgt
+    _require_same_monoid(d, b.tgt, "factor_through")
     m_ab = base.compose(d.m, base.tensor_mor(a.f, b.f))
     compat_lhs = base.compose(
         m_ab, base.compose(q_inverse, base.compose(f.tgt.m, base.tensor_mor(g.f, f.f)))

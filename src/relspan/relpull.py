@@ -100,13 +100,11 @@ def assoc_iso(pb_xy: RelPullback, pb_xy_z: RelPullback, pb_yz: RelPullback, pb_x
     _require_equal_mor(pb_x_yz.f, pb_xy.f, "X□(Y□Z) left leg")
     _require_equal_mor(pb_x_yz.g, base.compose(pb_xy.g, pb_yz.p_a), "X□(Y□Z) right leg")
 
-    # p_Y□1: (X□Y)□Z -> Y□Z over b = id of the middle base
-    q = box(pb_xy_z, pb_yz, pb_xy.p_c, base.identity(base.dom(pb_yz.g)),
-            base.identity(base.cod(pb_yz.f)))
+    # p_Y□1: (X□Y)□Z -> Y□Z and 1□p_Y: X□(Y□Z) -> X□Y, the fillers box(…)
+    # would give; its two square checks are the leg checks above
+    q = universal_factor(pb_yz, base.compose(pb_xy.p_c, pb_xy_z.p_a), pb_xy_z.p_c)
     l = universal_factor(pb_x_yz, base.compose(pb_xy.p_a, pb_xy_z.p_a), q)
-    # 1□p_Y: X□(Y□Z) -> X□Y
-    q2 = box(pb_x_yz, pb_xy, base.identity(base.dom(pb_xy.f)), pb_yz.p_a,
-             base.identity(base.cod(pb_xy.f)))
+    q2 = universal_factor(pb_xy, pb_x_yz.p_a, base.compose(pb_yz.p_a, pb_x_yz.p_c))
     l_inv = universal_factor(pb_xy_z, q2, base.compose(pb_yz.p_c, pb_x_yz.p_c))
     if base.compose(l, l_inv) != base.identity(pb_x_yz.apex):
         raise MissingPullback("l∘l⁻¹ is not the identity")

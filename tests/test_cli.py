@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from relspan import coalg, finset, jsonio
+from relspan import cli, coalg, finset, jsonio
 from relspan.cli import build_parser, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -767,6 +767,46 @@ def test_matrix_too_large_to_encode_exits_2_at_once(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 2 and doc["exit"] == 2
     assert doc["error"] == "a 38416 x 196 matrix is too large to encode (at most 1000000 cells)"
+
+
+def _cospan_over_a_point(tmp_path, na, nc):
+    p = tmp_path / f"sets{na}_{nc}.json"
+    p.write_text(json.dumps({
+        "f": {"kind": "finset_fun", "fun": {"dom": na, "cod": 1, "table": [0] * na}},
+        "g": {"kind": "finset_fun", "fun": {"dom": nc, "cod": 1, "table": [0] * nc}},
+        "cs": {"kind": "cospan", "left": "f", "right": "g"},
+    }))
+    return ["pullback", str(p), "--cospan", "cs", "--instance", "coalg", "--field", "Fp:5"]
+
+
+def test_linearized_pullback_too_large_to_encode_exits_2_before_it_is_built(tmp_path):
+    # 1000 -> 1 <- 1000: 10⁶ matching pairs, so the apex δ would be 10¹² x 10⁶
+    argv = _cospan_over_a_point(tmp_path, 1000, 1000)
+    start = time.process_time()
+    code, doc = run_no_traceback(argv)
+    assert time.process_time() - start < 0.25
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == ("a 1000000000000 x 1000000 matrix is too large to encode"
+                            " (at most 1000000 cells)")
+
+
+@pytest.mark.parametrize("na, nc, refused", [(10, 10, False), (101, 1, True), (11, 10, True)])
+def test_linearized_apex_bound_is_the_encoding_bound(tmp_path, monkeypatch, na, nc, refused):
+    """d matching pairs give a d² x d apex δ: d = 100 is exactly 10⁶ cells and
+    goes on to the pullback, d = 101 and d = 110 are refused before it."""
+    def no_pullback(*args):
+        raise AssertionError("the pullback was reached")
+
+    monkeypatch.setattr(cli, "relative_pullback", no_pullback)
+    argv = _cospan_over_a_point(tmp_path, na, nc)
+    if not refused:
+        with pytest.raises(AssertionError, match="the pullback was reached"):
+            main(argv)
+        return
+    code, doc = run_no_traceback(argv)
+    d = na * nc
+    assert code == 2 and doc["error"] == (f"a {d * d} x {d} matrix is too large to encode"
+                                          " (at most 1000000 cells)")
 
 
 def test_encoding_bound_is_inclusive(monkeypatch):

@@ -230,6 +230,50 @@ def test_class_s_witness_is_the_two_product_witness(monkeypatch):
     assert outcomes == {(c, s) for c in (False, None) for s in (True, False)}
 
 
+def test_class_s_verdicts_on_one_apex_object_match_fresh_objects():
+    """The apex keeps whether c∘δ = δ, not a verdict: on one path coalgebra,
+    which is not cocommutative, the identity span (outside S) and the counit
+    span (inside) are decided in either order as on fresh objects."""
+    for field in FIELDS:
+        def legs(p):
+            return {"identity": (cid(p), cid(p)),
+                    "counit": (CoalgMap(p, trivial(field), p.epsilon),) * 2}
+
+        fresh = {name: class_S_witness(*legs(path_coalgebra(field))[name])
+                 for name in ("identity", "counit")}
+        assert fresh == {"identity": "basis 2", "counit": None}
+        for order in (("identity", "counit"), ("counit", "identity")):
+            shared = legs(path_coalgebra(field))
+            for name in order + order:
+                assert class_S_witness(*shared[name]) == fresh[name]
+
+
+def test_right_counit_witness_is_the_same_after_a_construction_read_it():
+    """check_coalgebra reports the same right counit law, witness included,
+    on a non-counital coalgebra whether or not coalg_equalizer or a relative
+    pullback read (1⊗ε)∘δ on that object first."""
+    rng = rng_for("right-counit-kept")
+    failing = 0
+    for field in RESTRICTION_FIELDS:
+        base = CoalgCategory(field)
+        # k[3] with e2⊗e0 added to δ(e2): the right counit law fails at basis 2 only
+        late = Coalgebra(3, field, delta=Matrix.from_cols(field, 9, [{0: 1}, {4: 1}, {6: 1, 8: 1}]),
+                         epsilon=grouplike(field, 3).epsilon)
+        for x in [late] + [rand_raw_coalgebra(rng, field, rng.randint(1, 3)) for _ in range(8)]:
+
+            def copy():
+                return Coalgebra(x.dim, field, delta=x.delta, epsilon=x.epsilon)
+
+            want = [c.as_dict() for c in check_coalgebra(copy()).checks]
+            after_equalizer, after_pullback = copy(), copy()
+            _outcome(coalg_equalizer, cid(after_equalizer), cid(after_equalizer))
+            _outcome(relative_pullback_coalg, base, cid(after_pullback), cid(after_pullback))
+            for y in (after_equalizer, after_pullback):
+                assert [c.as_dict() for c in check_coalgebra(y).checks] == want
+            failing += want[2]["status"] == "fail"
+    assert failing > 0
+
+
 # -- comonoid equalizers -----------------------------------------------------------
 
 

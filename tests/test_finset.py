@@ -18,7 +18,7 @@ from relspan import (
     linearize_fun,
     linearize_obj,
 )
-from relspan.finset import pullback, universal_factor
+from relspan.finset import linearize_funs, pair_count, pullback, universal_factor
 from relspan.errors import CodomainMismatch, ShapeMismatch, SquareDoesNotCommute
 
 
@@ -240,3 +240,26 @@ def test_linearize_fun_is_functorial():
             lf, lg = linearize_fun(f, field), linearize_fun(g, field)
             assert lhs.mat == lg.mat @ lf.mat
             assert check_coalg_map(lf).ok and check_coalg_map(lg).ok
+
+
+def test_linearize_funs_shares_one_object_per_set():
+    """Maps linearized in one call share one k[X] for each set size: the ends
+    two maps of a chain have in common are one object, and so are two sets
+    of one size; a later call builds its own."""
+    for field in FIELDS:
+        f, g, h = ffun(2, 3, (0, 2)), ffun(4, 3, (1, 1, 0, 2)), ffun(4, 2, (1, 0, 0, 1))
+        lf, lg, lh = linearize_funs([f, g, h], field)
+        assert lf.tgt is lg.tgt and lg.src is lh.src
+        assert lf.src is lh.tgt
+        assert lf.tgt is not lg.src
+        assert [m.mat for m in (lf, lg, lh)] == [linearize_fun(m, field).mat for m in (f, g, h)]
+        assert linearize_funs([f], field)[0].src is not lf.src
+        assert linearize_fun(f, field).src == lf.src
+
+
+def test_pair_count_is_the_number_of_matching_pairs():
+    rng = rng_for("finset-pair-count")
+    for _ in range(40):
+        b = rng.randint(1, 4)
+        f, g = rand_finfun(rng, rng.randint(0, 6), b), rand_finfun(rng, rng.randint(0, 6), b)
+        assert pair_count(f, g) == len(pullback(f, g).payload)

@@ -32,7 +32,13 @@ from relspan import (
     product_monoid,
     trivial,
 )
-from relspan.errors import CompatibilityFails, NotADistLaw, NotInverse, ShapeMismatch
+from relspan.errors import (
+    CodomainMismatch,
+    CompatibilityFails,
+    NotADistLaw,
+    NotInverse,
+    ShapeMismatch,
+)
 from relspan.monoids import inclusion_a, inclusion_b
 
 
@@ -385,3 +391,35 @@ def test_factor_through_identity_case():
     q_inv = FINSET.invert(induced_q(f, g))
     c = factor_through(f, g, q_inv, f, g)
     assert c.f == FINSET.identity(prod.carrier)
+
+
+def test_constructions_refuse_two_monoids_on_one_carrier():
+    """xor (unit 0) and and (unit 1) are two monoids on one two-element set;
+    morphisms into them are not combined, while morphisms into two equal
+    monoid objects are."""
+    xor, conj = finset_monoid((0, 1, 1, 0), 0, FINSET), finset_monoid((0, 0, 0, 1), 1, FINSET)
+    one = trivial_finset_monoid()
+    assert check_monoid(xor).ok and check_monoid(conj).ok
+    assert xor.carrier == conj.carrier
+    f = MonoidMorphism(one, xor, FinFun(one.carrier, xor.carrier, (0,)))
+    g = MonoidMorphism(one, conj, FinFun(one.carrier, conj.carrier, (1,)))
+    assert check_monoid_morphism(f).ok and check_monoid_morphism(g).ok
+    with pytest.raises(CodomainMismatch, match="induced_q needs a common codomain monoid"):
+        induced_q(f, g)
+    # or (unit 0) differs from xor only in its multiplication
+    disj = finset_monoid((0, 1, 1, 1), 0, FINSET)
+    with pytest.raises(CodomainMismatch, match="induced_q needs a common codomain monoid"):
+        induced_q(f, MonoidMorphism(one, disj, f.f))
+    dl = swap_dlaw(one, one)
+    with pytest.raises(CodomainMismatch, match="morphism_from_pair needs a common codomain"):
+        morphism_from_pair(dl, f, g)
+    prod = product_monoid(dl)
+    fi, gi = inclusion_a(dl, prod), inclusion_b(dl, prod)
+    q_inv = FINSET.invert(induced_q(fi, gi))
+    with pytest.raises(CodomainMismatch, match="factor_through needs a common codomain"):
+        factor_through(fi, gi, q_inv, f, g)
+    xor2 = finset_monoid((0, 1, 1, 0), 0, FINSET)
+    f2 = MonoidMorphism(one, xor2, f.f)
+    assert induced_q(f, f2).table == (0,)
+    assert morphism_from_pair(dl, f, f2).f.table == (0,)
+    assert factor_through(fi, gi, q_inv, f, f2).f.table == (0,)

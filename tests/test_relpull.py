@@ -42,7 +42,8 @@ from relspan import (
     unit_isos,
 )
 from relspan.coalg import CoalgEqualizer, CoalgMap, cid, relative_pullback_coalg
-from relspan.finset import FinSetCategory, pullback
+from relspan import coalg
+from relspan.finset import FinSetCategory, linearize_funs, pullback
 from relspan.errors import (
     LegsNotInClass,
     MissingPullback,
@@ -471,6 +472,28 @@ def test_pentagon_coalg_small():
         cod = sizes[i + 1] if i % 2 == 0 else sizes[i]
         maps.append(linearize_fun(rand_finfun(rng, dom, cod), field))
     assert coherence_pentagon(base, *maps)
+
+
+def test_pentagon_over_a_linearized_chain_builds_each_right_counit_once(monkeypatch):
+    """Over a chain linearized in one call, the pentagon's twelve pullbacks
+    and its fillers build (1⊗ε)∘δ once for each coalgebra they read it on."""
+    calls = []
+    kron_apply_in = coalg.kron_apply
+    monkeypatch.setattr(coalg, "kron_apply", lambda *a: calls.append(a) or kron_apply_in(*a))
+    rng = rng_for("pentagon-right-counit")
+    sizes = (2, 2, 3, 2, 3, 2, 2)
+    chain = [rand_finfun(rng, sizes[i], sizes[i + 1]) if i % 2 == 0
+             else rand_finfun(rng, sizes[i + 1], sizes[i]) for i in range(6)]
+    assert coherence_pentagon(CoalgCategory(QQ), *linearize_funs(chain, QQ))
+
+    def is_right_counit(i_n, eps, d):
+        n = i_n.rows
+        return (eps.rows == 1 and i_n == Matrix.identity(QQ, n)
+                and (d.rows, d.cols) == (n * n, n))
+
+    deltas = [a[2] for a in calls if is_right_counit(*a)]
+    assert len(deltas) >= 8
+    assert len({id(d) for d in deltas}) == len(deltas)
 
 
 # -- monoid on pullback ---------------------------------------------------------------
