@@ -154,22 +154,28 @@ def _linearized(base, legs, field):
 
 
 def _cospan(ctx, name):
-    """The base category and (left, right) legs of a cospan declaration."""
-    _, decl = _pick(ctx, name, {"cospan"}, "cospan")
-    return cospan_base(*decl.value), decl.value
+    """The name, base category and (left, right) legs of a cospan declaration."""
+    name, decl = _pick(ctx, name, {"cospan"}, "cospan")
+    return name, cospan_base(*decl.value), decl.value
 
 
 def cmd_pullback(ctx, args):
-    base, legs = _cospan(ctx, args.cospan)
-    if args.instance == "coalg" and base is _finset.FINSET:
+    name, base, legs = _cospan(ctx, args.cospan)
+    if base is _finset.FINSET:
         f, g = legs
-        # the field flag and the set sizes are refused first, as before
-        base, legs = _linearized(base, legs, args.field)
+        if args.instance == "coalg":
+            # the field flag and the set sizes are refused first, as before
+            base, legs = _linearized(base, legs, args.field)
+        # both bounds are applied before the pullback is built, from the count
         if f.cod == g.cod:
-            # refused before the pullback is built, as matrix_to_json would
-            # refuse the apex δ: one basis vector per matching pair, δ d² x d
             d = _finset.pair_count(f, g)
-            require_encodable(d * d, d)
+            if args.instance == "coalg":
+                # as matrix_to_json would refuse the apex δ: one basis vector
+                # per matching pair, δ d² x d
+                require_encodable(d * d, d)
+            elif d > _finset.MAX_PULLBACK_PAIRS:
+                raise RelspanError(f"cospan {name!r}: a pullback of {d} matching pairs is too"
+                                   f" large to build (at most {_finset.MAX_PULLBACK_PAIRS})")
     report = Report()
     try:
         pb = relative_pullback(base, *legs)
@@ -187,7 +193,8 @@ def cmd_pullback(ctx, args):
 
 
 def cmd_cotensor(ctx, args):
-    base, (left, right) = _linearized(*_cospan(ctx, args.cospan), args.field)
+    _, base, legs = _cospan(ctx, args.cospan)
+    base, (left, right) = _linearized(base, legs, args.field)
     report = Report()
     ct = _coalg.cotensor(left, right)
     extra = {"dim": ct.cols, "inclusion": matrix_to_json(ct)}

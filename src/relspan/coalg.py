@@ -13,11 +13,14 @@ names the first basis vector on which they differ.
 
 Equalizers of coalgebra maps are computed in two steps: the underlying
 subspace E is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and
-it inherits δ_E = (L⊗L)∘δ∘j, L the left inverse of the inclusion j.  The
-closure check (j⊗j)∘δ_E = δ∘j holds exactly when δ(E) ⊆ E⊗E; the theory
-guarantees it, so failure raises InternalSolveFailure.  f_hat - g_hat is
-(T⊗1)∘δ with T = (1⊗(f-g))∘δ = T_P·R, R the nonzero rows of rref(t) for any
-t with T's row space and T_P the pivot columns of T, so T_P⊗1 is injective.
+it inherits δ_E = (L⊗L)∘δ∘j, L the left inverse of the inclusion j.  L is
+the 0/1 projection onto the free coordinates of j's canonical basis, so
+δ_E is read off δ∘j, its rows at pairs of free coordinates, renumbered,
+with no product.  The closure check (j⊗j)∘δ_E = δ∘j holds exactly when
+δ(E) ⊆ E⊗E; the theory guarantees it, so failure raises
+InternalSolveFailure.  f_hat - g_hat is (T⊗1)∘δ with
+T = (1⊗(f-g))∘δ = T_P·R, R the nonzero rows of rref(t) for any t with T's
+row space and T_P the pivot columns of T, so T_P⊗1 is injective.
 As (1⊗1⊗ε)∘(T⊗1)∘δ = T∘z for z = (1⊗ε)∘δ, E lies in K' = ker(R∘z), with no
 counit law assumed, and E = K'·N for N = ker((R⊗1)∘δ∘K'), the second
 system.  On counital input z = 1, so K' = ker R = ker t comes from the one
@@ -32,9 +35,14 @@ there δ = (1⊗c⊗1)∘(δ_A⊗δ_C) gives z = Z_A⊗Z_C, taken as 1 when Z_A 
 are, and T, rows in A⊗B⊗C order, as X_f⊗Z_C - Z_A⊗(c∘Y_g), for
 X_f = (1⊗f)∘δ_A, Y_g = (1⊗g)∘δ_C and Z = (1⊗ε)∘δ on each factor; each
 column of that difference is built in one pass, without either Kronecker
-product.  The cotensor product, the independent one-step linear equalizer
-on A⊗C that cross-checks it, is an unchecked linear subspace; once the legs
-are decided to be in S, subcoalgebra gives its induced structure.
+product.  c∘Y_g is (g⊗1)∘c∘δ_C, one product, and c∘δ_C = δ_C when C is
+cocommutative.  Once the closure check has passed, the projections
+p_A = (1⊗ε_C)∘j and p_C = (ε_A⊗1)∘j give (p_A⊗p_C)∘δ_E = (z_A⊗l_C)∘j, for
+l = (ε⊗1)∘δ, so the joint-mono certificate (p_A⊗p_C)∘δ_E = j holds at once
+on counital A and C.  The cotensor product, the independent one-step
+linear equalizer on A⊗C that cross-checks it, is an unchecked linear
+subspace; once the legs are decided to be in S, subcoalgebra gives its
+induced structure.
 
 Tensor products of coalgebras keep their factors: a δ column is built from
 δ_A and δ_C when it is read, and ε = ε_A⊗ε_C on first use.  δ∘K' is
@@ -44,14 +52,16 @@ sparse structures stay cheap even at tensor dimensions in the thousands.
 Unit identifications k⊗V ≅ V ≅ V⊗k are implicit: a Kronecker factor of
 dimension 1 changes no indices, so the dimension bookkeeping is the coercion.
 
-A coalgebra keeps two facts about itself, each built on first use as ε of a
-tensor product is: z = (1⊗ε)∘δ, which the right counit law, the equalizer
-and the relative pullback (Z_A, Z_C) read, and whether c∘δ = δ, which
-decides class S on a cocommutative apex.  A command's iterated pullbacks
-read them on objects they share (a linearization gives equal sets one
-k[X]), so each is built once per object.  Both live and die with the
-object, so nothing outlives the objects of one command.  The class-S
-witness depends on the legs and is not kept.
+A coalgebra keeps three facts about itself, each built on first use as ε of
+a tensor product is: z = (1⊗ε)∘δ, which the right counit law, the equalizer
+and the relative pullback (Z_A, Z_C) read; l = (ε⊗1)∘δ, which the left
+counit law and the pullback's certificate (l_C) read; and whether c∘δ = δ,
+which decides class S on a cocommutative apex and gives c∘δ_C.  A
+command's iterated pullbacks read them on objects they share (a
+linearization gives equal sets one k[X]), so each is built once per
+object.  They live and die with the object, so nothing outlives the
+objects of one command.  The class-S witness depends on the legs and is
+not kept.
 """
 
 from __future__ import annotations
@@ -88,7 +98,7 @@ class Coalgebra:
     """A comonoid in exact finite-dimensional vector spaces."""
 
     __slots__ = ("dim", "field", "_epsilon", "_delta", "_factors", "_right_counit",
-                 "_cocommutative")
+                 "_left_counit", "_cocommutative")
 
     def __init__(self, dim, field, delta=None, epsilon=None, factors=None):
         self.dim = dim
@@ -106,7 +116,7 @@ class Coalgebra:
         elif factors is None:
             raise ShapeMismatch("a coalgebra needs either an explicit delta or factors")
         self._delta = delta
-        self._right_counit = self._cocommutative = None
+        self._right_counit = self._left_counit = self._cocommutative = None
 
     @property
     def epsilon(self) -> Matrix:
@@ -122,6 +132,14 @@ class Coalgebra:
             i_n = Matrix.identity(self.field, self.dim)
             self._right_counit = kron_apply(i_n, self.epsilon, self.delta)
         return self._right_counit
+
+    @property
+    def left_counit(self) -> Matrix:
+        """l = (ε⊗1)∘δ, built on first use; the left counit law is l = 1."""
+        if self._left_counit is None:
+            i_n = Matrix.identity(self.field, self.dim)
+            self._left_counit = kron_apply(self.epsilon, i_n, self.delta)
+        return self._left_counit
 
     @property
     def cocommutative(self) -> bool:
@@ -262,10 +280,10 @@ def _add_equation(rep: Report, name, lhs: Matrix, rhs: Matrix):
 
 def check_coalgebra(c: Coalgebra) -> Report:
     """Coassociativity and both counit laws, exactly, with a basis witness."""
-    d, eps, i_n = c.delta, c.epsilon, Matrix.identity(c.field, c.dim)
+    d, i_n = c.delta, Matrix.identity(c.field, c.dim)
     rep = Report()
     _add_equation(rep, "coassociativity", kron_apply(d, i_n, d), kron_apply(i_n, d, d))
-    _add_equation(rep, "left counit law", kron_apply(eps, i_n, d), i_n)
+    _add_equation(rep, "left counit law", c.left_counit, i_n)
     _add_equation(rep, "right counit law", c.right_counit, i_n)
     return rep
 
@@ -390,9 +408,15 @@ def _closed(eq: CoalgEqualizer | None) -> CoalgEqualizer:
 
 
 def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer | None:
-    """subcoalgebra(x, k) given delta_k = δ∘k, or None when the check fails."""
-    lk = kernel_left_inverse(k)
-    delta_e = kron_apply(lk, lk, delta_k)
+    """subcoalgebra(x, k) given delta_k = δ∘k, or None when the check fails.
+    L is the 0/1 projection onto k's free coordinates, so δ_E = (L⊗L)∘δ∘k
+    is the rows of delta_k at pairs of them, renumbered: L maps the free
+    coordinate of column t to e_t and the others to 0."""
+    lk, n, kc = kernel_left_inverse(k), x.dim, k.cols
+    at = {i: t for i, col in enumerate(lk.columns) for t in col}
+    delta_e = Matrix.from_cols(x.field, kc * kc, [
+        {at[u] * kc + at[w]: v for r, v in col.items() if (u := r // n) in at and (w := r % n) in at}
+        for col in delta_k.columns])
     if kron_apply(k, k, delta_e) != delta_k:
         return None
     eps_k = x.epsilon @ k if x._factors is None else kron_apply(*(f.epsilon for f in x._factors), k)
@@ -449,32 +473,45 @@ def _check_cospan(f: CoalgMap, g: CoalgMap):
         raise CodomainMismatch("cospan needs a common codomain")
 
 
+def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
+    """The equalizer of f⊗ε and ε⊗g on A⊗C and its projections p_A, p_C,
+    once the square f∘p_A = g∘p_C is checked."""
+    _check_cospan(f, g)
+    a, c, fld = f.src, g.src, f.mat.field
+    i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
+    z_a, z_c = a.right_counit, c.right_counit
+    # Y_g = c∘(1⊗g)∘δ_C = (g⊗1)∘c∘δ_C, and c∘δ_C = δ_C on a cocommutative C
+    y_g = kron_apply(g.mat, i_c, c.delta if c.cocommutative else _swapped(c.delta, c.dim))
+    t = _kron_difference(kron_apply(i_a, f.mat, a.delta), z_c, z_a, y_g)
+    z = None if z_a == i_a and z_c == i_c else kron(z_a, z_c)
+    eq = _equalizer(tensor_coalgebra(a, c), t, z)
+    j = eq.j.mat
+    p_a = CoalgMap(eq.object, a, kron_apply(i_a, c.epsilon, j))
+    p_c = CoalgMap(eq.object, c, kron_apply(a.epsilon, i_c, j))
+    if f.mat @ p_a.mat != g.mat @ p_c.mat:
+        raise InternalSolveFailure("pullback square does not commute")
+    return eq, p_a, p_c
+
+
 def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> RelPullback:
     """The class-S relative pullback of f: A -> B <- C :g in base, computed as
     the comonoid equalizer of f⊗ε and ε⊗g on A⊗C, which is its payload.
     Unchecked: on legs outside S the equalizer is not the relative pullback;
     relpull.relative_pullback decides the legs before calling this."""
-    _check_cospan(f, g)
-    a, c, fld = f.src, g.src, f.mat.field
-    i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
-    z_a, z_c = a.right_counit, c.right_counit
-    y_g = swap_map(fld, c.dim, f.tgt.dim) @ kron_apply(i_c, g.mat, c.delta)
-    t = _kron_difference(kron_apply(i_a, f.mat, a.delta), z_c, z_a, y_g)
-    z = None if z_a == i_a and z_c == i_c else kron(z_a, z_c)
-    eq = _equalizer(tensor_coalgebra(a, c), t, z)
-    apex, j = eq.object, eq.j.mat
-    p_a = CoalgMap(apex, a, kron_apply(i_a, c.epsilon, j))
-    p_c = CoalgMap(apex, c, kron_apply(a.epsilon, i_c, j))
-    if f.mat @ p_a.mat != g.mat @ p_c.mat:
-        raise InternalSolveFailure("pullback square does not commute")
+    eq, p_a, p_c = _pullback_equalizer(f, g)
+    a, c, j = f.src, g.src, eq.j.mat
     # joint-mono certificate at the comonoid level: j is injective (L·j = I was
     # verified when L was built) and is recovered from the projections as
-    # (p_A⊗p_C)∘δ, so any two comonoid fillers with equal projections are
+    # (p_A⊗p_C)∘δ_E, so any two comonoid fillers with equal projections are
     # equal.  (The stacked linear map [p_A; p_C] is NOT injective in general:
     # a 2x2 rectangle of matching group-like pairs already has a joint kernel
-    # vector.)
-    cert = kron_apply(p_a.mat, p_c.mat, apex.delta) == j
-    return RelPullback(base, f, g, apex, p_a, p_c, cert, eq)
+    # vector.)  The closure check gave (j⊗j)∘δ_E = δ∘j, and
+    # ((1⊗ε_C)⊗(ε_A⊗1))∘(1⊗c⊗1)∘(δ_A⊗δ_C) = z_A⊗l_C, so
+    # (p_A⊗p_C)∘δ_E = (z_A⊗l_C)∘j, which is j at once on counital A and C.
+    z_a, l_c = a.right_counit, c.left_counit
+    i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(c.field, c.dim)
+    cert = z_a == i_a and l_c == i_c or kron_apply(z_a, l_c, j) == j
+    return RelPullback(base, f, g, eq.object, p_a, p_c, cert, eq)
 
 
 def pullback_factor_coalg(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap:
@@ -510,11 +547,13 @@ def cotensor(f: CoalgMap, g: CoalgMap) -> Matrix:
 def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
     """Decide that the legs are in S, then verify that the cotensor product and
     the relative pullback are the same subobject: the mutual universal
-    factorizations compose to identities."""
+    factorizations compose to identities.  Of the pullback it builds the
+    equalizer and the projections, and checks the square, as
+    relative_pullback_coalg does; the certificate is not read here."""
     base = CoalgCategory(f.mat.field)
     if not legs_in_class(base, f, g):
         raise LegsNotInClass("cotensor comparison needs legs in class S")
-    return compare_with_pullback(cotensor(f, g), relative_pullback_coalg(base, f, g).payload)
+    return compare_with_pullback(cotensor(f, g), _pullback_equalizer(f, g)[0])
 
 
 def compare_with_pullback(ct: Matrix, eq: CoalgEqualizer) -> Report:

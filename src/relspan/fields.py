@@ -170,5 +170,7 @@ def GF(p: int) -> PrimeField:
 
 
 def require_same_field(fa, fb):
-    if fa != fb:
+    """Raise FieldMismatch unless fa and fb are one field; the same object,
+    as nearly every call gives, passes without an equality test."""
+    if not (fa is fb or fa == fb):
         raise FieldMismatch(f"field mismatch: {fa!r} vs {fb!r}")

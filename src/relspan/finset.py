@@ -8,7 +8,8 @@ linear instance.  The admissible span class here is the class of all spans,
 and relative pullbacks are ordinary pullbacks: a RelPullback whose payload is
 the tuple of matching pairs in lexicographic order.  linearize_funs, the
 group-like linearization the CLI uses, refuses sets of more than
-MAX_LINEARIZED elements.
+MAX_LINEARIZED elements, and the CLI builds no pullback of more than
+MAX_PULLBACK_PAIRS matching pairs, counted first by pair_count.
 """
 
 from __future__ import annotations
@@ -140,6 +141,12 @@ def pullback(f: FinFun, g: FinFun) -> RelPullback:
     p_a = FinFun(p, f.dom, tuple(a for a, _ in pairs))
     p_c = FinFun(p, g.dom, tuple(c for _, c in pairs))
     return RelPullback(FINSET, f, g, p, p_a, p_c, True, pairs)
+
+
+# The most matching pairs of a finite-set pullback the CLI builds: it keeps
+# each pair as a tuple and each projection as a table and writes them all,
+# about 250 B a pair.
+MAX_PULLBACK_PAIRS = 250_000
 
 
 def pair_count(f: FinFun, g: FinFun) -> int:

@@ -348,14 +348,19 @@ def kernel_left_inverse(k: Matrix) -> Matrix:
     """L with L·K = I for a canonical kernel basis K (kernel_basis_sparse).
 
     K is the identity on its free coordinates, the largest row of each
-    column, so L is the 0/1 projection onto them.  L·K = I is verified."""
-    cols = [{} for _ in range(k.rows)]
-    for t, col in enumerate(k.columns):
-        cols[max(col)] = {t: k.field.one}
-    lk = Matrix.from_cols(k.field, k.cols, cols)
-    if lk @ k != Matrix.identity(k.field, k.cols):
+    column, so L is the 0/1 projection onto them.  L·K = I is checked on
+    them, without the product: (L·K)[t, s] is K's entry in column s at the
+    free coordinate of column t, so it holds when the free coordinates are
+    distinct, each column is one at its own and zero at every other."""
+    one, free = k.field.one, [max(col) for col in k.columns]
+    at = {i: t for t, i in enumerate(free)}
+    if len(at) != len(free) or any(col[i] != one or len(col.keys() & at.keys()) != 1
+                                   for col, i in zip(k.columns, free)):
         raise InternalSolveFailure("kernel basis is not the identity on its free coordinates")
-    return lk
+    cols = [{} for _ in range(k.rows)]
+    for i, t in at.items():
+        cols[i] = {t: one}
+    return Matrix.from_cols(k.field, k.cols, cols)
 
 
 def left_inverse(a: Matrix) -> Matrix:

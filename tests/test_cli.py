@@ -809,6 +809,34 @@ def test_linearized_apex_bound_is_the_encoding_bound(tmp_path, monkeypatch, na, 
                                           " (at most 1000000 cells)")
 
 
+def test_finite_set_pullback_too_large_exits_2_before_it_is_built(tmp_path, monkeypatch):
+    """1000 -> 1 <- 1000 has 10⁶ matching pairs, four times the bound: it is
+    refused from the count, naming the cospan, before the pullback."""
+    assert finset.MAX_PULLBACK_PAIRS == 250_000
+
+    def no_pullback(*args):
+        raise AssertionError("the pullback was built before the pairs were counted")
+
+    monkeypatch.setattr(cli, "relative_pullback", no_pullback)
+    argv = _cospan_over_a_point(tmp_path, 1000, 1000)[:4]
+    start = time.process_time()
+    code, doc = run_no_traceback(argv)
+    assert time.process_time() - start < 0.25
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == ("cospan 'cs': a pullback of 1000000 matching pairs is too large"
+                            " to build (at most 250000)")
+
+
+def test_finite_set_pullback_bound_is_inclusive(tmp_path, monkeypatch):
+    """A cospan with exactly the bound's pairs, 6 -> 1 <- 4 at a bound of 24,
+    is built and checked; one more pair exits 2."""
+    monkeypatch.setattr(finset, "MAX_PULLBACK_PAIRS", 24)
+    code, doc = run_no_traceback(_cospan_over_a_point(tmp_path, 6, 4)[:4])
+    assert code == 0 and doc["result"]["apex"]["set"] == 24
+    code, doc = run_no_traceback(_cospan_over_a_point(tmp_path, 5, 5)[:4])
+    assert code == 2 and "a pullback of 25 matching pairs is too large" in doc["error"]
+
+
 def test_encoding_bound_is_inclusive(monkeypatch):
     assert jsonio.MAX_ENCODED_CELLS == 10**6
     argv = ["pullback", fx("cospan_coalg.json"), "--cospan", "cs"]

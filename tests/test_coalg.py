@@ -55,6 +55,7 @@ from relspan import (
 from relspan import coalg, linalg
 from relspan.coalg import (
     cid,
+    compare_with_pullback,
     equalizer_factor,
     pullback_factor_coalg,
     relative_pullback_coalg,
@@ -69,7 +70,15 @@ from relspan.errors import (
     SpanNotInClass,
     SquareDoesNotCommute,
 )
-from relspan.linalg import kernel_basis_sparse, kron, kron_apply, rref_and_kernel, solve, swap_map
+from relspan.linalg import (
+    kernel_basis_sparse,
+    kernel_left_inverse,
+    kron,
+    kron_apply,
+    rref_and_kernel,
+    solve,
+    swap_map,
+)
 
 
 # -- axiom checks -----------------------------------------------------------------
@@ -1144,6 +1153,170 @@ def test_compare_cotensor_pullback_decides_the_legs():
         compare_cotensor_pullback(cid(p), cid(p))
     with pytest.raises(CodomainMismatch):
         compare_cotensor_pullback(cid(p), cid(primitive_block(QQ)))
+
+
+# -- derived matrices read off the certified equalizer ---------------------------------
+
+
+def _cocommutative_raw(rng, field, n):
+    """A sparse random δ made cocommutative, δ + c∘δ, and a random ε: in
+    general neither counital nor coassociative, and every span out of it
+    is in S."""
+    d = rand_sparse_matrix(rng, field, n * n, n, 0.25)
+    return Coalgebra(n, field, delta=d + swap_map(field, n, n) @ d,
+                     epsilon=rand_sparse_matrix(rng, field, 1, n, 0.6))
+
+
+def _raw_cospan(rng, field, make):
+    """Random sparse legs A -> B <- C, A and C drawn by make, B raw."""
+    na, nc, nb = rng.randint(1, 3), rng.randint(1, 3), rng.randint(1, 2)
+    a, c, b = make(rng, field, na), make(rng, field, nc), rand_raw_coalgebra(rng, field, nb)
+    return (CoalgMap(a, b, rand_sparse_matrix(rng, field, nb, na, 0.5)),
+            CoalgMap(c, b, rand_sparse_matrix(rng, field, nb, nc, 0.5)))
+
+
+def _symmetric_twisted(rng, field, n):
+    """_rand_twisted with c∘(u⊗w) added too: counital, cocommutative, and in
+    general not coassociative."""
+    x, _ = _rand_twisted(rng, field, n)
+    d = x.delta + swap_map(field, n, n) @ x.delta - grouplike(field, n).delta
+    return Coalgebra(n, field, delta=d, epsilon=x.epsilon)
+
+
+def _counital_cospan(rng, field):
+    """Linearized random functions in random bases of their three sets."""
+    f0 = rand_finfun(rng, rng.randint(1, 3), rng.randint(1, 2))
+    g0 = rand_finfun(rng, rng.randint(1, 3), f0.cod.size)
+    p_b = random_basis(rng, field, f0.cod.size)
+    return (rebased_map(linearize_fun(f0, field), random_basis(rng, field, f0.dom.size), p_b),
+            rebased_map(linearize_fun(g0, field), random_basis(rng, field, g0.dom.size), p_b))
+
+
+def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
+    """δ_E, the rows of δ∘K at pairs of K's free coordinates, is (L⊗L)∘δ∘K
+    as one kron_apply gives it, L = kernel_left_inverse(K), whether the
+    closure check passes or not: on subcoalgebra of random subspaces, on
+    the tensor coalgebras of counital pullbacks and on the second system's
+    K'·N of non-counital ones."""
+    sub_in, kron_in, solve_in = coalg._subcoalgebra, coalg.kron_apply, coalg._equalizer
+    closures, kprime, seen = {}, [None], set()
+
+    def kron_spy(a, b, m):
+        if a is b:
+            closures[id(a)] = m
+        return kron_in(a, b, m)
+
+    def solve_spy(x, t, z):
+        r, k = rref_and_kernel(t)
+        kprime[0] = k.cols if z is None else kernel_basis_sparse(r @ z).cols
+        return solve_in(x, t, z)
+
+    def sub_spy(x, k, delta_k):
+        closures.clear()
+        eq = sub_in(x, k, delta_k)
+        lk = kernel_left_inverse(k)
+        delta_e = closures[id(k)]  # the closure check (K⊗K)∘δ_E
+        assert delta_e == kron_in(lk, lk, delta_k)
+        assert eq is None or eq.object.delta == delta_e
+        seen.add(("tensor" if x._factors else "plain", eq is not None))
+        if kprime[0] is not None and k.cols < kprime[0]:
+            seen.add("K'N")
+        return eq
+
+    monkeypatch.setattr(coalg, "kron_apply", kron_spy)
+    monkeypatch.setattr(coalg, "_equalizer", solve_spy)
+    monkeypatch.setattr(coalg, "_subcoalgebra", sub_spy)
+    rng = rng_for("delta-e-selected")
+    for field in RESTRICTION_FIELDS:
+        base = CoalgCategory(field)
+        for _ in range(6):
+            x = rand_raw_coalgebra(rng, field, rng.randint(1, 4))
+            k = kernel_basis_sparse(rand_sparse_matrix(rng, field, rng.randint(1, 3), x.dim, 0.5))
+            kprime[0] = None
+            _outcome(subcoalgebra, x, k)
+            x = rebased(grouplike(field, 3), random_basis(rng, field, 3))
+            _outcome(subcoalgebra, x, kernel_basis_sparse(rand_matrix(rng, field, 1, 3)))
+        for _ in range(8):
+            for make in (rand_raw_coalgebra, _symmetric_twisted):
+                _outcome(relative_pullback_coalg, base, *_raw_cospan(rng, field, make))
+            _outcome(relative_pullback_coalg, base, *_counital_cospan(rng, field))
+    assert seen >= {("plain", True), ("plain", False), ("tensor", True), ("tensor", False), "K'N"}
+
+
+def test_joint_mono_certificate_is_the_product_it_replaces():
+    """pb.jointly_monic, read off z_A⊗l_C, is (p_A⊗p_C)∘δ_E = j, on
+    counital and non-counital cospans, where it is sometimes false."""
+    rng = rng_for("cert-oracle")
+    verdicts = set()
+    for field in RESTRICTION_FIELDS:
+        base = CoalgCategory(field)
+        for _ in range(10):
+            for f, g in (_counital_cospan(rng, field),
+                         _raw_cospan(rng, field, rand_raw_coalgebra),
+                         _raw_cospan(rng, field, _cocommutative_raw)):
+                pb = _outcome(relative_pullback_coalg, base, f, g)
+                if isinstance(pb, str):
+                    continue
+                want = kron_apply(pb.p_a.mat, pb.p_c.mat, pb.apex.delta) == pb.payload.j.mat
+                assert pb.jointly_monic == want
+                verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+def _comparison(build):
+    """The checks of a comparison report, or the class and message of the
+    RelspanError it raises."""
+    try:
+        return [c.as_dict() for c in build().checks]
+    except (InternalSolveFailure, LegsNotInClass, CodomainMismatch) as e:
+        return type(e).__name__, str(e)
+
+
+def test_compare_cotensor_pullback_is_the_comparison_with_the_pullback():
+    """compare_cotensor_pullback gives the report, names, verdicts and
+    witnesses, that compare_with_pullback gives on the cotensor basis and
+    the payload of relative_pullback, or fails as that pullback does: on
+    counital cospans and on cocommutative ones that are not counital or
+    not coassociative, where the closure check or the square can fail."""
+    rng = rng_for("compare-oracle")
+    outcomes = set()
+    for field in RESTRICTION_FIELDS:
+        base = CoalgCategory(field)
+        for _ in range(12):
+            for f, g in (_counital_cospan(rng, field), _raw_cospan(rng, field, _cocommutative_raw),
+                         _raw_cospan(rng, field, _symmetric_twisted)):
+                want = _comparison(
+                    lambda: compare_with_pullback(cotensor(f, g), relative_pullback(base, f, g).payload))
+                assert _comparison(lambda: compare_cotensor_pullback(f, g)) == want
+                outcomes.add(want[1] if isinstance(want, tuple) else all(
+                    c["status"] == "pass" for c in want))
+    assert outcomes >= {True, False, "δ∘j does not factor through j⊗j",
+                        "pullback square does not commute"}
+
+
+def test_left_counit_witness_is_the_same_after_a_pullback_read_it():
+    """check_coalgebra reports the same left counit law, witness included,
+    on a non-counital coalgebra whether or not a relative pullback read
+    l = (ε⊗1)∘δ on that object first, as the l_C of its certificate."""
+    rng = rng_for("left-counit-kept")
+    failing = read = 0
+    for field in RESTRICTION_FIELDS:
+        base = CoalgCategory(field)
+        # k[3] with e2⊗e0 added to δ(e2): the left counit law fails at basis 2
+        late = Coalgebra(3, field, delta=Matrix.from_cols(field, 9, [{0: 1}, {4: 1}, {6: 1, 8: 1}]),
+                         epsilon=grouplike(field, 3).epsilon)
+        for x in [late] + [_cocommutative_raw(rng, field, rng.randint(1, 3)) for _ in range(8)]:
+
+            def copy():
+                return Coalgebra(x.dim, field, delta=x.delta, epsilon=x.epsilon)
+
+            want = [c.as_dict() for c in check_coalgebra(copy()).checks]
+            after_pullback, one = copy(), trivial(field)
+            counit = CoalgMap(after_pullback, one, after_pullback.epsilon)
+            read += not isinstance(_outcome(relative_pullback_coalg, base, cid(one), counit), str)
+            assert [c.as_dict() for c in check_coalgebra(after_pullback).checks] == want
+            failing += want[1]["status"] == "fail"
+    assert failing > 0 and read > 0
 
 
 # -- closure and reflection shapes ----------------------------------------------------

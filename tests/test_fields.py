@@ -17,7 +17,8 @@ from relspan import (
     linearize_fun,
 )
 from relspan.coalg import CoalgCategory, relative_pullback_coalg
-from relspan.fields import MAX_PRIME_MODULUS, _is_prime
+from relspan.errors import FieldMismatch
+from relspan.fields import MAX_PRIME_MODULUS, PrimeField, RationalField, _is_prime, require_same_field
 from relspan.jsonio import load_context
 from relspan.linalg import kernel_basis_sparse, kron, kron_apply, solve
 
@@ -135,6 +136,24 @@ def test_moduli_beyond_the_exact_bound_are_rejected():
         _is_prime(MAX_PRIME_MODULUS)
     with pytest.raises(ValueError):
         GF(4)
+
+
+def test_require_same_field_tests_identity_before_equality(monkeypatch):
+    """One field object passes without its __eq__; distinct but equal fields
+    pass through it, and different fields are refused."""
+
+    def refuse(self, other):
+        raise AssertionError("__eq__ called on one field object")
+
+    with monkeypatch.context() as m:
+        m.setattr(RationalField, "__eq__", refuse)
+        require_same_field(QQ, QQ)
+    a, b = PrimeField(5), PrimeField(5)
+    assert a is not b
+    require_same_field(a, b)
+    for fa, fb in ((QQ, GF(5)), (GF(5), QQ), (GF(5), GF(7))):
+        with pytest.raises(FieldMismatch):
+            require_same_field(fa, fb)
 
 
 # -- every ℚ result is in canonical form ---------------------------------------------

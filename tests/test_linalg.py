@@ -172,6 +172,45 @@ def test_kernel_left_inverse_is_a_verified_projection():
         kernel_left_inverse(mat(QQ, [[1], [2]]))
 
 
+@pytest.mark.parametrize("rows", [
+    [[1, 0], [0, 1], [1, 1]],  # both columns have their largest row at 2
+    [[1, 0], [0, 3]],          # the second column is 3 at its free coordinate
+    [[1, 2], [0, 1]],          # the second column is 2 at the first one's
+])
+def test_kernel_left_inverse_refuses_non_canonical_bases(rows):
+    for field in FIELDS:
+        with pytest.raises(InternalSolveFailure, match="identity on its free coordinates"):
+            kernel_left_inverse(mat(field, rows))
+
+
+def test_kernel_left_inverse_refuses_what_l_times_k_refuses():
+    """On random columns, canonical or not, the check on the free
+    coordinates refuses exactly when the 0/1 projection L onto each
+    column's largest row gives L·K ≠ I, and otherwise returns that L."""
+    rng = rng_for("kernel-left-inverse-oracle")
+    verdicts = set()
+    for field in FIELDS:
+        for _ in range(150):
+            n, c = rng.randint(1, 5), rng.randint(1, 4)
+            cols = []
+            for _ in range(c):
+                col = {i: field.of(rng.choice([1, 1, 1, 2])) for i in range(n) if rng.random() < 0.4}
+                cols.append(col or {rng.randrange(n): field.one})
+            k = Matrix.from_cols(field, n, cols)
+            proj = [{} for _ in range(n)]
+            for t, col in enumerate(cols):
+                proj[max(col)] = {t: field.one}
+            lk = Matrix.from_cols(field, c, proj)
+            ok = lk @ k == Matrix.identity(field, c)
+            verdicts.add(ok)
+            if ok:
+                assert kernel_left_inverse(k) == lk
+            else:
+                with pytest.raises(InternalSolveFailure):
+                    kernel_left_inverse(k)
+    assert verdicts == {True, False}
+
+
 # -- kron and swap -----------------------------------------------------------
 
 
