@@ -168,7 +168,7 @@ def cmd_pullback(ctx, args):
             base, legs = _linearized(base, legs, args.field)
         # both bounds are applied before the pullback is built, from the count
         if f.cod == g.cod:
-            d = _finset.pair_count(f, g)
+            d = _finset.pair_count(f.table, g.table)
             if args.instance == "coalg":
                 # as matrix_to_json would refuse the apex δ: one basis vector
                 # per matching pair, δ d² x d
@@ -209,8 +209,28 @@ def cmd_cotensor(ctx, args):
     return report, extra
 
 
+def _bound_chain(name, tables, linear):
+    """Refuse, naming the chain, before any is built, an iterated pullback
+    of a sub-chain X_i … X_j of more than finset.MAX_PULLBACK_PAIRS pairs,
+    size(i, j), or, when linear, one whose equalizer on a split i ≤ k < j
+    runs in more than coalg.MAX_EQUALIZER_DIM dimensions, size(i, k)·size(k+1, j)."""
+    xs = [len(tables[0])] + [len(t) for t in tables[1::2]]
+    size = {(i, i): x for i, x in enumerate(xs)}
+    size.update(((i, j), _finset.pair_count(*tables[2 * i:2 * j]))
+                for i in range(len(xs)) for j in range(i + 1, len(xs)))
+    pairs = max(size[i, j] for i, j in size if i < j)
+    if pairs > _finset.MAX_PULLBACK_PAIRS:
+        raise RelspanError(f"chain {name!r}: a pullback of {pairs} matching pairs is too"
+                           f" large to build (at most {_finset.MAX_PULLBACK_PAIRS})")
+    if linear:
+        dim = max(size[i, k] * size[k + 1, j] for i, j in size for k in range(i, j))
+        if dim > _coalg.MAX_EQUALIZER_DIM:
+            raise RelspanError(f"chain {name!r}: an equalizer in a tensor product of dimension"
+                               f" {dim} is too large to build (at most {_coalg.MAX_EQUALIZER_DIM})")
+
+
 def cmd_coherence(ctx, args):
-    _, decl = _pick(ctx, args.name, {"chain"}, "chain")
+    name, decl = _pick(ctx, args.name, {"chain"}, "chain")
     maps = decl.value
     want = 2 if args.shape == "triangle" else 6
     if len(maps) != want:
@@ -220,6 +240,11 @@ def cmd_coherence(ctx, args):
     if args.instance == "coalg":
         fld = parse_field_flag(args.field)
         runs.append(("coalg", _coalg.CoalgCategory(fld), _finset.linearize_funs(maps, fld)))
+    # the triangle's pullbacks are those of the chain A -f-> B <-1- B -1-> B <-g- C
+    tables = [m.table for m in maps]
+    if args.shape == "triangle":
+        tables[1:1] = [range(maps[0].cod.size)] * 2
+    _bound_chain(name, tables, args.instance == "coalg")
     for label, base, ms in runs:
         if args.shape == "triangle":
             ok = coherence_triangle(base, ms[0], ms[1])

@@ -44,11 +44,12 @@ linear equalizer on A⊗C that cross-checks it, is an unchecked linear
 subspace; once the legs are decided to be in S, subcoalgebra gives its
 induced structure.
 
-Tensor products of coalgebras keep their factors: a δ column is built from
-δ_A and δ_C when it is read, and ε = ε_A⊗ε_C on first use.  δ∘K' is
-(1⊗c⊗1)∘(δ_A⊗δ_C)∘K', one kron_apply whose entries then move to their rows
-of (A⊗C)⊗(A⊗C), so no δ column of A⊗C is built; ε∘K is (ε_A⊗ε_C)∘K, and
-sparse structures stay cheap even at tensor dimensions in the thousands.
+Tensor products of coalgebras keep their factors.  δ∘M is
+(1⊗c⊗1)∘(δ_A⊗δ_C)∘M, one kron_apply whose entries then move to their rows
+of (A⊗C)⊗(A⊗C), so δ∘K' builds no δ of A⊗C; the full δ is that on the
+identity and a δ column that on e_j, each built when read, and ε =
+ε_A⊗ε_C on first use.  ε∘K is (ε_A⊗ε_C)∘K, and sparse structures stay
+cheap even at tensor dimensions in the thousands.
 Unit identifications k⊗V ≅ V ≅ V⊗k are implicit: a Kronecker factor of
 dimension 1 changes no indices, so the dimension bookkeeping is the coercion.
 
@@ -151,25 +152,16 @@ class Coalgebra:
     @property
     def delta(self) -> Matrix:
         if self._delta is None:
-            cols = [self.delta_column(j) for j in range(self.dim)]
-            self._delta = Matrix.from_cols(self.field, self.dim * self.dim, cols)
+            self._delta = _delta_apply(self, Matrix.identity(self.field, self.dim))
         return self._delta
 
     def delta_column(self, j):
         """Sparse column of δ at basis index j, {row: value}; do not modify.
-        Of a tensor product A⊗B whose δ is not built, (1⊗c⊗1)∘(δ_A⊗δ_B) at
-        e_p⊗e_q: the term v·(a1⊗a2) of δ(e_p) and the term w·(b1⊗b2) of
-        δ(e_q) give v·w at (a1⊗b1)⊗(a2⊗b2)."""
+        Of a tensor product whose δ is not built, δ∘e_j, which builds none."""
         if self._delta is not None:
             return self._delta.columns[j]
-        a, b = self._factors
-        na, nb, fld = a.dim, b.dim, self.field
-        norm, one, n = fld.normalize, fld.one, self.dim
-        p, q = divmod(j, nb)
-        aterms = [(*divmod(k, na), v) for k, v in a.delta_column(p).items()]
-        bterms = [(*divmod(k, nb), w) for k, w in b.delta_column(q).items()]
-        return {(a1 * nb + b1) * n + a2 * nb + b2: w if v == one else v if w == one else norm(v * w)
-                for a1, a2, v in aterms for b1, b2, w in bterms}
+        e_j = Matrix.from_cols(self.field, self.dim, [{j: self.field.one}])
+        return _delta_apply(self, e_j).columns[0]
 
     def __eq__(self, other):
         # identity first, so maps on one object never materialize a tensor δ
@@ -224,7 +216,7 @@ class CoalgMap:
 
 def _delta_apply(x: Coalgebra, m: Matrix) -> Matrix:
     """δ∘m.  Of a tensor product A⊗B whose δ is not built, (1⊗c⊗1)∘(δ_A⊗δ_B)∘m,
-    so no δ column of A⊗B is built: the entry of kron_apply(δ_A, δ_B, m) at
+    without the δ of A⊗B: the entry of kron_apply(δ_A, δ_B, m) at
     (a1⊗a2)⊗(b1⊗b2) moves to (a1⊗b1)⊗(a2⊗b2)."""
     if x._delta is not None:
         return x._delta @ m
@@ -466,6 +458,10 @@ def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
 
 
 # -- relative pullbacks and the cotensor product ----------------------------------
+
+
+# The most dimensions of a tensor product A⊗C the CLI takes a chain's equalizer in.
+MAX_EQUALIZER_DIM = 10_000
 
 
 def _check_cospan(f: CoalgMap, g: CoalgMap):

@@ -149,11 +149,18 @@ def pullback(f: FinFun, g: FinFun) -> RelPullback:
 MAX_PULLBACK_PAIRS = 250_000
 
 
-def pair_count(f: FinFun, g: FinFun) -> int:
-    """The number of matching pairs of f and g, Σ_b |f⁻¹(b)|·|g⁻¹(b)|,
-    counted from g's fibers without listing the pairs."""
-    fiber_sizes = Counter(g.table)
-    return sum(fiber_sizes[y] for y in f.table)
+def pair_count(*tables) -> int:
+    """The number of matching chains x₀, x₂, … of the zigzag of tables
+    X₀ -t₀-> Y₁ <-t₁- X₂ -t₂-> Y₃ …, t₀(x₀) = t₁(x₂), t₂(x₂) = t₃(x₄), …: the
+    size of their iterated pullback, from one pass of fiber weights along the
+    zigzag, listing none.  An X is indexed as far as both its tables go."""
+    weights = Counter(tables[0])
+    for back, out in zip(tables[1:-1:2], tables[2::2]):
+        ahead = Counter()
+        for y, z in zip(back, out):
+            ahead[z] += weights[y]
+        weights = ahead
+    return sum(weights[y] for y in tables[-1])
 
 
 def universal_factor(pb: RelPullback, a: FinFun, c: FinFun) -> FinFun:

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from typing import NamedTuple
 
 from . import coalg as _coalg
@@ -192,10 +191,9 @@ MAX_COMPOSABLE_TRIPLES = 250_000
 
 
 def _bound_triples(src, tgt):
-    """Refuse arrows with more than MAX_COMPOSABLE_TRIPLES triples i∘j∘k:
-    for each middle arrow j there are |src⁻¹(tgt j)|·|tgt⁻¹(src j)| of them."""
-    sources, targets = Counter(src), Counter(tgt)
-    n = sum(sources[y] * targets[x] for x, y in zip(src, tgt))
+    """Refuse arrows with more than MAX_COMPOSABLE_TRIPLES triples i∘j∘k,
+    the matching chains i, j, k of the zigzag src, tgt, src, tgt."""
+    n = _finset.pair_count(src, tgt, src, tgt)
     if n > MAX_COMPOSABLE_TRIPLES:
         raise ValueError(f"a category with {n} composable triples is too large to check"
                          f" (at most {MAX_COMPOSABLE_TRIPLES})")
@@ -219,10 +217,9 @@ def _relative_category(obj, ref) -> _relcat.RelativeCategory:
     t = _finset.FinFun(a, b, _ints(obj["t"]))
     i = _finset.FinFun(b, a, _ints(obj["i"]))
     d_table = _ints(obj["d"])
-    # the pullback of (s, t) has Σ_b |s⁻¹(b)|·|t⁻¹(b)| pairs: count them from
-    # the fibers, so a d of the wrong length is refused before they are built
-    targets = Counter(t.table)
-    pairs = sum(n * targets[x] for x, n in Counter(s.table).items())
+    # count the pairs of the pullback of (s, t) from the fibers, so a d of
+    # the wrong length is refused before they are built
+    pairs = _finset.pair_count(s.table, t.table)
     if len(d_table) != pairs:
         raise ValueError(f"d table has {len(d_table)} entries but the pullback has {pairs} pairs")
     _bound_triples(s.table, t.table)

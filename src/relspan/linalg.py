@@ -7,29 +7,16 @@ matrices are equal exactly when their columns are equal dicts, and storage
 and work grow with the number of nonzeros, not with rows × columns.
 
 Products build each output column by a rule chosen by how many nonzeros of
-the right operand feed it.  A column of @ or kron_apply fed by one nonzero v
-is v times one column (of the left operand, or A[:,p]⊗B[:,q]), built in one
-pass with no accumulator; a column fed by several nonzeros accumulates its
-sums and normalizes each entry once.  Over F_p, kron_apply accumulates such
-a column in ints that pack one 64-bit slot per row when no column of either
-factor is zero, one factor has more than one nonzero per column on average,
-the column's N nonzeros have N·(p-1)³ < 2⁶⁴, so that no slot can carry into
-the next before the one reduction per entry, and N·lo_A·lo_B ≥ A.rows·B.rows
-for lo_X the fewest nonzeros in a column of X, so that its products are at
-least the slots it can unpack: one big-int multiply-add replaces a dict
-update per row (delayed reduction, as in FFLAS-FFPACK, on Kronecker
-substitution).  Otherwise, when both factors
-have more than one nonzero per column on average, kron_apply takes such a
-column through the middle, (A⊗1)∘(1⊗B): its nonzeros that share a p are
-summed into one combination of B's columns, which each nonzero of A[:,p]
-scales.  Q and a larger p keep these dict paths, as their sums have no
-64-bit bound, and so do sparse factors (a matrix coalgebra's δ), which
-would unpack mostly empty slots.  kron never sums; X⊗Z - W⊗Y is built one
-column at a time, without either product.  A product is normalized only
-when a factor is not one (a Q product of two Fractions can be integral, an
-F_p product needs its reduction), so a factor column whose only nonzero is
-one gives a copy of the other column.  Group-like data, whose δ, 0/1 maps
-and identities have one nonzero per column, takes only the one-pass path.
+the right operand feed it: a column fed by one nonzero v is v times one
+column, built in one pass with no accumulator; a column fed by several
+accumulates its sums and normalizes each entry once.  kron_apply, (A⊗B)∘M
+without A⊗B, states its path rules in its docstring, and kron is kron_apply
+on the identity.  X⊗Z - W⊗Y is built one column at a time, without either
+product.  A product is normalized only when a factor is not one (a Q
+product of two Fractions can be integral, an F_p product needs its
+reduction), so a factor column whose only nonzero is one gives a copy of
+the other column.  Group-like data, whose δ, 0/1 maps and identities have
+one nonzero per column, takes only the one-pass path.
 
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
@@ -220,17 +207,12 @@ def _flip(vectors, n):
 
 
 def _live_rows(m: Matrix):
-    """The nonzero rows of m as {column: value} dicts, top to bottom, a
-    repeated row of two or more entries once; a repeated row changes no
-    echelon form, and _reduce's peel collapses repeated one-entry rows."""
+    """The nonzero rows of m as {column: value} dicts, top to bottom."""
     rows = {}
     for j, col in enumerate(m.columns):
         for i, v in col.items():
             rows.setdefault(i, {})[j] = v
-    distinct = {}
-    for i in sorted(rows):  # a one-entry row is keyed by its index, so it stays
-        distinct.setdefault(tuple(rows[i].items()) if len(rows[i]) > 1 else i, rows[i])
-    return list(distinct.values())
+    return [rows[i] for i in sorted(rows)]
 
 
 def _reduce(field, rows):
@@ -379,18 +361,8 @@ def first_difference(a: Matrix, b: Matrix):
 def kron(a: Matrix, b: Matrix) -> Matrix:
     """Kronecker product with row-major basis convention:
     (A⊗B)(e_i⊗f_j) indexes at i * b.cols + j in the domain and the analogous
-    row-major position in the codomain.  A product with a factor equal to one
-    is the other factor as it is, so a factor column whose only nonzero is one
-    gives a shifted copy of the other column."""
-    require_same_field(a.field, b.field)
-    norm, one, nb = a.field.normalize, a.field.one, b.rows
-    cols = []
-    for acol in a.columns:
-        terms = [(i * nb, x) for i, x in acol.items()]
-        for bcol in b.columns:
-            cols.append({base + k: y if x == one else x if y == one else norm(x * y)
-                         for base, x in terms for k, y in bcol.items()})
-    return Matrix.from_cols(a.field, a.rows * nb, cols)
+    row-major position in the codomain; kron_apply on the identity."""
+    return kron_apply(a, b, Matrix.identity(a.field, a.cols * b.cols))
 
 
 def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
@@ -439,7 +411,8 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     more than one nonzero per column on average (dense⊗dense, dense⊗identity),
     N·(p-1)³ < 2⁶⁴, as every slot sums at most N products of three residues
     below p, so none can carry into the next before the one reduction per
-    entry, and N·lo_a·lo_b ≥ a.rows·b.rows, lo_a and lo_b being the fewest
+    entry (delayed reduction, as in FFLAS-FFPACK, on Kronecker substitution),
+    and N·lo_a·lo_b ≥ a.rows·b.rows, lo_a and lo_b being the fewest
     nonzeros in a column of A and of B: the column then makes at least as
     many products as the slots it can unpack, one Python step each.  Q has no
     such bound on its sums, nor does a larger p, and a factor with a zero

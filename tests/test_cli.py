@@ -857,3 +857,101 @@ def test_empty_finset_monoid_has_no_unit_and_exits_2(tmp_path):
     code, doc = run_no_traceback(["monoid", str(p), "--name", "e"])
     assert code == 2 and doc["exit"] == 2
     assert doc["error"] == "unit element outside the carrier"
+
+
+def _constant_chain(tmp_path, sizes):
+    """The chain 'ch' on sizes whose maps are all constant at 0."""
+    maps = [[0] * sizes[i + i % 2] for i in range(len(sizes) - 1)]
+    p = tmp_path / "chain.json"
+    p.write_text(json.dumps({"ch": {"kind": "chain", "sizes": sizes, "maps": maps}}))
+    return str(p)
+
+
+def _coherence(path, shape, instance):
+    return ["coherence", path, "--name", "ch", "--shape", shape, "--instance", instance]
+
+
+@pytest.mark.parametrize("shape, instance, sizes, message", [
+    ("pentagon", "finset", [23, 1, 23, 1, 23, 1, 23],
+     "a pullback of 279841 matching pairs is too large to build (at most 250000)"),
+    ("triangle", "finset", [501, 1, 500],
+     "a pullback of 250500 matching pairs is too large to build (at most 250000)"),
+    ("pentagon", "coalg", [14, 1, 14, 1, 14, 1, 14],
+     "an equalizer in a tensor product of dimension 38416 is too large to build (at most 10000)"),
+    ("triangle", "coalg", [101, 1, 100],
+     "an equalizer in a tensor product of dimension 10100 is too large to build (at most 10000)"),
+    ("triangle", "coalg", [1, 10001, 1],
+     "an equalizer in a tensor product of dimension 10001 is too large to build (at most 10000)"),
+])
+def test_chain_too_large_for_its_shape_exits_2_at_once(tmp_path, shape, instance, sizes, message):
+    """Each chain, a file of a few hundred bytes, is refused from the counts
+    of its sub-chains before any pullback; unbounded, the n = 23 pentagon
+    over finite sets took 4.1 s of CPU and 232 MB, and the n = 14 one
+    linearized 7.9 s and 415 MB."""
+    assert (finset.MAX_PULLBACK_PAIRS, coalg.MAX_EQUALIZER_DIM) == (250_000, 10_000)
+    argv = _coherence(_constant_chain(tmp_path, sizes), shape, instance)
+    start = time.process_time()
+    code, doc = run_no_traceback(argv)
+    assert time.process_time() - start < 0.25
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == f"chain 'ch': {message}"
+
+
+def test_triangle_at_the_equalizer_bound_still_runs(tmp_path):
+    """1 -> 10000 <- 1: the pullbacks with an identity leg run in a tensor
+    product of dimension 10000, exactly the bound."""
+    code, doc = run_no_traceback(_coherence(_constant_chain(tmp_path, [1, 10_000, 1]),
+                                            "triangle", "coalg"))
+    assert code == 0 and [c["status"] for c in doc["checks"]] == ["pass", "pass"]
+
+
+def _spy_sizes(monkeypatch):
+    """The size of each finite-set pullback built and the dimension of the
+    tensor product A⊗C of each coalgebra pullback, from here on."""
+    pairs, dims = [], []
+    fin, lin = finset.pullback, coalg.relative_pullback_coalg
+
+    def fin_spy(f, g):
+        pb = fin(f, g)
+        pairs.append(pb.apex.size)
+        return pb
+
+    def lin_spy(base, f, g):
+        dims.append(f.src.dim * g.src.dim)
+        return lin(base, f, g)
+
+    monkeypatch.setattr(finset, "pullback", fin_spy)
+    monkeypatch.setattr(coalg, "relative_pullback_coalg", lin_spy)
+    return pairs, dims
+
+
+@pytest.mark.parametrize("shape", ["triangle", "pentagon"])
+def test_chain_bounds_are_the_largest_pullback_the_shape_builds(tmp_path, monkeypatch, shape):
+    """On random chains, with a bound at the largest finite-set pullback or
+    tensor product of a coalgebra pullback that the shape builds, it runs;
+    one below, it exits 2 before any pullback."""
+    from gen import rand_finfun, rng_for
+
+    rng = rng_for(f"chain-bounds-{shape}")
+    n = 2 if shape == "triangle" else 6
+    pairs, dims = _spy_sizes(monkeypatch)
+    for _ in range(6):
+        sizes = [rng.randint(1, 3) for _ in range(n + 1)]
+        maps = [list(rand_finfun(rng, sizes[i + i % 2], sizes[i + 1 - i % 2]).table)
+                for i in range(n)]
+        p = tmp_path / "chain.json"
+        p.write_text(json.dumps({"ch": {"kind": "chain", "sizes": sizes, "maps": maps}}))
+        argv = _coherence(str(p), shape, "coalg")
+        pairs.clear(), dims.clear()
+        assert run_no_traceback(argv)[0] == 0
+        for owner, name, largest, what in (
+                (finset, "MAX_PULLBACK_PAIRS", max(pairs), f"{max(pairs)} matching pairs"),
+                (coalg, "MAX_EQUALIZER_DIM", max(dims), f"dimension {max(dims)}")):
+            with monkeypatch.context() as m:
+                m.setattr(owner, name, largest)
+                assert run_no_traceback(argv)[0] == 0
+                m.setattr(owner, name, largest - 1)
+                pairs.clear(), dims.clear()
+                code, doc = run_no_traceback(argv)
+                assert code == 2 and f"{what} is too large" in doc["error"]
+                assert not pairs and not dims

@@ -1,5 +1,6 @@
 """Finite sets: pullbacks, universal factorization, monoid tables, linearization."""
 
+import itertools
 import time
 
 import pytest
@@ -258,8 +259,18 @@ def test_linearize_funs_shares_one_object_per_set():
 
 
 def test_pair_count_is_the_number_of_matching_pairs():
-    rng = rng_for("finset-pair-count")
-    for _ in range(40):
-        b = rng.randint(1, 4)
-        f, g = rand_finfun(rng, rng.randint(0, 6), b), rand_finfun(rng, rng.randint(0, 6), b)
-        assert pair_count(f, g) == len(pullback(f, g).payload)
+    """On a zigzag of one to four cospans, pair_count is the number of
+    matching chains, found by brute force, and the size of the iterated
+    pullback built left to right: for one cospan, its matching pairs."""
+    rng = rng_for("finset-chain-count")
+    for _ in range(60):
+        m = rng.randint(1, 4)
+        xs, ys = [rng.randint(0, 4) for _ in range(m + 1)], [rng.randint(1, 3) for _ in range(m)]
+        maps = [rand_finfun(rng, xs[i + side], ys[i]) for i in range(m) for side in (0, 1)]
+        chains = [c for c in itertools.product(*map(range, xs))
+                  if all(maps[2 * i](c[i]) == maps[2 * i + 1](c[i + 1]) for i in range(m))]
+        assert pair_count(*(f.table for f in maps)) == len(chains)
+        pb = pullback(maps[0], maps[1])
+        for i in range(1, m):
+            pb = pullback(FINSET.compose(maps[2 * i], pb.p_c), maps[2 * i + 1])
+        assert pb.apex.size == len(chains)

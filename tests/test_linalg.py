@@ -664,8 +664,9 @@ def _from_sympy(sm):
 
 
 def _singleton_heavy(rng, field, shape):
-    """A sparse matrix made mostly of one-entry rows, as dense rows, in one
-    of four shapes, with its rows shuffled."""
+    """A sparse matrix made mostly of one-entry rows, or of repeated rows of
+    several entries, as dense rows, in one of five shapes, with its rows
+    shuffled."""
     def val():
         return field.of(rng.choice((-1, 1)) * rng.randint(1, 6))
 
@@ -689,6 +690,11 @@ def _singleton_heavy(rng, field, shape):
         rows = [sparse(n, [c]) for c in peeled]
         rows += [sparse(n, rng.sample(peeled, rng.randint(1, len(peeled)))) for _ in range(3)]
         rows.append(sparse(n, rng.sample(range(n), 2)))
+    elif shape == "duplicated multi-entry rows":  # each row twice or three times
+        rows = [sparse(n, rng.sample(range(n), rng.randint(2, n))) for _ in range(rng.randint(1, 3))]
+        rows = [list(row) for row in rows for _ in range(rng.randint(2, 3))]
+        if rng.random() < 0.5:
+            rows.append(sparse(n, [rng.randrange(n)]))
     else:  # mixed singleton and dense blocks
         split = rng.randint(1, n - 1)
         rows = [sparse(n, [c]) for c in rng.sample(range(split), rng.randint(1, split))]
@@ -699,7 +705,7 @@ def _singleton_heavy(rng, field, shape):
 
 
 SINGLETON_SHAPES = ("duplicated singletons", "bidiagonal cascade", "rows that empty out",
-                    "mixed singleton and dense blocks")
+                    "mixed singleton and dense blocks", "duplicated multi-entry rows")
 
 
 def test_rref_kernel_and_solve_agree_with_sympy():
