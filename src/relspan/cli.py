@@ -145,10 +145,8 @@ def _coalg_result(pb, args, report):
 _PULLBACK_RESULTS = {"finset": _finset_result, "coalg": _coalg_result}
 
 
-def _linearized(base, legs, field):
-    """A cospan's base and legs, finite-set legs linearized over field."""
-    if base is not _finset.FINSET:
-        return base, legs
+def _linearized(legs, field):
+    """The category of coalgebras over field, and finite-set legs linearized over it."""
     fld = parse_field_flag(field)
     return _coalg.CoalgCategory(fld), _finset.linearize_funs(legs, fld)
 
@@ -159,23 +157,43 @@ def _cospan(ctx, name):
     return name, cospan_base(*decl.value), decl.value
 
 
+def _bound_chain(label, tables, linear):
+    """Refuse, under label, before any is built, an iterated pullback of a
+    sub-chain X_i … X_j of the zigzag of tables of more than
+    finset.MAX_PULLBACK_PAIRS pairs, size(i, j), or, when linear, one whose
+    equalizer on a split i ≤ k < j runs in more than coalg.MAX_EQUALIZER_DIM
+    dimensions, size(i, k)·size(k+1, j).  A cospan is the chain A → B ← C:
+    its pullback has d pairs and its equalizer runs in A⊗C."""
+    xs = [len(tables[0])] + [len(t) for t in tables[1::2]]
+    size = {(i, i): x for i, x in enumerate(xs)}
+    size.update(((i, j), _finset.pair_count(*tables[2 * i:2 * j]))
+                for i in range(len(xs)) for j in range(i + 1, len(xs)))
+    pairs = max(size[i, j] for i, j in size if i < j)
+    if pairs > _finset.MAX_PULLBACK_PAIRS:
+        raise RelspanError(f"{label}: a pullback of {pairs} matching pairs is too"
+                           f" large to build (at most {_finset.MAX_PULLBACK_PAIRS})")
+    if linear:
+        dim = max(size[i, k] * size[k + 1, j] for i, j in size for k in range(i, j))
+        if dim > _coalg.MAX_EQUALIZER_DIM:
+            raise RelspanError(f"{label}: an equalizer in a tensor product of dimension"
+                               f" {dim} is too large to build (at most {_coalg.MAX_EQUALIZER_DIM})")
+
+
 def cmd_pullback(ctx, args):
     name, base, legs = _cospan(ctx, args.cospan)
     if base is _finset.FINSET:
         f, g = legs
-        if args.instance == "coalg":
-            # the field flag and the set sizes are refused first, as before
-            base, legs = _linearized(base, legs, args.field)
-        # both bounds are applied before the pullback is built, from the count
+        linear = args.instance == "coalg"
+        if linear:
+            # the field flag and the set sizes are refused first
+            base, legs = _linearized(legs, args.field)
         if f.cod == g.cod:
-            d = _finset.pair_count(f.table, g.table)
-            if args.instance == "coalg":
+            if linear:
                 # as matrix_to_json would refuse the apex δ: one basis vector
                 # per matching pair, δ d² x d
+                d = _finset.pair_count(f.table, g.table)
                 require_encodable(d * d, d)
-            elif d > _finset.MAX_PULLBACK_PAIRS:
-                raise RelspanError(f"cospan {name!r}: a pullback of {d} matching pairs is too"
-                                   f" large to build (at most {_finset.MAX_PULLBACK_PAIRS})")
+            _bound_chain(f"cospan {name!r}", [f.table, g.table], linear)
     report = Report()
     try:
         pb = relative_pullback(base, *legs)
@@ -193,8 +211,13 @@ def cmd_pullback(ctx, args):
 
 
 def cmd_cotensor(ctx, args):
-    _, base, legs = _cospan(ctx, args.cospan)
-    base, (left, right) = _linearized(base, legs, args.field)
+    name, base, legs = _cospan(ctx, args.cospan)
+    if base is _finset.FINSET:
+        f, g = legs
+        base, legs = _linearized(legs, args.field)
+        if f.cod == g.cod:
+            _bound_chain(f"cospan {name!r}", [f.table, g.table], True)
+    left, right = legs
     report = Report()
     ct = _coalg.cotensor(left, right)
     extra = {"dim": ct.cols, "inclusion": matrix_to_json(ct)}
@@ -209,26 +232,6 @@ def cmd_cotensor(ctx, args):
     return report, extra
 
 
-def _bound_chain(name, tables, linear):
-    """Refuse, naming the chain, before any is built, an iterated pullback
-    of a sub-chain X_i … X_j of more than finset.MAX_PULLBACK_PAIRS pairs,
-    size(i, j), or, when linear, one whose equalizer on a split i ≤ k < j
-    runs in more than coalg.MAX_EQUALIZER_DIM dimensions, size(i, k)·size(k+1, j)."""
-    xs = [len(tables[0])] + [len(t) for t in tables[1::2]]
-    size = {(i, i): x for i, x in enumerate(xs)}
-    size.update(((i, j), _finset.pair_count(*tables[2 * i:2 * j]))
-                for i in range(len(xs)) for j in range(i + 1, len(xs)))
-    pairs = max(size[i, j] for i, j in size if i < j)
-    if pairs > _finset.MAX_PULLBACK_PAIRS:
-        raise RelspanError(f"chain {name!r}: a pullback of {pairs} matching pairs is too"
-                           f" large to build (at most {_finset.MAX_PULLBACK_PAIRS})")
-    if linear:
-        dim = max(size[i, k] * size[k + 1, j] for i, j in size for k in range(i, j))
-        if dim > _coalg.MAX_EQUALIZER_DIM:
-            raise RelspanError(f"chain {name!r}: an equalizer in a tensor product of dimension"
-                               f" {dim} is too large to build (at most {_coalg.MAX_EQUALIZER_DIM})")
-
-
 def cmd_coherence(ctx, args):
     name, decl = _pick(ctx, args.name, {"chain"}, "chain")
     maps = decl.value
@@ -240,11 +243,16 @@ def cmd_coherence(ctx, args):
     if args.instance == "coalg":
         fld = parse_field_flag(args.field)
         runs.append(("coalg", _coalg.CoalgCategory(fld), _finset.linearize_funs(maps, fld)))
+    # the shapes build identities on the chain's sets
+    largest = max(x.size for m in maps for x in (m.dom, m.cod))
+    if largest > _finset.MAX_LINEARIZED:
+        raise RelspanError(f"chain {name!r}: a set of {largest} elements is too large"
+                           f" to check (at most {_finset.MAX_LINEARIZED})")
     # the triangle's pullbacks are those of the chain A -f-> B <-1- B -1-> B <-g- C
     tables = [m.table for m in maps]
     if args.shape == "triangle":
         tables[1:1] = [range(maps[0].cod.size)] * 2
-    _bound_chain(name, tables, args.instance == "coalg")
+    _bound_chain(f"chain {name!r}", tables, args.instance == "coalg")
     for label, base, ms in runs:
         if args.shape == "triangle":
             ok = coherence_triangle(base, ms[0], ms[1])

@@ -460,7 +460,7 @@ def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
 # -- relative pullbacks and the cotensor product ----------------------------------
 
 
-# The most dimensions of a tensor product A⊗C the CLI takes a chain's equalizer in.
+# The most dimensions of a tensor product A⊗C the CLI takes any equalizer in.
 MAX_EQUALIZER_DIM = 10_000
 
 

@@ -27,11 +27,11 @@ All canonical forms (reduced row echelon, kernel bases, solve with zeroed free
 variables) come from one elimination on sparse rows.  The reduced row echelon
 form is unique, so they are the forms first-nonzero pivoting gives, and every
 result is reproducible bit-for-bit.  The elimination first peels the rows with
-one nonzero left, as structured Gaussian elimination does: such a row at
-column c puts the unit row e_c in the form and deletes c from every other row
-without arithmetic, which leaves the form as it is, and a worklist of columns
-keeps the peel linear in the nonzeros.  The pullback and cotensor systems of
-linearized finite sets have only such rows.
+one nonzero, as structured Gaussian elimination does: such a row at column c
+puts the unit row e_c in the form and deletes c from every other row without
+arithmetic, which leaves the form as it is.  The peel is one pass; a row left
+with one nonzero after it is reduced like any other.  The pullback and
+cotensor systems of linearized finite sets have only such rows.
 """
 
 from __future__ import annotations
@@ -219,37 +219,17 @@ def _reduce(field, rows):
     """Reduced row echelon form of the matrix with the given sparse rows: its
     nonzero rows as {pivot column: row}, in ascending pivot order.
 
-    Rows with one live entry are peeled first (see the module docstring):
-    each column lists the rows of two or more entries that hold it, each
-    row counts its entries in columns not yet walked, and a row whose count
-    falls to one peels its last column unless that one is queued already.
-    A row whose count falls to zero is in the span of the unit rows.  Each
-    nonzero is visited a bounded number of times, where rescanning for
-    one-entry rows would be quadratic on a bidiagonal cascade.  Each row
-    left is inserted without its peeled columns, its leading entry reduced
-    against the rows already inserted and scaled to 1; back-substitution in
-    descending pivot order then makes every pivot column a unit vector.  The
-    unit rows need none: no row left holds their columns."""
+    Rows with one entry are peeled first (see the module docstring).  Each
+    other row is inserted without its peeled columns, its leading entry
+    reduced against the rows already inserted and scaled to 1, so a row left
+    with one entry goes in like any other; back-substitution in descending
+    pivot order then makes every pivot column a unit vector.  The unit rows
+    need none: no row left holds their columns."""
     norm, one = field.normalize, field.one
-    live = [len(row) for row in rows]
     peeled = {c for row in rows if len(row) == 1 for c in row}
-    holding = {}
-    if peeled:
-        for n, row in enumerate(rows):
-            if live[n] > 1:
-                for c in row:
-                    holding.setdefault(c, []).append(n)
-    work = list(peeled)
-    for c in work:  # grows while it is walked
-        for m in holding.get(c, ()):
-            live[m] -= 1
-            if live[m] == 1:
-                last = [k for k in rows[m] if k not in peeled]  # empty if queued already
-                peeled.update(last)
-                work += last
     echelon = {}
-    for n, row in enumerate(rows):
-        if live[n] < 2:
+    for row in rows:
+        if len(row) < 2:
             continue
         r = {k: v for k, v in row.items() if k not in peeled}
         while r:

@@ -837,6 +837,45 @@ def test_finite_set_pullback_bound_is_inclusive(tmp_path, monkeypatch):
     assert code == 2 and "a pullback of 25 matching pairs is too large" in doc["error"]
 
 
+def _disjoint_cospan(tmp_path, n):
+    """f: n -> 2 <- n :g with disjoint images: no matching pair, and a tensor
+    product A⊗C of n² dimensions."""
+    p = tmp_path / f"disjoint{n}.json"
+    p.write_text(json.dumps({
+        "f": {"kind": "finset_fun", "fun": {"dom": n, "cod": 2, "table": [0] * n}},
+        "g": {"kind": "finset_fun", "fun": {"dom": n, "cod": 2, "table": [1] * n}},
+        "cs": {"kind": "cospan", "left": "f", "right": "g"},
+    }))
+    return str(p)
+
+
+_LINEARIZED_COSPAN_COMMANDS = [["pullback", "--cospan", "cs", "--instance", "coalg"],
+                               ["cotensor", "--cospan", "cs"]]
+
+
+@pytest.mark.parametrize("n", [1000, 300])
+@pytest.mark.parametrize("command", _LINEARIZED_COSPAN_COMMANDS, ids=["pullback", "cotensor"])
+def test_linearized_cospan_too_large_for_its_tensor_product_exits_2_at_once(tmp_path, command, n):
+    """A cospan is the chain A -> B <- C: its equalizer runs in A⊗C, bounded
+    as a chain's is; unbounded, the n = 1000 pullback took 7.6 s of CPU and
+    1.18 GB, and the cotensor more."""
+    assert coalg.MAX_EQUALIZER_DIM == 10_000
+    argv = [command[0], _disjoint_cospan(tmp_path, n), *command[1:]]
+    start = time.process_time()
+    code, doc = run_no_traceback(argv)
+    assert time.process_time() - start < 0.25
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == (f"cospan 'cs': an equalizer in a tensor product of dimension {n * n}"
+                            " is too large to build (at most 10000)")
+
+
+@pytest.mark.parametrize("command", _LINEARIZED_COSPAN_COMMANDS, ids=["pullback", "cotensor"])
+def test_linearized_cospan_at_the_equalizer_bound_still_runs(tmp_path, command):
+    """100 -> 2 <- 100: A⊗C has exactly 10⁴ dimensions."""
+    code, doc = run_no_traceback([command[0], _disjoint_cospan(tmp_path, 100), *command[1:]])
+    assert code == 0 and all(c["status"] == "pass" for c in doc["checks"])
+
+
 def test_encoding_bound_is_inclusive(monkeypatch):
     assert jsonio.MAX_ENCODED_CELLS == 10**6
     argv = ["pullback", fx("cospan_coalg.json"), "--cospan", "cs"]
@@ -882,6 +921,10 @@ def _coherence(path, shape, instance):
      "an equalizer in a tensor product of dimension 10100 is too large to build (at most 10000)"),
     ("triangle", "coalg", [1, 10001, 1],
      "an equalizer in a tensor product of dimension 10001 is too large to build (at most 10000)"),
+    ("triangle", "finset", [0, 3_000_000, 0],
+     "a set of 3000000 elements is too large to check (at most 100000)"),
+    ("pentagon", "finset", [0, 1, 0, 3_000_000, 0, 1, 0],
+     "a set of 3000000 elements is too large to check (at most 100000)"),
 ])
 def test_chain_too_large_for_its_shape_exits_2_at_once(tmp_path, shape, instance, sizes, message):
     """Each chain, a file of a few hundred bytes, is refused from the counts
@@ -903,6 +946,20 @@ def test_triangle_at_the_equalizer_bound_still_runs(tmp_path):
     code, doc = run_no_traceback(_coherence(_constant_chain(tmp_path, [1, 10_000, 1]),
                                             "triangle", "coalg"))
     assert code == 0 and [c["status"] for c in doc["checks"]] == ["pass", "pass"]
+
+
+@pytest.mark.parametrize("shape, sizes", [
+    ("triangle", [0, 100_000, 0]),
+    ("pentagon", [0, 100_000, 0, 100_000, 0, 100_000, 0]),
+])
+def test_chain_sets_at_the_set_bound_still_run(tmp_path, shape, sizes):
+    """The shapes build identities on a chain's sets: a set of exactly
+    finset.MAX_LINEARIZED elements is built on, a larger one is refused
+    before any count; unbounded, the triangle on [0, 3·10⁶, 0] took 7.7 s of
+    CPU and 753 MB."""
+    assert finset.MAX_LINEARIZED == 100_000
+    code, doc = run_no_traceback(_coherence(_constant_chain(tmp_path, sizes), shape, "finset"))
+    assert code == 0 and [c["status"] for c in doc["checks"]] == ["pass"]
 
 
 def _spy_sizes(monkeypatch):
@@ -955,3 +1012,70 @@ def test_chain_bounds_are_the_largest_pullback_the_shape_builds(tmp_path, monkey
                 code, doc = run_no_traceback(argv)
                 assert code == 2 and f"{what} is too large" in doc["error"]
                 assert not pairs and not dims
+
+
+def _misc_fixture(tmp_path):
+    p = tmp_path / "misc.json"
+    p.write_text(json.dumps({
+        # arrow 1 composed with the identity 0 is not 1
+        "bad": {"kind": "small_category", "objects": 1, "arrows": 2, "src": [0, 0],
+                "tgt": [0, 0], "id": [0], "comp": [[1, 1], [1, 0]]},
+        "pt": {"kind": "relative_category", "instance": "finset", "objects": 1, "arrows": 1,
+               "s": [0], "t": [0], "i": [0], "d": [0]},
+        "idf": {"kind": "functor", "src": "pt", "tgt": "pt", "b": [0], "a": [0]},
+    }))
+    return str(p)
+
+
+@pytest.mark.parametrize("command", [["check"], ["relcat"], ["relcat", "--instance", "coalg"]])
+def test_small_category_that_fails_its_laws_fails_with_witness(tmp_path, command):
+    code, doc = run_no_traceback([command[0], _misc_fixture(tmp_path), "--name", "bad",
+                                  *command[1:]])
+    assert code == 1 and doc["checks"] == [{"name": "bad: category laws", "status": "fail",
+                                            "witness": "right identity law fails at arrow 0"}]
+
+
+def test_check_passes_the_laws_of_each_shipped_small_category():
+    code, doc = run_no_traceback(["check", fx("relcats.json")])
+    laws = [c["name"] for c in doc["checks"] if c["name"].endswith(": category laws")]
+    assert code == 0 and laws == [f"{nm}: category laws"
+                                  for nm in ("discrete3", "poset01", "z2", "groupoid5")]
+
+
+def test_check_and_functor_take_a_relative_category_declaration(tmp_path):
+    path = _misc_fixture(tmp_path)
+    code, doc = run_no_traceback(["check", path, "--name", "pt"])
+    assert code == 0 and doc["checks"] and all(c["name"].startswith("pt: ") for c in doc["checks"])
+    code, doc = run_no_traceback(["functor", path, "--src", "pt", "--tgt", "pt", "--map", "idf"])
+    assert code == 0 and len(doc["checks"]) == 4
+
+
+def test_without_a_name_the_first_cospan_or_chain_is_used(tmp_path):
+    p = tmp_path / "two.json"
+    with open(fx("cospan_finset.json")) as fh:
+        decls = json.load(fh)
+    decls["cs2"] = {"kind": "cospan", "left": "g", "right": "f"}
+    p.write_text(json.dumps(decls))
+    code, doc = run_no_traceback(["pullback", str(p)])
+    named = {cs: run_no_traceback(["pullback", str(p), "--cospan", cs])[1]["result"]
+             for cs in ("cs", "cs2")}
+    assert code == 0 and doc["result"] == named["cs"] != named["cs2"]
+    # chains.json declares the triangle's chain first, then the pentagon's
+    code, doc = run_no_traceback(["coherence", fx("chains.json"), "--shape", "triangle"])
+    assert code == 0 and [c["name"] for c in doc["checks"]] == ["triangle (finset)"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["pullback", fx("chains.json")], "no cospan declaration in the file"),
+    (["coherence", fx("cospan_finset.json"), "--shape", "triangle"],
+     "no chain declaration in the file"),
+    (["relcat", fx("chains.json")],
+     "no relative-category or small-category declaration in the file"),
+    (["pullback", fx("cospan_finset.json"), "--cospan", "f"],
+     "'f' is a finset_fun, expected one of ['cospan']"),
+    (["coherence", fx("chains.json"), "--name", "tri", "--shape", "pentagon"],
+     "pentagon needs a chain with 6 maps, got 2"),
+])
+def test_a_declaration_missing_or_of_the_wrong_kind_or_shape_exits_2(argv, message):
+    code, doc = run_no_traceback(argv)
+    assert code == 2 and doc["exit"] == 2 and doc["error"] == message
