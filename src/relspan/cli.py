@@ -70,6 +70,16 @@ def _pick(ctx, name, kinds, what):
     raise ParseError(f"no {what} declaration in the file")
 
 
+def _category_laws(report, prefix, build):
+    """build()'s value, reported as the category laws; None if they fail."""
+    try:
+        value, witness = build(), None
+    except RelspanError as exc:
+        value, witness = None, str(exc)
+    report.add(prefix + "category laws", witness is None, witness)
+    return value
+
+
 def _check_one(name: str, decl, report: Report):
     prefix = f"{name}: "
     if decl.kind == "coalgebra":
@@ -83,11 +93,7 @@ def _check_one(name: str, decl, report: Report):
         carrier, m, unit = decl.value
         report.extend(_finset.finset_monoid_check(carrier, m, unit), prefix)
     elif decl.kind == "small_category":
-        try:
-            decl.value.validate()
-            report.add(prefix + "category laws", True)
-        except RelspanError as exc:
-            report.add(prefix + "category laws", False, str(exc))
+        _category_laws(report, prefix, decl.value.validate)
     elif decl.kind == "relative_category":
         report.extend(_relcat.check_relative_category(decl.value), prefix)
     elif decl.kind == "cospan":
@@ -145,10 +151,9 @@ def _coalg_result(pb, args, report):
 _PULLBACK_RESULTS = {"finset": _finset_result, "coalg": _coalg_result}
 
 
-def _linearized(legs, field):
-    """The category of coalgebras over field, and finite-set legs linearized over it."""
-    fld = parse_field_flag(field)
-    return _coalg.CoalgCategory(fld), _finset.linearize_funs(legs, fld)
+def _sizes(maps):
+    """The sizes of the domains and codomains of finite-set maps."""
+    return [x.size for m in maps for x in (m.dom, m.cod)]
 
 
 def _cospan(ctx, name):
@@ -157,13 +162,17 @@ def _cospan(ctx, name):
     return name, cospan_base(*decl.value), decl.value
 
 
-def _bound_chain(label, tables, linear):
-    """Refuse, under label, before any is built, an iterated pullback of a
-    sub-chain X_i … X_j of the zigzag of tables of more than
-    finset.MAX_PULLBACK_PAIRS pairs, size(i, j), or, when linear, one whose
-    equalizer on a split i ≤ k < j runs in more than coalg.MAX_EQUALIZER_DIM
-    dimensions, size(i, k)·size(k+1, j).  A cospan is the chain A → B ← C:
-    its pullback has d pairs and its equalizer runs in A⊗C."""
+def _bound_chain(label, tables, sets, linear):
+    """Refuse, under label, before anything is built, a set of more than
+    finset.MAX_LINEARIZED elements among sets, then an iterated pullback of
+    a sub-chain X_i … X_j of the zigzag of tables of more than
+    finset.MAX_PULLBACK_PAIRS pairs, size(i, j), then, when linear, one
+    whose equalizer on a split i ≤ k < j runs in more than
+    coalg.MAX_EQUALIZER_DIM dimensions, size(i, k)·size(k+1, j).  A cospan
+    A → B ← C has d pairs and its equalizer runs in A⊗C."""
+    if max(sets, default=0) > _finset.MAX_LINEARIZED:
+        raise RelspanError(f"{label}: a set of {max(sets)} elements is too large"
+                           f" to check (at most {_finset.MAX_LINEARIZED})")
     xs = [len(tables[0])] + [len(t) for t in tables[1::2]]
     size = {(i, i): x for i, x in enumerate(xs)}
     size.update(((i, j), _finset.pair_count(*tables[2 * i:2 * j]))
@@ -185,15 +194,13 @@ def cmd_pullback(ctx, args):
         f, g = legs
         linear = args.instance == "coalg"
         if linear:
-            # the field flag and the set sizes are refused first
-            base, legs = _linearized(legs, args.field)
-        if f.cod == g.cod:
-            if linear:
-                # as matrix_to_json would refuse the apex δ: one basis vector
-                # per matching pair, δ d² x d
-                d = _finset.pair_count(f.table, g.table)
-                require_encodable(d * d, d)
-            _bound_chain(f"cospan {name!r}", [f.table, g.table], linear)
+            fld = parse_field_flag(args.field)
+            # as matrix_to_json would refuse the d² x d apex δ of d matching pairs
+            d = _finset.pair_count(f.table, g.table)
+            require_encodable(d * d, d)
+        _bound_chain(f"cospan {name!r}", [f.table, g.table], _sizes(legs) if linear else (), linear)
+        if linear:
+            base, legs = _coalg.CoalgCategory(fld), _finset.linearize_funs(legs, fld)
     report = Report()
     try:
         pb = relative_pullback(base, *legs)
@@ -213,10 +220,9 @@ def cmd_pullback(ctx, args):
 def cmd_cotensor(ctx, args):
     name, base, legs = _cospan(ctx, args.cospan)
     if base is _finset.FINSET:
-        f, g = legs
-        base, legs = _linearized(legs, args.field)
-        if f.cod == g.cod:
-            _bound_chain(f"cospan {name!r}", [f.table, g.table], True)
+        fld = parse_field_flag(args.field)
+        _bound_chain(f"cospan {name!r}", [m.table for m in legs], _sizes(legs), True)
+        base, legs = _coalg.CoalgCategory(fld), _finset.linearize_funs(legs, fld)
     left, right = legs
     report = Report()
     ct = _coalg.cotensor(left, right)
@@ -238,21 +244,18 @@ def cmd_coherence(ctx, args):
     want = 2 if args.shape == "triangle" else 6
     if len(maps) != want:
         raise ParseError(f"{args.shape} needs a chain with {want} maps, got {len(maps)}")
-    report = Report()
-    runs = [("finset", _finset.FINSET, maps)]
-    if args.instance == "coalg":
-        fld = parse_field_flag(args.field)
-        runs.append(("coalg", _coalg.CoalgCategory(fld), _finset.linearize_funs(maps, fld)))
-    # the shapes build identities on the chain's sets
-    largest = max(x.size for m in maps for x in (m.dom, m.cod))
-    if largest > _finset.MAX_LINEARIZED:
-        raise RelspanError(f"chain {name!r}: a set of {largest} elements is too large"
-                           f" to check (at most {_finset.MAX_LINEARIZED})")
-    # the triangle's pullbacks are those of the chain A -f-> B <-1- B -1-> B <-g- C
+    linear = args.instance == "coalg"
+    fld = parse_field_flag(args.field) if linear else None
+    # the shapes build identities on the chain's sets, and the triangle's
+    # pullbacks are those of the chain A -f-> B <-1- B -1-> B <-g- C
     tables = [m.table for m in maps]
     if args.shape == "triangle":
         tables[1:1] = [range(maps[0].cod.size)] * 2
-    _bound_chain(f"chain {name!r}", tables, args.instance == "coalg")
+    _bound_chain(f"chain {name!r}", tables, _sizes(maps), linear)
+    runs = [("finset", _finset.FINSET, maps)]
+    if linear:
+        runs.append(("coalg", _coalg.CoalgCategory(fld), _finset.linearize_funs(maps, fld)))
+    report = Report()
     for label, base, ms in runs:
         if args.shape == "triangle":
             ok = coherence_triangle(base, ms[0], ms[1])
@@ -267,16 +270,22 @@ def cmd_relcat(ctx, args):
     names = [args.name] if args.name else [nm for nm in ctx if ctx[nm].kind in _CATEGORIES]
     if not names:
         raise ParseError("no relative-category or small-category declaration in the file")
-    for name in names:
-        decl = _named(ctx, name, _CATEGORIES)
+    decls = [(name, _named(ctx, name, _CATEGORIES)) for name in names]
+    linear = args.instance == "coalg"
+    if linear:
+        fld = parse_field_flag(args.field)
+        # linearize_relcat and axiom (e) build pullbacks of A -s-> B <-t- A -s-> B <-t- A
+        for name, decl in decls:
+            c = decl.value
+            s, t, sets = ((c.src, c.tgt, (c.n_arr, c.n_obj)) if decl.kind == "small_category"
+                          else (c.s.table, c.t.table, (c.a.size, c.b.size)))
+            _bound_chain(f"category {name!r}", [s, t, s, t], sets, True)
+    for name, decl in decls:
         prefix = f"{name}: "
         if decl.kind == "small_category":
-            try:
-                rc = _relcat.from_small_category(decl.value)
-            except RelspanError as exc:
-                report.add(prefix + "category laws", False, str(exc))
+            rc = _category_laws(report, prefix, lambda: _relcat.from_small_category(decl.value))
+            if rc is None:
                 continue
-            report.add(prefix + "category laws", True)
             report.add(
                 prefix + "composition table round-trip",
                 _relcat.composition_table(rc) == [list(r) for r in decl.value.comp],
@@ -286,8 +295,7 @@ def cmd_relcat(ctx, args):
             rc = decl.value
         sub = _relcat.check_relative_category(rc)
         report.extend(sub, prefix)
-        if args.instance == "coalg" and sub.ok:
-            fld = parse_field_flag(args.field)
+        if linear and sub.ok:
             rcq = _relcat.linearize_relcat(rc, fld)
             report.extend(_relcat.check_relative_category(rcq), prefix + "linearized: ")
     return report, None

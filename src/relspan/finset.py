@@ -6,10 +6,9 @@ product is the Cartesian product with the row-major pairing index
 strictly unital against the singleton, matching the tensor conventions of the
 linear instance.  The admissible span class here is the class of all spans,
 and relative pullbacks are ordinary pullbacks: a RelPullback whose payload is
-the tuple of matching pairs in lexicographic order.  linearize_funs, the
-group-like linearization the CLI uses, refuses sets of more than
-MAX_LINEARIZED elements, and the CLI builds no pullback of more than
-MAX_PULLBACK_PAIRS matching pairs, counted first by pair_count.
+the tuple of matching pairs in lexicographic order.  The CLI builds on no
+set of more than MAX_LINEARIZED elements and builds no pullback of more
+than MAX_PULLBACK_PAIRS matching pairs, counted first by pair_count.
 """
 
 from __future__ import annotations
@@ -208,20 +207,14 @@ def finset_monoid_check(m_obj: FinSetObj, m: FinFun, u: int) -> Report:
     return rep
 
 
-# The most elements of a finite set that linearize_funs turns into a
-# coalgebra: k[X] keeps a sparse δ column per element, about 1 KB each.
+# The most elements of a finite set the CLI linearizes or builds a chain's
+# identities on: k[X] keeps a sparse δ column per element, about 1 KB each.
 MAX_LINEARIZED = 100_000
 
 
 def linearize_funs(maps, fld) -> list:
-    """linearize_fun of each map, equal sets sharing one k[X], after
-    refusing, before any coalgebra is built, a map whose domain or codomain
-    has more than MAX_LINEARIZED elements."""
-    largest = max((x.size for f in maps for x in (f.dom, f.cod)), default=0)
-    if largest > MAX_LINEARIZED:
-        raise ShapeMismatch(
-            f"a set of {largest} elements is too large to linearize (at most {MAX_LINEARIZED})"
-        )
+    """linearize_fun of each map, equal sets sharing one k[X]; the CLI
+    bounds the sets by MAX_LINEARIZED before it calls this."""
     objs = {}
     return [linearize_fun(f, fld, objs) for f in maps]
 

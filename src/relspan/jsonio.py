@@ -9,9 +9,9 @@ decoder, and a reference to another declaration is checked and decoded on
 first use, so declarations may come in any order.  Sizes, indices and
 table entries must be JSON integers.  It rejects what the constructions
 cannot take, such as a cospan whose legs are not two morphisms of one base
-category, or a category with more than MAX_COMPOSABLE_TRIPLES composable
-triples.  Encoding covers fields and matrices, for the CLI's results; a
-matrix of more than MAX_ENCODED_CELLS cells is refused.
+category, or a category with more composable triples than
+finset.MAX_PULLBACK_PAIRS.  Encoding covers fields and matrices, for the
+CLI's results; a matrix of more than MAX_ENCODED_CELLS cells is refused.
 """
 
 from __future__ import annotations
@@ -185,18 +185,15 @@ def _finset_monoid(obj, ref):
     return carrier, _finset.FinFun(_finset.FinSetObj(size * size), carrier, table), _int(obj["unit"])
 
 
-# The most composable triples of a decoded category: its associativity checks
-# visit each one, and the coalgebra instance builds a pullback of them all.
-MAX_COMPOSABLE_TRIPLES = 250_000
-
-
 def _bound_triples(src, tgt):
-    """Refuse arrows with more than MAX_COMPOSABLE_TRIPLES triples i∘j∘k,
-    the matching chains i, j, k of the zigzag src, tgt, src, tgt."""
+    """Refuse arrows with more than finset.MAX_PULLBACK_PAIRS triples i∘j∘k,
+    the matching chains i, j, k of the zigzag src, tgt, src, tgt: they are
+    the pairs of the pullback that axiom (e) builds, and the associativity
+    checks visit each one."""
     n = _finset.pair_count(src, tgt, src, tgt)
-    if n > MAX_COMPOSABLE_TRIPLES:
+    if n > _finset.MAX_PULLBACK_PAIRS:
         raise ValueError(f"a category with {n} composable triples is too large to check"
-                         f" (at most {MAX_COMPOSABLE_TRIPLES})")
+                         f" (at most {_finset.MAX_PULLBACK_PAIRS})")
 
 
 def _small_category(obj, ref) -> _relcat.SmallCategory:

@@ -675,7 +675,9 @@ def test_finite_set_too_large_to_linearize_exits_2_at_once(tmp_path, command):
     code, doc = run_no_traceback([command[0], path, *command[1:]])
     assert time.perf_counter() - start < 0.5
     assert code == 2 and doc["exit"] == 2
-    assert doc["error"] == "a set of 1000000 elements is too large to linearize (at most 100000)"
+    declaration = "chain 'ch'" if command[0] == "coherence" else "cospan 'cs'"
+    assert doc["error"] == (f"{declaration}: a set of 1000000 elements is too large to check"
+                            " (at most 100000)")
 
 
 def test_linearization_bound_is_inclusive_and_covers_relcat(monkeypatch):
@@ -698,7 +700,7 @@ def _cyclic_group_category(n):
     ["check"], ["relcat"], ["relcat", "--instance", "coalg"],
 ])
 def test_category_with_too_many_composable_triples_exits_2_at_once(tmp_path, command):
-    assert jsonio.MAX_COMPOSABLE_TRIPLES == 250_000
+    assert finset.MAX_PULLBACK_PAIRS == 250_000
     p = tmp_path / "c64.json"
     p.write_text(json.dumps({"c64": _cyclic_group_category(64)}))
     start = time.process_time()
@@ -714,7 +716,7 @@ def test_relative_category_triples_are_bounded_before_the_pullback(tmp_path, mon
         raise AssertionError("the pullback of (s, t) was built before the triples were counted")
 
     monkeypatch.setattr(jsonio, "relative_pullback", no_pullback)
-    monkeypatch.setattr(jsonio, "MAX_COMPOSABLE_TRIPLES", 63)
+    monkeypatch.setattr(finset, "MAX_PULLBACK_PAIRS", 63)
     # one object and four arrows: 4 composable pairs, 4³ = 64 composable triples
     p = tmp_path / "rc.json"
     p.write_text(json.dumps({"rc": {"kind": "relative_category", "objects": 1, "arrows": 4,
@@ -732,11 +734,45 @@ def test_triple_bound_is_inclusive_and_counts_every_triple(monkeypatch):
             for i in range(c["arrows"]) for j in range(c["arrows"]) for k in range(c["arrows"]))
         for c in cats
     )
-    monkeypatch.setattr(jsonio, "MAX_COMPOSABLE_TRIPLES", largest)
+    monkeypatch.setattr(finset, "MAX_PULLBACK_PAIRS", largest)
     assert run_no_traceback(["relcat", fx("relcats.json")])[0] == 0
-    monkeypatch.setattr(jsonio, "MAX_COMPOSABLE_TRIPLES", largest - 1)
+    monkeypatch.setattr(finset, "MAX_PULLBACK_PAIRS", largest - 1)
     code, doc = run_no_traceback(["relcat", fx("relcats.json")])
     assert code == 2 and f"with {largest} composable triples" in doc["error"]
+
+
+@pytest.mark.parametrize("n", [22, 40])
+def test_linearized_category_too_large_for_its_tensor_product_exits_2_at_once(tmp_path, n):
+    """The cyclic group of order n has n² composable pairs, so axiom (e)
+    linearized runs an equalizer in n³ dimensions: order 22 is the first
+    above the bound; unbounded, order 40, a 6 KB file, took 5.2 s of CPU and
+    338 MB."""
+    assert coalg.MAX_EQUALIZER_DIM == 10_000
+    p = tmp_path / f"c{n}.json"
+    p.write_text(json.dumps({f"c{n}": _cyclic_group_category(n)}))
+    start = time.process_time()
+    code, doc = run_no_traceback(["relcat", str(p), "--instance", "coalg"])
+    assert time.process_time() - start < 0.25
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == (f"category 'c{n}': an equalizer in a tensor product of dimension"
+                            f" {n ** 3} is too large to build (at most 10000)")
+
+
+def test_linearized_category_bound_is_the_largest_pullback_it_builds(monkeypatch):
+    """With the bound at the largest tensor product of a coalgebra pullback
+    that relcat builds on relcats.json, it runs; one below, it exits 2,
+    naming a category, before any coalgebra pullback."""
+    argv = ["relcat", fx("relcats.json"), "--instance", "coalg"]
+    _, dims = _spy_sizes(monkeypatch)
+    assert run_no_traceback(argv)[0] == 0
+    largest = max(dims)
+    monkeypatch.setattr(coalg, "MAX_EQUALIZER_DIM", largest)
+    assert run_no_traceback(argv)[0] == 0
+    monkeypatch.setattr(coalg, "MAX_EQUALIZER_DIM", largest - 1)
+    dims.clear()
+    code, doc = run_no_traceback(argv)
+    assert code == 2 and f"dimension {largest} is too large" in doc["error"]
+    assert doc["error"].startswith("category '") and not dims
 
 
 def test_matrix_encoding_is_the_dense_grid_and_round_trips():
