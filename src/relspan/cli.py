@@ -169,7 +169,7 @@ def _bound_chain(label, tables, sets, linear):
     finset.MAX_PULLBACK_PAIRS pairs, size(i, j), then, when linear, one
     whose equalizer on a split i ≤ k < j runs in more than
     coalg.MAX_EQUALIZER_DIM dimensions, size(i, k)·size(k+1, j).  A cospan
-    A → B ← C has d pairs and its equalizer runs in A⊗C."""
+    A → B ← C has d pairs and its equalizer runs in A⊗C.  Returns size."""
     if max(sets, default=0) > _finset.MAX_LINEARIZED:
         raise RelspanError(f"{label}: a set of {max(sets)} elements is too large"
                            f" to check (at most {_finset.MAX_LINEARIZED})")
@@ -186,20 +186,19 @@ def _bound_chain(label, tables, sets, linear):
         if dim > _coalg.MAX_EQUALIZER_DIM:
             raise RelspanError(f"{label}: an equalizer in a tensor product of dimension"
                                f" {dim} is too large to build (at most {_coalg.MAX_EQUALIZER_DIM})")
+    return size
 
 
 def cmd_pullback(ctx, args):
     name, base, legs = _cospan(ctx, args.cospan)
     if base is _finset.FINSET:
         f, g = legs
-        linear = args.instance == "coalg"
+        label, linear = f"cospan {name!r}", args.instance == "coalg"
+        fld = parse_field_flag(args.field) if linear else None
+        d = _bound_chain(label, [f.table, g.table], _sizes(legs) if linear else (), linear)[0, 1]
         if linear:
-            fld = parse_field_flag(args.field)
             # as matrix_to_json would refuse the d² x d apex δ of d matching pairs
-            d = _finset.pair_count(f.table, g.table)
-            require_encodable(d * d, d)
-        _bound_chain(f"cospan {name!r}", [f.table, g.table], _sizes(legs) if linear else (), linear)
-        if linear:
+            require_encodable(d * d, d, label)
             base, legs = _coalg.CoalgCategory(fld), _finset.linearize_funs(legs, fld)
     report = Report()
     try:
@@ -221,7 +220,10 @@ def cmd_cotensor(ctx, args):
     name, base, legs = _cospan(ctx, args.cospan)
     if base is _finset.FINSET:
         fld = parse_field_flag(args.field)
-        _bound_chain(f"cospan {name!r}", [m.table for m in legs], _sizes(legs), True)
+        label = f"cospan {name!r}"
+        size = _bound_chain(label, [m.table for m in legs], _sizes(legs), True)
+        # as matrix_to_json would refuse the |A|·|C| x d inclusion of the cotensor
+        require_encodable(size[0, 0] * size[1, 1], size[0, 1], label)
         base, legs = _coalg.CoalgCategory(fld), _finset.linearize_funs(legs, fld)
     left, right = legs
     report = Report()

@@ -53,21 +53,22 @@ cheap even at tensor dimensions in the thousands.
 Unit identifications k⊗V ≅ V ≅ V⊗k are implicit: a Kronecker factor of
 dimension 1 changes no indices, so the dimension bookkeeping is the coercion.
 
-A coalgebra keeps three facts about itself, each built on first use as ε of
-a tensor product is: z = (1⊗ε)∘δ, which the right counit law, the equalizer
-and the relative pullback (Z_A, Z_C) read; l = (ε⊗1)∘δ, which the left
-counit law and the pullback's certificate (l_C) read; and whether c∘δ = δ,
-which decides class S on a cocommutative apex and gives c∘δ_C.  A
-command's iterated pullbacks read them on objects they share (a
-linearization gives equal sets one k[X]), so each is built once per
-object.  They live and die with the object, so nothing outlives the
-objects of one command.  The class-S witness depends on the legs and is
-not kept.
+A coalgebra keeps five facts about itself as cached properties, each built
+on first use unless given to the constructor: ε and δ of a tensor product;
+z = (1⊗ε)∘δ, which the right counit law, the equalizer and the relative
+pullback (Z_A, Z_C) read; l = (ε⊗1)∘δ, which the left counit law and the
+pullback's certificate (l_C) read; and whether c∘δ = δ, which decides
+class S on a cocommutative apex and gives c∘δ_C.  A command's iterated
+pullbacks read them on objects they share (a linearization gives equal sets
+one k[X]), so each is built once per object.  They live and die with the
+object, so nothing outlives the objects of one command.  The class-S
+witness depends on the legs and is not kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .catcore import BaseCategory, RelPullback, Report, legs_in_class
 from .errors import (
@@ -98,9 +99,6 @@ from .linalg import (
 class Coalgebra:
     """A comonoid in exact finite-dimensional vector spaces."""
 
-    __slots__ = ("dim", "field", "_epsilon", "_delta", "_factors", "_right_counit",
-                 "_left_counit", "_cocommutative")
-
     def __init__(self, dim, field, delta=None, epsilon=None, factors=None):
         self.dim = dim
         self.field = field
@@ -109,57 +107,44 @@ class Coalgebra:
             if epsilon is None or epsilon.rows != 1 or epsilon.cols != dim:
                 raise ShapeMismatch("counit must be a 1 x dim matrix")
             require_same_field(field, epsilon.field)
-        self._epsilon = epsilon
+            self.epsilon = epsilon
         if delta is not None:
             if delta.rows != dim * dim or delta.cols != dim:
                 raise ShapeMismatch("comultiplication must be a dim^2 x dim matrix")
             require_same_field(field, delta.field)
+            self.delta = delta
         elif factors is None:
             raise ShapeMismatch("a coalgebra needs either an explicit delta or factors")
-        self._delta = delta
-        self._right_counit = self._left_counit = self._cocommutative = None
 
-    @property
+    @cached_property
     def epsilon(self) -> Matrix:
-        if self._epsilon is None:
-            a, b = self._factors
-            self._epsilon = kron(a.epsilon, b.epsilon)
-        return self._epsilon
+        a, b = self._factors
+        return kron(a.epsilon, b.epsilon)
 
-    @property
+    @cached_property
     def right_counit(self) -> Matrix:
-        """z = (1⊗ε)∘δ, built on first use; the right counit law is z = 1."""
-        if self._right_counit is None:
-            i_n = Matrix.identity(self.field, self.dim)
-            self._right_counit = kron_apply(i_n, self.epsilon, self.delta)
-        return self._right_counit
+        """z = (1⊗ε)∘δ; the right counit law is z = 1."""
+        return kron_apply(Matrix.identity(self.field, self.dim), self.epsilon, self.delta)
 
-    @property
+    @cached_property
     def left_counit(self) -> Matrix:
-        """l = (ε⊗1)∘δ, built on first use; the left counit law is l = 1."""
-        if self._left_counit is None:
-            i_n = Matrix.identity(self.field, self.dim)
-            self._left_counit = kron_apply(self.epsilon, i_n, self.delta)
-        return self._left_counit
+        """l = (ε⊗1)∘δ; the left counit law is l = 1."""
+        return kron_apply(self.epsilon, Matrix.identity(self.field, self.dim), self.delta)
 
-    @property
+    @cached_property
     def cocommutative(self) -> bool:
-        """c∘δ = δ, decided on first use."""
-        if self._cocommutative is None:
-            self._cocommutative = _swapped(self.delta, self.dim) == self.delta
-        return self._cocommutative
+        """c∘δ = δ."""
+        return _swapped(self.delta, self.dim) == self.delta
 
-    @property
+    @cached_property
     def delta(self) -> Matrix:
-        if self._delta is None:
-            self._delta = _delta_apply(self, Matrix.identity(self.field, self.dim))
-        return self._delta
+        return _delta_apply(self, Matrix.identity(self.field, self.dim))
 
     def delta_column(self, j):
         """Sparse column of δ at basis index j, {row: value}; do not modify.
         Of a tensor product whose δ is not built, δ∘e_j, which builds none."""
-        if self._delta is not None:
-            return self._delta.columns[j]
+        if "delta" in vars(self):
+            return self.delta.columns[j]
         e_j = Matrix.from_cols(self.field, self.dim, [{j: self.field.one}])
         return _delta_apply(self, e_j).columns[0]
 
@@ -218,8 +203,8 @@ def _delta_apply(x: Coalgebra, m: Matrix) -> Matrix:
     """δ∘m.  Of a tensor product A⊗B whose δ is not built, (1⊗c⊗1)∘(δ_A⊗δ_B)∘m,
     without the δ of A⊗B: the entry of kron_apply(δ_A, δ_B, m) at
     (a1⊗a2)⊗(b1⊗b2) moves to (a1⊗b1)⊗(a2⊗b2)."""
-    if x._delta is not None:
-        return x._delta @ m
+    if "delta" in vars(x):
+        return x.delta @ m
     a, b = x._factors
     na, nb, n, s = a.dim, b.dim, x.dim, b.dim * b.dim
     # the moves of the rows δ_A and δ_B use, not tables of dim² entries

@@ -9,6 +9,7 @@ anywhere.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 from .errors import FieldMismatch
@@ -160,13 +161,10 @@ class PrimeField:
 
 QQ = RationalField()
 
-_gf_cache: dict[int, PrimeField] = {}
 
-
+@functools.cache
 def GF(p: int) -> PrimeField:
-    if p not in _gf_cache:
-        _gf_cache[p] = PrimeField(p)
-    return _gf_cache[p]
+    return PrimeField(p)
 
 
 def require_same_field(fa, fb):

@@ -95,11 +95,8 @@ class FinSetCategory(BaseCategory):
 
     def symmetry(self, x: FinSetObj, y: FinSetObj) -> FinFun:
         m, n = x.size, y.size
-        table = [0] * (m * n)
-        for i in range(m):
-            for j in range(n):
-                table[i * n + j] = j * m + i
-        return FinFun._valid(FinSetObj(m * n), FinSetObj(n * m), tuple(table))
+        table = tuple(j * m + i for i in range(m) for j in range(n))
+        return FinFun._valid(FinSetObj(m * n), FinSetObj(n * m), table)
 
     def invert(self, f: FinFun):
         if f.dom.size != f.cod.size or len(set(f.table)) != f.dom.size:

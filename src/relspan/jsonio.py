@@ -94,10 +94,12 @@ def parse_field_flag(text: str):
 MAX_ENCODED_CELLS = 10**6
 
 
-def require_encodable(rows: int, cols: int):
-    """Refuse a rows x cols matrix of more than MAX_ENCODED_CELLS cells."""
+def require_encodable(rows: int, cols: int, label=None):
+    """Refuse a rows x cols matrix of more than MAX_ENCODED_CELLS cells,
+    under label when one is given."""
     if rows * cols > MAX_ENCODED_CELLS:
-        raise RelspanError(f"a {rows} x {cols} matrix is too large to encode"
+        named = f"{label}: " if label else ""
+        raise RelspanError(f"{named}a {rows} x {cols} matrix is too large to encode"
                            f" (at most {MAX_ENCODED_CELLS} cells)")
 
 

@@ -119,37 +119,21 @@ class Matrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_same_shape(self, other):
+    def __add__(self, other):
+        return self._merge(other, -1)
+
+    def __sub__(self, other):
+        return self._merge(other, 1)
+
+    def _merge(self, other, factor):
+        """self - factor·other, each column of self updated as elimination
+        updates a row (see _subtract)."""
         require_same_field(self.field, other.field)
         if self.rows != other.rows or self.cols != other.cols:
             raise ShapeMismatch(f"{self.rows}x{self.cols} vs {other.rows}x{other.cols}")
-
-    def __add__(self, other):
-        self._check_same_shape(other)
-        return self._merge(other, 1)
-
-    def __sub__(self, other):
-        self._check_same_shape(other)
-        return self._merge(other, -1)
-
-    def _merge(self, other, sign):
-        """self + sign·other for sign ±1.  An entry only one operand has is
-        copied (a right-only entry of a difference negated); only the shared
-        entries are normalized, and dropped when they cancel."""
-        norm, neg = self.field.normalize, self.field.neg
-        cols = []
-        for ca, cb in zip(self.columns, other.columns):
-            acc = dict(ca)
-            get = acc.get
-            for i, v in cb.items():
-                a = get(i)
-                if a is None:
-                    acc[i] = v if sign > 0 else neg(v)
-                elif x := norm(a + sign * v):
-                    acc[i] = x
-                else:
-                    del acc[i]
-            cols.append(acc)
+        norm, cols = self.field.normalize, [dict(ca) for ca in self.columns]
+        for acc, cb in zip(cols, other.columns):
+            _subtract(norm, acc, factor, cb)
         return Matrix.from_cols(self.field, self.rows, cols)
 
     def __matmul__(self, other):

@@ -802,7 +802,8 @@ def test_matrix_too_large_to_encode_exits_2_at_once(tmp_path):
     code, doc = run_no_traceback(["pullback", str(p), "--cospan", "cs", "--instance", "coalg"])
     assert time.perf_counter() - start < 1.0
     assert code == 2 and doc["exit"] == 2
-    assert doc["error"] == "a 38416 x 196 matrix is too large to encode (at most 1000000 cells)"
+    assert doc["error"] == ("cospan 'cs': a 38416 x 196 matrix is too large to encode"
+                            " (at most 1000000 cells)")
 
 
 def _cospan_over_a_point(tmp_path, na, nc):
@@ -816,14 +817,15 @@ def _cospan_over_a_point(tmp_path, na, nc):
 
 
 def test_linearized_pullback_too_large_to_encode_exits_2_before_it_is_built(tmp_path):
-    # 1000 -> 1 <- 1000: 10⁶ matching pairs, so the apex δ would be 10¹² x 10⁶
+    # 1000 -> 1 <- 1000: 10⁶ matching pairs, so the apex δ would be 10¹² x 10⁶;
+    # the gate's pair bound refuses it before the encoding bound is checked
     argv = _cospan_over_a_point(tmp_path, 1000, 1000)
     start = time.process_time()
     code, doc = run_no_traceback(argv)
     assert time.process_time() - start < 0.25
     assert code == 2 and doc["exit"] == 2
-    assert doc["error"] == ("a 1000000000000 x 1000000 matrix is too large to encode"
-                            " (at most 1000000 cells)")
+    assert doc["error"] == ("cospan 'cs': a pullback of 1000000 matching pairs is too large"
+                            " to build (at most 250000)")
 
 
 @pytest.mark.parametrize("na, nc, refused", [(10, 10, False), (101, 1, True), (11, 10, True)])
@@ -841,8 +843,28 @@ def test_linearized_apex_bound_is_the_encoding_bound(tmp_path, monkeypatch, na, 
         return
     code, doc = run_no_traceback(argv)
     d = na * nc
-    assert code == 2 and doc["error"] == (f"a {d * d} x {d} matrix is too large to encode"
-                                          " (at most 1000000 cells)")
+    assert code == 2 and doc["error"] == (f"cospan 'cs': a {d * d} x {d} matrix is too large"
+                                          " to encode (at most 1000000 cells)")
+
+
+@pytest.mark.parametrize("na, nc, refused", [(40, 40, True), (10, 100, False)])
+def test_cotensor_too_large_to_encode_exits_2_before_it_is_computed(tmp_path, monkeypatch, na, nc,
+                                                                     refused):
+    """The cotensor of na -> 1 <- nc is written as its na·nc x na·nc inclusion
+    in A⊗C: 40 -> 1 <- 40 is 1600², refused under the cospan's name before
+    the cotensor is computed; 10 -> 1 <- 100 is exactly 10⁶ cells and runs."""
+    calls, cotensor = [], coalg.cotensor
+    monkeypatch.setattr(coalg, "cotensor", lambda *args: calls.append(args) or cotensor(*args))
+    argv = ["cotensor", *_cospan_over_a_point(tmp_path, na, nc)[1:4]]
+    start = time.process_time()
+    code, doc = run_no_traceback(argv)
+    if not refused:
+        assert code == 0 and doc["result"]["dim"] == na * nc and calls
+        return
+    assert time.process_time() - start < 0.25
+    assert code == 2 and doc["exit"] == 2 and not calls
+    assert doc["error"] == ("cospan 'cs': a 1600 x 1600 matrix is too large to encode"
+                            " (at most 1000000 cells)")
 
 
 def test_finite_set_pullback_too_large_exits_2_before_it_is_built(tmp_path, monkeypatch):

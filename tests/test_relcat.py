@@ -389,6 +389,18 @@ def test_functor_violating_unit_compatibility_fails():
     assert any("a∘i = i'∘b" in c.name and not c.ok for c in rep.checks)
 
 
+def test_functor_not_preserving_targets_reports_composition_as_skipped():
+    """b = (0, 1), a = (0, 1, 0) on poset01 sends f: 0 -> 1 to id_0: sources
+    and identities are preserved, targets are not, so a□a cannot be built
+    and the composition check fails as skipped instead of raising."""
+    rc = from_small_category(fixture_poset01())
+    fun = RelativeFunctor(ffun(2, 2, [0, 1]), ffun(3, 3, [0, 1, 0]))
+    rep = check_relative_functor(fun, rc, rc)
+    assert [c.ok for c in rep.checks] == [True, False, True, False]
+    assert rep.checks[3].name == "composition compatibility: a∘d = d'∘(a□a)"
+    assert rep.checks[3].witness.startswith("skipped: ")
+
+
 def test_linearized_functor_passes():
     src = from_small_category(fixture_poset01())
     tgt = from_small_category(fixture_discrete(1))

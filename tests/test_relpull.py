@@ -606,3 +606,19 @@ def test_reflection_coalg_grouplike():
             l = CoalgMap(d, l0.tgt, l0.mat)
             rep = check_reflection_instance(pb, k, l, "left")
             assert rep.ok, [c.name for c in rep.failures()]
+
+
+def test_reflection_with_a_failed_hypothesis_holds_whatever_the_conclusion():
+    """P the path coalgebra, pb the pullback of ε_P: P -> k and 1_k, k the
+    inverse of p_A and l = 1_P: the span (1_P, 1_P) through p_A is not in S,
+    as P is not cocommutative, the one through p_C is, and so is not (k, l);
+    the implication holds on a failed hypothesis, on either side."""
+    for field in FIELDS:
+        base = CoalgCategory(field)
+        p, unit = path_coalgebra(field), base.unit_obj()
+        pb = relative_pullback(base, CoalgMap(p, unit, p.epsilon), cid(unit))
+        k, l = base.invert(pb.p_a), base.identity(p)
+        for side, concl in (("left", Span(k, l)), ("right", Span(l, k))):
+            rep = check_reflection_instance(pb, k, l, side)
+            assert [c.ok for c in rep.checks] == [False, True, True]
+            assert not base.contains(concl)
