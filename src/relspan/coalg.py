@@ -24,11 +24,11 @@ row space and T_P the pivot columns of T, so T_P⊗1 is injective.
 As (1⊗1⊗ε)∘(T⊗1)∘δ = T∘z for z = (1⊗ε)∘δ, E lies in K' = ker(R∘z), with no
 counit law assumed, and E = K'·N for N = ker((R⊗1)∘δ∘K'), the second
 system.  On counital input z = 1, so K' = ker R = ker t comes from the one
-elimination of t that gives R, and R∘K' = 0.  The closure check on K' is
-then the certificate: when it passes, (R⊗1)∘δ∘K' = (R∘K'⊗K')∘δ_E = 0, so
-N = 1 and E = K'.  The second system is built only when z ≠ 1 or that check
-fails, and then gives the same E.  This basis is canonical: each column is
-1 at its largest nonzero coordinate, where the others are 0.
+elimination of t, and R∘K' = 0.  The closure check on K' is then the
+certificate: when it passes, (R⊗1)∘δ∘K' = (R∘K'⊗K')∘δ_E = 0, so N = 1 and
+E = K'.  R and the second system are built only when z ≠ 1 or that check
+fails, and give the same E.  This basis is canonical: each column is 1 at
+its largest nonzero coordinate, where the others are 0.
 
 A relative pullback's payload is the equalizer of f⊗ε and ε⊗g on A⊗C;
 there δ = (1⊗c⊗1)∘(δ_A⊗δ_C) gives z = Z_A⊗Z_C, taken as 1 when Z_A and Z_C
@@ -81,13 +81,15 @@ from .errors import (
 from .fields import require_same_field
 from .linalg import (
     Matrix,
+    _echelon,
+    _kernel,
     _kron_difference,
+    _reduce,
     first_difference,
     kernel_basis_sparse,
     kernel_left_inverse,
     kron,
     kron_apply,
-    rref_and_kernel,
     solve,
     swap_map,
 )
@@ -404,15 +406,17 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer | 
 def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None) -> CoalgEqualizer:
     """The equalizer that t and z describe in x, z None when it is the
     identity, on the basis K'∘N of the module docstring.  On counital input
-    a passing closure check on K' certifies N = 1, and the second system
-    (R⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ, is not built."""
-    r, k = rref_and_kernel(t)
-    if z is not None:
-        k = kernel_basis_sparse(r @ z)
+    a passing closure check on K' certifies N = 1, and neither R nor the
+    second system (R⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ, is built."""
+    fld, red = t.field, _reduce(t.field, t.columns)
+    r = None if z is None else _echelon(fld, red, len(red), t.cols)
+    k = _kernel(fld, red, t.cols) if r is None else kernel_basis_sparse(r @ z)
     delta_k = _delta_apply(x, k)
-    eq = None if z is not None else _subcoalgebra(x, k, delta_k)
+    eq = None if r is not None else _subcoalgebra(x, k, delta_k)
     if eq is None:
-        n = kernel_basis_sparse(kron_apply(r, Matrix.identity(x.field, x.dim), delta_k))
+        if r is None:
+            r = _echelon(fld, red, len(red), t.cols)
+        n = kernel_basis_sparse(kron_apply(r, Matrix.identity(fld, x.dim), delta_k))
         if n.cols != n.rows:
             eq = _subcoalgebra(x, k @ n, delta_k @ n)
         elif z is not None:

@@ -26,17 +26,21 @@ e_i ⊗ f_j lives at index i * dim(second factor) + j.
 All canonical forms (reduced row echelon, kernel bases, solve with zeroed free
 variables) come from one elimination on sparse rows.  The reduced row echelon
 form is unique, so they are the forms first-nonzero pivoting gives, and every
-result is reproducible bit-for-bit.  The elimination first peels the rows with
-one nonzero, as structured Gaussian elimination does: such a row at column c
-puts the unit row e_c in the form and deletes c from every other row without
-arithmetic, which leaves the form as it is.  The peel is one pass; a row left
-with one nonzero after it is reduced like any other.  The pullback and
-cotensor systems of linearized finite sets have only such rows.
+result is reproducible bit-for-bit.  The elimination reads the columns and
+first peels the rows with one nonzero, as structured Gaussian elimination
+does: each row's nonzeros are counted once, and a row of count one at column
+c puts the unit row e_c in the form and deletes c from every other row
+without arithmetic, which leaves the form as it is.  Only the entries of the
+columns left are gathered into rows, so a row left with one nonzero is
+reduced like any other, and the pullback and cotensor systems of linearized
+finite sets, which have only rows of count one, are never gathered at all.
 """
 
 from __future__ import annotations
 
 import sys
+from collections import Counter
+from itertools import chain, product
 
 from .errors import InternalSolveFailure, ShapeMismatch
 from .fields import PrimeField, require_same_field
@@ -166,18 +170,23 @@ class Matrix:
 
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
-        red = _reduce(self.field, _live_rows(self))
-        r = Matrix.from_cols(self.field, self.rows, _flip(list(red.values()), self.cols))
-        return r, list(red)
+        red = _reduce(self.field, self.columns)
+        return _echelon(self.field, red, self.rows, self.cols), list(red)
 
     def rank(self):
-        return len(_reduce(self.field, _live_rows(self)))
+        return len(_reduce(self.field, self.columns))
 
 
 def _canonical(field, acc):
     """A sparse column from accumulated sums: normalized, zeros dropped."""
     norm = field.normalize
     return {i: x for i, y in acc.items() if (x := norm(y))}
+
+
+def _echelon(field, red, rows, cols):
+    """The rows x cols matrix whose top rows are those of red, as _reduce
+    gives them, in ascending pivot order, and whose other rows are zero."""
+    return Matrix.from_cols(field, rows, _flip(list(red.values()), cols))
 
 
 def _flip(vectors, n):
@@ -190,32 +199,27 @@ def _flip(vectors, n):
     return out
 
 
-def _live_rows(m: Matrix):
-    """The nonzero rows of m as {column: value} dicts, top to bottom."""
-    rows = {}
-    for j, col in enumerate(m.columns):
-        for i, v in col.items():
-            rows.setdefault(i, {})[j] = v
-    return [rows[i] for i in sorted(rows)]
+def _reduce(field, columns):
+    """Reduced row echelon form of the matrix with the given sparse columns:
+    its nonzero rows as {pivot column: row}, in ascending pivot order.
 
-
-def _reduce(field, rows):
-    """Reduced row echelon form of the matrix with the given sparse rows: its
-    nonzero rows as {pivot column: row}, in ascending pivot order.
-
-    Rows with one entry are peeled first (see the module docstring).  Each
-    other row is inserted without its peeled columns, its leading entry
-    reduced against the rows already inserted and scaled to 1, so a row left
-    with one entry goes in like any other; back-substitution in descending
-    pivot order then makes every pivot column a unit vector.  The unit rows
-    need none: no row left holds their columns."""
+    The columns that hold a row of count one are peeled (see the module
+    docstring); the rows of the others are inserted top to bottom, each with
+    its leading entry reduced against the rows already inserted and scaled
+    to 1; back-substitution in descending pivot order then makes every pivot
+    column a unit vector.  The unit rows need none: no row left holds their
+    columns."""
     norm, one = field.normalize, field.one
-    peeled = {c for row in rows if len(row) == 1 for c in row}
+    single = {i for i, n in Counter(chain.from_iterable(columns)).items() if n == 1}
+    peeled = {c for c, col in enumerate(columns) if not single.isdisjoint(col)}
+    rows = {}
+    for c, col in enumerate(columns):
+        if c not in peeled:
+            for i, v in col.items():
+                rows.setdefault(i, {})[c] = v
     echelon = {}
-    for row in rows:
-        if len(row) < 2:
-            continue
-        r = {k: v for k, v in row.items() if k not in peeled}
+    for i in sorted(rows):
+        r = rows[i]
         while r:
             c = min(r)
             if c not in echelon:
@@ -254,7 +258,7 @@ def solve(a: Matrix, b: Matrix):
     require_same_field(a.field, b.field)
     if a.rows != b.rows:
         raise ShapeMismatch("A and B must have the same number of rows")
-    red = _reduce(a.field, _live_rows(a.hstack(b)))
+    red = _reduce(a.field, a.hstack(b).columns)
     if any(p >= a.cols for p in red):
         return None
     xcols = [{} for _ in range(b.cols)]
@@ -268,15 +272,7 @@ def solve(a: Matrix, b: Matrix):
 def kernel_basis_sparse(a: Matrix) -> Matrix:
     """Canonical basis of ker A as columns: one per free column c, equal to 1
     at c and to minus the reduced row echelon entries at the pivots; A·K = 0."""
-    return _kernel(a.field, _reduce(a.field, _live_rows(a)), a.cols)
-
-
-def rref_and_kernel(a: Matrix):
-    """(R, K) from one elimination: R the nonzero rows of the reduced row
-    echelon form of A, so ker R = ker A, and K = kernel_basis_sparse(A)."""
-    red = _reduce(a.field, _live_rows(a))
-    r = Matrix.from_cols(a.field, len(red), _flip(list(red.values()), a.cols))
-    return r, _kernel(a.field, red, a.cols)
+    return _kernel(a.field, _reduce(a.field, a.columns), a.cols)
 
 
 def _kernel(field, red, n):
@@ -330,9 +326,11 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 
 
 def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
-    """kron(x, z) - kron(w, y) in one pass, without either product: each
-    column is built as kron builds it, and the entries of the second product
-    are subtracted into it, dropping those that cancel."""
+    """kron(x, z) - kron(w, y) in one pass, without either product: the
+    columns of each product are the pairs of factor columns in order, for
+    any two splits of one shape; each column is built as kron builds it, one
+    entry when both factor columns hold one, and the entries of the second
+    product are subtracted into it, dropping those that cancel."""
     for m in (z, w, y):
         require_same_field(x.field, m.field)
     rows, cols = x.rows * z.rows, x.cols * z.cols
@@ -340,27 +338,30 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
         raise ShapeMismatch(f"cannot subtract a {w.rows * y.rows}x{w.cols * y.cols} Kronecker "
                             f"product from a {rows}x{cols} one")
     fld = x.field
-    norm, neg, one, nz, ny = fld.normalize, fld.neg, fld.one, z.rows, y.rows
+    norm, neg, one = fld.normalize, fld.neg, fld.one
+    # each product's columns in order, as pairs of factor columns, the left factor's rows pre-scaled
+    first = product([[(i * z.rows, a) for i, a in c.items()] for c in x.columns],
+                    [c.items() for c in z.columns])
+    second = product([[(i * y.rows, a) for i, a in c.items()] for c in w.columns],
+                     [c.items() for c in y.columns])
     out = []
-    for j in range(cols):
-        p, q = divmod(j, z.cols)
-        zq = z.columns[q].items()
-        col = {i * nz + k: b if a == one else a if b == one else norm(a * b)
-               for i, a in x.columns[p].items() for k, b in zq}
+    for (xp, zq), (wp, yq) in zip(first, second):
+        if len(xp) == 1 == len(zq):
+            ((i, a),), ((k, b),) = xp, zq
+            col = {i + k: b if a == one else a if b == one else norm(a * b)}
+        else:
+            col = {i + k: b if a == one else a if b == one else norm(a * b) for i, a in xp for k, b in zq}
         get = col.get
-        p, q = divmod(j, y.cols)
-        yq = y.columns[q].items()
-        for i, a in w.columns[p].items():
+        for i, a in wp:
             for k, b in yq:
-                idx = i * ny + k
                 v = b if a == one else a if b == one else norm(a * b)
-                c = get(idx)
+                c = get(i + k)
                 if c is None:
-                    col[idx] = neg(v)
+                    col[i + k] = neg(v)
                 elif s := norm(c - v):
-                    col[idx] = s
+                    col[i + k] = s
                 else:
-                    del col[idx]
+                    del col[i + k]
         out.append(col)
     return Matrix.from_cols(fld, rows, out)
 
@@ -368,7 +369,8 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
 def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     """(A⊗B) @ M without materializing A⊗B: each nonzero v at row p·b.cols+q
     of a column of M adds v·A[:,p]⊗B[:,q] to that column of the result.  A
-    column of M with one nonzero is that one term, built in one pass.
+    column of M with one nonzero is that one term, built in one pass, and
+    one entry when A[:,p] and B[:,q] hold one nonzero each.
 
     Over F_p, a column of M with N nonzeros is accumulated in packed 64-bit
     slots (_packed_column) when no column of A or B is zero, one of them has
@@ -407,9 +409,13 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
         if len(mcol) == 1:
             ((idx, v),) = mcol.items()
             p, q = divmod(idx, bc)
-            bq = bcols[q].items()
-            out.append({i * nb + k: one if v == x == y == one else norm(v * x * y)
-                        for i, x in acols[p].items() for k, y in bq})
+            ap, bq = acols[p].items(), bcols[q].items()
+            if len(ap) == 1 == len(bq):
+                ((i, x),), ((k, y),) = ap, bq
+                out.append({i * nb + k: one if v == x == y == one else norm(v * x * y)})
+            else:
+                out.append({i * nb + k: one if v == x == y == one else norm(v * x * y)
+                            for i, x in ap for k, y in bq})
             continue
         if least <= len(mcol) <= most:
             out.append(_packed_column(acols, bcols, nb, m.field.p, packed, mcol))

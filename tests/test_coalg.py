@@ -75,7 +75,6 @@ from relspan.linalg import (
     kernel_left_inverse,
     kron,
     kron_apply,
-    rref_and_kernel,
     solve,
     swap_map,
 )
@@ -398,13 +397,19 @@ def _t_and_z(f, g):
     return kron(i_n, f.mat - g.mat) @ a.delta, kron(i_n, a.epsilon) @ a.delta
 
 
+def _rref_rows(t):
+    """R, the nonzero rows of the reduced row echelon form of t."""
+    full, pivots = t.rref()
+    return Matrix.from_cols(t.field, len(pivots), full.columns)
+
+
 def _equalizer_system(x, t, z):
     """(K', δ∘K', S') for t, z, R and K' as in the coalg module docstring, z
     None when it is the identity, with the second system S' = (R⊗1)∘δ∘K'
     built on every input: the reference that coalg's equalizer, which builds
     S' only when the closure check on K' fails or z is not the identity,
     must agree with."""
-    r, k = rref_and_kernel(t)
+    r, k = _rref_rows(t), kernel_basis_sparse(t)
     if z is not None:
         k = kernel_basis_sparse(r @ z)
     delta_k = x.delta @ k
@@ -686,14 +691,15 @@ def _spy(monkeypatch, owner, name):
 
 def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(monkeypatch):
     """On counital input z = 1 a pullback runs one elimination, of t, and
-    one closure check, on K' = ker t, which passes, and applies no
-    kron_apply with R, so the second system is never built.  It builds no
-    δ column of A⊗C, since δ∘K' is (1⊗c⊗1)∘(δ_A⊗δ_C)∘K', and never the ε of
-    A⊗C, and its K' is that of the R∘z path with z the identity.
-    Non-counital input still eliminates R∘z as well, and then the second
-    system."""
+    one closure check, on K' = ker t, which passes, and never builds R, so
+    no kron_apply takes it and the second system is never built.  It builds
+    no δ column of A⊗C, since δ∘K' is (1⊗c⊗1)∘(δ_A⊗δ_C)∘K', and never the ε
+    of A⊗C, and its K' is that of the R∘z path with z the identity.
+    Non-counital input builds R once, eliminates R∘z as well, and then the
+    second system."""
     reduces = _spy(monkeypatch, linalg, "_reduce")
-    rrefs = _spy(monkeypatch, coalg, "rref_and_kernel")
+    monkeypatch.setattr(coalg, "_reduce", linalg._reduce)  # the elimination of t is counted too
+    echelons = _spy(monkeypatch, coalg, "_echelon")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
     solves = _spy(monkeypatch, coalg, "_equalizer")
     krons = _spy(monkeypatch, coalg, "kron_apply")
@@ -702,11 +708,12 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                         lambda self, j: columns.append((self, j)) or column_in(self, j))
 
     def pullback(f, g):
-        for calls in (reduces, rrefs, checks, solves, krons, columns):
+        for calls in (reduces, echelons, checks, solves, krons, columns):
             calls.clear()
         _outcome(relative_pullback_coalg, CoalgCategory(f.mat.field), f, g)
-        (((x, t, z), _),), (((_,), (r, k)),) = solves, rrefs
-        return x, t, z, r, k
+        (((x, t, z), _),) = solves
+        assert reduces[0][0][1] is t.columns
+        return x, t, z
 
     rng = rng_for("pb-counital")
     for field in (QQ, GF(2), GF(5)):
@@ -718,39 +725,42 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                 p_b = random_basis(rng, field, f.tgt.dim)
                 f = rebased_map(f, random_basis(rng, field, f.src.dim), p_b)
                 g = rebased_map(g, random_basis(rng, field, g.src.dim), p_b)
-            x, t, z, r, k = pullback(f, g)
-            assert z is None and len(reduces) == 1
-            (((x_used, k_used, delta_k), eq),) = checks
-            assert x_used is x and k_used is k and eq is not None
-            assert not any(args[0] == r for args, _ in krons)
+            x, t, z = pullback(f, g)
+            assert z is None and len(reduces) == 1 and not echelons
+            (((x_used, k, delta_k), eq),) = checks
+            assert x_used is x and eq is not None
             assert "delta" not in vars(x) and "epsilon" not in vars(x)
             assert not any(c is x for c, _ in columns)
             assert delta_k == x.delta @ k
             assert k == _equalizer_system(x, t, Matrix.identity(field, x.dim))[0]
     field = GF(5)
     a, c, b = (rand_raw_coalgebra(rng, field, d) for d in (2, 2, 1))
-    x, _, z, r, _ = pullback(CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
-                          CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
+    x, t, z = pullback(CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
+                       CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
     assert z is not None and len(reduces) == 3
-    assert sum(args[0] == r for args, _ in krons) == 1
+    ((_, r),) = echelons
+    assert r == _rref_rows(t)
+    assert sum(args[0] is r for args, _ in krons) == 1
 
 
 def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypatch):
     """N = ker((R⊗1)∘δ∘K') is the identity exactly when that system has rank
     0, and then the equalizer is K' itself: a counital group-like pullback
-    hands the closure check K' and δ∘K' as the elimination of t gave them.
+    hands the closure check K' and δ∘K' as the elimination of t gave them,
+    and builds no R.
     Random non-counital data, where the reference's N is not the identity,
     gets K'∘N and δ∘K'∘N."""
-    rrefs = _spy(monkeypatch, coalg, "rref_and_kernel")
+    kernels = _spy(monkeypatch, coalg, "_kernel")
+    echelons = _spy(monkeypatch, coalg, "_echelon")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
     rng = rng_for("eq-skip-n")
     for field in FIELDS:
         f = linearize_fun(rand_finfun(rng, 4, 2), field)
         g = linearize_fun(rand_finfun(rng, 3, 2), field)
         relative_pullback_coalg(CoalgCategory(field), f, g)
-        ((_, (_, k)),), (((x, k_used, delta_k_used), _),) = rrefs, checks
-        assert k_used is k and delta_k_used == x.delta @ k
-        rrefs.clear()
+        ((_, k),), (((x, k_used, delta_k_used), _),) = kernels, checks
+        assert k_used is k and delta_k_used == x.delta @ k and not echelons
+        kernels.clear()
         checks.clear()
     multiplied = 0
     for field in RESTRICTION_FIELDS:
@@ -1207,8 +1217,7 @@ def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
         return kron_in(a, b, m)
 
     def solve_spy(x, t, z):
-        r, k = rref_and_kernel(t)
-        kprime[0] = k.cols if z is None else kernel_basis_sparse(r @ z).cols
+        kprime[0] = kernel_basis_sparse(t if z is None else _rref_rows(t) @ z).cols
         return solve_in(x, t, z)
 
     def sub_spy(x, k, delta_k):

@@ -1,8 +1,10 @@
 """Exact linear algebra: canonical solves, kernels, Kronecker products, swaps."""
 
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import chain
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +29,6 @@ from relspan.linalg import (
     kron,
     kron_apply,
     left_inverse,
-    rref_and_kernel,
     solve,
     swap_map,
 )
@@ -287,11 +288,15 @@ def test_kron_difference_refuses_mismatched_shapes_and_fields():
 
 
 def test_rref_and_kernel_come_from_one_elimination():
+    """R, the nonzero rows of the reduced row echelon form, and K = ker A,
+    both built from one elimination, as the coalgebra equalizer builds them,
+    are those of Matrix.rref and kernel_basis_sparse, and ker R = ker A."""
     rng = rng_for("rref-kernel")
     for field in (QQ, F5):
         for _ in range(10):
             a = rand_matrix(rng, field, rng.randint(0, 4), rng.randint(0, 4), -1, 1)
-            r, k = rref_and_kernel(a)
+            red = linalg._reduce(field, a.columns)
+            r, k = linalg._echelon(field, red, len(red), a.cols), linalg._kernel(field, red, a.cols)
             full, pivots = a.rref()
             assert r == Matrix.from_cols(field, len(pivots), full.columns)
             assert k == kernel_basis_sparse(a) == kernel_basis_sparse(r)
@@ -546,6 +551,68 @@ def test_integral_products_of_fractions_are_ints():
         _assert_canonical(got)
 
 
+def _monomial(rng, field, rows, cols):
+    """The columns of a rows x cols matrix with one nonzero per column, drawn
+    from _scalars(field): over F_p the residues 2/3, 3/2 and -1 lie near p."""
+    pool = _scalars(field)
+    return [{rng.randrange(rows): rng.choice(pool)} for _ in range(cols)]
+
+
+MONOMIAL_FIELDS = [QQ, GF(2), F5, GF(2**61 - 1)]
+
+
+@pytest.mark.parametrize("field", MONOMIAL_FIELDS, ids=str)
+def test_kron_apply_on_monomial_factors_matches_a_dense_product(field):
+    """A, B and M with one nonzero per column: each column of (A⊗B)·M is one
+    entry v·x·y, and it is that of the dense product summed entry by entry,
+    in canonical form, where (-1)·(-1)·(-1) reduces to -1 and, over Q,
+    2·(1/2)·1 is the int 1."""
+    rng = rng_for(f"kron-apply-monomial-{field!r}")
+    for _ in range(40):
+        ar, ac, br, bc = (rng.randint(1, 3) for _ in range(4))
+        a = Matrix.from_cols(field, ar, _monomial(rng, field, ar, ac))
+        b = Matrix.from_cols(field, br, _monomial(rng, field, br, bc))
+        m = Matrix.from_cols(field, ac * bc, _monomial(rng, field, ac * bc, rng.randint(0, 5)))
+        got = kron_apply(a, b, m)
+        assert got == _dense_product(kron_oracle(a, b), m)
+        assert all(len(col) == 1 for col in got.columns)
+        _assert_canonical(got)
+    top = Matrix.from_cols(field, 1, [{0: field.of(-1)}])
+    assert kron_apply(top, top, top).columns == [{0: field.of(-1)}]
+    if field == QQ:
+        half, two = (Matrix.from_cols(QQ, 1, [{0: v}]) for v in (Fraction(1, 2), 2))
+        got = kron_apply(half, Matrix.identity(QQ, 1), two)
+        assert got.columns == [{0: 1}]
+        _assert_canonical(got)
+
+
+@pytest.mark.parametrize("field", MONOMIAL_FIELDS, ids=str)
+def test_kron_difference_on_monomial_factors_cancels_whole_columns(field):
+    """kron(x, z) - kron(w, y) on factors with one nonzero per column, on the
+    split of x⊗z and on the other split of its shape, with w and y drawn so
+    that some columns of w⊗y equal those of x⊗z and cancel whole."""
+    rng = rng_for(f"kron-diff-monomial-{field!r}")
+    cancelled = {False: 0, True: 0}
+    for _ in range(40):
+        xr, xc, zr, zc = (rng.randint(1, 3) for _ in range(4))
+        x = Matrix.from_cols(field, xr, _monomial(rng, field, xr, xc))
+        z = Matrix.from_cols(field, zr, _monomial(rng, field, zr, zc))
+        other = rng.random() < 0.5
+        (wr, wc), (yr, yc) = ((zr, zc), (xr, xc)) if other else ((xr, xc), (zr, zc))
+        wcols, ycols = _monomial(rng, field, wr, wc), _monomial(rng, field, yr, yc)
+        for j, col in enumerate(kron_oracle(x, z).columns):
+            if rng.random() < 0.4:  # column j of w⊗y becomes column j of x⊗z
+                ((r, v),) = col.items()
+                wcols[j // yc], ycols[j % yc] = {r // yr: v}, {r % yr: field.one}
+        w, y = Matrix.from_cols(field, wr, wcols), Matrix.from_cols(field, yr, ycols)
+        got = _kron_difference(x, z, w, y)
+        assert got == kron_oracle(x, z) - kron_oracle(w, y)
+        assert all(len(col) <= 2 for col in got.columns)
+        _assert_canonical(got)
+        cancelled[other] += sum(not col for col in got.columns)
+    assert all(cancelled.values()), cancelled
+
+
 @pytest.mark.parametrize("field", [QQ, F5, GF(7)])
 def test_sum_and_difference_match_dense_oracle_on_mixed_supports(field):
     rng = rng_for(f"merge-{field!r}")
@@ -736,6 +803,32 @@ def test_rref_kernel_and_solve_agree_with_sympy():
             continue
         sol = sol.subs({t: 0 for t in params})
         assert x == _from_sympy(sol)
+
+
+def test_grouplike_cotensor_system_peels_every_row_and_agrees_with_sympy():
+    """T = X_f⊗1 - 1⊗(c∘Y_g) for linearized f: A → B ← C: g, built as the
+    coalgebra pullback builds it: every nonzero row holds one nonzero, so
+    the elimination peels every row, and the reduced row echelon form and
+    kernel are sympy's, the kernel spanned by the e_a⊗e_c with f(a) = g(c)."""
+    sp = pytest.importorskip("sympy")
+    rng = rng_for("grouplike-cotensor-sympy")
+    for _ in range(12):
+        na, nb, nc = rng.randint(1, 4), rng.randint(1, 3), rng.randint(1, 4)
+        f, g = [rng.randrange(nb) for _ in range(na)], [rng.randrange(nb) for _ in range(nc)]
+        x_f = Matrix.from_cols(QQ, na * nb, [{a * nb + f[a]: 1} for a in range(na)])
+        y_g = Matrix.from_cols(QQ, nb * nc, [{g[c] * nc + c: 1} for c in range(nc)])
+        t = _kron_difference(x_f, Matrix.identity(QQ, nc), Matrix.identity(QQ, na), y_g)
+        assert set(Counter(chain.from_iterable(t.columns)).values()) <= {1}
+        sa = _to_sympy(sp, t)
+        r, pivots = t.rref()
+        sr, spivots = sa.rref()
+        assert pivots == list(spivots) and r == _from_sympy(sr)
+        k = kernel_basis_sparse(t)
+        null = sa.nullspace()
+        assert k == (_from_sympy(sp.Matrix.hstack(*null)) if null else Matrix.zeros(QQ, t.cols, 0))
+        assert k.columns == [{a * nc + c: 1} for a in range(na) for c in range(nc) if f[a] == g[c]]
+        _assert_canonical(r)
+        _assert_canonical(k)
 
 
 # -- a dense Gauss–Jordan oracle over F_p -----------------------------------------
