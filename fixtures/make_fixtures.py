@@ -25,7 +25,14 @@ from relspan.relcat import from_small_category
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, os.pardir, "tests"))
 
-from gen import fixture_discrete, fixture_groupoid5, fixture_poset01, fixture_z2  # noqa: E402
+from gen import (  # noqa: E402
+    block_coalgebra,
+    fixture_discrete,
+    fixture_groupoid5,
+    fixture_poset01,
+    fixture_z2,
+    rand_block_map,
+)
 
 
 def write(name, doc):
@@ -175,6 +182,25 @@ def main():
             "A": coalgebra_to_json(a),
             "B": coalgebra_to_json(b),
             "C": coalgebra_to_json(c),
+            "f": coalg_map_json("A", "B", f.mat),
+            "g": coalg_map_json("C", "B", g.mat),
+            "cs": {"kind": "cospan", "left": "f", "right": "g"},
+        },
+    )
+
+    # a cospan of direct sums of group-like and primitive blocks over Q: B
+    # falls apart into three parts, two of which meet both A and C, and a
+    # primitive of A and one of C go to 0
+    rng = random.Random(29)
+    b_blocks = ("g", "p", "g")
+    f = rand_block_map(rng, QQ, ("p", "g", "p"), b_blocks)
+    g = rand_block_map(rng, QQ, ("p", "p", "g"), b_blocks)
+    write(
+        "cospan_blocks.json",
+        {
+            "A": coalgebra_to_json(f.src),
+            "B": coalgebra_to_json(block_coalgebra(QQ, b_blocks)),
+            "C": coalgebra_to_json(g.src),
             "f": coalg_map_json("A", "B", f.mat),
             "g": coalg_map_json("C", "B", g.mat),
             "cs": {"kind": "cospan", "left": "f", "right": "g"},

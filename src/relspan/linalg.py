@@ -325,12 +325,13 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return kron_apply(a, b, Matrix.identity(a.field, a.cols * b.cols))
 
 
-def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
+def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix, keep=None) -> Matrix:
     """kron(x, z) - kron(w, y) in one pass, without either product: the
     columns of each product are the pairs of factor columns in order, for
     any two splits of one shape; each column is built as kron builds it, one
     entry when both factor columns hold one, and the entries of the second
-    product are subtracted into it, dropping those that cancel."""
+    product are subtracted into it, dropping those that cancel.  Given keep,
+    a list of column indices, only those columns, in that order."""
     for m in (z, w, y):
         require_same_field(x.field, m.field)
     rows, cols = x.rows * z.rows, x.cols * z.cols
@@ -340,10 +341,10 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
     fld = x.field
     norm, neg, one = fld.normalize, fld.neg, fld.one
     # each product's columns in order, as pairs of factor columns, the left factor's rows pre-scaled
-    first = product([[(i * z.rows, a) for i, a in c.items()] for c in x.columns],
-                    [c.items() for c in z.columns])
-    second = product([[(i * y.rows, a) for i, a in c.items()] for c in w.columns],
-                     [c.items() for c in y.columns])
+    xs, zs = [[(i * z.rows, a) for i, a in c.items()] for c in x.columns], [c.items() for c in z.columns]
+    ws, ys = [[(i * y.rows, a) for i, a in c.items()] for c in w.columns], [c.items() for c in y.columns]
+    first, second = (product(xs, zs), product(ws, ys)) if keep is None else (
+        ((xs[c // z.cols], zs[c % z.cols]) for c in keep), ((ws[c // y.cols], ys[c % y.cols]) for c in keep))
     out = []
     for (xp, zq), (wp, yq) in zip(first, second):
         if len(xp) == 1 == len(zq):

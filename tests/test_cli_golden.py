@@ -1,7 +1,7 @@
 """Byte-identical CLI contract: the README and benchmark fixture commands,
-pullbacks and cotensors of the dense-basis and divided-power cospans and the
-cotensor of a cospan with legs outside S, each against its recorded stdout
-and exit code.
+pullbacks and cotensors of the dense-basis, divided-power and block
+cospans and the cotensor of a cospan with legs outside S, each against its
+recorded stdout and exit code.
 
 The outputs echo argv, so every command runs from the repository root with
 relative paths.  A golden file changes only with a deliberate change of the
@@ -27,12 +27,15 @@ COMMANDS = (
      "pullback fixtures/cospan_dense.json --cospan cs --instance coalg --compare-cotensor", 0),
     ("pullback_divided_compare",
      "pullback fixtures/cospan_divided.json --cospan cs --instance coalg --compare-cotensor", 0),
+    ("pullback_blocks_compare",
+     "pullback fixtures/cospan_blocks.json --cospan cs --instance coalg --compare-cotensor", 0),
     ("pullback_finset_linearized",
      "pullback fixtures/cospan_finset.json --cospan cs --instance coalg --field Fp:5", 0),
     ("cotensor_coalg", "cotensor fixtures/cospan_coalg.json --cospan cs", 0),
     ("cotensor_coalg_bad", "cotensor fixtures/cospan_coalg.json --cospan bad", 0),
     ("cotensor_dense", "cotensor fixtures/cospan_dense.json --cospan cs", 0),
     ("cotensor_divided", "cotensor fixtures/cospan_divided.json --cospan cs", 0),
+    ("cotensor_blocks", "cotensor fixtures/cospan_blocks.json --cospan cs", 0),
     ("coherence_pentagon",
      "coherence fixtures/chains.json --name pent --shape pentagon --instance coalg", 0),
     ("relcat_coalg", "relcat fixtures/relcats.json --instance coalg", 0),

@@ -1,6 +1,7 @@
 """Coalgebras: axiom checks, class S, equalizers, relative pullbacks, cotensor."""
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -61,6 +62,7 @@ from relspan.coalg import (
     relative_pullback_coalg,
     subcoalgebra,
 )
+from relspan.catcore import Report
 from relspan.finset import pullback
 from relspan.errors import (
     CodomainMismatch,
@@ -613,12 +615,15 @@ def test_pullback_builds_t_and_z_from_the_factors(monkeypatch):
             f = CoalgMap(a, b, rand_sparse_matrix(rng, field, nb, na, 0.6))
             g = CoalgMap(c, b, rand_sparse_matrix(rng, field, nb, nc, 0.6))
             _outcome(relative_pullback_coalg, CoalgCategory(field), f, g)
-            x, t, z = systems.pop()
+            x, t, z, cols = systems.pop()
             fe, eg = _legs_on_tensor(f, g)
             i_x = Matrix.identity(field, x.dim)
             big_t = kron_apply(i_x, fe.mat - eg.mat, x.delta)
-            assert t == kron(Matrix.identity(field, na), swap_map(field, nc, nb)) @ big_t
-            assert t.rref() == big_t.rref()
+            full = kron(Matrix.identity(field, na), swap_map(field, nc, nb)) @ big_t
+            # a split system is the full one on the columns it keeps
+            assert t == (full if cols is None else
+                         Matrix.from_cols(field, full.rows, [full.columns[i] for i in cols]))
+            assert cols is not None or t.rref() == big_t.rref()
             # z is None exactly when Z is the identity
             assert (Matrix.identity(field, x.dim) if z is None else z) == kron_apply(
                 i_x, x.epsilon, x.delta)
@@ -694,9 +699,10 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
     one closure check, on K' = ker t, which passes, and never builds R, so
     no kron_apply takes it and the second system is never built.  It builds
     no δ column of A⊗C, since δ∘K' is (1⊗c⊗1)∘(δ_A⊗δ_C)∘K', and never the ε
-    of A⊗C, and its K' is that of the R∘z path with z the identity.
+    of A⊗C, and its K' is that of the R∘z path with z the identity on the
+    full system, also when t keeps only the diagonal blocks of a split.
     Non-counital input builds R once, eliminates R∘z as well, and then the
-    second system."""
+    second system, on the full t."""
     reduces = _spy(monkeypatch, linalg, "_reduce")
     monkeypatch.setattr(coalg, "_reduce", linalg._reduce)  # the elimination of t is counted too
     echelons = _spy(monkeypatch, coalg, "_echelon")
@@ -711,11 +717,12 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
         for calls in (reduces, echelons, checks, solves, krons, columns):
             calls.clear()
         _outcome(relative_pullback_coalg, CoalgCategory(f.mat.field), f, g)
-        (((x, t, z), _),) = solves
+        (((x, t, z, cols), _),) = solves
         assert reduces[0][0][1] is t.columns
-        return x, t, z
+        return x, t, z, cols
 
     rng = rng_for("pb-counital")
+    split = 0
     for field in (QQ, GF(2), GF(5)):
         for dense in (False, True, True):
             f0 = rand_finfun(rng, rng.randint(1, 4), rng.randint(1, 3))
@@ -725,19 +732,24 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                 p_b = random_basis(rng, field, f.tgt.dim)
                 f = rebased_map(f, random_basis(rng, field, f.src.dim), p_b)
                 g = rebased_map(g, random_basis(rng, field, g.src.dim), p_b)
-            x, t, z = pullback(f, g)
+            x, t, z, cols = pullback(f, g)
             assert z is None and len(reduces) == 1 and not echelons
             (((x_used, k, delta_k), eq),) = checks
             assert x_used is x and eq is not None
             assert "delta" not in vars(x) and "epsilon" not in vars(x)
             assert not any(c is x for c, _ in columns)
             assert delta_k == x.delta @ k
-            assert k == _equalizer_system(x, t, Matrix.identity(field, x.dim))[0]
+            fe, eg = _legs_on_tensor(f, g)
+            full = kron_apply(Matrix.identity(field, x.dim), fe.mat - eg.mat, x.delta)
+            assert k == _equalizer_system(x, full, Matrix.identity(field, x.dim))[0]
+            assert t.cols == (x.dim if cols is None else len(cols))
+            split += cols is not None and not dense
+    assert split
     field = GF(5)
     a, c, b = (rand_raw_coalgebra(rng, field, d) for d in (2, 2, 1))
-    x, t, z = pullback(CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
-                       CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
-    assert z is not None and len(reduces) == 3
+    x, t, z, cols = pullback(CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
+                             CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
+    assert z is not None and cols is None and len(reduces) == 3
     ((_, r),) = echelons
     assert r == _rref_rows(t)
     assert sum(args[0] is r for args, _ in krons) == 1
@@ -747,7 +759,7 @@ def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypa
     """N = ker((R⊗1)∘δ∘K') is the identity exactly when that system has rank
     0, and then the equalizer is K' itself: a counital group-like pullback
     hands the closure check K' and δ∘K' as the elimination of t gave them,
-    and builds no R.
+    its rows renamed to A⊗C when t was split, and builds no R.
     Random non-counital data, where the reference's N is not the identity,
     gets K'∘N and δ∘K'∘N."""
     kernels = _spy(monkeypatch, coalg, "_kernel")
@@ -759,7 +771,13 @@ def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypa
         g = linearize_fun(rand_finfun(rng, 3, 2), field)
         relative_pullback_coalg(CoalgCategory(field), f, g)
         ((_, k),), (((x, k_used, delta_k_used), _),) = kernels, checks
-        assert k_used is k and delta_k_used == x.delta @ k and not echelons
+        assert delta_k_used == x.delta @ k_used and not echelons
+        # K' is the kernel of the full system; a split one's is t's with its rows renamed
+        fe, eg = _legs_on_tensor(f, g)
+        full = kron_apply(Matrix.identity(field, x.dim), fe.mat - eg.mat, x.delta)
+        assert k_used == kernel_basis_sparse(full)
+        values = [list(c.values()) for c in k.columns]
+        assert k_used is k or [list(c.values()) for c in k_used.columns] == values
         kernels.clear()
         checks.clear()
     multiplied = 0
@@ -1216,9 +1234,10 @@ def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
             closures[id(a)] = m
         return kron_in(a, b, m)
 
-    def solve_spy(x, t, z):
+    def solve_spy(x, t, z, cols=None):
+        # a split t drops only columns that hold no kernel vector
         kprime[0] = kernel_basis_sparse(t if z is None else _rref_rows(t) @ z).cols
-        return solve_in(x, t, z)
+        return solve_in(x, t, z, cols)
 
     def sub_spy(x, k, delta_k):
         closures.clear()
@@ -1301,6 +1320,210 @@ def test_compare_cotensor_pullback_is_the_comparison_with_the_pullback():
                     c["status"] == "pass" for c in want))
     assert outcomes >= {True, False, "δ∘j does not factor through j⊗j",
                         "pullback square does not commute"}
+
+
+# -- the diagonal split of a counital pullback ------------------------------------------
+
+
+def _bits(m):
+    """m's entries with their types, by column: equal bit for bit."""
+    return m.rows, m.cols, [sorted((i, type(v).__name__, v) for i, v in c.items()) for c in m.columns]
+
+
+def _reference_pullback(f, g):
+    """j, L, δ_E and ε_E of the equalizer of f⊗ε and ε⊗g that
+    _reference_equalizer gives on the full T, then p_A = (1⊗ε_C)∘j,
+    p_C = (ε_A⊗1)∘j and the certificate (p_A⊗p_C)∘δ_E = j as dense
+    products; or the failure, as the pullback words it."""
+    fe, eg = _legs_on_tensor(f, g)
+    eq = _reference_equalizer(fe.src, *_t_and_z(fe, eg))
+    if isinstance(eq, str):
+        return eq
+    j, a, c = eq.j.mat, f.src, g.src
+    if fe.mat @ j != eg.mat @ j:
+        return "pullback square does not commute"
+    p_a = kron(Matrix.identity(a.field, a.dim), c.epsilon) @ j
+    p_c = kron(a.epsilon, Matrix.identity(c.field, c.dim)) @ j
+    return ([_bits(m) for m in (j, eq.left_inv, eq.object.delta, eq.object.epsilon, p_a, p_c)]
+            + [kron(p_a, p_c) @ eq.object.delta == j])
+
+
+def _assert_pullback_is_the_reference(solves, f, g):
+    """relative_pullback_coalg gives what _reference_pullback gives; returns
+    the columns its system kept, None when it solved the full system."""
+    solves.clear()
+    pb = _outcome(relative_pullback_coalg, CoalgCategory(f.mat.field), f, g)
+    got = pb if isinstance(pb, str) else (
+        [_bits(m) for m in (pb.payload.j.mat, pb.payload.left_inv, pb.payload.object.delta,
+                            pb.payload.object.epsilon, pb.p_a.mat, pb.p_c.mat)] + [pb.jointly_monic])
+    assert got == _reference_pullback(f, g)
+    (((x, t, _, cols), _),) = solves
+    assert t.cols == (x.dim if cols is None else len(cols))
+    return cols
+
+
+def _zeroed(f, rng):
+    """f with each column set to 0 with probability 1/2."""
+    return CoalgMap(f.src, f.tgt, Matrix.from_cols(
+        f.mat.field, f.mat.rows, [{} if rng.random() < 0.5 else dict(c) for c in f.mat.columns]))
+
+
+def test_split_pullback_of_grouplike_cospans_is_the_reference(monkeypatch):
+    """A linearized cospan falls apart into its fibers over B, and the split
+    system keeps exactly the pairs (a, c) with f(a) = g(c), every one a zero
+    column; the pullback is the reference on the full T bit for bit, with
+    empty sets, and on a one-point B, one part, without a split."""
+    solves = _spy(monkeypatch, coalg, "_equalizer")
+    rng = rng_for("split-grouplike")
+    split = whole = 0
+    # empty A, empty C, a one-point B, then random cospans
+    sizes = [(0, 2, 3), (3, 2, 0), (0, 1, 0), (3, 1, 2)] + [
+        (rng.randint(0, 5), rng.randint(1, 4), rng.randint(0, 5)) for _ in range(20)]
+    for field in (QQ, GF(5)):
+        for na, nb, nc in sizes:
+            f0, g0 = rand_finfun(rng, na, nb), rand_finfun(rng, nc, nb)
+            cols = _assert_pullback_is_the_reference(solves, linearize_fun(f0, field),
+                                                     linearize_fun(g0, field))
+            pairs = [(a, c) for a, c in pullback(f0, g0).payload]
+            if cols is None:
+                whole += 1
+                assert f0.cod.size == 1 or len(pairs) == f0.dom.size * g0.dom.size
+            else:
+                split += 1
+                assert cols == [a * g0.dom.size + c for a, c in pairs]
+                assert not any(solves[0][0][1].columns)
+    assert split and whole
+
+
+def test_split_pullback_of_block_cospans_is_the_reference(monkeypatch):
+    """Direct sums of group-like and primitive blocks, legs drawn by
+    rand_block_map, some primitives sent to 0, so that δ_A or δ_C alone
+    places them: the split pullback is the reference on the full T; so is
+    a cospan of counital A and C that are not coassociative, each with a
+    group-like block of its own, whose closure check can fail after the
+    split, and which then builds R from the full system's reduced echelon
+    form."""
+    solves = _spy(monkeypatch, coalg, "_equalizer")
+    echelons = _spy(monkeypatch, coalg, "_echelon")
+    rng = rng_for("split-blocks")
+    split_zero = split_r = 0
+    for field in (QQ, GF(5), GF(2)):
+        for _ in range(25):
+            b_blocks = tuple(rng.choice("gp") for _ in range(rng.randint(2, 3)))
+            f = rand_block_map(rng, field, rand_blocks(rng, 4), b_blocks)
+            g = rand_block_map(rng, field, rand_blocks(rng, 4), b_blocks)
+            g = CoalgMap(g.src, f.tgt, g.mat)
+            cols = _assert_pullback_is_the_reference(solves, f, g)
+            zero = not all(f.mat.columns) or not all(g.mat.columns)
+            split_zero += cols is not None and zero
+        for _ in range(10):
+            # a twisted block of A and of C goes to points 0 and 1, a group-like one to 2
+            b, one = grouplike(field, 3), field.one
+            f, g = (CoalgMap(direct_sum(_rand_twisted(rng, field, n)[0], grouplike(field, m)), b,
+                             Matrix.from_cols(field, 3, [{rng.randrange(2): one} for _ in range(n)]
+                                              + [{2: one}] * m))
+                    for n, m in ((rng.randint(3, 4), rng.randint(1, 2)) for _ in "fg"))
+            echelons.clear()
+            cols = _assert_pullback_is_the_reference(solves, f, g)
+            split_r += cols is not None and bool(echelons)
+    assert split_zero and split_r
+
+
+def test_split_block_pullback_apex_is_sympys_nullspace_of_the_full_system(monkeypatch):
+    """Over Q, the apex basis of a block cospan whose system was split is
+    sympy's nullspace of the full T, which is the canonical basis too."""
+    sp = pytest.importorskip("sympy")
+    solves = _spy(monkeypatch, coalg, "_equalizer")
+    rng = rng_for("split-sympy")
+    split = 0
+    for _ in range(8):
+        b_blocks = tuple(rng.choice("gp") for _ in range(rng.randint(2, 3)))
+        f = rand_block_map(rng, QQ, rand_blocks(rng), b_blocks)
+        g = rand_block_map(rng, QQ, rand_blocks(rng), b_blocks)
+        g = CoalgMap(g.src, f.tgt, g.mat)
+        solves.clear()
+        j = relative_pullback_coalg(CoalgCategory(QQ), f, g).payload.j.mat
+        split += solves[0][0][3] is not None
+        t = _t_and_z(*_legs_on_tensor(f, g))[0]
+        st = sp.zeros(t.rows, t.cols)
+        for c, col in enumerate(t.columns):
+            for i, v in col.items():
+                st[i, c] = sp.Rational(v.numerator, v.denominator)
+        want = [{i: Fraction(int(v.p), int(v.q)) for i, v in enumerate(vec) if v} for vec in st.nullspace()]
+        assert j.columns == want
+    assert split
+
+
+def test_pullbacks_that_cannot_split_solve_the_full_system(monkeypatch):
+    """Rebased cospans, which have one part, legs that do not preserve ε,
+    a linearized cospan with columns set to 0, and a non-counital A each
+    solve the full system, and give the reference on it."""
+    solves = _spy(monkeypatch, coalg, "_equalizer")
+    rng = rng_for("split-none")
+    for field in (QQ, GF(5)):
+        for _ in range(8):
+            f, g = _counital_cospan(rng, field)
+            assert _assert_pullback_is_the_reference(solves, f, g) is None
+            f0 = rand_finfun(rng, rng.randint(1, 4), rng.randint(2, 3))
+            g0 = rand_finfun(rng, rng.randint(1, 4), f0.cod.size)
+            f, g = linearize_fun(f0, field), linearize_fun(g0, field)
+            # with a column of each leg at 0, the pair of them spans a zero column of T
+            f, g = _zeroed(f, rng), _zeroed(g, rng)
+            if f.tgt.epsilon @ f.mat != f.src.epsilon:
+                assert _assert_pullback_is_the_reference(solves, f, g) is None
+            a = _cocommutative_raw(rng, field, rng.randint(1, 3))
+            while a.right_counit == Matrix.identity(field, a.dim):
+                a = _cocommutative_raw(rng, field, a.dim)
+            f = CoalgMap(a, f.tgt, Matrix.from_cols(field, f.tgt.dim, [{0: field.one}] * a.dim))
+            assert _assert_pullback_is_the_reference(solves, f, g) is None
+
+
+def _full_comparison(ct, eq):
+    """compare_with_pullback with every product built, whether or not ct is j."""
+    dim, j, fld = eq.object.dim, eq.j.mat, eq.object.field
+    rep = Report()
+    rep.add("dimensions agree", dim == ct.cols, f"{dim} vs {ct.cols}")
+    u = eq.left_inv @ ct
+    rep.add("cotensor factors through the pullback", j @ u == ct, "inclusion escapes the pullback subobject")
+    v = kernel_left_inverse(ct) @ j
+    rep.add("pullback factors through the cotensor", ct @ v == j, "inclusion escapes the cotensor subobject")
+    rep.add("u∘v is the identity", u @ v == Matrix.identity(fld, dim), "u∘v != id")
+    rep.add("v∘u is the identity", v @ u == Matrix.identity(fld, ct.cols), "v∘u != id")
+    return rep
+
+
+def test_compare_with_pullback_settles_on_equal_bases_and_fails_a_changed_one_as_before(monkeypatch):
+    """When the cotensor basis is j, the comparison passes its five checks,
+    as the full comparison does, with no product and no left inverse of the
+    cotensor basis; a basis with one entry changed fails the same named
+    checks with the same witnesses, or raises the same error, as the full
+    comparison."""
+    rng = rng_for("compare-settles")
+    lefts = _spy(monkeypatch, coalg, "kernel_left_inverse")
+    products, matmul = [], Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: products.append(1) or matmul(a, b))
+    failed = set()
+    for field in (QQ, GF(5)):
+        for _ in range(12):
+            b_blocks = tuple(rng.choice("gp") for _ in range(rng.randint(1, 3)))
+            f = rand_block_map(rng, field, rand_blocks(rng), b_blocks)
+            g = rand_block_map(rng, field, rand_blocks(rng), b_blocks)
+            g = CoalgMap(g.src, f.tgt, g.mat)
+            eq, ct = relative_pullback_coalg(CoalgCategory(field), f, g).payload, cotensor(f, g)
+            assert ct == eq.j.mat
+            lefts.clear()
+            products.clear()
+            rep = compare_with_pullback(ct, eq)
+            assert not lefts and not products
+            assert _comparison(lambda: rep) == _comparison(lambda: _full_comparison(ct, eq))
+            assert rep.ok
+            if ct.rows and ct.cols:
+                bad = mutate_one_entry(rng, field, ct)
+                want = _comparison(lambda: _full_comparison(bad, eq))
+                assert _comparison(lambda: compare_with_pullback(bad, eq)) == want
+                failed.update(want if isinstance(want, tuple) else
+                              [c["name"] for c in want if c["status"] == "fail"])
+    assert {"cotensor factors through the pullback", "InternalSolveFailure"} <= failed
 
 
 def test_left_counit_witness_is_the_same_after_a_pullback_read_it():
