@@ -72,7 +72,13 @@ class S on a cocommutative apex and gives c∘δ_C.  A command's iterated
 pullbacks read them on objects they share (a linearization gives equal sets
 one k[X]), so each is built once per object.  They live and die with the
 object, so nothing outlives the objects of one command.  The class-S
-witness depends on the legs and is not kept.
+witness depends on the legs and is not kept.  A map f keeps the equalizer
+and projections of the pullback last built on it as left leg, keyed on the
+right leg g as an object (is, not ==); a build that raises keeps nothing.
+They are a deterministic function of f and g, so relative_pullback and
+compare_cotensor_pullback on the same legs build them once, and the entry
+dies with f.  All of this is exact because matrices, coalgebras and maps
+are never changed once built.
 """
 
 from __future__ import annotations
@@ -192,7 +198,7 @@ class Coalgebra:
 class CoalgMap:
     """A linear map between coalgebras expected to preserve δ and ε."""
 
-    __slots__ = ("src", "tgt", "mat")
+    __slots__ = ("src", "tgt", "mat", "_pullback")
 
     def __init__(self, src: Coalgebra, tgt: Coalgebra, mat: Matrix):
         if mat.rows != tgt.dim or mat.cols != src.dim:
@@ -202,6 +208,7 @@ class CoalgMap:
         self.src = src
         self.tgt = tgt
         self.mat = mat
+        self._pullback = None  # (g, the pullback of self and g) once one is built
 
     def __eq__(self, other):
         if not isinstance(other, CoalgMap):
@@ -403,7 +410,7 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer | 
     is the rows of delta_k at pairs of them, renumbered: L maps the free
     coordinate of column t to e_t and the others to 0."""
     lk, n, kc = kernel_left_inverse(k), x.dim, k.cols
-    at = {i: t for i, col in enumerate(lk.columns) for t in col}
+    at = {max(col): t for t, col in enumerate(k.columns)}
     delta_e = Matrix.from_cols(x.field, kc * kc, [
         {at[u] * kc + at[w]: v for r, v in col.items() if (u := r // n) in at and (w := r % n) in at}
         for col in delta_k.columns])
@@ -479,7 +486,9 @@ def _check_cospan(f: CoalgMap, g: CoalgMap):
 
 def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     """The equalizer of f⊗ε and ε⊗g on A⊗C and its projections p_A, p_C,
-    once the square f∘p_A = g∘p_C is checked."""
+    once the square f∘p_A = g∘p_C is checked; kept on f for this g object."""
+    if (hit := f._pullback) is not None and hit[0] is g:
+        return hit[1]
     _check_cospan(f, g)
     a, c, fld = f.src, g.src, f.mat.field
     i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
@@ -496,6 +505,7 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     p_c = CoalgMap(eq.object, c, kron_apply(a.epsilon, i_c, j))
     if f.mat @ p_a.mat != g.mat @ p_c.mat:
         raise InternalSolveFailure("pullback square does not commute")
+    f._pullback = g, (eq, p_a, p_c)
     return eq, p_a, p_c
 
 
@@ -585,9 +595,10 @@ def cotensor(f: CoalgMap, g: CoalgMap) -> Matrix:
 def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
     """Decide that the legs are in S, then verify that the cotensor product and
     the relative pullback are the same subobject: the mutual universal
-    factorizations compose to identities.  Of the pullback it builds the
-    equalizer and the projections, and checks the square, as
-    relative_pullback_coalg does; the certificate is not read here."""
+    factorizations compose to identities.  Of the pullback it reads the
+    equalizer and projections kept on f for g, or builds them and checks the
+    square as relative_pullback_coalg does; the certificate is not read here.
+    The cotensor is eliminated on every call, an independent oracle."""
     base = CoalgCategory(f.mat.field)
     if not legs_in_class(base, f, g):
         raise LegsNotInClass("cotensor comparison needs legs in class S")

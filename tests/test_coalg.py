@@ -1,6 +1,7 @@
 """Coalgebras: axiom checks, class S, equalizers, relative pullbacks, cotensor."""
 
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -1315,11 +1316,118 @@ def test_compare_cotensor_pullback_is_the_comparison_with_the_pullback():
                          _raw_cospan(rng, field, _symmetric_twisted)):
                 want = _comparison(
                     lambda: compare_with_pullback(cotensor(f, g), relative_pullback(base, f, g).payload))
-                assert _comparison(lambda: compare_cotensor_pullback(f, g)) == want
+                # fresh legs, so the comparison builds its own pullback rather
+                # than read the one kept on f
+                assert _comparison(lambda: compare_cotensor_pullback(_fresh(f), _fresh(g))) == want
                 outcomes.add(want[1] if isinstance(want, tuple) else all(
                     c["status"] == "pass" for c in want))
     assert outcomes >= {True, False, "δ∘j does not factor through j⊗j",
                         "pullback square does not commute"}
+
+
+def _fresh(m):
+    """A leg equal to m that is not m, so it keeps no pullback."""
+    return CoalgMap(m.src, m.tgt, m.mat)
+
+
+# -- the pullback kept on its left leg ---------------------------------------------------
+
+
+def _pullback_bits(pb):
+    """The inclusion, δ_E, ε_E and projections of a pullback, bit for bit."""
+    return [_bits(m) for m in (pb.payload.j.mat, pb.apex.delta, pb.apex.epsilon,
+                               pb.p_a.mat, pb.p_c.mat)]
+
+
+def test_pullback_then_comparison_builds_one_equalizer_in_either_order(monkeypatch):
+    """relative_pullback and compare_cotensor_pullback on the same legs, in
+    either order, eliminate once: the second reads the pullback kept on f.
+    The report is compare_with_pullback's on the cotensor basis and the
+    payload, and each call still decides both legs."""
+    rng = rng_for("kept-pullback")
+    solves = _spy(monkeypatch, coalg, "_equalizer")
+    witnesses = _spy(monkeypatch, coalg, "class_S_witness")
+    for field in RESTRICTION_FIELDS:
+        base = CoalgCategory(field)
+        for _ in range(6):
+            f, g = _counital_cospan(rng, field)
+            for pullback_first in (True, False):
+                f, g = _fresh(f), _fresh(g)
+                del solves[:], witnesses[:]
+                if pullback_first:
+                    pb = relative_pullback(base, f, g)
+                    rep = compare_cotensor_pullback(f, g)
+                else:
+                    rep = compare_cotensor_pullback(f, g)
+                    pb = relative_pullback(base, f, g)
+                assert len(solves) == 1 and len(witnesses) == 4
+                assert rep.ok
+                assert [c.as_dict() for c in rep.checks] == [
+                    c.as_dict() for c in compare_with_pullback(cotensor(f, g), pb.payload).checks]
+                assert relative_pullback(base, f, g).payload is pb.payload
+                assert len(solves) == 1
+
+
+def test_the_kept_pullback_does_not_decide_the_legs():
+    """Legs outside S are refused after their unchecked pullback is kept."""
+    base, p = CoalgCategory(QQ), cid(path_coalgebra(QQ))
+    relative_pullback_coalg(base, p, p)
+    assert p._pullback is not None
+    for build in (lambda: relative_pullback(base, p, p), lambda: compare_cotensor_pullback(p, p)):
+        with pytest.raises(LegsNotInClass):
+            build()
+
+
+def test_the_kept_pullback_is_keyed_on_the_leg_objects(monkeypatch):
+    """Equal legs that are other objects build again, and a new right leg for
+    the same f gives that leg's pullback, as fresh legs give it; f keeps only
+    its last right leg's."""
+    rng = rng_for("kept-pullback-key")
+    solves = _spy(monkeypatch, coalg, "_equalizer")
+    for field in RESTRICTION_FIELDS:
+        base = CoalgCategory(field)
+        for _ in range(6):
+            f0 = rand_finfun(rng, rng.randint(1, 3), rng.randint(1, 2))
+            f = linearize_fun(f0, field)
+            g, h = (linearize_fun(rand_finfun(rng, rng.randint(1, 3), f0.cod.size), field)
+                    for _ in range(2))
+            del solves[:]
+            pb_g = relative_pullback(base, f, g)
+            for left, right in ((_fresh(f), g), (f, _fresh(g))):
+                again = relative_pullback(base, left, right)
+                assert again.payload is not pb_g.payload
+                assert _pullback_bits(again) == _pullback_bits(pb_g)
+            pb_h = relative_pullback(base, f, h)
+            assert _pullback_bits(pb_h) == _pullback_bits(relative_pullback(base, _fresh(f), h))
+            assert relative_pullback(base, f, g).payload is not pb_g.payload
+            assert len(solves) == 6
+
+
+def test_a_failed_pullback_is_not_kept(monkeypatch):
+    """A cospan whose closure check or square fails raises the same error and
+    message on every call, and builds its equalizer again each time."""
+    rng = rng_for("kept-pullback-failure")
+    builds = []
+    solve_in = coalg._equalizer
+    monkeypatch.setattr(coalg, "_equalizer", lambda *a: builds.append(a) or solve_in(*a))
+    seen = Counter()
+    for field in RESTRICTION_FIELDS:  # a closure failure is about 1 cospan in 200
+        base = CoalgCategory(field)
+        for _ in range(80):
+            for make in (_cocommutative_raw, _symmetric_twisted):
+                f, g = _raw_cospan(rng, field, make)
+                def pulled():
+                    return compare_with_pullback(cotensor(f, g), relative_pullback(base, f, g).payload)
+
+                first = _comparison(pulled)
+                if not isinstance(first, tuple):
+                    continue
+                seen[first[1]] += 1
+                del builds[:]
+                assert _comparison(pulled) == first
+                assert _comparison(lambda: compare_cotensor_pullback(f, g)) == first
+                assert f._pullback is None and len(builds) == 2
+    assert seen.keys() == {"δ∘j does not factor through j⊗j", "pullback square does not commute"}
 
 
 # -- the diagonal split of a counital pullback ------------------------------------------
