@@ -16,7 +16,9 @@ product.  A product is normalized only when a factor is not one (a Q
 product of two Fractions can be integral, an F_p product needs its
 reduction), so a factor column whose only nonzero is one gives a copy of
 the other column.  Group-like data, whose δ, 0/1 maps and identities have
-one nonzero per column, takes only the one-pass path.
+one nonzero per column, takes only the one-pass path, and X⊗Z - W⊗Y of it
+is read off by index: each column is the two entries u and -v its factor
+columns give, or u - v where they share a row, or nothing where that is 0.
 
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
@@ -32,8 +34,9 @@ does: each row's nonzeros are counted once, and a row of count one at column
 c puts the unit row e_c in the form and deletes c from every other row
 without arithmetic, which leaves the form as it is.  Only the entries of the
 columns left are gathered into rows, so a row left with one nonzero is
-reduced like any other, and the pullback and cotensor systems of linearized
-finite sets, which have only rows of count one, are never gathered at all.
+reduced like any other.  When every row has count one, as in the pullback
+and cotensor systems of linearized finite sets, the form is the unit rows of
+the nonzero columns, read off the counts with no peel and nothing gathered.
 """
 
 from __future__ import annotations
@@ -208,9 +211,13 @@ def _reduce(field, columns):
     its leading entry reduced against the rows already inserted and scaled
     to 1; back-substitution in descending pivot order then makes every pivot
     column a unit vector.  The unit rows need none: no row left holds their
-    columns."""
+    columns.  When every row has count one, the unit rows of the nonzero
+    columns are the whole form, returned at once."""
     norm, one = field.normalize, field.one
-    single = {i for i, n in Counter(chain.from_iterable(columns)).items() if n == 1}
+    counts = Counter(chain.from_iterable(columns))
+    if len(counts) == sum(map(len, columns)):
+        return {c: {c: one} for c, col in enumerate(columns) if col}
+    single = {i for i, n in counts.items() if n == 1}
     peeled = {c for c, col in enumerate(columns) if not single.isdisjoint(col)}
     rows = {}
     for c, col in enumerate(columns):
@@ -330,8 +337,10 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix, keep=None) -> M
     columns of each product are the pairs of factor columns in order, for
     any two splits of one shape; each column is built as kron builds it, one
     entry when both factor columns hold one, and the entries of the second
-    product are subtracted into it, dropping those that cancel.  Given keep,
-    a list of column indices, only those columns, in that order."""
+    product are subtracted into it, dropping those that cancel.  When every
+    factor column holds one nonzero, each column is built from its four
+    entries by index, without either walk.  Given keep, a list of column
+    indices, only those columns, in that order."""
     for m in (z, w, y):
         require_same_field(x.field, m.field)
     rows, cols = x.rows * z.rows, x.cols * z.cols
@@ -340,6 +349,18 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix, keep=None) -> M
                             f"product from a {rows}x{cols} one")
     fld = x.field
     norm, neg, one = fld.normalize, fld.neg, fld.one
+    if all(len(col) == 1 for m in (x, z, w, y) for col in m.columns):
+        # each factor's one entry per column, the left factor's rows pre-scaled
+        xs = [(i * z.rows, a) for c in x.columns for i, a in c.items()]
+        ws = [(i * y.rows, a) for c in w.columns for i, a in c.items()]
+        zs, ys = [e for c in z.columns for e in c.items()], [e for c in y.columns for e in c.items()]
+        out, nz, ny = [], z.cols, y.cols
+        for c in range(cols) if keep is None else keep:
+            (i, a), (k, b), (j, d), (l, e) = xs[c // nz], zs[c % nz], ws[c // ny], ys[c % ny]
+            u = b if a == one else a if b == one else norm(a * b)
+            v = e if d == one else d if e == one else norm(d * e)
+            out.append({r: u, t: neg(v)} if (r := i + k) != (t := j + l) else {r: s} if (s := norm(u - v)) else {})
+        return Matrix.from_cols(fld, rows, out)
     # each product's columns in order, as pairs of factor columns, the left factor's rows pre-scaled
     xs, zs = [[(i * z.rows, a) for i, a in c.items()] for c in x.columns], [c.items() for c in z.columns]
     ws, ys = [[(i * y.rows, a) for i, a in c.items()] for c in w.columns], [c.items() for c in y.columns]

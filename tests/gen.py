@@ -263,6 +263,19 @@ def divided_power(field, m) -> Coalgebra:
     return Coalgebra(m, field, delta=Matrix.from_cols(field, m * m, cols), epsilon=eps)
 
 
+def divided_power_bialgebra(field, m) -> MonoidObj:
+    """D_m with unit d_0 and m(d_i⊗d_j) = C(i+j, i)·d_{i+j}, or 0 when
+    i + j ≥ m, as a monoid in coalgebras; a bialgebra exactly when that
+    truncation is a coalgebra map (by Kummer's theorem, when m is a power of
+    the characteristic, and over Q only for m = 1)."""
+    base, carrier = CoalgCategory(field), divided_power(field, m)
+    cols = [{i + j: x} if i + j < m and (x := field.of(math.comb(i + j, i))) else {}
+            for i in range(m) for j in range(m)]
+    mul = CoalgMap(base.tensor_obj(carrier, carrier), carrier, Matrix.from_cols(field, m, cols))
+    unit = CoalgMap(base.unit_obj(), carrier, Matrix.from_cols(field, m, [{0: field.one}]))
+    return MonoidObj(base, carrier, mul, unit)
+
+
 def substitution_dual(src: Coalgebra, tgt: Coalgebra, poly) -> CoalgMap:
     """The coalgebra map D_a -> D_b dual to the algebra map k[z]/zᵇ -> k[x]/xᵃ,
     z ↦ p(x) = Σ poly[i]·xⁱ, which is well defined when ord p ≥ ⌈a/b⌉: the

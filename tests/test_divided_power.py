@@ -8,13 +8,14 @@ coalgebras form a cartesian category, so every span of them lies in S.
 """
 
 import importlib.util
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gen import divided_power, rand_substitution_poly, rng_for, substitution_dual
-from relspan import GF, QQ, CoalgCategory, check_coalg_map, check_coalgebra, class_S_witness
+from gen import divided_power, divided_power_bialgebra, rand_substitution_poly, rng_for, substitution_dual
+from relspan import GF, QQ, CoalgCategory, check_coalg_map, check_coalgebra, check_monoid, class_S_witness
 from relspan import compare_cotensor_pullback, relative_pullback
 
 ORACLE_FIELDS = (QQ, GF(2), GF(3), GF(5))
@@ -80,3 +81,22 @@ def test_divided_power_spans_are_in_class_s():
             g = substitution_dual(da, divided_power(field, c), rand_substitution_poly(rng, field, a, c))
             assert check_coalg_map(f).ok and check_coalg_map(g).ok
             assert class_S_witness(f, g) is None
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS, ids=str)
+def test_divided_power_bialgebra_is_a_monoid_exactly_when_m_is_a_power_of_p(field):
+    """D_m with m(d_i⊗d_j) = C(i+j, i)·d_{i+j}, truncated at m: associativity
+    and both unit laws hold for every m, and m is a coalgebra map exactly
+    when C(i+j, i) vanishes in the field whenever i + j ≥ m, by Kummer's
+    theorem when m is a power of p, and over Q only for m = 1.  Otherwise
+    (m⊗m)∘δ puts C(i+j, i) = Σ_b C(i, b)·C(j, b) on d_i⊗d_j where δ∘m is 0,
+    so the witness is the least such index i·m + j."""
+    powers = {1} if field == QQ else {field.p**k for k in range(4)}
+    for m in range(1, 10):
+        rep = check_monoid(divided_power_bialgebra(field, m))
+        want = next((i * m + j for i in range(m) for j in range(m)
+                     if i + j >= m and field.of(comb(i + j, i))), None)
+        assert rep.ok == (m in powers) == (want is None), (field, m)
+        assert [c.name for c in rep.checks][:3] == ["associativity", "left unit", "right unit"]
+        assert [(c.name, c.witness) for c in rep.failures()] == ([] if want is None else [
+            ("multiplication is a coalgebra map: comultiplication intertwined", f"basis {want}")])

@@ -274,20 +274,63 @@ def test_kron_difference_is_kron_minus_kron(field):
         _assert_canonical(got)
         cancelled += sum(not c and bool(k) for c, k in zip(got.columns, kron(x, z).columns))
     assert cancelled, "no column cancelled completely"
+    # one nonzero per factor column: the two entries of a column meet on a row, or not
+    met = Counter()
+    for x, z, w, y in _one_nonzero_factors(rng_for(f"kron-diff-one-{field!r}"), field, 40):
+        got = _kron_difference(x, z, w, y)
+        assert got == kron(x, z) - kron(w, y)
+        _assert_canonical(got)
+        if all(len(col) == 1 for m in (x, z, w, y) for col in m.columns):
+            for col, u, v in zip(got.columns, kron(x, z).columns, kron(w, y).columns):
+                met["apart" if u.keys() != v.keys() else "u - v" if col else "cancelled"] += 1
+        else:
+            met["two-entry column"] += 1
+    assert met.keys() == {"apart", "cancelled", "two-entry column"} | ({"u - v"} if field != GF(2) else set())
 
 
-@pytest.mark.parametrize("field", [QQ, F5])
+def _one_nonzero_factors(rng, field, n):
+    """n draws of x, z, w, y with one nonzero per column (_monomial) over one
+    to three rows, on both splits of one shape; on the split of x⊗z, w
+    shares about half of x's columns and y is z, so that the two entries of
+    a column of x⊗z - w⊗y often meet on a row and cancel.  In every fourth
+    draw one factor has a single column of two entries."""
+    def draw(r, c):
+        return Matrix.from_cols(field, r, _monomial(rng, field, r, c))
+
+    for t in range(n):
+        xr, xc, zr, zc = (rng.randint(1, 3) for _ in range(4))
+        xr = 2 if t % 4 == 3 else xr
+        x, z = draw(xr, xc), draw(zr, zc)
+        if t % 2:
+            factors = [x, z, _with_columns_of(rng, draw(xr, xc), x), z]
+        else:
+            factors = [x, z, draw(zr, zc), draw(xr, xc)]
+        if t % 4 == 3:
+            k = rng.choice([k for k, m in enumerate(factors) if m.rows > 1])
+            cols = [dict(c) for c in factors[k].columns]
+            col = rng.choice(cols)
+            col[(min(col) + 1) % factors[k].rows] = rng.choice(_scalars(field))
+            factors[k] = Matrix.from_cols(field, factors[k].rows, cols)
+        yield factors
+
+
+@pytest.mark.parametrize("field", [QQ, F5, GF(2)])
 def test_kron_difference_on_kept_columns_is_those_columns_of_the_whole(field):
     """Given a list of column indices, _kron_difference is those columns of
     kron(x, z) - kron(w, y), in the order given, on both splits of one
-    shape, with none, some and all of the columns kept."""
+    shape, with none, some and all of the columns kept, on sparse factors
+    and on factors with one nonzero per column."""
     rng = rng_for(f"kron-diff-keep-{field!r}")
     draw = (lambda r, c: rand_q_matrix(rng, r, c, 0.4)) if field == QQ else (
         lambda r, c: rand_sparse_matrix(rng, field, r, c, 0.4))
+    draws = []
     for _ in range(20):
         xr, xc, zr, zc = (rng.randint(1, 3) for _ in range(4))
         x, z = draw(xr, xc), draw(zr, zc)
         w, y = (draw(xr, xc), draw(zr, zc)) if rng.random() < 0.5 else (draw(zr, zc), draw(xr, xc))
+        draws.append((x, z, w, y))
+    draws += _one_nonzero_factors(rng_for(f"kron-diff-keep-one-{field!r}"), field, 20)
+    for x, z, w, y in draws:
         whole = kron(x, z) - kron(w, y)
         for keep in ([], sorted(rng.sample(range(whole.cols), rng.randint(1, whole.cols))),
                      rng.sample(range(whole.cols), whole.cols)):
@@ -750,10 +793,22 @@ def _from_sympy(sm):
                                  for i in range(sm.rows)])
 
 
+def _rows_once(rng, field, rows, cols):
+    """A rows x cols matrix in which every row holds one nonzero or none:
+    each row is dealt to a random column with a value from _scalars, so
+    most values are not one and some columns stay zero."""
+    columns, pool = [{} for _ in range(cols)], _scalars(field)
+    for i in range(rows):
+        if cols and rng.random() < 0.8:
+            columns[rng.randrange(cols)][i] = rng.choice(pool)
+    return Matrix.from_cols(field, rows, columns)
+
+
 def _singleton_heavy(rng, field, shape):
     """A sparse matrix made mostly of one-entry rows, or of repeated rows of
-    several entries, as dense rows, in one of five shapes, with its rows
-    shuffled."""
+    several entries, as dense rows, in one of six shapes, with its rows
+    shuffled; in the sixth, as in the pullback and cotensor systems of
+    linearized finite sets, every row holds one nonzero or none."""
     def val():
         return field.of(rng.choice((-1, 1)) * rng.randint(1, 6))
 
@@ -764,6 +819,8 @@ def _singleton_heavy(rng, field, shape):
         return row
 
     n = rng.randint(3, 8)
+    if shape == "every row once":
+        return _rows_once(rng, field, rng.randint(0, n + 1), n)
     if shape == "duplicated singletons":
         repeats = [(rng.randrange(n), rng.randint(1, 3)) for _ in range(n)]
         rows = [sparse(n, [c]) for c, times in repeats for _ in range(times)]
@@ -792,7 +849,7 @@ def _singleton_heavy(rng, field, shape):
 
 
 SINGLETON_SHAPES = ("duplicated singletons", "bidiagonal cascade", "rows that empty out",
-                    "mixed singleton and dense blocks", "duplicated multi-entry rows")
+                    "mixed singleton and dense blocks", "duplicated multi-entry rows", "every row once")
 
 
 def test_rref_kernel_and_solve_agree_with_sympy():
@@ -828,8 +885,12 @@ def test_rref_kernel_and_solve_agree_with_sympy():
 def test_grouplike_cotensor_system_peels_every_row_and_agrees_with_sympy():
     """T = X_f⊗1 - 1⊗(c∘Y_g) for linearized f: A → B ← C: g, built as the
     coalgebra pullback builds it: every nonzero row holds one nonzero, so
-    the elimination peels every row, and the reduced row echelon form and
-    kernel are sympy's, the kernel spanned by the e_a⊗e_c with f(a) = g(c)."""
+    the reduced row echelon form is the unit rows of the nonzero columns,
+    read off the row counts.  It and the kernel are sympy's, the kernel
+    spanned by the e_a⊗e_c with f(a) = g(c), and so they are on other
+    systems whose rows hold one nonzero or none, of any shape, and on those
+    with one more column that gives a row a second nonzero, which the
+    general elimination reduces."""
     sp = pytest.importorskip("sympy")
     rng = rng_for("grouplike-cotensor-sympy")
     for _ in range(12):
@@ -849,6 +910,20 @@ def test_grouplike_cotensor_system_peels_every_row_and_agrees_with_sympy():
         assert k.columns == [{a * nc + c: 1} for a in range(na) for c in range(nc) if f[a] == g[c]]
         _assert_canonical(r)
         _assert_canonical(k)
+    # every row once, as in T, with values other than one, zero columns and empty shapes
+    for rows, cols in [(0, 0), (0, 3), (3, 0)] + [(rng.randint(1, 6), rng.randint(1, 5)) for _ in range(20)]:
+        a = _rows_once(rng, QQ, rows, cols)
+        sa = _to_sympy(sp, a)
+        r, pivots = a.rref()
+        sr, spivots = sa.rref()
+        assert pivots == list(spivots) == [c for c, col in enumerate(a.columns) if col]
+        assert r == (_from_sympy(sr) if rows and cols else Matrix.zeros(QQ, rows, cols))
+        null = sa.nullspace()
+        assert kernel_basis_sparse(a) == (_from_sympy(sp.Matrix.hstack(*null)) if null
+                                          else Matrix.zeros(QQ, cols, 0))
+        if rows:
+            ab = a.hstack(Matrix.from_cols(QQ, rows, [{rng.randrange(rows): rng.choice(_scalars(QQ))}]))
+            assert ab.rref()[0] == _from_sympy(_to_sympy(sp, ab).rref()[0])
 
 
 # -- a dense Gauss–Jordan oracle over F_p -----------------------------------------
