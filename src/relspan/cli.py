@@ -52,11 +52,12 @@ _PARSED = {
 
 
 def _named(ctx, name, kinds=None):
-    """The declaration called name; it must be of one of kinds, if given."""
-    if name not in ctx:
+    """The declaration called name, decoded once its kind is one of kinds,
+    if given."""
+    if name not in ctx.kinds:
         raise ParseError(f"no declaration named {name!r}")
-    if kinds is not None and ctx[name].kind not in kinds:
-        raise ParseError(f"{name!r} is a {ctx[name].kind}, expected one of {sorted(kinds)}")
+    if kinds is not None and ctx.kinds[name] not in kinds:
+        raise ParseError(f"{name!r} is a {ctx.kinds[name]}, expected one of {sorted(kinds)}")
     return ctx[name]
 
 
@@ -64,8 +65,8 @@ def _pick(ctx, name, kinds, what):
     """The declaration called name, or else the first one of kinds."""
     if name is not None:
         return name, _named(ctx, name, kinds)
-    for nm in ctx:
-        if ctx[nm].kind in kinds:
+    for nm, kind in ctx.kinds.items():
+        if kind in kinds:
             return nm, ctx[nm]
     raise ParseError(f"no {what} declaration in the file")
 
@@ -107,9 +108,12 @@ def _check_one(name: str, decl, report: Report):
 
 
 def cmd_check(ctx, args):
+    """Check the named declaration, or else decode every declaration in
+    file order, so that a malformed one exits 2, then check each."""
     report = Report()
-    for name in [args.name] if args.name else list(ctx):
-        _check_one(name, _named(ctx, name), report)
+    names = [args.name] if args.name else ctx.kinds
+    for name, decl in [(name, _named(ctx, name)) for name in names]:
+        _check_one(name, decl, report)
     return report, None
 
 
@@ -269,7 +273,7 @@ def cmd_coherence(ctx, args):
 
 def cmd_relcat(ctx, args):
     report = Report()
-    names = [args.name] if args.name else [nm for nm in ctx if ctx[nm].kind in _CATEGORIES]
+    names = [args.name] if args.name else [nm for nm, k in ctx.kinds.items() if k in _CATEGORIES]
     if not names:
         raise ParseError("no relative-category or small-category declaration in the file")
     decls = [(name, _named(ctx, name, _CATEGORIES)) for name in names]

@@ -257,7 +257,7 @@ def path_coalgebra(field) -> Coalgebra:
     """Basis {e0, e1, x} with δx = e0⊗x + x⊗e1: not cocommutative."""
     one = field.one
     cols = [{0: one}, {4: one}, {2: one, 7: one}]
-    eps = Matrix(field, [[one, one, field.zero]], 1, 3)
+    eps = Matrix.from_cols(field, 1, [{0: one}, {0: one}, {}])
     return Coalgebra(3, field, delta=Matrix.from_cols(field, 9, cols), epsilon=eps)
 
 

@@ -3,15 +3,19 @@
 A fixture file is a single JSON object mapping names to declarations; each
 declaration carries a "kind" field.  Matrices are exact: entries are strings,
 rationals as "a/b", and each matrix must have the shape its declaration
-implies before it is built.  Decoding is a pure function from the file to a
-context dict of live objects in file order: one table maps each kind to its
-decoder, and a reference to another declaration is checked and decoded on
-first use, so declarations may come in any order.  Sizes, indices and
-table entries must be JSON integers.  It rejects what the constructions
-cannot take, such as a cospan whose legs are not two morphisms of one base
-category, or a category with more composable triples than
-finset.MAX_PULLBACK_PAIRS.  Encoding covers fields and matrices, for the
-CLI's results; a matrix of more than MAX_ENCODED_CELLS cells is refused.
+implies before it is built.  Loading a file reads the kind of every
+declaration, and refuses a missing or unknown one, but decodes no body: a
+declaration is decoded into its live object when a command first reads it,
+by name or through a reference, once, by the decoder one table maps its kind
+to.  So declarations may come in any order, and a command refuses only the
+malformed declarations it reads (`check` without a name reads them all, in
+file order).  A matrix is filled as sparse columns, each distinct entry text
+parsed once.  Sizes, indices and table entries must be JSON integers.  It
+rejects what the constructions cannot take, such as a cospan whose legs are
+not two morphisms of one base category, or a category with more composable
+triples than finset.MAX_PULLBACK_PAIRS.  Encoding covers fields and
+matrices, for the CLI's results; a matrix of more than MAX_ENCODED_CELLS
+cells is refused.
 """
 
 from __future__ import annotations
@@ -127,10 +131,17 @@ def matrix_from_json(obj, rows: int, cols: int) -> Matrix:
             raise ParseError("matrix entries must be a JSON array of JSON arrays")
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ParseError("matrix entry grid does not match rows x cols")
-        data = [[fld.parse(_text(x)) for x in row] for row in entries]
+        # cells in row order, so the first bad one is refused as before
+        scalar, columns = {}, [{} for _ in range(cols)]
+        for i, row in enumerate(entries):
+            for col, x in zip(columns, row):
+                if type(x) is not str or x not in scalar:
+                    scalar[x] = fld.parse(_text(x))
+                if v := scalar[x]:
+                    col[i] = v
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix: {exc}") from exc
-    return Matrix(fld, data, rows, cols)
+    return Matrix.from_cols(fld, rows, columns)
 
 
 # -- declarations -----------------------------------------------------------------
@@ -299,8 +310,43 @@ def _kind(name, obj) -> str:
     return kind
 
 
-def load_context(path: str) -> dict:
-    """Decode a fixture file into a {name: Decl} context in file order."""
+class Context:
+    """The declarations of one fixture file.  Every kind is read up front,
+    {name: kind} in file order, and iterating gives the names; ctx[name] is
+    the Decl, decoded when first looked up, directly or through a reference,
+    and kept in done."""
+
+    def __init__(self, doc: dict):
+        self.kinds = {name: _kind(name, obj) for name, obj in doc.items()}
+        self.doc = doc
+        self.done: dict[str, Decl] = {}
+
+    def __getitem__(self, name) -> Decl:
+        if name not in self.done:
+            kind = self.kinds[name]
+            try:
+                self.done[name] = Decl(kind, _DECODERS[kind](self.doc[name], self._ref))
+            except _NamedRefusal:  # as raised, so a nested refusal keeps its one prefix
+                raise
+            except (RelspanError, KeyError, TypeError, ValueError, OverflowError) as exc:
+                raise _NamedRefusal(f"bad declaration {name!r}: {exc}") from exc
+        return self.done[name]
+
+    def __iter__(self):
+        return iter(self.kinds)
+
+    def _ref(self, name, role, kinds):
+        if not isinstance(name, str) or name not in self.kinds:
+            raise ValueError(f"{role} {name!r} is not declared")
+        kind = self.kinds[name]
+        if kind not in kinds:
+            raise ValueError(f"{role} {name!r} is a {kind}, expected {' or '.join(kinds)}")
+        return self[name].value
+
+
+def load_context(path: str) -> Context:
+    """The declarations of a fixture file, their kinds checked and nothing
+    decoded."""
     try:
         with open(path) as fh:
             doc = json.load(fh)
@@ -308,25 +354,4 @@ def load_context(path: str) -> dict:
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("fixture file must be a JSON object of named declarations")
-    done: dict[str, Decl] = {}
-
-    def decl(name) -> Decl:
-        if name not in done:
-            kind = _kind(name, doc[name])
-            try:
-                done[name] = Decl(kind, _DECODERS[kind](doc[name], ref))
-            except _NamedRefusal:  # as raised, so a nested refusal keeps its one prefix
-                raise
-            except (RelspanError, KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise _NamedRefusal(f"bad declaration {name!r}: {exc}") from exc
-        return done[name]
-
-    def ref(name, role, kinds):
-        if not isinstance(name, str) or name not in doc:
-            raise ValueError(f"{role} {name!r} is not declared")
-        kind = _kind(name, doc[name])
-        if kind not in kinds:
-            raise ValueError(f"{role} {name!r} is a {kind}, expected {' or '.join(kinds)}")
-        return decl(name).value
-
-    return {name: decl(name) for name in doc}
+    return Context(doc)

@@ -50,6 +50,11 @@ from .fields import PrimeField, require_same_field
 
 
 class Matrix:
+    """A rows x cols matrix over field, as one {row: nonzero} dict per column.
+    The package builds every matrix from sparse columns (from_cols and the
+    operations); the dense forms, Matrix(field, rows, …) and from_rows, are
+    kept only because the benchmark under bench/ and the tests call them."""
+
     __slots__ = ("field", "rows", "cols", "columns")
 
     def __init__(self, field, data, rows=None, cols=None):
