@@ -555,10 +555,9 @@ def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> Re
     # a 2x2 rectangle of matching group-like pairs already has a joint kernel
     # vector.)  The closure check gave (j⊗j)∘δ_E = δ∘j, and
     # ((1⊗ε_C)⊗(ε_A⊗1))∘(1⊗c⊗1)∘(δ_A⊗δ_C) = z_A⊗l_C, so
-    # (p_A⊗p_C)∘δ_E = (z_A⊗l_C)∘j, which is j at once on counital A and C.
-    z_a, l_c = a.right_counit, c.left_counit
-    i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(c.field, c.dim)
-    cert = z_a == i_a and l_c == i_c or kron_apply(z_a, l_c, j) == j
+    # (p_A⊗p_C)∘δ_E = (z_A⊗l_C)∘j, which is j itself on counital A and C,
+    # where z_A and l_C are identities and kron_apply returns j.
+    cert = kron_apply(a.right_counit, c.left_counit, j) == j
     return RelPullback(base, f, g, eq.object, p_a, p_c, cert, eq)
 
 

@@ -14,16 +14,25 @@ without A⊗B, states its path rules in its docstring, and kron is kron_apply
 on the identity.  X⊗Z - W⊗Y is built one column at a time, without either
 product.  A product is normalized only when a factor is not one (a Q
 product of two Fractions can be integral, an F_p product needs its
-reduction), so a factor column whose only nonzero is one gives a copy of
-the other column.  Group-like data, whose δ, 0/1 maps and identities have
-one nonzero per column, takes only the one-pass path, and X⊗Z - W⊗Y of it
-is read off by index: each column is the two entries u and -v its factor
-columns give, or u - v where they share a row, or nothing where that is 0.
+reduction), so a product column fed by one nonzero equal to one is the left
+operand's column itself, shared, not copied.  A product with a square
+identity operand is its other operand, and kron_apply with two square
+identity factors is M, each returned as it is; an identity is one shared
+matrix per field and size.  Group-like data, whose δ, 0/1 maps and
+identities have one nonzero per column, takes only the one-pass path, and
+X⊗Z - W⊗Y of it is read off by index: each column is the two entries u and
+-v its factor columns give, or u - v where they share a row, or nothing
+where that is 0.
 
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
 g∘f is the product G @ F.  Tensor indices are row-major throughout:
 e_i ⊗ f_j lives at index i * dim(second factor) + j.
+
+Matrices never change once built, nor do their column dicts, which results
+share with their operands (products, hstack, from_cols): no function writes
+to a matrix's column; each one that updates a column in place updates a
+dict of its own.
 
 All canonical forms (reduced row echelon, kernel bases, solve with zeroed free
 variables) come from one elimination on sparse rows.  The reduced row echelon
@@ -43,6 +52,7 @@ from __future__ import annotations
 
 import sys
 from collections import Counter
+from functools import cache
 from itertools import chain, product
 
 from .errors import InternalSolveFailure, ShapeMismatch
@@ -53,7 +63,9 @@ class Matrix:
     """A rows x cols matrix over field, as one {row: nonzero} dict per column.
     The package builds every matrix from sparse columns (from_cols and the
     operations); the dense forms, Matrix(field, rows, …) and from_rows, are
-    kept only because the benchmark under bench/ and the tests call them."""
+    kept only because the benchmark under bench/ and the tests call them.
+    A matrix and its column dicts never change once built, so results share
+    them (see the module docstring)."""
 
     __slots__ = ("field", "rows", "cols", "columns")
 
@@ -78,7 +90,8 @@ class Matrix:
     @classmethod
     def from_cols(cls, field, nrows, cols):
         """From sparse columns: {row index: canonical nonzero value} dicts,
-        taken as they are (not copied, no zero values)."""
+        taken as they are (not copied, no zero values), and never changed
+        afterwards by the caller or by the matrix."""
         m = cls.__new__(cls)
         m.field = field
         m.rows = nrows
@@ -96,7 +109,10 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n):
-        return cls.from_cols(field, n, [{i: field.one} for i in range(n)])
+        """The n x n identity over field, one shared matrix per (field, n);
+        a product with a square identity operand, and kron_apply with two
+        square identity factors, return the other operand as it is."""
+        return _identity(field, n)
 
     # -- basics ------------------------------------------------------------
 
@@ -107,7 +123,7 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         return (
-            self.field == other.field
+            (self.field is other.field or self.field == other.field)
             and self.rows == other.rows
             and self.cols == other.cols
             and self.columns == other.columns
@@ -152,13 +168,17 @@ class Matrix:
         require_same_field(self.field, other.field)
         if self.cols != other.rows:
             raise ShapeMismatch(f"cannot compose {self.rows}x{self.cols} with {other.rows}x{other.cols}")
+        if _is_identity(other):
+            return self
+        if _is_identity(self):
+            return other
         fld, acols = self.field, self.columns
         norm, one = fld.normalize, fld.one
         cols = []
         for col in other.columns:
             if len(col) == 1:
                 ((k, b),) = col.items()
-                cols.append(dict(acols[k]) if b == one else {i: norm(a * b) for i, a in acols[k].items()})
+                cols.append(acols[k] if b == one else {i: norm(a * b) for i, a in acols[k].items()})
                 continue
             acc = {}
             get = acc.get
@@ -183,6 +203,17 @@ class Matrix:
 
     def rank(self):
         return len(_reduce(self.field, self.columns))
+
+
+@cache
+def _identity(field, n):
+    return Matrix.from_cols(field, n, [{i: field.one} for i in range(n)])
+
+
+def _is_identity(m):
+    """Whether m is a square identity: its columns are the cached identity's
+    (a list compare, which stops at the first column that differs)."""
+    return m.rows == m.cols and m.columns == _identity(m.field, m.rows).columns
 
 
 def _canonical(field, acc):
@@ -420,6 +451,8 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     require_same_field(a.field, m.field)
     if m.rows != a.cols * b.cols:
         raise ShapeMismatch("kron_apply: M row count must be a.cols * b.cols")
+    if _is_identity(a) and _is_identity(b):
+        return m
     norm, one, nb, bc = m.field.normalize, m.field.one, b.rows, b.cols
     acols, bcols = a.columns, b.columns
     fp = isinstance(m.field, PrimeField)

@@ -1,5 +1,7 @@
 """Exact linear algebra: canonical solves, kernels, Kronecker products, swaps."""
 
+import copy
+import re
 import time
 from collections import Counter
 from fractions import Fraction
@@ -12,16 +14,18 @@ from hypothesis import strategies as st
 
 from gen import (
     FIELDS,
+    direct_sum,
     divided_power,
     is_injective,
     matrix_coalgebra,
+    primitive_block,
     rand_matrix,
     rand_q_matrix,
     rand_scalar,
     rand_sparse_matrix,
     rng_for,
 )
-from relspan import GF, QQ, Matrix, linalg
+from relspan import GF, QQ, Matrix, check_coalgebra, linalg
 from relspan.errors import FieldMismatch, InternalSolveFailure, ShapeMismatch
 from relspan.linalg import (
     kernel_basis_sparse,
@@ -995,3 +999,171 @@ def test_peeling_a_long_cascade_is_linear():
     k = kernel_basis_sparse(a)
     assert time.process_time() - start < 5
     assert (k.rows, k.cols) == (n + 1, 0)
+
+
+# -- identity shortcuts and shared columns ---------------------------------------
+
+
+def _fresh_identity(field, n):
+    """An n x n identity built here, not the shared one of Matrix.identity."""
+    return Matrix.from_cols(field, n, [{i: field.one} for i in range(n)])
+
+
+def _sparse(rng, field, rows, cols):
+    """Columns of zero to three nonzeros drawn from _scalars(field)."""
+    pool = _scalars(field)
+    return Matrix.from_cols(field, rows, [{i: rng.choice(pool) for i in rng.sample(range(rows), min(rows, n))}
+                                          for n in (rng.choice((0, 1, 1, 2, 3)) for _ in range(cols))])
+
+
+def _operand(rng, field, rows, cols):
+    """A rows x cols matrix of one of five kinds: an identity (shared or
+    built here; off the square, the injection or projection whose columns
+    are an identity's), a permutation, one-nonzero columns equal to one,
+    some zero columns, or mixed dense columns."""
+    one, kind = field.one, rng.choice(("identity", "permutation", "ones", "zeros", "dense"))
+    if kind == "identity":
+        if rows == cols and rng.random() < 0.5:
+            return Matrix.identity(field, rows)
+        return Matrix.from_cols(field, rows, [{i: one} if i < rows else {} for i in range(cols)])
+    if kind == "permutation" and rows == cols:
+        return Matrix.from_cols(field, rows, [{i: one} for i in rng.sample(range(rows), rows)])
+    if kind in ("permutation", "ones") and rows:
+        return Matrix.from_cols(field, rows, [{rng.randrange(rows): one} for _ in range(cols)])
+    if kind == "zeros":
+        return Matrix.from_cols(field, rows, [{} if rng.random() < 0.5 else c
+                                              for c in _sparse(rng, field, rows, cols).columns])
+    return Matrix(field, [[rng.choice(_scalars(field) + [field.zero]) for _ in range(cols)]
+                          for _ in range(rows)], rows, cols)
+
+
+def _copy(m):
+    """A deep copy of m's columns, on the same field object."""
+    return copy.deepcopy(m, {id(m.field): m.field})
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F5], ids=str)
+def test_no_operation_changes_an_operand_or_a_result_it_shares_columns_with(field):
+    """Results share column dicts with their operands (products fed by one
+    `one`, identity products, hstack), so every operation is run on
+    identities, permutations, one-`one`, zero and dense columns, and then
+    each operand must equal its deep copy, taken before, and each result the
+    one computed from fresh copies, after every operation has run."""
+    rng = rng_for(f"aliasing-{field!r}")
+    for _ in range(60):
+        r, k, c, br, bc = (rng.choice((0, 1, 2, 2, 3, 3)) for _ in range(5))
+        draw = partial(_operand, rng, field)
+        a, a2, b, bb = draw(r, k), draw(r, k), draw(k, c), draw(br, bc)
+        m, rhs = draw(k * bc, c), draw(r, c)
+        ops = [
+            (Matrix.__matmul__, a, b),
+            (Matrix.__add__, a, a2),
+            (Matrix.__sub__, a, a2),
+            (Matrix.hstack, a, rhs),
+            (Matrix.transpose, b),
+            (kron, a, bb),
+            (kron_apply, a, bb, m),
+            (_kron_difference, a, bb, a2, draw(br, bc)),
+            (Matrix.rref, a),
+            (solve, a, rhs),
+            (kernel_basis_sparse, a),
+            (kernel_left_inverse, kernel_basis_sparse(a)),
+        ]
+        runs = []
+        for fn, *args in ops:
+            copies = [_copy(x) for x in args]
+            result = fn(*args)
+            assert args == copies, fn.__name__
+            runs.append((fn, args, copies, result))
+        # the results, some of them sharing columns, are built and live together
+        for fn, args, copies, result in runs:
+            assert args == copies, fn.__name__
+            assert result == fn(*[_copy(x) for x in copies]), fn.__name__
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F5], ids=str)
+def test_identity_products_return_the_other_operand(field):
+    rng = rng_for(f"identity-products-{field!r}")
+    assert Matrix.identity(field, 3) is Matrix.identity(field, 3)
+    for n in (0, 1, 3):
+        for i in (Matrix.identity(field, n), _fresh_identity(field, n)):
+            a, b = _sparse(rng, field, 2, n), _sparse(rng, field, n, 4)
+            assert a @ i is a and i @ b is b
+            for j in (Matrix.identity(field, 2), _fresh_identity(field, 2)):
+                m = _sparse(rng, field, 2 * n, 3)
+                assert kron_apply(i, j, m) is m and kron_apply(j, i, m) is m
+            assert kron(i, i) == Matrix.identity(field, n * n)
+
+
+def test_zero_by_zero_identity_products():
+    i0 = Matrix.identity(QQ, 0)
+    assert (i0.rows, i0.cols, i0.columns) == (0, 0, [])
+    a, b = Matrix.zeros(QQ, 3, 0), Matrix.zeros(QQ, 0, 2)
+    assert a @ i0 is a and i0 @ b is b and i0 @ i0 is i0
+    m = Matrix.zeros(QQ, 0, 4)
+    assert kron_apply(i0, Matrix.identity(QQ, 5), m) is m
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F5], ids=str)
+def test_near_identities_take_the_general_path(field):
+    """A permutation and an identity with one extra entry are square, with
+    every nonzero one, but are not identities: their products take the
+    general path and equal the dense products, and a product column fed by
+    one `one` is the left operand's column itself."""
+    rng = rng_for(f"near-identities-{field!r}")
+    one = field.one
+    perm = Matrix.from_cols(field, 3, [{1: one}, {2: one}, {0: one}])
+    extra = Matrix.from_cols(field, 3, [{0: one}, {0: one, 1: one}, {2: one}])
+    last = Matrix.from_cols(field, 3, [{0: one}, {1: one}, {2: one, 0: one}])
+    for p in (perm, extra, last):
+        a, b = _sparse(rng, field, 2, 3), _sparse(rng, field, 3, 4)
+        assert a @ p == _dense_product(a, p) and p @ b == _dense_product(p, b)
+        assert p @ p == _dense_product(p, p) != p
+        i = Matrix.identity(field, 2)
+        m = _sparse(rng, field, 6, 3)
+        for x, y in ((p, i), (i, p)):
+            got = kron_apply(x, y, m)
+            assert got == _dense_product(kron_oracle(x, y), m) and got is not m
+    assert perm @ perm @ perm == Matrix.identity(field, 3)
+    a = _sparse(rng, field, 2, 3)
+    assert all(x is a.columns[k] for x, k in zip((a @ perm).columns, (1, 2, 0)))
+
+
+def test_the_direct_sum_injection_is_not_an_identity():
+    """gen.direct_sum injects A into A ⊕ B by the columns of an identity,
+    without its square shape: products with it, and with the projection
+    back, are never their other operand, and equal the dense products."""
+    rng = rng_for("direct-sum-injection")
+    for field in FIELDS:
+        one = field.one
+        inj = Matrix.from_cols(field, 3, [{i: one} for i in range(2)])
+        proj = Matrix.from_cols(field, 2, [{0: one}, {1: one}, {}])
+        a, b = _sparse(rng, field, 4, 3), _sparse(rng, field, 2, 3)
+        for x, y in ((a, inj), (inj, b), (proj, _sparse(rng, field, 3, 2)),
+                     (_sparse(rng, field, 4, 2), proj)):
+            got = x @ y
+            assert got == _dense_product(x, y) and got is not x and got is not y
+        m = _sparse(rng, field, 4, 3)
+        assert kron_apply(inj, inj, m) == _dense_product(kron_oracle(inj, inj), m)
+        assert kron_apply(inj, inj, m).rows == 9
+    block = primitive_block(QQ)
+    total = direct_sum(block, block)
+    assert total.dim == 2 * block.dim and check_coalgebra(total).ok
+
+
+def test_identity_operands_keep_their_errors():
+    i2, i3 = Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)
+    with pytest.raises(FieldMismatch, match=re.escape("field mismatch: QQ vs GF(5)")):
+        i2 @ Matrix.identity(F5, 2)
+    with pytest.raises(FieldMismatch, match=re.escape("field mismatch: GF(5) vs QQ")):
+        Matrix.identity(F5, 2) @ i2
+    with pytest.raises(ShapeMismatch, match=re.escape("cannot compose 3x3 with 2x2")):
+        i3 @ i2
+    with pytest.raises(ShapeMismatch, match=re.escape("cannot compose 2x3 with 2x2")):
+        Matrix.zeros(QQ, 2, 3) @ i2
+    with pytest.raises(ShapeMismatch, match=re.escape("kron_apply: M row count must be a.cols * b.cols")):
+        kron_apply(i2, i3, Matrix.zeros(QQ, 5, 1))
+    with pytest.raises(FieldMismatch, match=re.escape("field mismatch: QQ vs GF(5)")):
+        kron_apply(i2, i3, Matrix.identity(F5, 6))
+    with pytest.raises(FieldMismatch, match=re.escape("field mismatch: QQ vs GF(5)")):
+        kron_apply(i2, Matrix.identity(F5, 3), i3)
