@@ -44,15 +44,14 @@ linear equalizer on A⊗C that cross-checks it, is an unchecked linear
 subspace; once the legs are decided to be in S, subcoalgebra gives its
 induced structure.  The comparison settles on equal canonical bases.
 
-On counital input with ε_B∘f = ε_A, t keeps only the columns a⊗c whose a
-and c share a part of A ⊔ B ⊔ C, joined along the supports of the columns
-of f, g, δ_A and δ_C.  This is exact.  T is block-diagonal over the pairs
-of parts (β, γ): the rows of the block on A_β⊗C_γ lie in A_β⊗B⊗C_γ.  On a
-cross block, β ≠ γ, the two halves of a column land in the disjoint rows
-A_β⊗B_β⊗C_γ and A_β⊗B_γ⊗C_γ, so Tx = 0 forces (X_f⊗1)x = 0, and
-(1⊗ε_B⊗1)∘(X_f⊗1) = z_A⊗1 = 1 gives x = 0.  So rref(T) is the kept
-columns' plus the unit row e_c of each other column c, as the peel gives
-unit rows: K', and R when the closure check fails, are T's bit for bit.
+On counital input, when every column of f and g is one entry equal to one
+and δ_A and δ_C are group-like (δe_x = e_x⊗e_x), as on a linearized cospan,
+K' is read off the legs with no system.  Column a⊗c of T is
+e_a⊗e_f(a)⊗e_c - e_a⊗e_g(c)⊗e_c: zero exactly when f(a) = g(c), and
+otherwise two entries on rows that no other column uses.  So ker T is
+spanned by the matching pairs, and its canonical basis K' is their unit
+columns e_a⊗e_c, in ascending order, with no condition on ε_B.  The
+closure check on K' still certifies it.  Every other cospan solves T.
 
 Tensor products of coalgebras keep their factors.  δ∘M is
 (1⊗c⊗1)∘(δ_A⊗δ_C)∘M, one kron_apply whose entries then move to their rows
@@ -85,7 +84,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 from .catcore import BaseCategory, RelPullback, Report, legs_in_class
 from .errors import (
@@ -421,32 +419,22 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer | 
     return CoalgEqualizer(obj, CoalgMap(obj, x, k), lk)
 
 
-def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None, cols=None) -> CoalgEqualizer:
+def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None) -> CoalgEqualizer:
     """The equalizer that t and z describe in x, z None when it is the
     identity, on the basis K'∘N of the module docstring.  On counital input
     a passing closure check on K' certifies N = 1, and neither R nor the
     second system (R⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ, is built.
-    Given cols (ascending; z None), t is the system on those columns, the
-    others c holding unit rows e_c of its rref: K' is t's renamed, R gains them."""
+    Otherwise K'∘N is checked; a product with N = 1 returns its left operand."""
     fld, red = t.field, _reduce(t.field, t.columns)
     r = None if z is None else _echelon(fld, red, len(red), t.cols)
     k = _kernel(fld, red, t.cols) if r is None else kernel_basis_sparse(r @ z)
-    if cols is not None:
-        k = Matrix.from_cols(fld, x.dim, [{cols[i]: v for i, v in col.items()} for col in k.columns])
     delta_k = _delta_apply(x, k)
     eq = None if r is not None else _subcoalgebra(x, k, delta_k)
     if eq is None:
         if r is None:
-            if cols is not None:
-                red = dict(sorted([(c, {c: fld.one}) for c in set(range(x.dim)).difference(cols)]
-                                  + [(cols[p], {cols[c]: v for c, v in row.items()})
-                                     for p, row in red.items()]))
-            r = _echelon(fld, red, len(red), x.dim)
+            r = _echelon(fld, red, len(red), t.cols)
         n = kernel_basis_sparse(kron_apply(r, Matrix.identity(fld, x.dim), delta_k))
-        if n.cols != n.rows:
-            eq = _subcoalgebra(x, k @ n, delta_k @ n)
-        elif z is not None:
-            eq = _subcoalgebra(x, k, delta_k)
+        eq = _subcoalgebra(x, k @ n, delta_k @ n)
     return _closed(eq)
 
 
@@ -493,13 +481,15 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     a, c, fld = f.src, g.src, f.mat.field
     i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
     z_a, z_c = a.right_counit, c.right_counit
-    # Y_g = c∘(1⊗g)∘δ_C = (g⊗1)∘c∘δ_C, and c∘δ_C = δ_C on a cocommutative C
-    y_g = kron_apply(g.mat, i_c, c.delta if c.cocommutative else _swapped(c.delta, c.dim))
     z = None if z_a == i_a and z_c == i_c else kron(z_a, z_c)
-    # on counital input, the diagonal blocks of a split cospan (module docstring)
-    cols = None if z is not None else _diagonal_columns(f, g)
-    t = _kron_difference(kron_apply(i_a, f.mat, a.delta), z_c, z_a, y_g, cols)
-    eq = _equalizer(tensor_coalgebra(a, c), t, z, cols)
+    x = tensor_coalgebra(a, c)
+    # on counital input, K' of a group-like cospan is its matching pairs (module docstring)
+    if z is None and (k := _matching_pairs(f, g)) is not None:
+        eq = _closed(_subcoalgebra(x, k, _delta_apply(x, k)))
+    else:
+        # Y_g = c∘(1⊗g)∘δ_C = (g⊗1)∘c∘δ_C, and c∘δ_C = δ_C on a cocommutative C
+        y_g = kron_apply(g.mat, i_c, c.delta if c.cocommutative else _swapped(c.delta, c.dim))
+        eq = _equalizer(x, _kron_difference(kron_apply(i_a, f.mat, a.delta), z_c, z_a, y_g), z)
     j = eq.j.mat
     p_a = CoalgMap(eq.object, a, kron_apply(i_a, c.epsilon, j))
     p_c = CoalgMap(eq.object, c, kron_apply(a.epsilon, i_c, j))
@@ -509,36 +499,23 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     return eq, p_a, p_c
 
 
-def _diagonal_columns(f: CoalgMap, g: CoalgMap):
-    """The columns a⊗c of A⊗C, ascending, whose a and c share a part of
-    A ⊔ B ⊔ C joined along the supports of the columns of f, g, δ_A and δ_C
-    (a to a1 and a2 for e_a1⊗e_a2 in δ_A e_a).  None when ε_B∘f ≠ ε_A or
-    that keeps every column; one part, once certain, returns None at once."""
-    na, nb, nc = f.src.dim, f.tgt.dim, g.src.dim
-    if all(f.mat.columns) and all(g.mat.columns) and any(len(col) == nb for col in f.mat.columns):
-        return None  # a column of f joins all of B, and every other coordinate joins B
-    oc, parent, left = na + nb, list(range(na + nb + nc)), na + nb + nc
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = i = parent[parent[i]]
-        return i
-
-    for i, j in chain(((i, na + b) for i, col in enumerate(f.mat.columns) for b in col),
-                      ((oc + k, na + b) for k, col in enumerate(g.mat.columns) for b in col),
-                      ((i, j) for i, d in enumerate(f.src.delta.columns) for r in d
-                       for j in divmod(r, na) if j != i),
-                      ((oc + k, oc + j) for k, d in enumerate(g.src.delta.columns) for r in d
-                       for j in divmod(r, nc) if j != k)):
-        if (i := find(i)) != (j := find(j)):
-            parent[i], left = j, left - 1
-            if left == 1:
-                return None
-    part = {}
-    for k in range(nc):
-        part.setdefault(find(oc + k), []).append(k)
-    cols = [i * nc + k for i in range(na) for k in part.get(find(i), ())]
-    return None if len(cols) == na * nc or f.tgt.epsilon @ f.mat != f.src.epsilon else cols
+def _matching_pairs(f: CoalgMap, g: CoalgMap) -> Matrix | None:
+    """The unit columns at a⊗c with f(a) = g(c), ascending, when every column
+    of f and g is one entry equal to one and δ_A and δ_C are group-like;
+    else None.  The columns of f are read first, so a dense f fails at once."""
+    fld, images = f.mat.field, []
+    one = fld.one
+    for m in (f, g):
+        n = m.src.dim
+        if not all(len(col) == 1 and one in col.values() for col in m.mat.columns) or any(
+                d != {x * n + x: one} for x, d in enumerate(m.src.delta.columns)):
+            return None
+        images.append([b for col in m.mat.columns for b in col])
+    (fa, gc), nc, over = images, g.src.dim, {}
+    for c, b in enumerate(gc):
+        over.setdefault(b, []).append(c)
+    return Matrix.from_cols(fld, f.src.dim * nc,
+                            [{a * nc + c: one} for a, b in enumerate(fa) for c in over.get(b, ())])
 
 
 def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> RelPullback:

@@ -368,15 +368,14 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return kron_apply(a, b, Matrix.identity(a.field, a.cols * b.cols))
 
 
-def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix, keep=None) -> Matrix:
+def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
     """kron(x, z) - kron(w, y) in one pass, without either product: the
     columns of each product are the pairs of factor columns in order, for
     any two splits of one shape; each column is built as kron builds it, one
     entry when both factor columns hold one, and the entries of the second
     product are subtracted into it, dropping those that cancel.  When every
     factor column holds one nonzero, each column is built from its four
-    entries by index, without either walk.  Given keep, a list of column
-    indices, only those columns, in that order."""
+    entries by index, without either walk."""
     for m in (z, w, y):
         require_same_field(x.field, m.field)
     rows, cols = x.rows * z.rows, x.cols * z.cols
@@ -391,7 +390,7 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix, keep=None) -> M
         ws = [(i * y.rows, a) for c in w.columns for i, a in c.items()]
         zs, ys = [e for c in z.columns for e in c.items()], [e for c in y.columns for e in c.items()]
         out, nz, ny = [], z.cols, y.cols
-        for c in range(cols) if keep is None else keep:
+        for c in range(cols):
             (i, a), (k, b), (j, d), (l, e) = xs[c // nz], zs[c % nz], ws[c // ny], ys[c % ny]
             u = b if a == one else a if b == one else norm(a * b)
             v = e if d == one else d if e == one else norm(d * e)
@@ -400,10 +399,8 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix, keep=None) -> M
     # each product's columns in order, as pairs of factor columns, the left factor's rows pre-scaled
     xs, zs = [[(i * z.rows, a) for i, a in c.items()] for c in x.columns], [c.items() for c in z.columns]
     ws, ys = [[(i * y.rows, a) for i, a in c.items()] for c in w.columns], [c.items() for c in y.columns]
-    first, second = (product(xs, zs), product(ws, ys)) if keep is None else (
-        ((xs[c // z.cols], zs[c % z.cols]) for c in keep), ((ws[c // y.cols], ys[c % y.cols]) for c in keep))
     out = []
-    for (xp, zq), (wp, yq) in zip(first, second):
+    for (xp, zq), (wp, yq) in zip(product(xs, zs), product(ws, ys)):
         if len(xp) == 1 == len(zq):
             ((i, a),), ((k, b),) = xp, zq
             col = {i + k: b if a == one else a if b == one else norm(a * b)}

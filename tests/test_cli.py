@@ -150,6 +150,24 @@ def test_relcat_fixtures_pass_with_linearization():
     assert any(n.endswith("composition table round-trip") for n in names)
 
 
+@pytest.mark.parametrize("argv", [
+    ["coherence", "chains.json", "--name", "pent", "--shape", "pentagon"],
+    *(["relcat", "relcats.json", "--name", name]
+      for name in ("discrete3", "poset01", "z2", "groupoid5")),
+])
+def test_linearized_commands_solve_no_equalizer_system(monkeypatch, argv):
+    """Every coalgebra pullback of these commands is of a group-like cospan,
+    each iterated apex staying group-like, so each is its matching pairs and
+    none solves a system."""
+    solves, pairs = [], []
+    solve_in, pairs_in = coalg._equalizer, coalg._matching_pairs
+    monkeypatch.setattr(coalg, "_equalizer", lambda *a: solves.append(a) or solve_in(*a))
+    monkeypatch.setattr(coalg, "_matching_pairs", lambda *a: pairs.append(pairs_in(*a)) or pairs[-1])
+    code, _ = run([argv[0], fx(argv[1]), *argv[2:], "--instance", "coalg"])
+    assert code == 0
+    assert pairs and None not in pairs and not solves
+
+
 def test_relcat_violations_each_fail_with_witness():
     code, doc = run_json(["relcat", fx("relcat_violations.json")])
     assert code == 1

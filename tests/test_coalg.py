@@ -604,7 +604,7 @@ def test_pullback_builds_t_and_z_from_the_factors(monkeypatch):
     """The t and z that the pullback hands the solve, built from the factors,
     are T = (1⊗(f⊗ε - ε⊗g))∘δ_{A⊗C} with its rows in A⊗B⊗C order (so
     rref(t) = rref(T)) and (1⊗ε)∘δ_{A⊗C}, on random A and C that are neither
-    counital nor coassociative."""
+    counital nor coassociative; a cospan that is group-like hands it none."""
     systems = []
     solve_in = coalg._equalizer
     monkeypatch.setattr(coalg, "_equalizer", lambda *a: systems.append(a) or solve_in(*a))
@@ -616,15 +616,15 @@ def test_pullback_builds_t_and_z_from_the_factors(monkeypatch):
             f = CoalgMap(a, b, rand_sparse_matrix(rng, field, nb, na, 0.6))
             g = CoalgMap(c, b, rand_sparse_matrix(rng, field, nb, nc, 0.6))
             _outcome(relative_pullback_coalg, CoalgCategory(field), f, g)
-            x, t, z, cols = systems.pop()
+            if not systems:
+                assert coalg._matching_pairs(f, g) is not None
+                continue
+            x, t, z = systems.pop()
             fe, eg = _legs_on_tensor(f, g)
             i_x = Matrix.identity(field, x.dim)
             big_t = kron_apply(i_x, fe.mat - eg.mat, x.delta)
-            full = kron(Matrix.identity(field, na), swap_map(field, nc, nb)) @ big_t
-            # a split system is the full one on the columns it keeps
-            assert t == (full if cols is None else
-                         Matrix.from_cols(field, full.rows, [full.columns[i] for i in cols]))
-            assert cols is not None or t.rref() == big_t.rref()
+            assert t == kron(Matrix.identity(field, na), swap_map(field, nc, nb)) @ big_t
+            assert t.rref() == big_t.rref()
             # z is None exactly when Z is the identity
             assert (Matrix.identity(field, x.dim) if z is None else z) == kron_apply(
                 i_x, x.epsilon, x.delta)
@@ -701,9 +701,9 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
     no kron_apply takes it and the second system is never built.  It builds
     no δ column of A⊗C, since δ∘K' is (1⊗c⊗1)∘(δ_A⊗δ_C)∘K', and never the ε
     of A⊗C, and its K' is that of the R∘z path with z the identity on the
-    full system, also when t keeps only the diagonal blocks of a split.
-    Non-counital input builds R once, eliminates R∘z as well, and then the
-    second system, on the full t."""
+    full system.  A linearized cospan builds no t at all: its one closure
+    check is on its matching pairs.  Non-counital input builds R once,
+    eliminates R∘z as well, and then the second system."""
     reduces = _spy(monkeypatch, linalg, "_reduce")
     monkeypatch.setattr(coalg, "_reduce", linalg._reduce)  # the elimination of t is counted too
     echelons = _spy(monkeypatch, coalg, "_echelon")
@@ -718,12 +718,14 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
         for calls in (reduces, echelons, checks, solves, krons, columns):
             calls.clear()
         _outcome(relative_pullback_coalg, CoalgCategory(f.mat.field), f, g)
-        (((x, t, z, cols), _),) = solves
+        if not solves:
+            return None
+        (((x, t, z), _),) = solves
         assert reduces[0][0][1] is t.columns
-        return x, t, z, cols
+        return x, t, z
 
     rng = rng_for("pb-counital")
-    split = 0
+    routes = set()
     for field in (QQ, GF(2), GF(5)):
         for dense in (False, True, True):
             f0 = rand_finfun(rng, rng.randint(1, 4), rng.randint(1, 3))
@@ -733,24 +735,24 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                 p_b = random_basis(rng, field, f.tgt.dim)
                 f = rebased_map(f, random_basis(rng, field, f.src.dim), p_b)
                 g = rebased_map(g, random_basis(rng, field, g.src.dim), p_b)
-            x, t, z, cols = pullback(f, g)
-            assert z is None and len(reduces) == 1 and not echelons
-            (((x_used, k, delta_k), eq),) = checks
-            assert x_used is x and eq is not None
+            system = pullback(f, g)
+            (((x, k, delta_k), eq),) = checks
+            assert eq is not None and not echelons
+            assert len(reduces) == (system is not None)
+            assert system is None or (dense and system[0] is x and system[2] is None)
+            routes.add(system is None)
             assert "delta" not in vars(x) and "epsilon" not in vars(x)
             assert not any(c is x for c, _ in columns)
             assert delta_k == x.delta @ k
             fe, eg = _legs_on_tensor(f, g)
             full = kron_apply(Matrix.identity(field, x.dim), fe.mat - eg.mat, x.delta)
             assert k == _equalizer_system(x, full, Matrix.identity(field, x.dim))[0]
-            assert t.cols == (x.dim if cols is None else len(cols))
-            split += cols is not None and not dense
-    assert split
+    assert routes == {True, False}
     field = GF(5)
     a, c, b = (rand_raw_coalgebra(rng, field, d) for d in (2, 2, 1))
-    x, t, z, cols = pullback(CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
-                             CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
-    assert z is not None and cols is None and len(reduces) == 3
+    x, t, z = pullback(CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
+                       CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
+    assert z is not None and len(reduces) == 3
     ((_, r),) = echelons
     assert r == _rref_rows(t)
     assert sum(args[0] is r for args, _ in krons) == 1
@@ -758,29 +760,32 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
 
 def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypatch):
     """N = ker((R⊗1)∘δ∘K') is the identity exactly when that system has rank
-    0, and then the equalizer is K' itself: a counital group-like pullback
-    hands the closure check K' and δ∘K' as the elimination of t gave them,
-    its rows renamed to A⊗C when t was split, and builds no R.
+    0, and then the equalizer is K' itself: a counital pullback hands the
+    closure check K' and δ∘K' as the elimination of t gave them, or, on a
+    linearized cospan, as its matching pairs give them, and builds no R.
     Random non-counital data, where the reference's N is not the identity,
     gets K'∘N and δ∘K'∘N."""
     kernels = _spy(monkeypatch, coalg, "_kernel")
     echelons = _spy(monkeypatch, coalg, "_echelon")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
     rng = rng_for("eq-skip-n")
+    eliminated = 0
     for field in FIELDS:
         f = linearize_fun(rand_finfun(rng, 4, 2), field)
         g = linearize_fun(rand_finfun(rng, 3, 2), field)
-        relative_pullback_coalg(CoalgCategory(field), f, g)
-        ((_, k),), (((x, k_used, delta_k_used), _),) = kernels, checks
-        assert delta_k_used == x.delta @ k_used and not echelons
-        # K' is the kernel of the full system; a split one's is t's with its rows renamed
-        fe, eg = _legs_on_tensor(f, g)
-        full = kron_apply(Matrix.identity(field, x.dim), fe.mat - eg.mat, x.delta)
-        assert k_used == kernel_basis_sparse(full)
-        values = [list(c.values()) for c in k.columns]
-        assert k_used is k or [list(c.values()) for c in k_used.columns] == values
-        kernels.clear()
-        checks.clear()
+        for f, g in ((f, g), _counital_cospan(rng, field)):
+            relative_pullback_coalg(CoalgCategory(field), f, g)
+            (((x, k_used, delta_k_used), _),) = checks
+            assert delta_k_used == x.delta @ k_used and not echelons
+            # K' is the kernel of the full system, as its elimination or the pairs give it
+            fe, eg = _legs_on_tensor(f, g)
+            full = kron_apply(Matrix.identity(field, x.dim), fe.mat - eg.mat, x.delta)
+            assert k_used == kernel_basis_sparse(full)
+            assert len(kernels) <= 1 and all(k is k_used for _, k in kernels)
+            eliminated += len(kernels)
+            kernels.clear()
+            checks.clear()
+    assert eliminated
     multiplied = 0
     for field in RESTRICTION_FIELDS:
         for _ in range(30):
@@ -832,8 +837,8 @@ def _rand_twisted(rng, field, n):
 def test_counital_equalizer_falls_back_to_the_second_system_as_the_reference_does(monkeypatch):
     """On counital coalgebras that are not coassociative, coalg_equalizer
     gives what the reference gives, which always solves the second system:
-    on K' when the closure check passes, else on K'∘N with one more check
-    when N is not the identity.  Both branches must be seen."""
+    on K' when the closure check passes, else on K'∘N with one more check.
+    Both branches must be seen."""
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
     rng = rng_for("eq-fallback")
     seen, coassociative = set(), set()
@@ -851,7 +856,7 @@ def test_counital_equalizer_falls_back_to_the_second_system_as_the_reference_doe
             seen.add(passed)
             t, z = _t_and_z(f, g)
             k, _, system = _equalizer_system(x, t, z)
-            assert len(checks) == 1 if passed else 1 + (system.rank() > 0)
+            assert len(checks) == (1 if passed else 2)
             assert got == _reference_equalizer(x, t, z)
     assert seen == {True, False} and coassociative == {True, False}
 
@@ -884,9 +889,10 @@ def test_counital_pullback_falls_back_to_the_second_system_as_the_reference_does
 def test_counital_equalizer_fails_as_the_reference_does_when_n_is_one(monkeypatch):
     """k[4] with (e2 − e0)⊗(e1 − e3) added to δ(e2), and f − g = e1* + e3*
     into k: K' = span(e0, e2) has δ(K') ⊆ K'⊗X, so (R⊗1)∘δ∘K' = 0 and
-    N = 1, but δ(e2) is not in K'⊗K'.  The closure check fails once and the
-    equalizer raises what the reference raises; so does the pullback of
-    f' = ε + e1* + e3* against the identity of k, whose t is the same."""
+    N = 1, but δ(e2) is not in K'⊗K'.  The closure check fails twice, on K'
+    and on K'∘N = K', and the equalizer raises what the reference raises; so
+    does the pullback of f' = ε + e1* + e3* against the identity of k, whose
+    t is the same."""
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
     for field in FALLBACK_FIELDS:
         x = _twisted_grouplike(field, 4, 2, [-1, 0, 1, 0], [0, 1, 0, -1])
@@ -900,12 +906,12 @@ def test_counital_equalizer_fails_as_the_reference_does_when_n_is_one(monkeypatc
         failure = "δ∘j does not factor through j⊗j"
         checks.clear()
         assert _outcome(coalg_equalizer, f, g) == failure
-        assert [eq for _, eq in checks] == [None]
+        assert [eq for _, eq in checks] == [None, None]
         assert _reference_equalizer(x, t, z) == failure
         checks.clear()
         f_pb = CoalgMap(x, one, Matrix(field, [[1, 2, 1, 2]], 1, 4))
         assert _outcome(relative_pullback_coalg, CoalgCategory(field), f_pb, cid(one)) == failure
-        assert [eq for _, eq in checks] == [None]
+        assert [eq for _, eq in checks] == [None, None]
 
 
 # -- relative pullbacks -------------------------------------------------------------
@@ -1225,8 +1231,8 @@ def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
     """δ_E, the rows of δ∘K at pairs of K's free coordinates, is (L⊗L)∘δ∘K
     as one kron_apply gives it, L = kernel_left_inverse(K), whether the
     closure check passes or not: on subcoalgebra of random subspaces, on
-    the tensor coalgebras of counital pullbacks and on the second system's
-    K'·N of non-counital ones."""
+    the tensor coalgebras of counital pullbacks, the matching pairs of
+    group-like ones and on the second system's K'·N of non-counital ones."""
     sub_in, kron_in, solve_in = coalg._subcoalgebra, coalg.kron_apply, coalg._equalizer
     closures, kprime, seen = {}, [None], set()
 
@@ -1235,10 +1241,9 @@ def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
             closures[id(a)] = m
         return kron_in(a, b, m)
 
-    def solve_spy(x, t, z, cols=None):
-        # a split t drops only columns that hold no kernel vector
+    def solve_spy(x, t, z):
         kprime[0] = kernel_basis_sparse(t if z is None else _rref_rows(t) @ z).cols
-        return solve_in(x, t, z, cols)
+        return solve_in(x, t, z)
 
     def sub_spy(x, k, delta_k):
         closures.clear()
@@ -1266,9 +1271,13 @@ def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
             x = rebased(grouplike(field, 3), random_basis(rng, field, 3))
             _outcome(subcoalgebra, x, kernel_basis_sparse(rand_matrix(rng, field, 1, 3)))
         for _ in range(8):
-            for make in (rand_raw_coalgebra, _symmetric_twisted):
-                _outcome(relative_pullback_coalg, base, *_raw_cospan(rng, field, make))
-            _outcome(relative_pullback_coalg, base, *_counital_cospan(rng, field))
+            f0 = rand_finfun(rng, rng.randint(1, 3), rng.randint(1, 2))
+            g0 = rand_finfun(rng, rng.randint(1, 3), f0.cod.size)
+            cospans = [_raw_cospan(rng, field, make) for make in (rand_raw_coalgebra, _symmetric_twisted)]
+            cospans += [_counital_cospan(rng, field), (linearize_fun(f0, field), linearize_fun(g0, field))]
+            for f, g in cospans:
+                kprime[0] = None
+                _outcome(relative_pullback_coalg, base, f, g)
     assert seen >= {("plain", True), ("plain", False), ("tensor", True), ("tensor", False), "K'N"}
 
 
@@ -1339,13 +1348,27 @@ def _pullback_bits(pb):
                                pb.p_a.mat, pb.p_c.mat)]
 
 
+def _spy_builds(monkeypatch):
+    """The pullbacks that _pullback_equalizer builds from here on, as (f, g):
+    its calls that find none kept on f for the object g."""
+    builds, build = [], coalg._pullback_equalizer
+
+    def spy(f, g):
+        if f._pullback is None or f._pullback[0] is not g:
+            builds.append((f, g))
+        return build(f, g)
+
+    monkeypatch.setattr(coalg, "_pullback_equalizer", spy)
+    return builds
+
+
 def test_pullback_then_comparison_builds_one_equalizer_in_either_order(monkeypatch):
     """relative_pullback and compare_cotensor_pullback on the same legs, in
-    either order, eliminate once: the second reads the pullback kept on f.
+    either order, build one pullback: the second reads the one kept on f.
     The report is compare_with_pullback's on the cotensor basis and the
     payload, and each call still decides both legs."""
     rng = rng_for("kept-pullback")
-    solves = _spy(monkeypatch, coalg, "_equalizer")
+    builds = _spy_builds(monkeypatch)
     witnesses = _spy(monkeypatch, coalg, "class_S_witness")
     for field in RESTRICTION_FIELDS:
         base = CoalgCategory(field)
@@ -1353,19 +1376,19 @@ def test_pullback_then_comparison_builds_one_equalizer_in_either_order(monkeypat
             f, g = _counital_cospan(rng, field)
             for pullback_first in (True, False):
                 f, g = _fresh(f), _fresh(g)
-                del solves[:], witnesses[:]
+                del builds[:], witnesses[:]
                 if pullback_first:
                     pb = relative_pullback(base, f, g)
                     rep = compare_cotensor_pullback(f, g)
                 else:
                     rep = compare_cotensor_pullback(f, g)
                     pb = relative_pullback(base, f, g)
-                assert len(solves) == 1 and len(witnesses) == 4
+                assert len(builds) == 1 and len(witnesses) == 4
                 assert rep.ok
                 assert [c.as_dict() for c in rep.checks] == [
                     c.as_dict() for c in compare_with_pullback(cotensor(f, g), pb.payload).checks]
                 assert relative_pullback(base, f, g).payload is pb.payload
-                assert len(solves) == 1
+                assert len(builds) == 1
 
 
 def test_the_kept_pullback_does_not_decide_the_legs():
@@ -1383,7 +1406,7 @@ def test_the_kept_pullback_is_keyed_on_the_leg_objects(monkeypatch):
     the same f gives that leg's pullback, as fresh legs give it; f keeps only
     its last right leg's."""
     rng = rng_for("kept-pullback-key")
-    solves = _spy(monkeypatch, coalg, "_equalizer")
+    builds = _spy_builds(monkeypatch)
     for field in RESTRICTION_FIELDS:
         base = CoalgCategory(field)
         for _ in range(6):
@@ -1391,7 +1414,7 @@ def test_the_kept_pullback_is_keyed_on_the_leg_objects(monkeypatch):
             f = linearize_fun(f0, field)
             g, h = (linearize_fun(rand_finfun(rng, rng.randint(1, 3), f0.cod.size), field)
                     for _ in range(2))
-            del solves[:]
+            del builds[:]
             pb_g = relative_pullback(base, f, g)
             for left, right in ((_fresh(f), g), (f, _fresh(g))):
                 again = relative_pullback(base, left, right)
@@ -1400,7 +1423,7 @@ def test_the_kept_pullback_is_keyed_on_the_leg_objects(monkeypatch):
             pb_h = relative_pullback(base, f, h)
             assert _pullback_bits(pb_h) == _pullback_bits(relative_pullback(base, _fresh(f), h))
             assert relative_pullback(base, f, g).payload is not pb_g.payload
-            assert len(solves) == 6
+            assert len(builds) == 6
 
 
 def test_a_failed_pullback_is_not_kept(monkeypatch):
@@ -1430,7 +1453,7 @@ def test_a_failed_pullback_is_not_kept(monkeypatch):
     assert seen.keys() == {"δ∘j does not factor through j⊗j", "pullback square does not commute"}
 
 
-# -- the diagonal split of a counital pullback ------------------------------------------
+# -- the matching pairs of a group-like cospan ------------------------------------------
 
 
 def _bits(m):
@@ -1458,100 +1481,111 @@ def _reference_pullback(f, g):
 
 def _assert_pullback_is_the_reference(solves, f, g):
     """relative_pullback_coalg gives what _reference_pullback gives; returns
-    the columns its system kept, None when it solved the full system."""
+    whether it solved a system, as its calls to _equalizer record."""
     solves.clear()
     pb = _outcome(relative_pullback_coalg, CoalgCategory(f.mat.field), f, g)
     got = pb if isinstance(pb, str) else (
         [_bits(m) for m in (pb.payload.j.mat, pb.payload.left_inv, pb.payload.object.delta,
                             pb.payload.object.epsilon, pb.p_a.mat, pb.p_c.mat)] + [pb.jointly_monic])
     assert got == _reference_pullback(f, g)
-    (((x, t, _, cols), _),) = solves
-    assert t.cols == (x.dim if cols is None else len(cols))
-    return cols
+    assert len(solves) <= 1
+    return bool(solves)
 
 
-def _zeroed(f, rng):
-    """f with each column set to 0 with probability 1/2."""
-    return CoalgMap(f.src, f.tgt, Matrix.from_cols(
-        f.mat.field, f.mat.rows, [{} if rng.random() < 0.5 else dict(c) for c in f.mat.columns]))
+def _with_column(f, i, col):
+    """f with its column i replaced by col."""
+    cols = list(f.mat.columns)
+    cols[i] = col
+    return CoalgMap(f.src, f.tgt, Matrix.from_cols(f.mat.field, f.mat.rows, cols))
 
 
-def test_split_pullback_of_grouplike_cospans_is_the_reference(monkeypatch):
-    """A linearized cospan falls apart into its fibers over B, and the split
-    system keeps exactly the pairs (a, c) with f(a) = g(c), every one a zero
-    column; the pullback is the reference on the full T bit for bit, with
-    empty sets, and on a one-point B, one part, without a split."""
+def _sheared(f):
+    """f from A rebased by the shear e_1 -> e_0 + e_1, which leaves no basis
+    vector of A group-like but e_0; A has at least 2 elements."""
+    fld, n = f.mat.field, f.src.dim
+    shear = Matrix.from_cols(fld, n, [{0: fld.one}, {0: fld.one, 1: fld.one}]
+                             + [{i: fld.one} for i in range(2, n)])
+    return rebased_map(f, shear, Matrix.identity(fld, f.tgt.dim))
+
+
+def test_grouplike_pullback_is_its_matching_pairs(monkeypatch):
+    """A linearized cospan over Q or F_5 solves no system: its one closure
+    check is on the unit columns at a⊗c for the pairs (a, c) that
+    finset.pullback lists, and the pullback is the reference on the full T
+    bit for bit, on empty A, empty C, a one-point B and random fibers."""
     solves = _spy(monkeypatch, coalg, "_equalizer")
-    rng = rng_for("split-grouplike")
-    split = whole = 0
-    # empty A, empty C, a one-point B, then random cospans
+    checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    rng = rng_for("matching-pairs")
     sizes = [(0, 2, 3), (3, 2, 0), (0, 1, 0), (3, 1, 2)] + [
         (rng.randint(0, 5), rng.randint(1, 4), rng.randint(0, 5)) for _ in range(20)]
     for field in (QQ, GF(5)):
         for na, nb, nc in sizes:
             f0, g0 = rand_finfun(rng, na, nb), rand_finfun(rng, nc, nb)
-            cols = _assert_pullback_is_the_reference(solves, linearize_fun(f0, field),
-                                                     linearize_fun(g0, field))
-            pairs = [(a, c) for a, c in pullback(f0, g0).payload]
-            if cols is None:
-                whole += 1
-                assert f0.cod.size == 1 or len(pairs) == f0.dom.size * g0.dom.size
-            else:
-                split += 1
-                assert cols == [a * g0.dom.size + c for a, c in pairs]
-                assert not any(solves[0][0][1].columns)
-    assert split and whole
+            checks.clear()
+            assert not _assert_pullback_is_the_reference(solves, linearize_fun(f0, field),
+                                                         linearize_fun(g0, field))
+            (_, k, _), eq = checks[0]
+            assert eq is not None
+            assert k.columns == [{a * nc + c: field.one} for a, c in pullback(f0, g0).payload]
 
 
-def test_split_pullback_of_block_cospans_is_the_reference(monkeypatch):
-    """Direct sums of group-like and primitive blocks, legs drawn by
-    rand_block_map, some primitives sent to 0, so that δ_A or δ_C alone
-    places them: the split pullback is the reference on the full T; so is
-    a cospan of counital A and C that are not coassociative, each with a
-    group-like block of its own, whose closure check can fail after the
-    split, and which then builds R from the full system's reduced echelon
-    form."""
+def test_near_grouplike_pullbacks_solve_the_full_system(monkeypatch):
+    """A leg column scaled by 2, a zero leg column, a leg column with two
+    entries, a group-like A rebased by a shear, the path coalgebra, block
+    cospans with a primitive block and cospans of twisted group-like
+    coalgebras, counital and not coassociative, each solve the full system
+    and give the reference on it."""
     solves = _spy(monkeypatch, coalg, "_equalizer")
-    echelons = _spy(monkeypatch, coalg, "_echelon")
-    rng = rng_for("split-blocks")
-    split_zero = split_r = 0
-    for field in (QQ, GF(5), GF(2)):
-        for _ in range(25):
-            b_blocks = tuple(rng.choice("gp") for _ in range(rng.randint(2, 3)))
-            f = rand_block_map(rng, field, rand_blocks(rng, 4), b_blocks)
-            g = rand_block_map(rng, field, rand_blocks(rng, 4), b_blocks)
-            g = CoalgMap(g.src, f.tgt, g.mat)
-            cols = _assert_pullback_is_the_reference(solves, f, g)
-            zero = not all(f.mat.columns) or not all(g.mat.columns)
-            split_zero += cols is not None and zero
-        for _ in range(10):
+    rng = rng_for("matching-near")
+    kinds = Counter()
+
+    def solves_fully(kind, f, g):
+        assert _assert_pullback_is_the_reference(solves, f, g), kind
+        kinds[kind] += 1
+
+    for field in (QQ, GF(5)):
+        one, two = field.one, field.of(2)
+        solves_fully("path", cid(path_coalgebra(field)), cid(path_coalgebra(field)))
+        for _ in range(8):
+            f0 = rand_finfun(rng, rng.randint(2, 4), rng.randint(2, 3))
+            g0 = rand_finfun(rng, rng.randint(1, 4), f0.cod.size)
+            f, g = linearize_fun(f0, field), linearize_fun(g0, field)
+            i, b = rng.randrange(f.src.dim), f0.table[0]
+            solves_fully("scaled", _with_column(f, i, {f0.table[i]: two}), g)
+            solves_fully("zero", f, _with_column(g, rng.randrange(g.src.dim), {}))
+            solves_fully("two entries", _with_column(f, i, {b: one, (b + 1) % f0.cod.size: one}), g)
+            solves_fully("sheared", _sheared(f), g)
+            b_blocks = rand_blocks(rng)
+            f = rand_block_map(rng, field, rand_blocks(rng) + ("p",), b_blocks)
+            g = rand_block_map(rng, field, rand_blocks(rng), b_blocks)
+            solves_fully("block", f, CoalgMap(g.src, f.tgt, g.mat))
             # a twisted block of A and of C goes to points 0 and 1, a group-like one to 2
-            b, one = grouplike(field, 3), field.one
-            f, g = (CoalgMap(direct_sum(_rand_twisted(rng, field, n)[0], grouplike(field, m)), b,
-                             Matrix.from_cols(field, 3, [{rng.randrange(2): one} for _ in range(n)]
+            b = grouplike(field, 3)
+            f, g = (CoalgMap(direct_sum(x, grouplike(field, m)), b,
+                             Matrix.from_cols(field, 3, [{rng.randrange(2): one} for _ in range(x.dim)]
                                               + [{2: one}] * m))
-                    for n, m in ((rng.randint(3, 4), rng.randint(1, 2)) for _ in "fg"))
-            echelons.clear()
-            cols = _assert_pullback_is_the_reference(solves, f, g)
-            split_r += cols is not None and bool(echelons)
-    assert split_zero and split_r
+                    for x, m in ((_twisted_grouplike(field, 3, 0, [1, 0, -1], [0, 1, -1]), 1),
+                                 (_rand_twisted(rng, field, rng.randint(3, 4))[0], rng.randint(1, 2))))
+            solves_fully("twisted", f, g)
+    assert len(kinds) == 7
 
 
-def test_split_block_pullback_apex_is_sympys_nullspace_of_the_full_system(monkeypatch):
-    """Over Q, the apex basis of a block cospan whose system was split is
-    sympy's nullspace of the full T, which is the canonical basis too."""
+def test_pullback_apex_is_sympys_nullspace_of_the_full_system():
+    """Over Q, the apex basis of a group-like cospan, from its matching
+    pairs, and of a block cospan, from its full system, is sympy's
+    nullspace of T, which is the canonical basis too."""
     sp = pytest.importorskip("sympy")
-    solves = _spy(monkeypatch, coalg, "_equalizer")
-    rng = rng_for("split-sympy")
-    split = 0
+    rng = rng_for("pullback-sympy")
+    cospans = []
     for _ in range(8):
-        b_blocks = tuple(rng.choice("gp") for _ in range(rng.randint(2, 3)))
-        f = rand_block_map(rng, QQ, rand_blocks(rng), b_blocks)
+        b_blocks = rand_blocks(rng)
+        f = rand_block_map(rng, QQ, rand_blocks(rng) + ("p",), b_blocks)
         g = rand_block_map(rng, QQ, rand_blocks(rng), b_blocks)
-        g = CoalgMap(g.src, f.tgt, g.mat)
-        solves.clear()
+        f0 = rand_finfun(rng, rng.randint(0, 4), rng.randint(1, 3))
+        g0 = rand_finfun(rng, rng.randint(0, 4), f0.cod.size)
+        cospans += [(f, CoalgMap(g.src, f.tgt, g.mat)), (linearize_fun(f0, QQ), linearize_fun(g0, QQ))]
+    for f, g in cospans:
         j = relative_pullback_coalg(CoalgCategory(QQ), f, g).payload.j.mat
-        split += solves[0][0][3] is not None
         t = _t_and_z(*_legs_on_tensor(f, g))[0]
         st = sp.zeros(t.rows, t.cols)
         for c, col in enumerate(t.columns):
@@ -1559,31 +1593,6 @@ def test_split_block_pullback_apex_is_sympys_nullspace_of_the_full_system(monkey
                 st[i, c] = sp.Rational(v.numerator, v.denominator)
         want = [{i: Fraction(int(v.p), int(v.q)) for i, v in enumerate(vec) if v} for vec in st.nullspace()]
         assert j.columns == want
-    assert split
-
-
-def test_pullbacks_that_cannot_split_solve_the_full_system(monkeypatch):
-    """Rebased cospans, which have one part, legs that do not preserve ε,
-    a linearized cospan with columns set to 0, and a non-counital A each
-    solve the full system, and give the reference on it."""
-    solves = _spy(monkeypatch, coalg, "_equalizer")
-    rng = rng_for("split-none")
-    for field in (QQ, GF(5)):
-        for _ in range(8):
-            f, g = _counital_cospan(rng, field)
-            assert _assert_pullback_is_the_reference(solves, f, g) is None
-            f0 = rand_finfun(rng, rng.randint(1, 4), rng.randint(2, 3))
-            g0 = rand_finfun(rng, rng.randint(1, 4), f0.cod.size)
-            f, g = linearize_fun(f0, field), linearize_fun(g0, field)
-            # with a column of each leg at 0, the pair of them spans a zero column of T
-            f, g = _zeroed(f, rng), _zeroed(g, rng)
-            if f.tgt.epsilon @ f.mat != f.src.epsilon:
-                assert _assert_pullback_is_the_reference(solves, f, g) is None
-            a = _cocommutative_raw(rng, field, rng.randint(1, 3))
-            while a.right_counit == Matrix.identity(field, a.dim):
-                a = _cocommutative_raw(rng, field, a.dim)
-            f = CoalgMap(a, f.tgt, Matrix.from_cols(field, f.tgt.dim, [{0: field.one}] * a.dim))
-            assert _assert_pullback_is_the_reference(solves, f, g) is None
 
 
 def _full_comparison(ct, eq):

@@ -318,31 +318,6 @@ def _one_nonzero_factors(rng, field, n):
         yield factors
 
 
-@pytest.mark.parametrize("field", [QQ, F5, GF(2)])
-def test_kron_difference_on_kept_columns_is_those_columns_of_the_whole(field):
-    """Given a list of column indices, _kron_difference is those columns of
-    kron(x, z) - kron(w, y), in the order given, on both splits of one
-    shape, with none, some and all of the columns kept, on sparse factors
-    and on factors with one nonzero per column."""
-    rng = rng_for(f"kron-diff-keep-{field!r}")
-    draw = (lambda r, c: rand_q_matrix(rng, r, c, 0.4)) if field == QQ else (
-        lambda r, c: rand_sparse_matrix(rng, field, r, c, 0.4))
-    draws = []
-    for _ in range(20):
-        xr, xc, zr, zc = (rng.randint(1, 3) for _ in range(4))
-        x, z = draw(xr, xc), draw(zr, zc)
-        w, y = (draw(xr, xc), draw(zr, zc)) if rng.random() < 0.5 else (draw(zr, zc), draw(xr, xc))
-        draws.append((x, z, w, y))
-    draws += _one_nonzero_factors(rng_for(f"kron-diff-keep-one-{field!r}"), field, 20)
-    for x, z, w, y in draws:
-        whole = kron(x, z) - kron(w, y)
-        for keep in ([], sorted(rng.sample(range(whole.cols), rng.randint(1, whole.cols))),
-                     rng.sample(range(whole.cols), whole.cols)):
-            got = _kron_difference(x, z, w, y, keep)
-            assert got == Matrix.from_cols(field, whole.rows, [whole.columns[c] for c in keep])
-            _assert_canonical(got)
-
-
 def test_kron_difference_refuses_mismatched_shapes_and_fields():
     a, b = Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)
     assert _kron_difference(a, b, b, a) == kron(a, b) - kron(b, a)
