@@ -100,6 +100,8 @@ from .linalg import (
     _kernel,
     _kron_difference,
     _reduce,
+    _unit_matrix,
+    _unit_rows,
     first_difference,
     kernel_basis_sparse,
     kernel_left_inverse,
@@ -502,20 +504,19 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
 def _matching_pairs(f: CoalgMap, g: CoalgMap) -> Matrix | None:
     """The unit columns at a⊗c with f(a) = g(c), ascending, when every column
     of f and g is one entry equal to one and δ_A and δ_C are group-like;
-    else None.  The columns of f are read first, so a dense f fails at once."""
-    fld, images = f.mat.field, []
-    one = fld.one
+    else None.  The legs' row tables are read (linalg._unit_rows), f's first,
+    so a dense f fails at its first column, and kron_apply reads them later."""
+    images = []
     for m in (f, g):
         n = m.src.dim
-        if not all(len(col) == 1 and one in col.values() for col in m.mat.columns) or any(
-                d != {x * n + x: one} for x, d in enumerate(m.src.delta.columns)):
+        if (rows := _unit_rows(m.mat)) is False or _unit_rows(m.src.delta) != [x * n + x for x in range(n)]:
             return None
-        images.append([b for col in m.mat.columns for b in col])
+        images.append(rows)
     (fa, gc), nc, over = images, g.src.dim, {}
     for c, b in enumerate(gc):
         over.setdefault(b, []).append(c)
-    return Matrix.from_cols(fld, f.src.dim * nc,
-                            [{a * nc + c: one} for a, b in enumerate(fa) for c in over.get(b, ())])
+    return _unit_matrix(f.mat.field, f.src.dim * nc,
+                        [a * nc + c for a, b in enumerate(fa) for c in over.get(b, ())])
 
 
 def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> RelPullback:

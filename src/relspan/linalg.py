@@ -18,11 +18,16 @@ reduction), so a product column fed by one nonzero equal to one is the left
 operand's column itself, shared, not copied.  A product with a square
 identity operand is its other operand, and kron_apply with two square
 identity factors is M, each returned as it is; an identity is one shared
-matrix per field and size.  Group-like data, whose δ, 0/1 maps and
-identities have one nonzero per column, takes only the one-pass path, and
-X⊗Z - W⊗Y of it is read off by index: each column is the two entries u and
--v its factor columns give, or u - v where they share a row, or nothing
-where that is 0.
+matrix per field and size.
+
+Group-like data (δ, ε, 0/1 maps, identities) has every column a unit vector
+{r: one}.  A matrix keeps the row table of such columns, found on first use
+(_unit_rows) or given by the operation that builds it; as matrices never
+change, it never goes stale.  kron_apply on three tables, and A @ B on B's,
+is an index map that keeps the result's table (A @ B when A has one), and
+X⊗Z - W⊗Y of factors with one nonzero per column is read off by index:
+each column is the two entries u and -v its factor columns give, or u - v
+where they share a row, or nothing where that is 0.
 
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
@@ -65,9 +70,10 @@ class Matrix:
     operations); the dense forms, Matrix(field, rows, …) and from_rows, are
     kept only because the benchmark under bench/ and the tests call them.
     A matrix and its column dicts never change once built, so results share
-    them (see the module docstring)."""
+    them, and the row table of its unit columns stays true (_unit_rows; see
+    the module docstring)."""
 
-    __slots__ = ("field", "rows", "cols", "columns")
+    __slots__ = ("field", "rows", "cols", "columns", "_units")
 
     def __init__(self, field, data, rows=None, cols=None):
         """data: list of row lists of canonical field values."""
@@ -84,6 +90,7 @@ class Matrix:
         self.rows = rows
         self.cols = cols
         self.columns = [{i: row[j] for i, row in enumerate(data) if row[j]} for j in range(cols)]
+        self._units = None
 
     # -- constructors ------------------------------------------------------
 
@@ -97,6 +104,7 @@ class Matrix:
         m.rows = nrows
         m.cols = len(cols)
         m.columns = cols
+        m._units = None
         return m
 
     @classmethod
@@ -173,6 +181,10 @@ class Matrix:
         if _is_identity(self):
             return other
         fld, acols = self.field, self.columns
+        if (br := _unit_rows(other)) is not False:
+            out = Matrix.from_cols(fld, self.rows, [acols[k] for k in br])
+            out._units = None if (ar := _unit_rows(self)) is False else [ar[k] for k in br]
+            return out
         norm, one = fld.normalize, fld.one
         cols = []
         for col in other.columns:
@@ -207,7 +219,25 @@ class Matrix:
 
 @cache
 def _identity(field, n):
-    return Matrix.from_cols(field, n, [{i: field.one} for i in range(n)])
+    return _unit_matrix(field, n, list(range(n)))
+
+
+def _unit_rows(m):
+    """The row r of each column of m when every column is {r: one}, else
+    False; found once per matrix, at the first column that fails, and kept
+    in m._units (None until then: None and False survive a deep copy)."""
+    if m._units is None:
+        one, cols = m.field.one, m.columns
+        m._units = all(len(c) == 1 and one in c.values() for c in cols) and [r for c in cols for r in c]
+    return m._units
+
+
+def _unit_matrix(field, nrows, rows):
+    """The matrix whose column j is {rows[j]: one}, its row table kept."""
+    one = field.one
+    m = Matrix.from_cols(field, nrows, [{r: one} for r in rows])
+    m._units = rows
+    return m
 
 
 def _is_identity(m):
@@ -342,7 +372,7 @@ def kernel_left_inverse(k: Matrix) -> Matrix:
     if len(at) != len(free) or any(col[i] != one or len(col.keys() & at.keys()) != 1
                                    for col, i in zip(k.columns, free)):
         raise InternalSolveFailure("kernel basis is not the identity on its free coordinates")
-    cols = [{} for _ in range(k.rows)]
+    cols = [{}] * k.rows  # one shared empty column: no function writes to a column
     for i, t in at.items():
         cols[i] = {t: one}
     return Matrix.from_cols(k.field, k.cols, cols)
@@ -423,9 +453,10 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
 
 def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     """(A⊗B) @ M without materializing A⊗B: each nonzero v at row p·b.cols+q
-    of a column of M adds v·A[:,p]⊗B[:,q] to that column of the result.  A
-    column of M with one nonzero is that one term, built in one pass, and
-    one entry when A[:,p] and B[:,q] hold one nonzero each.
+    of a column of M adds v·A[:,p]⊗B[:,q] to that column of the result.
+    When A, B and M have row tables (every column {r: one}), the result is
+    their index map, with its table.  Otherwise a column of M with one
+    nonzero is that one term, built in one pass.
 
     Over F_p, a column of M with N nonzeros is accumulated in packed 64-bit
     slots (_packed_column) when no column of A or B is zero, one of them has
@@ -451,6 +482,9 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     if _is_identity(a) and _is_identity(b):
         return m
     norm, one, nb, bc = m.field.normalize, m.field.one, b.rows, b.cols
+    if (mr := _unit_rows(m)) is not False and (ar := _unit_rows(a)) is not False and (
+            br := _unit_rows(b)) is not False:
+        return _unit_matrix(m.field, a.rows * nb, [ar[r // bc] * nb + br[r % bc] for r in mr])
     acols, bcols = a.columns, b.columns
     fp = isinstance(m.field, PrimeField)
     # nonzeros beyond one per column; B's are counted only when they can decide a path, else -1
@@ -467,12 +501,8 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
             ((idx, v),) = mcol.items()
             p, q = divmod(idx, bc)
             ap, bq = acols[p].items(), bcols[q].items()
-            if len(ap) == 1 == len(bq):
-                ((i, x),), ((k, y),) = ap, bq
-                out.append({i * nb + k: one if v == x == y == one else norm(v * x * y)})
-            else:
-                out.append({i * nb + k: one if v == x == y == one else norm(v * x * y)
-                            for i, x in ap for k, y in bq})
+            out.append({i * nb + k: one if v == x == y == one else norm(v * x * y)
+                        for i, x in ap for k, y in bq})
             continue
         if least <= len(mcol) <= most:
             out.append(_packed_column(acols, bcols, nb, m.field.p, packed, mcol))
@@ -534,4 +564,4 @@ def _packed_column(acols, bcols, nb, prime, packed, mcol):
 
 def swap_map(field, m: int, n: int) -> Matrix:
     """The symmetry c: V_m ⊗ V_n -> V_n ⊗ V_m, e_i⊗f_j -> f_j⊗e_i."""
-    return Matrix.from_cols(field, m * n, [{j * m + i: field.one} for i in range(m) for j in range(n)])
+    return _unit_matrix(field, m * n, [j * m + i for i in range(m) for j in range(n)])

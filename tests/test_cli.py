@@ -10,7 +10,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from relspan import cli, coalg, finset, jsonio
+from relspan import cli, coalg, finset, jsonio, linalg
 from relspan.cli import build_parser, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -150,11 +150,15 @@ def test_relcat_fixtures_pass_with_linearization():
     assert any(n.endswith("composition table round-trip") for n in names)
 
 
-@pytest.mark.parametrize("argv", [
+# commands whose every coalgebra pullback is of a linearized (group-like) cospan
+LINEARIZED = [
     ["coherence", "chains.json", "--name", "pent", "--shape", "pentagon"],
     *(["relcat", "relcats.json", "--name", name]
       for name in ("discrete3", "poset01", "z2", "groupoid5")),
-])
+]
+
+
+@pytest.mark.parametrize("argv", LINEARIZED)
 def test_linearized_commands_solve_no_equalizer_system(monkeypatch, argv):
     """Every coalgebra pullback of these commands is of a group-like cospan,
     each iterated apex staying group-like, so each is its matching pairs and
@@ -166,6 +170,29 @@ def test_linearized_commands_solve_no_equalizer_system(monkeypatch, argv):
     code, _ = run([argv[0], fx(argv[1]), *argv[2:], "--instance", "coalg"])
     assert code == 0
     assert pairs and None not in pairs and not solves
+
+
+@pytest.mark.parametrize("argv", LINEARIZED)
+def test_linearized_commands_take_only_the_unit_kron_apply_path(monkeypatch, argv):
+    """Every kron_apply of these commands has unit-column operands, so each
+    returns through the index map, its result carrying its row table, or
+    returns M as it is for two square identity factors, before any test."""
+    paths = []
+    inner = linalg.kron_apply
+
+    def spy(a, b, m):
+        out = inner(a, b, m)
+        if linalg._is_identity(a) and linalg._is_identity(b):
+            paths.append("identity" if out is m and linalg._unit_rows(m) is not False else "general")
+        else:
+            paths.append("unit" if isinstance(out._units, list) else "general")
+        return out
+
+    monkeypatch.setattr(coalg, "kron_apply", spy)
+    monkeypatch.setattr(linalg, "kron_apply", spy)
+    code, _ = run([argv[0], fx(argv[1]), *argv[2:], "--instance", "coalg"])
+    assert code == 0
+    assert "unit" in paths and "general" not in paths
 
 
 def test_relcat_violations_each_fail_with_witness():

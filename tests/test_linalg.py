@@ -1142,3 +1142,82 @@ def test_identity_operands_keep_their_errors():
         kron_apply(i2, i3, Matrix.identity(F5, 6))
     with pytest.raises(FieldMismatch, match=re.escape("field mismatch: QQ vs GF(5)")):
         kron_apply(i2, Matrix.identity(F5, 3), i3)
+
+
+def _unit_columns(rng, field, rows, cols, spoil):
+    """rows x cols with every column {r: one}, or, when spoil holds and there
+    is a column, one column replaced by a zero column, a one-entry column
+    whose value is not one (2 or -1), or, over F_2, a two-entry column."""
+    one = field.one
+    cols = [{rng.randrange(rows): one} if rows else {} for _ in range(cols)]
+    if spoil and cols and rows:
+        odd = [{rng.randrange(rows): v} for v in (field.of(2), field.of(-1)) if v and v != one]
+        wide = [{0: one, rows - 1: one}] if rows > 1 else []
+        cols[rng.randrange(len(cols))] = rng.choice([{}] + odd + (wide if not odd else []))
+    return Matrix.from_cols(field, rows, cols)
+
+
+def _general(m):
+    """m with a cached "no" as its table, so products with it take the general path."""
+    out = Matrix.from_cols(m.field, m.rows, m.columns)
+    out._units = False
+    return out
+
+
+def _fresh_table(m):
+    """_unit_rows of a copy of m whose table is not yet known."""
+    return linalg._unit_rows(Matrix.from_cols(m.field, m.rows, [dict(c) for c in m.columns]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F5], ids=str)
+def test_unit_column_products_are_index_maps(field):
+    """kron_apply and @ whose operands have every column {r: one} read the
+    result off the operands' row tables and keep its table; they equal
+    kron(A, B) @ M, the dense product and the general path, on shapes with
+    zero rows or columns, identities, and operands with one spoiled column
+    (zero, one entry not one, two entries) or M with multi-entry columns,
+    which take the general path and keep no table."""
+    rng = rng_for(f"unit-columns-{field!r}")
+    unit_path = {True: 0, False: 0}
+    for _ in range(150):
+        ar, ac, br, bc, mc = (rng.choice((0, 1, 2, 3, 3)) for _ in range(5))
+        draw = partial(_unit_columns, rng, field)
+        a, b = (Matrix.identity(field, r) if r == c and rng.random() < 0.2 else draw(r, c, rng.random() < 0.15)
+                for r, c in ((ar, ac), (br, bc)))
+        m = _sparse(rng, field, ac * bc, mc) if rng.random() < 0.15 else draw(ac * bc, mc, rng.random() < 0.15)
+        tables = [linalg._unit_rows(x) for x in (a, b, m)]
+        got = kron_apply(a, b, m)
+        assert got == kron(a, b) @ m == _dense_product(kron_oracle(a, b), m)
+        assert got == kron_apply(_general(a), _general(b), _general(m))
+        _assert_canonical(got)
+        if got is not m:
+            unit = False not in tables
+            assert isinstance(got._units, list) if unit else got._units is None
+            unit_path[unit] += 1
+        c = _unit_columns(rng, field, bc, mc, rng.random() < 0.3)
+        prod = b @ c
+        assert prod == _dense_product(b, c) == _general(b) @ _general(c)
+        if linalg._unit_rows(c) is not False and prod is not b and prod is not c:
+            assert all(x is b.columns[k] for x, k in zip(prod.columns, c._units))
+            assert prod._units == (None if tables[1] is False else [tables[1][k] for k in c._units])
+        for x in (got, prod):
+            if isinstance(x._units, list):
+                assert x._units == _fresh_table(x)
+            assert _copy(x) == x and _copy(x)._units == x._units
+        for x in (a, b, m, c):
+            assert linalg._unit_rows(x) == _fresh_table(x)
+            if _fresh_table(x) is False:
+                assert linalg._unit_rows(x) is False and x._units is False
+    assert all(unit_path.values()), unit_path
+    one, i2 = field.one, Matrix.identity(field, 2)
+    flip = Matrix.from_cols(field, 2, [{1: one}, {0: one}])
+    for v in (field.of(2), field.of(-1)):
+        if v and v != one:  # 2 and 4 over F_5, 2 and -1 over Q
+            x = Matrix.from_cols(field, 2, [{0: one}, {1: v}])
+            for got in (kron_apply(x, i2, swap_map(field, 2, 2)), flip @ x):
+                assert got._units is None and linalg._unit_rows(got) is False
+    empty = Matrix.zeros(field, 0, 3)
+    assert linalg._unit_rows(empty) is False and linalg._unit_rows(Matrix.zeros(field, 3, 0)) == []
+    assert kron_apply(flip, flip, Matrix.zeros(field, 4, 0))._units == []
+    assert kron_apply(i2, Matrix.zeros(field, 3, 0), Matrix.zeros(field, 0, 0))._units == []
+    assert kron_apply(Matrix.zeros(field, 2, 0), flip, empty)._units is None
