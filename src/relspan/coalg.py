@@ -248,9 +248,8 @@ def trivial(field) -> Coalgebra:
 
 def grouplike(field, n: int) -> Coalgebra:
     """k[X] for |X| = n: δ(e_x) = e_x⊗e_x, ε(e_x) = 1."""
-    cols = [{x * n + x: field.one} for x in range(n)]
-    eps = Matrix.from_cols(field, 1, [{0: field.one} for _ in range(n)])
-    return Coalgebra(n, field, delta=Matrix.from_cols(field, n * n, cols), epsilon=eps)
+    delta = _unit_matrix(field, n * n, [x * n + x for x in range(n)])
+    return Coalgebra(n, field, delta=delta, epsilon=_unit_matrix(field, 1, [0] * n))
 
 
 def path_coalgebra(field) -> Coalgebra:

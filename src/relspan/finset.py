@@ -7,19 +7,21 @@ strictly unital against the singleton, matching the tensor conventions of the
 linear instance.  The admissible span class here is the class of all spans,
 and relative pullbacks are ordinary pullbacks: a RelPullback whose payload is
 the tuple of matching pairs in lexicographic order.  The CLI builds on no
-set of more than MAX_LINEARIZED elements and builds no pullback of more
-than MAX_PULLBACK_PAIRS matching pairs, counted first by pair_count.
+set of more than MAX_LINEARIZED elements, builds no pullback of more than
+MAX_PULLBACK_PAIRS matching pairs, counted first by pair_count, and checks
+no monoid of more than MAX_PULLBACK_PAIRS triples.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 from . import coalg
 from .catcore import BaseCategory, RelPullback, Report
 from .errors import CodomainMismatch, ShapeMismatch, SquareDoesNotCommute
-from .linalg import Matrix
+from .linalg import _unit_matrix
 
 
 @dataclass(frozen=True)
@@ -141,7 +143,8 @@ def pullback(f: FinFun, g: FinFun) -> RelPullback:
 
 # The most matching pairs of a finite-set pullback the CLI builds: it keeps
 # each pair as a tuple and each projection as a table and writes them all,
-# about 250 B a pair.
+# about 250 B a pair.  It also bounds the triples a·b·c a monoid's
+# associativity check visits, as it bounds a category's composable triples.
 MAX_PULLBACK_PAIRS = 250_000
 
 
@@ -183,23 +186,10 @@ def finset_monoid_check(m_obj: FinSetObj, m: FinFun, u: int) -> Report:
         raise ShapeMismatch("unit element outside the carrier")
     mul = lambda a, b: m.table[a * n + b]
     rep = Report()
-    assoc_witness = None
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul(mul(a, b), c) != mul(a, mul(b, c)):
-                    assoc_witness = f"({a},{b},{c})"
-                    break
-            if assoc_witness:
-                break
-        if assoc_witness:
-            break
+    assoc_witness = next((f"({a},{b},{c})" for a, b, c in product(range(n), repeat=3)
+                          if mul(mul(a, b), c) != mul(a, mul(b, c))), None)
     rep.add("associativity", assoc_witness is None, assoc_witness)
-    unit_witness = None
-    for a in range(n):
-        if mul(u, a) != a or mul(a, u) != a:
-            unit_witness = str(a)
-            break
+    unit_witness = next((str(a) for a in range(n) if mul(u, a) != a or mul(a, u) != a), None)
     rep.add("two-sided unit", unit_witness is None, unit_witness)
     return rep
 
@@ -229,5 +219,4 @@ def linearize_fun(f: FinFun, fld, objs=None) -> coalg.CoalgMap:
     for x in (f.dom, f.cod):
         if x not in objs:
             objs[x] = linearize_obj(x, fld)
-    mat = Matrix.from_cols(fld, f.cod.size, [{y: fld.one} for y in f.table])
-    return coalg.CoalgMap(objs[f.dom], objs[f.cod], mat)
+    return coalg.CoalgMap(objs[f.dom], objs[f.cod], _unit_matrix(fld, f.cod.size, list(f.table)))

@@ -12,8 +12,8 @@ malformed declarations it reads (`check` without a name reads them all, in
 file order).  A matrix is filled as sparse columns, each distinct entry text
 parsed once.  Sizes, indices and table entries must be JSON integers.  It
 rejects what the constructions cannot take, such as a cospan whose legs are
-not two morphisms of one base category, or a category with more composable
-triples than finset.MAX_PULLBACK_PAIRS.  Encoding covers fields and
+not two morphisms of one base category, or a category or a monoid with more
+composable triples than finset.MAX_PULLBACK_PAIRS.  Encoding covers fields and
 matrices, for the CLI's results; a matrix of more than MAX_ENCODED_CELLS
 cells is refused.
 """
@@ -189,8 +189,13 @@ def _finset_fun(obj, ref) -> _finset.FinFun:
 
 
 def _finset_monoid(obj, ref):
-    """(carrier, multiplication, unit) of a monoid given by its table."""
+    """(carrier, multiplication, unit) of a monoid given by its table;
+    refused, before the table is read, when the associativity check would
+    visit more than finset.MAX_PULLBACK_PAIRS triples (a one-object category)."""
     size = _int(obj["size"])
+    if size**3 > _finset.MAX_PULLBACK_PAIRS:
+        raise ValueError(f"a monoid with {size**3} triples is too large to check"
+                         f" (at most {_finset.MAX_PULLBACK_PAIRS})")
     table = _ints(obj["table"])
     if len(table) != size * size:
         raise ParseError("monoid table must have size^2 entries")

@@ -6,28 +6,26 @@ over Q, int residues over F_p).  Every operation returns that form, so two
 matrices are equal exactly when their columns are equal dicts, and storage
 and work grow with the number of nonzeros, not with rows × columns.
 
-Products build each output column by a rule chosen by how many nonzeros of
-the right operand feed it: a column fed by one nonzero v is v times one
-column, built in one pass with no accumulator; a column fed by several
-accumulates its sums and normalizes each entry once.  kron_apply, (A⊗B)∘M
-without A⊗B, states its path rules in its docstring, and kron is kron_apply
-on the identity.  X⊗Z - W⊗Y is built one column at a time, without either
-product.  A product is normalized only when a factor is not one (a Q
-product of two Fractions can be integral, an F_p product needs its
-reduction), so a product column fed by one nonzero equal to one is the left
-operand's column itself, shared, not copied.  A product with a square
+A @ B accumulates the sums of each output column and normalizes each
+entry once.  kron_apply, (A⊗B)∘M without A⊗B, states its path rules in its
+docstring, and kron is kron_apply on the identity.  X⊗Z - W⊗Y is built one
+column at a time, without either product.  These two normalize a product
+of entries only when a factor is not one (a Q product of two Fractions can
+be integral, an F_p product needs its reduction).  A product with a square
 identity operand is its other operand, and kron_apply with two square
 identity factors is M, each returned as it is; an identity is one shared
 matrix per field and size.
 
 Group-like data (δ, ε, 0/1 maps, identities) has every column a unit vector
-{r: one}.  A matrix keeps the row table of such columns, found on first use
-(_unit_rows) or given by the operation that builds it; as matrices never
-change, it never goes stale.  kron_apply on three tables, and A @ B on B's,
-is an index map that keeps the result's table (A @ B when A has one), and
-X⊗Z - W⊗Y of factors with one nonzero per column is read off by index:
-each column is the two entries u and -v its factor columns give, or u - v
-where they share a row, or nothing where that is 0.
+{r: one}.  A matrix keeps the row table of such columns.  The builders of
+0/1 matrices hand it over (_unit_matrix): Matrix.identity, swap_map,
+coalg.grouplike's δ and ε, the matching pairs of coalg._matching_pairs,
+finset.linearize_fun and the d of relcat.linearize_relcat; for any other
+matrix _unit_rows finds it on first use.  As matrices never change, it
+never goes stale.  The table is the one fast path for such data: kron_apply
+on three tables, and A @ B on B's, is an index map that keeps the result's
+table (A @ B when A has one), and X⊗Z - W⊗Y on four tables has each column
+{r: one, t: -one}, or nothing where r = t.
 
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
@@ -35,9 +33,9 @@ g∘f is the product G @ F.  Tensor indices are row-major throughout:
 e_i ⊗ f_j lives at index i * dim(second factor) + j.
 
 Matrices never change once built, nor do their column dicts, which results
-share with their operands (products, hstack, from_cols): no function writes
-to a matrix's column; each one that updates a column in place updates a
-dict of its own.
+share with their operands (identity products, A @ B on B's row table,
+hstack, from_cols): no function writes to a matrix's column; each one that
+updates a column in place updates a dict of its own.
 
 All canonical forms (reduced row echelon, kernel bases, solve with zeroed free
 variables) come from one elimination on sparse rows.  The reduced row echelon
@@ -70,8 +68,9 @@ class Matrix:
     operations); the dense forms, Matrix(field, rows, …) and from_rows, are
     kept only because the benchmark under bench/ and the tests call them.
     A matrix and its column dicts never change once built, so results share
-    them, and the row table of its unit columns stays true (_unit_rows; see
-    the module docstring)."""
+    them, and the row table of its unit columns, handed over by the builders
+    of 0/1 matrices or found by _unit_rows, stays true (see the module
+    docstring)."""
 
     __slots__ = ("field", "rows", "cols", "columns", "_units")
 
@@ -185,13 +184,8 @@ class Matrix:
             out = Matrix.from_cols(fld, self.rows, [acols[k] for k in br])
             out._units = None if (ar := _unit_rows(self)) is False else [ar[k] for k in br]
             return out
-        norm, one = fld.normalize, fld.one
         cols = []
         for col in other.columns:
-            if len(col) == 1:
-                ((k, b),) = col.items()
-                cols.append(acols[k] if b == one else {i: norm(a * b) for i, a in acols[k].items()})
-                continue
             acc = {}
             get = acc.get
             for k, b in col.items():
@@ -401,11 +395,10 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
 def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
     """kron(x, z) - kron(w, y) in one pass, without either product: the
     columns of each product are the pairs of factor columns in order, for
-    any two splits of one shape; each column is built as kron builds it, one
-    entry when both factor columns hold one, and the entries of the second
-    product are subtracted into it, dropping those that cancel.  When every
-    factor column holds one nonzero, each column is built from its four
-    entries by index, without either walk."""
+    any two splits of one shape; each column is built as kron builds it, and
+    the entries of the second product are subtracted into it, dropping those
+    that cancel.  When all four factors have row tables, column c is
+    {r: one, t: -one}, or nothing when r = t, r and t found by index."""
     for m in (z, w, y):
         require_same_field(x.field, m.field)
     rows, cols = x.rows * z.rows, x.cols * z.cols
@@ -414,28 +407,18 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
                             f"product from a {rows}x{cols} one")
     fld = x.field
     norm, neg, one = fld.normalize, fld.neg, fld.one
-    if all(len(col) == 1 for m in (x, z, w, y) for col in m.columns):
-        # each factor's one entry per column, the left factor's rows pre-scaled
-        xs = [(i * z.rows, a) for c in x.columns for i, a in c.items()]
-        ws = [(i * y.rows, a) for c in w.columns for i, a in c.items()]
-        zs, ys = [e for c in z.columns for e in c.items()], [e for c in y.columns for e in c.items()]
-        out, nz, ny = [], z.cols, y.cols
+    if False not in (tables := [_unit_rows(m) for m in (x, z, w, y)]):
+        (xr, zr, wr, yr), minus, out = tables, neg(one), []
         for c in range(cols):
-            (i, a), (k, b), (j, d), (l, e) = xs[c // nz], zs[c % nz], ws[c // ny], ys[c % ny]
-            u = b if a == one else a if b == one else norm(a * b)
-            v = e if d == one else d if e == one else norm(d * e)
-            out.append({r: u, t: neg(v)} if (r := i + k) != (t := j + l) else {r: s} if (s := norm(u - v)) else {})
+            r, t = xr[c // z.cols] * z.rows + zr[c % z.cols], wr[c // y.cols] * y.rows + yr[c % y.cols]
+            out.append({r: one, t: minus} if r != t else {})
         return Matrix.from_cols(fld, rows, out)
     # each product's columns in order, as pairs of factor columns, the left factor's rows pre-scaled
     xs, zs = [[(i * z.rows, a) for i, a in c.items()] for c in x.columns], [c.items() for c in z.columns]
     ws, ys = [[(i * y.rows, a) for i, a in c.items()] for c in w.columns], [c.items() for c in y.columns]
     out = []
     for (xp, zq), (wp, yq) in zip(product(xs, zs), product(ws, ys)):
-        if len(xp) == 1 == len(zq):
-            ((i, a),), ((k, b),) = xp, zq
-            col = {i + k: b if a == one else a if b == one else norm(a * b)}
-        else:
-            col = {i + k: b if a == one else a if b == one else norm(a * b) for i, a in xp for k, b in zq}
+        col = {i + k: b if a == one else a if b == one else norm(a * b) for i, a in xp for k, b in zq}
         get = col.get
         for i, a in wp:
             for k, b in yq:

@@ -18,7 +18,7 @@ from . import coalg as _coalg
 from . import finset as _finset
 from .catcore import BaseCategory, Report, Span, legs_in_class
 from .errors import BaseMismatch, LegsNotInClass, NotACategory, ShapeMismatch
-from .linalg import Matrix
+from .linalg import _unit_matrix, _unit_rows
 from .relpull import RelPullback, assoc_iso, box, relative_pullback
 
 
@@ -283,8 +283,7 @@ def linearize_relcat(rc: RelativeCategory, fld) -> RelativeCategory:
     pairs = rc.pb.payload
     if pb.apex.dim != len(pairs):
         raise ShapeMismatch("linearized pullback dimension does not match the pair count")
-    if pb.payload.j.mat.columns != [{x * a.dim + y: fld.one} for x, y in pairs]:
+    if _unit_rows(pb.payload.j.mat) != [x * a.dim + y for x, y in pairs]:
         raise ShapeMismatch("pullback basis is not the group-like pair basis; cannot identify")
-    d_mat = Matrix.from_cols(fld, a.dim, [{rc.d.table[k]: fld.one} for k in range(len(pairs))])
-    d = _coalg.CoalgMap(pb.apex, a, d_mat)
+    d = _coalg.CoalgMap(pb.apex, a, _unit_matrix(fld, a.dim, list(rc.d.table)))
     return RelativeCategory(base, b, a, s, t, i, d, pb)

@@ -10,7 +10,8 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from relspan import cli, coalg, finset, jsonio, linalg
+from gen import rand_finfun, rng_for
+from relspan import GF, QQ, cli, coalg, finset, jsonio, linalg
 from relspan.cli import build_parser, main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -193,6 +194,48 @@ def test_linearized_commands_take_only_the_unit_kron_apply_path(monkeypatch, arg
     code, _ = run([argv[0], fx(argv[1]), *argv[2:], "--instance", "coalg"])
     assert code == 0
     assert "unit" in paths and "general" not in paths
+
+
+def _spy_kron_difference_paths(monkeypatch):
+    """The path each coalg._kron_difference call takes: "table" when all
+    four factors have row tables after it, which is exactly when it reads
+    the difference off them (else a factor's table is a cached "no")."""
+    paths, inner = [], coalg._kron_difference
+
+    def spy(*factors):
+        out = inner(*factors)
+        paths.append("table" if all(isinstance(m._units, list) for m in factors) else "general")
+        return out
+
+    monkeypatch.setattr(coalg, "_kron_difference", spy)
+    return paths
+
+
+@pytest.mark.parametrize("argv", [
+    ["cotensor", "--cospan", "cs"],
+    ["pullback", "--cospan", "cs", "--instance", "coalg", "--compare-cotensor"],
+])
+def test_linearized_cotensor_takes_only_the_table_path_of_kron_difference(monkeypatch, argv):
+    """The cotensor of a linearized finite-set cospan, alone or as the
+    pullback's comparison, builds its one system on the table path."""
+    paths = _spy_kron_difference_paths(monkeypatch)
+    code, _ = run([argv[0], fx("cospan_finset.json"), *argv[1:]])
+    assert code == 0
+    assert paths == ["table"]
+
+
+@pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
+def test_grouplike_cotensor_comparison_takes_only_the_table_path_of_kron_difference(monkeypatch, field):
+    """compare_cotensor_pullback on linearized cospans A -> B <- C, as a
+    group-like benchmark job builds them, eliminates its cotensor system
+    from the factors' row tables; the pullback itself takes none."""
+    paths = _spy_kron_difference_paths(monkeypatch)
+    rng = rng_for(f"grouplike-compare-{field!r}")
+    for _ in range(10):
+        nb = rng.randint(1, 3)
+        f, g = finset.linearize_funs([rand_finfun(rng, rng.randint(1, 5), nb) for _ in range(2)], field)
+        assert coalg.compare_cotensor_pullback(f, g).ok
+    assert paths == ["table"] * 10
 
 
 def test_relcat_violations_each_fail_with_witness():
@@ -754,6 +797,41 @@ def test_category_with_too_many_composable_triples_exits_2_at_once(tmp_path, com
     assert code == 2 and doc["exit"] == 2
     assert doc["error"] == ("bad declaration 'c64': a category with 262144 composable triples"
                             " is too large to check (at most 250000)")
+
+
+def _cyclic_group_monoid(n):
+    return {"kind": "finset_monoid", "size": n, "unit": 0,
+            "table": [(i + j) % n for i in range(n) for j in range(n)]}
+
+
+@pytest.mark.parametrize("command", [["check"], ["monoid"]])
+def test_monoid_with_too_many_triples_exits_2_at_once(tmp_path, command):
+    """A monoid is a one-object category, so its associativity check is
+    bounded as a category's triples are: the cyclic group of order 63 has
+    63³ = 250047 triples, the first order above the bound; unbounded, order
+    240, a 262 KB file, took 4.5 s of CPU."""
+    assert finset.MAX_PULLBACK_PAIRS == 250_000
+    p = tmp_path / "z63.json"
+    p.write_text(json.dumps({"z63": _cyclic_group_monoid(63)}))
+    start = time.process_time()
+    code, doc = run_no_traceback([command[0], str(p), *command[1:]])
+    assert time.process_time() - start < 0.25
+    assert code == 2 and doc["exit"] == 2
+    assert doc["error"] == ("bad declaration 'z63': a monoid with 250047 triples"
+                            " is too large to check (at most 250000)")
+
+
+def test_monoid_triple_bound_is_inclusive_and_refuses_before_the_table(tmp_path, monkeypatch):
+    """At a bound of 27 the cyclic group of order 3 is checked and passes;
+    order 4 is refused from its size alone, its table never read."""
+    monkeypatch.setattr(finset, "MAX_PULLBACK_PAIRS", 27)
+    p = tmp_path / "z.json"
+    p.write_text(json.dumps({"z3": _cyclic_group_monoid(3),
+                             "z4": {"kind": "finset_monoid", "size": 4, "table": "unread", "unit": 0}}))
+    assert run_no_traceback(["monoid", str(p), "--name", "z3"])[0] == 0
+    code, doc = run_no_traceback(["monoid", str(p), "--name", "z4"])
+    assert code == 2 and doc["error"] == ("bad declaration 'z4': a monoid with 64 triples"
+                                          " is too large to check (at most 27)")
 
 
 def test_relative_category_triples_are_bounded_before_the_pullback(tmp_path, monkeypatch):

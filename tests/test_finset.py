@@ -188,6 +188,27 @@ def test_corrupted_z2_table_fails_with_witness():
     assert any(c.witness for c in rep.failures())
 
 
+def test_monoid_witnesses_are_the_first_failures_in_lexicographic_order():
+    """The associativity witness is the first triple (a,b,c), in
+    lexicographic order, with (ab)c != a(bc), and the unit witness the first
+    a with ua != a or au != a: on every table on two elements and on random
+    ones on three, against a brute-force search, with every unit."""
+    rng = rng_for("monoid-witnesses")
+    tables = [(2, t) for t in itertools.product(range(2), repeat=4)]
+    tables += [(3, [rng.randrange(3) for _ in range(9)]) for _ in range(150)]
+    for n, table in tables:
+        def mul(a, b):
+            return table[a * n + b]
+
+        bad = [f"({a},{b},{c})" for a, b, c in itertools.product(range(n), repeat=3)
+               if mul(mul(a, b), c) != mul(a, mul(b, c))]
+        for u in range(n):
+            units = [str(a) for a in range(n) if mul(u, a) != a or mul(a, u) != a]
+            rep = finset_monoid_check(FinSetObj(n), ffun(n * n, n, table), u)
+            assert [(c.name, c.witness) for c in rep.checks] == [
+                ("associativity", bad[0] if bad else None), ("two-sided unit", units[0] if units else None)]
+
+
 # -- linearization ------------------------------------------------------------------
 
 

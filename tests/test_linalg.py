@@ -6,7 +6,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, product
 
 import pytest
 from hypothesis import given, settings
@@ -16,9 +16,13 @@ from gen import (
     FIELDS,
     direct_sum,
     divided_power,
+    fixture_discrete,
+    fixture_poset01,
+    fixture_z2,
     is_injective,
     matrix_coalgebra,
     primitive_block,
+    rand_finfun,
     rand_matrix,
     rand_q_matrix,
     rand_scalar,
@@ -26,7 +30,9 @@ from gen import (
     rng_for,
 )
 from relspan import GF, QQ, Matrix, check_coalgebra, linalg
+from relspan.coalg import grouplike
 from relspan.errors import FieldMismatch, InternalSolveFailure, ShapeMismatch
+from relspan.finset import linearize_fun
 from relspan.linalg import (
     kernel_basis_sparse,
     kernel_left_inverse,
@@ -37,6 +43,7 @@ from relspan.linalg import (
     swap_map,
 )
 from relspan.linalg import _kron_difference
+from relspan.relcat import from_small_category, linearize_relcat
 
 F5 = GF(5)
 
@@ -632,27 +639,44 @@ def test_kron_apply_on_monomial_factors_matches_a_dense_product(field):
 def test_kron_difference_on_monomial_factors_cancels_whole_columns(field):
     """kron(x, z) - kron(w, y) on factors with one nonzero per column, on the
     split of x⊗z and on the other split of its shape, with w and y drawn so
-    that some columns of w⊗y equal those of x⊗z and cancel whole."""
+    that some columns of w⊗y equal those of x⊗z and cancel whole.  Every
+    other draw has unit columns {r: one}: then all four factors have row
+    tables and the difference is read off them, which leaves each factor's
+    table found; a draw with another nonzero takes the general path, which
+    leaves a factor's table a cached "no".  Both paths equal the general
+    path forced on the same factors."""
     rng = rng_for(f"kron-diff-monomial-{field!r}")
-    cancelled = {False: 0, True: 0}
-    for _ in range(40):
+    cancelled, paths = Counter(), Counter()
+    for t in range(80):
+        unit = t % 2 == 0
+        if unit:
+            def draw(r, c):
+                return [{rng.randrange(r): field.one} for _ in range(c)]
+        else:
+            draw = partial(_monomial, rng, field)
         xr, xc, zr, zc = (rng.randint(1, 3) for _ in range(4))
-        x = Matrix.from_cols(field, xr, _monomial(rng, field, xr, xc))
-        z = Matrix.from_cols(field, zr, _monomial(rng, field, zr, zc))
+        x, z = Matrix.from_cols(field, xr, draw(xr, xc)), Matrix.from_cols(field, zr, draw(zr, zc))
         other = rng.random() < 0.5
         (wr, wc), (yr, yc) = ((zr, zc), (xr, xc)) if other else ((xr, xc), (zr, zc))
-        wcols, ycols = _monomial(rng, field, wr, wc), _monomial(rng, field, yr, yc)
+        wcols, ycols = draw(wr, wc), draw(yr, yc)
         for j, col in enumerate(kron_oracle(x, z).columns):
             if rng.random() < 0.4:  # column j of w⊗y becomes column j of x⊗z
                 ((r, v),) = col.items()
                 wcols[j // yc], ycols[j % yc] = {r // yr: v}, {r % yr: field.one}
         w, y = Matrix.from_cols(field, wr, wcols), Matrix.from_cols(field, yr, ycols)
-        got = _kron_difference(x, z, w, y)
-        assert got == kron_oracle(x, z) - kron_oracle(w, y)
+        factors = (x, z, w, y)
+        got = _kron_difference(*factors)
+        path = "table" if all(isinstance(m._units, list) for m in factors) else "general"
+        assert path == ("table" if all(_fresh_table(m) is not False for m in factors) else "general")
+        assert path == "table" or not unit and False in [m._units for m in factors]
+        paths[unit, path] += 1
+        assert got == kron_oracle(x, z) - kron_oracle(w, y) == _kron_difference(*map(_general, factors))
         assert all(len(col) <= 2 for col in got.columns)
         _assert_canonical(got)
         cancelled[other] += sum(not col for col in got.columns)
     assert all(cancelled.values()), cancelled
+    # over F_2 every nonzero is one, so every draw has tables
+    assert paths.keys() == {(True, "table"), (False, "table" if field == GF(2) else "general")}, paths
 
 
 @pytest.mark.parametrize("field", [QQ, F5, GF(7)])
@@ -1019,8 +1043,8 @@ def _copy(m):
 
 @pytest.mark.parametrize("field", [QQ, GF(2), F5], ids=str)
 def test_no_operation_changes_an_operand_or_a_result_it_shares_columns_with(field):
-    """Results share column dicts with their operands (products fed by one
-    `one`, identity products, hstack), so every operation is run on
+    """Results share column dicts with their operands (products on a row
+    table, identity products, hstack), so every operation is run on
     identities, permutations, one-`one`, zero and dense columns, and then
     each operand must equal its deep copy, taken before, and each result the
     one computed from fresh copies, after every operation has run."""
@@ -1176,7 +1200,10 @@ def test_unit_column_products_are_index_maps(field):
     kron(A, B) @ M, the dense product and the general path, on shapes with
     zero rows or columns, identities, and operands with one spoiled column
     (zero, one entry not one, two entries) or M with multi-entry columns,
-    which take the general path and keep no table."""
+    which take the general path and keep no table.  The builders that hand
+    over their tables (k[X]'s δ and ε, linearized maps, a linearized
+    category's d) keep the table a fresh copy finds, and their products
+    are the same index maps."""
     rng = rng_for(f"unit-columns-{field!r}")
     unit_path = {True: 0, False: 0}
     for _ in range(150):
@@ -1209,6 +1236,22 @@ def test_unit_column_products_are_index_maps(field):
             if _fresh_table(x) is False:
                 assert linalg._unit_rows(x) is False and x._units is False
     assert all(unit_path.values()), unit_path
+    handed = [m for n in range(4) for m in (grouplike(field, n).delta, grouplike(field, n).epsilon)]
+    handed += [linearize_fun(rand_finfun(rng, rng.randint(0, 3), rng.randint(1, 3)), field).mat for _ in range(8)]
+    handed += [linearize_relcat(from_small_category(cat), field).d.mat
+               for cat in (fixture_discrete(2), fixture_poset01(), fixture_z2())]
+    for h in handed:
+        assert isinstance(h._units, list) and h._units == _fresh_table(h)
+    for h, g in product(handed, repeat=2):
+        if h.cols == g.cols:
+            m = grouplike(field, h.cols).delta
+            got = kron_apply(h, g, m)
+            assert got == _dense_product(kron_oracle(h, g), m) == kron_apply(_general(h), _general(g), _general(m))
+            assert got._units == _fresh_table(got)
+        if h.cols == g.rows:
+            prod = h @ g
+            assert prod == _dense_product(h, g) == _general(h) @ _general(g)
+            assert prod._units == _fresh_table(prod)
     one, i2 = field.one, Matrix.identity(field, 2)
     flip = Matrix.from_cols(field, 2, [{1: one}, {0: one}])
     for v in (field.of(2), field.of(-1)):
