@@ -31,6 +31,7 @@ from gen import (  # noqa: E402
     fixture_groupoid5,
     fixture_poset01,
     fixture_z2,
+    mat,
     rand_block_map,
 )
 
@@ -78,7 +79,7 @@ def rebased(c, pm):
 def divided_power(fld, m):
     """D_m = (k[x]/xᵐ)*: δ(d_n) = Σ_{i+j=n} d_i⊗d_j, ε(d_n) = [n = 0]."""
     cols = [{i * m + (n - i): fld.one for i in range(n + 1)} for n in range(m)]
-    eps = Matrix.from_rows(fld, [[1] + [0] * (m - 1)])
+    eps = mat(fld, [[1] + [0] * (m - 1)])
     return Coalgebra(m, fld, delta=Matrix.from_cols(fld, m * m, cols), epsilon=eps)
 
 
@@ -90,14 +91,14 @@ def substitution_dual(src, tgt, p):
     for _ in range(tgt.dim):
         rows.append(power)
         power = [sum(power[i] * p[n - i] for i in range(n + 1)) for n in range(a)]
-    return CoalgMap(src, tgt, Matrix.from_rows(src.field, rows))
+    return CoalgMap(src, tgt, mat(src.field, rows))
 
 
 def random_basis(rng, fld, n):
     """An invertible n x n matrix with every entry nonzero."""
     while True:
-        pm = Matrix.from_rows(fld, [[rng.randrange(1, fld.p) for _ in range(n)] for _ in range(n)])
-        if pm.rank() == n:
+        pm = mat(fld, [[rng.randrange(1, fld.p) for _ in range(n)] for _ in range(n)])
+        if len(pm.rref()[1]) == n:
             return pm
 
 

@@ -55,8 +55,6 @@ class RationalField:
     """The field Q; an element is an int when integral, else a normalized
     Fraction (see normalize)."""
 
-    tag = "Q"
-
     zero = 0
     one = 1
 
@@ -112,7 +110,6 @@ class PrimeField:
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
-        self.tag = f"F{p}"
         self.zero = 0
         self.one = 1 % p
 

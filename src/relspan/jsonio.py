@@ -1,7 +1,8 @@
 """JSON encodings for every external interface.
 
 A fixture file is a single JSON object mapping names to declarations; each
-declaration carries a "kind" field.  Matrices are exact: entries are strings,
+declaration carries a "kind" field.  At most MAX_FILE_BYTES of it are read,
+as UTF-8 (see load_context).  Matrices are exact: entries are strings,
 rationals as "a/b", and each matrix must have the shape its declaration
 implies before it is built.  Loading a file reads the kind of every
 declaration, and refuses a missing or unknown one, but decodes no body: a
@@ -96,6 +97,8 @@ def parse_field_flag(text: str):
 
 # The most cells of the dense grid matrix_to_json builds, about 80 B a cell.
 MAX_ENCODED_CELLS = 10**6
+# The most bytes load_context reads from a fixture file.
+MAX_FILE_BYTES = 32 * 2**20
 
 
 def require_encodable(rows: int, cols: int, label=None):
@@ -351,11 +354,18 @@ class Context:
 
 def load_context(path: str) -> Context:
     """The declarations of a fixture file, their kinds checked and nothing
-    decoded."""
+    decoded.  At most MAX_FILE_BYTES are read, as UTF-8; a longer file, bytes
+    that are not UTF-8, JSON nested past the recursion limit and an integer
+    past Python's int-conversion limit are refused, naming the path."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+        with open(path, "rb") as fh:
+            raw = fh.read(2**16)  # read(n) allocates n bytes first: no 32 MiB buffer for a small file
+            if len(raw) == 2**16 <= MAX_FILE_BYTES:
+                raw += fh.read(MAX_FILE_BYTES + 1 - len(raw))
+        if len(raw) > MAX_FILE_BYTES:
+            raise ParseError(f"cannot read {path}: the file is longer than {MAX_FILE_BYTES} bytes")
+        doc = json.loads(raw.decode("utf-8"))
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON, UTF-8, the int-conversion limit
         raise ParseError(f"cannot read {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("fixture file must be a JSON object of named declarations")

@@ -34,8 +34,14 @@ e_i ⊗ f_j lives at index i * dim(second factor) + j.
 
 Matrices never change once built, nor do their column dicts, which results
 share with their operands (identity products, A @ B on B's row table,
-hstack, from_cols): no function writes to a matrix's column; each one that
-updates a column in place updates a dict of its own.
+from_cols): no function writes to a matrix's column; each one that updates a
+column in place updates a dict of its own.
+
+The package builds every matrix from sparse columns.  Five names have no
+caller in it and are kept only because the benchmark under bench/ reads
+them: the dense constructor Matrix(field, rows, r, c), the dense view
+Matrix.data, Matrix.col_sparse, Matrix.rref and left_inverse.  The tests
+use them too; a rank is len(m.rref()[1]).
 
 All canonical forms (reduced row echelon, kernel bases, solve with zeroed free
 variables) come from one elimination on sparse rows.  The reduced row echelon
@@ -63,23 +69,18 @@ from .fields import PrimeField, require_same_field
 
 
 class Matrix:
-    """A rows x cols matrix over field, as one {row: nonzero} dict per column.
-    The package builds every matrix from sparse columns (from_cols and the
-    operations); the dense forms, Matrix(field, rows, …) and from_rows, are
-    kept only because the benchmark under bench/ and the tests call them.
-    A matrix and its column dicts never change once built, so results share
-    them, and the row table of its unit columns, handed over by the builders
-    of 0/1 matrices or found by _unit_rows, stays true (see the module
-    docstring)."""
+    """A rows x cols matrix over field, as one {row: nonzero} dict per column,
+    built by from_cols and the operations.  The dense constructor, which
+    takes row lists of canonical values and the shape, is kept only for the
+    benchmark under bench/ (see the module docstring).  A matrix and its
+    column dicts never change once built, so results share them, and the
+    row table of its unit columns, handed over by the builders of 0/1
+    matrices or found by _unit_rows, stays true."""
 
     __slots__ = ("field", "rows", "cols", "columns", "_units")
 
-    def __init__(self, field, data, rows=None, cols=None):
+    def __init__(self, field, data, rows, cols):
         """data: list of row lists of canonical field values."""
-        if rows is None:
-            rows = len(data)
-        if cols is None:
-            cols = len(data[0]) if data else 0
         if len(data) != rows:
             raise ShapeMismatch(f"{len(data)} rows given for a {rows}x{cols} matrix")
         for row in data:
@@ -105,14 +106,6 @@ class Matrix:
         m.columns = cols
         m._units = None
         return m
-
-    @classmethod
-    def from_rows(cls, field, rows):
-        return cls(field, [[field.of(x) for x in row] for row in rows])
-
-    @classmethod
-    def zeros(cls, field, rows, cols):
-        return cls.from_cols(field, rows, [{} for _ in range(cols)])
 
     @classmethod
     def identity(cls, field, n):
@@ -148,9 +141,6 @@ class Matrix:
 
     def col_sparse(self, j):
         return dict(self.columns[j])
-
-    def transpose(self):
-        return Matrix.from_cols(self.field, self.cols, _flip(self.columns, self.rows))
 
     # -- arithmetic --------------------------------------------------------
 
@@ -194,21 +184,12 @@ class Matrix:
             cols.append(_canonical(fld, acc))
         return Matrix.from_cols(fld, self.rows, cols)
 
-    def hstack(self, other):
-        require_same_field(self.field, other.field)
-        if self.rows != other.rows:
-            raise ShapeMismatch("row count mismatch in hstack")
-        return Matrix.from_cols(self.field, self.rows, self.columns + other.columns)
-
     # -- echelon forms -----------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form; returns (R, pivot_columns)."""
         red = _reduce(self.field, self.columns)
         return _echelon(self.field, red, self.rows, self.cols), list(red)
-
-    def rank(self):
-        return len(_reduce(self.field, self.columns))
 
 
 @cache
@@ -325,7 +306,7 @@ def solve(a: Matrix, b: Matrix):
     require_same_field(a.field, b.field)
     if a.rows != b.rows:
         raise ShapeMismatch("A and B must have the same number of rows")
-    red = _reduce(a.field, a.hstack(b).columns)
+    red = _reduce(a.field, a.columns + b.columns)
     if any(p >= a.cols for p in red):
         return None
     xcols = [{} for _ in range(b.cols)]
@@ -374,10 +355,10 @@ def kernel_left_inverse(k: Matrix) -> Matrix:
 
 def left_inverse(a: Matrix) -> Matrix:
     """L with L·A = I for injective A (deterministic); raises if A is not injective."""
-    lt = solve(a.transpose(), Matrix.identity(a.field, a.cols))
+    lt = solve(Matrix.from_cols(a.field, a.cols, _flip(a.columns, a.rows)), Matrix.identity(a.field, a.cols))
     if lt is None:
         raise InternalSolveFailure("matrix has no left inverse (not injective)")
-    return lt.transpose()
+    return Matrix.from_cols(a.field, a.cols, _flip(lt.columns, lt.rows))
 
 
 def first_difference(a: Matrix, b: Matrix):

@@ -49,11 +49,6 @@ class SpanOverB:
             raise LegsNotInClass("the span does not have its legs in the class")
 
 
-def unit_span(base: BaseCategory, b) -> SpanOverB:
-    e = base.identity(b)
-    return SpanOverB(base, b, b, e, e)
-
-
 def span_tensor(x: SpanOverB, y: SpanOverB) -> SpanOverB:
     """Monoidal product of spans over B: apex is the pullback of (s, t'),
     legs t∘p and s'∘p'."""

@@ -38,8 +38,8 @@ def direct_sum(a: Coalgebra, b: Coalgebra) -> Coalgebra:
     fld, n = a.field, a.dim + b.dim
     ia = Matrix.from_cols(fld, n, [{i: fld.one} for i in range(a.dim)])
     ib = Matrix.from_cols(fld, n, [{a.dim + i: fld.one} for i in range(b.dim)])
-    delta = kron_apply(ia, ia, a.delta).hstack(kron_apply(ib, ib, b.delta))
-    return Coalgebra(n, fld, delta=delta, epsilon=a.epsilon.hstack(b.epsilon))
+    delta = Matrix.from_cols(fld, n * n, kron_apply(ia, ia, a.delta).columns + kron_apply(ib, ib, b.delta).columns)
+    return Coalgebra(n, fld, delta=delta, epsilon=Matrix.from_cols(fld, 1, a.epsilon.columns + b.epsilon.columns))
 
 
 def is_cocommutative(c: Coalgebra) -> bool:
@@ -47,7 +47,12 @@ def is_cocommutative(c: Coalgebra) -> bool:
 
 
 def is_injective(a: Matrix) -> bool:
-    return a.rank() == a.cols
+    return len(a.rref()[1]) == a.cols
+
+
+def mat(field, rows) -> Matrix:
+    """The matrix with the given rows, each entry coerced into field."""
+    return Matrix(field, [[field.of(x) for x in row] for row in rows], len(rows), len(rows[0]))
 
 
 def rand_scalar(rng, field, lo=-3, hi=3):
@@ -220,7 +225,7 @@ def random_basis(rng, field, n) -> Matrix:
     """A random invertible n x n matrix."""
     while True:
         pm = rand_matrix(rng, field, n, n)
-        if pm.rank() == n:
+        if len(pm.rref()[1]) == n:
             return pm
 
 
@@ -259,7 +264,7 @@ def mutate_one_entry(rng, field, mat: Matrix) -> Matrix:
 def divided_power(field, m) -> Coalgebra:
     """D_m = (k[x]/xᵐ)*: δ(d_n) = Σ_{i+j=n} d_i⊗d_j, ε(d_n) = [n = 0]."""
     cols = [{i * m + (n - i): field.one for i in range(n + 1)} for n in range(m)]
-    eps = Matrix.from_rows(field, [[1] + [0] * (m - 1)])
+    eps = mat(field, [[1] + [0] * (m - 1)])
     return Coalgebra(m, field, delta=Matrix.from_cols(field, m * m, cols), epsilon=eps)
 
 
@@ -274,6 +279,35 @@ def divided_power_bialgebra(field, m) -> MonoidObj:
     mul = CoalgMap(base.tensor_obj(carrier, carrier), carrier, Matrix.from_cols(field, m, cols))
     unit = CoalgMap(base.unit_obj(), carrier, Matrix.from_cols(field, m, [{0: field.one}]))
     return MonoidObj(base, carrier, mul, unit)
+
+
+def taft(n, q, p) -> MonoidObj:
+    """The Taft algebra T_n(q) over F_p as a monoid in coalgebras, on the
+    basis g^i x^j at index i·n + j (0 ≤ i, j < n, exponents of g mod n):
+    g^i x^j · g^k x^l = q^{jk} g^{i+k} x^{j+l}, or 0 when j + l ≥ n, with
+    unit g^0 x^0, δ(g^i x^j) = Σ_k [j choose k]_q g^{i+k} x^{j-k} ⊗ g^i x^k
+    and ε(g^i x^j) = [j = 0].  A bialgebra when q has order n (Taft 1971;
+    n = 2, q = -1 is Sweedler's H_4); not cocommutative for n > 1."""
+    field, d = GF(p), n * n
+    binom = [[1]]  # the Gaussian binomials [j choose k]_q, by the q-Pascal rule
+    for j in range(1, n):
+        prev = binom[-1] + [0]
+        binom.append([1] + [(prev[k - 1] + pow(q, k, p) * prev[k]) % p for k in range(1, j + 1)])
+
+    def at(i, j):
+        return i % n * n + j
+
+    delta = [{at(i + k, j - k) * d + at(i, k): binom[j][k] for k in range(j + 1) if binom[j][k]}
+             for i in range(n) for j in range(n)]
+    eps = [{0: field.one} if j == 0 else {} for i in range(n) for j in range(n)]
+    carrier = Coalgebra(d, field, delta=Matrix.from_cols(field, d * d, delta),
+                        epsilon=Matrix.from_cols(field, 1, eps))
+    mul = [{at(i + k, j + l): c} if j + l < n and (c := pow(q, j * k, p)) else {}
+           for i in range(n) for j in range(n) for k in range(n) for l in range(n)]
+    base = CoalgCategory(field)
+    m = CoalgMap(base.tensor_obj(carrier, carrier), carrier, Matrix.from_cols(field, d, mul))
+    u = CoalgMap(base.unit_obj(), carrier, Matrix.from_cols(field, d, [{0: field.one}]))
+    return MonoidObj(base, carrier, m, u)
 
 
 def substitution_dual(src: Coalgebra, tgt: Coalgebra, poly) -> CoalgMap:
@@ -309,7 +343,7 @@ def matrix_coalgebra(field, n) -> Coalgebra:
         for i in range(n)
         for j in range(n)
     ]
-    eps = Matrix.from_rows(field, [[int(i == j) for i in range(n) for j in range(n)]])
+    eps = mat(field, [[int(i == j) for i in range(n) for j in range(n)]])
     return Coalgebra(d, field, delta=Matrix.from_cols(field, d * d, cols), epsilon=eps)
 
 

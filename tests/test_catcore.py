@@ -5,6 +5,7 @@ import pytest
 from gen import (
     FIELDS,
     block_coalgebra,
+    mat,
     rand_block_map,
     rand_blocks,
     rand_finfun,
@@ -199,8 +200,8 @@ def test_split_epi_facts_coalg_grouplike():
         base = CoalgCategory(field)
         k2 = grouplike(field, 2)
         k1 = grouplike(field, 1)
-        i = CoalgMap(k1, k2, Matrix.from_rows(field, [[1], [0]]))
-        s = CoalgMap(k2, k1, Matrix.from_rows(field, [[1, 1]]))  # the counit
+        i = CoalgMap(k1, k2, mat(field, [[1], [0]]))
+        s = CoalgMap(k2, k1, mat(field, [[1, 1]]))  # the counit
         rng = rng_for("split-epi-coalg")
         probes = []
         for _ in range(4):

@@ -54,6 +54,37 @@ def test_malformed_json_exits_2(tmp_path):
     assert "error" in doc
 
 
+@pytest.mark.parametrize("content", [
+    b"[" * 10**5,
+    pytest.param(b'{"a": ' + b"9" * 5000 + b"}", marks=pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int-conversion limit")),
+    b'{"a": "\xff"}',
+], ids=["nested-past-the-recursion-limit", "integer-past-the-conversion-limit", "not-utf-8"])
+def test_undecodable_file_exits_2_naming_it(tmp_path, content):
+    p = tmp_path / "undecodable.json"
+    p.write_bytes(content)
+    code, doc = run_no_traceback(["check", str(p), "--json"])
+    assert code == 2 and doc["error"].startswith(f"cannot read {p}: ")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="no /dev/zero")
+def test_endless_file_exits_2_after_the_byte_bound():
+    code, doc = run_no_traceback(["check", "/dev/zero", "--json"])
+    assert code == 2
+    assert doc["error"] == f"cannot read /dev/zero: the file is longer than {jsonio.MAX_FILE_BYTES} bytes"
+
+
+@pytest.mark.parametrize("bound", [8, 2**16 - 1, 2**16, 2**16 + 8])
+def test_byte_bound_is_inclusive(tmp_path, monkeypatch, bound):
+    monkeypatch.setattr(jsonio, "MAX_FILE_BYTES", bound)
+    p = tmp_path / "bound.json"
+    p.write_text("{}" + " " * (bound - 2))
+    assert run_no_traceback(["check", str(p)])[0] == 0
+    p.write_text("{}" + " " * (bound - 1))
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["error"] == f"cannot read {p}: the file is longer than {bound} bytes"
+
+
 def test_unknown_kind_exits_2(tmp_path):
     p = tmp_path / "odd.json"
     p.write_text(json.dumps({"x": {"kind": "mystery"}}))

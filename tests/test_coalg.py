@@ -13,6 +13,7 @@ from gen import (
     divided_power,
     is_cocommutative,
     is_injective,
+    mat,
     matrix_coalgebra,
     mutate_one_entry,
     primitive_block,
@@ -106,7 +107,7 @@ def test_primitive_missing_summand_fails_counit_with_witness():
             2,
             field,
             delta=Matrix.from_cols(field, 4, cols),
-            epsilon=Matrix.from_rows(field, [[1, 0]]),
+            epsilon=mat(field, [[1, 0]]),
         )
         rep = check_coalgebra(c)
         assert not rep.ok
@@ -132,7 +133,7 @@ def test_direct_sum_and_tensor_pass_checks():
 def test_zero_dimensional_coalgebra_is_legal():
     for field in FIELDS:
         z = Coalgebra(
-            0, field, delta=Matrix.zeros(field, 0, 0), epsilon=Matrix.zeros(field, 1, 0)
+            0, field, delta=Matrix.from_cols(field, 0, []), epsilon=Matrix.from_cols(field, 1, [])
         )
         assert check_coalgebra(z).ok
 
@@ -513,8 +514,10 @@ def test_equalizer_inclusion_is_the_kernel_of_the_unreduced_oracle():
             pm = random_basis(rng, field, a0.dim)
             a = rebased(a0, pm)
             told = told or not check_coalgebra(a).ok
-            f = CoalgMap(a, b, rand_matrix(rng, field, nb, m).hstack(linearize_fun(f0, field).mat) @ pm)
-            g = CoalgMap(a, b, rand_matrix(rng, field, nb, m).hstack(linearize_fun(g0, field).mat) @ pm)
+            f_cols = rand_matrix(rng, field, nb, m).columns + linearize_fun(f0, field).mat.columns
+            f = CoalgMap(a, b, Matrix.from_cols(field, nb, f_cols) @ pm)
+            g_cols = rand_matrix(rng, field, nb, m).columns + linearize_fun(g0, field).mat.columns
+            g = CoalgMap(a, b, Matrix.from_cols(field, nb, g_cols) @ pm)
             eq = coalg_equalizer(f, g)
             assert eq.j.mat.cols >= 1
             assert eq.j.mat == kernel_basis_sparse(_hat_difference_oracle(f, g))
@@ -675,9 +678,10 @@ def test_tensor_delta_apply_matches_the_per_column_delta():
             for x in (tensor_coalgebra(a, c), tensor_coalgebra(c, a), tensor_coalgebra(a, trivial(field)),
                       tensor_coalgebra(trivial(field), c), tensor_coalgebra(tensor_coalgebra(a, c), a),
                       tensor_coalgebra(c, tensor_coalgebra(a, a))):
-                m = rand_sparse_matrix(rng, field, x.dim, 5, 0.4).hstack(
-                    Matrix.from_cols(field, x.dim, [{rng.randrange(x.dim): field.one}, {}]))
-                m = m.hstack(kernel_basis_sparse(Coalgebra(x.dim, field, factors=x._factors).delta))
+                cols = rand_sparse_matrix(rng, field, x.dim, 5, 0.4).columns
+                cols += [{rng.randrange(x.dim): field.one}, {}]
+                cols += kernel_basis_sparse(Coalgebra(x.dim, field, factors=x._factors).delta).columns
+                m = Matrix.from_cols(field, x.dim, cols)
                 got = coalg._delta_apply(x, m)
                 assert "delta" not in vars(x)
                 assert got == x.delta @ m
@@ -799,7 +803,7 @@ def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypa
             _outcome(coalg_equalizer, f, g)
             k, delta_k, system = _equalizer_system(a, t, z)
             (((_, k_used, delta_k_used), _),) = checks
-            if system.rank() == 0:
+            if not any(system.columns):
                 assert k_used == k and delta_k_used == delta_k
             else:
                 multiplied += 1
@@ -902,7 +906,7 @@ def test_counital_equalizer_fails_as_the_reference_does_when_n_is_one(monkeypatc
         t, z = _t_and_z(f, g)
         k, _, system = _equalizer_system(x, t, z)
         assert k == Matrix.from_cols(field, 4, [{0: field.one}, {2: field.one}])
-        assert system.rank() == 0
+        assert not any(system.columns)
         failure = "δ∘j does not factor through j⊗j"
         checks.clear()
         assert _outcome(coalg_equalizer, f, g) == failure
@@ -1116,7 +1120,7 @@ def test_pullback_factor_rejections():
     # non-commuting square
     two = grouplike(field, 2)
     k = CoalgMap(two, two, Matrix.identity(field, 2))
-    swapm = Matrix.from_rows(field, [[0, 1], [1, 0]])
+    swapm = mat(field, [[0, 1], [1, 0]])
     l = CoalgMap(two, two, swapm)
     with pytest.raises(SquareDoesNotCommute):
         pullback_factor_coalg(pb, k, l)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import rand_q_matrix, rng_for
+from gen import mat, rand_q_matrix, rng_for
 from relspan import (
     GF,
     QQ,
@@ -205,8 +205,8 @@ def test_rebased_grouplike_pullback_over_q_is_canonical():
     """A group-like cospan in non-unimodular bases: fractions appear throughout."""
     ctx = load_context(os.path.join(FIXTURES, "cospan_finset.json"))
     f, g = (linearize_fun(m, QQ) for m in ctx["cs"].value)
-    p_of = {n: Matrix.from_rows(QQ, [[2 if i == j else int(j == i + 1) for j in range(n)]
-                                     for i in range(n)]) for n in (2, 3)}
+    p_of = {n: mat(QQ, [[2 if i == j else int(j == i + 1) for j in range(n)] for i in range(n)])
+            for n in (2, 3)}
     a, pa = _rebased(f.src, p_of[f.src.dim])
     b, pb_inv = _rebased(f.tgt, p_of[f.tgt.dim])
     c, pc = _rebased(g.src, p_of[g.src.dim])

@@ -8,6 +8,7 @@ from gen import (
     finset_monoid,
     group_algebra,
     group_c2,
+    mat,
     rng_for,
 )
 from relspan import (
@@ -71,9 +72,9 @@ def trivial_coalg_monoid(field):
     base = CoalgCategory(field)
     t = trivial(field)
     one = base.identity(t)
-    from relspan import CoalgMap, Matrix
+    from relspan import CoalgMap
 
-    m = CoalgMap(base.tensor_obj(t, t), t, Matrix.from_rows(field, [[1]]))
+    m = CoalgMap(base.tensor_obj(t, t), t, mat(field, [[1]]))
     return MonoidObj(base, t, m, one)
 
 

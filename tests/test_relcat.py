@@ -33,11 +33,7 @@ from relspan import (
 from relspan.coalg import cid
 from relspan.errors import BaseMismatch, LegsNotInClass, NotACategory, ShapeMismatch
 from relspan.finset import linearize_funs
-from relspan.relcat import (
-    RelativeCategory,
-    composition_table,
-    unit_span,
-)
+from relspan.relcat import RelativeCategory, composition_table
 
 
 def span_power(x: SpanOverB, n: int) -> SpanOverB:
@@ -45,7 +41,8 @@ def span_power(x: SpanOverB, n: int) -> SpanOverB:
     if n < 0:
         raise ValueError("negative monoidal power")
     if n == 0:
-        return unit_span(x.base, x.b)
+        e = x.base.identity(x.b)
+        return SpanOverB(x.base, x.b, x.b, e, e)
     acc = x
     for _ in range(n - 1):
         acc = span_tensor(acc, x)
@@ -72,7 +69,7 @@ def test_span_tensor_unit_laws():
 
     rc = from_small_category(fixture_poset01())
     sp = SpanOverB(FINSET, rc.b, rc.a, rc.t, rc.s)
-    e = unit_span(FINSET, rc.b)
+    e = span_power(sp, 0)
     left = span_tensor(e, sp)
     right = span_tensor(sp, e)
     # the apexes biject with A via the materialized unit isomorphisms
@@ -136,7 +133,8 @@ def test_span_power_rejects_a_negative_exponent():
 def test_span_base_mismatch():
     rc = from_small_category(fixture_poset01())
     sp = SpanOverB(FINSET, rc.b, rc.a, rc.t, rc.s)
-    e = unit_span(FINSET, FinSetObj(5))
+    b5 = FinSetObj(5)
+    e = SpanOverB(FINSET, b5, b5, FINSET.identity(b5), FINSET.identity(b5))
     with pytest.raises(BaseMismatch):
         span_tensor(sp, e)
 
@@ -233,7 +231,7 @@ def test_linearized_fixtures_pass():
             rc = from_small_category(cat)
             rcq = linearize_relcat(rc, field)
             rep = check_relative_category(rcq)
-            assert rep.ok, (name, field.tag, [c.name for c in rep.failures()])
+            assert rep.ok, (name, field, [c.name for c in rep.failures()])
 
 
 def test_only_the_finite_set_instance_linearizes():
