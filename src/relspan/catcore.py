@@ -19,7 +19,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
-from .errors import BaseMismatch, CodomainMismatch, CompositionMismatch, NotASection
+from .errors import BaseMismatch, CodomainMismatch, CompositionMismatch, NotASection, ShapeMismatch
 
 
 # -- reports ----------------------------------------------------------------
@@ -116,6 +116,10 @@ class BaseCategory(ABC):
         return f == g
 
     @abstractmethod
+    def size(self, obj) -> int:
+        """The number of basis elements of obj (of elements, over finite sets)."""
+
+    @abstractmethod
     def tensor_obj(self, x, y): ...
 
     @abstractmethod
@@ -127,6 +131,14 @@ class BaseCategory(ABC):
     @abstractmethod
     def symmetry(self, x, y):
         """The braiding c: x⊗y -> y⊗x (an involution in both instances)."""
+
+    @abstractmethod
+    def first_difference(self, lhs, rhs) -> int | None:
+        """The first basis element of the common domain of lhs and rhs, as
+        its row-major index, on which they differ, or None when they are
+        equal.  Each side is a morphism or a composite of morphisms,
+        ("∘", g, f) for g∘f and ("⊗", f, g) for f⊗g; sides with different
+        domains or codomains raise ShapeMismatch (require_same_ends)."""
 
     def invert(self, f):
         """Two-sided inverse of f when it exists, else None."""
@@ -161,6 +173,22 @@ class BaseCategory(ABC):
     def check_span(self, span: Span):
         if self.dom(span.left) != self.dom(span.right):
             raise CompositionMismatch("span legs must share their apex")
+
+
+def build(base: BaseCategory, term):
+    """The morphism a composite of morphisms names (see first_difference),
+    built with compose and tensor_mor."""
+    if not isinstance(term, tuple):
+        return term
+    op, x, y = term
+    x, y = build(base, x), build(base, y)
+    return base.compose(x, y) if op == "∘" else base.tensor_mor(x, y)
+
+
+def require_same_ends(left: tuple, right: tuple):
+    """The (domain, codomain) pairs of the two sides of an equation agree."""
+    if left != right:
+        raise ShapeMismatch("the sides of an equation have different domains or codomains")
 
 
 # -- instance-level admissibility checks ---------------------------------------

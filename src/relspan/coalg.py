@@ -7,9 +7,17 @@ c∘(f⊗g)∘δ = (g⊗f)∘δ.  The symmetry c is natural, c∘(f⊗g) = (g⊗
 two sides differ by (g⊗f)∘(c∘δ - δ): S is decided by that one product, and
 without it when A is cocommutative, c∘δ = δ.
 
-Every construction and check is a product of column-sparse matrices (see
-linalg): an axiom holds when two such products are equal, and its witness
-names the first basis vector on which they differ.
+Every construction is a product of column-sparse matrices (see linalg).
+An axiom holds when two such products are equal, and its witness names the
+first basis vector on which they differ.  The sides of an equation of
+coalgebra maps (CoalgCategory.first_difference, through which monoids
+checks every monoid equation) and the comultiplication of check_coalg_map
+are evaluated on _BLOCK basis vectors of the domain at a time, so neither
+side is built: m∘(m⊗1) of a 144-dimensional bialgebra has 144³ columns.
+A side g∘(f⊗h)∘… is read one basis vector e_p of f's domain at a time, as
+the columns of g∘(f(e_p)⊗1), a combination of column slices of g, applied
+to h's columns.  check_coalgebra keeps its whole products: on group-like
+data they are index maps.
 
 Equalizers of coalgebra maps are computed in two steps: the underlying
 subspace E is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and
@@ -83,9 +91,9 @@ are never changed once built.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
-from .catcore import BaseCategory, RelPullback, Report, legs_in_class
+from .catcore import BaseCategory, RelPullback, Report, build, legs_in_class, require_same_ends
 from .errors import (
     CodomainMismatch,
     InternalSolveFailure,
@@ -285,12 +293,71 @@ def check_coalgebra(c: Coalgebra) -> Report:
 
 
 def check_coalg_map(m: CoalgMap) -> Report:
-    """δ_tgt∘f = (f⊗f)∘δ_src and ε_tgt∘f = ε_src, exactly."""
-    f = m.mat
+    """δ_tgt∘f = (f⊗f)∘δ_src and ε_tgt∘f = ε_src, exactly.  The first is
+    taken _BLOCK basis vectors at a time (_walk), so no δ of a tensor
+    product is built (_delta_apply)."""
+    f, n = m.mat, m.mat.cols
     rep = Report()
-    _add_equation(rep, "comultiplication intertwined", m.tgt.delta @ f, kron_apply(f, f, m.src.delta))
+    j = _walk(n, lambda lo, hi: _delta_apply(m.tgt, f @ _basis(f.field, n, lo, hi)),
+              lambda lo, hi: kron_apply(f, f, _delta_apply(m.src, _basis(f.field, n, lo, hi))))
+    rep.add("comultiplication intertwined", j is None, f"basis {j}")
     _add_equation(rep, "counit preserved", m.tgt.epsilon @ f, m.src.epsilon)
     return rep
+
+
+# The most basis vectors of a domain that an equation is evaluated on at once.
+_BLOCK = 1024
+
+
+def _walk(n, *sides):
+    """The first of n basis indices at which the two sides, side(lo, hi) the
+    matrix of one on the basis vectors lo, …, hi - 1, differ, taken _BLOCK
+    indices at a time; None when they never do."""
+    for lo in range(0, n, _BLOCK):
+        a, b = (side(lo, min(lo + _BLOCK, n)) for side in sides)
+        if a.columns != b.columns:
+            return lo + first_difference(a, b)
+    return None
+
+
+def _basis(fld, n, lo, hi) -> Matrix:
+    """The basis vectors lo, …, hi - 1 of an n-dimensional space, as columns."""
+    return _unit_matrix(fld, n, list(range(lo, hi)))
+
+
+def _combination(g: Matrix, v: dict, w: int) -> Matrix:
+    """g∘(v⊗1) for a column v and the identity on w dimensions: the sum of
+    v_r·G_r, G_r the columns r·w, …, r·w + w - 1 of g, shared when v = e_r."""
+    fld = g.field
+    if not v:
+        return Matrix.from_cols(fld, g.rows, [{}] * w)
+    if len(v) > 1:
+        return g @ Matrix.from_cols(fld, g.cols, [{r * w + t: c for r, c in v.items()} for t in range(w)])
+    ((r, c),) = v.items()
+    cols, norm = g.columns[r * w:r * w + w], fld.normalize
+    if c != fld.one:  # no product is 0 in a field
+        cols = [{i: norm(c * x) for i, x in col.items()} for col in cols]
+    return Matrix.from_cols(fld, g.rows, cols)
+
+
+def _block(fld, chain: list, n, lo, hi) -> Matrix:
+    """The factors of one side (CoalgCategory._chain), first applied first,
+    on the basis vectors lo, …, hi - 1 of its n-dimensional domain.  A first
+    factor f⊗h followed by a matrix g is taken one basis vector e_p of f's
+    domain at a time, as g∘(f(e_p)⊗1) applied to h(e_q), so neither f⊗h nor
+    g∘(f⊗h) is built."""
+    if isinstance(chain[0], tuple) and len(chain) > 1 and isinstance(chain[1], Matrix):
+        (f, h), g, chain = chain[0], chain[1], chain[2:]
+        w, cols = h.cols, []
+        for p in range(lo // w, (hi - 1) // w + 1):
+            q = h.columns[max(lo - p * w, 0):min(hi - p * w, w)]
+            cols += (_combination(g, f.columns[p], h.rows) @ Matrix.from_cols(fld, h.rows, q)).columns
+        x = Matrix.from_cols(fld, g.rows, cols)
+    else:
+        x = _basis(fld, n, lo, hi)
+    for m in chain:
+        x = m @ x if isinstance(m, Matrix) else kron_apply(*m, x)
+    return x
 
 
 # -- the class S ----------------------------------------------------------------
@@ -338,6 +405,9 @@ class CoalgCategory(BaseCategory):
     def cod(self, f):
         return f.tgt
 
+    def size(self, obj):
+        return obj.dim
+
     def tensor_obj(self, x, y):
         return tensor_coalgebra(x, y)
 
@@ -353,6 +423,32 @@ class CoalgCategory(BaseCategory):
         return CoalgMap(
             tensor_coalgebra(x, y), tensor_coalgebra(y, x), swap_map(self.field, x.dim, y.dim)
         )
+
+    def first_difference(self, lhs, rhs):
+        """Each side is taken as its factors (_chain) on _BLOCK basis vectors
+        of the domain at a time (_block), so neither is built."""
+        left, right = [], []
+        ends = self._chain(lhs, left)
+        require_same_ends(ends, self._chain(rhs, right))
+        n = ends[0].dim
+        return _walk(n, partial(_block, self.field, left, n), partial(_block, self.field, right, n))
+
+    def _chain(self, term, out: list) -> tuple:
+        """Append the factors of term to out, first applied first: a matrix,
+        or the pair of matrices of a ⊗, whose composite operands are built;
+        the (domain, codomain) of term."""
+        if not isinstance(term, tuple):
+            out.append(term.mat)
+            return term.src, term.tgt
+        op, x, y = term
+        if op == "⊗":
+            f, g = build(self, x), build(self, y)
+            out.append((f.mat, g.mat))
+            return tensor_coalgebra(f.src, g.src), tensor_coalgebra(f.tgt, g.tgt)
+        (src, mid), (mid2, tgt) = self._chain(y, out), self._chain(x, out)
+        if mid != mid2:
+            raise CodomainMismatch("compose: cod(f) != dom(g)")
+        return src, tgt
 
     def invert(self, f: CoalgMap):
         if f.src.dim != f.tgt.dim:

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
 from . import coalg
-from .catcore import BaseCategory, RelPullback, Report
+from .catcore import BaseCategory, RelPullback, Report, build, require_same_ends
 from .errors import CodomainMismatch, ShapeMismatch, SquareDoesNotCommute
 from .linalg import _unit_matrix
+from .monoids import MonoidObj, check_monoid
 
 
 @dataclass(frozen=True)
@@ -84,12 +84,15 @@ class FinSetCategory(BaseCategory):
     def cod(self, f):
         return f.cod
 
+    def size(self, obj):
+        return obj.size
+
     def tensor_obj(self, x, y):
         return FinSetObj(x.size * y.size)
 
     def tensor_mor(self, f: FinFun, g: FinFun) -> FinFun:
         gm = g.cod.size
-        table = tuple(a * gm + b for a in f.table for b in g.table)
+        table = tuple([a * gm + b for a in f.table for b in g.table])
         return FinFun._valid(self.tensor_obj(f.dom, g.dom), self.tensor_obj(f.cod, g.cod), table)
 
     def unit_obj(self):
@@ -99,6 +102,15 @@ class FinSetCategory(BaseCategory):
         m, n = x.size, y.size
         table = tuple(j * m + i for i in range(m) for j in range(n))
         return FinFun._valid(FinSetObj(m * n), FinSetObj(n * m), table)
+
+    def first_difference(self, lhs, rhs):
+        """Both sides built whole: on every input the CLI reads,
+        MAX_PULLBACK_PAIRS bounds their tables."""
+        f, g = build(self, lhs), build(self, rhs)
+        require_same_ends((f.dom, f.cod), (g.dom, g.cod))
+        if f.table == g.table:
+            return None
+        return next(x for x, (a, b) in enumerate(zip(f.table, g.table)) if a != b)
 
     def invert(self, f: FinFun):
         if f.dom.size != f.cod.size or len(set(f.table)) != f.dom.size:
@@ -178,19 +190,18 @@ def universal_factor(pb: RelPullback, a: FinFun, c: FinFun) -> FinFun:
 
 
 def finset_monoid_check(m_obj: FinSetObj, m: FinFun, u: int) -> Report:
-    """Exhaustive associativity and two-sided unit check of a multiplication table."""
+    """check_monoid of a multiplication table, its unit laws reported as
+    one: the witnesses are the first triple "(a,b,c)" in lexicographic
+    order and the first element "a" that either unit law fails on."""
     n = m_obj.size
     if m.dom.size != n * n or m.cod != m_obj:
         raise ShapeMismatch("multiplication table has the wrong shape")
     if not 0 <= u < n:
         raise ShapeMismatch("unit element outside the carrier")
-    mul = lambda a, b: m.table[a * n + b]
-    rep = Report()
-    assoc_witness = next((f"({a},{b},{c})" for a, b, c in product(range(n), repeat=3)
-                          if mul(mul(a, b), c) != mul(a, mul(b, c))), None)
-    rep.add("associativity", assoc_witness is None, assoc_witness)
-    unit_witness = next((str(a) for a in range(n) if mul(u, a) != a or mul(a, u) != a), None)
-    rep.add("two-sided unit", unit_witness is None, unit_witness)
+    assoc, *units = check_monoid(MonoidObj(FINSET, m_obj, m, FinFun._valid(FinSetObj(1), m_obj, (u,)))).checks
+    unit = min((int(c.witness) for c in units if not c.ok), default=None)
+    rep = Report([assoc])
+    rep.add("two-sided unit", unit is None, str(unit))
     return rep
 
 

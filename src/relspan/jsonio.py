@@ -2,7 +2,8 @@
 
 A fixture file is a single JSON object mapping names to declarations; each
 declaration carries a "kind" field.  At most MAX_FILE_BYTES of it are read,
-as UTF-8 (see load_context).  Matrices are exact: entries are strings,
+as UTF-8, opening at most MAX_FILE_CONTAINERS arrays and objects (see
+load_context).  Matrices are exact: entries are strings,
 rationals as "a/b", and each matrix must have the shape its declaration
 implies before it is built.  Loading a file reads the kind of every
 declaration, and refuses a missing or unknown one, but decodes no body: a
@@ -53,6 +54,11 @@ def _int(v) -> int:
     raise ValueError(f"expected an integer, got {v!r}")
 
 
+def _reason(exc: Exception) -> str:
+    """Why a decoder refused its JSON: a KeyError is a missing field."""
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
 def _text(v) -> str:
     """A matrix entry: a JSON string and nothing else (no number or boolean)."""
     if type(v) is str:
@@ -99,6 +105,9 @@ def parse_field_flag(text: str):
 MAX_ENCODED_CELLS = 10**6
 # The most bytes load_context reads from a fixture file.
 MAX_FILE_BYTES = 32 * 2**20
+# The most JSON arrays and objects a fixture file may open, counted as its
+# "[" and "{" bytes before it is decoded: each costs 56 B or more decoded.
+MAX_FILE_CONTAINERS = 10**6
 
 
 def require_encodable(rows: int, cols: int, label=None):
@@ -143,7 +152,7 @@ def matrix_from_json(obj, rows: int, cols: int) -> Matrix:
                 if v := scalar[x]:
                     col[i] = v
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ParseError(f"bad matrix: {exc}") from exc
+        raise ParseError(f"bad matrix: {_reason(exc)}") from exc
     return Matrix.from_cols(fld, rows, columns)
 
 
@@ -337,7 +346,7 @@ class Context:
             except _NamedRefusal:  # as raised, so a nested refusal keeps its one prefix
                 raise
             except (RelspanError, KeyError, TypeError, ValueError, OverflowError) as exc:
-                raise _NamedRefusal(f"bad declaration {name!r}: {exc}") from exc
+                raise _NamedRefusal(f"bad declaration {name!r}: {_reason(exc)}") from exc
         return self.done[name]
 
     def __iter__(self):
@@ -354,9 +363,10 @@ class Context:
 
 def load_context(path: str) -> Context:
     """The declarations of a fixture file, their kinds checked and nothing
-    decoded.  At most MAX_FILE_BYTES are read, as UTF-8; a longer file, bytes
-    that are not UTF-8, JSON nested past the recursion limit and an integer
-    past Python's int-conversion limit are refused, naming the path."""
+    decoded.  At most MAX_FILE_BYTES are read, as UTF-8; a longer file, one
+    with more than MAX_FILE_CONTAINERS "[" and "{" bytes, bytes that are not
+    UTF-8, JSON nested past the recursion limit and an integer past Python's
+    int-conversion limit are refused, naming the path."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read(2**16)  # read(n) allocates n bytes first: no 32 MiB buffer for a small file
@@ -364,6 +374,9 @@ def load_context(path: str) -> Context:
                 raw += fh.read(MAX_FILE_BYTES + 1 - len(raw))
         if len(raw) > MAX_FILE_BYTES:
             raise ParseError(f"cannot read {path}: the file is longer than {MAX_FILE_BYTES} bytes")
+        if raw.count(b"[") + raw.count(b"{") > MAX_FILE_CONTAINERS:
+            raise ParseError(f"cannot read {path}: the file opens more than {MAX_FILE_CONTAINERS}"
+                             " JSON arrays and objects")
         doc = json.loads(raw.decode("utf-8"))
     except (OSError, ValueError, RecursionError) as exc:  # ValueError: JSON, UTF-8, the int-conversion limit
         raise ParseError(f"cannot read {path}: {exc}") from exc

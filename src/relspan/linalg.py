@@ -7,7 +7,8 @@ matrices are equal exactly when their columns are equal dicts, and storage
 and work grow with the number of nonzeros, not with rows × columns.
 
 A @ B accumulates the sums of each output column and normalizes each
-entry once.  kron_apply, (A⊗B)∘M without A⊗B, states its path rules in its
+entry once; a column of B with one nonzero b has no sum, and gives the
+column of A it picks, shared when b is one and scaled otherwise.  kron_apply, (A⊗B)∘M without A⊗B, states its path rules in its
 docstring, and kron is kron_apply on the identity.  X⊗Z - W⊗Y is built one
 column at a time, without either product.  These two normalize a product
 of entries only when a factor is not one (a Q product of two Fractions can
@@ -33,8 +34,8 @@ g∘f is the product G @ F.  Tensor indices are row-major throughout:
 e_i ⊗ f_j lives at index i * dim(second factor) + j.
 
 Matrices never change once built, nor do their column dicts, which results
-share with their operands (identity products, A @ B on B's row table,
-from_cols): no function writes to a matrix's column; each one that updates a
+share with their operands (identity products, A @ B on B's row table or at
+a column of B that is one entry equal to one, from_cols): no function writes to a matrix's column; each one that updates a
 column in place updates a dict of its own.
 
 The package builds every matrix from sparse columns.  Five names have no
@@ -174,14 +175,20 @@ class Matrix:
             out = Matrix.from_cols(fld, self.rows, [acols[k] for k in br])
             out._units = None if (ar := _unit_rows(self)) is False else [ar[k] for k in br]
             return out
-        cols = []
+        norm, one, cols = fld.normalize, fld.one, []
         for col in other.columns:
-            acc = {}
-            get = acc.get
-            for k, b in col.items():
-                for i, a in acols[k].items():
-                    acc[i] = get(i, 0) + a * b
-            cols.append(_canonical(fld, acc))
+            if not col:
+                cols.append({})
+            elif len(col) == 1:  # no sum: A's column, shared, or scaled, as no product is 0 in a field
+                ((k, b),) = col.items()
+                cols.append(acols[k] if b == one else {i: norm(a * b) for i, a in acols[k].items()})
+            else:
+                acc = {}
+                get = acc.get
+                for k, b in col.items():
+                    for i, a in acols[k].items():
+                        acc[i] = get(i, 0) + a * b
+                cols.append(_canonical(fld, acc))
         return Matrix.from_cols(fld, self.rows, cols)
 
     # -- echelon forms -----------------------------------------------------

@@ -48,86 +48,57 @@ class DistLaw:
     x: object  # B⊗A -> A⊗B
 
 
+def _difference(base: BaseCategory, lhs, rhs, *factors) -> str | None:
+    """None when lhs = rhs, else the first basis element of their domain,
+    the tensor product of factors, on which they differ, by its factor
+    indices: "a" for one factor, "(a,b,c)" for three."""
+    j, idx = base.first_difference(lhs, rhs), []
+    if j is None:
+        return None
+    for x in reversed(factors):
+        j, i = divmod(j, base.size(x))
+        idx.insert(0, str(i))
+    return idx[0] if len(idx) == 1 else f"({','.join(idx)})"
+
+
+def _equation(rep: Report, name, *args):
+    witness = _difference(*args)
+    rep.add(name, witness is None, witness)
+
+
 def check_monoid(mon: MonoidObj) -> Report:
-    base = mon.base
-    a = mon.carrier
-    if base.dom(mon.m) != base.tensor_obj(a, a) or base.cod(mon.m) != a:
+    base, a, m, u = mon.base, mon.carrier, mon.m, mon.u
+    if base.dom(m) != base.tensor_obj(a, a) or base.cod(m) != a:
         raise ShapeMismatch("multiplication has the wrong shape")
-    if base.dom(mon.u) != base.unit_obj() or base.cod(mon.u) != a:
+    if base.dom(u) != base.unit_obj() or base.cod(u) != a:
         raise ShapeMismatch("unit has the wrong shape")
     ida = base.identity(a)
     rep = Report()
-    rep.add(
-        "associativity",
-        base.compose(mon.m, base.tensor_mor(mon.m, ida))
-        == base.compose(mon.m, base.tensor_mor(ida, mon.m)),
-        "m∘(m⊗1) != m∘(1⊗m)",
-    )
-    rep.add(
-        "left unit",
-        base.compose(mon.m, base.tensor_mor(mon.u, ida)) == ida,
-        "m∘(u⊗1) != 1",
-    )
-    rep.add(
-        "right unit",
-        base.compose(mon.m, base.tensor_mor(ida, mon.u)) == ida,
-        "m∘(1⊗u) != 1",
-    )
+    _equation(rep, "associativity", base, ("∘", m, ("⊗", m, ida)), ("∘", m, ("⊗", ida, m)), a, a, a)
+    _equation(rep, "left unit", base, ("∘", m, ("⊗", u, ida)), ida, a)
+    _equation(rep, "right unit", base, ("∘", m, ("⊗", ida, u)), ida, a)
     rep.extend(base.monoid_checks(mon))
     return rep
 
 
 def check_monoid_morphism(mm: MonoidMorphism) -> Report:
-    base = mm.src.base
+    base, a, f = mm.src.base, mm.src.carrier, mm.f
     rep = Report()
-    rep.add(
-        "multiplicative",
-        base.compose(mm.f, mm.src.m) == base.compose(mm.tgt.m, base.tensor_mor(mm.f, mm.f)),
-        "f∘m != m'∘(f⊗f)",
-    )
-    rep.add(
-        "unital",
-        base.compose(mm.f, mm.src.u) == mm.tgt.u,
-        "f∘u != u'",
-    )
+    _equation(rep, "multiplicative", base, ("∘", f, mm.src.m), ("∘", mm.tgt.m, ("⊗", f, f)), a, a)
+    _equation(rep, "unital", base, ("∘", f, mm.src.u), mm.tgt.u, base.unit_obj())
     return rep
 
 
 def check_dist_law(dl: DistLaw) -> Report:
-    base = dl.a.base
-    a, b = dl.a, dl.b
-    ida = base.identity(a.carrier)
-    idb = base.identity(b.carrier)
-    x = dl.x
+    base, a, b, x = dl.a.base, dl.a, dl.b, dl.x
+    ida, idb = base.identity(a.carrier), base.identity(b.carrier)
     rep = Report()
-    rep.add(
-        "x∘(m⊗1) = (1⊗m)∘(x⊗1)∘(1⊗x)",
-        base.compose(x, base.tensor_mor(b.m, ida))
-        == base.compose(
-            base.tensor_mor(ida, b.m),
-            base.compose(base.tensor_mor(x, idb), base.tensor_mor(idb, x)),
-        ),
-        "multiplication of B not respected",
-    )
-    rep.add(
-        "x∘(u⊗1) = 1⊗u",
-        base.compose(x, base.tensor_mor(b.u, ida)) == base.tensor_mor(ida, b.u),
-        "unit of B not respected",
-    )
-    rep.add(
-        "x∘(1⊗m) = (m⊗1)∘(1⊗x)∘(x⊗1)",
-        base.compose(x, base.tensor_mor(idb, a.m))
-        == base.compose(
-            base.tensor_mor(a.m, idb),
-            base.compose(base.tensor_mor(ida, x), base.tensor_mor(x, ida)),
-        ),
-        "multiplication of A not respected",
-    )
-    rep.add(
-        "x∘(1⊗u) = u⊗1",
-        base.compose(x, base.tensor_mor(idb, a.u)) == base.tensor_mor(a.u, idb),
-        "unit of A not respected",
-    )
+    _equation(rep, "x∘(m⊗1) = (1⊗m)∘(x⊗1)∘(1⊗x)", base, ("∘", x, ("⊗", b.m, ida)),
+              ("∘", ("⊗", ida, b.m), ("∘", ("⊗", x, idb), ("⊗", idb, x))), b.carrier, b.carrier, a.carrier)
+    _equation(rep, "x∘(u⊗1) = 1⊗u", base, ("∘", x, ("⊗", b.u, ida)), ("⊗", ida, b.u), a.carrier)
+    _equation(rep, "x∘(1⊗m) = (m⊗1)∘(1⊗x)∘(x⊗1)", base, ("∘", x, ("⊗", idb, a.m)),
+              ("∘", ("⊗", a.m, idb), ("∘", ("⊗", ida, x), ("⊗", x, ida))), b.carrier, a.carrier, a.carrier)
+    _equation(rep, "x∘(1⊗u) = u⊗1", base, ("∘", x, ("⊗", idb, a.u)), ("⊗", a.u, idb), b.carrier)
     return rep
 
 
@@ -174,12 +145,13 @@ def inclusion_b(dl: DistLaw, prod: MonoidObj) -> MonoidMorphism:
     return MonoidMorphism(dl.b, prod, base.tensor_mor(dl.a.u, base.identity(dl.b.carrier)))
 
 
-def _require_inverse(base, q, q_inverse):
-    if (
-        base.compose(q, q_inverse) != base.identity(base.cod(q))
-        or base.compose(q_inverse, q) != base.identity(base.dom(q))
-    ):
-        raise NotInverse("supplied q_inverse is not a two-sided inverse of q")
+def _require_inverse(f: MonoidMorphism, g: MonoidMorphism, q, q_inverse):
+    """q∘q⁻¹ = 1 on C and q⁻¹∘q = 1 on A⊗B, for q: A⊗B -> C."""
+    base, c = f.src.base, f.tgt.carrier
+    w = _difference(base, ("∘", q, q_inverse), base.identity(c), c) or _difference(
+        base, ("∘", q_inverse, q), base.identity(base.dom(q)), f.src.carrier, g.src.carrier)
+    if w is not None:
+        raise NotInverse(f"supplied q_inverse is not a two-sided inverse of q: not the identity at {w}")
 
 
 def factorization_dlaw(f: MonoidMorphism, g: MonoidMorphism, q_inverse=None) -> DistLaw:
@@ -192,9 +164,8 @@ def factorization_dlaw(f: MonoidMorphism, g: MonoidMorphism, q_inverse=None) -> 
         q_inverse = base.invert(q)
         if q_inverse is None:
             raise NotInverse("q is not invertible and no inverse was supplied")
-    _require_inverse(base, q, q_inverse)
-    x = base.compose(q_inverse, base.compose(f.tgt.m, base.tensor_mor(g.f, f.f)))
-    dl = DistLaw(f.src, g.src, x)
+    _require_inverse(f, g, q, q_inverse)
+    dl = DistLaw(f.src, g.src, base.compose(q_inverse, induced_q(g, f)))
     rep = check_dist_law(dl)
     if not rep.ok:
         raise NotADistLaw("; ".join(c.name for c in rep.failures()))
@@ -208,20 +179,16 @@ def morphism_from_pair(dl: DistLaw, a: MonoidMorphism, b: MonoidMorphism) -> Mon
     c = a.tgt
     _require_same_monoid(c, b.tgt, "morphism_from_pair")
     m_ab = base.compose(c.m, base.tensor_mor(a.f, b.f))
-    if base.compose(m_ab, dl.x) != base.compose(c.m, base.tensor_mor(b.f, a.f)):
-        raise CompatibilityFails("m∘(a⊗b)∘x != m∘(b⊗a)")
+    w = _difference(base, ("∘", m_ab, dl.x), ("∘", c.m, ("⊗", b.f, a.f)), dl.b.carrier, dl.a.carrier)
+    if w is not None:
+        raise CompatibilityFails(f"m∘(a⊗b)∘x and m∘(b⊗a) differ at {w}")
     return MonoidMorphism(product_monoid(dl), c, m_ab)
 
 
 def pair_from_morphism(dl: DistLaw, c: MonoidMorphism):
     """The pair (c∘(1⊗u), c∘(u⊗1)) of monoid morphisms out of A and B."""
-    base = dl.a.base
-    fa = base.compose(c.f, base.tensor_mor(base.identity(dl.a.carrier), dl.b.u))
-    fb = base.compose(c.f, base.tensor_mor(dl.a.u, base.identity(dl.b.carrier)))
-    return (
-        MonoidMorphism(dl.a, c.tgt, fa),
-        MonoidMorphism(dl.b, c.tgt, fb),
-    )
+    return tuple(MonoidMorphism(i.src, c.tgt, dl.a.base.compose(c.f, i.f))
+                 for i in (inclusion_a(dl, c.src), inclusion_b(dl, c.src)))
 
 
 def factor_through(
@@ -230,14 +197,12 @@ def factor_through(
     """The unique c: C -> D with c∘f = a and c∘g = b, for an invertible q and a
     compatible pair (a, b): c = m∘(a⊗b)∘q^{-1}."""
     base = f.src.base
-    _require_inverse(base, induced_q(f, g), q_inverse)
+    _require_inverse(f, g, induced_q(f, g), q_inverse)
     d = a.tgt
     _require_same_monoid(d, b.tgt, "factor_through")
     m_ab = base.compose(d.m, base.tensor_mor(a.f, b.f))
-    compat_lhs = base.compose(
-        m_ab, base.compose(q_inverse, base.compose(f.tgt.m, base.tensor_mor(g.f, f.f)))
-    )
-    compat_rhs = base.compose(d.m, base.tensor_mor(b.f, a.f))
-    if compat_lhs != compat_rhs:
-        raise CompatibilityFails("m∘(a⊗b)∘q⁻¹∘m∘(g⊗f) != m∘(b⊗a)")
+    w = _difference(base, ("∘", m_ab, ("∘", q_inverse, ("∘", f.tgt.m, ("⊗", g.f, f.f)))),
+                    ("∘", d.m, ("⊗", b.f, a.f)), g.src.carrier, f.src.carrier)
+    if w is not None:
+        raise CompatibilityFails(f"m∘(a⊗b)∘q⁻¹∘m∘(g⊗f) and m∘(b⊗a) differ at {w}")
     return MonoidMorphism(f.tgt, d, base.compose(m_ab, q_inverse))

@@ -74,6 +74,24 @@ def test_endless_file_exits_2_after_the_byte_bound():
     assert doc["error"] == f"cannot read /dev/zero: the file is longer than {jsonio.MAX_FILE_BYTES} bytes"
 
 
+def test_file_opening_too_many_arrays_and_objects_exits_2_before_decoding(tmp_path, monkeypatch):
+    """Every "[" and "{" byte counts, in strings too: an upper bound on the
+    containers json.loads would build, read before it runs."""
+    p = tmp_path / "containers.json"
+    p.write_text(json.dumps({"x": {"kind": "finset_obj", "set": 2}, "y": {"kind": "functor", "b": [], "a": []}}))
+    monkeypatch.setattr(jsonio, "MAX_FILE_CONTAINERS", 5)
+    assert run_no_traceback(["check", str(p)])[0] == 0
+    monkeypatch.setattr(jsonio, "MAX_FILE_CONTAINERS", 4)
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["error"] == f"cannot read {p}: the file opens more than 4 JSON arrays and objects"
+    monkeypatch.undo()
+    p.write_text('{"a": [' + "[]," * (jsonio.MAX_FILE_CONTAINERS - 2) + "[]]}")
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and doc["error"].startswith(f"cannot read {p}: the file opens more than ")
+    p.write_text(json.dumps({"x": {"kind": "finset_obj", "set": 2, "note": "[{" * jsonio.MAX_FILE_CONTAINERS}}))
+    assert run_no_traceback(["check", str(p)])[0] == 2
+
+
 @pytest.mark.parametrize("bound", [8, 2**16 - 1, 2**16, 2**16 + 8])
 def test_byte_bound_is_inclusive(tmp_path, monkeypatch, bound):
     monkeypatch.setattr(jsonio, "MAX_FILE_BYTES", bound)
@@ -727,7 +745,7 @@ _ONE = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
 
 def test_a_refusal_in_a_nested_reference_names_its_declaration_once(tmp_path):
     k = {"kind": "coalgebra", "field": "Q", "dim": 1, "delta": _ONE}
-    for fault, message in (({}, "'epsilon'"),
+    for fault, message in (({}, "missing field 'epsilon'"),
                            ({"epsilon": {**_ONE, "rows": 2}}, "matrix is 2 x 1, expected 1 x 1")):
         p = tmp_path / "nested.json"
         # cs is decoded first, so f and then k are decoded through its references

@@ -178,3 +178,43 @@ def test_matrix_refusals_keep_their_messages(shape, obj, message):
     with pytest.raises(jsonio.ParseError) as exc:
         jsonio.matrix_from_json({"field": "Q", **obj}, *shape)
     assert str(exc.value) == message
+
+
+_ONE = {"field": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
+# One valid declaration of every kind; each test below drops one field.
+EVERY_KIND = {
+    "k": {"kind": "coalgebra", "field": "Q", "dim": 1, "delta": _ONE, "epsilon": _ONE},
+    "km": {"kind": "coalgebra_map", "src": "k", "tgt": "k", "matrix": _ONE},
+    "b": {"kind": "bialgebra", "field": "Q", "dim": 1, "delta": _ONE, "epsilon": _ONE, "m": _ONE, "u": _ONE},
+    "x": {"kind": "finset_obj", "set": 2},
+    "f": _fun(1, 1, [0]),
+    "z": {"kind": "finset_monoid", "size": 1, "table": [0], "unit": 0},
+    "c": _cyclic(1),
+    "r": {"kind": "relative_category", "objects": 1, "arrows": 1, "s": [0], "t": [0], "i": [0], "d": [0]},
+    "ch": {"kind": "chain", "sizes": [1, 1, 1], "maps": [[0], [0]]},
+    "cs": {"kind": "cospan", "left": "f", "right": "f"},
+    "fn": {"kind": "functor", "b": [0], "a": [0]},
+}
+
+
+def test_every_kind_is_declared_once_above(tmp_path):
+    assert sorted(d["kind"] for d in EVERY_KIND.values()) == sorted(jsonio._DECODERS)
+    assert _run(_write(tmp_path, EVERY_KIND), ["check"])[0] == 0
+
+
+@pytest.mark.parametrize("name", list(EVERY_KIND))
+def test_a_missing_field_is_named_as_missing(tmp_path, name):
+    """The last field of each kind's declaration is dropped: the refusal
+    says which field is missing, not only the bare key."""
+    decl = dict(EVERY_KIND[name])
+    field = list(decl)[-1]
+    del decl[field]
+    code, doc = _run(_write(tmp_path, {**EVERY_KIND, name: decl}), ["check", "--name", name])
+    assert code == 2 and doc["error"] == f"bad declaration {name!r}: missing field {field!r}"
+
+
+def test_a_matrix_missing_a_field_is_named_as_missing(tmp_path):
+    entries = {key: v for key, v in _ONE.items() if key != "entries"}
+    code, doc = _run(_write(tmp_path, {**EVERY_KIND, "k": {**EVERY_KIND["k"], "epsilon": entries}}),
+                     ["check", "--name", "k"])
+    assert code == 2 and doc["error"] == "bad declaration 'k': bad matrix: missing field 'entries'"

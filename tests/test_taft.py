@@ -1,10 +1,24 @@
 """Taft algebras T_n(q) over F_p: bialgebras that are neither group algebras
 nor cocommutative, so class S refuses spans of them."""
 
+import itertools
+
 import pytest
 
-from gen import taft
-from relspan import CoalgMap, Matrix, check_monoid, class_S_witness, cotensor, grouplike, relative_pullback
+from gen import group_algebra, taft
+from relspan import (
+    CoalgCategory,
+    CoalgMap,
+    Matrix,
+    MonoidMorphism,
+    check_monoid,
+    check_monoid_morphism,
+    class_S_witness,
+    compare_cotensor_pullback,
+    cotensor,
+    grouplike,
+    relative_pullback,
+)
 from relspan.coalg import cid
 from relspan.errors import LegsNotInClass
 
@@ -48,3 +62,89 @@ def test_class_S_refuses_the_identity_span_and_the_pullback_along_the_projection
         with pytest.raises(LegsNotInClass):
             relative_pullback(mon.base, pi, pi)
         assert cotensor(pi, pi).cols == n**3, (n, q, p)
+
+
+# a Taft algebra for each n, over the smallest prime with an element of order n
+BIALGEBRAS = [(2, 2, 3), (3, 2, 7), (4, 2, 5)]
+
+
+def _monoid_maps(mon, n):
+    """k[C_n] and the monoid morphisms π: T_n(q) → k[C_n] and ι: k[C_n] → T_n(q),
+    g^i ↦ g^i."""
+    f, t = mon.carrier.field, mon.carrier
+    kc = group_algebra(f, [[(i + j) % n for j in range(n)] for i in range(n)])
+    pi = CoalgMap(t, kc.carrier, _projection(t, n).mat)
+    iota = CoalgMap(kc.carrier, t, Matrix.from_cols(f, n * n, [{i * n: f.one} for i in range(n)]))
+    return kc, MonoidMorphism(mon, kc, pi), MonoidMorphism(kc, mon, iota)
+
+
+def _first_unmultiplicative_pair(f, mon, kc):
+    """The first (a, b), in row-major order, with f(ab) ≠ f(a)f(b), by
+    multiplying out f's images in k[C_n]: an oracle for check_monoid_morphism."""
+    fld, d, n = mon.carrier.field, mon.carrier.dim, kc.carrier.dim
+    cols, m = f.mat.columns, mon.m.mat.columns
+    for a, b in itertools.product(range(d), repeat=2):
+        lhs = {}
+        for r, c in m[a * d + b].items():
+            for i, v in cols[r].items():
+                lhs[i] = fld.normalize(lhs.get(i, 0) + c * v)
+        rhs = {}
+        for i, x in cols[a].items():
+            for k, y in cols[b].items():
+                rhs[(i + k) % n] = fld.normalize(rhs.get((i + k) % n, 0) + x * y)
+        if {i: v for i, v in lhs.items() if v} != {i: v for i, v in rhs.items() if v}:
+            return f"({a},{b})"
+    return None
+
+
+def test_projection_and_inclusion_are_monoid_morphisms_and_a_planted_fault_is_found():
+    """π and ι pass; π' = π + (g^i x ↦ g^i) fails at (x, x) = (1,1), where
+    π'(x²) = 0 but π'(x)² = 1, as the oracle finds."""
+    for n, q, p in BIALGEBRAS:
+        mon = taft(n, q, p)
+        kc, pi, iota = _monoid_maps(mon, n)
+        assert check_monoid_morphism(pi).ok and check_monoid_morphism(iota).ok, (n, q, p)
+        f = mon.carrier.field
+        cols = [{i: f.one} if j <= 1 else {} for i in range(n) for j in range(n)]
+        bad = MonoidMorphism(mon, kc, CoalgMap(mon.carrier, kc.carrier, Matrix.from_cols(f, n, cols)))
+        rep = check_monoid_morphism(bad)
+        assert [(c.name, c.witness) for c in rep.failures()] == [("multiplicative", "(1,1)")], (n, q, p)
+        assert _first_unmultiplicative_pair(bad.f, mon, kc) == "(1,1)"
+
+
+def test_pullbacks_along_the_counit_and_the_inclusion_are_their_cotensors():
+    """Along ε: T → k the pullback is all of T⊗T, of dimension n⁴; along
+    ι: k[C_n] → T it is the diagonal of k[C_n]⊗k[C_n], of dimension n."""
+    for n, q, p in BIALGEBRAS:
+        mon = taft(n, q, p)
+        t, base = mon.carrier, mon.base
+        eps = CoalgMap(t, base.unit_obj(), t.epsilon)
+        iota = _monoid_maps(mon, n)[2].f
+        for leg, dim in ((eps, n**4), (iota, n)):
+            assert relative_pullback(base, leg, leg).apex.dim == dim, (n, q, p)
+            assert compare_cotensor_pullback(leg, leg).ok, (n, q, p)
+
+
+def _times(fld, m, d, x, y):
+    """The product of two vectors of T, {basis index: coefficient}, through m."""
+    out = {}
+    for a, u in x.items():
+        for b, v in y.items():
+            for r, c in m[a * d + b].items():
+                out[r] = fld.normalize(out.get(r, 0) + u * v * c)
+    return {r: c for r, c in out.items() if c}
+
+
+def test_associativity_witness_is_the_first_triple_that_fails(monkeypatch):
+    """T_3(3) over F_7 is not associative, 3 not being of order 3 mod 7: the
+    witness is the first (a,b,c) in row-major order with (ab)c ≠ a(bc), by
+    multiplying out, and the check builds no m⊗1 or 1⊗m."""
+    mon = taft(3, 3, 7)
+    monkeypatch.setattr(CoalgCategory, "tensor_mor", None)
+    fld, d, m = mon.carrier.field, mon.carrier.dim, mon.m.mat.columns
+    e = [{a: fld.one} for a in range(d)]
+    first = next(f"({a},{b},{c})" for a, b, c in itertools.product(range(d), repeat=3)
+                 if _times(fld, m, d, _times(fld, m, d, e[a], e[b]), e[c])
+                 != _times(fld, m, d, e[a], _times(fld, m, d, e[b], e[c])))
+    rep = check_monoid(mon)
+    assert first == "(1,3,6)" and rep.checks[0].name == "associativity" and rep.checks[0].witness == first
