@@ -161,9 +161,14 @@ def _sizes(maps):
 
 
 def _cospan(ctx, name):
-    """The name, base category and (left, right) legs of a cospan declaration."""
+    """The name, base category and (left, right) legs of a cospan
+    declaration; a cospan of coalgebras A → B ← C is refused when A⊗C, where
+    its pullback and cotensor run, exceeds coalg.MAX_EQUALIZER_DIM."""
     name, decl = _pick(ctx, name, {"cospan"}, "cospan")
-    return name, cospan_base(*decl.value), decl.value
+    base, (f, g) = cospan_base(*decl.value), decl.value
+    if base is not _finset.FINSET:
+        _bound_equalizer(f"cospan {name!r}", f.src.dim * g.src.dim)
+    return name, base, decl.value
 
 
 def _bound_chain(label, tables, sets, linear):
@@ -186,11 +191,16 @@ def _bound_chain(label, tables, sets, linear):
         raise RelspanError(f"{label}: a pullback of {pairs} matching pairs is too"
                            f" large to build (at most {_finset.MAX_PULLBACK_PAIRS})")
     if linear:
-        dim = max(size[i, k] * size[k + 1, j] for i, j in size for k in range(i, j))
-        if dim > _coalg.MAX_EQUALIZER_DIM:
-            raise RelspanError(f"{label}: an equalizer in a tensor product of dimension"
-                               f" {dim} is too large to build (at most {_coalg.MAX_EQUALIZER_DIM})")
+        _bound_equalizer(label, max(size[i, k] * size[k + 1, j] for i, j in size for k in range(i, j)))
     return size
+
+
+def _bound_equalizer(label, dim):
+    """Refuse, under label, an equalizer in a tensor product of dimension dim
+    above coalg.MAX_EQUALIZER_DIM."""
+    if dim > _coalg.MAX_EQUALIZER_DIM:
+        raise RelspanError(f"{label}: an equalizer in a tensor product of dimension"
+                           f" {dim} is too large to build (at most {_coalg.MAX_EQUALIZER_DIM})")
 
 
 def cmd_pullback(ctx, args):

@@ -124,24 +124,24 @@ from .linalg import (
 
 
 class Coalgebra:
-    """A comonoid in exact finite-dimensional vector spaces."""
+    """A comonoid in exact finite-dimensional vector spaces, given by δ and
+    ε, both checked, or as the tensor product of two factors, whose δ and ε
+    are built on first use."""
 
     def __init__(self, dim, field, delta=None, epsilon=None, factors=None):
         self.dim = dim
         self.field = field
         self._factors = factors
-        if epsilon is not None or factors is None:
+        if factors is None:
             if epsilon is None or epsilon.rows != 1 or epsilon.cols != dim:
                 raise ShapeMismatch("counit must be a 1 x dim matrix")
             require_same_field(field, epsilon.field)
-            self.epsilon = epsilon
-        if delta is not None:
-            if delta.rows != dim * dim or delta.cols != dim:
+            if delta is None or delta.rows != dim * dim or delta.cols != dim:
                 raise ShapeMismatch("comultiplication must be a dim^2 x dim matrix")
             require_same_field(field, delta.field)
-            self.delta = delta
-        elif factors is None:
-            raise ShapeMismatch("a coalgebra needs either an explicit delta or factors")
+            self.delta, self.epsilon = delta, epsilon
+        elif delta is not None or epsilon is not None:
+            raise ShapeMismatch("a coalgebra takes either delta and epsilon or factors")
 
     @cached_property
     def epsilon(self) -> Matrix:
@@ -170,10 +170,7 @@ class Coalgebra:
     def delta_column(self, j):
         """Sparse column of δ at basis index j, {row: value}; do not modify.
         Of a tensor product whose δ is not built, δ∘e_j, which builds none."""
-        if "delta" in vars(self):
-            return self.delta.columns[j]
-        e_j = Matrix.from_cols(self.field, self.dim, [{j: self.field.one}])
-        return _delta_apply(self, e_j).columns[0]
+        return _delta_apply(self, _basis(self.field, self.dim, j, j + 1)).columns[0]
 
     def __eq__(self, other):
         # identity first, so maps on one object never materialize a tensor δ
@@ -519,20 +516,20 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer | 
 def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None) -> CoalgEqualizer:
     """The equalizer that t and z describe in x, z None when it is the
     identity, on the basis K'∘N of the module docstring.  On counital input
-    a passing closure check on K' certifies N = 1, and neither R nor the
-    second system (R⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ, is built.
-    Otherwise K'∘N is checked; a product with N = 1 returns its left operand."""
+    K' = ker t is returned when its closure check passes, which certifies
+    N = 1.  Otherwise R is built once, then K' = ker(R∘z) when z is given,
+    and the second system (R⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ;
+    K'∘N is checked, and a product with N = 1 returns its left operand."""
     fld, red = t.field, _reduce(t.field, t.columns)
-    r = None if z is None else _echelon(fld, red, len(red), t.cols)
-    k = _kernel(fld, red, t.cols) if r is None else kernel_basis_sparse(r @ z)
-    delta_k = _delta_apply(x, k)
-    eq = None if r is not None else _subcoalgebra(x, k, delta_k)
-    if eq is None:
-        if r is None:
-            r = _echelon(fld, red, len(red), t.cols)
-        n = kernel_basis_sparse(kron_apply(r, Matrix.identity(fld, x.dim), delta_k))
-        eq = _subcoalgebra(x, k @ n, delta_k @ n)
-    return _closed(eq)
+    if z is None:
+        k = _kernel(fld, red, t.cols)
+        if (eq := _subcoalgebra(x, k, delta_k := _delta_apply(x, k))) is not None:
+            return eq
+    r = _echelon(fld, red, len(red), t.cols)
+    if z is not None:
+        delta_k = _delta_apply(x, k := kernel_basis_sparse(r @ z))
+    n = kernel_basis_sparse(kron_apply(r, Matrix.identity(fld, x.dim), delta_k))
+    return _closed(_subcoalgebra(x, k @ n, delta_k @ n))
 
 
 def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
@@ -582,7 +579,7 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     x = tensor_coalgebra(a, c)
     # on counital input, K' of a group-like cospan is its matching pairs (module docstring)
     if z is None and (k := _matching_pairs(f, g)) is not None:
-        eq = _closed(_subcoalgebra(x, k, _delta_apply(x, k)))
+        eq = subcoalgebra(x, k)
     else:
         # Y_g = c∘(1⊗g)∘δ_C = (g⊗1)∘c∘δ_C, and c∘δ_C = δ_C on a cocommutative C
         y_g = kron_apply(g.mat, i_c, c.delta if c.cocommutative else _swapped(c.delta, c.dim))

@@ -63,15 +63,11 @@ class FinFun:
         return self.table[x]
 
 
-def fid(x: FinSetObj) -> FinFun:
-    return FinFun(x, x, range(x.size))
-
-
 class FinSetCategory(BaseCategory):
     name = "finset"
 
     def identity(self, obj):
-        return fid(obj)
+        return FinFun._valid(obj, obj, tuple(range(obj.size)))
 
     def compose(self, g: FinFun, f: FinFun) -> FinFun:
         if f.cod != g.dom:

@@ -329,9 +329,8 @@ def _kind(name, obj) -> str:
 
 class Context:
     """The declarations of one fixture file.  Every kind is read up front,
-    {name: kind} in file order, and iterating gives the names; ctx[name] is
-    the Decl, decoded when first looked up, directly or through a reference,
-    and kept in done."""
+    {name: kind} in file order; ctx[name] is the Decl, decoded when first
+    looked up, directly or through a reference, and kept in done."""
 
     def __init__(self, doc: dict):
         self.kinds = {name: _kind(name, obj) for name, obj in doc.items()}
@@ -348,9 +347,6 @@ class Context:
             except (RelspanError, KeyError, TypeError, ValueError, OverflowError) as exc:
                 raise _NamedRefusal(f"bad declaration {name!r}: {_reason(exc)}") from exc
         return self.done[name]
-
-    def __iter__(self):
-        return iter(self.kinds)
 
     def _ref(self, name, role, kinds):
         if not isinstance(name, str) or name not in self.kinds:

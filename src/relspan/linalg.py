@@ -8,8 +8,9 @@ and work grow with the number of nonzeros, not with rows × columns.
 
 A @ B accumulates the sums of each output column and normalizes each
 entry once; a column of B with one nonzero b has no sum, and gives the
-column of A it picks, shared when b is one and scaled otherwise.  kron_apply, (A⊗B)∘M without A⊗B, states its path rules in its
-docstring, and kron is kron_apply on the identity.  X⊗Z - W⊗Y is built one
+column of A it picks, shared when b is one and scaled otherwise.
+kron_apply, (A⊗B)∘M without A⊗B, states its path rules in its docstring,
+and kron is kron_apply on the identity.  X⊗Z - W⊗Y is built one
 column at a time, without either product.  These two normalize a product
 of entries only when a factor is not one (a Q product of two Fractions can
 be integral, an F_p product needs its reduction).  A product with a square
@@ -35,8 +36,9 @@ e_i ⊗ f_j lives at index i * dim(second factor) + j.
 
 Matrices never change once built, nor do their column dicts, which results
 share with their operands (identity products, A @ B on B's row table or at
-a column of B that is one entry equal to one, from_cols): no function writes to a matrix's column; each one that updates a
-column in place updates a dict of its own.
+a column of B that is one entry equal to one, from_cols): no function
+writes to a matrix's column; each one that updates a column in place
+updates a dict of its own.
 
 The package builds every matrix from sparse columns.  Five names have no
 caller in it and are kept only because the benchmark under bench/ reads
@@ -108,12 +110,13 @@ class Matrix:
         m._units = None
         return m
 
-    @classmethod
-    def identity(cls, field, n):
+    @staticmethod
+    @cache
+    def identity(field, n):
         """The n x n identity over field, one shared matrix per (field, n);
         a product with a square identity operand, and kron_apply with two
         square identity factors, return the other operand as it is."""
-        return _identity(field, n)
+        return _unit_matrix(field, n, list(range(n)))
 
     # -- basics ------------------------------------------------------------
 
@@ -199,11 +202,6 @@ class Matrix:
         return _echelon(self.field, red, self.rows, self.cols), list(red)
 
 
-@cache
-def _identity(field, n):
-    return _unit_matrix(field, n, list(range(n)))
-
-
 def _unit_rows(m):
     """The row r of each column of m when every column is {r: one}, else
     False; found once per matrix, at the first column that fails, and kept
@@ -225,7 +223,7 @@ def _unit_matrix(field, nrows, rows):
 def _is_identity(m):
     """Whether m is a square identity: its columns are the cached identity's
     (a list compare, which stops at the first column that differs)."""
-    return m.rows == m.cols and m.columns == _identity(m.field, m.rows).columns
+    return m.rows == m.cols and m.columns == Matrix.identity(m.field, m.rows).columns
 
 
 def _canonical(field, acc):
@@ -458,9 +456,8 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
         return _unit_matrix(m.field, a.rows * nb, [ar[r // bc] * nb + br[r % bc] for r in mr])
     acols, bcols = a.columns, b.columns
     fp = isinstance(m.field, PrimeField)
-    # nonzeros beyond one per column; B's are counted only when they can decide a path, else -1
-    over_a = sum(map(len, acols)) - len(acols)
-    over_b = sum(map(len, bcols)) - len(bcols) if over_a > 0 or fp and over_a == 0 else -1
+    # nonzeros beyond one per column, negative when a column is empty
+    over_a, over_b = sum(map(len, acols)) - len(acols), sum(map(len, bcols)) - len(bcols)
     middle = over_a > 0 and over_b > 0
     # every column of A has lo_a nonzeros or more and of B lo_b, so a column of M with N nonzeros makes at
     # least N·lo_a·lo_b products; it is packed when they cover the a.rows·nb slots and N·(p-1)³ < 2⁶⁴

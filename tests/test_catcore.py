@@ -32,7 +32,8 @@ from relspan import (
     path_coalgebra,
     split_epi_class_facts,
 )
-from relspan.errors import CompositionMismatch, NotASection
+from relspan.coalg import cid
+from relspan.errors import CompositionMismatch, NotASection, ShapeMismatch
 
 
 def test_finset_category_laws_randomized():
@@ -271,3 +272,24 @@ def test_equality_is_defined_once_on_the_base_category():
         assert issubclass(instance, BaseCategory)
         assert "equal_mor" not in vars(instance) and "equal_obj" not in vars(instance)
     assert "equal_mor" in vars(BaseCategory) and not hasattr(BaseCategory, "equal_obj")
+
+
+# -- refusals --------------------------------------------------------------------
+
+
+def _k(n):
+    return grouplike(QQ, n)
+
+
+@pytest.mark.parametrize("base, lhs, rhs", [
+    (FINSET, FINSET.identity(FinSetObj(2)), FINSET.identity(FinSetObj(3))),
+    (FINSET, FinFun(FinSetObj(2), FinSetObj(2), (0, 1)), FinFun(FinSetObj(2), FinSetObj(3), (0, 1))),
+    (CoalgCategory(QQ), cid(_k(2)), cid(_k(3))),
+    (CoalgCategory(QQ), cid(_k(2)), CoalgMap(_k(2), _k(3), Matrix.from_cols(QQ, 3, [{0: 1}, {1: 1}]))),
+], ids=["finset-domains", "finset-codomains", "coalg-domains", "coalg-codomains"])
+def test_an_equation_between_maps_of_other_ends_is_refused(base, lhs, rhs):
+    """require_same_ends, as first_difference calls it on both bases."""
+    with pytest.raises(ShapeMismatch) as info:
+        base.first_difference(lhs, rhs)
+    assert type(info.value) is ShapeMismatch
+    assert str(info.value) == "the sides of an equation have different domains or codomains"

@@ -1106,6 +1106,25 @@ def test_linearized_cospan_at_the_equalizer_bound_still_runs(tmp_path, command):
     assert code == 0 and all(c["status"] == "pass" for c in doc["checks"])
 
 
+@pytest.mark.parametrize("command", ["pullback", "cotensor"])
+def test_declared_cospan_equalizer_bound_is_inclusive(monkeypatch, command):
+    """A declared cospan of coalgebras A → B ← C, here dim A · dim C = 3 · 2,
+    runs with the bound at 6; at 5 it exits 2, naming the cospan, before any
+    pullback or cotensor is built."""
+    argv = [command, fx("cospan_coalg.json"), "--cospan", "cs"]
+    _, dims = _spy_sizes(monkeypatch)
+    cotensors, cotensor = [], coalg.cotensor
+    monkeypatch.setattr(coalg, "cotensor", lambda f, g: cotensors.append(1) or cotensor(f, g))
+    monkeypatch.setattr(coalg, "MAX_EQUALIZER_DIM", 6)
+    assert run_no_traceback(argv)[0] == 0 and dims == [6]
+    monkeypatch.setattr(coalg, "MAX_EQUALIZER_DIM", 5)
+    dims.clear(), cotensors.clear()
+    code, doc = run_no_traceback(argv)
+    assert code == 2 and not dims and not cotensors
+    assert doc["error"] == ("cospan 'cs': an equalizer in a tensor product of dimension 6"
+                            " is too large to build (at most 5)")
+
+
 def test_encoding_bound_is_inclusive(monkeypatch):
     assert jsonio.MAX_ENCODED_CELLS == 10**6
     argv = ["pullback", fx("cospan_coalg.json"), "--cospan", "cs"]

@@ -68,6 +68,7 @@ from relspan.catcore import Report
 from relspan.finset import pullback
 from relspan.errors import (
     CodomainMismatch,
+    FieldMismatch,
     InternalSolveFailure,
     LegsNotInClass,
     ShapeMismatch,
@@ -1729,3 +1730,51 @@ def test_tensor_equality_ignores_bracketing_and_stays_lazy():
     # same counit as a, different δ: only the column-by-column comparison tells
     odd = Coalgebra(2, QQ, delta=grouplike(QQ, 2).delta, epsilon=a.epsilon)
     assert explicit != tensor_coalgebra(a, tensor_coalgebra(a, odd))
+
+
+# -- refusals --------------------------------------------------------------------
+
+
+def _k(n, field=QQ):
+    return grouplike(field, n)
+
+
+def _fold():
+    """k[3] → k[2], e0 ↦ g0 and e1, e2 ↦ g1: a coalgebra map."""
+    return CoalgMap(_k(3), _k(2), Matrix.from_cols(QQ, 2, [{0: 1}, {1: 1}, {1: 1}]))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Coalgebra(2, QQ, delta=_k(2).delta), ShapeMismatch, "counit must be a 1 x dim matrix"),
+    (lambda: Coalgebra(2, QQ, delta=_k(2).delta, epsilon=Matrix.identity(QQ, 2)), ShapeMismatch,
+     "counit must be a 1 x dim matrix"),
+    (lambda: Coalgebra(2, QQ, delta=_k(2).delta, epsilon=_k(2, GF(5)).epsilon), FieldMismatch,
+     "field mismatch: QQ vs GF(5)"),
+    (lambda: Coalgebra(2, QQ, epsilon=_k(2).epsilon), ShapeMismatch,
+     "comultiplication must be a dim^2 x dim matrix"),
+    (lambda: Coalgebra(2, QQ, delta=Matrix.identity(QQ, 2), epsilon=_k(2).epsilon), ShapeMismatch,
+     "comultiplication must be a dim^2 x dim matrix"),
+    (lambda: Coalgebra(2, QQ, delta=_k(2, GF(5)).delta, epsilon=_k(2).epsilon), FieldMismatch,
+     "field mismatch: QQ vs GF(5)"),
+    (lambda: Coalgebra(4, QQ, delta=_k(4).delta, factors=(_k(2), _k(2))), ShapeMismatch,
+     "a coalgebra takes either delta and epsilon or factors"),
+    (lambda: Coalgebra(4, QQ, epsilon=_k(4).epsilon, factors=(_k(2), _k(2))), ShapeMismatch,
+     "a coalgebra takes either delta and epsilon or factors"),
+    (lambda: CoalgMap(_k(2), _k(3), Matrix.identity(QQ, 2)), ShapeMismatch,
+     "matrix shape does not match the coalgebras"),
+    (lambda: CoalgCategory(QQ).first_difference(("∘", cid(_k(3)), cid(_k(2))), cid(_k(2))),
+     CodomainMismatch, "compose: cod(f) != dom(g)"),
+    (lambda: coalg_equalizer(cid(_k(2)), _fold()), ShapeMismatch,
+     "equalizer needs a shared domain coalgebra"),
+    (lambda: coalg_equalizer(_fold(), cid(_k(3))), ShapeMismatch,
+     "equalizer needs a shared codomain coalgebra"),
+    (lambda: pullback_factor_coalg(relative_pullback(CoalgCategory(QQ), cid(_k(2)), cid(_k(2))),
+                                   cid(_k(2)), _fold()),
+     ShapeMismatch, "test span legs must share their domain"),
+], ids=["no-counit", "counit-shape", "counit-field", "no-comultiplication", "comultiplication-shape",
+        "comultiplication-field", "comultiplication-and-factors", "counit-and-factors", "map-shape",
+        "unmatched-composite", "equalizer-domains", "equalizer-codomains", "filler-span-domains"])
+def test_coalgebra_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

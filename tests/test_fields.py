@@ -219,3 +219,24 @@ def test_rebased_grouplike_pullback_over_q_is_canonical():
     assert any(type(x) is Fraction for x in entries)
     for m in _pullback_matrices(pb):
         assert_canonical(m)
+
+
+# -- refusals --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: QQ.of(1.5), TypeError, "cannot coerce 1.5 into Q"),
+    (lambda: GF(5).of(1.5), TypeError, "cannot coerce 1.5 into F_5"),
+    (lambda: GF(5).inv(10), ZeroDivisionError, "inverse of 0 in F_5"),
+    (lambda: GF(5).of(Fraction(1, 5)), ZeroDivisionError, "denominator divisible by 5"),
+    (lambda: GF(5).of("1/5"), ValueError, "bad scalar '1/5': denominator divisible by 5"),
+], ids=["Q-of-a-float", "Fp-of-a-float", "Fp-inverse-of-0",
+        "Fp-of-a-fraction-over-p", "Fp-of-a-string-over-p"])
+def test_field_refusals_name_their_value(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_prime_field_of_a_string_parses_it():
+    assert (GF(5).of("7"), GF(5).of(" 3/2 "), GF(5).of("-1")) == (2, 4, 4)

@@ -295,3 +295,19 @@ def test_pair_count_is_the_number_of_matching_pairs():
         for i in range(1, m):
             pb = pullback(FINSET.compose(maps[2 * i], pb.p_c), maps[2 * i + 1])
         assert pb.apex.size == len(chains)
+
+
+# -- refusals --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: FinSetObj(-1), ShapeMismatch, "negative set size"),
+    (lambda: ffun(2, 2, [0]), ShapeMismatch, "table length does not match the domain size"),
+    (lambda: ffun(2, 2, [0, 2]), ShapeMismatch, "table value 2 outside the codomain"),
+    (lambda: FINSET.compose(ffun(2, 2, [0, 1]), ffun(2, 3, [0, 1])), CodomainMismatch,
+     "compose: cod(f) != dom(g)"),
+], ids=["negative-size", "short-table", "value-outside-the-codomain", "unmatched-composite"])
+def test_finite_set_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

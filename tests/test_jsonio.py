@@ -218,3 +218,26 @@ def test_a_matrix_missing_a_field_is_named_as_missing(tmp_path):
     code, doc = _run(_write(tmp_path, {**EVERY_KIND, "k": {**EVERY_KIND["k"], "epsilon": entries}}),
                      ["check", "--name", "k"])
     assert code == 2 and doc["error"] == "bad declaration 'k': bad matrix: missing field 'entries'"
+
+
+def _point(field="Q", delta_field="Q"):
+    """The one-dimensional coalgebra, its field and its δ's field as given."""
+    one = {"rows": 1, "cols": 1, "entries": [["1"]]}
+    return {"kind": "coalgebra", "dim": 1, "field": field,
+            "delta": {"field": delta_field, **one}, "epsilon": {"field": "Q", **one}}
+
+
+@pytest.mark.parametrize("decls, argv, message", [
+    ({"k": _point(delta_field="R")}, ["check", "--name", "k"],
+     "bad declaration 'k': unknown field description 'R'"),
+    ({"k": _point(field={"F": 5})}, ["check", "--name", "k"],
+     "bad declaration 'k': unknown field description {'F': 5}"),
+    (GOOD, ["pullback", "--cospan", "cs", "--instance", "coalg", "--field", "R"],
+     "unknown field flag 'R' (use Q or Fp:<p>)"),
+    (GOOD, ["cotensor", "--cospan", "cs", "--field", "F5"], "unknown field flag 'F5' (use Q or Fp:<p>)"),
+    (GOOD, ["relcat", "--name", "z3", "--instance", "coalg", "--field", "Fp:4"],
+     "bad field flag 'Fp:4': 4 is not prime"),
+], ids=["matrix-field", "coalgebra-field", "pullback-field-flag", "cotensor-field-flag", "composite-modulus"])
+def test_an_unknown_field_exits_2_naming_it(tmp_path, decls, argv, message):
+    code, doc = _run(_write(tmp_path, decls), argv)
+    assert code == 2 and doc["exit"] == 2 and doc["error"] == message

@@ -1260,3 +1260,23 @@ def test_unit_column_products_are_index_maps(field):
     assert kron_apply(flip, flip, Matrix.from_cols(field, 4, []))._units == []
     assert kron_apply(i2, Matrix.from_cols(field, 3, []), Matrix.from_cols(field, 0, []))._units == []
     assert kron_apply(Matrix.from_cols(field, 2, []), flip, empty)._units is None
+
+
+# -- refusals --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: Matrix(QQ, [[1, 2], [3]], 2, 2), ShapeMismatch, "ragged rows"),
+    (lambda: Matrix(QQ, [[1]], 2, 1), ShapeMismatch, "1 rows given for a 2x1 matrix"),
+    (lambda: Matrix.identity(QQ, 2) + Matrix.identity(QQ, 3), ShapeMismatch, "2x2 vs 3x3"),
+    (lambda: mat(QQ, [[1, 2, 3], [4, 5, 6]]) - Matrix.identity(QQ, 2), ShapeMismatch, "2x3 vs 2x2"),
+    (lambda: Matrix.identity(QQ, 2) + Matrix.identity(GF(5), 2), FieldMismatch,
+     "field mismatch: QQ vs GF(5)"),
+    (lambda: left_inverse(mat(QQ, [[1, 1]])), InternalSolveFailure,
+     "matrix has no left inverse (not injective)"),
+], ids=["ragged-rows", "row-count", "sum-of-two-shapes", "difference-of-two-shapes",
+        "sum-over-two-fields", "left-inverse-of-a-non-injection"])
+def test_matrix_refusals_name_their_shapes(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message

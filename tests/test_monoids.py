@@ -1,5 +1,7 @@
 """Monoid theory over both instances: axioms, q, distributive laws, bijections."""
 
+import itertools
+
 import pytest
 
 from gen import (
@@ -8,7 +10,11 @@ from gen import (
     finset_monoid,
     group_algebra,
     group_c2,
+    group_c3,
     mat,
+    mutate_one_entry,
+    random_basis,
+    rebased_map,
     rng_for,
 )
 from relspan import (
@@ -16,9 +22,11 @@ from relspan import (
     GF,
     QQ,
     CoalgCategory,
+    CoalgMap,
     DistLaw,
     FinFun,
     FinSetObj,
+    Matrix,
     MonoidMorphism,
     MonoidObj,
     check_dist_law,
@@ -28,11 +36,13 @@ from relspan import (
     factorization_dlaw,
     grouplike,
     induced_q,
+    kron,
     morphism_from_pair,
     pair_from_morphism,
     product_monoid,
     trivial,
 )
+from relspan import coalg
 from relspan.errors import (
     CodomainMismatch,
     CompatibilityFails,
@@ -424,3 +434,110 @@ def test_constructions_refuse_two_monoids_on_one_carrier():
     assert induced_q(f, f2).table == (0,)
     assert morphism_from_pair(dl, f, f2).f.table == (0,)
     assert factor_through(fi, gi, q_inv, f, f2).f.table == (0,)
+
+
+# -- refusals --------------------------------------------------------------------
+
+
+def s3_monoid():
+    """The symmetric group on three points, its elements the permutations in
+    lexicographic order (0 the identity, 1, 2 and 5 transpositions, 3 and 4
+    the 3-cycles), (pq)(k) = p(q(k))."""
+    perms = list(itertools.permutations(range(3)))
+    table = tuple(perms.index(tuple(p[q[k]] for k in range(3))) for p in perms for q in perms)
+    return finset_monoid(table, 0, FINSET)
+
+
+def _into(src, tgt, table):
+    return MonoidMorphism(src, tgt, FinFun(src.carrier, tgt.carrier, table))
+
+
+def _not_a_dlaw():
+    """f: ℤ/2 → S_3 hits a transposition and g: ℤ/3 → S_3 the identity, the
+    other transposition and a 3-cycle, so q is a bijection, but g is not
+    multiplicative and x is not a distributive law."""
+    z3 = finset_monoid(tuple((i + j) % 3 for i in range(3) for j in range(3)), 0, FINSET)
+    s3 = s3_monoid()
+    return factorization_dlaw(_into(z2_monoid(), s3, (0, 1)), _into(z3, s3, (0, 2, 3)))
+
+
+def _incompatible_pair():
+    """a and b send the generators of ℤ/2 × ℤ/2 to two transpositions of
+    S_3, which do not commute."""
+    dl = swap_dlaw(z2_monoid(), z2_monoid())
+    prod = product_monoid(dl)
+    f, g = inclusion_a(dl, prod), inclusion_b(dl, prod)
+    s3 = s3_monoid()
+    a, b = _into(dl.a, s3, (0, 1)), _into(dl.b, s3, (0, 2))
+    return factor_through(f, g, FINSET.invert(induced_q(f, g)), a, b)
+
+
+def _identities_of_z2():
+    """q = m: ℤ/2 × ℤ/2 → ℤ/2 has no inverse."""
+    z2 = z2_monoid()
+    return factorization_dlaw(_into(z2, z2, (0, 1)), _into(z2, z2, (0, 1)))
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (_identities_of_z2, NotInverse, "q is not invertible and no inverse was supplied"),
+    (_not_a_dlaw, NotADistLaw, "x∘(m⊗1) = (1⊗m)∘(x⊗1)∘(1⊗x)"),
+    (_incompatible_pair, CompatibilityFails, "m∘(a⊗b)∘q⁻¹∘m∘(g⊗f) and m∘(b⊗a) differ at (1,1)"),
+], ids=["q-not-invertible", "not-a-distributive-law", "incompatible-pair"])
+def test_monoid_construction_refusals(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error and str(info.value) == message
+
+
+# -- a bialgebra in a random basis -----------------------------------------------
+
+
+def rebased_kc3():
+    """k[C_3] over F_5 in a random basis P: m' = P⁻¹∘m∘(P⊗P) and u' = P⁻¹∘u,
+    each of whose columns has more than one nonzero."""
+    fld = GF(5)
+    mon = group_algebra(fld, group_c3())
+    pm = random_basis(rng_for("rebased-kc3"), fld, 3)
+    m = rebased_map(mon.m, kron(pm, pm), pm)
+    u = rebased_map(mon.u, Matrix.identity(fld, 1), pm)
+    assert all(len(col) > 1 for col in m.mat.columns + u.mat.columns)
+    return MonoidObj(mon.base, m.tgt, m, u)
+
+
+def test_a_bialgebra_in_a_random_basis_is_checked_through_combinations_of_columns(monkeypatch):
+    """Each basis vector e_p of A⊗A in m∘(m⊗1), and the one of k in
+    m∘(u⊗1), meets a column m(e_p) or u(1) with several nonzeros, so the
+    check sums slices of m (coalg._combination) ten times."""
+    sizes, combination = [], coalg._combination
+
+    def spy(g, v, w):
+        sizes.append(len(v))
+        return combination(g, v, w)
+
+    monkeypatch.setattr(coalg, "_combination", spy)
+    assert check_monoid(rebased_kc3()).ok
+    assert sum(n > 1 for n in sizes) == 10
+
+
+def _first_unassociative_triple(mon):
+    """The first (a,b,c), row-major, at which m∘(m⊗1) and m∘(1⊗m), both
+    built whole with tensor_mor and compose, differ; None if none does."""
+    base, d = mon.base, mon.carrier.dim
+    ida = base.identity(mon.carrier)
+    lhs = base.compose(mon.m, base.tensor_mor(mon.m, ida)).mat.columns
+    rhs = base.compose(mon.m, base.tensor_mor(ida, mon.m)).mat.columns
+    j = next((j for j, (x, y) in enumerate(zip(lhs, rhs)) if x != y), None)
+    return None if j is None else f"({j // (d * d)},{j // d % d},{j % d})"
+
+
+def test_a_mutated_multiplication_fails_associativity_at_the_oracles_first_triple():
+    mon, rng = rebased_kc3(), rng_for("rebased-kc3-mutants")
+    witnesses = []
+    for _ in range(5):
+        m = CoalgMap(mon.m.src, mon.m.tgt, mutate_one_entry(rng, GF(5), mon.m.mat))
+        bad = MonoidObj(mon.base, mon.carrier, m, mon.u)
+        rep = check_monoid(bad)
+        assert rep.checks[0].name == "associativity"
+        witnesses.append(rep.checks[0].witness)
+        assert witnesses[-1] == _first_unassociative_triple(bad)
+    assert None not in witnesses

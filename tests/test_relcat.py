@@ -18,14 +18,17 @@ from relspan import (
     FINSET,
     QQ,
     CoalgCategory,
+    CoalgMap,
     FinFun,
     FinSetObj,
+    Matrix,
     RelativeFunctor,
     SmallCategory,
     SpanOverB,
     check_relative_category,
     check_relative_functor,
     from_small_category,
+    grouplike,
     linearize_relcat,
     path_coalgebra,
     span_tensor,
@@ -148,6 +151,12 @@ def test_span_over_b_guards():
     p = path_coalgebra(QQ)
     with pytest.raises(LegsNotInClass, match="identity span on B"):
         SpanOverB(CoalgCategory(QQ), p, p, cid(p), cid(p))
+    # e0 ↦ g0, e1 ↦ g1, x ↦ 0 into k[2]: (1, s) is not in S, as
+    # c∘(1⊗s)∘δ(x) = g1⊗x while (s⊗1)∘δ(x) = g0⊗x
+    s = CoalgMap(p, grouplike(QQ, 2), Matrix.from_cols(QQ, 2, [{0: 1}, {1: 1}, {}]))
+    with pytest.raises(LegsNotInClass) as info:
+        SpanOverB(CoalgCategory(QQ), s.tgt, p, s, s)
+    assert str(info.value) == "the span does not have its legs in the class"
 
 
 def test_span_over_noncocommutative_base_rejected():
@@ -193,6 +202,8 @@ def test_not_a_category_witnesses():
 
 
 @pytest.mark.parametrize("cat, message", [
+    (SmallCategory(1, 1, (0, 0), (0,), (0,), ((0,),)), "table lengths do not match the declared sizes"),
+    (SmallCategory(2, 1, (0,), (0,), (0,), ((0,),)), "table lengths do not match the declared sizes"),
     (SmallCategory(1, 1, (0,), (0,), (0,), ((0, 0),)), "composition table must be m x m"),
     (SmallCategory(1, 1, (0,), (0,), (0,), ()), "composition table must be m x m"),
     (SmallCategory(1, 1, (1,), (0,), (0,), ((0,),)), "src/tgt value out of range"),

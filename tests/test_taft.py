@@ -44,6 +44,13 @@ def test_taft_algebra_is_a_bialgebra_exactly_when_q_has_order_n():
         assert check_monoid(taft(n, q, p)).ok == (_order(q, p) == n), (n, q, p)
 
 
+@pytest.mark.parametrize("n, p, orders", [(5, 11, [3, 4, 5, 9]), (6, 7, [3, 5])])
+def test_taft_algebras_of_order_five_and_six_are_bialgebras_exactly_when_q_has_order_n(n, p, orders):
+    """For every q in F_p; T_6 over F_13, slower, is left to a benchmark family."""
+    assert [q for q in range(p) if _order(q, p) == n] == orders
+    assert [q for q in range(p) if check_monoid(taft(n, q, p)).ok] == orders
+
+
 def test_taft_algebra_with_q_one_fails_only_the_comultiplication():
     rep = check_monoid(taft(2, 1, 5))
     assert [(c.name, c.witness) for c in rep.checks if not c.ok] == [
