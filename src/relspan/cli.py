@@ -23,7 +23,9 @@ from .catcore import Report, legs_in_class
 from .errors import LegsNotInClass, RelspanError
 from .jsonio import (
     ParseError,
-    cospan_base,
+    bound_chain,
+    bound_coalgebra,
+    bound_equalizer,
     load_context,
     matrix_to_json,
     parse_field_flag,
@@ -100,7 +102,7 @@ def _check_one(name: str, decl, report: Report):
     elif decl.kind == "cospan":
         report.add(
             prefix + "legs in class",
-            legs_in_class(cospan_base(*decl.value), *decl.value),
+            legs_in_class(*decl.value),
             "a leg span escapes the admissible class",
         )
     else:
@@ -117,7 +119,7 @@ def cmd_check(ctx, args):
     return report, None
 
 
-def _finset_result(pb, args, report):
+def _finset_result(pb, args, report, label):
     """The apex as matching pairs, and fillers of random spans through them."""
     rng = random.Random(args.seed)
     pairs = pb.payload
@@ -134,9 +136,11 @@ def _finset_result(pb, args, report):
     return {"apex": apex, "p_a": list(pb.p_a.table), "p_c": list(pb.p_c.table)}
 
 
-def _coalg_result(pb, args, report):
-    """The apex coalgebra and projections, its axioms, the filler of the
-    projection span and, on request, the cotensor comparison."""
+def _coalg_result(pb, args, report, label):
+    """The apex coalgebra and projections, its axioms, checked once
+    bound_coalgebra admits them, the filler of the projection span and, on
+    request, the cotensor comparison."""
+    bound_coalgebra(label, pb.apex)
     report.extend(_coalg.check_coalgebra(pb.apex), "apex: ")
     h = universal_factor(pb, pb.p_a, pb.p_c)
     report.add(
@@ -161,55 +165,23 @@ def _sizes(maps):
 
 
 def _cospan(ctx, name):
-    """The name, base category and (left, right) legs of a cospan
-    declaration; a cospan of coalgebras A → B ← C is refused when A⊗C, where
-    its pullback and cotensor run, exceeds coalg.MAX_EQUALIZER_DIM."""
+    """The label, base category and (left, right) legs of a cospan
+    declaration; bound_equalizer bounds A⊗C of a cospan of coalgebras
+    A → B ← C, where its pullback and cotensor run."""
     name, decl = _pick(ctx, name, {"cospan"}, "cospan")
-    base, (f, g) = cospan_base(*decl.value), decl.value
+    label, (base, f, g) = f"cospan {name!r}", decl.value
     if base is not _finset.FINSET:
-        _bound_equalizer(f"cospan {name!r}", f.src.dim * g.src.dim)
-    return name, base, decl.value
-
-
-def _bound_chain(label, tables, sets, linear):
-    """Refuse, under label, before anything is built, a set of more than
-    finset.MAX_LINEARIZED elements among sets, then an iterated pullback of
-    a sub-chain X_i … X_j of the zigzag of tables of more than
-    finset.MAX_PULLBACK_PAIRS pairs, size(i, j), then, when linear, one
-    whose equalizer on a split i ≤ k < j runs in more than
-    coalg.MAX_EQUALIZER_DIM dimensions, size(i, k)·size(k+1, j).  A cospan
-    A → B ← C has d pairs and its equalizer runs in A⊗C.  Returns size."""
-    if max(sets, default=0) > _finset.MAX_LINEARIZED:
-        raise RelspanError(f"{label}: a set of {max(sets)} elements is too large"
-                           f" to check (at most {_finset.MAX_LINEARIZED})")
-    xs = [len(tables[0])] + [len(t) for t in tables[1::2]]
-    size = {(i, i): x for i, x in enumerate(xs)}
-    size.update(((i, j), _finset.pair_count(*tables[2 * i:2 * j]))
-                for i in range(len(xs)) for j in range(i + 1, len(xs)))
-    pairs = max(size[i, j] for i, j in size if i < j)
-    if pairs > _finset.MAX_PULLBACK_PAIRS:
-        raise RelspanError(f"{label}: a pullback of {pairs} matching pairs is too"
-                           f" large to build (at most {_finset.MAX_PULLBACK_PAIRS})")
-    if linear:
-        _bound_equalizer(label, max(size[i, k] * size[k + 1, j] for i, j in size for k in range(i, j)))
-    return size
-
-
-def _bound_equalizer(label, dim):
-    """Refuse, under label, an equalizer in a tensor product of dimension dim
-    above coalg.MAX_EQUALIZER_DIM."""
-    if dim > _coalg.MAX_EQUALIZER_DIM:
-        raise RelspanError(f"{label}: an equalizer in a tensor product of dimension"
-                           f" {dim} is too large to build (at most {_coalg.MAX_EQUALIZER_DIM})")
+        bound_equalizer(label, f.src.dim * g.src.dim)
+    return label, base, (f, g)
 
 
 def cmd_pullback(ctx, args):
-    name, base, legs = _cospan(ctx, args.cospan)
+    label, base, legs = _cospan(ctx, args.cospan)
     if base is _finset.FINSET:
         f, g = legs
-        label, linear = f"cospan {name!r}", args.instance == "coalg"
+        linear = args.instance == "coalg"
         fld = parse_field_flag(args.field) if linear else None
-        d = _bound_chain(label, [f.table, g.table], _sizes(legs) if linear else (), linear)[0, 1]
+        d = bound_chain(label, [f.table, g.table], _sizes(legs) if linear else (), linear)[0, 1]
         if linear:
             # as matrix_to_json would refuse the d² x d apex δ of d matching pairs
             require_encodable(d * d, d, label)
@@ -227,15 +199,14 @@ def cmd_pullback(ctx, args):
         "f∘p_A != g∘p_C",
     )
     report.add("jointly monic projections", pb.jointly_monic, "joint kernel is nonzero")
-    return report, _PULLBACK_RESULTS[base.name](pb, args, report)
+    return report, _PULLBACK_RESULTS[base.name](pb, args, report, label)
 
 
 def cmd_cotensor(ctx, args):
-    name, base, legs = _cospan(ctx, args.cospan)
+    label, base, legs = _cospan(ctx, args.cospan)
     if base is _finset.FINSET:
         fld = parse_field_flag(args.field)
-        label = f"cospan {name!r}"
-        size = _bound_chain(label, [m.table for m in legs], _sizes(legs), True)
+        size = bound_chain(label, [m.table for m in legs], _sizes(legs), True)
         # as matrix_to_json would refuse the |A|·|C| x d inclusion of the cotensor
         require_encodable(size[0, 0] * size[1, 1], size[0, 1], label)
         base, legs = _coalg.CoalgCategory(fld), _finset.linearize_funs(legs, fld)
@@ -249,6 +220,7 @@ def cmd_cotensor(ctx, args):
     except LegsNotInClass:
         return report, extra
     sub = _coalg.subcoalgebra(_coalg.tensor_coalgebra(left.src, right.src), ct)
+    bound_coalgebra(label, sub.object)
     report.extend(_coalg.check_coalgebra(sub.object), "induced structure: ")
     report.extend(_coalg.compare_with_pullback(ct, pb.payload), "pullback comparison: ")
     return report, extra
@@ -267,7 +239,7 @@ def cmd_coherence(ctx, args):
     tables = [m.table for m in maps]
     if args.shape == "triangle":
         tables[1:1] = [range(maps[0].cod.size)] * 2
-    _bound_chain(f"chain {name!r}", tables, _sizes(maps), linear)
+    bound_chain(f"chain {name!r}", tables, _sizes(maps), linear)
     runs = [("finset", _finset.FINSET, maps)]
     if linear:
         runs.append(("coalg", _coalg.CoalgCategory(fld), _finset.linearize_funs(maps, fld)))
@@ -295,7 +267,7 @@ def cmd_relcat(ctx, args):
             c = decl.value
             s, t, sets = ((c.src, c.tgt, (c.n_arr, c.n_obj)) if decl.kind == "small_category"
                           else (c.s.table, c.t.table, (c.a.size, c.b.size)))
-            _bound_chain(f"category {name!r}", [s, t, s, t], sets, True)
+            bound_chain(f"category {name!r}", [s, t, s, t], sets, True)
     for name, decl in decls:
         prefix = f"{name}: "
         if decl.kind == "small_category":

@@ -17,7 +17,8 @@ side is built: m∘(m⊗1) of a 144-dimensional bialgebra has 144³ columns.
 A side g∘(f⊗h)∘… is read one basis vector e_p of f's domain at a time, as
 the columns of g∘(f(e_p)⊗1), a combination of column slices of g, applied
 to h's columns.  check_coalgebra keeps its whole products: on group-like
-data they are index maps.
+data they are index maps, and on decoded input jsonio.MAX_COASSOC_PRODUCTS
+bounds their number.
 
 Equalizers of coalgebra maps are computed in two steps: the underlying
 subspace E is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and
@@ -555,10 +556,6 @@ def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
 
 
 # -- relative pullbacks and the cotensor product ----------------------------------
-
-
-# The most dimensions of a tensor product A⊗C the CLI takes any equalizer in.
-MAX_EQUALIZER_DIM = 10_000
 
 
 def _check_cospan(f: CoalgMap, g: CoalgMap):

@@ -6,10 +6,7 @@ product is the Cartesian product with the row-major pairing index
 strictly unital against the singleton, matching the tensor conventions of the
 linear instance.  The admissible span class here is the class of all spans,
 and relative pullbacks are ordinary pullbacks: a RelPullback whose payload is
-the tuple of matching pairs in lexicographic order.  The CLI builds on no
-set of more than MAX_LINEARIZED elements, builds no pullback of more than
-MAX_PULLBACK_PAIRS matching pairs, counted first by pair_count, and checks
-no monoid of more than MAX_PULLBACK_PAIRS triples.
+the tuple of matching pairs in lexicographic order.
 """
 
 from __future__ import annotations
@@ -100,8 +97,8 @@ class FinSetCategory(BaseCategory):
         return FinFun._valid(FinSetObj(m * n), FinSetObj(n * m), table)
 
     def first_difference(self, lhs, rhs):
-        """Both sides built whole: on every input the CLI reads,
-        MAX_PULLBACK_PAIRS bounds their tables."""
+        """Both sides built whole: on decoded input, jsonio.MAX_PULLBACK_PAIRS
+        bounds their tables."""
         f, g = build(self, lhs), build(self, rhs)
         require_same_ends((f.dom, f.cod), (g.dom, g.cod))
         if f.table == g.table:
@@ -149,13 +146,6 @@ def pullback(f: FinFun, g: FinFun) -> RelPullback:
     return RelPullback(FINSET, f, g, p, p_a, p_c, True, pairs)
 
 
-# The most matching pairs of a finite-set pullback the CLI builds: it keeps
-# each pair as a tuple and each projection as a table and writes them all,
-# about 250 B a pair.  It also bounds the triples a·b·c a monoid's
-# associativity check visits, as it bounds a category's composable triples.
-MAX_PULLBACK_PAIRS = 250_000
-
-
 def pair_count(*tables) -> int:
     """The number of matching chains x₀, x₂, … of the zigzag of tables
     X₀ -t₀-> Y₁ <-t₁- X₂ -t₂-> Y₃ …, t₀(x₀) = t₁(x₂), t₂(x₂) = t₃(x₄), …: the
@@ -201,14 +191,8 @@ def finset_monoid_check(m_obj: FinSetObj, m: FinFun, u: int) -> Report:
     return rep
 
 
-# The most elements of a finite set the CLI linearizes or builds a chain's
-# identities on: k[X] keeps a sparse δ column per element, about 1 KB each.
-MAX_LINEARIZED = 100_000
-
-
 def linearize_funs(maps, fld) -> list:
-    """linearize_fun of each map, equal sets sharing one k[X]; the CLI
-    bounds the sets by MAX_LINEARIZED before it calls this."""
+    """linearize_fun of each map, equal sets sharing one k[X]."""
     objs = {}
     return [linearize_fun(f, fld, objs) for f in maps]
 

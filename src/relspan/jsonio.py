@@ -14,10 +14,17 @@ malformed declarations it reads (`check` without a name reads them all, in
 file order).  A matrix is filled as sparse columns, each distinct entry text
 parsed once.  Sizes, indices and table entries must be JSON integers.  It
 rejects what the constructions cannot take, such as a cospan whose legs are
-not two morphisms of one base category, or a category or a monoid with more
-composable triples than finset.MAX_PULLBACK_PAIRS.  Encoding covers fields and
-matrices, for the CLI's results; a matrix of more than MAX_ENCODED_CELLS
-cells is refused.
+not two morphisms of one base category.  Encoding covers fields and
+matrices, for the CLI's results.
+
+This module owns the input-size policy: every MAX_* bound, and the gates
+that refuse, before it is built, what would exceed one.  Decoding refuses a
+category or a monoid with more than MAX_PULLBACK_PAIRS composable triples
+and a coalgebra whose axiom check makes more than MAX_COASSOC_PRODUCTS
+products (bound_coalgebra); the CLI counts what each command builds on
+finite-set input with bound_chain, bounds its equalizers with
+bound_equalizer and the matrices it writes with require_encodable.  Each
+refusal reads "… is too large to … (at most N)".
 """
 
 from __future__ import annotations
@@ -101,6 +108,9 @@ def parse_field_flag(text: str):
     raise ParseError(f"unknown field flag {text!r} (use Q or Fp:<p>)")
 
 
+# -- the input-size policy ---------------------------------------------------------
+
+
 # The most cells of the dense grid matrix_to_json builds, about 80 B a cell.
 MAX_ENCODED_CELLS = 10**6
 # The most bytes load_context reads from a fixture file.
@@ -108,15 +118,75 @@ MAX_FILE_BYTES = 32 * 2**20
 # The most JSON arrays and objects a fixture file may open, counted as its
 # "[" and "{" bytes before it is decoded: each costs 56 B or more decoded.
 MAX_FILE_CONTAINERS = 10**6
+# The most matching pairs of a finite-set pullback built: each pair is kept
+# as a tuple and each projection as a table, and all are written, about
+# 250 B a pair.  It also bounds the triples a·b·c a monoid's associativity
+# check visits, as it bounds a category's composable triples.
+MAX_PULLBACK_PAIRS = 250_000
+# The most elements of a finite set linearized or built a chain's identities
+# on: k[X] keeps a sparse δ column per element, about 1 KB each.
+MAX_LINEARIZED = 100_000
+# The most dimensions of a tensor product A⊗C any equalizer is taken in.
+MAX_EQUALIZER_DIM = 10_000
+# The most products coalg.check_coalgebra makes building (δ⊗1)∘δ and
+# (1⊗δ)∘δ, each kept: at the bound, a dense 34-dimensional coalgebra.
+MAX_COASSOC_PRODUCTS = 10**8
+
+
+def _refuse(label, what, verb, bound):
+    """Refuse what, under label when one is given: it is too large to verb."""
+    named = f"{label}: " if label else ""
+    raise RelspanError(f"{named}{what} is too large to {verb} (at most {bound})")
 
 
 def require_encodable(rows: int, cols: int, label=None):
     """Refuse a rows x cols matrix of more than MAX_ENCODED_CELLS cells,
     under label when one is given."""
     if rows * cols > MAX_ENCODED_CELLS:
-        named = f"{label}: " if label else ""
-        raise RelspanError(f"{named}a {rows} x {cols} matrix is too large to encode"
-                           f" (at most {MAX_ENCODED_CELLS} cells)")
+        _refuse(label, f"a {rows} x {cols} matrix", "encode", f"{MAX_ENCODED_CELLS} cells")
+
+
+def bound_chain(label, tables, sets, linear):
+    """Refuse, under label, before anything is built, a set of more than
+    MAX_LINEARIZED elements among sets, then an iterated pullback of a
+    sub-chain X_i … X_j of the zigzag of tables of more than
+    MAX_PULLBACK_PAIRS pairs, size(i, j), then, when linear, one whose
+    equalizer on a split i ≤ k < j runs in more than MAX_EQUALIZER_DIM
+    dimensions, size(i, k)·size(k+1, j).  A cospan A → B ← C has d pairs and
+    its equalizer runs in A⊗C.  Returns size."""
+    if max(sets, default=0) > MAX_LINEARIZED:
+        _refuse(label, f"a set of {max(sets)} elements", "check", MAX_LINEARIZED)
+    xs = [len(tables[0])] + [len(t) for t in tables[1::2]]
+    size = {(i, i): x for i, x in enumerate(xs)}
+    size.update(((i, j), _finset.pair_count(*tables[2 * i:2 * j]))
+                for i in range(len(xs)) for j in range(i + 1, len(xs)))
+    pairs = max(size[i, j] for i, j in size if i < j)
+    if pairs > MAX_PULLBACK_PAIRS:
+        _refuse(label, f"a pullback of {pairs} matching pairs", "build", MAX_PULLBACK_PAIRS)
+    if linear:
+        bound_equalizer(label, max(size[i, k] * size[k + 1, j] for i, j in size for k in range(i, j)))
+    return size
+
+
+def bound_equalizer(label, dim):
+    """Refuse, under label, an equalizer in a tensor product of dimension dim
+    above MAX_EQUALIZER_DIM."""
+    if dim > MAX_EQUALIZER_DIM:
+        _refuse(label, f"an equalizer in a tensor product of dimension {dim}", "build",
+                MAX_EQUALIZER_DIM)
+
+
+def bound_coalgebra(label, c):
+    """Refuse, under label, a coalgebra whose axiom check would make more
+    than MAX_COASSOC_PRODUCTS products: (δ⊗1)∘δ and (1⊗δ)∘δ are built
+    whole, and a nonzero of δ at row r makes |δ[:, r // n]| + |δ[:, r % n]|
+    of them.  Counted in one pass over δ's nonzeros, nothing built."""
+    cols, n = c.delta.columns, c.dim
+    lengths = [len(col) for col in cols]
+    products = sum(lengths[r // n] + lengths[r % n] for col in cols for r in col)
+    if products > MAX_COASSOC_PRODUCTS:
+        _refuse(label, f"a coalgebra with {products} coassociativity products", "check",
+                MAX_COASSOC_PRODUCTS)
 
 
 def matrix_to_json(m: Matrix):
@@ -163,13 +233,17 @@ def matrix_from_json(obj, rows: int, cols: int) -> Matrix:
 
 
 def _coalgebra(obj, ref=None) -> _coalg.Coalgebra:
+    """The coalgebra obj declares, refused when its axiom check is too large
+    (bound_coalgebra), under every command that reads it."""
     dim = _int(obj["dim"])
-    return _coalg.Coalgebra(
+    c = _coalg.Coalgebra(
         dim,
         field_from_json(obj["field"]),
         delta=matrix_from_json(obj["delta"], dim * dim, dim),
         epsilon=matrix_from_json(obj["epsilon"], 1, dim),
     )
+    bound_coalgebra(None, c)
+    return c
 
 
 def _coalgebra_map(obj, ref) -> _coalg.CoalgMap:
@@ -203,11 +277,10 @@ def _finset_fun(obj, ref) -> _finset.FinFun:
 def _finset_monoid(obj, ref):
     """(carrier, multiplication, unit) of a monoid given by its table;
     refused, before the table is read, when the associativity check would
-    visit more than finset.MAX_PULLBACK_PAIRS triples (a one-object category)."""
+    visit more than MAX_PULLBACK_PAIRS triples (a one-object category)."""
     size = _int(obj["size"])
-    if size**3 > _finset.MAX_PULLBACK_PAIRS:
-        raise ValueError(f"a monoid with {size**3} triples is too large to check"
-                         f" (at most {_finset.MAX_PULLBACK_PAIRS})")
+    if size**3 > MAX_PULLBACK_PAIRS:
+        _refuse(None, f"a monoid with {size**3} triples", "check", MAX_PULLBACK_PAIRS)
     table = _ints(obj["table"])
     if len(table) != size * size:
         raise ParseError("monoid table must have size^2 entries")
@@ -216,14 +289,13 @@ def _finset_monoid(obj, ref):
 
 
 def _bound_triples(src, tgt):
-    """Refuse arrows with more than finset.MAX_PULLBACK_PAIRS triples i∘j∘k,
-    the matching chains i, j, k of the zigzag src, tgt, src, tgt: they are
-    the pairs of the pullback that axiom (e) builds, and the associativity
+    """Refuse arrows with more than MAX_PULLBACK_PAIRS triples i∘j∘k, the
+    matching chains i, j, k of the zigzag src, tgt, src, tgt: they are the
+    pairs of the pullback that axiom (e) builds, and the associativity
     checks visit each one."""
     n = _finset.pair_count(src, tgt, src, tgt)
-    if n > _finset.MAX_PULLBACK_PAIRS:
-        raise ValueError(f"a category with {n} composable triples is too large to check"
-                         f" (at most {_finset.MAX_PULLBACK_PAIRS})")
+    if n > MAX_PULLBACK_PAIRS:
+        _refuse(None, f"a category with {n} composable triples", "check", MAX_PULLBACK_PAIRS)
 
 
 def _small_category(obj, ref) -> _relcat.SmallCategory:
@@ -274,11 +346,16 @@ def _chain(obj, ref) -> list:
 
 
 def _cospan(obj, ref) -> tuple:
-    """The (left, right) legs; cospan_base checks they share a base category."""
-    legs = tuple(ref(obj[side], "cospan leg", ("finset_fun", "coalgebra_map"))
-                 for side in ("left", "right"))
-    cospan_base(*legs)
-    return legs
+    """(base, left, right): the legs and the one base category that both are
+    morphisms of."""
+    left, right = (ref(obj[side], "cospan leg", ("finset_fun", "coalgebra_map"))
+                   for side in ("left", "right"))
+    if type(left) is type(right) is _finset.FinFun:
+        return _finset.FINSET, left, right
+    if type(left) is type(right) is _coalg.CoalgMap and left.mat.field == right.mat.field:
+        return _coalg.CoalgCategory(left.mat.field), left, right
+    raise ValueError("cospan legs must be two finset_fun or two coalgebra_map declarations "
+                     "over one field")
 
 
 def _functor(obj, ref) -> tuple:
@@ -299,16 +376,6 @@ _DECODERS = {
     "cospan": _cospan,
     "functor": _functor,
 }
-
-
-def cospan_base(left, right):
-    """The one base category that both legs of a cospan are morphisms of."""
-    if type(left) is type(right) is _finset.FinFun:
-        return _finset.FINSET
-    if type(left) is type(right) is _coalg.CoalgMap and left.mat.field == right.mat.field:
-        return _coalg.CoalgCategory(left.mat.field)
-    raise ValueError("cospan legs must be two finset_fun or two coalgebra_map declarations "
-                     "over one field")
 
 
 class Decl(NamedTuple):

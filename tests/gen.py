@@ -21,7 +21,7 @@ from relspan import (
     SmallCategory,
     grouplike,
 )
-from relspan.linalg import kron, kron_apply, solve, swap_map
+from relspan.linalg import kron_apply, solve, swap_map
 
 FIELDS = (QQ, GF(5))
 
@@ -232,7 +232,7 @@ def random_basis(rng, field, n) -> Matrix:
 def rebased(c: Coalgebra, pm: Matrix) -> Coalgebra:
     """c in the basis of the columns of pm: δ' = (P⁻¹⊗P⁻¹)∘δ∘P, ε' = ε∘P."""
     pinv = solve(pm, Matrix.identity(c.field, c.dim))
-    return Coalgebra(c.dim, c.field, delta=kron(pinv, pinv) @ c.delta @ pm,
+    return Coalgebra(c.dim, c.field, delta=kron_apply(pinv, pinv, c.delta @ pm),
                      epsilon=c.epsilon @ pm)
 
 

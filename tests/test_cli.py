@@ -13,6 +13,7 @@ import pytest
 from gen import rand_finfun, rng_for
 from relspan import GF, QQ, cli, coalg, finset, jsonio, linalg
 from relspan.cli import build_parser, main
+from relspan.errors import RelspanError
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 
@@ -818,11 +819,11 @@ def test_finite_set_too_large_to_linearize_exits_2_at_once(tmp_path, command):
 
 
 def test_linearization_bound_is_inclusive_and_covers_relcat(monkeypatch):
-    assert finset.MAX_LINEARIZED >= 10**5
+    assert jsonio.MAX_LINEARIZED >= 10**5
     # relcats.json linearizes sets of at most 5 elements
-    monkeypatch.setattr(finset, "MAX_LINEARIZED", 5)
+    monkeypatch.setattr(jsonio, "MAX_LINEARIZED", 5)
     assert run_no_traceback(["relcat", fx("relcats.json"), "--instance", "coalg"])[0] == 0
-    monkeypatch.setattr(finset, "MAX_LINEARIZED", 4)
+    monkeypatch.setattr(jsonio, "MAX_LINEARIZED", 4)
     code, doc = run_no_traceback(["relcat", fx("relcats.json"), "--instance", "coalg"])
     assert code == 2 and "a set of 5 elements is too large" in doc["error"]
 
@@ -837,7 +838,7 @@ def _cyclic_group_category(n):
     ["check"], ["relcat"], ["relcat", "--instance", "coalg"],
 ])
 def test_category_with_too_many_composable_triples_exits_2_at_once(tmp_path, command):
-    assert finset.MAX_PULLBACK_PAIRS == 250_000
+    assert jsonio.MAX_PULLBACK_PAIRS == 250_000
     p = tmp_path / "c64.json"
     p.write_text(json.dumps({"c64": _cyclic_group_category(64)}))
     start = time.process_time()
@@ -859,7 +860,7 @@ def test_monoid_with_too_many_triples_exits_2_at_once(tmp_path, command):
     bounded as a category's triples are: the cyclic group of order 63 has
     63³ = 250047 triples, the first order above the bound; unbounded, order
     240, a 262 KB file, took 4.5 s of CPU."""
-    assert finset.MAX_PULLBACK_PAIRS == 250_000
+    assert jsonio.MAX_PULLBACK_PAIRS == 250_000
     p = tmp_path / "z63.json"
     p.write_text(json.dumps({"z63": _cyclic_group_monoid(63)}))
     start = time.process_time()
@@ -873,7 +874,7 @@ def test_monoid_with_too_many_triples_exits_2_at_once(tmp_path, command):
 def test_monoid_triple_bound_is_inclusive_and_refuses_before_the_table(tmp_path, monkeypatch):
     """At a bound of 27 the cyclic group of order 3 is checked and passes;
     order 4 is refused from its size alone, its table never read."""
-    monkeypatch.setattr(finset, "MAX_PULLBACK_PAIRS", 27)
+    monkeypatch.setattr(jsonio, "MAX_PULLBACK_PAIRS", 27)
     p = tmp_path / "z.json"
     p.write_text(json.dumps({"z3": _cyclic_group_monoid(3),
                              "z4": {"kind": "finset_monoid", "size": 4, "table": "unread", "unit": 0}}))
@@ -888,7 +889,7 @@ def test_relative_category_triples_are_bounded_before_the_pullback(tmp_path, mon
         raise AssertionError("the pullback of (s, t) was built before the triples were counted")
 
     monkeypatch.setattr(jsonio, "relative_pullback", no_pullback)
-    monkeypatch.setattr(finset, "MAX_PULLBACK_PAIRS", 63)
+    monkeypatch.setattr(jsonio, "MAX_PULLBACK_PAIRS", 63)
     # one object and four arrows: 4 composable pairs, 4³ = 64 composable triples
     p = tmp_path / "rc.json"
     p.write_text(json.dumps({"rc": {"kind": "relative_category", "objects": 1, "arrows": 4,
@@ -906,9 +907,9 @@ def test_triple_bound_is_inclusive_and_counts_every_triple(monkeypatch):
             for i in range(c["arrows"]) for j in range(c["arrows"]) for k in range(c["arrows"]))
         for c in cats
     )
-    monkeypatch.setattr(finset, "MAX_PULLBACK_PAIRS", largest)
+    monkeypatch.setattr(jsonio, "MAX_PULLBACK_PAIRS", largest)
     assert run_no_traceback(["relcat", fx("relcats.json")])[0] == 0
-    monkeypatch.setattr(finset, "MAX_PULLBACK_PAIRS", largest - 1)
+    monkeypatch.setattr(jsonio, "MAX_PULLBACK_PAIRS", largest - 1)
     code, doc = run_no_traceback(["relcat", fx("relcats.json")])
     assert code == 2 and f"with {largest} composable triples" in doc["error"]
 
@@ -919,7 +920,7 @@ def test_linearized_category_too_large_for_its_tensor_product_exits_2_at_once(tm
     linearized runs an equalizer in n³ dimensions: order 22 is the first
     above the bound; unbounded, order 40, a 6 KB file, took 5.2 s of CPU and
     338 MB."""
-    assert coalg.MAX_EQUALIZER_DIM == 10_000
+    assert jsonio.MAX_EQUALIZER_DIM == 10_000
     p = tmp_path / f"c{n}.json"
     p.write_text(json.dumps({f"c{n}": _cyclic_group_category(n)}))
     start = time.process_time()
@@ -938,9 +939,9 @@ def test_linearized_category_bound_is_the_largest_pullback_it_builds(monkeypatch
     _, dims = _spy_sizes(monkeypatch)
     assert run_no_traceback(argv)[0] == 0
     largest = max(dims)
-    monkeypatch.setattr(coalg, "MAX_EQUALIZER_DIM", largest)
+    monkeypatch.setattr(jsonio, "MAX_EQUALIZER_DIM", largest)
     assert run_no_traceback(argv)[0] == 0
-    monkeypatch.setattr(coalg, "MAX_EQUALIZER_DIM", largest - 1)
+    monkeypatch.setattr(jsonio, "MAX_EQUALIZER_DIM", largest - 1)
     dims.clear()
     code, doc = run_no_traceback(argv)
     assert code == 2 and f"dimension {largest} is too large" in doc["error"]
@@ -1042,7 +1043,7 @@ def test_cotensor_too_large_to_encode_exits_2_before_it_is_computed(tmp_path, mo
 def test_finite_set_pullback_too_large_exits_2_before_it_is_built(tmp_path, monkeypatch):
     """1000 -> 1 <- 1000 has 10⁶ matching pairs, four times the bound: it is
     refused from the count, naming the cospan, before the pullback."""
-    assert finset.MAX_PULLBACK_PAIRS == 250_000
+    assert jsonio.MAX_PULLBACK_PAIRS == 250_000
 
     def no_pullback(*args):
         raise AssertionError("the pullback was built before the pairs were counted")
@@ -1060,7 +1061,7 @@ def test_finite_set_pullback_too_large_exits_2_before_it_is_built(tmp_path, monk
 def test_finite_set_pullback_bound_is_inclusive(tmp_path, monkeypatch):
     """A cospan with exactly the bound's pairs, 6 -> 1 <- 4 at a bound of 24,
     is built and checked; one more pair exits 2."""
-    monkeypatch.setattr(finset, "MAX_PULLBACK_PAIRS", 24)
+    monkeypatch.setattr(jsonio, "MAX_PULLBACK_PAIRS", 24)
     code, doc = run_no_traceback(_cospan_over_a_point(tmp_path, 6, 4)[:4])
     assert code == 0 and doc["result"]["apex"]["set"] == 24
     code, doc = run_no_traceback(_cospan_over_a_point(tmp_path, 5, 5)[:4])
@@ -1089,7 +1090,7 @@ def test_linearized_cospan_too_large_for_its_tensor_product_exits_2_at_once(tmp_
     """A cospan is the chain A -> B <- C: its equalizer runs in A⊗C, bounded
     as a chain's is; unbounded, the n = 1000 pullback took 7.6 s of CPU and
     1.18 GB, and the cotensor more."""
-    assert coalg.MAX_EQUALIZER_DIM == 10_000
+    assert jsonio.MAX_EQUALIZER_DIM == 10_000
     argv = [command[0], _disjoint_cospan(tmp_path, n), *command[1:]]
     start = time.process_time()
     code, doc = run_no_traceback(argv)
@@ -1115,14 +1116,110 @@ def test_declared_cospan_equalizer_bound_is_inclusive(monkeypatch, command):
     _, dims = _spy_sizes(monkeypatch)
     cotensors, cotensor = [], coalg.cotensor
     monkeypatch.setattr(coalg, "cotensor", lambda f, g: cotensors.append(1) or cotensor(f, g))
-    monkeypatch.setattr(coalg, "MAX_EQUALIZER_DIM", 6)
+    monkeypatch.setattr(jsonio, "MAX_EQUALIZER_DIM", 6)
     assert run_no_traceback(argv)[0] == 0 and dims == [6]
-    monkeypatch.setattr(coalg, "MAX_EQUALIZER_DIM", 5)
+    monkeypatch.setattr(jsonio, "MAX_EQUALIZER_DIM", 5)
     dims.clear(), cotensors.clear()
     code, doc = run_no_traceback(argv)
     assert code == 2 and not dims and not cotensors
     assert doc["error"] == ("cospan 'cs': an equalizer in a tensor product of dimension 6"
                             " is too large to build (at most 5)")
+
+
+def _coassociativity_products(c):
+    """By brute force: building (δ⊗1)∘δ and (1⊗δ)∘δ, a nonzero of δ at row r
+    multiplies column r of δ⊗1 and of 1⊗δ, one product per nonzero."""
+    eye = linalg.Matrix.identity(c.field, c.dim)
+    sides = (linalg.kron(c.delta, eye), linalg.kron(eye, c.delta))
+    return sum(len(side.columns[r]) for col in c.delta.columns for r in col for side in sides)
+
+
+def test_coassociativity_product_count_is_a_brute_force_count(monkeypatch):
+    """bound_coalgebra admits a coalgebra at exactly its count and refuses it
+    one below, on sparse raw and dense rebased random coalgebras."""
+    from gen import FIELDS, rand_raw_coalgebra, random_basis, rebased
+
+    rng = rng_for("coassociativity-products")
+    for field in FIELDS:
+        for n in (1, 2, 3, 4):
+            for c in (rand_raw_coalgebra(rng, field, n),
+                      rebased(coalg.grouplike(field, n), random_basis(rng, field, n))):
+                count = _coassociativity_products(c)
+                monkeypatch.setattr(jsonio, "MAX_COASSOC_PRODUCTS", count)
+                jsonio.bound_coalgebra("c", c)
+                monkeypatch.setattr(jsonio, "MAX_COASSOC_PRODUCTS", count - 1)
+                with pytest.raises(RelspanError) as exc:
+                    jsonio.bound_coalgebra("c", c)
+                assert str(exc.value) == (f"c: a coalgebra with {count} coassociativity products"
+                                          f" is too large to check (at most {count - 1})")
+
+
+def _spy_coalgebra_checks(monkeypatch):
+    """The dimension of each coalgebra check_coalgebra is called on, from here on."""
+    dims, check = [], coalg.check_coalgebra
+    monkeypatch.setattr(coalg, "check_coalgebra", lambda c: dims.append(c.dim) or check(c))
+    return dims
+
+
+def test_declared_coalgebra_product_bound_is_inclusive_and_refuses_before_the_check(
+        tmp_path, monkeypatch):
+    """A dense coalgebra, k[X] for |X| = 3 in a random basis over F_5, is
+    checked with the bound at its exact count; one below, it exits 2 while it
+    is decoded, before any product is built."""
+    from gen import random_basis, rebased
+
+    fld = GF(5)
+    c = rebased(coalg.grouplike(fld, 3), random_basis(rng_for("dense-coalgebra"), fld, 3))
+    assert [len(col) for col in c.delta.columns] == [5, 5, 9]
+    p = tmp_path / "dense.json"
+    p.write_text(json.dumps({"A": {"kind": "coalgebra", "dim": 3, "field": {"Fp": 5},
+                                   "delta": jsonio.matrix_to_json(c.delta),
+                                   "epsilon": jsonio.matrix_to_json(c.epsilon)}}))
+    count, dims = _coassociativity_products(c), _spy_coalgebra_checks(monkeypatch)
+    monkeypatch.setattr(jsonio, "MAX_COASSOC_PRODUCTS", count)
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 0 and dims == [3] and [c["status"] for c in doc["checks"]] == ["pass"] * 3
+    monkeypatch.setattr(jsonio, "MAX_COASSOC_PRODUCTS", count - 1)
+    dims.clear()
+    code, doc = run_no_traceback(["check", str(p)])
+    assert code == 2 and not dims
+    assert doc["error"] == (f"bad declaration 'A': a coalgebra with {count} coassociativity"
+                            f" products is too large to check (at most {count - 1})")
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["check", fx("coalgebras.json"), "--name", "k2"], "k2"),
+    (["monoid", fx("monoids.json"), "--name", "kc2"], "kc2"),
+    (["pullback", fx("cospan_coalg.json"), "--cospan", "cs"], "A"),
+    (["cotensor", fx("cospan_coalg.json"), "--cospan", "cs"], "A"),
+])
+def test_declared_coalgebra_over_the_product_bound_exits_2_naming_it(monkeypatch, argv, name):
+    """The bound holds wherever a coalgebra is declared: under check, as a
+    bialgebra's carrier and as the domain of a cospan's leg."""
+    dims = _spy_coalgebra_checks(monkeypatch)
+    monkeypatch.setattr(jsonio, "MAX_COASSOC_PRODUCTS", 0)
+    code, doc = run_no_traceback(argv)
+    assert code == 2 and not dims
+    assert doc["error"].startswith(f"bad declaration '{name}': a coalgebra with ")
+    assert doc["error"].endswith(" coassociativity products is too large to check (at most 0)")
+
+
+@pytest.mark.parametrize("command", _LINEARIZED_COSPAN_COMMANDS, ids=["pullback", "cotensor"])
+def test_built_coalgebra_product_bound_is_inclusive_and_names_the_cospan(monkeypatch, command):
+    """The pullback apex and the cotensor's induced structure of
+    2 -> 2 <- 3, linearized, are k[X] on its 3 matching pairs: 6 products.
+    At a bound of 6 they are checked; at 5 the command exits 2, naming the
+    cospan, before the check."""
+    argv = [command[0], fx("cospan_finset.json"), *command[1:]]
+    dims = _spy_coalgebra_checks(monkeypatch)
+    monkeypatch.setattr(jsonio, "MAX_COASSOC_PRODUCTS", 6)
+    assert run_no_traceback(argv)[0] == 0 and dims == [3]
+    monkeypatch.setattr(jsonio, "MAX_COASSOC_PRODUCTS", 5)
+    dims.clear()
+    code, doc = run_no_traceback(argv)
+    assert code == 2 and not dims
+    assert doc["error"] == ("cospan 'cs': a coalgebra with 6 coassociativity products"
+                            " is too large to check (at most 5)")
 
 
 def test_encoding_bound_is_inclusive(monkeypatch):
@@ -1180,7 +1277,7 @@ def test_chain_too_large_for_its_shape_exits_2_at_once(tmp_path, shape, instance
     of its sub-chains before any pullback; unbounded, the n = 23 pentagon
     over finite sets took 4.1 s of CPU and 232 MB, and the n = 14 one
     linearized 7.9 s and 415 MB."""
-    assert (finset.MAX_PULLBACK_PAIRS, coalg.MAX_EQUALIZER_DIM) == (250_000, 10_000)
+    assert (jsonio.MAX_PULLBACK_PAIRS, jsonio.MAX_EQUALIZER_DIM) == (250_000, 10_000)
     argv = _coherence(_constant_chain(tmp_path, sizes), shape, instance)
     start = time.process_time()
     code, doc = run_no_traceback(argv)
@@ -1203,10 +1300,10 @@ def test_triangle_at_the_equalizer_bound_still_runs(tmp_path):
 ])
 def test_chain_sets_at_the_set_bound_still_run(tmp_path, shape, sizes):
     """The shapes build identities on a chain's sets: a set of exactly
-    finset.MAX_LINEARIZED elements is built on, a larger one is refused
+    jsonio.MAX_LINEARIZED elements is built on, a larger one is refused
     before any count; unbounded, the triangle on [0, 3·10⁶, 0] took 7.7 s of
     CPU and 753 MB."""
-    assert finset.MAX_LINEARIZED == 100_000
+    assert jsonio.MAX_LINEARIZED == 100_000
     code, doc = run_no_traceback(_coherence(_constant_chain(tmp_path, sizes), shape, "finset"))
     assert code == 0 and [c["status"] for c in doc["checks"]] == ["pass"]
 
@@ -1251,8 +1348,8 @@ def test_chain_bounds_are_the_largest_pullback_the_shape_builds(tmp_path, monkey
         pairs.clear(), dims.clear()
         assert run_no_traceback(argv)[0] == 0
         for owner, name, largest, what in (
-                (finset, "MAX_PULLBACK_PAIRS", max(pairs), f"{max(pairs)} matching pairs"),
-                (coalg, "MAX_EQUALIZER_DIM", max(dims), f"dimension {max(dims)}")):
+                (jsonio, "MAX_PULLBACK_PAIRS", max(pairs), f"{max(pairs)} matching pairs"),
+                (jsonio, "MAX_EQUALIZER_DIM", max(dims), f"dimension {max(dims)}")):
             with monkeypatch.context() as m:
                 m.setattr(owner, name, largest)
                 assert run_no_traceback(argv)[0] == 0
