@@ -211,13 +211,16 @@ def cmd_cotensor(ctx, args):
         require_encodable(size[0, 0] * size[1, 1], size[0, 1], label)
         base, legs = _coalg.CoalgCategory(fld), _finset.linearize_funs(legs, fld)
     left, right = legs
+    # the pullback first, so the cotensor can read its elimination (coalg.cotensor)
+    try:
+        pb = relative_pullback(base, left, right)
+    except LegsNotInClass:
+        pb = None
     report = Report()
     ct = _coalg.cotensor(left, right)
     extra = {"dim": ct.cols, "inclusion": matrix_to_json(ct)}
     report.add("cotensor computed", True)
-    try:
-        pb = relative_pullback(base, left, right)
-    except LegsNotInClass:
+    if pb is None:
         return report, extra
     sub = _coalg.subcoalgebra(_coalg.tensor_coalgebra(left.src, right.src), ct)
     bound_coalgebra(label, sub.object)

@@ -83,10 +83,15 @@ object, so nothing outlives the objects of one command.  The class-S
 witness depends on the legs and is not kept.  A map f keeps the equalizer
 and projections of the pullback last built on it as left leg, keyed on the
 right leg g as an object (is, not ==); a build that raises keeps nothing.
-They are a deterministic function of f and g, so relative_pullback and
-compare_cotensor_pullback on the same legs build them once, and the entry
-dies with f.  All of this is exact because matrices, coalgebras and maps
-are never changed once built.
+Beside them it keeps the system T the pullback solved and T's reduced row
+echelon form, none on a group-like cospan.  They are a deterministic
+function of f and g, so relative_pullback and compare_cotensor_pullback on
+the same legs build them once, and the entry dies with f.  cotensor reads
+the reduced form only when its own system equals T entry for entry; it is
+then the elimination cotensor would run.  On counital A and C with legs in
+S the two are equal: class S of (g, 1_C) gives (g⊗1)∘c∘δ_C = (g⊗1)∘δ_C.
+All of this is exact because matrices, coalgebras and maps are never
+changed once built.
 """
 
 from __future__ import annotations
@@ -214,7 +219,7 @@ class CoalgMap:
         self.src = src
         self.tgt = tgt
         self.mat = mat
-        self._pullback = None  # (g, the pullback of self and g) once one is built
+        self._pullback = None  # (g, the pullback of self and g, its system) once one is built
 
     def __eq__(self, other):
         if not isinstance(other, CoalgMap):
@@ -514,23 +519,25 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer | 
     return CoalgEqualizer(obj, CoalgMap(obj, x, k), lk)
 
 
-def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None) -> CoalgEqualizer:
+def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None):
     """The equalizer that t and z describe in x, z None when it is the
-    identity, on the basis K'∘N of the module docstring.  On counital input
-    K' = ker t is returned when its closure check passes, which certifies
-    N = 1.  Otherwise R is built once, then K' = ker(R∘z) when z is given,
-    and the second system (R⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ;
-    K'∘N is checked, and a product with N = 1 returns its left operand."""
+    identity, on the basis K'∘N of the module docstring, and the system it
+    solved, (t, red) for red the reduced row echelon form of t.  On counital
+    input K' = ker t is returned when its closure check passes, which
+    certifies N = 1.  Otherwise R is built once, then K' = ker(R∘z) when z
+    is given, and the second system (R⊗1)∘δ∘K', which keeps the bracketing
+    (δ⊗1)∘δ; K'∘N is checked, and a product with N = 1 returns its left
+    operand."""
     fld, red = t.field, _reduce(t.field, t.columns)
     if z is None:
         k = _kernel(fld, red, t.cols)
         if (eq := _subcoalgebra(x, k, delta_k := _delta_apply(x, k))) is not None:
-            return eq
+            return eq, (t, red)
     r = _echelon(fld, red, len(red), t.cols)
     if z is not None:
         delta_k = _delta_apply(x, k := kernel_basis_sparse(r @ z))
     n = kernel_basis_sparse(kron_apply(r, Matrix.identity(fld, x.dim), delta_k))
-    return _closed(_subcoalgebra(x, k @ n, delta_k @ n))
+    return _closed(_subcoalgebra(x, k @ n, delta_k @ n)), (t, red)
 
 
 def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
@@ -541,7 +548,7 @@ def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
         raise ShapeMismatch("equalizer needs a shared codomain coalgebra")
     x, i_x = f.src, Matrix.identity(f.src.field, f.src.dim)
     z = x.right_counit
-    return _equalizer(x, kron_apply(i_x, f.mat - g.mat, x.delta), None if z == i_x else z)
+    return _equalizer(x, kron_apply(i_x, f.mat - g.mat, x.delta), None if z == i_x else z)[0]
 
 
 def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
@@ -565,7 +572,8 @@ def _check_cospan(f: CoalgMap, g: CoalgMap):
 
 def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     """The equalizer of f⊗ε and ε⊗g on A⊗C and its projections p_A, p_C,
-    once the square f∘p_A = g∘p_C is checked; kept on f for this g object."""
+    once the square f∘p_A = g∘p_C is checked; kept on f for this g object,
+    with the system solved, (T, its reduced form), or None when none was."""
     if (hit := f._pullback) is not None and hit[0] is g:
         return hit[1]
     _check_cospan(f, g)
@@ -576,17 +584,17 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     x = tensor_coalgebra(a, c)
     # on counital input, K' of a group-like cospan is its matching pairs (module docstring)
     if z is None and (k := _matching_pairs(f, g)) is not None:
-        eq = subcoalgebra(x, k)
+        eq, system = subcoalgebra(x, k), None
     else:
         # Y_g = c∘(1⊗g)∘δ_C = (g⊗1)∘c∘δ_C, and c∘δ_C = δ_C on a cocommutative C
         y_g = kron_apply(g.mat, i_c, c.delta if c.cocommutative else _swapped(c.delta, c.dim))
-        eq = _equalizer(x, _kron_difference(kron_apply(i_a, f.mat, a.delta), z_c, z_a, y_g), z)
+        eq, system = _equalizer(x, _kron_difference(kron_apply(i_a, f.mat, a.delta), z_c, z_a, y_g), z)
     j = eq.j.mat
     p_a = CoalgMap(eq.object, a, kron_apply(i_a, c.epsilon, j))
     p_c = CoalgMap(eq.object, c, kron_apply(a.epsilon, i_c, j))
     if f.mat @ p_a.mat != g.mat @ p_c.mat:
         raise InternalSolveFailure("pullback square does not commute")
-    f._pullback = g, (eq, p_a, p_c)
+    f._pullback = g, (eq, p_a, p_c), system
     return eq, p_a, p_c
 
 
@@ -649,13 +657,18 @@ def cotensor(f: CoalgMap, g: CoalgMap) -> Matrix:
     """The one-step equalizer of (1⊗f⊗1)∘(δ_A⊗1) and (1⊗g⊗1)∘(1⊗δ_C) on A⊗C,
     a linear subspace given by its canonical basis, the columns of its
     inclusion into A⊗C.  Unchecked: only for legs in S is it a subcoalgebra
-    (see subcoalgebra) and the relative pullback (compare_cotensor_pullback)."""
+    (see subcoalgebra) and the relative pullback (compare_cotensor_pullback).
+    Its system is built here, by its own formula, on every call.  When it
+    equals the T of the pullback kept on f for g, entry for entry, the
+    reduced form kept with T is its elimination, the same bit for bit, and
+    it is read instead of eliminating the system again."""
     _check_cospan(f, g)
     a, c = f.src, g.src
     i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(a.field, c.dim)
-    return kernel_basis_sparse(
-        _kron_difference(kron_apply(i_a, f.mat, a.delta), i_c, i_a, kron_apply(g.mat, i_c, c.delta))
-    )
+    t = _kron_difference(kron_apply(i_a, f.mat, a.delta), i_c, i_a, kron_apply(g.mat, i_c, c.delta))
+    if (kept := f._pullback) and kept[0] is g and kept[2] and kept[2][0] == t:
+        return _kernel(t.field, kept[2][1], t.cols)
+    return kernel_basis_sparse(t)
 
 
 def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
@@ -664,7 +677,10 @@ def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
     factorizations compose to identities.  Of the pullback it reads the
     equalizer and projections kept on f for g, or builds them and checks the
     square as relative_pullback_coalg does; the certificate is not read here.
-    The cotensor is eliminated on every call, an independent oracle."""
+    The cotensor stays an independent oracle: its system is built by its own
+    formula on every call and compared with the pullback's T, entry for
+    entry, and only an equal system reuses T's elimination (cotensor).  The
+    checks then compare the two bases."""
     base = CoalgCategory(f.mat.field)
     if not legs_in_class(base, f, g):
         raise LegsNotInClass("cotensor comparison needs legs in class S")

@@ -659,10 +659,10 @@ def test_sizes_indices_and_table_entries_must_be_json_integers(tmp_path, decl):
     assert doc["error"].startswith("bad ") and "expected " in doc["error"]
 
 
-def _counting(monkeypatch, name):
+def _counting(monkeypatch, name, calls=None):
     """The calls to coalg.<name> from here on, as (args, result), recorded
-    as they happen."""
-    calls, fn = [], getattr(coalg, name)
+    as they return, into calls when it is given, else into a new list."""
+    calls, fn = [] if calls is None else calls, getattr(coalg, name)
 
     def spy(*args):
         calls.append((args, fn(*args)))
@@ -684,14 +684,44 @@ def test_pullback_compare_cotensor_decides_class_S_three_times(monkeypatch):
 
 
 def test_cotensor_command_decides_the_legs_once(monkeypatch):
-    checks = _counting(monkeypatch, "_subcoalgebra")
+    calls = []
+    for name in ("_subcoalgebra", "cotensor"):
+        _counting(monkeypatch, name, calls)
     decisions = _counting(monkeypatch, "class_S_witness")
     code, doc = run_json(["cotensor", fx("cospan_coalg.json"), "--cospan", "cs"])
     assert code == 0 and any(c["name"].startswith("induced structure") for c in doc["checks"])
-    # two closure checks, both passing: the induced structure, then the
-    # pullback's equalizer
-    assert [eq is not None for _, eq in checks] == [True, True]
+    # the pullback's closure check first, so that the cotensor can read its
+    # elimination, then the cotensor, then the closure check of the induced
+    # structure on the cotensor basis; both checks pass
+    assert [type(out).__name__ for _, out in calls] == ["CoalgEqualizer", "Matrix", "CoalgEqualizer"]
+    assert calls[2][0][1] is calls[1][1]
     assert len(decisions) == 2
+
+
+def _eliminations(monkeypatch):
+    """The column counts of the systems linalg._reduce eliminates from here on,
+    the pullback's own elimination of t (coalg._reduce) among them."""
+    sizes, reduce_in = [], linalg._reduce
+    spy = lambda fld, columns: sizes.append(len(columns)) or reduce_in(fld, columns)
+    monkeypatch.setattr(linalg, "_reduce", spy)
+    monkeypatch.setattr(coalg, "_reduce", spy)
+    return sizes
+
+
+@pytest.mark.parametrize("golden, command", [
+    ("pullback_dense_compare",
+     "pullback fixtures/cospan_dense.json --cospan cs --instance coalg --compare-cotensor"),
+    ("cotensor_dense", "cotensor fixtures/cospan_dense.json --cospan cs"),
+])
+def test_the_cotensor_reads_the_pullbacks_elimination_of_an_equal_system(monkeypatch, golden, command):
+    """On the dense counital cospan, whose cotensor system is the pullback's
+    t, each command eliminates that system once and prints its golden."""
+    sizes = _eliminations(monkeypatch)
+    monkeypatch.chdir(os.path.dirname(FIXTURES))  # the output echoes argv
+    code, out = run(command.split())
+    assert code == 0 and sizes == [9]
+    with open(os.path.join("tests", "golden", f"{golden}.out")) as fh:
+        assert out == fh.read()
 
 
 def _bad_entry_fixture(tmp_path, entry):

@@ -1458,6 +1458,115 @@ def test_a_failed_pullback_is_not_kept(monkeypatch):
     assert seen.keys() == {"δ∘j does not factor through j⊗j", "pullback square does not commute"}
 
 
+# -- the cotensor reads the kept elimination of an equal system ------------------------
+
+
+def _cotensor_system(f, g):
+    """The cotensor's system (1⊗f)∘δ_A ⊗ 1 − 1 ⊗ (g⊗1)∘δ_C, from whole Kronecker
+    products."""
+    a, c, fld = f.src, g.src, f.mat.field
+    i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
+    return (kron(kron(i_a, f.mat) @ a.delta, i_c)
+            - kron(i_a, kron(g.mat, i_c) @ c.delta))
+
+
+def _path_cospan(field):
+    """The path coalgebra, not cocommutative, into k[{b0, b1}] by e0, e1 ↦ b0
+    and x ↦ 0, as both legs: their spans with the identity are in S, since
+    (1⊗g)∘(c∘δ - δ) = 0."""
+    p, b = path_coalgebra(field), grouplike(field, 2)
+    one = field.one
+    g = CoalgMap(p, b, Matrix.from_cols(field, 2, [{0: one}, {0: one}, {}]))
+    return g, CoalgMap(p, b, g.mat)
+
+
+def test_the_cotensor_after_the_pullback_is_its_fresh_elimination_bit_for_bit(monkeypatch):
+    """On dense counital cospans, random functions linearized in random bases,
+    cotensor after relative_pullback is the canonical kernel of a freshly
+    built cotensor system, bit for bit; it eliminates nothing when the
+    pullback solved a system, and once when the pullback read its matching
+    pairs.  compare_cotensor_pullback reports, check for check, what it
+    reports on fresh copies of the legs, which keep no pullback."""
+    reduces = _spy(monkeypatch, linalg, "_reduce")
+    routes = Counter()
+    for field in (QQ, GF(2), GF(5), GF(32003)):
+        base = CoalgCategory(field)
+        rng = rng_for(f"cotensor-shared-{field}")
+        for _ in range(10):
+            f, g = _counital_cospan(rng, field)
+            relative_pullback(base, f, g)
+            del reduces[:]
+            got = cotensor(f, g)
+            shared = f._pullback[2] is not None
+            assert len(reduces) == (not shared)
+            routes[field, shared] += 1
+            assert _bits(got) == _bits(kernel_basis_sparse(_cotensor_system(f, g)))
+            assert [c.as_dict() for c in compare_cotensor_pullback(f, g).checks] == [
+                c.as_dict() for c in compare_cotensor_pullback(_fresh(f), _fresh(g)).checks]
+    assert all(routes[field, True] for field in (QQ, GF(2), GF(5), GF(32003)))
+
+
+def test_the_comparison_eliminates_an_equal_system_once(monkeypatch):
+    """relative_pullback then compare_cotensor_pullback runs one elimination
+    on a dense counital cospan, the pullback's, and one on a linearized
+    cospan, the cotensor's, since its pullback solves no system.  A cospan
+    with a cocommutative C and a cospan whose C is not cocommutative but
+    whose legs are in S share too: on legs in S, (g⊗1)∘c∘δ_C = (g⊗1)∘δ_C."""
+    reduces = _spy(monkeypatch, linalg, "_reduce")
+    monkeypatch.setattr(coalg, "_reduce", linalg._reduce)  # the elimination of t is counted too
+    rng = rng_for("cotensor-one-elimination")
+    routes = set()
+    for field in (QQ, GF(5), GF(32003)):
+        base = CoalgCategory(field)
+        f0 = rand_finfun(rng, 3, 2)
+        g0 = rand_finfun(rng, 3, 2)
+        linear = (linearize_fun(f0, field), linearize_fun(g0, field))
+        for f, g in (_counital_cospan(rng, field), linear, _path_cospan(field)):
+            del reduces[:]
+            relative_pullback(base, f, g)
+            assert compare_cotensor_pullback(f, g).ok
+            assert len(reduces) == 1
+            routes.add(f._pullback[2] is None)
+    assert routes == {True, False}
+
+
+def test_an_unequal_kept_system_is_not_read(monkeypatch):
+    """A kept t that differs from the cotensor's system, with its own reduced
+    form kept beside it, makes cotensor eliminate its own system and
+    return the fresh basis: a planted entry on dense counital cospans, and
+    the pullback's own T on non-counital cospans whose legs are in S, where
+    Z_A⊗Z_C is not the identity."""
+    reduces = _spy(monkeypatch, linalg, "_reduce")
+    rng = rng_for("cotensor-unequal")
+    planted, natural = 0, 0
+    for field in RESTRICTION_FIELDS:
+        base = CoalgCategory(field)
+        for _ in range(8):
+            f, g = _counital_cospan(rng, field)
+            relative_pullback(base, f, g)
+            if f._pullback[2] is None:
+                continue
+            want = kernel_basis_sparse(_cotensor_system(f, g))
+            kept_g, kept, (t, _) = f._pullback
+            bad = mutate_one_entry(rng, field, t)
+            monkeypatch.setattr(f, "_pullback", (kept_g, kept, (bad, linalg._reduce(field, bad.columns))))
+            del reduces[:]
+            assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == 1
+            planted += kernel_basis_sparse(bad) != want
+        for _ in range(8):
+            f, g = _raw_cospan(rng, field, _cocommutative_raw)
+            if isinstance(_outcome(relative_pullback, base, f, g), str) or not f._pullback[2]:
+                continue
+            system = _cotensor_system(f, g)
+            if f._pullback[2][0] == system:
+                continue
+            want = kernel_basis_sparse(system)
+            del reduces[:]
+            assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == 1
+            natural += 1
+    assert planted and natural
+
+
 # -- the matching pairs of a group-like cospan ------------------------------------------
 
 
