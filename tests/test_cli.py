@@ -400,6 +400,28 @@ def test_bad_field_in_fixture_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("prime", [2**61 - 1, 2**64 + 13])
+def test_check_decides_coassociativity_over_a_prime_wider_than_a_slot(tmp_path, prime):
+    """Over a prime of 61 or 65 bits, which no 64-bit slot holds,
+    coassociativity is decided through the built products: δ e0 = e0⊗e0
+    passes with exit 0, and δ e0 = e1⊗e0, δ e1 = e0⊗e0, whose sides at e0
+    are e0⊗e0⊗e0 and e1⊗e1⊗e0, fails at basis 0 with exit 1."""
+    field = {"Fp": prime}
+
+    def grid(rows):
+        return {"field": field, "rows": len(rows), "cols": len(rows[0]),
+                "entries": [[str(x) for x in row] for row in rows]}
+
+    for delta, exit_code, check in (([[1]], 0, {"status": "pass"}),
+                                    ([[0, 1], [0, 0], [1, 0], [0, 0]], 1, {"status": "fail", "witness": "basis 0"})):
+        p = tmp_path / f"wide{exit_code}.json"
+        p.write_text(json.dumps({"k": {"kind": "coalgebra", "field": field, "dim": len(delta[0]),
+                                       "delta": grid(delta), "epsilon": grid([[1] * len(delta[0])])}}))
+        code, doc = run_no_traceback(["check", str(p)])
+        assert code == exit_code
+        assert {"name": "k: coassociativity", **check} in doc["checks"]
+
+
 def test_large_prime_field_flag_runs():
     code, doc = run_no_traceback(
         ["pullback", fx("cospan_finset.json"), "--cospan", "cs", "--instance", "coalg",
@@ -688,14 +710,46 @@ def test_cotensor_command_decides_the_legs_once(monkeypatch):
     for name in ("_subcoalgebra", "cotensor"):
         _counting(monkeypatch, name, calls)
     decisions = _counting(monkeypatch, "class_S_witness")
+    checked = _counting(monkeypatch, "check_coalgebra")
     code, doc = run_json(["cotensor", fx("cospan_coalg.json"), "--cospan", "cs"])
     assert code == 0 and any(c["name"].startswith("induced structure") for c in doc["checks"])
     # the pullback's closure check first, so that the cotensor can read its
-    # elimination, then the cotensor, then the closure check of the induced
-    # structure on the cotensor basis; both checks pass
-    assert [type(out).__name__ for _, out in calls] == ["CoalgEqualizer", "Matrix", "CoalgEqualizer"]
-    assert calls[2][0][1] is calls[1][1]
+    # elimination, then the cotensor; its basis is the pullback's j, so the
+    # pullback's payload is the induced structure, with no second closure check
+    assert [type(out).__name__ for _, out in calls] == ["CoalgEqualizer", "Matrix"]
+    eq, ct = calls[0][1], calls[1][1]
+    assert ct == eq.j.mat
+    assert len(checked) == 1 and checked[0][0][0] is eq.object
     assert len(decisions) == 2
+
+
+def test_cotensor_command_builds_the_induced_structure_when_the_bases_differ(tmp_path, monkeypatch):
+    """On non-counital A and C over F_3 (δ_A = 0) with legs in S, the cotensor
+    basis has 2 columns and the pullback's j has 4, so the induced structure
+    is subcoalgebra(A⊗C, ct), checked, and the comparison fails: exit 1."""
+    def grid(rows):
+        return {"field": {"Fp": 3}, "rows": len(rows), "cols": len(rows[0]),
+                "entries": [[str(x) for x in row] for row in rows]}
+
+    def coalgebra(delta, eps):
+        return {"kind": "coalgebra", "field": {"Fp": 3}, "dim": 2, "delta": grid(delta), "epsilon": grid(eps)}
+
+    p = tmp_path / "unequal.json"
+    p.write_text(json.dumps({
+        "A": coalgebra([[0, 0]] * 4, [[1, 0]]), "C": coalgebra([[0, 1], [0, 0], [0, 0], [1, 0]], [[2, 0]]),
+        "B": coalgebra([[0, 0], [0, 0], [0, 2], [0, 1]], [[0, 0]]),
+        "f": {"kind": "coalgebra_map", "src": "A", "tgt": "B", "matrix": grid([[0, 0], [2, 0]])},
+        "g": {"kind": "coalgebra_map", "src": "C", "tgt": "B", "matrix": grid([[0, 0], [1, 0]])},
+        "cs": {"kind": "cospan", "left": "f", "right": "g"},
+    }))
+    subs = _counting(monkeypatch, "subcoalgebra")
+    cotensors = _counting(monkeypatch, "cotensor")
+    code, doc = run_json(["cotensor", str(p), "--cospan", "cs"])
+    assert code == 1 and doc["result"]["dim"] == 2
+    ((_, ct),), ((args, _),) = cotensors, subs
+    assert args[1] is ct
+    assert any(c["name"].startswith("induced structure") for c in doc["checks"])
+    assert {"name": "pullback comparison: dimensions agree", "status": "fail", "witness": "4 vs 2"} in doc["checks"]
 
 
 def _eliminations(monkeypatch):

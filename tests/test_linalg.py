@@ -1,6 +1,7 @@
 """Exact linear algebra: canonical solves, kernels, Kronecker products, swaps."""
 
 import copy
+import math
 import re
 import time
 from collections import Counter
@@ -22,17 +23,21 @@ from gen import (
     is_injective,
     mat,
     matrix_coalgebra,
+    mutate_one_entry,
     primitive_block,
     rand_finfun,
     rand_matrix,
     rand_q_matrix,
     rand_scalar,
     rand_sparse_matrix,
+    random_basis,
+    rebased,
     rng_for,
 )
 from relspan import GF, QQ, Matrix, check_coalgebra, linalg
-from relspan.coalg import grouplike
+from relspan.coalg import Coalgebra, grouplike
 from relspan.errors import FieldMismatch, InternalSolveFailure, ShapeMismatch
+from relspan.fields import _is_prime
 from relspan.finset import linearize_fun
 from relspan.linalg import (
     kernel_basis_sparse,
@@ -576,6 +581,129 @@ def test_kron_apply_packs_no_column_of_sparse_coassociativity_products(monkeypat
         assert kron_apply(x, y, d) == kron(x, y) @ d
         assert not any(_packs(x, y, c, GF(7)) for c in d.columns)
     assert calls == []
+
+
+def _packs_coassoc(d):
+    """Whether linalg._coassoc_difference decides δ = d in packed slots: over
+    F_p, n·(p-1)² < p·2^(63 - bit length of p), with 2⁰ from 64 bits on, and
+    nnz(d)² ≥ n⁵."""
+    n, p = d.cols, getattr(d.field, "p", None)
+    return (p is not None and n * (p - 1) ** 2 < p << max(0, 63 - p.bit_length())
+            and sum(map(len, d.columns)) ** 2 >= n**5)
+
+
+def _largest_packed_prime(n):
+    """The largest prime p with n·(p-1)² < p·h, h = 2^(63 - bit length of p)."""
+    for bits in range(40, 1, -1):
+        h = 1 << 63 - bits
+        # from the larger root of n·x² - (2n + h)·x + n, down to the first prime within the gate
+        p = min(2**bits - 1, (2 * n + h + math.isqrt((2 * n + h) ** 2 - 4 * n * n)) // (2 * n))
+        while p >= 2 ** (bits - 1) and not (n * (p - 1) ** 2 < p * h and _is_prime(p)):
+            p -= 1
+        if p >= 2 ** (bits - 1):
+            return p
+
+
+def _next_prime(p):
+    p += 1
+    while not _is_prime(p):
+        p += 1
+    return p
+
+
+def _top_coalgebra_delta(field, n):
+    """δ with every entry p - 1: coassociative, as both sides are n·Σ e_a⊗e_b⊗e_c,
+    and every slot of each side sums n products (p-1)², the top of the slot bound."""
+    return Matrix.from_cols(field, n * n, [dict.fromkeys(range(n * n), field.of(-1)) for _ in range(n)])
+
+
+def _coassoc_spy(monkeypatch):
+    """A function deciding δ with linalg._coassoc_difference that returns its
+    first difference and whether it took the packed path, that is, made no
+    kron_apply call."""
+    calls, kron_in = [], linalg.kron_apply
+    monkeypatch.setattr(linalg, "kron_apply", lambda *args: calls.append(args) or kron_in(*args))
+
+    def decide(d):
+        before = len(calls)
+        return linalg._coassoc_difference(d), len(calls) == before
+    return decide
+
+
+def _coassoc_oracle(d):
+    ident = Matrix.identity(d.field, d.cols)
+    return linalg.first_difference(kron_apply(d, ident, d), kron_apply(ident, d, d))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_coassoc_difference_matches_the_built_products(monkeypatch, n):
+    """On dense k[X] in a random basis and on δ with every entry p - 1, each
+    also with one entry changed, over F_2, F_5, F_32003, the largest prime the
+    packed path admits at dimension n and the next prime, _coassoc_difference
+    gives the first column where (δ⊗1)∘δ and (1⊗δ)∘δ, built whole, differ.
+    It takes the packed path exactly where its gate admits δ, so on the dense
+    cases: δ with every entry p - 1 from dimension 2, and k[X] in a random
+    basis from dimension 4 over F_5 and up; over the next prime, never."""
+    decide, rng = _coassoc_spy(monkeypatch), rng_for(f"coassoc-difference-{n}")
+    edge = _largest_packed_prime(n)
+    past = _next_prime(edge)
+    for field in (GF(2), F5, GF(32003), GF(edge), GF(past)):
+        for kind, d in (("basis", rebased(grouplike(field, n), random_basis(rng, field, n)).delta),
+                        ("top", _top_coalgebra_delta(field, n))):
+            planted = mutate_one_entry(rng, field, d)
+            for m in (d, planted):
+                got, packed = decide(m)
+                want = _coassoc_oracle(m)
+                assert got == want
+                assert want is None or m is planted
+                assert packed == _packs_coassoc(m)
+                if n >= 2 and (kind == "top" or n >= 4 and field.p > 2):
+                    assert packed == (field.p != past)
+
+
+def test_coassoc_difference_sees_a_difference_in_the_first_slot_alone(monkeypatch):
+    """The path coalgebra on (x, e0, e1), δx = e0⊗x + x⊗e1, not cocommutative,
+    beside k[X] of dimension 8 in a random basis: coassociative, and
+    dense enough to pack.  Adding t at row x⊗x of column e0 changes the two
+    sides of column x only at row x⊗x⊗x, by t: slot 0, the one slot in which
+    a difference leaves a remainder of the exact division and no excess in
+    the quotient.  Each is decided on the packed path, as the products decide
+    it."""
+    decide, field = _coassoc_spy(monkeypatch), GF(7)
+    one = field.one
+    path = Coalgebra(3, field, delta=Matrix.from_cols(field, 9, [{2: one, 3: one}, {4: one}, {8: one}]),
+                     epsilon=Matrix.from_cols(field, 1, [{}, {0: one}, {0: one}]))
+    d = direct_sum(path, rebased(grouplike(field, 8), random_basis(rng_for("coassoc-first-slot"), field, 8))).delta
+    assert decide(d) == (None, True) and _coassoc_oracle(d) is None
+    for t in range(1, 7):
+        m = Matrix.from_cols(field, 121, [d.columns[0], {**d.columns[1], 0: t}] + d.columns[2:])
+        ident = Matrix.identity(field, 11)
+        diff = kron_apply(m, ident, m) - kron_apply(ident, m, m)
+        assert diff.columns[0] == {0: t}
+        assert decide(m) == (0, True) and _coassoc_oracle(m) == 0
+
+
+def _dense_k(field, n):
+    return rebased(grouplike(field, n), random_basis(rng_for(f"coassoc-{field!r}"), field, n)).delta
+
+
+@pytest.mark.parametrize("make", [
+    lambda: _dense_k(QQ, 5), lambda: _dense_k(GF(2**61 - 1), 5), lambda: _dense_k(GF(2**64 + 13), 5),
+    lambda: grouplike(GF(7), 5).delta, lambda: matrix_coalgebra(GF(7), 3).delta,
+    lambda: divided_power(GF(7), 8).delta,
+], ids=["Q", "F(2^61-1)", "F(2^64+13)", "k[X]", "M3c", "D8"])
+def test_coassoc_difference_keeps_the_products_off_its_gate(monkeypatch, make):
+    """Dense δ over Q, over F_(2⁶¹-1) and over F_(2⁶⁴+13), a prime wider
+    than a slot, which have no slot bound, a group-like δ (a row table), and
+    the sparse δ of a matrix and a divided-power coalgebra, each also with
+    one entry changed, keep the two kron_apply products, and the first
+    difference is theirs."""
+    decide, d = _coassoc_spy(monkeypatch), make()
+    assert (sum(map(len, d.columns)) ** 2 >= d.cols**5) == (d.field in (QQ, GF(2**61 - 1), GF(2**64 + 13)))
+    for m in (d, mutate_one_entry(rng_for(f"coassoc-off-{d!r}"), d.field, d)):
+        got, packed = decide(m)
+        assert got == _coassoc_oracle(m)
+        assert not packed and not _packs_coassoc(m)
 
 
 def test_integral_products_of_fractions_are_ints():
