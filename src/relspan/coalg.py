@@ -16,7 +16,8 @@ are evaluated on _BLOCK basis vectors of the domain at a time, so neither
 side is built: m∘(m⊗1) of a 144-dimensional bialgebra has 144³ columns.
 A side g∘(f⊗h)∘… is read one basis vector e_p of f's domain at a time, as
 the columns of g∘(f(e_p)⊗1), a combination of column slices of g, applied
-to h's columns.  check_coalgebra decides coassociativity with
+to h's columns.  check_coalgebra reads coassociativity of k[X] off its
+row tables (see below) and decides it otherwise with
 linalg._coassoc_difference: over F_p on a dense δ, one basis vector at a
 time in packed 64-bit slots, with neither (δ⊗1)∘δ nor (1⊗δ)∘δ built, and
 otherwise as the first difference of the two whole products, index maps on
@@ -57,8 +58,8 @@ subspace; once the legs are decided to be in S, subcoalgebra gives its
 induced structure.  The comparison settles on equal canonical bases.
 
 On counital input, when every column of f and g is one entry equal to one
-and δ_A and δ_C are group-like (δe_x = e_x⊗e_x), as on a linearized cospan,
-K' is read off the legs with no system.  Column a⊗c of T is
+and A and C are k[X] (δe_x = e_x⊗e_x), as on a linearized cospan, K' is
+read off the legs with no system.  Column a⊗c of T is
 e_a⊗e_f(a)⊗e_c - e_a⊗e_g(c)⊗e_c: zero exactly when f(a) = g(c), and
 otherwise two entries on rows that no other column uses.  So ker T is
 spanned by the matching pairs, and its canonical basis K' is their unit
@@ -74,18 +75,27 @@ cheap even at tensor dimensions in the thousands.
 Unit identifications k⊗V ≅ V ≅ V⊗k are implicit: a Kronecker factor of
 dimension 1 changes no indices, so the dimension bookkeeping is the coercion.
 
-A coalgebra keeps five facts about itself as cached properties, each built
+A coalgebra keeps six facts about itself as cached properties, each built
 on first use unless given to the constructor: ε and δ of a tensor product;
-z = (1⊗ε)∘δ, which the right counit law, the equalizer and the relative
-pullback (Z_A, Z_C) read; l = (ε⊗1)∘δ, which the left counit law and the
-pullback's certificate (l_C) read; and whether c∘δ = δ, which decides
-class S on a cocommutative apex and gives c∘δ_C.  A command's iterated
-pullbacks read them on objects they share (a linearization gives equal sets
-one k[X]), so each is built once per object.  They live and die with the
-object, so nothing outlives the objects of one command.  The class-S
-witness depends on the legs and is not kept.  A map f keeps the equalizer
-and projections of the pullback last built on it as left leg, keyed on the
-right leg g as an object (is, not ==); a build that raises keeps nothing.
+whether it is k[X], δe_x = e_x⊗e_x and ε(e_x) = 1, recognized once from
+the row tables of δ and ε, and of a tensor product from its factors, with
+neither of its own built; z = (1⊗ε)∘δ, which the right counit law, the
+equalizer and the relative pullback (Z_A, Z_C) read; l = (ε⊗1)∘δ, which
+the left counit law and the pullback's certificate (l_C) read; and whether
+c∘δ = δ, which decides class S on a cocommutative apex and gives c∘δ_C.
+On k[X] the last three are read off the recognition with no product: z
+and l are the shared identity, so the certificate's kron_apply returns j,
+and c∘δ = δ; check_coalgebra reports it coassociative, both sides being
+e_x⊗e_x⊗e_x, and _matching_pairs reads it.  So the pullbacks of linearized
+cospans, iterated as in the pentagon, and the axiom checks of their apexes
+build none of these products, nor any δ or ε of a tensor product.  A
+command's iterated pullbacks read the facts on objects they share (a
+linearization gives equal sets one k[X]), so each is built once per
+object.  They live and die with the object, so nothing outlives the
+objects of one command.  The class-S witness depends on the legs and is
+not kept.  A map f keeps the equalizer and projections of the pullback
+last built on it as left leg, keyed on the right leg g as an object (is,
+not ==); a build that raises keeps nothing.
 Beside them it keeps the system T the pullback solved and T's reduced row
 echelon form, none on a group-like cospan.  They are a deterministic
 function of f and g, so relative_pullback and compare_cotensor_pullback on
@@ -93,6 +103,9 @@ the same legs build them once, and the entry dies with f.  cotensor reads
 the reduced form only when its own system equals T entry for entry; it is
 then the elimination cotensor would run.  On counital A and C with legs in
 S the two are equal: class S of (g, 1_C) gives (g⊗1)∘c∘δ_C = (g⊗1)∘δ_C.
+On a group-like cospan, which keeps no T, every row of cotensor's system
+has count one, and kernel_basis_sparse reads its kernel off the system's
+empty columns with no elimination.
 All of this is exact because matrices, coalgebras and maps are never
 changed once built.
 """
@@ -159,19 +172,32 @@ class Coalgebra:
         return kron(a.epsilon, b.epsilon)
 
     @cached_property
+    def _grouplike(self) -> bool:
+        """Whether this is k[X], δe_x = e_x⊗e_x and ε(e_x) = 1: δ's row table
+        is [x·n + x] and ε's [0]·n (linalg._unit_rows).  Of a tensor product,
+        whether both factors are, with neither δ nor ε of the product built."""
+        if self._factors is not None:
+            return all(x._grouplike for x in self._factors)
+        n = self.dim
+        return (_unit_rows(self.epsilon) == [0] * n
+                and _unit_rows(self.delta) == [x * n + x for x in range(n)])
+
+    @cached_property
     def right_counit(self) -> Matrix:
-        """z = (1⊗ε)∘δ; the right counit law is z = 1."""
-        return kron_apply(Matrix.identity(self.field, self.dim), self.epsilon, self.delta)
+        """z = (1⊗ε)∘δ; the right counit law is z = 1, the shared identity on k[X]."""
+        i_n = Matrix.identity(self.field, self.dim)
+        return i_n if self._grouplike else kron_apply(i_n, self.epsilon, self.delta)
 
     @cached_property
     def left_counit(self) -> Matrix:
-        """l = (ε⊗1)∘δ; the left counit law is l = 1."""
-        return kron_apply(self.epsilon, Matrix.identity(self.field, self.dim), self.delta)
+        """l = (ε⊗1)∘δ; the left counit law is l = 1, the shared identity on k[X]."""
+        i_n = Matrix.identity(self.field, self.dim)
+        return i_n if self._grouplike else kron_apply(self.epsilon, i_n, self.delta)
 
     @cached_property
     def cocommutative(self) -> bool:
-        """c∘δ = δ."""
-        return _swapped(self.delta, self.dim) == self.delta
+        """c∘δ = δ, true of k[X]."""
+        return self._grouplike or _swapped(self.delta, self.dim) == self.delta
 
     @cached_property
     def delta(self) -> Matrix:
@@ -290,10 +316,11 @@ def _add_equation(rep: Report, name, lhs: Matrix, rhs: Matrix):
 
 
 def check_coalgebra(c: Coalgebra) -> Report:
-    """Coassociativity and both counit laws, exactly, with a basis witness."""
+    """Coassociativity and both counit laws, exactly, with a basis witness.
+    k[X] is coassociative with no product: both sides are e_x⊗e_x⊗e_x."""
     i_n = Matrix.identity(c.field, c.dim)
     rep = Report()
-    j = _coassoc_difference(c.delta)
+    j = None if c._grouplike else _coassoc_difference(c.delta)
     rep.add("coassociativity", j is None, f"basis {j}")
     _add_equation(rep, "left counit law", c.left_counit, i_n)
     _add_equation(rep, "right counit law", c.right_counit, i_n)
@@ -605,13 +632,14 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
 
 def _matching_pairs(f: CoalgMap, g: CoalgMap) -> Matrix | None:
     """The unit columns at a⊗c with f(a) = g(c), ascending, when every column
-    of f and g is one entry equal to one and δ_A and δ_C are group-like;
-    else None.  The legs' row tables are read (linalg._unit_rows), f's first,
-    so a dense f fails at its first column, and kron_apply reads them later."""
+    of f and g is one entry equal to one and A and C are k[X] (_grouplike,
+    which on counital input says no more than that δ_A and δ_C are
+    group-like); else None.  The legs' row tables are read
+    (linalg._unit_rows), f's first, so a dense f fails at its first column,
+    and kron_apply reads them later."""
     images = []
     for m in (f, g):
-        n = m.src.dim
-        if (rows := _unit_rows(m.mat)) is False or _unit_rows(m.src.delta) != [x * n + x for x in range(n)]:
+        if (rows := _unit_rows(m.mat)) is False or not m.src._grouplike:
             return None
         images.append(rows)
     (fa, gc), nc, over = images, g.src.dim, {}

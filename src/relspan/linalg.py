@@ -24,7 +24,8 @@ Group-like data (δ, ε, 0/1 maps, identities) has every column a unit vector
 {r: one}.  A matrix keeps the row table of such columns.  The builders of
 0/1 matrices hand it over (_unit_matrix): Matrix.identity, swap_map,
 coalg.grouplike's δ and ε, the matching pairs of coalg._matching_pairs,
-finset.linearize_fun and the d of relcat.linearize_relcat; for any other
+the kernel of a count-one system (below), finset.linearize_fun and the d
+of relcat.linearize_relcat; for any other
 matrix _unit_rows finds it on first use.  As matrices never change, it
 never goes stale.  The table is the one fast path for such data: kron_apply
 on three tables, and A @ B on B's, is an index map that keeps the result's
@@ -60,6 +61,9 @@ columns left are gathered into rows, so a row left with one nonzero is
 reduced like any other.  When every row has count one, as in the pullback
 and cotensor systems of linearized finite sets, the form is the unit rows of
 the nonzero columns, read off the counts with no peel and nothing gathered.
+kernel_basis_sparse builds not even that form: the free columns of such a
+system are its empty ones, so its kernel is their unit columns, read off
+the system's empty columns with their row table.
 """
 
 from __future__ import annotations
@@ -326,8 +330,13 @@ def solve(a: Matrix, b: Matrix):
 
 def kernel_basis_sparse(a: Matrix) -> Matrix:
     """Canonical basis of ker A as columns: one per free column c, equal to 1
-    at c and to minus the reduced row echelon entries at the pivots; A·K = 0."""
-    return _kernel(a.field, _reduce(a.field, a.columns), a.cols)
+    at c and to minus the reduced row echelon entries at the pivots; A·K = 0.
+    When every row has count one, the free columns are the empty ones, and
+    the basis is their unit columns, with its row table, and no form built."""
+    cols = a.columns
+    if len(set(chain.from_iterable(cols))) == sum(map(len, cols)):
+        return _unit_matrix(a.field, a.cols, [c for c, col in enumerate(cols) if not col])
+    return _kernel(a.field, _reduce(a.field, cols), a.cols)
 
 
 def _kernel(field, red, n):

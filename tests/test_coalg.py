@@ -3,6 +3,8 @@
 import time
 from collections import Counter
 from fractions import Fraction
+from functools import partial
+from itertools import chain
 
 import pytest
 
@@ -76,6 +78,8 @@ from relspan.errors import (
     SquareDoesNotCommute,
 )
 from relspan.linalg import (
+    _kernel,
+    _unit_matrix,
     kernel_basis_sparse,
     kernel_left_inverse,
     kron,
@@ -167,6 +171,93 @@ def test_check_coalg_map_grouplike_and_violations():
         assert check_coalg_map(f).ok
         bad = CoalgMap(f.src, f.tgt, mutate_one_entry(rng, field, f.mat))
         assert not check_coalg_map(bad).ok
+
+
+# -- k[X], recognized from its row tables -------------------------------------------
+
+
+GROUPLIKE_FIELDS = (QQ, GF(2), GF(5), GF(32003))
+
+
+def _grouplike_cases(rng, field):
+    """k[X] for |X| ≤ 6, apexes of linearized pullbacks, and k[X]⊗k[Y],
+    nested too."""
+    yield from (grouplike(field, n) for n in range(7))
+    for _ in range(4):
+        f0 = rand_finfun(rng, rng.randint(1, 4), rng.randint(1, 3))
+        g0 = rand_finfun(rng, rng.randint(1, 4), f0.cod.size)
+        yield relative_pullback(CoalgCategory(field), linearize_fun(f0, field), linearize_fun(g0, field)).apex
+    k = partial(grouplike, field)
+    yield tensor_coalgebra(k(2), k(3))
+    yield tensor_coalgebra(tensor_coalgebra(k(1), k(3)), k(2))
+
+
+def _near_misses(rng, field):
+    """Coalgebras one step from k[X]: δe_x = e_σ(x)⊗e_σ(x) for σ ≠ 1,
+    δe_x = e_x⊗e_y for one x and y ≠ x, one δ or ε entry of 2, -1 or 0
+    where that is not one, k[X] in a basis that is not a permutation of X,
+    the path coalgebra, and tensor products with one of these as a factor."""
+    one, diagonal = field.one, lambda n: [x * n + x for x in range(n)]
+    for n in range(1, 5):
+        k = grouplike(field, n)
+        if n > 1:
+            sigma = list(range(n))
+            while sigma == sorted(sigma):
+                rng.shuffle(sigma)
+            yield Coalgebra(n, field, delta=_unit_matrix(field, n * n, [diagonal(n)[x] for x in sigma]),
+                            epsilon=k.epsilon)
+            rows, (x, y) = diagonal(n), rng.sample(range(n), 2)
+            rows[x] = x * n + y
+            yield Coalgebra(n, field, delta=_unit_matrix(field, n * n, rows), epsilon=k.epsilon)
+        for v in sorted({field.of(2), field.of(-1), field.zero} - {one}):
+            x = rng.randrange(n)
+            for at, m in ((x * n + x, k.delta), (0, k.epsilon)):
+                cols = [({at: v} if v else {}) if t == x else col for t, col in enumerate(m.columns)]
+                changed = Matrix.from_cols(field, m.rows, cols)
+                yield Coalgebra(n, field, delta=changed if m is k.delta else k.delta,
+                                epsilon=changed if m is k.epsilon else k.epsilon)
+        if linalg._unit_rows(p := random_basis(rng, field, n)) is False:
+            yield rebased(k, p)
+    yield path_coalgebra(field)
+    yield tensor_coalgebra(grouplike(field, 2), path_coalgebra(field))
+    yield tensor_coalgebra(rebased(grouplike(field, 2), mat(field, [[1, 1], [0, 1]])), grouplike(field, 1))
+
+
+def _formula_facts(c):
+    """z = (1⊗ε)∘δ and l = (ε⊗1)∘δ by kron_apply, whether c∘δ = δ by
+    _swapped, and check_coalgebra's report with coassociativity by
+    _coassoc_difference and the counit laws on z and l."""
+    i_n, d, e = Matrix.identity(c.field, c.dim), c.delta, c.epsilon
+    z, l = kron_apply(i_n, e, d), kron_apply(e, i_n, d)
+    rep, j = Report(), linalg._coassoc_difference(d)
+    rep.add("coassociativity", j is None, f"basis {j}")
+    for name, side in (("left counit law", l), ("right counit law", z)):
+        j = linalg.first_difference(side, i_n)
+        rep.add(name, j is None, f"basis {j}")
+    return z, l, coalg._swapped(d, c.dim) == d, [x.as_dict() for x in rep.checks]
+
+
+def test_grouplike_recognizer_reads_what_the_formulas_compute():
+    """k[X] is recognized from its row tables, and its right and left
+    counits, the shared identity, its cocommutativity and the report of
+    check_coalgebra equal what the formulas compute from δ and ε: on k[X]
+    for |X| ≤ 6, linearized pullback apexes and k[X]⊗k[Y], over Q, F_2, F_5
+    and F_32003.  The near misses are not recognized, and get the formulas'
+    values too.  The recognized facts are read first, so a tensor product's
+    are read before its δ and ε are built."""
+    rng = rng_for("grouplike-recognizer")
+    seen = Counter()
+    for field in GROUPLIKE_FIELDS:
+        for expected, cases in ((True, _grouplike_cases(rng, field)), (False, _near_misses(rng, field))):
+            for c in cases:
+                got = (c.right_counit, c.left_counit, c.cocommutative,
+                       [x.as_dict() for x in check_coalgebra(c).checks])
+                assert c._grouplike is expected
+                assert got == _formula_facts(c)
+                if expected:
+                    assert got[0] is got[1] is Matrix.identity(field, c.dim)
+                seen[expected, all(x["status"] == "pass" for x in got[3])] += 1
+    assert seen[True, True] and seen[False, True] and seen[False, False] and not seen[True, False]
 
 
 # -- class S ---------------------------------------------------------------------
@@ -688,6 +779,11 @@ def test_tensor_delta_apply_matches_the_per_column_delta():
                 assert got == x.delta @ m
 
 
+def _count_one(m):
+    """Whether every row of m holds one nonzero or none."""
+    return set(Counter(chain.from_iterable(m.columns)).values()) <= {1}
+
+
 def _spy(monkeypatch, owner, name):
     """The calls to owner.<name> from here on, as (args, result)."""
     calls, fn = [], getattr(owner, name)
@@ -707,10 +803,13 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
     no δ column of A⊗C, since δ∘K' is (1⊗c⊗1)∘(δ_A⊗δ_C)∘K', and never the ε
     of A⊗C, and its K' is that of the R∘z path with z the identity on the
     full system.  A linearized cospan builds no t at all: its one closure
-    check is on its matching pairs.  Non-counital input builds R once,
-    eliminates R∘z as well, and then the second system."""
+    check is on its matching pairs.  Non-counital input builds R once, and
+    takes the kernels of R∘z and of the second system, each eliminated
+    unless every row of it holds one nonzero or none: that kernel is read
+    off its empty columns."""
     reduces = _spy(monkeypatch, linalg, "_reduce")
     monkeypatch.setattr(coalg, "_reduce", linalg._reduce)  # the elimination of t is counted too
+    kernels = _spy(monkeypatch, coalg, "kernel_basis_sparse")
     echelons = _spy(monkeypatch, coalg, "_echelon")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
     solves = _spy(monkeypatch, coalg, "_equalizer")
@@ -720,7 +819,7 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                         lambda self, j: columns.append((self, j)) or column_in(self, j))
 
     def pullback(f, g):
-        for calls in (reduces, echelons, checks, solves, krons, columns):
+        for calls in (reduces, kernels, echelons, checks, solves, krons, columns):
             calls.clear()
         _outcome(relative_pullback_coalg, CoalgCategory(f.mat.field), f, g)
         if not solves:
@@ -757,7 +856,8 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
     a, c, b = (rand_raw_coalgebra(rng, field, d) for d in (2, 2, 1))
     x, t, z = pullback(CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
                        CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
-    assert z is not None and len(reduces) == 3
+    assert z is not None and len(kernels) == 2
+    assert len(reduces) == 1 + sum(not _count_one(system) for (system,), _ in kernels)
     ((_, r),) = echelons
     assert r == _rref_rows(t)
     assert sum(args[0] is r for args, _ in krons) == 1
@@ -1483,10 +1583,13 @@ def _path_cospan(field):
 def test_the_cotensor_after_the_pullback_is_its_fresh_elimination_bit_for_bit(monkeypatch):
     """On dense counital cospans, random functions linearized in random bases,
     cotensor after relative_pullback is the canonical kernel of a freshly
-    built cotensor system, bit for bit; it eliminates nothing when the
-    pullback solved a system, and once when the pullback read its matching
-    pairs.  compare_cotensor_pullback reports, check for check, what it
-    reports on fresh copies of the legs, which keep no pullback."""
+    built cotensor system, bit for bit.  It eliminates nothing: when the
+    pullback solved a system, it reads the reduced form kept with it, and
+    when the pullback read its matching pairs, every row of the cotensor's
+    system holds one nonzero or none, and the basis is the unit columns at
+    its empty columns, with their row table.  compare_cotensor_pullback
+    reports, check for check, what it reports on fresh copies of the legs,
+    which keep no pullback."""
     reduces = _spy(monkeypatch, linalg, "_reduce")
     routes = Counter()
     for field in (QQ, GF(2), GF(5), GF(32003)):
@@ -1498,9 +1601,13 @@ def test_the_cotensor_after_the_pullback_is_its_fresh_elimination_bit_for_bit(mo
             del reduces[:]
             got = cotensor(f, g)
             shared = f._pullback[2] is not None
-            assert len(reduces) == (not shared)
+            assert not reduces
+            system = _cotensor_system(f, g)
+            if not shared:
+                assert _count_one(system)
+                assert got._units == [c for c, col in enumerate(system.columns) if not col]
             routes[field, shared] += 1
-            assert _bits(got) == _bits(kernel_basis_sparse(_cotensor_system(f, g)))
+            assert _bits(got) == _bits(_kernel(field, linalg._reduce(field, system.columns), system.cols))
             assert [c.as_dict() for c in compare_cotensor_pullback(f, g).checks] == [
                 c.as_dict() for c in compare_cotensor_pullback(_fresh(f), _fresh(g)).checks]
     assert all(routes[field, True] for field in (QQ, GF(2), GF(5), GF(32003)))
@@ -1508,8 +1615,10 @@ def test_the_cotensor_after_the_pullback_is_its_fresh_elimination_bit_for_bit(mo
 
 def test_the_comparison_eliminates_an_equal_system_once(monkeypatch):
     """relative_pullback then compare_cotensor_pullback runs one elimination
-    on a dense counital cospan, the pullback's, and one on a linearized
-    cospan, the cotensor's, since its pullback solves no system.  A cospan
+    on a dense counital cospan, the pullback's, and none on a linearized
+    cospan: its pullback solves no system, and every row of the cotensor's
+    system holds one nonzero or none, so its kernel is read off its empty
+    columns.  A cospan
     with a cocommutative C and a cospan whose C is not cocommutative but
     whose legs are in S share too: on legs in S, (g⊗1)∘c∘δ_C = (g⊗1)∘δ_C."""
     reduces = _spy(monkeypatch, linalg, "_reduce")
@@ -1525,15 +1634,16 @@ def test_the_comparison_eliminates_an_equal_system_once(monkeypatch):
             del reduces[:]
             relative_pullback(base, f, g)
             assert compare_cotensor_pullback(f, g).ok
-            assert len(reduces) == 1
+            assert len(reduces) == (f._pullback[2] is not None)
             routes.add(f._pullback[2] is None)
     assert routes == {True, False}
 
 
 def test_an_unequal_kept_system_is_not_read(monkeypatch):
     """A kept t that differs from the cotensor's system, with its own reduced
-    form kept beside it, makes cotensor eliminate its own system and
-    return the fresh basis: a planted entry on dense counital cospans, and
+    form kept beside it, makes cotensor take the kernel of its own system,
+    eliminated unless every row holds one nonzero or none, and return the
+    fresh basis: a planted entry on dense counital cospans, and
     the pullback's own T on non-counital cospans whose legs are in S, where
     Z_A⊗Z_C is not the identity."""
     reduces = _spy(monkeypatch, linalg, "_reduce")
@@ -1546,12 +1656,13 @@ def test_an_unequal_kept_system_is_not_read(monkeypatch):
             relative_pullback(base, f, g)
             if f._pullback[2] is None:
                 continue
-            want = kernel_basis_sparse(_cotensor_system(f, g))
+            system = _cotensor_system(f, g)
+            want = kernel_basis_sparse(system)
             kept_g, kept, (t, _) = f._pullback
             bad = mutate_one_entry(rng, field, t)
             monkeypatch.setattr(f, "_pullback", (kept_g, kept, (bad, linalg._reduce(field, bad.columns))))
             del reduces[:]
-            assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == 1
+            assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == (not _count_one(system))
             planted += kernel_basis_sparse(bad) != want
         for _ in range(8):
             f, g = _raw_cospan(rng, field, _cocommutative_raw)
@@ -1562,7 +1673,7 @@ def test_an_unequal_kept_system_is_not_read(monkeypatch):
                 continue
             want = kernel_basis_sparse(system)
             del reduces[:]
-            assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == 1
+            assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == (not _count_one(system))
             natural += 1
     assert planted and natural
 

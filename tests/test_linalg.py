@@ -921,11 +921,11 @@ def _from_sympy(sm):
                   sm.rows, sm.cols)
 
 
-def _rows_once(rng, field, rows, cols):
+def _rows_once(rng, field, rows, cols, pool=None):
     """A rows x cols matrix in which every row holds one nonzero or none:
-    each row is dealt to a random column with a value from _scalars, so
-    most values are not one and some columns stay zero."""
-    columns, pool = [{} for _ in range(cols)], _scalars(field)
+    each row is dealt to a random column with a value from pool, by default
+    _scalars, so most values are not one and some columns stay zero."""
+    columns, pool = [{} for _ in range(cols)], pool or _scalars(field)
     for i in range(rows):
         if cols and rng.random() < 0.8:
             columns[rng.randrange(cols)][i] = rng.choice(pool)
@@ -1052,6 +1052,41 @@ def test_grouplike_cotensor_system_peels_every_row_and_agrees_with_sympy():
         if rows:
             ab = Matrix.from_cols(QQ, rows, a.columns + [{rng.randrange(rows): rng.choice(_scalars(QQ))}])
             assert ab.rref()[0] == _from_sympy(_to_sympy(sp, ab).rref()[0])
+
+
+def test_count_one_kernel_is_the_unit_columns_at_the_empty_columns(monkeypatch):
+    """When every row of a system holds one nonzero or none,
+    kernel_basis_sparse reads its kernel off the empty columns: the unit
+    columns there, with their row table, and no form built.  It is the
+    elimination's kernel, _kernel(_reduce(...)), bit for bit, and sympy's
+    nullspace over Q: on random systems with entries such as -3 and 1/2
+    over Q and 2 over F_5, with empty columns, all columns empty, no rows
+    and no columns.  A row with a second nonzero takes the elimination."""
+    sp = pytest.importorskip("sympy")
+    rng = rng_for("count-one-kernel")
+    reduce_in, calls = linalg._reduce, []
+    monkeypatch.setattr(linalg, "_reduce", lambda *args: calls.append(args) or reduce_in(*args))
+    values = {QQ: [QQ.of(v) for v in (1, -1, -3, 2, Fraction(1, 2), Fraction(-5, 3))],
+              F5: [F5.of(v) for v in (1, 2, 3, 4)]}
+    shapes = [(0, 0), (0, 4), (4, 0)] + [(rng.randint(1, 7), rng.randint(1, 6)) for _ in range(40)]
+    for field, pool in values.items():
+        for rows, cols in shapes:
+            for a in (_rows_once(rng, field, rows, cols, pool), Matrix.from_cols(field, rows, [{}] * cols)):
+                k = kernel_basis_sparse(a)
+                assert not calls
+                want = linalg._kernel(field, reduce_in(field, a.columns), a.cols)
+                assert (k.rows, k.cols, _typed(k)) == (want.rows, want.cols, _typed(want))
+                assert k._units == [c for c, col in enumerate(a.columns) if not col]
+                if field == QQ:
+                    null = _to_sympy(sp, a).nullspace()
+                    assert k == (_from_sympy(sp.Matrix.hstack(*null)) if null else Matrix.from_cols(QQ, cols, []))
+    a = Matrix.from_cols(QQ, 2, [{0: 1}, {0: -3}, {1: Fraction(1, 2)}])
+    assert kernel_basis_sparse(a).columns == [{0: 3, 1: 1}] and len(calls) == 1
+
+
+def _typed(m):
+    """m's entries with their types, by column: equal bit for bit."""
+    return [sorted((i, type(v).__name__, v) for i, v in c.items()) for c in m.columns]
 
 
 # -- a dense Gauss–Jordan oracle over F_p -----------------------------------------

@@ -16,6 +16,9 @@ from gen import (
     rand_box_config,
     rand_box_stage2,
     rand_finfun,
+    random_basis,
+    rebased,
+    rebased_map,
     rng_for,
 )
 from relspan import (
@@ -29,6 +32,7 @@ from relspan import (
     RelPullback,
     Span,
     box,
+    check_coalgebra,
     check_monoid,
     check_monoid_morphism,
     check_reflection_instance,
@@ -476,7 +480,10 @@ def test_pentagon_coalg_small():
 
 def test_pentagon_over_a_linearized_chain_builds_each_right_counit_once(monkeypatch):
     """Over a chain linearized in one call, the pentagon's twelve pullbacks
-    and its fillers build (1⊗ε)∘δ once for each coalgebra they read it on."""
+    and its fillers build no (1⊗ε)∘δ: every coalgebra they read it on is
+    k[X], recognized from its row tables, whose right counit is the shared
+    identity.  Over the same chain in random bases, one per object, they
+    build it once for each coalgebra they read it on."""
     calls = []
     kron_apply_in = coalg.kron_apply
     monkeypatch.setattr(coalg, "kron_apply", lambda *a: calls.append(a) or kron_apply_in(*a))
@@ -484,16 +491,50 @@ def test_pentagon_over_a_linearized_chain_builds_each_right_counit_once(monkeypa
     sizes = (2, 2, 3, 2, 3, 2, 2)
     chain = [rand_finfun(rng, sizes[i], sizes[i + 1]) if i % 2 == 0
              else rand_finfun(rng, sizes[i + 1], sizes[i]) for i in range(6)]
-    assert coherence_pentagon(CoalgCategory(QQ), *linearize_funs(chain, QQ))
 
-    def is_right_counit(i_n, eps, d):
-        n = i_n.rows
-        return (eps.rows == 1 and i_n == Matrix.identity(QQ, n)
-                and (d.rows, d.cols) == (n * n, n))
+    def right_counits():
+        out = [a[2] for a in calls if a[1].rows == 1 and a[0] == Matrix.identity(QQ, a[0].rows)
+               and (a[2].rows, a[2].cols) == (a[0].rows ** 2, a[0].rows)]
+        del calls[:]
+        return out
 
-    deltas = [a[2] for a in calls if is_right_counit(*a)]
+    linear = linearize_funs(chain, QQ)
+    assert coherence_pentagon(CoalgCategory(QQ), *linear)
+    assert not right_counits()
+    bases = {}
+    for m in linear:
+        for x in (m.src, m.tgt):
+            bases.setdefault(id(x), (random_basis(rng, QQ, x.dim), x))
+    copies = {key: rebased(x, p) for key, (p, x) in bases.items()}
+    rebased_chain = [CoalgMap(copies[id(m.src)], copies[id(m.tgt)],
+                              rebased_map(m, bases[id(m.src)][0], bases[id(m.tgt)][0]).mat) for m in linear]
+    assert coherence_pentagon(CoalgCategory(QQ), *rebased_chain)
+    deltas = right_counits()
     assert len(deltas) >= 8
     assert len({id(d) for d in deltas}) == len(deltas)
+
+
+def test_recognizing_k_x_tensor_k_y_and_a_linearized_pentagon_build_no_tensor_delta_or_epsilon(monkeypatch):
+    """k[X]⊗k[Y], nested or not, is recognized from its factors: its
+    counits, cocommutativity and check_coalgebra build neither its δ nor its
+    ε.  A pentagon over a chain linearized in one call builds neither on any
+    tensor product it makes."""
+    made, tensor_in = [], coalg.tensor_coalgebra
+    monkeypatch.setattr(coalg, "tensor_coalgebra", lambda a, b: made.append(tensor_in(a, b)) or made[-1])
+    for field in FIELDS:
+        k = lambda n: grouplike(field, n)
+        nested = coalg.tensor_coalgebra(coalg.tensor_coalgebra(k(1), k(3)), k(2))
+        for x in (coalg.tensor_coalgebra(k(2), k(3)), nested):
+            assert x.right_counit is x.left_counit is Matrix.identity(field, x.dim)
+            assert x.cocommutative and check_coalgebra(x).ok
+    assert len(made) == 3 * len(FIELDS)
+    rng = rng_for("pentagon-tensor-lazy")
+    sizes = (2, 3, 2, 2, 3, 1, 2)
+    chain = [rand_finfun(rng, sizes[i], sizes[i + 1]) if i % 2 == 0
+             else rand_finfun(rng, sizes[i + 1], sizes[i]) for i in range(6)]
+    assert coherence_pentagon(CoalgCategory(QQ), *linearize_funs(chain, QQ))
+    assert len(made) >= 3 * len(FIELDS) + 12  # one A⊗C for each of the twelve pullbacks
+    assert not [x for x in made if "delta" in vars(x) or "epsilon" in vars(x)]
 
 
 # -- monoid on pullback ---------------------------------------------------------------
