@@ -29,9 +29,10 @@ subspace E is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘
 it inherits δ_E = (L⊗L)∘δ∘j, L the left inverse of the inclusion j.  L is
 the 0/1 projection onto the free coordinates of j's canonical basis, so
 δ_E is read off δ∘j, its rows at pairs of free coordinates, renumbered,
-with no product.  The closure check (j⊗j)∘δ_E = δ∘j holds exactly when
-δ(E) ⊆ E⊗E; the theory guarantees it, so failure raises
-InternalSolveFailure.  f_hat - g_hat is (T⊗1)∘δ with
+with no product; when δ∘j has a row table whose rows all lie at such
+pairs, δ_E is that table renumbered, and keeps it.  The closure check
+(j⊗j)∘δ_E = δ∘j holds exactly when δ(E) ⊆ E⊗E; the theory guarantees
+it, so failure raises InternalSolveFailure.  f_hat - g_hat is (T⊗1)∘δ with
 T = (1⊗(f-g))∘δ = T_P·R, R the nonzero rows of rref(t) for any t with T's
 row space and T_P the pivot columns of T, so T_P⊗1 is injective.
 As (1⊗1⊗ε)∘(T⊗1)∘δ = T∘z for z = (1⊗ε)∘δ, E lies in K' = ker(R∘z), with no
@@ -64,7 +65,8 @@ e_a⊗e_f(a)⊗e_c - e_a⊗e_g(c)⊗e_c: zero exactly when f(a) = g(c), and
 otherwise two entries on rows that no other column uses.  So ker T is
 spanned by the matching pairs, and its canonical basis K' is their unit
 columns e_a⊗e_c, in ascending order, with no condition on ε_B.  The
-closure check on K' still certifies it.  Every other cospan solves T.
+closure check on K' still certifies it, as a compare of two row tables:
+δ∘K', δ_E and (K'⊗K')∘δ_E all keep theirs.  Every other cospan solves T.
 
 Tensor products of coalgebras keep their factors.  δ∘M is
 (1⊗c⊗1)∘(δ_A⊗δ_C)∘M, one kron_apply whose entries then move to their rows
@@ -114,6 +116,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 
 from .catcore import BaseCategory, RelPullback, Report, build, legs_in_class, require_same_ends
 from .errors import (
@@ -263,17 +266,25 @@ class CoalgMap:
 def _delta_apply(x: Coalgebra, m: Matrix) -> Matrix:
     """δ∘m.  Of a tensor product A⊗B whose δ is not built, (1⊗c⊗1)∘(δ_A⊗δ_B)∘m,
     without the δ of A⊗B: the entry of kron_apply(δ_A, δ_B, m) at
-    (a1⊗a2)⊗(b1⊗b2) moves to (a1⊗b1)⊗(a2⊗b2)."""
+    (a1⊗a2)⊗(b1⊗b2) moves to (a1⊗b1)⊗(a2⊗b2).  When that product has a row
+    table, the move is an index map on it, and the result keeps it."""
     if "delta" in vars(x):
         return x.delta @ m
     a, b = x._factors
     na, nb, n, s = a.dim, b.dim, x.dim, b.dim * b.dim
     # the moves of the rows δ_A and δ_B use, not tables of dim² entries
-    to_a = {i: i // na * nb * n + i % na * nb for col in a.delta.columns for i in col}
-    to_b = {k: k // nb * n + k % nb for col in b.delta.columns for k in col}
-    cols = [{to_a[r // s] + to_b[r % s]: v for r, v in col.items()}
-            for col in kron_apply(a.delta, b.delta, m).columns]
+    to_a = {i: i // na * nb * n + i % na * nb for i in _rows_used(a.delta)}
+    to_b = {k: k // nb * n + k % nb for k in _rows_used(b.delta)}
+    prod = kron_apply(a.delta, b.delta, m)
+    if isinstance(prod._units, list):
+        return _unit_matrix(x.field, n * n, [to_a[r // s] + to_b[r % s] for r in prod._units])
+    cols = [{to_a[r // s] + to_b[r % s]: v for r, v in col.items()} for col in prod.columns]
     return Matrix.from_cols(x.field, n * n, cols)
+
+
+def _rows_used(d: Matrix):
+    """The rows of d's nonzeros, with repeats: its row table when it has one."""
+    return d._units if isinstance(d._units, list) else chain.from_iterable(d.columns)
 
 
 def cid(c: Coalgebra) -> CoalgMap:
@@ -538,12 +549,18 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer | 
     """subcoalgebra(x, k) given delta_k = δ∘k, or None when the check fails.
     L is the 0/1 projection onto k's free coordinates, so δ_E = (L⊗L)∘δ∘k
     is the rows of delta_k at pairs of them, renumbered: L maps the free
-    coordinate of column t to e_t and the others to 0."""
-    lk, n, kc = kernel_left_inverse(k), x.dim, k.cols
-    at = {max(col): t for t, col in enumerate(k.columns)}
-    delta_e = Matrix.from_cols(x.field, kc * kc, [
-        {at[u] * kc + at[w]: v for r, v in col.items() if (u := r // n) in at and (w := r % n) in at}
-        for col in delta_k.columns])
+    coordinate of column t to e_t and the others to 0.  When delta_k has a
+    row table whose rows all lie at such pairs, δ_E is that table
+    renumbered, with its table; a row elsewhere takes the dict path, whose
+    δ_E then fails the check."""
+    lk, n, kc, rows = kernel_left_inverse(k), x.dim, k.cols, delta_k._units
+    at = dict(zip(k._units if isinstance(k._units, list) else [max(col) for col in k.columns], range(kc)))
+    if isinstance(rows, list) and all(r // n in at and r % n in at for r in rows):
+        delta_e = _unit_matrix(x.field, kc * kc, [at[r // n] * kc + at[r % n] for r in rows])
+    else:
+        delta_e = Matrix.from_cols(x.field, kc * kc, [
+            {at[u] * kc + at[w]: v for r, v in col.items() if (u := r // n) in at and (w := r % n) in at}
+            for col in delta_k.columns])
     if kron_apply(k, k, delta_e) != delta_k:
         return None
     eps_k = x.epsilon @ k if x._factors is None else kron_apply(*(f.epsilon for f in x._factors), k)

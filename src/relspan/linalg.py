@@ -24,30 +24,38 @@ Group-like data (δ, ε, 0/1 maps, identities) has every column a unit vector
 {r: one}.  A matrix keeps the row table of such columns.  The builders of
 0/1 matrices hand it over (_unit_matrix): Matrix.identity, swap_map,
 coalg.grouplike's δ and ε, the matching pairs of coalg._matching_pairs,
-the kernel of a count-one system (below), finset.linearize_fun and the d
-of relcat.linearize_relcat; for any other
-matrix _unit_rows finds it on first use.  As matrices never change, it
-never goes stale.  The table is the one fast path for such data: kron_apply
-on three tables, and A @ B on B's, is an index map that keeps the result's
-table (A @ B when A has one), and X⊗Z - W⊗Y on four tables has each column
-{r: one, t: -one}, or nothing where r = t.
+the kernel of a count-one system (below), finset.linearize_fun, the d of
+relcat.linearize_relcat, coalg._delta_apply on a tensor product and the
+δ_E of coalg._subcoalgebra; for any other matrix _unit_rows finds it on
+first use.  As matrices never change, it never goes stale.  A matrix those
+builders make, the shared identities aside, holds its table alone and
+makes its column dicts when they are first read; a relative pullback of
+linearized finite sets, its filler, apex check and cotensor comparison
+read none.  The table is the one fast path for such data: kron_apply on
+three tables, and A @ B on B's, is an index map that keeps the result's
+table (A @ B when A has one, reading no column of A), and X⊗Z - W⊗Y on
+four tables has each column {r: one, t: -one}, or nothing where r = t, r
+and t read off two index lists.  == and _is_identity on two tables
+compare the tables, and kernel_left_inverse on one checks only that its
+rows are distinct.
 
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
 g∘f is the product G @ F.  Tensor indices are row-major throughout:
 e_i ⊗ f_j lives at index i * dim(second factor) + j.
 
-Matrices never change once built, nor do their column dicts, which results
-share with their operands (identity products, A @ B on B's row table or at
-a column of B that is one entry equal to one, from_cols): no function
+Matrices never change once built (the columns of one built from its table
+are made once, when first read), nor do their column dicts, which results
+share with their operands (identity products, A @ B on B's row table when
+A has none or at a column of B that is one entry equal to one, from_cols): no function
 writes to a matrix's column; each one that updates a column in place
 updates a dict of its own.
 
-The package builds every matrix from sparse columns.  Five names have no
-caller in it and are kept only because the benchmark under bench/ reads
-them: the dense constructor Matrix(field, rows, r, c), the dense view
-Matrix.data, Matrix.col_sparse, Matrix.rref and left_inverse.  The tests
-use them too; a rank is len(m.rref()[1]).
+The package builds every matrix from sparse columns or a row table.  Five
+names have no caller in it and are kept only because the benchmark under
+bench/ reads them: the dense constructor Matrix(field, rows, r, c), the
+dense view Matrix.data, Matrix.col_sparse, Matrix.rref and left_inverse.
+The tests use them too; a rank is len(m.rref()[1]).
 
 All canonical forms (reduced row echelon, kernel bases, solve with zeroed free
 variables) come from one elimination on sparse rows.  The reduced row echelon
@@ -84,7 +92,8 @@ class Matrix:
     benchmark under bench/ (see the module docstring).  A matrix and its
     column dicts never change once built, so results share them, and the
     row table of its unit columns, handed over by the builders of 0/1
-    matrices or found by _unit_rows, stays true."""
+    matrices or found by _unit_rows, stays true.  A matrix built from its
+    table alone (_unit_matrix) makes its column dicts on first read."""
 
     __slots__ = ("field", "rows", "cols", "columns", "_units")
 
@@ -121,8 +130,12 @@ class Matrix:
     def identity(field, n):
         """The n x n identity over field, one shared matrix per (field, n);
         a product with a square identity operand, and kron_apply with two
-        square identity factors, return the other operand as it is."""
-        return _unit_matrix(field, n, list(range(n)))
+        square identity factors, return the other operand as it is.  It is
+        built with its columns and its table: an operand of dense products
+        too, it stays a plain Matrix (see _TableMatrix)."""
+        m = Matrix.from_cols(field, n, [{i: field.one} for i in range(n)])
+        m._units = list(range(n))
+        return m
 
     # -- basics ------------------------------------------------------------
 
@@ -132,12 +145,13 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            (self.field is other.field or self.field == other.field)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.columns == other.columns
-        )
+        if not ((self.field is other.field or self.field == other.field)
+                and self.rows == other.rows and self.cols == other.cols):
+            return False
+        mine, theirs = self._units, other._units
+        if isinstance(mine, list) and isinstance(theirs, list):
+            return mine == theirs
+        return self.columns == other.columns
 
     @property
     def data(self):
@@ -179,11 +193,12 @@ class Matrix:
             return self
         if _is_identity(self):
             return other
-        fld, acols = self.field, self.columns
-        if (br := _unit_rows(other)) is not False:
-            out = Matrix.from_cols(fld, self.rows, [acols[k] for k in br])
-            out._units = None if (ar := _unit_rows(self)) is False else [ar[k] for k in br]
-            return out
+        fld = self.field
+        if (br := _unit_rows(other)) is not False and (ar := _unit_rows(self)) is not False:
+            return _unit_matrix(fld, self.rows, [ar[k] for k in br])
+        acols = self.columns
+        if br is not False:
+            return Matrix.from_cols(fld, self.rows, [acols[k] for k in br])
         norm, one, cols = fld.normalize, fld.one, []
         for col in other.columns:
             if not col:
@@ -218,18 +233,39 @@ def _unit_rows(m):
     return m._units
 
 
+class _TableMatrix(Matrix):
+    """A matrix built from its row table alone (_unit_matrix), whose columns
+    are made on first read and kept.  A subclass, as a class with
+    __getattr__ loses the interpreter's specialized attribute reads: every
+    other matrix keeps them."""
+
+    __slots__ = ()
+
+    def __getattr__(self, name):
+        """Called only for an attribute not set: the columns, on first read."""
+        if name != "columns":
+            raise AttributeError(name)
+        one = self.field.one
+        self.columns = [{r: one} for r in self._units]
+        return self.columns
+
+
 def _unit_matrix(field, nrows, rows):
-    """The matrix whose column j is {rows[j]: one}, its row table kept."""
-    one = field.one
-    m = Matrix.from_cols(field, nrows, [{r: one} for r in rows])
-    m._units = rows
+    """The matrix whose column j is {rows[j]: one}, from its row table alone:
+    its columns are made when first read (_TableMatrix)."""
+    m = _TableMatrix.__new__(_TableMatrix)
+    m.field, m.rows, m.cols, m._units = field, nrows, len(rows), rows
     return m
 
 
 def _is_identity(m):
-    """Whether m is a square identity: its columns are the cached identity's
-    (a list compare, which stops at the first column that differs)."""
-    return m.rows == m.cols and m.columns == Matrix.identity(m.field, m.rows).columns
+    """Whether m is a square identity: its row table is the cached
+    identity's when it has one, else its columns are (a list compare, which
+    stops at the first column that differs)."""
+    if m.rows != m.cols:
+        return False
+    eye = Matrix.identity(m.field, m.rows)
+    return m._units == eye._units if isinstance(m._units, list) else m.columns == eye.columns
 
 
 def _canonical(field, acc):
@@ -357,11 +393,13 @@ def kernel_left_inverse(k: Matrix) -> Matrix:
     column, so L is the 0/1 projection onto them.  L·K = I is checked on
     them, without the product: (L·K)[t, s] is K's entry in column s at the
     free coordinate of column t, so it holds when the free coordinates are
-    distinct, each column is one at its own and zero at every other."""
-    one, free = k.field.one, [max(col) for col in k.columns]
+    distinct, each column is one at its own and zero at every other.  On a
+    row table, whose column t is {r_t: one}, that is: the rows are distinct."""
+    one, table = k.field.one, k._units
+    free = table if isinstance(table, list) else [max(col) for col in k.columns]
     at = {i: t for t, i in enumerate(free)}
-    if len(at) != len(free) or any(col[i] != one or len(col.keys() & at.keys()) != 1
-                                   for col, i in zip(k.columns, free)):
+    if len(at) != len(free) or free is not table and any(col[i] != one or len(col.keys() & at.keys()) != 1
+                                                         for col, i in zip(k.columns, free)):
         raise InternalSolveFailure("kernel basis is not the identity on its free coordinates")
     cols = [{}] * k.rows  # one shared empty column: no function writes to a column
     for i, t in at.items():
@@ -395,7 +433,8 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
     any two splits of one shape; each column is built as kron builds it, and
     the entries of the second product are subtracted into it, dropping those
     that cancel.  When all four factors have row tables, column c is
-    {r: one, t: -one}, or nothing when r = t, r and t found by index."""
+    {r: one, t: -one}, or nothing when r = t, r and t the rows of column c
+    of each product's table, built as two index lists."""
     for m in (z, w, y):
         require_same_field(x.field, m.field)
     rows, cols = x.rows * z.rows, x.cols * z.cols
@@ -405,11 +444,10 @@ def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
     fld = x.field
     norm, neg, one = fld.normalize, fld.neg, fld.one
     if False not in (tables := [_unit_rows(m) for m in (x, z, w, y)]):
-        (xr, zr, wr, yr), minus, out = tables, neg(one), []
-        for c in range(cols):
-            r, t = xr[c // z.cols] * z.rows + zr[c % z.cols], wr[c // y.cols] * y.rows + yr[c % y.cols]
-            out.append({r: one, t: minus} if r != t else {})
-        return Matrix.from_cols(fld, rows, out)
+        (xr, zr, wr, yr), minus = tables, neg(one)
+        left = [i + k for i in [i * z.rows for i in xr] for k in zr]
+        right = [i + k for i in [i * y.rows for i in wr] for k in yr]
+        return Matrix.from_cols(fld, rows, [{r: one, t: minus} if r != t else {} for r, t in zip(left, right)])
     # each product's columns in order, as pairs of factor columns, the left factor's rows pre-scaled
     xs, zs = [[(i * z.rows, a) for i, a in c.items()] for c in x.columns], [c.items() for c in z.columns]
     ws, ys = [[(i * y.rows, a) for i, a in c.items()] for c in w.columns], [c.items() for c in y.columns]

@@ -18,8 +18,12 @@ from relspan import (
     Matrix,
     MonoidMorphism,
     MonoidObj,
+    RelativeCategory,
     SmallCategory,
     grouplike,
+    kron,
+    relative_pullback,
+    tensor_coalgebra,
 )
 from relspan.linalg import kron_apply, solve, swap_map
 
@@ -53,6 +57,14 @@ def is_injective(a: Matrix) -> bool:
 def mat(field, rows) -> Matrix:
     """The matrix with the given rows, each entry coerced into field."""
     return Matrix(field, [[field.of(x) for x in row] for row in rows], len(rows), len(rows[0]))
+
+
+def general(m: Matrix) -> Matrix:
+    """m with a cached "no" as its row table, so every reader of it takes its
+    dict path (linalg._unit_rows)."""
+    out = Matrix.from_cols(m.field, m.rows, m.columns)
+    out._units = False
+    return out
 
 
 def rand_scalar(rng, field, lo=-3, hi=3):
@@ -358,6 +370,23 @@ def block_inclusion_dual(src: Coalgebra, tgt: Coalgebra) -> CoalgMap:
             (k, a), (l, b) = divmod(row, r), divmod(col, r)
             cols.append({k * m + l: field.one} if a == b else {})
     return CoalgMap(src, tgt, Matrix.from_cols(field, tgt.dim, cols))
+
+
+# -- the codiscrete relative category ----------------------------------------------
+
+
+def codiscrete_relcat(b: Coalgebra) -> RelativeCategory:
+    """The codiscrete relative category on B: A = B⊗B, s = ε⊗1, t = 1⊗ε,
+    i = δ and d = (1⊗ε⊗ε⊗1)∘j, j the inclusion of the pullback of (s, t);
+    on k[X] the pairs (x, y), composed as (x, y)∘(y, z) = (x, z).  Raises
+    LegsNotInClass when (s, t) is not in S."""
+    base, fld, i_b = CoalgCategory(b.field), b.field, Matrix.identity(b.field, b.dim)
+    a = tensor_coalgebra(b, b)
+    s, t = CoalgMap(a, b, kron(b.epsilon, i_b)), CoalgMap(a, b, kron(i_b, b.epsilon))
+    pb = relative_pullback(base, s, t)
+    inner = kron(kron(i_b, kron(b.epsilon, b.epsilon)), i_b)
+    d = CoalgMap(pb.apex, a, inner @ pb.payload.j.mat)
+    return RelativeCategory(base, b, a, s, t, CoalgMap(b, a, b.delta), d, pb)
 
 
 # -- small groups and their algebras ----------------------------------------------

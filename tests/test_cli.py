@@ -716,7 +716,7 @@ def test_cotensor_command_decides_the_legs_once(monkeypatch):
     # the pullback's closure check first, so that the cotensor can read its
     # elimination, then the cotensor; its basis is the pullback's j, so the
     # pullback's payload is the induced structure, with no second closure check
-    assert [type(out).__name__ for _, out in calls] == ["CoalgEqualizer", "Matrix"]
+    assert len(calls) == 2 and isinstance(calls[0][1], coalg.CoalgEqualizer) and isinstance(calls[1][1], linalg.Matrix)
     eq, ct = calls[0][1], calls[1][1]
     assert ct == eq.j.mat
     assert len(checked) == 1 and checked[0][0][0] is eq.object

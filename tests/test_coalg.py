@@ -13,6 +13,7 @@ from gen import (
     block_coalgebra,
     direct_sum,
     divided_power,
+    general,
     is_cocommutative,
     is_injective,
     mat,
@@ -452,6 +453,13 @@ def test_subcoalgebra_refuses_a_subspace_not_closed_under_delta():
         with pytest.raises(InternalSolveFailure, match="does not factor through j⊗j"):
             subcoalgebra(grouplike(field, 2), k)
         assert subcoalgebra(grouplike(field, 2), Matrix.identity(field, 2)).object.dim == 2
+        # row tables: δe_0 = δe_1 = e_1⊗e_1 and E = k·e_0, δ∘K = e_1⊗e_1 escapes E⊗E
+        x = Coalgebra(2, field, delta=linalg._unit_matrix(field, 4, [3, 3]),
+                      epsilon=linalg._unit_matrix(field, 1, [0, 0]))
+        k = linalg._unit_matrix(field, 2, [0])
+        assert isinstance((x.delta @ k)._units, list)
+        with pytest.raises(InternalSolveFailure, match="does not factor through j⊗j"):
+            subcoalgebra(x, k)
 
 
 def test_equalizer_universality_randomized():
@@ -777,6 +785,26 @@ def test_tensor_delta_apply_matches_the_per_column_delta():
                 got = coalg._delta_apply(x, m)
                 assert "delta" not in vars(x)
                 assert got == x.delta @ m
+
+
+def test_tensor_delta_apply_on_a_row_table_is_its_dict_path():
+    """δ∘M of k[X]⊗k[Y], nested or not, on a row-table M is an index map
+    that keeps the result's table, and equals the dict path, which a
+    general copy of M takes, bit for bit; M may have no column."""
+    rng = rng_for("tensor-delta-apply-table")
+    for field in (QQ, GF(2), GF(5)):
+        k = partial(grouplike, field)
+        for _ in range(4):
+            n1, n2, n3 = (rng.randint(1, 3) for _ in range(3))
+            for x in (tensor_coalgebra(k(n1), k(n2)), tensor_coalgebra(tensor_coalgebra(k(n1), k(n2)), k(n3)),
+                      tensor_coalgebra(k(n1), tensor_coalgebra(k(n2), k(n3)))):
+                for cols in (0, rng.randint(1, 6)):
+                    m = linalg._unit_matrix(field, x.dim, [rng.randrange(x.dim) for _ in range(cols)])
+                    got, want = coalg._delta_apply(x, m), coalg._delta_apply(x, general(m))
+                    assert isinstance(got._units, list) and want._units is None
+                    assert got.columns == want.columns and (got.rows, got.cols) == (want.rows, want.cols)
+                    assert got._units == linalg._unit_rows(Matrix.from_cols(field, got.rows, want.columns))
+                    assert got == Coalgebra(x.dim, field, factors=x._factors).delta @ m
 
 
 def _count_one(m):
@@ -1337,13 +1365,16 @@ def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
     as one kron_apply gives it, L = kernel_left_inverse(K), whether the
     closure check passes or not: on subcoalgebra of random subspaces, on
     the tensor coalgebras of counital pullbacks, the matching pairs of
-    group-like ones and on the second system's K'·N of non-counital ones."""
+    group-like ones (no pairs, a point and a 2×2 rectangle among them) and
+    on the second system's K'·N of non-counital ones.  Where δ∘K has a row
+    table, δ_E is handed over with its own, and the equalizer is the one
+    the dict path gives on general copies of K and δ∘K, bit for bit."""
     sub_in, kron_in, solve_in = coalg._subcoalgebra, coalg.kron_apply, coalg._equalizer
     closures, kprime, seen = {}, [None], set()
 
     def kron_spy(a, b, m):
         if a is b:
-            closures[id(a)] = m
+            closures[id(a)] = m, isinstance(m._units, list)
         return kron_in(a, b, m)
 
     def solve_spy(x, t, z):
@@ -1354,10 +1385,20 @@ def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
         closures.clear()
         eq = sub_in(x, k, delta_k)
         lk = kernel_left_inverse(k)
-        delta_e = closures[id(k)]  # the closure check (K⊗K)∘δ_E
+        delta_e, handed = closures[id(k)]  # the closure check (K⊗K)∘δ_E
         assert delta_e == kron_in(lk, lk, delta_k)
         assert eq is None or eq.object.delta == delta_e
         seen.add(("tensor" if x._factors else "plain", eq is not None))
+        gk = general(k)
+        want = sub_in(x, gk, general(delta_k))
+        assert closures[id(gk)][1] is False
+        assert (eq is None) == (want is None)
+        if eq is not None:
+            for got, oracle in ((eq.object.delta, want.object.delta), (eq.object.epsilon, want.object.epsilon),
+                                (eq.left_inv, want.left_inv), (eq.j.mat, want.j.mat)):
+                assert got.columns == oracle.columns and got.rows == oracle.rows
+        if handed:
+            seen.add(("table", eq is not None, k.cols))
         if kprime[0] is not None and k.cols < kprime[0]:
             seen.add("K'N")
         return eq
@@ -1383,7 +1424,16 @@ def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
             for f, g in cospans:
                 kprime[0] = None
                 _outcome(relative_pullback_coalg, base, f, g)
-    assert seen >= {("plain", True), ("plain", False), ("tensor", True), ("tensor", False), "K'N"}
+        # a row table of δ off the diagonal, e_0 ↦ e_0⊗e_1 and e_1 ↦ e_1⊗e_0, on the whole space
+        swap = Coalgebra(2, field, delta=linalg._unit_matrix(field, 4, [1, 2]),
+                         epsilon=linalg._unit_matrix(field, 1, [0, 0]))
+        assert subcoalgebra(swap, Matrix.identity(field, 2)).object.delta._units == [1, 2]
+        # matching pairs: none, a point and a 2×2 rectangle
+        for fa, gc, nb in (([0], [1], 2), ([0], [0], 1), ([0, 0], [0, 0], 1)):
+            f, g = (linearize_fun(FinFun(FinSetObj(len(t)), FinSetObj(nb), t), field) for t in (fa, gc))
+            assert relative_pullback_coalg(base, f, g).apex.dim == len(fa) * len(gc) * (nb == 1)
+    assert seen >= {("plain", True), ("plain", False), ("tensor", True), ("tensor", False), "K'N",
+                    ("table", True, 0), ("table", True, 1), ("table", True, 2), ("table", True, 4)}
 
 
 def test_joint_mono_certificate_is_the_product_it_replaces():

@@ -20,6 +20,7 @@ from gen import (
     fixture_discrete,
     fixture_poset01,
     fixture_z2,
+    general,
     is_injective,
     mat,
     matrix_coalgebra,
@@ -795,7 +796,7 @@ def test_kron_difference_on_monomial_factors_cancels_whole_columns(field):
         assert path == ("table" if all(_fresh_table(m) is not False for m in factors) else "general")
         assert path == "table" or not unit and False in [m._units for m in factors]
         paths[unit, path] += 1
-        assert got == kron_oracle(x, z) - kron_oracle(w, y) == _kron_difference(*map(_general, factors))
+        assert got == kron_oracle(x, z) - kron_oracle(w, y) == _kron_difference(*map(general, factors))
         assert all(len(col) <= 2 for col in got.columns)
         _assert_canonical(got)
         cancelled[other] += sum(not col for col in got.columns)
@@ -1340,13 +1341,6 @@ def _unit_columns(rng, field, rows, cols, spoil):
     return Matrix.from_cols(field, rows, cols)
 
 
-def _general(m):
-    """m with a cached "no" as its table, so products with it take the general path."""
-    out = Matrix.from_cols(m.field, m.rows, m.columns)
-    out._units = False
-    return out
-
-
 def _fresh_table(m):
     """_unit_rows of a copy of m whose table is not yet known."""
     return linalg._unit_rows(Matrix.from_cols(m.field, m.rows, [dict(c) for c in m.columns]))
@@ -1374,7 +1368,7 @@ def test_unit_column_products_are_index_maps(field):
         tables = [linalg._unit_rows(x) for x in (a, b, m)]
         got = kron_apply(a, b, m)
         assert got == kron(a, b) @ m == _dense_product(kron_oracle(a, b), m)
-        assert got == kron_apply(_general(a), _general(b), _general(m))
+        assert got == kron_apply(general(a), general(b), general(m))
         _assert_canonical(got)
         if got is not m:
             unit = False not in tables
@@ -1382,10 +1376,13 @@ def test_unit_column_products_are_index_maps(field):
             unit_path[unit] += 1
         c = _unit_columns(rng, field, bc, mc, rng.random() < 0.3)
         prod = b @ c
-        assert prod == _dense_product(b, c) == _general(b) @ _general(c)
+        assert prod == _dense_product(b, c) == general(b) @ general(c)
         if linalg._unit_rows(c) is not False and prod is not b and prod is not c:
-            assert all(x is b.columns[k] for x, k in zip(prod.columns, c._units))
-            assert prod._units == (None if tables[1] is False else [tables[1][k] for k in c._units])
+            if tables[1] is False:  # B's columns, shared
+                assert all(x is b.columns[k] for x, k in zip(prod.columns, c._units)) and prod._units is None
+            else:  # B's table read at C's, its columns made when read
+                assert prod._units == [tables[1][k] for k in c._units]
+                assert prod.columns == [b.columns[k] for k in c._units]
         for x in (got, prod):
             if isinstance(x._units, list):
                 assert x._units == _fresh_table(x)
@@ -1405,11 +1402,11 @@ def test_unit_column_products_are_index_maps(field):
         if h.cols == g.cols:
             m = grouplike(field, h.cols).delta
             got = kron_apply(h, g, m)
-            assert got == _dense_product(kron_oracle(h, g), m) == kron_apply(_general(h), _general(g), _general(m))
+            assert got == _dense_product(kron_oracle(h, g), m) == kron_apply(general(h), general(g), general(m))
             assert got._units == _fresh_table(got)
         if h.cols == g.rows:
             prod = h @ g
-            assert prod == _dense_product(h, g) == _general(h) @ _general(g)
+            assert prod == _dense_product(h, g) == general(h) @ general(g)
             assert prod._units == _fresh_table(prod)
     one, i2 = field.one, Matrix.identity(field, 2)
     flip = Matrix.from_cols(field, 2, [{1: one}, {0: one}])
@@ -1423,6 +1420,90 @@ def test_unit_column_products_are_index_maps(field):
     assert kron_apply(flip, flip, Matrix.from_cols(field, 4, []))._units == []
     assert kron_apply(i2, Matrix.from_cols(field, 3, []), Matrix.from_cols(field, 0, []))._units == []
     assert kron_apply(Matrix.from_cols(field, 2, []), flip, empty)._units is None
+
+
+def _near(rng, field, m):
+    """A copy of m with a fresh table, or one column moved to another row or
+    replaced by a near-miss (_unit_columns' spoil: a zero column, one entry
+    not one, two entries), or m itself."""
+    cols = [dict(c) for c in m.columns]
+    pick = rng.random()
+    if cols and m.rows and pick < 0.5:
+        spoilt = _unit_columns(rng, field, m.rows, 1, pick < 0.25).columns[0]
+        cols[rng.randrange(len(cols))] = spoilt
+    out = Matrix.from_cols(field, m.rows, cols)
+    linalg._unit_rows(out)
+    return m if pick > 0.9 else out
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F5], ids=str)
+def test_row_table_readers_equal_their_dict_paths(field):
+    """== and _is_identity on row tables compare the tables, and
+    kernel_left_inverse on one checks only that its rows are distinct; each
+    gives what its dict path gives on general copies, bit for bit: on random
+    row-table matrices, identities and near-misses, with 0 rows or columns
+    among them."""
+    rng = rng_for(f"row-table-readers-{field!r}")
+    seen = Counter()
+    for _ in range(300):
+        r, c = rng.choice((0, 1, 2, 3, 3)), rng.choice((0, 1, 2, 3, 3))
+        if r == c and rng.random() < 0.2:
+            x = Matrix.identity(field, r)
+        else:
+            x = _unit_columns(rng, field, r, c, rng.random() < 0.2)
+            linalg._unit_rows(x)
+        for y in (_near(rng, field, x), Matrix.identity(field, x.rows)):
+            want = general(x) == general(y)
+            assert (x == y) == (y == x) == want == (x.rows == y.rows and x.columns == y.columns)
+            seen[isinstance(x._units, list) and isinstance(y._units, list), want] += 1
+        eye = r == c and x.columns == [{i: field.one} for i in range(r)]
+        assert linalg._is_identity(x) == linalg._is_identity(general(x)) == eye
+        if x.rows and all(x.columns):
+            try:
+                want = kernel_left_inverse(general(x))
+            except InternalSolveFailure:
+                with pytest.raises(InternalSolveFailure, match="identity on its free coordinates"):
+                    kernel_left_inverse(x)
+                seen["refused"] += 1
+            else:
+                got = kernel_left_inverse(x)
+                assert got.columns == want.columns and (got.rows, got.cols) == (want.rows, want.cols)
+                seen["inverted", isinstance(x._units, list)] += 1
+    assert {(True, True), (True, False), (False, False), "refused", ("inverted", True)} <= seen.keys(), seen
+
+
+def test_a_matrix_built_from_its_table_makes_its_columns_on_first_read():
+    """_unit_matrix and kron_apply on tables build no column until one is
+    read; the columns are then made once and kept, equal to those the
+    table names, and copies and the dict paths see the same matrix.  Any
+    other missing attribute is still missing."""
+    for field in FIELDS:
+        one = field.one
+        m = linalg._unit_matrix(field, 4, [2, 0, 2])
+        prod = kron_apply(m, Matrix.identity(field, 3), linalg._unit_matrix(field, 9, [4, 0]))
+        for x in (m, prod):
+            with pytest.raises(AttributeError):
+                object.__getattribute__(x, "columns")
+        want = [{2: one}, {0: one}, {2: one}]
+        assert copy.deepcopy(m) == m == Matrix.from_cols(field, 4, want) == general(Matrix.from_cols(field, 4, want))
+        assert m.columns == want and m.columns is m.columns
+        assert prod.columns == [{1: one}, {6: one}]
+        assert (m @ linalg._unit_matrix(field, 3, [1, 0])).columns == [{0: one}, {2: one}]
+        assert getattr(m, "not_an_attribute", None) is None
+
+
+def test_row_tables_refuse_what_the_columns_refuse():
+    """Equal tables on another row count or field are unequal matrices, and
+    a row table with a repeated row has no left inverse."""
+    for field in FIELDS:
+        x = linalg._unit_matrix(field, 3, [0, 2])
+        assert x == linalg._unit_matrix(field, 3, [0, 2])
+        assert x != linalg._unit_matrix(field, 4, [0, 2])
+        assert x != linalg._unit_matrix(GF(7), 3, [0, 2])
+        assert not linalg._is_identity(linalg._unit_matrix(field, 2, [1, 0]))
+        for rows in ([1, 1], [0, 2, 0]):
+            with pytest.raises(InternalSolveFailure, match="identity on its free coordinates"):
+                kernel_left_inverse(linalg._unit_matrix(field, 3, rows))
 
 
 # -- refusals --------------------------------------------------------------------

@@ -6,16 +6,23 @@ import pytest
 
 from gen import (
     FIELDS,
+    codiscrete_relcat,
+    divided_power,
     fixture_discrete,
     fixture_groupoid5,
     fixture_one_object_group,
     fixture_poset01,
     fixture_z2,
+    matrix_coalgebra,
+    mutate_one_entry,
     rand_finfun,
+    random_basis,
+    rebased,
     rng_for,
 )
 from relspan import (
     FINSET,
+    GF,
     QQ,
     CoalgCategory,
     CoalgMap,
@@ -243,6 +250,40 @@ def test_linearized_fixtures_pass():
             rcq = linearize_relcat(rc, field)
             rep = check_relative_category(rcq)
             assert rep.ok, (name, field, [c.name for c in rep.failures()])
+
+
+def test_codiscrete_relative_category_is_a_relative_category():
+    """The codiscrete relative category on a cocommutative B passes every
+    axiom, on an apex of dimension (dim B)³: k[2] over Q and k[3] over F_5
+    through the row-table paths, a divided-power coalgebra and a rebased
+    k[2] through the dict paths.  A d with one entry changed fails at (c)
+    when s or t sees the change, as they see every entry on k[X].  On
+    path_coalgebra and M_2ᶜ, which are not cocommutative, (s, t) is not in
+    S."""
+    rng = rng_for("codiscrete-relcat")
+    f5 = GF(5)
+    for b in (grouplike(QQ, 2), grouplike(f5, 3), divided_power(GF(7), 3),
+              rebased(grouplike(f5, 2), random_basis(rng, f5, 2))):
+        rc = codiscrete_relcat(b)
+        assert rc.pb.apex.dim == b.dim**3
+        rep = check_relative_category(rc)
+        assert rep.ok, (b, [c.name for c in rep.failures()])
+        seen = 0
+        for _ in range(12):
+            d = CoalgMap(rc.d.src, rc.d.tgt, mutate_one_entry(rng, b.field, rc.d.mat))
+            if (rc.base.compose(rc.s, d) == rc.base.compose(rc.s, rc.d)
+                    and rc.base.compose(rc.t, d) == rc.base.compose(rc.t, rc.d)):
+                assert b.epsilon.columns != [{0: b.field.one}] * b.dim  # not k[X]
+                continue
+            failed = [c.name for c in check_relative_category(dataclasses.replace(rc, d=d)).failures()]
+            assert failed[0].startswith("(c)") and set(failed[-3:]) == {"(d) left unit law",
+                                                                        "(d) right unit law",
+                                                                        "(e) associativity"}, failed
+            seen += 1
+        assert seen
+    for b in (path_coalgebra(QQ), matrix_coalgebra(f5, 2)):
+        with pytest.raises(LegsNotInClass):
+            codiscrete_relcat(b)
 
 
 def test_only_the_finite_set_instance_linearizes():

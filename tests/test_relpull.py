@@ -38,15 +38,17 @@ from relspan import (
     check_reflection_instance,
     coherence_pentagon,
     coherence_triangle,
+    compare_cotensor_pullback,
     grouplike,
     linearize_fun,
     monoid_on_pullback,
     path_coalgebra,
     relative_pullback,
     unit_isos,
+    universal_factor,
 )
 from relspan.coalg import CoalgEqualizer, CoalgMap, cid, relative_pullback_coalg
-from relspan import coalg
+from relspan import coalg, linalg
 from relspan.finset import FinSetCategory, linearize_funs, pullback
 from relspan.errors import (
     LegsNotInClass,
@@ -535,6 +537,51 @@ def test_recognizing_k_x_tensor_k_y_and_a_linearized_pentagon_build_no_tensor_de
     assert coherence_pentagon(CoalgCategory(QQ), *linearize_funs(chain, QQ))
     assert len(made) >= 3 * len(FIELDS) + 12  # one A⊗C for each of the twelve pullbacks
     assert not [x for x in made if "delta" in vars(x) or "epsilon" in vars(x)]
+
+
+def test_group_like_apexes_get_their_delta_with_its_row_table(monkeypatch):
+    """Every pullback apex of a linearized pentagon and of linearized
+    cospans over two points gets its δ_E with its row table handed over at
+    build time, before the closure check (K⊗K)∘δ_E = δ∘K reads it; the
+    apex of a cospan in random bases takes the dict path.  On the cospans,
+    the pullback, its square, filler and apex check and the cotensor
+    comparison read no column of a matrix built from its table alone."""
+    sub_in, kron_in, current, handed = coalg._subcoalgebra, coalg.kron_apply, [None], []
+    reads, getattr_in = [], linalg._TableMatrix.__getattr__
+    monkeypatch.setattr(linalg._TableMatrix, "__getattr__", lambda m, name: reads.append(name) or getattr_in(m, name))
+
+    def sub_spy(x, k, delta_k):
+        current[0] = k
+        return sub_in(x, k, delta_k)
+
+    def kron_spy(a, b, m):
+        if a is b is current[0]:  # the closure check, on δ_E as built
+            handed.append(isinstance(m._units, list))
+        return kron_in(a, b, m)
+
+    monkeypatch.setattr(coalg, "_subcoalgebra", sub_spy)
+    monkeypatch.setattr(coalg, "kron_apply", kron_spy)
+    rng = rng_for("row-table-route")
+    sizes = (2, 3, 2, 2, 3, 1, 2)
+    chain = [rand_finfun(rng, sizes[i], sizes[i + 1]) if i % 2 == 0
+             else rand_finfun(rng, sizes[i + 1], sizes[i]) for i in range(6)]
+    assert coherence_pentagon(CoalgCategory(QQ), *linearize_funs(chain, QQ))
+    assert len(handed) >= 12 and all(handed)
+    handed.clear()
+    for _ in range(10):
+        f, g = (linearize_fun(rand_finfun(rng, rng.randint(1, 4), 2), QQ) for _ in "fg")
+        base, reads[:] = CoalgCategory(QQ), []
+        pb = relative_pullback(base, f, g)
+        assert base.compose(f, pb.p_a) == base.compose(g, pb.p_c) and check_coalgebra(pb.apex).ok
+        assert universal_factor(pb, pb.p_a, pb.p_c).mat == Matrix.identity(QQ, pb.apex.dim)
+        assert compare_cotensor_pullback(f, g).ok and reads == []
+    assert handed == [True] * 10
+    handed.clear()
+    fibers = FinFun(FinSetObj(3), FinSetObj(2), [0, 1, 1])
+    p_b = random_basis(rng, QQ, 2)
+    f, g = (rebased_map(linearize_fun(fibers, QQ), random_basis(rng, QQ, 3), p_b) for _ in "fg")
+    relative_pullback(CoalgCategory(QQ), f, g)
+    assert handed == [False]
 
 
 # -- monoid on pullback ---------------------------------------------------------------
