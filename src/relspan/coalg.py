@@ -33,16 +33,15 @@ with no product; when δ∘j has a row table whose rows all lie at such
 pairs, δ_E is that table renumbered, and keeps it.  The closure check
 (j⊗j)∘δ_E = δ∘j holds exactly when δ(E) ⊆ E⊗E; the theory guarantees
 it, so failure raises InternalSolveFailure.  f_hat - g_hat is (T⊗1)∘δ with
-T = (1⊗(f-g))∘δ = T_P·R, R the nonzero rows of rref(t) for any t with T's
-row space and T_P the pivot columns of T, so T_P⊗1 is injective.
-As (1⊗1⊗ε)∘(T⊗1)∘δ = T∘z for z = (1⊗ε)∘δ, E lies in K' = ker(R∘z), with no
-counit law assumed, and E = K'·N for N = ker((R⊗1)∘δ∘K'), the second
-system.  On counital input z = 1, so K' = ker R = ker t comes from the one
-elimination of t, and R∘K' = 0.  The closure check on K' is then the
-certificate: when it passes, (R⊗1)∘δ∘K' = (R∘K'⊗K')∘δ_E = 0, so N = 1 and
-E = K'.  R and the second system are built only when z ≠ 1 or that check
-fails, and give the same E.  This basis is canonical: each column is 1 at
-its largest nonzero coordinate, where the others are 0.
+T = (1⊗(f-g))∘δ.  As (1⊗1⊗ε)∘(T⊗1)∘δ = T∘z for z = (1⊗ε)∘δ, E lies in
+K' = ker(T∘z), with no counit law assumed, and E = K'·N for
+N = ker((T⊗1)∘δ∘K'), the second system.  Both are kernel bases
+(linalg.kernel_basis_sparse) of systems built here.  On counital input
+z = 1, so K' = ker T, and T∘K' = 0.  The closure check on K' is then the
+certificate: when it passes, (T⊗1)∘δ∘K' = (T∘K'⊗K')∘δ_E = 0, so N = 1 and
+E = K'.  The second system is built only when z ≠ 1 or that check fails.
+This basis is canonical: each column is 1 at its largest nonzero
+coordinate, where the others are 0.
 
 A relative pullback's payload is the equalizer of f⊗ε and ε⊗g on A⊗C;
 there δ = (1⊗c⊗1)∘(δ_A⊗δ_C) gives z = Z_A⊗Z_C, taken as 1 when Z_A and Z_C
@@ -98,16 +97,17 @@ objects of one command.  The class-S witness depends on the legs and is
 not kept.  A map f keeps the equalizer and projections of the pullback
 last built on it as left leg, keyed on the right leg g as an object (is,
 not ==); a build that raises keeps nothing.
-Beside them it keeps the system T the pullback solved and T's reduced row
-echelon form, none on a group-like cospan.  They are a deterministic
+Beside them it keeps the system T the pullback solved and K' = ker T, only
+when the inclusion is K': on counital input whose closure check passed,
+not on a group-like cospan, which solves no T.  They are a deterministic
 function of f and g, so relative_pullback and compare_cotensor_pullback on
-the same legs build them once, and the entry dies with f.  cotensor reads
-the reduced form only when its own system equals T entry for entry; it is
-then the elimination cotensor would run.  On counital A and C with legs in
+the same legs build them once, and the entry dies with f.  cotensor
+returns the kept K' only when its own system equals T entry for entry; it
+is then the kernel cotensor would take.  On counital A and C with legs in
 S the two are equal: class S of (g, 1_C) gives (g⊗1)∘c∘δ_C = (g⊗1)∘δ_C.
-On a group-like cospan, which keeps no T, every row of cotensor's system
-has count one, and kernel_basis_sparse reads its kernel off the system's
-empty columns with no elimination.
+Elsewhere cotensor takes the kernel of its own system: on a group-like
+cospan every row of it has count one, and kernel_basis_sparse reads its
+kernel off the system's empty columns with no elimination.
 All of this is exact because matrices, coalgebras and maps are never
 changed once built.
 """
@@ -130,10 +130,7 @@ from .fields import require_same_field
 from .linalg import (
     Matrix,
     _coassoc_difference,
-    _echelon,
-    _kernel,
     _kron_difference,
-    _reduce,
     _unit_matrix,
     _unit_rows,
     first_difference,
@@ -252,7 +249,7 @@ class CoalgMap:
         self.src = src
         self.tgt = tgt
         self.mat = mat
-        self._pullback = None  # (g, the pullback of self and g, its system) once one is built
+        self._pullback = None  # (g, the pullback of self and g, (T, K') or None) once one is built
 
     def __eq__(self, other):
         if not isinstance(other, CoalgMap):
@@ -570,23 +567,18 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer | 
 
 def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None):
     """The equalizer that t and z describe in x, z None when it is the
-    identity, on the basis K'∘N of the module docstring, and the system it
-    solved, (t, red) for red the reduced row echelon form of t.  On counital
-    input K' = ker t is returned when its closure check passes, which
-    certifies N = 1.  Otherwise R is built once, then K' = ker(R∘z) when z
-    is given, and the second system (R⊗1)∘δ∘K', which keeps the bracketing
-    (δ⊗1)∘δ; K'∘N is checked, and a product with N = 1 returns its left
-    operand."""
-    fld, red = t.field, _reduce(t.field, t.columns)
-    if z is None:
-        k = _kernel(fld, red, t.cols)
-        if (eq := _subcoalgebra(x, k, delta_k := _delta_apply(x, k))) is not None:
-            return eq, (t, red)
-    r = _echelon(fld, red, len(red), t.cols)
-    if z is not None:
-        delta_k = _delta_apply(x, k := kernel_basis_sparse(r @ z))
-    n = kernel_basis_sparse(kron_apply(r, Matrix.identity(fld, x.dim), delta_k))
-    return _closed(_subcoalgebra(x, k @ n, delta_k @ n)), (t, red)
+    identity, on the basis K'∘N of the module docstring, and (t, K') when
+    K' is that basis, else None.  On counital input K' = ker t is returned
+    when its closure check passes, which certifies N = 1.  Otherwise
+    K' = ker(t∘z) when z is given, and N is the kernel of the second system
+    (t⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ; K'∘N is checked, and a
+    product with N = 1 returns its left operand."""
+    k = kernel_basis_sparse(t if z is None else t @ z)
+    delta_k = _delta_apply(x, k)
+    if z is None and (eq := _subcoalgebra(x, k, delta_k)) is not None:
+        return eq, (t, k)
+    n = kernel_basis_sparse(kron_apply(t, Matrix.identity(t.field, x.dim), delta_k))
+    return _closed(_subcoalgebra(x, k @ n, delta_k @ n)), None
 
 
 def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
@@ -622,7 +614,7 @@ def _check_cospan(f: CoalgMap, g: CoalgMap):
 def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     """The equalizer of f⊗ε and ε⊗g on A⊗C and its projections p_A, p_C,
     once the square f∘p_A = g∘p_C is checked; kept on f for this g object,
-    with the system solved, (T, its reduced form), or None when none was."""
+    with (T, K') when the inclusion is K' = ker T, else None."""
     if (hit := f._pullback) is not None and hit[0] is g:
         return hit[1]
     _check_cospan(f, g)
@@ -709,15 +701,15 @@ def cotensor(f: CoalgMap, g: CoalgMap) -> Matrix:
     inclusion into A⊗C.  Unchecked: only for legs in S is it a subcoalgebra
     (see subcoalgebra) and the relative pullback (compare_cotensor_pullback).
     Its system is built here, by its own formula, on every call.  When it
-    equals the T of the pullback kept on f for g, entry for entry, the
-    reduced form kept with T is its elimination, the same bit for bit, and
-    it is read instead of eliminating the system again."""
+    equals the T of the pullback kept on f for g, entry for entry, the K'
+    kept with T is its canonical kernel basis, and is returned instead of
+    eliminating the system again."""
     _check_cospan(f, g)
     a, c = f.src, g.src
     i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(a.field, c.dim)
     t = _kron_difference(kron_apply(i_a, f.mat, a.delta), i_c, i_a, kron_apply(g.mat, i_c, c.delta))
     if (kept := f._pullback) and kept[0] is g and kept[2] and kept[2][0] == t:
-        return _kernel(t.field, kept[2][1], t.cols)
+        return kept[2][1]
     return kernel_basis_sparse(t)
 
 
@@ -728,9 +720,9 @@ def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
     equalizer and projections kept on f for g, or builds them and checks the
     square as relative_pullback_coalg does; the certificate is not read here.
     The cotensor stays an independent oracle: its system is built by its own
-    formula on every call and compared with the pullback's T, entry for
-    entry, and only an equal system reuses T's elimination (cotensor).  The
-    checks then compare the two bases."""
+    formula on every call and compared with the pullback's kept T, entry for
+    entry, and only an equal system reuses the kernel kept with T
+    (cotensor).  The checks then compare the two bases."""
     base = CoalgCategory(f.mat.field)
     if not legs_in_class(base, f, g):
         raise LegsNotInClass("cotensor comparison needs legs in class S")

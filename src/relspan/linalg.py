@@ -66,12 +66,12 @@ does: each row's nonzeros are counted once, and a row of count one at column
 c puts the unit row e_c in the form and deletes c from every other row
 without arithmetic, which leaves the form as it is.  Only the entries of the
 columns left are gathered into rows, so a row left with one nonzero is
-reduced like any other.  When every row has count one, as in the pullback
-and cotensor systems of linearized finite sets, the form is the unit rows of
-the nonzero columns, read off the counts with no peel and nothing gathered.
-kernel_basis_sparse builds not even that form: the free columns of such a
-system are its empty ones, so its kernel is their unit columns, read off
-the system's empty columns with their row table.
+reduced like any other.  A system whose rows all have count one, as the
+cotensor system of linearized finite sets, is read by kernel_basis_sparse
+alone, which builds no form: the free columns of such a system are its
+empty ones, so its kernel is their unit columns, read off the system's
+empty columns with their row table.  The elimination has no route of its
+own for such a system: the peel alone gives its form.
 """
 
 from __future__ import annotations
@@ -299,12 +299,10 @@ def _reduce(field, columns):
     its leading entry reduced against the rows already inserted and scaled
     to 1; back-substitution in descending pivot order then makes every pivot
     column a unit vector.  The unit rows need none: no row left holds their
-    columns.  When every row has count one, the unit rows of the nonzero
-    columns are the whole form, returned at once."""
+    columns.  A system whose rows all have count one is all peel; only
+    kernel_basis_sparse reads such a system without this form."""
     norm, one = field.normalize, field.one
     counts = Counter(chain.from_iterable(columns))
-    if len(counts) == sum(map(len, columns)):
-        return {c: {c: one} for c, col in enumerate(columns) if col}
     single = {i for i, n in counts.items() if n == 1}
     peeled = {c for c, col in enumerate(columns) if not single.isdisjoint(col)}
     rows = {}

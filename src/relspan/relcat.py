@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from . import coalg as _coalg
 from . import finset as _finset
 from .catcore import BaseCategory, Report, Span, legs_in_class
-from .errors import BaseMismatch, LegsNotInClass, NotACategory, ShapeMismatch
+from .errors import BaseMismatch, LegsNotInClass, NotACategory, RelspanError, ShapeMismatch
 from .linalg import _unit_matrix, _unit_rows
 from .relpull import RelPullback, assoc_iso, box, relative_pullback
 
@@ -114,40 +114,40 @@ def check_relative_category(rc: RelativeCategory) -> Report:
         base.compose(rc.s, rc.d) == base.compose(rc.s, pb.p_c),
         "source of a composite is not the source of the second factor",
     )
-    if not rep.ok:
-        # the unit/associativity boxes below need (b) and (c) to even typecheck
-        rep.add("(d) left unit law", False, "skipped: earlier axiom failed")
-        rep.add("(d) right unit law", False, "skipped: earlier axiom failed")
-        rep.add("(e) associativity", False, "skipped: earlier axiom failed")
-        return rep
 
-    # (d): d∘(i□1) and d∘(1□i) equal the materialized unit isomorphisms.
-    pb_ba = relative_pullback(base, id_b, rc.t)
-    i_box = box(pb_ba, pb, rc.i, base.identity(rc.a), id_b)
-    rep.add(
-        "(d) left unit law",
-        base.compose(rc.d, i_box) == pb_ba.p_c,
-        "d∘(i□1) is not the unit isomorphism",
-    )
-    pb_ab = relative_pullback(base, rc.s, id_b)
-    i_box2 = box(pb_ab, pb, base.identity(rc.a), rc.i, id_b)
-    rep.add(
-        "(d) right unit law",
-        base.compose(rc.d, i_box2) == pb_ab.p_a,
-        "d∘(1□i) is not the unit isomorphism",
-    )
+    def left_unit():
+        pb_ba = relative_pullback(base, id_b, rc.t)
+        return base.compose(rc.d, box(pb_ba, pb, rc.i, base.identity(rc.a), id_b)) == pb_ba.p_c
 
+    def right_unit():
+        pb_ab = relative_pullback(base, rc.s, id_b)
+        return base.compose(rc.d, box(pb_ab, pb, base.identity(rc.a), rc.i, id_b)) == pb_ab.p_a
+
+    def associativity():
+        pb_left = relative_pullback(base, base.compose(rc.s, pb.p_c), rc.t)
+        pb_right = relative_pullback(base, rc.s, base.compose(rc.t, pb.p_a))
+        d_box = box(pb_left, pb, rc.d, base.identity(rc.a), id_b)
+        d_box2 = box(pb_right, pb, base.identity(rc.a), rc.d, id_b)
+        l, _ = assoc_iso(pb, pb_left, pb, pb_right)
+        return base.compose(rc.d, d_box) == base.compose(base.compose(rc.d, d_box2), l)
+
+    # (d): d∘(i□1) and d∘(1□i) equal the materialized unit isomorphisms;
     # (e): d∘(d□1) = d∘(1□d)∘l with the materialized rebracketing iso l.
-    pb_left = relative_pullback(base, base.compose(rc.s, pb.p_c), rc.t)
-    pb_right = relative_pullback(base, rc.s, base.compose(rc.t, pb.p_a))
-    d_box = box(pb_left, pb, rc.d, base.identity(rc.a), id_b)
-    d_box2 = box(pb_right, pb, base.identity(rc.a), rc.d, id_b)
-    l, _ = assoc_iso(pb, pb_left, pb, pb_right)
-    rep.add(
-        "(e) associativity",
-        base.compose(rc.d, d_box) == base.compose(base.compose(rc.d, d_box2), l),
-        "d∘(d□1) != d∘(1□d)∘l",
-    )
+    # Their boxes need (b) and (c) to even typecheck, and an axiom whose box
+    # cannot be built (d not a coalgebra map, say) fails with the reason,
+    # and the axioms after it are skipped.
+    skip = not rep.ok
+    for name, holds, witness in (("(d) left unit law", left_unit, "d∘(i□1) is not the unit isomorphism"),
+                                 ("(d) right unit law", right_unit, "d∘(1□i) is not the unit isomorphism"),
+                                 ("(e) associativity", associativity, "d∘(d□1) != d∘(1□d)∘l")):
+        if skip:
+            rep.add(name, False, "skipped: earlier axiom failed")
+            continue
+        try:
+            rep.add(name, holds(), witness)
+        except RelspanError as e:
+            rep.add(name, False, str(e))
+            skip = True
     return rep
 
 

@@ -59,6 +59,16 @@ def mat(field, rows) -> Matrix:
     return Matrix(field, [[field.of(x) for x in row] for row in rows], len(rows), len(rows[0]))
 
 
+def dense(m: Matrix) -> list:
+    """m's entries as a fresh list of row lists, zeros included: the tests'
+    dense view, read off m's columns."""
+    out = [[m.field.zero] * m.cols for _ in range(m.rows)]
+    for j, col in enumerate(m.columns):
+        for i, v in col.items():
+            out[i][j] = v
+    return out
+
+
 def general(m: Matrix) -> Matrix:
     """m with a cached "no" as its row table, so every reader of it takes its
     dict path (linalg._unit_rows)."""
@@ -257,7 +267,7 @@ def rebased_map(f: CoalgMap, p_src: Matrix, p_tgt: Matrix) -> CoalgMap:
 
 def mutate_one_entry(rng, field, mat: Matrix) -> Matrix:
     """Flip one entry to a different value (never a no-op)."""
-    rows = mat.data
+    rows = dense(mat)
     i = rng.randrange(mat.rows)
     j = rng.randrange(mat.cols)
     old = rows[i][j]
@@ -387,6 +397,20 @@ def codiscrete_relcat(b: Coalgebra) -> RelativeCategory:
     inner = kron(kron(i_b, kron(b.epsilon, b.epsilon)), i_b)
     d = CoalgMap(pb.apex, a, inner @ pb.payload.j.mat)
     return RelativeCategory(base, b, a, s, t, CoalgMap(b, a, b.delta), d, pb)
+
+
+def bialgebra_relcat(mon: MonoidObj) -> RelativeCategory:
+    """A monoid in coalgebras as a relative category over the unit k: s = t =
+    ε, i = u, the pullback of (ε, ε), whose apex is A⊗A, and d =
+    m∘(p_A⊗p_C)∘δ_P.  The check does not decide that d and u are coalgebra
+    maps: with check_coalg_map on both, it holds exactly when mon is a
+    bialgebra."""
+    base, a = mon.base, mon.carrier
+    k = base.unit_obj()
+    eps = CoalgMap(a, k, a.epsilon)
+    pb = relative_pullback(base, eps, eps)
+    d = CoalgMap(pb.apex, a, mon.m.mat @ kron_apply(pb.p_a.mat, pb.p_c.mat, pb.apex.delta))
+    return RelativeCategory(base, k, a, eps, eps, mon.u, d, pb)
 
 
 # -- small groups and their algebras ----------------------------------------------

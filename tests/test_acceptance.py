@@ -14,6 +14,7 @@ from gen import (
     all_homs,
     all_monoids,
     block_coalgebra,
+    dense,
     finset_monoid,
     fixture_discrete,
     fixture_groupoid5,
@@ -319,7 +320,7 @@ def test_criterion_6_monoid_on_pullback():
                         # perturbed multiplication stops being a filler
                         ok = ok and pb.jointly_monic
                         pair_map = pb.payload.j.mat @ mon.m.mat
-                        rows = mon.m.mat.data
+                        rows = dense(mon.m.mat)
                         rows[0][0] += field.one
                         pert = Matrix(field, rows, mon.m.mat.rows, mon.m.mat.cols)
                         still_filler = (
@@ -532,7 +533,7 @@ def _retarget(m):
 
 def _rebase_blocks(rng, field, src_coalgebra):
     """A comonoid map out of a given block coalgebra (recovered via ε)."""
-    eps = src_coalgebra.epsilon.data[0]
+    eps = dense(src_coalgebra.epsilon)[0]
     blocks, i = [], 0
     while i < len(eps):
         if i + 1 < len(eps) and not eps[i + 1]:
@@ -546,7 +547,7 @@ def _rebase_blocks(rng, field, src_coalgebra):
 
 
 def _grouplike_selector(rng, field, coalgebra):
-    eps = coalgebra.epsilon.data[0]
+    eps = dense(coalgebra.epsilon)[0]
     blocks, i = [], 0
     while i < len(eps):
         if i + 1 < len(eps) and not eps[i + 1]:

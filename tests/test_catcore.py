@@ -5,6 +5,7 @@ import pytest
 from gen import (
     FIELDS,
     block_coalgebra,
+    dense,
     mat,
     rand_block_map,
     rand_blocks,
@@ -139,7 +140,7 @@ def test_class_s_instances_on_cocommutative_data():
 def _blocks_of(coalgebra, field):
     """Recover a block layout compatible with a block-built coalgebra by
     scanning ε (1 on group-likes, 0 on primitive tails)."""
-    eps = coalgebra.epsilon.data[0]
+    eps = dense(coalgebra.epsilon)[0]
     blocks = []
     i = 0
     while i < len(eps):

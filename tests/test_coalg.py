@@ -11,6 +11,7 @@ import pytest
 from gen import (
     FIELDS,
     block_coalgebra,
+    dense,
     direct_sum,
     divided_power,
     general,
@@ -407,7 +408,7 @@ def test_equalizer_grouplike_matches_finset_equalizer():
             assert eq.object.dim == len(fixed)
             # the inclusion is exactly the span of the matching basis vectors
             for k, x in enumerate(fixed):
-                assert eq.j.mat.col_sparse(k) == {x: field.one}
+                assert eq.j.mat.columns[k] == {x: field.one}
             assert check_coalgebra(eq.object).ok
             assert check_coalg_map(eq.j).ok
             assert f.mat @ eq.j.mat == g.mat @ eq.j.mat
@@ -825,20 +826,19 @@ def _spy(monkeypatch, owner, name):
 
 
 def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(monkeypatch):
-    """On counital input z = 1 a pullback runs one elimination, of t, and
-    one closure check, on K' = ker t, which passes, and never builds R, so
-    no kron_apply takes it and the second system is never built.  It builds
-    no δ column of A⊗C, since δ∘K' is (1⊗c⊗1)∘(δ_A⊗δ_C)∘K', and never the ε
-    of A⊗C, and its K' is that of the R∘z path with z the identity on the
-    full system.  A linearized cospan builds no t at all: its one closure
-    check is on its matching pairs.  Non-counital input builds R once, and
-    takes the kernels of R∘z and of the second system, each eliminated
+    """On counital input z = 1 a pullback takes one kernel, of t, eliminated
+    unless every row of t holds one nonzero or none, and one closure check,
+    on K' = ker t, which passes, so no kron_apply takes t and the second
+    system is never built.  It builds no δ column of A⊗C, since δ∘K' is
+    (1⊗c⊗1)∘(δ_A⊗δ_C)∘K', and never the ε of A⊗C, and its K' is that of
+    the R∘z path with z the identity on the full system.  A linearized
+    cospan builds no t at all: its one closure check is on its matching
+    pairs.  Non-counital input takes the kernels of t∘z and of the second
+    system (t⊗1)∘δ∘K', the one kron_apply that takes t, each eliminated
     unless every row of it holds one nonzero or none: that kernel is read
     off its empty columns."""
     reduces = _spy(monkeypatch, linalg, "_reduce")
-    monkeypatch.setattr(coalg, "_reduce", linalg._reduce)  # the elimination of t is counted too
     kernels = _spy(monkeypatch, coalg, "kernel_basis_sparse")
-    echelons = _spy(monkeypatch, coalg, "_echelon")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
     solves = _spy(monkeypatch, coalg, "_equalizer")
     krons = _spy(monkeypatch, coalg, "kron_apply")
@@ -847,13 +847,12 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                         lambda self, j: columns.append((self, j)) or column_in(self, j))
 
     def pullback(f, g):
-        for calls in (reduces, kernels, echelons, checks, solves, krons, columns):
+        for calls in (reduces, kernels, checks, solves, krons, columns):
             calls.clear()
         _outcome(relative_pullback_coalg, CoalgCategory(f.mat.field), f, g)
         if not solves:
             return None
         (((x, t, z), _),) = solves
-        assert reduces[0][0][1] is t.columns
         return x, t, z
 
     rng = rng_for("pb-counital")
@@ -869,9 +868,11 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                 g = rebased_map(g, random_basis(rng, field, g.src.dim), p_b)
             system = pullback(f, g)
             (((x, k, delta_k), eq),) = checks
-            assert eq is not None and not echelons
-            assert len(reduces) == (system is not None)
+            assert eq is not None
             assert system is None or (dense and system[0] is x and system[2] is None)
+            assert [args for args, _ in kernels] == ([] if system is None else [(system[1],)])
+            assert system is None or not any(args[0] is system[1] for args, _ in krons)
+            assert len(reduces) == (system is not None and not _count_one(system[1]))
             routes.add(system is None)
             assert "delta" not in vars(x) and "epsilon" not in vars(x)
             assert not any(c is x for c, _ in columns)
@@ -885,21 +886,19 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
     x, t, z = pullback(CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
                        CoalgMap(c, b, rand_matrix(rng, field, 1, 2)))
     assert z is not None and len(kernels) == 2
-    assert len(reduces) == 1 + sum(not _count_one(system) for (system,), _ in kernels)
-    ((_, r),) = echelons
-    assert r == _rref_rows(t)
-    assert sum(args[0] is r for args, _ in krons) == 1
+    assert kernels[0][0][0] == t @ z
+    assert len(reduces) == sum(not _count_one(system) for (system,), _ in kernels)
+    assert sum(args[0] is t for args, _ in krons) == 1
 
 
 def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypatch):
     """N = ker((R⊗1)∘δ∘K') is the identity exactly when that system has rank
     0, and then the equalizer is K' itself: a counital pullback hands the
-    closure check K' and δ∘K' as the elimination of t gave them, or, on a
-    linearized cospan, as its matching pairs give them, and builds no R.
-    Random non-counital data, where the reference's N is not the identity,
-    gets K'∘N and δ∘K'∘N."""
-    kernels = _spy(monkeypatch, coalg, "_kernel")
-    echelons = _spy(monkeypatch, coalg, "_echelon")
+    closure check K' and δ∘K' as the kernel of t gave them, or, on a
+    linearized cospan, as its matching pairs give them, and takes no other
+    kernel, so it builds no second system.  Random non-counital data, where
+    the reference's N is not the identity, gets K'∘N and δ∘K'∘N."""
+    kernels = _spy(monkeypatch, coalg, "kernel_basis_sparse")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
     rng = rng_for("eq-skip-n")
     eliminated = 0
@@ -909,7 +908,7 @@ def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypa
         for f, g in ((f, g), _counital_cospan(rng, field)):
             relative_pullback_coalg(CoalgCategory(field), f, g)
             (((x, k_used, delta_k_used), _),) = checks
-            assert delta_k_used == x.delta @ k_used and not echelons
+            assert delta_k_used == x.delta @ k_used
             # K' is the kernel of the full system, as its elimination or the pairs give it
             fe, eg = _legs_on_tensor(f, g)
             full = kron_apply(Matrix.identity(field, x.dim), fe.mat - eg.mat, x.delta)
@@ -1080,7 +1079,7 @@ def test_pullback_grouplike_matches_finset_oracle():
             # the apex is spanned by group-likes at the matching pairs, in order
             nc = g0.dom.size
             for k, (a, c) in enumerate(fpb.payload):
-                assert pb.payload.j.mat.col_sparse(k) == {a * nc + c: field.one}
+                assert pb.payload.j.mat.columns[k] == {a * nc + c: field.one}
             assert pb.p_a.mat == linearize_fun(fpb.p_a, field).mat
             assert pb.p_c.mat == linearize_fun(fpb.p_c, field).mat
             assert legs_in_class(CoalgCategory(field), f, g)
@@ -1105,7 +1104,7 @@ def test_grouplike_pullback_agrees_over_q_and_f5():
         assert pbs[0].apex.dim == pbs[1].apex.dim == len(pairs)
         for pb in pbs:
             j = pb.payload.j.mat
-            assert [j.col_sparse(k) for k in range(j.cols)] == [{a * nc + c: 1} for a, c in pairs]
+            assert [j.columns[k] for k in range(j.cols)] == [{a * nc + c: 1} for a, c in pairs]
 
 
 def test_pullback_over_trivial_base_is_full_tensor():
@@ -1224,14 +1223,14 @@ def test_pullback_factor_identity_and_point():
         k = CoalgMap(point, pb.f.src, Matrix.from_cols(field, f0.dom.size, [{a: field.one}]))
         l = CoalgMap(point, pb.g.src, Matrix.from_cols(field, g0.dom.size, [{c: field.one}]))
         h2 = pullback_factor_coalg(pb, k, l)
-        assert h2.mat.col_sparse(0) == {fpb.payload.index((a, c)): field.one}
+        assert h2.mat.columns[0] == {fpb.payload.index((a, c)): field.one}
         # uniqueness: a perturbed filler breaks a projection equation or stops
         # being induced by the span (the joint-mono certificate is j-level)
         from relspan.linalg import kron_apply
 
         pair_map = pb.payload.j.mat @ h2.mat
         for idx in range(pb.apex.dim):
-            rows = h2.mat.data
+            rows = dense(h2.mat)
             rows[idx][0] += field.one
             pert = Matrix(field, rows, h2.mat.rows, h2.mat.cols)
             assert (
@@ -1634,7 +1633,7 @@ def test_the_cotensor_after_the_pullback_is_its_fresh_elimination_bit_for_bit(mo
     """On dense counital cospans, random functions linearized in random bases,
     cotensor after relative_pullback is the canonical kernel of a freshly
     built cotensor system, bit for bit.  It eliminates nothing: when the
-    pullback solved a system, it reads the reduced form kept with it, and
+    pullback solved a system, it returns the kernel K' kept with it, and
     when the pullback read its matching pairs, every row of the cotensor's
     system holds one nonzero or none, and the basis is the unit columns at
     its empty columns, with their row table.  compare_cotensor_pullback
@@ -1664,15 +1663,15 @@ def test_the_cotensor_after_the_pullback_is_its_fresh_elimination_bit_for_bit(mo
 
 
 def test_the_comparison_eliminates_an_equal_system_once(monkeypatch):
-    """relative_pullback then compare_cotensor_pullback runs one elimination
-    on a dense counital cospan, the pullback's, and none on a linearized
-    cospan: its pullback solves no system, and every row of the cotensor's
+    """relative_pullback then compare_cotensor_pullback runs at most one
+    elimination on a dense counital cospan, the pullback's kernel of t,
+    none when every row of t holds one nonzero or none, and none on a
+    linearized cospan: its pullback solves no system, and every row of the cotensor's
     system holds one nonzero or none, so its kernel is read off its empty
     columns.  A cospan
     with a cocommutative C and a cospan whose C is not cocommutative but
     whose legs are in S share too: on legs in S, (g⊗1)∘c∘δ_C = (g⊗1)∘δ_C."""
     reduces = _spy(monkeypatch, linalg, "_reduce")
-    monkeypatch.setattr(coalg, "_reduce", linalg._reduce)  # the elimination of t is counted too
     rng = rng_for("cotensor-one-elimination")
     routes = set()
     for field in (QQ, GF(5), GF(32003)):
@@ -1684,18 +1683,19 @@ def test_the_comparison_eliminates_an_equal_system_once(monkeypatch):
             del reduces[:]
             relative_pullback(base, f, g)
             assert compare_cotensor_pullback(f, g).ok
-            assert len(reduces) == (f._pullback[2] is not None)
+            kept = f._pullback[2]
+            assert len(reduces) == (kept is not None and not _count_one(kept[0]))
             routes.add(f._pullback[2] is None)
     assert routes == {True, False}
 
 
 def test_an_unequal_kept_system_is_not_read(monkeypatch):
-    """A kept t that differs from the cotensor's system, with its own reduced
-    form kept beside it, makes cotensor take the kernel of its own system,
+    """A kept t that differs from the cotensor's system, with its own kernel
+    kept beside it, makes cotensor take the kernel of its own system,
     eliminated unless every row holds one nonzero or none, and return the
-    fresh basis: a planted entry on dense counital cospans, and
-    the pullback's own T on non-counital cospans whose legs are in S, where
-    Z_A⊗Z_C is not the identity."""
+    fresh basis: a planted entry on dense counital cospans.  A pullback of
+    non-counital cospans whose legs are in S, where Z_A⊗Z_C is not the
+    identity, keeps no system, and cotensor does the same there."""
     reduces = _spy(monkeypatch, linalg, "_reduce")
     rng = rng_for("cotensor-unequal")
     planted, natural = 0, 0
@@ -1710,17 +1710,18 @@ def test_an_unequal_kept_system_is_not_read(monkeypatch):
             want = kernel_basis_sparse(system)
             kept_g, kept, (t, _) = f._pullback
             bad = mutate_one_entry(rng, field, t)
-            monkeypatch.setattr(f, "_pullback", (kept_g, kept, (bad, linalg._reduce(field, bad.columns))))
+            monkeypatch.setattr(f, "_pullback", (kept_g, kept, (bad, kernel_basis_sparse(bad))))
             del reduces[:]
             assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == (not _count_one(system))
             planted += kernel_basis_sparse(bad) != want
         for _ in range(8):
             f, g = _raw_cospan(rng, field, _cocommutative_raw)
-            if isinstance(_outcome(relative_pullback, base, f, g), str) or not f._pullback[2]:
+            if isinstance(_outcome(relative_pullback, base, f, g), str):
                 continue
+            if all(x.right_counit == Matrix.identity(field, x.dim) for x in (f.src, g.src)):
+                continue
+            assert f._pullback[2] is None
             system = _cotensor_system(f, g)
-            if f._pullback[2][0] == system:
-                continue
             want = kernel_basis_sparse(system)
             del reduces[:]
             assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == (not _count_one(system))

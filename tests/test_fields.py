@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gen import mat, rand_q_matrix, rng_for
+from gen import dense, mat, rand_q_matrix, rng_for
 from relspan import (
     GF,
     QQ,
@@ -160,7 +160,7 @@ def test_require_same_field_tests_identity_before_equality(monkeypatch):
 
 
 def assert_canonical(m):
-    bad = [x for row in m.data for x in row if not canonical_q(x)]
+    bad = [x for row in dense(m) for x in row if not canonical_q(x)]
     assert not bad, f"non-canonical entries {bad[:5]!r}"
 
 
@@ -198,7 +198,7 @@ def test_linearized_fixture_pullback_over_q_is_canonical():
     assert pb.apex.dim == 3
     for m in _pullback_matrices(pb):
         assert_canonical(m)
-    assert all(type(x) is int for m in _pullback_matrices(pb) for row in m.data for x in row)
+    assert all(type(x) is int for m in _pullback_matrices(pb) for row in dense(m) for x in row)
 
 
 def test_rebased_grouplike_pullback_over_q_is_canonical():
@@ -215,7 +215,7 @@ def test_rebased_grouplike_pullback_over_q_is_canonical():
     pb = relative_pullback_coalg(CoalgCategory(QQ), fr, gr)
     assert pb.apex.dim == 3 and pb.jointly_monic
     assert check_coalgebra(pb.apex).ok
-    entries = [x for m in _pullback_matrices(pb) for row in m.data for x in row]
+    entries = [x for m in _pullback_matrices(pb) for row in dense(m) for x in row]
     assert any(type(x) is Fraction for x in entries)
     for m in _pullback_matrices(pb):
         assert_canonical(m)

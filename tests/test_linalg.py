@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from gen import (
     FIELDS,
+    dense,
     direct_sum,
     divided_power,
     fixture_discrete,
@@ -151,7 +152,7 @@ def _kernel_from_dense_rref(a):
     """The canonical kernel read off the dense rows of the reduced echelon form."""
     f = a.field
     r, pivots = a.rref()
-    rows = r.data
+    rows = dense(r)
     free = [c for c in range(a.cols) if c not in pivots]
     k = [[f.zero] * len(free) for _ in range(a.cols)]
     for t, c in enumerate(free):
@@ -169,7 +170,7 @@ def test_kernel_sparse_agrees_with_dense():
             k = kernel_basis_sparse(a)
             assert k == _kernel_from_dense_rref(a)
             # zero rows change neither the echelon form nor the kernel
-            padded = a.data
+            padded = dense(a)
             padded.insert(rng.randint(0, a.rows), [field.zero] * a.cols)
             assert kernel_basis_sparse(Matrix(field, padded, a.rows + 1, a.cols)) == k
 
@@ -237,7 +238,7 @@ def test_kron_identities():
 def kron_oracle(a, b):
     """Direct basis-by-basis expansion, independent of the library kron."""
     f = a.field
-    ad, bd = a.data, b.data
+    ad, bd = dense(a), dense(b)
     out = [[f.zero] * (a.cols * b.cols) for _ in range(a.rows * b.rows)]
     for i1 in range(a.rows):
         for j1 in range(a.cols):
@@ -405,7 +406,7 @@ def test_kron_apply_zero_rows_and_columns():
 
 def _dense_product(a, b):
     """A·B entry by entry from the dense views, each sum normalized once."""
-    f, ad, bd = a.field, a.data, b.data
+    f, ad, bd = a.field, dense(a), dense(b)
     out = [[f.normalize(sum((ad[i][k] * bd[k][j] for k in range(a.cols)), f.zero))
             for j in range(b.cols)] for i in range(a.rows)]
     return Matrix(f, out, a.rows, b.cols)
@@ -811,7 +812,7 @@ def test_sum_and_difference_match_dense_oracle_on_mixed_supports(field):
     for _ in range(60):
         r, c = rng.randint(0, 4), rng.randint(0, 4)
         a, b = _mixed_columns(rng, field, r, c), _mixed_columns(rng, field, r, c)
-        ad, bd = a.data, b.data
+        ad, bd = dense(a), dense(b)
         for got, sign in ((a + b, 1), (a - b, -1)):
             want = [[field.normalize(ad[i][j] + sign * bd[i][j]) for j in range(c)] for i in range(r)]
             assert got == Matrix(field, want, r, c)
@@ -849,8 +850,8 @@ def test_swap_2_3_is_a_permutation():
     assert s.rows == s.cols == 6
     for i in range(2):
         for j in range(3):
-            assert s.col_sparse(i * 3 + j) == {j * 2 + i: QQ.one}
-    for row in s.data:
+            assert s.columns[i * 3 + j] == {j * 2 + i: QQ.one}
+    for row in dense(s):
         assert row.count(QQ.one) == 1
     assert swap_map(QQ, 3, 2) @ s == Matrix.identity(QQ, 6)
 
@@ -913,8 +914,8 @@ def test_zero_dimensional_edge_cases():
 
 
 def _to_sympy(sp, m):
-    return sp.Matrix(m.rows, m.cols, lambda i, j: sp.Rational(m.data[i][j].numerator,
-                                                                 m.data[i][j].denominator))
+    rows = dense(m)
+    return sp.Matrix(m.rows, m.cols, lambda i, j: sp.Rational(rows[i][j].numerator, rows[i][j].denominator))
 
 
 def _from_sympy(sm):
@@ -1015,7 +1016,7 @@ def test_grouplike_cotensor_system_peels_every_row_and_agrees_with_sympy():
     """T = X_f⊗1 - 1⊗(c∘Y_g) for linearized f: A → B ← C: g, built as the
     coalgebra pullback builds it: every nonzero row holds one nonzero, so
     the reduced row echelon form is the unit rows of the nonzero columns,
-    read off the row counts.  It and the kernel are sympy's, the kernel
+    every row peeled.  It and the kernel are sympy's, the kernel
     spanned by the e_a⊗e_c with f(a) = g(c), and so they are on other
     systems whose rows hold one nonzero or none, of any shape, and on those
     with one more column that gives a row a second nonzero, which the
@@ -1119,16 +1120,16 @@ def test_peeled_elimination_matches_dense_gauss_jordan(field, shape):
     rng = rng_for(f"gauss-jordan-{shape}-{field}")
     for _ in range(30):
         a = _singleton_heavy(rng, field, shape)
-        red, pivots = _gauss_jordan(field, a.data, a.cols)
+        red, pivots = _gauss_jordan(field, dense(a), a.cols)
         r, got = a.rref()
         assert got == pivots and len(a.rref()[1]) == len(pivots)
-        assert r.data == red + [[field.zero] * a.cols for _ in range(a.rows - len(red))]
+        assert dense(r) == red + [[field.zero] * a.cols for _ in range(a.rows - len(red))]
         free = [c for c in range(a.cols) if c not in pivots]
         want = [[field.one if i == c else field.neg(red[pivots.index(i)][c]) if i in pivots
                  else field.zero for c in free] for i in range(a.cols)]
         assert kernel_basis_sparse(a) == Matrix(field, want, a.cols, len(free))
         b = rand_sparse_matrix(rng, field, a.rows, rng.randint(1, 3), 0.3)
-        red, pivots = _gauss_jordan(field, [x + y for x, y in zip(a.data, b.data)], a.cols + b.cols)
+        red, pivots = _gauss_jordan(field, [x + y for x, y in zip(dense(a), dense(b))], a.cols + b.cols)
         if pivots and pivots[-1] >= a.cols:
             assert solve(a, b) is None
         else:

@@ -7,6 +7,7 @@ import pytest
 from gen import (
     FIELDS,
     all_monoids,
+    dense,
     finset_monoid,
     group_algebra,
     group_c2,
@@ -112,7 +113,7 @@ def test_broken_bialgebra_multiplication_detected():
 
     field = QQ
     kc2 = group_algebra(field, group_c2())
-    rows = kc2.m.mat.data
+    rows = dense(kc2.m.mat)
     rows[0][3] = field.zero  # drop 1*1 = 0 entirely
     bad_mat = Matrix(field, rows, 2, 4)
 

@@ -5,14 +5,16 @@ import itertools
 
 import pytest
 
-from gen import group_algebra, taft
+from gen import bialgebra_relcat, group_algebra, taft
 from relspan import (
     CoalgCategory,
     CoalgMap,
     Matrix,
     MonoidMorphism,
+    check_coalg_map,
     check_monoid,
     check_monoid_morphism,
+    check_relative_category,
     class_S_witness,
     compare_cotensor_pullback,
     cotensor,
@@ -130,6 +132,23 @@ def test_pullbacks_along_the_counit_and_the_inclusion_are_their_cotensors():
         for leg, dim in ((eps, n**4), (iota, n)):
             assert relative_pullback(base, leg, leg).apex.dim == dim, (n, q, p)
             assert compare_cotensor_pullback(leg, leg).ok, (n, q, p)
+
+
+def test_taft_algebra_is_a_relative_category_over_k_exactly_when_it_is_a_bialgebra():
+    """T_n(q) as a relative category over k (gen.bialgebra_relcat): s = t = ε
+    and d = m∘(p_A⊗p_C)∘δ_P on the pullback of (ε, ε), a counital pullback
+    on a C that is not cocommutative.  With d and u coalgebra maps, the
+    check holds exactly when check_monoid does.  T_2(1) passes the relative
+    category check and fails only in d; T_3(3) over F_7 fails (e)."""
+    fails = {(2, 1, 5): [], (2, 1, 3): [], (3, 3, 7): ["(e) associativity"]}
+    for n, q, p in [(2, 4, 5), (2, 2, 3), (3, 2, 7), (3, 4, 7), *fails]:
+        mon = taft(n, q, p)
+        rc = bialgebra_relcat(mon)
+        assert rc.pb.apex.dim == n**4 and not mon.carrier.cocommutative
+        rep, d_map = check_relative_category(rc), check_coalg_map(rc.d)
+        assert [c.name for c in rep.failures()] == fails.get((n, q, p), []), (n, q, p)
+        assert d_map.ok == ((n, q, p) not in fails), (n, q, p)
+        assert (rep.ok and d_map.ok and check_coalg_map(mon.u).ok) == check_monoid(mon).ok, (n, q, p)
 
 
 def _times(fld, m, d, x, y):
