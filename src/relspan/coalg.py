@@ -41,7 +41,12 @@ z = 1, so K' = ker T, and T∘K' = 0.  The closure check on K' is then the
 certificate: when it passes, (T⊗1)∘δ∘K' = (T∘K'⊗K')∘δ_E = 0, so N = 1 and
 E = K'.  The second system is built only when z ≠ 1 or that check fails.
 This basis is canonical: each column is 1 at its largest nonzero
-coordinate, where the others are 0.
+coordinate, where the others are 0.  Over F_p on a tensor product A⊗C,
+when K' has no row table and n²·(p-1)³ < p·h for n = dim A⊗C (h as in
+linalg._slot_room), the check is decided in packed 64-bit slots
+(linalg._closed_delta), which read δ_E off them: δ∘K' is built as a
+matrix only off that gate, as over Q, a wide prime or a row table, or
+when the check fails and the second system needs it.
 
 A relative pullback's payload is the equalizer of f⊗ε and ε⊗g on A⊗C;
 there δ = (1⊗c⊗1)∘(δ_A⊗δ_C) gives z = Z_A⊗Z_C, taken as 1 when Z_A and Z_C
@@ -129,7 +134,9 @@ from .errors import (
 from .fields import require_same_field
 from .linalg import (
     Matrix,
+    _closed_delta,
     _coassoc_difference,
+    _fits_closure,
     _kron_difference,
     _unit_matrix,
     _unit_rows,
@@ -533,7 +540,7 @@ def subcoalgebra(x: Coalgebra, k: Matrix) -> CoalgEqualizer:
     """The span E of the columns of k, a canonical kernel basis, with the
     comonoid structure δ_E = (L⊗L)∘δ∘k it inherits from x, its inclusion and
     the left inverse L of k; (k⊗k)∘δ_E = δ∘k is verified."""
-    return _closed(_subcoalgebra(x, k, _delta_apply(x, k)))
+    return _closed(_subcoalgebra(x, k, None if _packs_closure(x, k) else _delta_apply(x, k)))
 
 
 def _closed(eq: CoalgEqualizer | None) -> CoalgEqualizer:
@@ -542,24 +549,39 @@ def _closed(eq: CoalgEqualizer | None) -> CoalgEqualizer:
     return eq
 
 
-def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix) -> CoalgEqualizer | None:
-    """subcoalgebra(x, k) given delta_k = δ∘k, or None when the check fails.
-    L is the 0/1 projection onto k's free coordinates, so δ_E = (L⊗L)∘δ∘k
-    is the rows of delta_k at pairs of them, renumbered: L maps the free
-    coordinate of column t to e_t and the others to 0.  When delta_k has a
-    row table whose rows all lie at such pairs, δ_E is that table
-    renumbered, with its table; a row elsewhere takes the dict path, whose
-    δ_E then fails the check."""
-    lk, n, kc, rows = kernel_left_inverse(k), x.dim, k.cols, delta_k._units
-    at = dict(zip(k._units if isinstance(k._units, list) else [max(col) for col in k.columns], range(kc)))
-    if isinstance(rows, list) and all(r // n in at and r % n in at for r in rows):
-        delta_e = _unit_matrix(x.field, kc * kc, [at[r // n] * kc + at[r % n] for r in rows])
+def _packs_closure(x: Coalgebra, k: Matrix) -> bool:
+    """Whether k's closure check in x is decided in packed slots, with
+    neither side built (linalg._closed_delta): over F_p within its slot
+    bound, on a tensor product, and k without a row table, whose check is
+    a compare of tables."""
+    return x._factors is not None and _fits_closure(x.field, x.dim) and _unit_rows(k) is False
+
+
+def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix | None) -> CoalgEqualizer | None:
+    """subcoalgebra(x, k) given delta_k = δ∘k, or None when the check fails;
+    delta_k is None when _packs_closure(x, k), and then linalg._closed_delta
+    reads δ_E and decides the check.  L is the 0/1 projection onto k's free
+    coordinates, so δ_E = (L⊗L)∘δ∘k is the rows of delta_k at pairs of
+    them, renumbered: L maps the free coordinate of column t to e_t and the
+    others to 0.  When delta_k has a row table whose rows all lie at such
+    pairs, δ_E is that table renumbered, with its table; a row elsewhere
+    takes the dict path, whose δ_E then fails the check."""
+    lk, n, kc = kernel_left_inverse(k), x.dim, k.cols
+    free = k._units if isinstance(k._units, list) else [max(col) for col in k.columns]
+    at = dict(zip(free, range(kc)))
+    if delta_k is None:
+        if (cols := _closed_delta(*(f.delta for f in x._factors), k, free)) is None:
+            return None
+        delta_e = Matrix.from_cols(x.field, kc * kc, cols)
     else:
-        delta_e = Matrix.from_cols(x.field, kc * kc, [
-            {at[u] * kc + at[w]: v for r, v in col.items() if (u := r // n) in at and (w := r % n) in at}
-            for col in delta_k.columns])
-    if kron_apply(k, k, delta_e) != delta_k:
-        return None
+        if isinstance(rows := delta_k._units, list) and all(r // n in at and r % n in at for r in rows):
+            delta_e = _unit_matrix(x.field, kc * kc, [at[r // n] * kc + at[r % n] for r in rows])
+        else:
+            delta_e = Matrix.from_cols(x.field, kc * kc, [
+                {at[u] * kc + at[w]: v for r, v in col.items() if (u := r // n) in at and (w := r % n) in at}
+                for col in delta_k.columns])
+        if kron_apply(k, k, delta_e) != delta_k:
+            return None
     eps_k = x.epsilon @ k if x._factors is None else kron_apply(*(f.epsilon for f in x._factors), k)
     obj = Coalgebra(k.cols, x.field, delta=delta_e, epsilon=eps_k)
     return CoalgEqualizer(obj, CoalgMap(obj, x, k), lk)
@@ -569,14 +591,16 @@ def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None):
     """The equalizer that t and z describe in x, z None when it is the
     identity, on the basis K'∘N of the module docstring, and (t, K') when
     K' is that basis, else None.  On counital input K' = ker t is returned
-    when its closure check passes, which certifies N = 1.  Otherwise
-    K' = ker(t∘z) when z is given, and N is the kernel of the second system
-    (t⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ; K'∘N is checked, and a
-    product with N = 1 returns its left operand."""
+    when its closure check passes, which certifies N = 1; δ∘K' is built
+    only when that check is not packed (_packs_closure) or fails.
+    Otherwise K' = ker(t∘z) when z is given, and N is the kernel of the
+    second system (t⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ; K'∘N is
+    checked, and a product with N = 1 returns its left operand."""
     k = kernel_basis_sparse(t if z is None else t @ z)
-    delta_k = _delta_apply(x, k)
+    delta_k = None if z is None and _packs_closure(x, k) else _delta_apply(x, k)
     if z is None and (eq := _subcoalgebra(x, k, delta_k)) is not None:
         return eq, (t, k)
+    delta_k = _delta_apply(x, k) if delta_k is None else delta_k
     n = kernel_basis_sparse(kron_apply(t, Matrix.identity(t.field, x.dim), delta_k))
     return _closed(_subcoalgebra(x, k @ n, delta_k @ n)), None
 

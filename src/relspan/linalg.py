@@ -10,12 +10,17 @@ A @ B accumulates the sums of each output column and normalizes each
 entry once; a column of B with one nonzero b has no sum, and gives the
 column of A it picks, shared when b is one and scaled otherwise.
 kron_apply, (A⊗B)∘M without A⊗B, states its path rules in its docstring,
-and kron is kron_apply on the identity.  _coassoc_difference compares
-(δ⊗1)∘δ with (1⊗δ)∘δ; on a dense δ over F_p it builds neither, and decides
-each column in the packed slots kron_apply uses.  X⊗Z - W⊗Y is built one
-column at a time, without either product.  These two normalize a product
-of entries only when a factor is not one (a Q product of two Fractions can
-be integral, an F_p product needs its reduction).  A product with a square
+and kron is kron_apply on the identity; a contraction, a square identity
+beside a counit or a coordinate projection, is one pass (_contract).
+_coassoc_difference compares (δ⊗1)∘δ with (1⊗δ)∘δ; on a dense δ over F_p
+it builds neither, and decides each column in the packed slots kron_apply
+uses.  _closed_delta decides in such slots whether a subspace K of a tensor
+coalgebra over F_p is closed, (K⊗K)∘δ_E = δ∘K, building neither side, and
+reads δ_E off them; both decide a column with one exact division and one
+mask (_slot_test).  X⊗Z - W⊗Y is built one column at a time, without
+either product.  These two normalize a product of entries only when a
+factor is not one (a Q product of two Fractions can be integral, an F_p
+product needs its reduction).  A product with a square
 identity operand is its other operand, and kron_apply with two square
 identity factors is M, each returned as it is; an identity is one shared
 matrix per field and size.
@@ -471,8 +476,13 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     """(A⊗B) @ M without materializing A⊗B: each nonzero v at row p·b.cols+q
     of a column of M adds v·A[:,p]⊗B[:,q] to that column of the result.
     When A, B and M have row tables (every column {r: one}), the result is
-    their index map, with its table.  Otherwise a column of M with one
-    nonzero is that one term, built in one pass.
+    their index map, with its table.  Otherwise a contraction, one factor a
+    square identity and the other with at most one nonzero in each column
+    and no more rows than columns (a counit, a coordinate projection:
+    (1⊗ε)∘δ, (ε⊗1)∘δ, p_A and p_C), is one pass over the nonzeros of each
+    column of M (_contract), a product the packed path below never takes.
+    On any other factors a column of M with one nonzero is that one term,
+    built in one pass.
 
     Over F_p, a column of M with N nonzeros is accumulated in packed 64-bit
     slots (_packed_column) when no column of A or B is zero, one of them has
@@ -485,32 +495,31 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     many products as the slots it can unpack, one Python step each.  Q has no
     such bound on its sums, nor does a larger p, and a factor with a zero
     column or a sparse one (a matrix coalgebra's δ, with n of its n⁴ rows)
-    would unpack mostly empty slots, so those keep the dict paths: through
-    the middle, (A⊗1)∘(1⊗B), when both factors have more than one nonzero
-    per column on average, where the nonzeros that share a p are summed into
-    one combination of B's columns, which each nonzero of A[:,p] then scales;
-    otherwise each A[:,p]⊗B[:,q] is built once, when a row of M first uses
-    it.  Either way the sums are normalized once per entry."""
+    would unpack mostly empty slots, so those take the dict path, through
+    the middle, (A⊗1)∘(1⊗B): the nonzeros that share a p are summed into one
+    combination of B's columns, which each nonzero of A[:,p] then scales.
+    Every path normalizes its sums once per entry."""
     require_same_field(a.field, b.field)
     require_same_field(a.field, m.field)
     if m.rows != a.cols * b.cols:
         raise ShapeMismatch("kron_apply: M row count must be a.cols * b.cols")
     if _is_identity(a) and _is_identity(b):
         return m
-    norm, one, nb, bc = m.field.normalize, m.field.one, b.rows, b.cols
+    fld, nb, bc = m.field, b.rows, b.cols
+    norm, one, rows = fld.normalize, fld.one, a.rows * nb
     if (mr := _unit_rows(m)) is not False and (ar := _unit_rows(a)) is not False and (
             br := _unit_rows(b)) is not False:
-        return _unit_matrix(m.field, a.rows * nb, [ar[r // bc] * nb + br[r % bc] for r in mr])
+        return _unit_matrix(fld, rows, [ar[r // bc] * nb + br[r % bc] for r in mr])
+    if (out := _contract(a, b, m)) is not None:
+        return out
     acols, bcols = a.columns, b.columns
-    fp = isinstance(m.field, PrimeField)
-    # nonzeros beyond one per column, negative when a column is empty
-    over_a, over_b = sum(map(len, acols)) - len(acols), sum(map(len, bcols)) - len(bcols)
-    middle = over_a > 0 and over_b > 0
     # every column of A has lo_a nonzeros or more and of B lo_b, so a column of M with N nonzeros makes at
-    # least N·lo_a·lo_b products; it is packed when they cover the a.rows·nb slots and N·(p-1)³ < 2⁶⁴
-    lo = fp and over_a + over_b > 0 and min(map(len, acols), default=0) * min(map(len, bcols), default=0)
-    least, most = (-(-a.rows * nb // lo), (2**64 - 1) // (m.field.p - 1) ** 3) if lo else (1, 0)
-    packed, terms, out = {}, {}, []
+    # least N·lo_a·lo_b products; it is packed when they cover the a.rows·nb slots, N·(p-1)³ < 2⁶⁴ and
+    # A or B has more nonzeros than columns
+    lo = isinstance(fld, PrimeField) and sum(map(len, acols)) + sum(map(len, bcols)) > a.cols + bc and (
+        min(map(len, acols), default=0) * min(map(len, bcols), default=0))
+    least, most = (-(-rows // lo), (2**64 - 1) // (fld.p - 1) ** 3) if lo else (1, 0)
+    packed, out = {}, []
     for mcol in m.columns:
         if len(mcol) == 1:
             ((idx, v),) = mcol.items()
@@ -518,36 +527,52 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
             ap, bq = acols[p].items(), bcols[q].items()
             out.append({i * nb + k: one if v == x == y == one else norm(v * x * y)
                         for i, x in ap for k, y in bq})
-            continue
-        if least <= len(mcol) <= most:
-            out.append(_packed_column(acols, bcols, nb, m.field.p, packed, mcol))
-            continue
-        acc = {}
-        get = acc.get
-        if middle:
-            mid = {}
+        elif least <= len(mcol) <= most:
+            out.append(_packed_column(acols, bcols, nb, fld.p, packed, mcol))
+        else:
+            mid, acc = {}, {}
             for idx, v in mcol.items():
                 p, q = divmod(idx, bc)
                 c = mid.setdefault(p, {})
                 cget = c.get
                 for k, y in bcols[q].items():
                     c[k] = cget(k, 0) + v * y
+            get = acc.get
             for p, c in mid.items():
                 for i, x in acols[p].items():
                     base = i * nb
                     for k, w in c.items():
                         acc[base + k] = get(base + k, 0) + x * w
-        else:
-            for idx, v in mcol.items():
-                t = terms.get(idx)
-                if t is None:
-                    p, q = divmod(idx, bc)
-                    bq = bcols[q].items()
-                    t = terms[idx] = [(i * nb + k, av * bv) for i, av in acols[p].items() for k, bv in bq]
-                for k, w in t:
-                    acc[k] = get(k, 0) + v * w
-        out.append(_canonical(m.field, acc))
-    return Matrix.from_cols(m.field, a.rows * nb, out)
+            out.append(_canonical(fld, acc))
+    return Matrix.from_cols(fld, rows, out)
+
+
+def _contract(a: Matrix, b: Matrix, m: Matrix):
+    """kron_apply(a, b, m) when A⊗B is a contraction, else None: one factor
+    a square identity, the other with at most one nonzero in each column
+    and no more rows than columns (a counit, a coordinate projection).
+    Row p·b.cols + q of M then reaches one row of the result, dest, with
+    one factor, coef, both read off the other factor's columns (an empty
+    one gives row 0 and factor 0), and each column of M is summed in one
+    pass into a list over the result's rows, normalized once per entry."""
+    nb, rows = b.rows, a.rows * b.rows
+    left = max(map(len, b.columns), default=0) <= 1 and _is_identity(a)
+    if not (0 < rows <= m.rows and (left or max(map(len, a.columns), default=0) <= 1 and _is_identity(b))):
+        return None
+    ends = [next(iter(c.items()), (0, 0)) for c in (b.columns if left else a.columns)]
+    if left:  # 1⊗B: row p·b.cols + q goes to p·nb + r, B[:, q] = {r: y}
+        dest = [p * nb + r for p in range(a.cols) for r, _ in ends]
+        coef = [y for _ in range(a.cols) for _, y in ends]
+    else:  # A⊗1: row p·nb + q goes to r·nb + q, A[:, p] = {r: y}
+        dest = [r * nb + q for r, _ in ends for q in range(nb)]
+        coef = [y for _, y in ends for _ in range(nb)]
+    norm, out = m.field.normalize, []
+    for mcol in m.columns:
+        acc = [0] * rows
+        for idx, v in mcol.items():
+            acc[dest[idx]] += v * coef[idx]
+        out.append({r: x for r, s in enumerate(acc) if s and (x := norm(s))})
+    return Matrix.from_cols(m.field, rows, out)
 
 
 def _packed_column(acols, bcols, nb, prime, packed, mcol):
@@ -582,38 +607,60 @@ def _pack(col, width):
     return int.from_bytes(slots, sys.byteorder)
 
 
+def _slot_room(field):
+    """p·h over F_p and 0 over Q, for h the power of two 2^(63 - bit length
+    of p), or 1 from 64 bits on, so that 2ph < 2⁶⁴; as ph > 2⁶², a bound
+    top < p·h holds whenever 4·top < 2⁶⁴.  Two packed sums whose slots lie
+    in [0, top] are compared by _slot_test when top < p·h."""
+    return field.p << max(0, 63 - field.p.bit_length()) if isinstance(field, PrimeField) else 0
+
+
+def _slot_test(field, block, blocks):
+    """(start, differs) for comparing two packed sums over F_p, each of
+    blocks blocks of block 64-bit slots, every slot in [0, top] for a
+    top < p·h (_slot_room): start holds p·h in each slot of a block, and
+    the left sum is started at it in every block.  Every slot of
+    s = left - right is then in [ph - top, ph + top] ⊂ [0, 2⁶⁴) and ≡ the
+    difference of the sides mod p.  p divides every slot exactly when p
+    divides s and every slot of s / p is below 2h: then the slots of
+    p·(s / p) are below 2ph < 2⁶⁴, so they are those of s.  So
+    differs(s), one exact division and one mask, says whether the sides
+    differ mod p in some slot."""
+    order, prime, ph = sys.byteorder, field.p, _slot_room(field)
+    start = int.from_bytes(ph.to_bytes(8, order) * block, order)
+    mask = int.from_bytes((2**64 - 2 * ph // prime).to_bytes(8, order) * (block * blocks), order)
+
+    def differs(s):
+        q, rest = divmod(s, prime)
+        return bool(rest or q & mask)
+
+    return start, differs
+
+
 def _coassoc_difference(d: Matrix):
     """The first column j at which (δ⊗1)∘δ and (1⊗δ)∘δ differ, δ = d of
     shape n² x n, or None; on the packed path neither side is built.
 
     The path runs over F_p when d is dense enough that the products of the
     two sides, about 2·nnz(d)²/n, cover the n⁴ slots it reads, nnz(d)² ≥ n⁵
-    (a row table, nnz = n, never is from n = 2), and top = n·(p-1)² < p·h
-    for h the power of two 2^(63 - bit length of p), or 1 from 64 bits on,
-    so that 2ph < 2⁶⁴; as ph > 2⁶², that holds whenever 4n(p-1)² < 2⁶⁴.  Column q of d packs into n² slots as δ̂_q,
-    and D[a, b] = d[a·n + b, j] for the column j at hand.  The left side,
-    in (c, a, b) order, is the blocks Σ_a D[a, c]·δ̂_a, each started at p·h
-    in every slot; the right side, in (a, b, c) order, is the blocks
+    (a row table, nnz = n, never is from n = 2), and top = n·(p-1)² is
+    below _slot_room.  Column q of d packs into n² slots as δ̂_q, and
+    D[a, b] = d[a·n + b, j] for the column j at hand.  The left side, in
+    (c, a, b) order, is the blocks Σ_a D[a, c]·δ̂_a, each started at p·h in
+    every slot; the right side, in (a, b, c) order, is the blocks
     Σ_b D[a, b]·δ̂_b, moved to (c, a, b) order by n strided copies.  Either
-    sum, without that start, has its slots in [0, top], so every slot of
-    s = left - right is in [ph - top, ph + top] ⊂ [0, 2⁶⁴) and ≡ the
-    difference of the sides mod p.  p divides every slot exactly when p
-    divides s and every slot of s / p is below 2h: then the slots of
-    p·(s / p) are below 2ph < 2⁶⁴, so they are those of s.  One exact
-    division and one mask decide the column, and the first that fails is j.
-    Every other d keeps the two kron_apply products: Q and a larger p have
-    no slot bound, and a sparse d makes fewer products than the slots it
-    would read."""
+    sum, without that start, has its slots in [0, top], so _slot_test
+    decides the column with one exact division and one mask, and the first
+    that fails is j.  Every other d keeps the two kron_apply products: Q and
+    a larger p have no slot bound, and a sparse d makes fewer products than
+    the slots it would read."""
     fld, n, cols = d.field, d.cols, d.columns
-    prime = fld.p if isinstance(fld, PrimeField) else 0
-    h = 1 << max(0, 63 - prime.bit_length())
-    if not prime or n * (prime - 1) ** 2 >= prime * h or sum(map(len, cols)) ** 2 < n**5:
+    if not (room := _slot_room(fld)) or n * (fld.p - 1) ** 2 >= room or sum(map(len, cols)) ** 2 < n**5:
         i_n = Matrix.identity(fld, n)
         return first_difference(kron_apply(d, i_n, d), kron_apply(i_n, d, d))
     nn, width, order = n * n, 8 * n * n, sys.byteorder
     packed = [_pack(col, width) for col in cols]
-    start = int.from_bytes((prime * h).to_bytes(8, order) * nn, order)  # p·h in each of n² slots
-    mask = int.from_bytes((2**64 - 2 * h).to_bytes(8, order) * (n * nn), order)  # each slot's bits from 2h up
+    start, differs = _slot_test(fld, nn, n)
     for j, col in enumerate(cols):
         left, right = [start] * n, [0] * n
         for r, v in col.items():
@@ -625,10 +672,63 @@ def _coassoc_difference(d: Matrix):
         for c in range(n):
             cab[c * nn:c * nn + nn] = abc[c::n]
         lhs = b"".join([x.to_bytes(width, order) for x in left])
-        q, rest = divmod(int.from_bytes(lhs, order) - int.from_bytes(cab, order), prime)
-        if rest or q & mask:
+        if differs(int.from_bytes(lhs, order) - int.from_bytes(cab, order)):
             return j
     return None
+
+
+def _fits_closure(field, n):
+    """Whether _closed_delta's sums fit their slots on an n-dimensional
+    space: over F_p, n²·(p-1)³ < p·h (_slot_room)."""
+    return (room := _slot_room(field)) > 0 and n * n * (field.p - 1) ** 3 < room
+
+
+def _closed_delta(da: Matrix, dc: Matrix, k: Matrix, free):
+    """The columns of δ_E = (L⊗L)∘δ∘K, for δ = (1⊗c⊗1)∘(δ_A⊗δ_C) on A⊗C
+    and L the projection onto the free coordinates free[t] of the columns t
+    of K, when (K⊗K)∘δ_E = δ∘K, else None; neither side is built.
+
+    Over F_p within _fits_closure, n = dim A⊗C, one column of K at a time:
+    column c of δ_C packs into nc² slots as δ̂_c, mid_a = Σ_c K[a·nc + c]·δ̂_c,
+    and block(a1, a2) = Σ_a δ_A[a1·na + a2, a]·mid_a holds the entries
+    (c1, c2) of δ∘K at (a1⊗c1)⊗(a2⊗c2); one join of the blocks' rows, each
+    nc slots, in (a1, c1, a2) order, lays δ∘K out in n² slots.  δ_E is read
+    off them at the pairs of free coordinates, mod p.  The other side is
+    built by rows: with K̂_j column j of K in n slots and k = K.cols,
+    inner_i = Σ_j δ_E[i·k + j]·K̂_j and row s is Σ_i K[s, i]·inner_i,
+    started at p·h.  Its slots sum at most n² products of three residues,
+    those of δ∘K at most n, so _slot_test decides the column."""
+    fld, na, nc, kc = k.field, da.cols, dc.cols, k.cols
+    n, prime, order, width, step = na * nc, fld.p, sys.byteorder, 8 * nc * nc, 8 * nc
+    hat_c = [_pack(col, width) for col in dc.columns]
+    hat_k = [_pack(col, 8 * n) for col in k.columns]
+    krows, acols = [list(r.items()) for r in _flip(k.columns, n)], da.columns
+    pairs = [(i, j, u * n + w) for i, u in enumerate(free) for j, w in enumerate(free)]
+    # the (block, byte offset) of each row of nc slots of δ∘K, in (a1, c1, a2) order
+    layout = [(a1 * na + a2, c1 * step) for a1 in range(na) for c1 in range(nc) for a2 in range(na)]
+    start, differs = _slot_test(fld, n, n)
+    out = []
+    for col in k.columns:
+        mid = {}
+        for r, v in col.items():
+            a, c = divmod(r, nc)
+            mid[a] = mid.get(a, 0) + v * hat_c[c]
+        blocks = [0] * (na * na)
+        for a, w in mid.items():
+            for r, x in acols[a].items():
+                blocks[r] += x * w
+        raw = [b.to_bytes(width, order) for b in blocks]
+        right = b"".join([raw[b][at:at + step] for b, at in layout])
+        slots, e, inner = memoryview(right).cast("Q"), {}, [0] * kc
+        for i, j, at in pairs:
+            if y := slots[at] % prime:
+                e[i * kc + j] = y
+                inner[i] += y * hat_k[j]
+        left = b"".join([(start + sum([x * inner[i] for i, x in r])).to_bytes(8 * n, order) for r in krows])
+        if differs(int.from_bytes(left, order) - int.from_bytes(right, order)):
+            return None
+        out.append(e)
+    return out
 
 
 def swap_map(field, m: int, n: int) -> Matrix:

@@ -79,6 +79,7 @@ from relspan.errors import (
     SpanNotInClass,
     SquareDoesNotCommute,
 )
+from relspan.fields import _is_prime
 from relspan.linalg import (
     _kernel,
     _unit_matrix,
@@ -378,6 +379,35 @@ def test_right_counit_witness_is_the_same_after_a_construction_read_it():
                 assert [c.as_dict() for c in check_coalgebra(y).checks] == want
             failing += want[2]["status"] == "fail"
     assert failing > 0
+
+
+def test_counit_maps_and_projections_of_dense_data_are_contractions(monkeypatch):
+    """z = (1⊗ε)∘δ and l = (ε⊗1)∘δ of k[X] in a random basis, whose δ has
+    no row table, and the projections p_A = (1⊗ε_C)∘j and p_C = (ε_A⊗1)∘j
+    of a dense pullback, are each one contraction pass of kron_apply
+    (linalg._contract), with no packed column, and equal the Kronecker
+    products they stand for."""
+    contractions, packed = _spy(monkeypatch, linalg, "_contract"), _spy(monkeypatch, linalg, "_packed_column")
+    rng = rng_for("dense-contractions")
+    for field in (QQ, GF(5), GF(32003)):
+        i4 = Matrix.identity(field, 4)
+        x = rebased(grouplike(field, 4), random_basis(rng, field, 4))
+        contractions.clear()
+        packed.clear()
+        z, l = x.right_counit, x.left_counit
+        assert [out is not None for _, out in contractions] == [True, True] and not packed
+        assert z == kron(i4, x.epsilon) @ x.delta and l == kron(x.epsilon, i4) @ x.delta
+        assert z == l == i4
+        f, g = _counital_cospan(rng, field)
+        pb = relative_pullback_coalg(CoalgCategory(field), f, g)
+        a, c, j = f.src, g.src, pb.payload.j.mat
+        contractions.clear()
+        packed.clear()
+        p_a, p_c = kron_apply(Matrix.identity(field, a.dim), c.epsilon, j), kron_apply(
+            a.epsilon, Matrix.identity(field, c.dim), j)
+        assert (pb.p_a.mat, pb.p_c.mat) == (p_a, p_c)
+        assert [out is not None for _, out in contractions] == [True, True] and not packed
+        assert p_a == kron(Matrix.identity(field, a.dim), c.epsilon) @ j
 
 
 # -- comonoid equalizers -----------------------------------------------------------
@@ -836,10 +866,16 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
     pairs.  Non-counital input takes the kernels of t∘z and of the second
     system (t⊗1)∘δ∘K', the one kron_apply that takes t, each eliminated
     unless every row of it holds one nonzero or none: that kernel is read
-    off its empty columns."""
+    off its empty columns.  Over F_p a K' without a row table has its
+    closure decided in packed slots (linalg._closed_delta), with no δ∘K'
+    built, and that decision is the dict path's; otherwise δ∘K' is built
+    once and handed to the check."""
+    sub_in = coalg._subcoalgebra
     reduces = _spy(monkeypatch, linalg, "_reduce")
     kernels = _spy(monkeypatch, coalg, "kernel_basis_sparse")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    packs = _spy(monkeypatch, coalg, "_closed_delta")
+    deltas = _spy(monkeypatch, coalg, "_delta_apply")
     solves = _spy(monkeypatch, coalg, "_equalizer")
     krons = _spy(monkeypatch, coalg, "kron_apply")
     columns, column_in = [], Coalgebra.delta_column
@@ -847,7 +883,7 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                         lambda self, j: columns.append((self, j)) or column_in(self, j))
 
     def pullback(f, g):
-        for calls in (reduces, kernels, checks, solves, krons, columns):
+        for calls in (reduces, kernels, checks, packs, deltas, solves, krons, columns):
             calls.clear()
         _outcome(relative_pullback_coalg, CoalgCategory(f.mat.field), f, g)
         if not solves:
@@ -856,7 +892,7 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
         return x, t, z
 
     rng = rng_for("pb-counital")
-    routes = set()
+    routes, packed_routes = set(), set()
     for field in (QQ, GF(2), GF(5)):
         for dense in (False, True, True):
             f0 = rand_finfun(rng, rng.randint(1, 4), rng.randint(1, 3))
@@ -869,6 +905,9 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
             system = pullback(f, g)
             (((x, k, delta_k), eq),) = checks
             assert eq is not None
+            packed = coalg._packs_closure(x, k)
+            packed_routes.add(packed)
+            assert (delta_k is None) == packed and len(packs) == packed and len(deltas) == (not packed)
             assert system is None or (dense and system[0] is x and system[2] is None)
             assert [args for args, _ in kernels] == ([] if system is None else [(system[1],)])
             assert system is None or not any(args[0] is system[1] for args, _ in krons)
@@ -876,11 +915,15 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
             routes.add(system is None)
             assert "delta" not in vars(x) and "epsilon" not in vars(x)
             assert not any(c is x for c, _ in columns)
-            assert delta_k == x.delta @ k
+            assert delta_k is None or delta_k == x.delta @ k
+            if packed:
+                want = sub_in(x, k, x.delta @ k)
+                assert (eq.object.delta, eq.object.epsilon, eq.left_inv) == (
+                    want.object.delta, want.object.epsilon, want.left_inv)
             fe, eg = _legs_on_tensor(f, g)
             full = kron_apply(Matrix.identity(field, x.dim), fe.mat - eg.mat, x.delta)
             assert k == _equalizer_system(x, full, Matrix.identity(field, x.dim))[0]
-    assert routes == {True, False}
+    assert routes == {True, False} and packed_routes == {True, False}
     field = GF(5)
     a, c, b = (rand_raw_coalgebra(rng, field, d) for d in (2, 2, 1))
     x, t, z = pullback(CoalgMap(a, b, rand_matrix(rng, field, 1, 2)),
@@ -896,19 +939,26 @@ def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypa
     0, and then the equalizer is K' itself: a counital pullback hands the
     closure check K' and δ∘K' as the kernel of t gave them, or, on a
     linearized cospan, as its matching pairs give them, and takes no other
-    kernel, so it builds no second system.  Random non-counital data, where
-    the reference's N is not the identity, gets K'∘N and δ∘K'∘N."""
+    kernel, so it builds no second system; over F_p a K' without a row
+    table is handed without δ∘K', whose closure is decided in packed slots
+    (linalg._closed_delta), once.  Random non-counital data, where the
+    reference's N is not the identity, gets K'∘N and δ∘K'∘N."""
     kernels = _spy(monkeypatch, coalg, "kernel_basis_sparse")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    packs = _spy(monkeypatch, coalg, "_closed_delta")
     rng = rng_for("eq-skip-n")
-    eliminated = 0
+    eliminated = packed = 0
     for field in FIELDS:
         f = linearize_fun(rand_finfun(rng, 4, 2), field)
         g = linearize_fun(rand_finfun(rng, 3, 2), field)
         for f, g in ((f, g), _counital_cospan(rng, field)):
             relative_pullback_coalg(CoalgCategory(field), f, g)
             (((x, k_used, delta_k_used), _),) = checks
-            assert delta_k_used == x.delta @ k_used
+            if coalg._packs_closure(x, k_used):
+                assert delta_k_used is None and [args[2] for args, _ in packs] == [k_used]
+                packed += 1
+            else:
+                assert delta_k_used == x.delta @ k_used and not packs
             # K' is the kernel of the full system, as its elimination or the pairs give it
             fe, eg = _legs_on_tensor(f, g)
             full = kron_apply(Matrix.identity(field, x.dim), fe.mat - eg.mat, x.delta)
@@ -917,7 +967,8 @@ def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypa
             eliminated += len(kernels)
             kernels.clear()
             checks.clear()
-    assert eliminated
+            packs.clear()
+    assert eliminated and packed
     multiplied = 0
     for field in RESTRICTION_FIELDS:
         for _ in range(30):
@@ -970,8 +1021,10 @@ def test_counital_equalizer_falls_back_to_the_second_system_as_the_reference_doe
     """On counital coalgebras that are not coassociative, coalg_equalizer
     gives what the reference gives, which always solves the second system:
     on K' when the closure check passes, else on K'∘N with one more check.
-    Both branches must be seen."""
+    Both branches must be seen; on a coalgebra that is not a tensor product
+    no check is packed."""
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    packs = _spy(monkeypatch, coalg, "_closed_delta")
     rng = rng_for("eq-fallback")
     seen, coassociative = set(), set()
     for field in FALLBACK_FIELDS:
@@ -990,15 +1043,20 @@ def test_counital_equalizer_falls_back_to_the_second_system_as_the_reference_doe
             k, _, system = _equalizer_system(x, t, z)
             assert len(checks) == (1 if passed else 2)
             assert got == _reference_equalizer(x, t, z)
-    assert seen == {True, False} and coassociative == {True, False}
+    assert seen == {True, False} and coassociative == {True, False} and not packs
 
 
 def test_counital_pullback_falls_back_to_the_second_system_as_the_reference_does(monkeypatch):
     """The same on pullbacks of such coalgebras: the payload is the
-    reference's equalizer of f⊗ε and ε⊗g, or the same failure."""
+    reference's equalizer of f⊗ε and ε⊗g, or the same failure.  Over F_p
+    the check on K' is decided in packed slots (linalg._closed_delta) when
+    K' has no row table, and δ∘K' is built only when it fails, for the
+    second system; a failure must be seen on that route."""
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    packs = _spy(monkeypatch, coalg, "_closed_delta")
+    deltas = _spy(monkeypatch, coalg, "_delta_apply")
     rng = rng_for("pb-fallback")
-    seen = set()
+    seen, packed_seen = set(), set()
     for field in FALLBACK_FIELDS:
         base = CoalgCategory(field)
         for _ in range(20):
@@ -1007,15 +1065,23 @@ def test_counital_pullback_falls_back_to_the_second_system_as_the_reference_does
             b = grouplike(field, nb)
             f = CoalgMap(a, b, rand_sparse_matrix(rng, field, nb, a.dim, 0.5))
             g = CoalgMap(c, b, rand_sparse_matrix(rng, field, nb, c.dim, 0.5))
-            checks.clear()
+            for calls in (checks, packs, deltas):
+                calls.clear()
             got = _outcome(relative_pullback_coalg, base, f, g)
-            seen.add(checks[0][1] is not None)
+            (x, k, delta_k), passed = checks[0][0], checks[0][1] is not None
+            seen.add(passed)
+            if coalg._packs_closure(x, k):
+                packed_seen.add(passed)
+                assert delta_k is None and len(packs) == 1
+                assert [args[1] for args, _ in deltas] == ([] if passed else [k])
+            else:
+                assert not packs and delta_k is not None
             fe, eg = _legs_on_tensor(f, g)
             want = _reference_equalizer(fe.src, *_t_and_z(fe, eg))
             if not isinstance(want, str) and fe.mat @ want.j.mat != eg.mat @ want.j.mat:
                 want = "pullback square does not commute"
             assert (got if isinstance(got, str) else got.payload) == want
-    assert seen == {True, False}
+    assert seen == {True, False} and False in packed_seen
 
 
 def test_counital_equalizer_fails_as_the_reference_does_when_n_is_one(monkeypatch):
@@ -1359,6 +1425,104 @@ def _counital_cospan(rng, field):
             rebased_map(linearize_fun(g0, field), random_basis(rng, field, g0.dom.size), p_b))
 
 
+def _largest_closure_prime(n):
+    """The largest prime p with n²·(p-1)³ < p·h, h = 2^(63 - bit length of
+    p): the widest field whose closure checks on an n-dimensional tensor
+    product are packed."""
+    for bits in range(24, 1, -1):
+        h = 1 << 63 - bits
+        p = min(2**bits - 1, round((2**bits * h / (n * n)) ** (1 / 3)) + 2)
+        while p >= 2 ** (bits - 1) and not (n * n * (p - 1) ** 3 < p * h and _is_prime(p)):
+            p -= 1
+        if p >= 2 ** (bits - 1):
+            return p
+
+
+def _next_prime(p):
+    p += 1
+    while not _is_prime(p):
+        p += 1
+    return p
+
+
+def _closure_both_ways(x, k):
+    """Whether k is closed in x, decided in packed slots and on the dict
+    path, which must agree, with δ_E, ε_E and L equal bit for bit."""
+    assert coalg._packs_closure(x, k)
+    packed = coalg._subcoalgebra(x, k, None)
+    plain = coalg._subcoalgebra(x, k, coalg._delta_apply(x, k))
+    assert (packed is None) == (plain is None)
+    if plain is not None:
+        for got, want in ((packed.object.delta, plain.object.delta), (packed.object.epsilon, plain.object.epsilon),
+                          (packed.left_inv, plain.left_inv), (packed.j.mat, plain.j.mat)):
+            assert (got.rows, got.cols, got.columns) == (want.rows, want.cols, want.columns)
+    return plain is not None
+
+
+def _planted_basis(rng, field, k):
+    """k with one entry changed at a coordinate below its column's free one
+    and free in no column, so it stays a canonical basis; None when there
+    is no such coordinate."""
+    free = [max(col) for col in k.columns]
+    spots = [(t, s) for t, u in enumerate(free) for s in range(u) if s not in free]
+    if not spots:
+        return None
+    (t, s), cols = rng.choice(spots), [dict(col) for col in k.columns]
+    old, v = cols[t].pop(s, 0), None
+    while v in (None, old):
+        v = rng.randrange(field.p)
+    if v:
+        cols[t][s] = v
+    return general(Matrix.from_cols(field, k.rows, cols))
+
+
+@pytest.mark.parametrize("na, nc, nb", [(2, 3, 2), (3, 2, 1), (4, 2, 2)])
+def test_packed_closure_check_is_the_dict_path(monkeypatch, na, nc, nb):
+    """Over F_2, F_5, F_32003 and the largest prime whose closure checks on
+    A⊗C the packed path admits, the check in packed slots
+    (linalg._closed_delta) gives the dict path's verdict and, when it
+    passes, its δ_E, ε_E and L bit for bit: on K' of dense cospans (linear
+    cospans of finite sets in random bases, dim A ≠ dim C), on random
+    canonical bases, which are in general not closed, and on K' with one
+    entry planted wrong, in K' or in δ_A.  Both verdicts are seen in each
+    field.  subcoalgebra takes the packed path in the largest of those
+    fields and the dict path in the next, whose sums could overflow."""
+    packs = _spy(monkeypatch, coalg, "_closed_delta")
+    n = na * nc
+    edge = _largest_closure_prime(n)
+    past = _next_prime(edge)
+    assert linalg._fits_closure(GF(edge), n) and not linalg._fits_closure(GF(past), n)
+    rng = rng_for(f"packed-closure-{na}-{nc}")
+    for field in (GF(2), GF(5), GF(32003), GF(edge), GF(past)):
+        verdicts = set()
+        for _ in range(3):
+            f0, g0 = rand_finfun(rng, na, nb), rand_finfun(rng, nc, nb)
+            p_b = random_basis(rng, field, nb)
+            f = rebased_map(linearize_fun(f0, field), random_basis(rng, field, na), p_b)
+            g = rebased_map(linearize_fun(g0, field), random_basis(rng, field, nc), p_b)
+            x = tensor_coalgebra(f.src, g.src)
+            k = general(kernel_basis_sparse(_t_and_z(*_legs_on_tensor(f, g))[0]))
+            if field is GF(past):
+                packs.clear()
+                assert not coalg._packs_closure(x, k)
+                assert _outcome(subcoalgebra, x, k) == coalg._subcoalgebra(x, k, coalg._delta_apply(x, k))
+                assert not packs
+                continue
+            bases = [k, _planted_basis(rng, field, k)]
+            bases += [general(kernel_basis_sparse(rand_matrix(rng, field, rng.randint(1, n - 1), n)))
+                      for _ in range(2)]
+            for basis in bases:
+                if basis is not None and basis.cols:
+                    verdicts.add(_closure_both_ways(x, basis))
+            assert _closure_both_ways(x, k)
+            bent = Coalgebra(na, field, delta=mutate_one_entry(rng, field, f.src.delta), epsilon=f.src.epsilon)
+            verdicts.add(_closure_both_ways(tensor_coalgebra(bent, g.src), k))
+            packs.clear()
+            assert _outcome(subcoalgebra, x, k) == coalg._subcoalgebra(x, k, coalg._delta_apply(x, k))
+            assert len(packs) == 1
+        assert field is GF(past) or verdicts == {True, False}
+
+
 def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
     """δ_E, the rows of δ∘K at pairs of K's free coordinates, is (L⊗L)∘δ∘K
     as one kron_apply gives it, L = kernel_left_inverse(K), whether the
@@ -1367,7 +1531,8 @@ def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
     group-like ones (no pairs, a point and a 2×2 rectangle among them) and
     on the second system's K'·N of non-counital ones.  Where δ∘K has a row
     table, δ_E is handed over with its own, and the equalizer is the one
-    the dict path gives on general copies of K and δ∘K, bit for bit."""
+    the dict path gives on general copies of K and δ∘K, bit for bit; so is
+    the one decided in packed slots, with δ∘K not handed over."""
     sub_in, kron_in, solve_in = coalg._subcoalgebra, coalg.kron_apply, coalg._equalizer
     closures, kprime, seen = {}, [None], set()
 
@@ -1384,7 +1549,13 @@ def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
         closures.clear()
         eq = sub_in(x, k, delta_k)
         lk = kernel_left_inverse(k)
-        delta_e, handed = closures[id(k)]  # the closure check (K⊗K)∘δ_E
+        if delta_k is None:
+            assert coalg._packs_closure(x, k) and not closures
+            delta_k = coalg._delta_apply(x, k)
+            delta_e, handed = kron_in(lk, lk, delta_k), False
+            seen.add(("packed", eq is not None))
+        else:
+            delta_e, handed = closures[id(k)]  # the closure check (K⊗K)∘δ_E
         assert delta_e == kron_in(lk, lk, delta_k)
         assert eq is None or eq.object.delta == delta_e
         seen.add(("tensor" if x._factors else "plain", eq is not None))
@@ -1432,6 +1603,7 @@ def test_subcoalgebra_delta_is_l_tensor_l_of_delta_k(monkeypatch):
             f, g = (linearize_fun(FinFun(FinSetObj(len(t)), FinSetObj(nb), t), field) for t in (fa, gc))
             assert relative_pullback_coalg(base, f, g).apex.dim == len(fa) * len(gc) * (nb == 1)
     assert seen >= {("plain", True), ("plain", False), ("tensor", True), ("tensor", False), "K'N",
+                    ("packed", True),
                     ("table", True, 0), ("table", True, 1), ("table", True, 2), ("table", True, 4)}
 
 

@@ -488,21 +488,46 @@ def _test_columns(rng, field, a, b):
     return Matrix.from_cols(field, n, cols)
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), F5, GF(32003)])
-def test_kron_apply_matches_kron_on_each_path(field):
+def _spy_results(monkeypatch, name):
+    """The results of the calls to linalg.<name> from here on."""
+    results, fn = [], getattr(linalg, name)
+    monkeypatch.setattr(linalg, name, lambda *args: results.append(fn(*args)) or results[-1])
+    return results
+
+
+def _sparse_factor(rng, field, rows, cols):
+    """rows x cols with at most one nonzero in each column, any nonzero
+    scalar, some columns zero: a counit when rows = 1."""
+    pool = _scalars(field)
+    return Matrix.from_cols(field, rows, [{rng.randrange(rows): rng.choice(pool)} if rng.random() < 0.8
+                                          else {} for _ in range(cols)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F5, GF(32003), GF(2**61 - 1)])
+def test_kron_apply_matches_kron_on_each_path(monkeypatch, field):
     """kron_apply(a, b, m) = kron(a, b) @ m, in canonical form, when both
     factors are dense (the middle path), when one is an identity or a
-    one-entry projection (the cached path), and on columns of M with one
-    entry, several, or several that cancel."""
+    one-entry projection, when A⊗B is a contraction, identity⊗ε, ε⊗identity
+    or identity⊗(at most one nonzero per column), with zero entries (the
+    one pass), and on columns of M that are empty, with one entry, several,
+    or several that cancel.  Exactly the contractions take the one pass."""
+    contractions = _spy_results(monkeypatch, "_contract")
     rng = rng_for(f"kron-apply-paths-{field!r}")
     for _ in range(12):
         a, b = _dense_factor(rng, field, rng.randint(2, 3)), _dense_factor(rng, field, rng.randint(2, 3))
         assert sum(map(len, a.columns)) > a.cols and sum(map(len, b.columns)) > b.cols
-        pairs = ((a, b), (Matrix.identity(field, a.cols), b), (a, Matrix.identity(field, b.cols)),
+        ident = partial(Matrix.identity, field)
+        pairs = ((a, b), (ident(a.cols), b), (a, ident(b.cols)),
                  (_projection(rng, field, 2, a.cols), b), (a, _projection(rng, field, b.rows, b.cols)))
-        for x, y in pairs:
+        n = rng.randint(2, 4)
+        contracting = ((ident(a.cols), _sparse_factor(rng, field, 1, n)),
+                       (_sparse_factor(rng, field, 1, n), ident(b.cols)),
+                       (ident(a.cols), _sparse_factor(rng, field, n - 1, n)))
+        for k, (x, y) in enumerate(pairs + contracting):
             m = _test_columns(rng, field, x, y)
+            contractions.clear()
             got = kron_apply(x, y, m)
+            assert [r is not None for r in contractions] == [k >= len(pairs)]
             assert got == kron(x, y) @ m
             _assert_canonical(got)
             assert got.cols > 6 and not any(got.columns[6:])  # the kernel columns cancel
