@@ -18,11 +18,12 @@ A side g∘(f⊗h)∘… is read one basis vector e_p of f's domain at a time, a
 the columns of g∘(f(e_p)⊗1), a combination of column slices of g, applied
 to h's columns.  check_coalgebra reads coassociativity of k[X] off its
 row tables (see below) and decides it otherwise with
-linalg._coassoc_difference: over F_p on a dense δ, one basis vector at a
-time in packed 64-bit slots, with neither (δ⊗1)∘δ nor (1⊗δ)∘δ built, and
-otherwise as the first difference of the two whole products, index maps on
-group-like data.  On decoded input jsonio.MAX_COASSOC_PRODUCTS bounds the
-products those two would make.
+linalg._coassoc_difference, a decider of linalg's packed F_p layer: on a
+dense δ over F_p within the layer's gate, one basis vector at a time in
+64-bit slots, with neither (δ⊗1)∘δ nor (1⊗δ)∘δ built, and otherwise as the
+first difference of the two whole products, index maps on group-like data.
+On decoded input jsonio.MAX_COASSOC_PRODUCTS bounds the products those two
+would make.
 
 Equalizers of coalgebra maps are computed in two steps: the underlying
 subspace E is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and
@@ -42,9 +43,10 @@ certificate: when it passes, (T⊗1)∘δ∘K' = (T∘K'⊗K')∘δ_E = 0, so N 
 E = K'.  The second system is built only when z ≠ 1 or that check fails.
 This basis is canonical: each column is 1 at its largest nonzero
 coordinate, where the others are 0.  Over F_p on a tensor product A⊗C,
-when K' has no row table and n²·(p-1)³ < p·h for n = dim A⊗C (h as in
-linalg._slot_room), the check is decided in packed 64-bit slots
-(linalg._closed_delta), which read δ_E off them: δ∘K' is built as a
+when K' has no row table and the gate of linalg's packed F_p layer admits
+n² products of three residues per slot, n = dim A⊗C (linalg._fits_closure),
+the check is decided in 64-bit slots by the layer's closure decider
+(linalg._closed_delta), which reads δ_E off them: δ∘K' is built as a
 matrix only off that gate, as over Q, a wide prime or a row table, or
 when the check fails and the second system needs it.
 

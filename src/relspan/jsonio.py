@@ -131,8 +131,9 @@ MAX_EQUALIZER_DIM = 10_000
 # The most products of (δ⊗1)∘δ and (1⊗δ)∘δ a coalgebra's axiom check is
 # allowed: at the bound, a dense 34-dimensional coalgebra.
 # coalg.check_coalgebra builds both sides over Q, a large p or a sparse δ;
-# on a dense δ over F_p it decides them in packed slots instead
-# (linalg._coassoc_difference), at less cost, and the count is the same.
+# on a dense δ over F_p within the gate of linalg's packed layer it decides
+# them in 64-bit slots instead (linalg._coassoc_difference), at less cost,
+# and the count is the same.
 MAX_COASSOC_PRODUCTS = 10**8
 
 
@@ -182,10 +183,10 @@ def bound_equalizer(label, dim):
 def bound_coalgebra(label, c):
     """Refuse, under label, a coalgebra whose axiom check would make more
     than MAX_COASSOC_PRODUCTS products of (δ⊗1)∘δ and (1⊗δ)∘δ, counted as
-    if both were built (they are, off the packed path of
-    linalg._coassoc_difference): a nonzero of δ at row r makes
-    |δ[:, r // n]| + |δ[:, r % n]| of them.  Counted in one pass over δ's
-    nonzeros, nothing built."""
+    if both were built (they are, off the gate of linalg's packed F_p
+    layer, whose decider linalg._coassoc_difference builds neither): a
+    nonzero of δ at row r makes |δ[:, r // n]| + |δ[:, r % n]| of them.
+    Counted in one pass over δ's nonzeros, nothing built."""
     cols, n = c.delta.columns, c.dim
     lengths = [len(col) for col in cols]
     products = sum(lengths[r // n] + lengths[r % n] for col in cols for r in col)

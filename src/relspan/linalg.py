@@ -12,12 +12,16 @@ column of A it picks, shared when b is one and scaled otherwise.
 kron_apply, (A⊗B)∘M without A⊗B, states its path rules in its docstring,
 and kron is kron_apply on the identity; a contraction, a square identity
 beside a counit or a coordinate projection, is one pass (_contract).
-_coassoc_difference compares (δ⊗1)∘δ with (1⊗δ)∘δ; on a dense δ over F_p
-it builds neither, and decides each column in the packed slots kron_apply
-uses.  _closed_delta decides in such slots whether a subspace K of a tensor
-coalgebra over F_p is closed, (K⊗K)∘δ_E = δ∘K, building neither side, and
-reads δ_E off them; both decide a column with one exact division and one
-mask (_slot_test).  X⊗Z - W⊗Y is built one column at a time, without
+Over F_p, three equations are decided on one packed layer: sums of
+products of residues in 64-bit slots, reduced once per slot.  It has one
+gate on the products a slot may sum (_most_terms), one block sum
+(A⊗B)·m (_kron_blocks), one pack, unpack and join (_pack, _slots, _join)
+and one test of two sums, an exact division and a mask (_slot_test).
+kron_apply's packed column unpacks a block sum mod p; _coassoc_difference
+compares (δ⊗1)∘δ with (1⊗δ)∘δ on a dense δ, building neither; and
+_closed_delta decides whether a subspace K of a tensor coalgebra is
+closed, (K⊗K)∘δ_E = δ∘K, both sides block sums, building neither, and
+reads δ_E off them.  X⊗Z - W⊗Y is built one column at a time, without
 either product.  These two normalize a product of entries only when a
 factor is not one (a Q product of two Fractions can be integral, an F_p
 product needs its reduction).  A product with a square
@@ -484,20 +488,21 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
     On any other factors a column of M with one nonzero is that one term,
     built in one pass.
 
-    Over F_p, a column of M with N nonzeros is accumulated in packed 64-bit
-    slots (_packed_column) when no column of A or B is zero, one of them has
-    more than one nonzero per column on average (dense⊗dense, dense⊗identity),
-    N·(p-1)³ < 2⁶⁴, as every slot sums at most N products of three residues
-    below p, so none can carry into the next before the one reduction per
-    entry (delayed reduction, as in FFLAS-FFPACK, on Kronecker substitution),
-    and N·lo_a·lo_b ≥ a.rows·b.rows, lo_a and lo_b being the fewest
-    nonzeros in a column of A and of B: the column then makes at least as
-    many products as the slots it can unpack, one Python step each.  Q has no
-    such bound on its sums, nor does a larger p, and a factor with a zero
-    column or a sparse one (a matrix coalgebra's δ, with n of its n⁴ rows)
-    would unpack mostly empty slots, so those take the dict path, through
-    the middle, (A⊗1)∘(1⊗B): the nonzeros that share a p are summed into one
-    combination of B's columns, which each nonzero of A[:,p] then scales.
+    Over F_p, a column of M with N nonzeros is the packed layer's block sum
+    (_kron_blocks), unpacked mod p (_packed_column), when no column of A or
+    B is zero, one of them has more than one nonzero per column on average
+    (dense⊗dense, dense⊗identity), the gate admits N unpacked products of
+    three residues (_most_terms: N·(p-1)³ < 2⁶⁴), as every slot sums at
+    most N of them, so none can carry into the next before the one
+    reduction per entry, and N·lo_a·lo_b ≥ a.rows·b.rows, lo_a and lo_b
+    being the fewest nonzeros in a column of A and of B: the column then
+    makes at least as many products as the slots it can unpack, one Python
+    step each.  Q has no such bound on its sums, nor does a larger p, and a
+    factor with a zero column or a sparse one (a matrix coalgebra's δ, with
+    n of its n⁴ rows) would unpack mostly empty slots, so those take the
+    dict path, through the middle, (A⊗1)∘(1⊗B): the nonzeros that share a p
+    are summed into one combination of B's columns, which each nonzero of
+    A[:,p] then scales.
     Every path normalizes its sums once per entry."""
     require_same_field(a.field, b.field)
     require_same_field(a.field, m.field)
@@ -514,12 +519,12 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
         return out
     acols, bcols = a.columns, b.columns
     # every column of A has lo_a nonzeros or more and of B lo_b, so a column of M with N nonzeros makes at
-    # least N·lo_a·lo_b products; it is packed when they cover the a.rows·nb slots, N·(p-1)³ < 2⁶⁴ and
-    # A or B has more nonzeros than columns
-    lo = isinstance(fld, PrimeField) and sum(map(len, acols)) + sum(map(len, bcols)) > a.cols + bc and (
+    # least N·lo_a·lo_b products; it is packed when they cover the a.rows·nb slots, N is within the gate
+    # and A or B has more nonzeros than columns
+    most = _most_terms(fld, 3, compared=False)
+    lo = most > 1 and sum(map(len, acols)) + sum(map(len, bcols)) > a.cols + bc and (
         min(map(len, acols), default=0) * min(map(len, bcols), default=0))
-    least, most = (-(-rows // lo), (2**64 - 1) // (fld.p - 1) ** 3) if lo else (1, 0)
-    packed, out = {}, []
+    least, packed, out = -(-rows // lo) if lo else most + 1, None, []
     for mcol in m.columns:
         if len(mcol) == 1:
             ((idx, v),) = mcol.items()
@@ -528,7 +533,8 @@ def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:
             out.append({i * nb + k: one if v == x == y == one else norm(v * x * y)
                         for i, x in ap for k, y in bq})
         elif least <= len(mcol) <= most:
-            out.append(_packed_column(acols, bcols, nb, fld.p, packed, mcol))
+            packed = packed or [_pack(col, nb) for col in bcols]
+            out.append(_packed_column(acols, packed, nb, fld.p, mcol))
         else:
             mid, acc = {}, {}
             for idx, v in mcol.items():
@@ -575,66 +581,83 @@ def _contract(a: Matrix, b: Matrix, m: Matrix):
     return Matrix.from_cols(m.field, rows, out)
 
 
-def _packed_column(acols, bcols, nb, prime, packed, mcol):
-    """One column of (A⊗B) @ M over F_p, within kron_apply's slot bound, in
-    64-bit slots of ints: each column of B is packed once per call (slot k
-    holds B[k,q]) and cached in packed, mid_p = Σ v·B̂_q over the nonzeros
-    that share a p, block_i = Σ_p A[i,p]·mid_p for each row i of A reached,
-    and each block is unpacked once, reduced, zeros dropped, rows ascending."""
-    bc, width, order = len(bcols), 8 * nb, sys.byteorder
-    mid = {}
-    for idx, v in mcol.items():
-        p, q = divmod(idx, bc)
-        y = packed.get(q)
-        if y is None:
-            y = packed[q] = _pack(bcols[q], width)
-        if y:
-            mid[p] = mid.get(p, 0) + v * y
-    blocks = {}
-    for p, w in mid.items():
-        for i, x in acols[p].items():
-            blocks[i] = blocks.get(i, 0) + x * w
-    return {k: r for i in sorted(blocks)
-            for k, s in enumerate(memoryview(blocks[i].to_bytes(width, order)).cast("Q"), i * nb)
-            if (r := s % prime)}
+def _packed_column(acols, bhat, nb, prime, mcol):
+    """One column of (A⊗B) @ M over F_p, within kron_apply's gate: the
+    block sum of _kron_blocks, bhat B's columns packed in nb slots each,
+    every block unpacked once, reduced, zeros dropped, rows ascending."""
+    blocks = _kron_blocks(acols, bhat, mcol)
+    return {k: r for i in sorted(blocks) for k, s in enumerate(_slots(blocks[i], nb), i * nb) if (r := s % prime)}
 
 
-def _pack(col, width):
-    """The int whose 64-bit slot k holds col[k], in width bytes."""
-    slots = memoryview(bytearray(width)).cast("Q")
+def _most_terms(field, degree, compared=True):
+    """The one gate of the packed path: the most products of degree
+    residues that a 64-bit slot may sum, the largest N with
+    N·(p-1)^degree < p·h when two sums are compared (_slot_test), h being
+    2^(63 - bit length of p), and with N·(p-1)^degree < 2⁶⁴ when one sum is
+    unpacked; -1 over Q, which has no slot bound.  From 64 bits on h = 1,
+    so p·h ≤ (p-1)² and (p-1)² > 2⁶⁴: at degree 2 or more no such prime is
+    admitted at N ≥ 1, compared or unpacked.  Degree 0 gives p·h - 1."""
+    if not isinstance(field, PrimeField):
+        return -1
+    p = field.p
+    top = p << max(0, 63 - p.bit_length()) if compared else 2**64
+    return (top - 1) // (p - 1) ** degree
+
+
+def _pack(col, n):
+    """The int whose 64-bit slot k holds col[k], in n slots."""
+    slots = memoryview(bytearray(8 * n)).cast("Q")
     for k, x in col.items():
         slots[k] = x
     return int.from_bytes(slots, sys.byteorder)
 
 
-def _slot_room(field):
-    """p·h over F_p and 0 over Q, for h the power of two 2^(63 - bit length
-    of p), or 1 from 64 bits on, so that 2ph < 2⁶⁴; as ph > 2⁶², a bound
-    top < p·h holds whenever 4·top < 2⁶⁴.  Two packed sums whose slots lie
-    in [0, top] are compared by _slot_test when top < p·h."""
-    return field.p << max(0, 63 - field.p.bit_length()) if isinstance(field, PrimeField) else 0
+def _slots(x, n):
+    """The n 64-bit slots of x, as a memoryview."""
+    return memoryview(x.to_bytes(8 * n, sys.byteorder)).cast("Q")
 
 
-def _slot_test(field, block, blocks):
-    """(start, differs) for comparing two packed sums over F_p, each of
-    blocks blocks of block 64-bit slots, every slot in [0, top] for a
-    top < p·h (_slot_room): start holds p·h in each slot of a block, and
-    the left sum is started at it in every block.  Every slot of
-    s = left - right is then in [ph - top, ph + top] ⊂ [0, 2⁶⁴) and ≡ the
-    difference of the sides mod p.  p divides every slot exactly when p
-    divides s and every slot of s / p is below 2h: then the slots of
-    p·(s / p) are below 2ph < 2⁶⁴, so they are those of s.  So
-    differs(s), one exact division and one mask, says whether the sides
-    differ mod p in some slot."""
-    order, prime, ph = sys.byteorder, field.p, _slot_room(field)
-    start = int.from_bytes(ph.to_bytes(8, order) * block, order)
-    mask = int.from_bytes((2**64 - 2 * ph // prime).to_bytes(8, order) * (block * blocks), order)
+def _join(xs, n):
+    """The bytes of the slots of each x in xs in turn, n slots each."""
+    return b"".join([x.to_bytes(8 * n, sys.byteorder) for x in xs])
 
-    def differs(s):
-        q, rest = divmod(s, prime)
+
+def _kron_blocks(acols, bhat, mcol):
+    """{i: Σ_p A[i,p]·Σ_q M[p·b.cols + q]·B̂_q} over the nonzeros of a
+    column of M, for each row i of A reached, B̂_q = bhat[q] being column q
+    of B packed: block i holds rows i·b.rows + k of (A⊗B) @ M in slot k,
+    each slot a sum of one product of three residues per nonzero of the
+    column (delayed reduction, as in FFLAS-FFPACK, on Kronecker
+    substitution)."""
+    mid, bc = {}, len(bhat)
+    for idx, v in mcol.items():
+        p, q = divmod(idx, bc)
+        mid[p] = mid.get(p, 0) + v * bhat[q]
+    blocks = {}
+    for p, w in mid.items():
+        for i, x in acols[p].items():
+            blocks[i] = blocks.get(i, 0) + x * w
+    return blocks
+
+
+def _slot_test(field, n):
+    """differs(left, right), for the bytes of two packed sums over F_p of n
+    64-bit slots, every slot in [0, top] for a top < p·h (_most_terms):
+    s = start + left - right, start holding p·h in every slot, has every
+    slot in [ph - top, ph + top] ⊂ [0, 2⁶⁴), ≡ the difference of the sides
+    mod p.  p divides every slot exactly when p divides s and every slot of
+    s / p is below 2h: then the slots of p·(s / p) are below 2ph < 2⁶⁴, so
+    they are those of s.  So differs, one exact division and one mask, says
+    whether the sides differ mod p in some slot."""
+    order, prime, ph = sys.byteorder, field.p, _most_terms(field, 0) + 1
+    start = int.from_bytes(ph.to_bytes(8, order) * n, order)
+    mask = int.from_bytes((2**64 - 2 * ph // prime).to_bytes(8, order) * n, order)
+
+    def differs(left, right):
+        q, rest = divmod(start + int.from_bytes(left, order) - int.from_bytes(right, order), prime)
         return bool(rest or q & mask)
 
-    return start, differs
+    return differs
 
 
 def _coassoc_difference(d: Matrix):
@@ -643,44 +666,39 @@ def _coassoc_difference(d: Matrix):
 
     The path runs over F_p when d is dense enough that the products of the
     two sides, about 2·nnz(d)²/n, cover the n⁴ slots it reads, nnz(d)² ≥ n⁵
-    (a row table, nnz = n, never is from n = 2), and top = n·(p-1)² is
-    below _slot_room.  Column q of d packs into n² slots as δ̂_q, and
-    D[a, b] = d[a·n + b, j] for the column j at hand.  The left side, in
-    (c, a, b) order, is the blocks Σ_a D[a, c]·δ̂_a, each started at p·h in
-    every slot; the right side, in (a, b, c) order, is the blocks
-    Σ_b D[a, b]·δ̂_b, moved to (c, a, b) order by n strided copies.  Either
-    sum, without that start, has its slots in [0, top], so _slot_test
-    decides the column with one exact division and one mask, and the first
-    that fails is j.  Every other d keeps the two kron_apply products: Q and
-    a larger p have no slot bound, and a sparse d makes fewer products than
-    the slots it would read."""
+    (a row table, nnz = n, never is from n = 2), and n is within the gate
+    for products of two residues (_most_terms).  Column q of d packs into
+    n² slots as δ̂_q, and D[a, b] = d[a·n + b, j] for the column j at hand.
+    The left side, in (c, a, b) order, is the blocks Σ_a D[a, c]·δ̂_a; the
+    right side, in (a, b, c) order, is the blocks Σ_b D[a, b]·δ̂_b, moved
+    to (c, a, b) order by n strided copies.  _slot_test decides the column,
+    and the first that fails is j.  Every other d keeps the two kron_apply
+    products: Q and a larger p have no slot bound, and a sparse d makes
+    fewer products than the slots it would read."""
     fld, n, cols = d.field, d.cols, d.columns
-    if not (room := _slot_room(fld)) or n * (fld.p - 1) ** 2 >= room or sum(map(len, cols)) ** 2 < n**5:
+    if n > _most_terms(fld, 2) or sum(map(len, cols)) ** 2 < n**5:
         i_n = Matrix.identity(fld, n)
         return first_difference(kron_apply(d, i_n, d), kron_apply(i_n, d, d))
-    nn, width, order = n * n, 8 * n * n, sys.byteorder
-    packed = [_pack(col, width) for col in cols]
-    start, differs = _slot_test(fld, nn, n)
+    nn = n * n
+    packed, differs = [_pack(col, nn) for col in cols], _slot_test(fld, nn * n)
     for j, col in enumerate(cols):
-        left, right = [start] * n, [0] * n
+        left, right = [0] * n, [0] * n
         for r, v in col.items():
             a, b = divmod(r, n)
             left[b] += v * packed[a]
             right[a] += v * packed[b]
-        abc = memoryview(b"".join([x.to_bytes(width, order) for x in right])).cast("Q")
-        cab = memoryview(bytearray(width * n)).cast("Q")
+        abc, cab = memoryview(_join(right, nn)).cast("Q"), memoryview(bytearray(8 * nn * n)).cast("Q")
         for c in range(n):
             cab[c * nn:c * nn + nn] = abc[c::n]
-        lhs = b"".join([x.to_bytes(width, order) for x in left])
-        if differs(int.from_bytes(lhs, order) - int.from_bytes(cab, order)):
+        if differs(_join(left, nn), cab):
             return j
     return None
 
 
 def _fits_closure(field, n):
     """Whether _closed_delta's sums fit their slots on an n-dimensional
-    space: over F_p, n²·(p-1)³ < p·h (_slot_room)."""
-    return (room := _slot_room(field)) > 0 and n * n * (field.p - 1) ** 3 < room
+    space: n² products of three residues within the gate (_most_terms)."""
+    return n * n <= _most_terms(field, 3)
 
 
 def _closed_delta(da: Matrix, dc: Matrix, k: Matrix, free):
@@ -688,44 +706,30 @@ def _closed_delta(da: Matrix, dc: Matrix, k: Matrix, free):
     and L the projection onto the free coordinates free[t] of the columns t
     of K, when (K⊗K)∘δ_E = δ∘K, else None; neither side is built.
 
-    Over F_p within _fits_closure, n = dim A⊗C, one column of K at a time:
-    column c of δ_C packs into nc² slots as δ̂_c, mid_a = Σ_c K[a·nc + c]·δ̂_c,
-    and block(a1, a2) = Σ_a δ_A[a1·na + a2, a]·mid_a holds the entries
-    (c1, c2) of δ∘K at (a1⊗c1)⊗(a2⊗c2); one join of the blocks' rows, each
-    nc slots, in (a1, c1, a2) order, lays δ∘K out in n² slots.  δ_E is read
-    off them at the pairs of free coordinates, mod p.  The other side is
-    built by rows: with K̂_j column j of K in n slots and k = K.cols,
-    inner_i = Σ_j δ_E[i·k + j]·K̂_j and row s is Σ_i K[s, i]·inner_i,
-    started at p·h.  Its slots sum at most n² products of three residues,
-    those of δ∘K at most n, so _slot_test decides the column."""
-    fld, na, nc, kc = k.field, da.cols, dc.cols, k.cols
-    n, prime, order, width, step = na * nc, fld.p, sys.byteorder, 8 * nc * nc, 8 * nc
-    hat_c = [_pack(col, width) for col in dc.columns]
-    hat_k = [_pack(col, 8 * n) for col in k.columns]
-    krows, acols = [list(r.items()) for r in _flip(k.columns, n)], da.columns
-    pairs = [(i, j, u * n + w) for i, u in enumerate(free) for j, w in enumerate(free)]
-    # the (block, byte offset) of each row of nc slots of δ∘K, in (a1, c1, a2) order
-    layout = [(a1 * na + a2, c1 * step) for a1 in range(na) for c1 in range(nc) for a2 in range(na)]
-    start, differs = _slot_test(fld, n, n)
-    out = []
+    Over F_p within _fits_closure, n = dim A⊗C, one column of K at a time,
+    both sides are block sums (_kron_blocks).  δ∘K is (δ_A⊗δ_C) applied to
+    the column, whose block (a1, a2) holds the entries (c1, c2) at
+    (a1⊗c1)⊗(a2⊗c2); one join of the blocks' rows, each nc slots, in
+    (a1, c1, a2) order, lays it out in n² slots.  δ_E is read off them at
+    the pairs of free coordinates, mod p, and (K⊗K)∘δ_E is (K⊗K) applied to
+    that column, its n blocks joined in order.  Its slots sum at most n²
+    products of three residues, those of δ∘K at most n, so _slot_test
+    decides the column."""
+    fld, na, nc = k.field, da.cols, dc.cols
+    n, nn, step = na * nc, nc * nc, 8 * nc
+    hat_c, hat_k = [_pack(col, nn) for col in dc.columns], [_pack(col, n) for col in k.columns]
+    pairs = [(i * k.cols + j, u * n + w) for i, u in enumerate(free) for j, w in enumerate(free)]
+    # the byte offset in the joined blocks of each row of nc slots of δ∘K, in (a1, c1, a2) order
+    layout = [(a1 * na + a2) * nn * 8 + c1 * step for a1 in range(na) for c1 in range(nc) for a2 in range(na)]
+    differs, out = _slot_test(fld, n * n), []
     for col in k.columns:
-        mid = {}
-        for r, v in col.items():
-            a, c = divmod(r, nc)
-            mid[a] = mid.get(a, 0) + v * hat_c[c]
-        blocks = [0] * (na * na)
-        for a, w in mid.items():
-            for r, x in acols[a].items():
-                blocks[r] += x * w
-        raw = [b.to_bytes(width, order) for b in blocks]
-        right = b"".join([raw[b][at:at + step] for b, at in layout])
-        slots, e, inner = memoryview(right).cast("Q"), {}, [0] * kc
-        for i, j, at in pairs:
-            if y := slots[at] % prime:
-                e[i * kc + j] = y
-                inner[i] += y * hat_k[j]
-        left = b"".join([(start + sum([x * inner[i] for i, x in r])).to_bytes(8 * n, order) for r in krows])
-        if differs(int.from_bytes(left, order) - int.from_bytes(right, order)):
+        blocks = _kron_blocks(da.columns, hat_c, col)
+        raw = _join([blocks.get(b, 0) for b in range(na * na)], nn)
+        right = b"".join([raw[at:at + step] for at in layout])
+        slots = memoryview(right).cast("Q")
+        e = {ij: y for ij, at in pairs if (y := slots[at] % fld.p)}
+        left = _kron_blocks(k.columns, hat_k, e)
+        if differs(_join([left.get(s, 0) for s in range(n)], n), right):
             return None
         out.append(e)
     return out

@@ -733,6 +733,41 @@ def test_coassoc_difference_keeps_the_products_off_its_gate(monkeypatch, make):
         assert not packed and not _packs_coassoc(m)
 
 
+def _prime_range_ends():
+    """The least and the largest prime of every bit length from 2 to 64, and 2⁶⁴+13."""
+    ends = [2**64 + 13]
+    for bits in range(2, 65):
+        least, largest = 2 ** (bits - 1), 2**bits - 1
+        while not _is_prime(least):
+            least += 1
+        while not _is_prime(largest):
+            largest -= 1
+        ends += [least, largest]
+    return ends
+
+
+def test_slot_gate_admits_exactly_the_literal_bounds():
+    """The packed path's one gate, linalg._most_terms, admits exactly what
+    each literal bound admits, at its edge and one term on either side:
+    N·(p-1)³ < 2⁶⁴ for kron_apply's unpacked column, n·(p-1)² < p·h for
+    coassociativity and n²·(p-1)³ < p·h for the closure check
+    (_fits_closure), h = 2^(63 - bit length of p) below 64 bits and 1 from
+    there, where no count from 1 is admitted.  Q admits nothing."""
+    for p in _prime_range_ends():
+        field, h = GF(p), 2 ** max(0, 63 - p.bit_length())
+        gates = [(linalg._most_terms(field, 3, compared=False), lambda t: t * (p - 1) ** 3 < 2**64),
+                 (linalg._most_terms(field, 2), lambda t: t * (p - 1) ** 2 < p * h)]
+        for edge, literal in gates:
+            assert edge >= 0 and all((t <= edge) == literal(t) for t in range(max(0, edge - 1), edge + 2))
+        edge = math.isqrt(linalg._most_terms(field, 3))
+        for n in range(max(0, edge - 1), edge + 2):
+            assert linalg._fits_closure(field, n) == (n * n * (p - 1) ** 3 < p * h)
+        if p.bit_length() >= 64:
+            assert [e for e, _ in gates] == [0, 0] and edge == 0 and not linalg._fits_closure(field, 1)
+    assert all(linalg._most_terms(QQ, d, compared=c) < 0 for d in (2, 3) for c in (True, False))
+    assert not any(linalg._fits_closure(QQ, n) for n in range(4))
+
+
 def test_integral_products_of_fractions_are_ints():
     two_thirds = Matrix.from_cols(QQ, 1, [{0: Fraction(2, 3)}])
     three_halves = Matrix.from_cols(QQ, 1, [{0: Fraction(3, 2)}])
