@@ -12,6 +12,21 @@ Admissibility of a class is not decidable in general, so this module only
 exposes instance-level checks of (POST), (PRE), (UNITAL), (MULTIPLICATIVE) and
 the split-epimorphism implication suite; the shipped classes are closed by
 theorems, making every instance check a test of the implementation.
+
+Each invariant of a span is checked at one layer, and the constructions
+behind BaseCategory.pullback and factor check none of them:
+- the apex: once per class-S decision, by object equality, raising
+  CompositionMismatch (check_span, which coalg.class_S_witness repeats for
+  its direct callers);
+- the test span's ends, a on dom f and c on dom g: relpull.universal_factor,
+  for every base, raising ShapeMismatch;
+- the square f∘a = g∘c: each instance's factor, whose arithmetic it is,
+  raising SquareDoesNotCommute;
+- the cospan's common codomain: legs_in_class, in front of every pullback
+  (relpull.relative_pullback, coalg.compare_cotensor_pullback), raising
+  CodomainMismatch; coalg.cotensor, a public construction with no class
+  decision in front of it, checks its own, which repeats legs_in_class's
+  behind compare_cotensor_pullback and the CLI.
 """
 
 from __future__ import annotations
@@ -154,13 +169,16 @@ class BaseCategory(ABC):
 
     @abstractmethod
     def pullback(self, f, g) -> RelPullback:
-        """The relative pullback of a cospan with legs in the class (checked
-        by the caller)."""
+        """The relative pullback of a cospan with legs in the class.  Checked
+        by the caller (legs_in_class): the common codomain and both legs'
+        class membership."""
 
     @abstractmethod
     def factor(self, pb: RelPullback, a, c):
-        """The h with p_A∘h = a, p_C∘h = c for a class-member span (checked by
-        the caller)."""
+        """The h with p_A∘h = a, p_C∘h = c; raises SquareDoesNotCommute when
+        f∘a != g∘c.  Checked by the caller (relpull.universal_factor): that
+        a ends on dom f and c on dom g, the common apex and the span's
+        class membership."""
 
     def monoid_checks(self, mon) -> Report:
         """Monoid axioms beyond associativity and the unit laws (none here)."""
@@ -204,8 +222,8 @@ def legs_in_class(base: BaseCategory, f, g) -> bool:
 
 
 def check_post_instance(base: BaseCategory, span: Span, f2, g2) -> bool:
-    """Single-instance witness of (POST): (f2∘f, A, g2∘g) is a member too."""
-    base.check_span(span)
+    """Single-instance witness of (POST): (f2∘f, A, g2∘g) is a member too;
+    contains checks the apex."""
     if base.dom(f2) != base.cod(span.left):
         raise CompositionMismatch("f2 does not postcompose with the left leg")
     if base.dom(g2) != base.cod(span.right):

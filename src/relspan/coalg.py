@@ -128,6 +128,7 @@ from itertools import chain
 from .catcore import BaseCategory, RelPullback, Report, build, legs_in_class, require_same_ends
 from .errors import (
     CodomainMismatch,
+    CompositionMismatch,
     InternalSolveFailure,
     LegsNotInClass,
     ShapeMismatch,
@@ -417,9 +418,11 @@ def _block(fld, chain: list, n, lo, hi) -> Matrix:
 
 def class_S_witness(f: CoalgMap, g: CoalgMap) -> str | None:
     """None iff c∘(f⊗g)∘δ = (g⊗f)∘δ holds on the common apex; else a witness,
-    the first column of (g⊗f)∘(c∘δ - δ), their difference, that is not 0."""
-    if f.src.dim != g.src.dim or f.src.field != g.src.field:
-        raise ShapeMismatch("span legs must share their apex")
+    the first column of (g⊗f)∘(c∘δ - δ), their difference, that is not 0.
+    Legs out of two different coalgebras raise CompositionMismatch, as
+    catcore's check_span does on the other base."""
+    if f.src != g.src:
+        raise CompositionMismatch("span legs must share their apex")
     if f.src.cocommutative:
         return None
     d = f.src.delta
@@ -632,18 +635,14 @@ def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
 # -- relative pullbacks and the cotensor product ----------------------------------
 
 
-def _check_cospan(f: CoalgMap, g: CoalgMap):
-    if f.tgt != g.tgt:
-        raise CodomainMismatch("cospan needs a common codomain")
-
-
 def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     """The equalizer of f⊗ε and ε⊗g on A⊗C and its projections p_A, p_C,
     once the square f∘p_A = g∘p_C is checked; kept on f for this g object,
-    with (T, K') when the inclusion is K' = ker T, else None."""
+    with (T, K') when the inclusion is K' = ker T, else None.  Unchecked:
+    every caller decides the legs with catcore.legs_in_class, which checks
+    the common codomain."""
     if (hit := f._pullback) is not None and hit[0] is g:
         return hit[1]
-    _check_cospan(f, g)
     a, c, fld = f.src, g.src, f.mat.field
     i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
     z_a, z_c = a.right_counit, c.right_counit
@@ -706,10 +705,9 @@ def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> Re
 
 def pullback_factor_coalg(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap:
     """The unique filler h with p_A∘h = k and p_C∘h = l for a class-S span (k, l),
-    factoring (k⊗l)∘δ_D through the equalizer inclusion.  Unchecked: class S is
-    decided by relpull.universal_factor, which calls this."""
-    if k.src != l.src:
-        raise ShapeMismatch("test span legs must share their domain")
+    factoring (k⊗l)∘δ_D through the equalizer inclusion.  Checks the square;
+    unchecked otherwise: relpull.universal_factor checks the span's ends and
+    decides class S, which checks its apex, before calling this."""
     if pb.f.mat @ k.mat != pb.g.mat @ l.mat:
         raise SquareDoesNotCommute("f∘k != g∘l")
     pair = kron_apply(k.mat, l.mat, k.src.delta)
@@ -730,7 +728,8 @@ def cotensor(f: CoalgMap, g: CoalgMap) -> Matrix:
     equals the T of the pullback kept on f for g, entry for entry, the K'
     kept with T is its canonical kernel basis, and is returned instead of
     eliminating the system again."""
-    _check_cospan(f, g)
+    if f.tgt != g.tgt:
+        raise CodomainMismatch("cospan needs a common codomain")
     a, c = f.src, g.src
     i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(a.field, c.dim)
     t = _kron_difference(kron_apply(i_a, f.mat, a.delta), i_c, i_a, kron_apply(g.mat, i_c, c.delta))

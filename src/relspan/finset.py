@@ -6,7 +6,9 @@ product is the Cartesian product with the row-major pairing index
 strictly unital against the singleton, matching the tensor conventions of the
 linear instance.  The admissible span class here is the class of all spans,
 and relative pullbacks are ordinary pullbacks: a RelPullback whose payload is
-the tuple of matching pairs in lexicographic order.
+the tuple of matching pairs in lexicographic order.  pullback and
+universal_factor are unchecked constructions behind relpull, which checks
+the cospan's codomain and the test span's ends and apex.
 """
 
 from __future__ import annotations
@@ -133,9 +135,8 @@ FINSET = FinSetCategory()
 
 def pullback(f: FinFun, g: FinFun) -> RelPullback:
     """Ordinary pullback of f: A -> B <- C :g on lexicographic matching pairs,
-    which are its payload."""
-    if f.cod != g.cod:
-        raise CodomainMismatch("pullback needs a common codomain")
+    which are its payload.  Unchecked: relpull.relative_pullback checks the
+    common codomain before calling this."""
     fibers = {}
     for c, y in enumerate(g.table):
         fibers.setdefault(y, []).append(c)
@@ -161,11 +162,9 @@ def pair_count(*tables) -> int:
 
 
 def universal_factor(pb: RelPullback, a: FinFun, c: FinFun) -> FinFun:
-    """The unique h with p_A∘h = a and p_C∘h = c, for a commuting span (a, c)."""
-    if a.dom != c.dom:
-        raise ShapeMismatch("span legs must share their domain")
-    if a.cod != pb.f.dom or c.cod != pb.g.dom:
-        raise ShapeMismatch("span legs do not match the pullback cospan")
+    """The unique h with p_A∘h = a and p_C∘h = c, for a commuting span (a, c).
+    Checks the square; unchecked otherwise: relpull.universal_factor checks
+    the span's apex and ends before calling this."""
     idx = {pair: k for k, pair in enumerate(pb.payload)}
     table = []
     for x in range(a.dom.size):

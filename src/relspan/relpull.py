@@ -3,11 +3,13 @@
 Constructs relative pullbacks (catcore.RelPullback) and their universal
 fillers with the base category's own construction (ordinary pullbacks over
 finite sets, comonoid equalizers over coalgebras), after deciding here, once
-per call, that the legs or the test span are in the class.  Also constructs
-the induced morphism a□c between pullbacks, as a morphism of the base
-category, the unit and associativity isomorphisms with their coherence
-(triangle and pentagon) checks, the monoid structure on a pullback of monoid
-morphisms, and instance checks of the reflection property.
+per call, that the legs or the test span are in the class, and checking the
+cospan's codomain or the test span's ends (catcore maps which layer checks
+what).  Also constructs the induced morphism a□c between pullbacks, as a
+morphism of the base category, the unit and associativity isomorphisms with
+their coherence (triangle and pentagon) checks, the monoid structure on a
+pullback of monoid morphisms, and instance checks of the reflection
+property.
 
 The associativity and unit isomorphisms are materialized morphisms, never
 identities; every coherence statement here composes with them explicitly.
@@ -36,8 +38,11 @@ def relative_pullback(base: BaseCategory, f, g) -> RelPullback:
 
 def universal_factor(pb: RelPullback, a, c):
     """The unique filler h with p_A∘h = a and p_C∘h = c for a class-member
-    span (a, c) whose square commutes."""
+    span (a, c) whose square commutes.  The span's ends are checked here, on
+    every base; its apex by the class decision, its square by base.factor."""
     base = pb.base
+    if base.cod(a) != base.dom(pb.f) or base.cod(c) != base.dom(pb.g):
+        raise ShapeMismatch("span legs do not match the pullback cospan")
     w = base.failure_witness(Span(a, c))
     if w is not None:
         raise SpanNotInClass(w)

@@ -4,7 +4,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import partial
-from itertools import chain
+from itertools import chain, permutations
 
 import pytest
 
@@ -68,10 +68,11 @@ from relspan.coalg import (
     relative_pullback_coalg,
     subcoalgebra,
 )
-from relspan.catcore import Report
+from relspan.catcore import Report, Span
 from relspan.finset import pullback
 from relspan.errors import (
     CodomainMismatch,
+    CompositionMismatch,
     FieldMismatch,
     InternalSolveFailure,
     LegsNotInClass,
@@ -288,9 +289,17 @@ def test_class_s_path_identity_span_rejected_at_x():
 
 
 def test_class_s_witness_rejects_legs_out_of_different_apexes():
+    """The apex is compared as an object, as over finite sets: legs out of
+    k[3] and the path coalgebra, of one dimension and field, are refused in
+    either order, by the witness and by the base category's decision."""
     for field in FIELDS:
-        with pytest.raises(ShapeMismatch, match="share their apex"):
-            class_S_witness(cid(grouplike(field, 2)), cid(grouplike(field, 3)))
+        base = CoalgCategory(field)
+        for apexes in ((grouplike(field, 2), grouplike(field, 3)), (grouplike(field, 3), path_coalgebra(field))):
+            for left, right in permutations(apexes):
+                span = Span(cid(left), cid(right))
+                for decide in (lambda s: class_S_witness(s.left, s.right), base.contains, base.failure_witness):
+                    with pytest.raises(CompositionMismatch, match="span legs must share their apex"):
+                        decide(span)
 
 
 def _class_s_two_products(f, g):
@@ -2211,9 +2220,9 @@ def _fold():
      "equalizer needs a shared domain coalgebra"),
     (lambda: coalg_equalizer(_fold(), cid(_k(3))), ShapeMismatch,
      "equalizer needs a shared codomain coalgebra"),
-    (lambda: pullback_factor_coalg(relative_pullback(CoalgCategory(QQ), cid(_k(2)), cid(_k(2))),
-                                   cid(_k(2)), _fold()),
-     ShapeMismatch, "test span legs must share their domain"),
+    (lambda: universal_factor(relative_pullback(CoalgCategory(QQ), cid(_k(2)), cid(_k(2))),
+                              cid(_k(2)), _fold()),
+     CompositionMismatch, "span legs must share their apex"),
 ], ids=["no-counit", "counit-shape", "counit-field", "no-comultiplication", "comultiplication-shape",
         "comultiplication-field", "comultiplication-and-factors", "counit-and-factors", "map-shape",
         "unmatched-composite", "equalizer-domains", "equalizer-codomains", "filler-span-domains"])

@@ -19,8 +19,9 @@ from relspan import (
     linearize_fun,
     linearize_obj,
 )
+from relspan import relpull
 from relspan.finset import linearize_funs, pair_count, pullback, universal_factor
-from relspan.errors import CodomainMismatch, ShapeMismatch, SquareDoesNotCommute
+from relspan.errors import CodomainMismatch, CompositionMismatch, ShapeMismatch, SquareDoesNotCommute
 
 
 def ffun(dom, cod, table):
@@ -72,8 +73,9 @@ def test_pullback_randomized_against_brute_force():
 
 
 def test_pullback_codomain_mismatch():
-    with pytest.raises(CodomainMismatch):
-        pullback(ffun(1, 1, [0]), ffun(1, 2, [0]))
+    """Checked in front of finset.pullback, by the class decision."""
+    with pytest.raises(CodomainMismatch, match="cospan legs must share their codomain"):
+        relpull.relative_pullback(FINSET, ffun(1, 1, [0]), ffun(1, 2, [0]))
 
 
 def test_finset_category_refuses_or_declines_what_it_cannot_build():
@@ -151,12 +153,14 @@ def test_universal_factor_rejects_noncommuting_square():
 
 
 def test_universal_factor_rejects_a_span_that_does_not_fit_the_cospan():
+    """Checked in front of finset.universal_factor: the apex by the class
+    decision, the ends by relpull."""
     f = ffun(2, 2, [0, 1])
     pb = pullback(f, f)
-    with pytest.raises(ShapeMismatch, match="share their domain"):
-        universal_factor(pb, ffun(1, 2, [0]), ffun(2, 2, [0, 1]))
+    with pytest.raises(CompositionMismatch, match="share their apex"):
+        relpull.universal_factor(pb, ffun(1, 2, [0]), ffun(2, 2, [0, 1]))
     with pytest.raises(ShapeMismatch, match="do not match the pullback cospan"):
-        universal_factor(pb, ffun(1, 3, [0]), ffun(1, 2, [0]))
+        relpull.universal_factor(pb, ffun(1, 3, [0]), ffun(1, 2, [0]))
 
 
 def test_pullback_visits_only_matching_pairs():

@@ -8,6 +8,7 @@ import pytest
 from gen import (
     FIELDS,
     all_monoids,
+    divided_power,
     finset_monoid,
     group_algebra,
     group_c2,
@@ -44,6 +45,7 @@ from relspan import (
     monoid_on_pullback,
     path_coalgebra,
     relative_pullback,
+    trivial,
     unit_isos,
     universal_factor,
 )
@@ -51,6 +53,8 @@ from relspan.coalg import CoalgEqualizer, CoalgMap, cid, relative_pullback_coalg
 from relspan import coalg, linalg
 from relspan.finset import FinSetCategory, linearize_funs, pullback
 from relspan.errors import (
+    CodomainMismatch,
+    CompositionMismatch,
     LegsNotInClass,
     MissingPullback,
     NotMonoidMorphisms,
@@ -132,6 +136,87 @@ def test_legs_not_in_class_rejected():
     p = path_coalgebra(field)
     with pytest.raises(LegsNotInClass):
         relative_pullback(base, cid(p), cid(p))
+
+
+# -- one exception class per malformed call, on every base ------------------------
+
+
+def _settings():
+    """Finite sets, their linearization over each field and a copy of that
+    in random bases: (name, base, the map of finite-set data into the base)."""
+    yield "finset", FINSET, lambda f: f
+    for field in FIELDS:
+        objs, rng, bases = {}, rng_for(f"span-checks-{field}"), {}
+
+        def linear(f, field=field, objs=objs):
+            return linearize_fun(f, field, objs)
+
+        def rebase(f, field=field, rng=rng, bases=bases, linear=linear):
+            for x in (f.dom, f.cod):
+                if x not in bases:
+                    bases[x] = random_basis(rng, field, x.size)
+            return rebased_map(linear(f), bases[f.dom], bases[f.cod])
+
+        yield f"linear-{field}", CoalgCategory(field), linear
+        yield f"rebased-{field}", CoalgCategory(field), rebase
+
+
+def _malformed(base, lift):
+    """The malformed calls on the cospan A = 2 -f-> 2 <-g- 3 = C, keyed by
+    the invariant they break and the entry point they go through."""
+    f, g = lift(ffun(2, 2, [0, 1])), lift(ffun(3, 2, [0, 1, 0]))
+    pb = relative_pullback(base, f, g)
+    id_b, id_c = base.identity(base.cod(f)), base.identity(base.dom(g))
+    apart = Span(lift(ffun(1, 2, [0])), lift(ffun(2, 3, [0, 2])))  # out of 1 and of 2
+    on_c = lift(ffun(1, 3, [0]))
+    return {
+        ("apex", "contains"): lambda: base.contains(apart),
+        ("apex", "failure_witness"): lambda: base.failure_witness(apart),
+        ("apex", "universal_factor"): lambda: universal_factor(pb, apart.left, apart.right),
+        ("ends", "universal_factor"): lambda: universal_factor(pb, on_c, on_c),
+        ("ends", "box"): lambda: box(pb, pb, lift(ffun(2, 3, [0, 1])), id_c, id_b),
+        ("square", "universal_factor"): lambda: universal_factor(pb, lift(ffun(1, 2, [0])),
+                                                                 lift(ffun(1, 3, [1]))),
+        ("square", "box"): lambda: box(pb, pb, lift(ffun(2, 2, [1, 0])), id_c, id_b),
+        ("codomain", "relative_pullback"): lambda: relative_pullback(base, f, lift(ffun(3, 3, [0, 1, 0]))),
+    }
+
+
+MALFORMED = {
+    ("apex", "contains"): CompositionMismatch,
+    ("apex", "failure_witness"): CompositionMismatch,
+    ("apex", "universal_factor"): CompositionMismatch,
+    ("ends", "universal_factor"): ShapeMismatch,
+    # a leg of the box that ends off the target's cospan does not compose with its leg
+    ("ends", "box"): CodomainMismatch,
+    ("square", "universal_factor"): SquareDoesNotCommute,
+    ("square", "box"): SquareDoesNotCommute,
+    ("codomain", "relative_pullback"): CodomainMismatch,
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED, ids="-".join)
+def test_a_malformed_call_raises_one_class_on_every_base(case):
+    """Each broken invariant raises the same class over finite sets, over
+    their linearization and over a rebased copy: each is checked at one
+    layer, not in each base's own way."""
+    for name, base, lift in _settings():
+        with pytest.raises(Exception) as info:
+            _malformed(base, lift)[case]()
+        assert type(info.value) is MALFORMED[case], (name, info.value)
+
+
+def test_universal_factor_refuses_a_leg_into_a_coalgebra_of_the_right_dimension():
+    """On the pullback of the linearized 2 → 1 ← 2, a leg into D_2, which
+    has the dimension of k[2] but is another coalgebra, ends off the cospan."""
+    for field in FIELDS:
+        f = linearize_fun(ffun(2, 1, [0, 0]), field)
+        pb = relative_pullback(CoalgCategory(field), f, f)
+        point = Matrix.from_cols(field, 2, [{0: field.one}])
+        off, on = CoalgMap(trivial(field), divided_power(field, 2), point), CoalgMap(trivial(field), f.src, point)
+        for legs in ((off, on), (on, off)):
+            with pytest.raises(ShapeMismatch, match="span legs do not match the pullback cospan"):
+                universal_factor(pb, *legs)
 
 
 # -- box morphisms ---------------------------------------------------------------
