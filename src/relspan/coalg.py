@@ -70,9 +70,20 @@ read off the legs with no system.  Column a⊗c of T is
 e_a⊗e_f(a)⊗e_c - e_a⊗e_g(c)⊗e_c: zero exactly when f(a) = g(c), and
 otherwise two entries on rows that no other column uses.  So ker T is
 spanned by the matching pairs, and its canonical basis K' is their unit
-columns e_a⊗e_c, in ascending order, with no condition on ε_B.  The
-closure check on K' still certifies it, as a compare of two row tables:
-δ∘K', δ_E and (K'⊗K')∘δ_E all keep theirs.  Every other cospan solves T.
+columns e_a⊗e_c, in ascending order, with no condition on ε_B.
+_grouplike_pullback reads the pullback off them in one pass, with no
+product: the row of δ∘K' at each pair, from δ_A's and δ_C's tables with
+_delta_apply's index move, so δ is read and not assumed; the closure
+check, that each such row lies at a pair of free coordinates, δ_E being
+then its renumbering; ε_E, p_A and p_C from the counit tables; L with
+kernel_left_inverse's check; and the square f∘p_A = g∘p_C as tables.  Its
+equalizer keeps the index from free coordinate to apex basis, and a filler
+whose k, l and δ_D have row tables is read off it (_grouplike_filler): the
+square as tables, each row of (k⊗l)∘δ_D looked up in the index, and
+p_A∘h = k and p_C∘h = l as tables.  Both raise what the generic route
+raises, with its message, in its order.  The cotensor, which builds and
+eliminates its own system, still cross-checks this pullback.  Every other
+cospan solves T.
 
 Tensor products of coalgebras keep their factors.  δ∘M is
 (1⊗c⊗1)∘(δ_A⊗δ_C)∘M, one kron_apply whose entries then move to their rows
@@ -94,7 +105,7 @@ c∘δ = δ, which decides class S on a cocommutative apex and gives c∘δ_C.
 On k[X] the last three are read off the recognition with no product: z
 and l are the shared identity, so the certificate's kron_apply returns j,
 and c∘δ = δ; check_coalgebra reports it coassociative, both sides being
-e_x⊗e_x⊗e_x, and _matching_pairs reads it.  So the pullbacks of linearized
+e_x⊗e_x⊗e_x, and _grouplike_pullback reads it.  So the pullbacks of linearized
 cospans, iterated as in the pentagon, and the axiom checks of their apexes
 build none of these products, nor any δ or ε of a tensor product.  A
 command's iterated pullbacks read the facts on objects they share (a
@@ -121,7 +132,7 @@ changed once built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as _field
 from functools import cached_property, partial
 from itertools import chain
 
@@ -539,6 +550,9 @@ class CoalgEqualizer:
     object: Coalgebra
     j: CoalgMap
     left_inv: Matrix
+    # {free coordinate of j: apex basis index} of a group-like pullback
+    # (_grouplike_pullback), which its fillers read; a function of j
+    index: dict | None = _field(default=None, compare=False)
 
 
 def subcoalgebra(x: Coalgebra, k: Matrix) -> CoalgEqualizer:
@@ -649,38 +663,61 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     z = None if z_a == i_a and z_c == i_c else kron(z_a, z_c)
     x = tensor_coalgebra(a, c)
     # on counital input, K' of a group-like cospan is its matching pairs (module docstring)
-    if z is None and (k := _matching_pairs(f, g)) is not None:
-        eq, system = subcoalgebra(x, k), None
+    if z is None and (built := _grouplike_pullback(f, g, x)) is not None:
+        system = None
     else:
         # Y_g = c∘(1⊗g)∘δ_C = (g⊗1)∘c∘δ_C, and c∘δ_C = δ_C on a cocommutative C
         y_g = kron_apply(g.mat, i_c, c.delta if c.cocommutative else _swapped(c.delta, c.dim))
         eq, system = _equalizer(x, _kron_difference(kron_apply(i_a, f.mat, a.delta), z_c, z_a, y_g), z)
-    j = eq.j.mat
-    p_a = CoalgMap(eq.object, a, kron_apply(i_a, c.epsilon, j))
-    p_c = CoalgMap(eq.object, c, kron_apply(a.epsilon, i_c, j))
-    if f.mat @ p_a.mat != g.mat @ p_c.mat:
-        raise InternalSolveFailure("pullback square does not commute")
-    f._pullback = g, (eq, p_a, p_c), system
-    return eq, p_a, p_c
+        j = eq.j.mat
+        p_a = CoalgMap(eq.object, a, kron_apply(i_a, c.epsilon, j))
+        p_c = CoalgMap(eq.object, c, kron_apply(a.epsilon, i_c, j))
+        if f.mat @ p_a.mat != g.mat @ p_c.mat:
+            raise InternalSolveFailure("pullback square does not commute")
+        built = eq, p_a, p_c
+    f._pullback = g, built, system
+    return built
 
 
-def _matching_pairs(f: CoalgMap, g: CoalgMap) -> Matrix | None:
-    """The unit columns at a⊗c with f(a) = g(c), ascending, when every column
-    of f and g is one entry equal to one and A and C are k[X] (_grouplike,
-    which on counital input says no more than that δ_A and δ_C are
-    group-like); else None.  The legs' row tables are read
-    (linalg._unit_rows), f's first, so a dense f fails at its first column,
-    and kron_apply reads them later."""
-    images = []
+def _grouplike_pullback(f: CoalgMap, g: CoalgMap, x: Coalgebra):
+    """_pullback_equalizer's equalizer and projections on counital input,
+    when every column of f and g is one entry equal to one (their row
+    tables are read, f's first, so a dense f fails at its first column) and
+    A and C are k[X] (_grouplike, which on counital input says no more than
+    that δ_A and δ_C are group-like); else None.  They are read off the
+    matching pairs in one pass with no product (module docstring), each
+    failure raised as the generic route words it, in its order, and the
+    equalizer keeps its index from free coordinate to apex basis for
+    _grouplike_filler."""
+    legs = []
     for m in (f, g):
         if (rows := _unit_rows(m.mat)) is False or not m.src._grouplike:
             return None
-        images.append(rows)
-    (fa, gc), nc, over = images, g.src.dim, {}
-    for c, b in enumerate(gc):
-        over.setdefault(b, []).append(c)
-    return _unit_matrix(f.mat.field, f.src.dim * nc,
-                        [a * nc + c for a, b in enumerate(fa) for c in over.get(b, ())])
+        legs.append(rows)
+    (fa, gc), a, c, fld = legs, f.src, g.src, f.mat.field
+    na, nc, over = a.dim, c.dim, {}
+    for y, b in enumerate(gc):
+        over.setdefault(b, []).append(y)
+    k = _unit_matrix(fld, x.dim, [s * nc + y for s, b in enumerate(fa) for y in over.get(b, ())])
+    lk, kc = kernel_left_inverse(k), k.cols
+    at = dict(zip(k._units, range(kc)))
+    da, dc, ea, ec = (_unit_rows(m) for m in (a.delta, c.delta, a.epsilon, c.epsilon))
+    delta_e, eps_e, p_a, p_c = [], [], [], []
+    for r in k._units:
+        s, y = divmod(r, nc)
+        (s1, s2), (y1, y2) = divmod(da[s], na), divmod(dc[y], nc)
+        u, w = at.get(s1 * nc + y1), at.get(s2 * nc + y2)
+        if u is None or w is None:
+            raise InternalSolveFailure("δ∘j does not factor through j⊗j")
+        delta_e.append(u * kc + w)
+        eps_e.append(ea[s] + ec[y])
+        p_a.append(s + ec[y])
+        p_c.append(ea[s] * nc + y)
+    if f.mat.rows != g.mat.rows or [fa[s] for s in p_a] != [gc[y] for y in p_c]:
+        raise InternalSolveFailure("pullback square does not commute")
+    obj = Coalgebra(kc, fld, delta=_unit_matrix(fld, kc * kc, delta_e), epsilon=_unit_matrix(fld, 1, eps_e))
+    eq = CoalgEqualizer(obj, CoalgMap(obj, x, k), lk, at)
+    return eq, CoalgMap(obj, a, _unit_matrix(fld, na, p_a)), CoalgMap(obj, c, _unit_matrix(fld, nc, p_c))
 
 
 def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> RelPullback:
@@ -707,7 +744,13 @@ def pullback_factor_coalg(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap
     """The unique filler h with p_A∘h = k and p_C∘h = l for a class-S span (k, l),
     factoring (k⊗l)∘δ_D through the equalizer inclusion.  Checks the square;
     unchecked otherwise: relpull.universal_factor checks the span's ends and
-    decides class S, which checks its apex, before calling this."""
+    decides class S, which checks its apex, before calling this.  On a
+    group-like pullback (_grouplike_pullback) with k, l and δ_D row tables,
+    _grouplike_filler makes the same checks on the tables, with no product;
+    the cotensor, which solves its own system, still cross-checks that
+    pullback."""
+    if (h := _grouplike_filler(pb, k, l)) is not None:
+        return CoalgMap(k.src, pb.apex, h)
     if pb.f.mat @ k.mat != pb.g.mat @ l.mat:
         raise SquareDoesNotCommute("f∘k != g∘l")
     pair = kron_apply(k.mat, l.mat, k.src.delta)
@@ -717,6 +760,34 @@ def pullback_factor_coalg(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap
     if pb.p_a.mat @ h != k.mat or pb.p_c.mat @ h != l.mat:
         raise InternalSolveFailure("filler does not reproduce the test span")
     return CoalgMap(k.src, pb.apex, h)
+
+
+def _grouplike_filler(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> Matrix | None:
+    """pullback_factor_coalg's h, as a row table, on a pullback that
+    _grouplike_pullback built, when k, l and δ_D have row tables and k and l
+    compose with the legs; else None, before any check.  The square is
+    compared as tables, each row of (k⊗l)∘δ_D is looked up in the index of
+    the free coordinates (a row outside it is a column that L sends to 0,
+    on which the inclusion fails), and p_A∘h = k and p_C∘h = l are compared
+    as tables: each failure raises as the generic route words it."""
+    f, g, fld, at = pb.f.mat, pb.g.mat, pb.f.mat.field, pb.payload.index
+    if (at is None or (kr := _unit_rows(k.mat)) is False or (lr := _unit_rows(l.mat)) is False
+            or not (k.mat.field == fld == l.mat.field and k.mat.rows == f.cols and l.mat.rows == g.cols)
+            or (dd := _unit_rows(k.src.delta)) is False):
+        return None
+    fa, gc = f._units, g._units
+    if [fa[r] for r in kr] != [gc[r] for r in lr]:
+        raise SquareDoesNotCommute("f∘k != g∘l")
+    d, nc, h = l.mat.cols, l.mat.rows, []
+    for r in dd:
+        p, q = divmod(r, d)
+        if (t := at.get(kr[p] * nc + lr[q])) is None:
+            raise InternalSolveFailure("filler does not factor through the inclusion")
+        h.append(t)
+    pa, pc = pb.p_a.mat._units, pb.p_c.mat._units
+    if [pa[t] for t in h] != kr or [pc[t] for t in h] != lr:
+        raise InternalSolveFailure("filler does not reproduce the test span")
+    return _unit_matrix(fld, pb.apex.dim, h)
 
 
 def cotensor(f: CoalgMap, g: CoalgMap) -> Matrix:

@@ -212,12 +212,12 @@ LINEARIZED = [
 @pytest.mark.parametrize("argv", LINEARIZED)
 def test_linearized_commands_solve_no_equalizer_system(monkeypatch, argv):
     """Every coalgebra pullback of these commands is of a group-like cospan,
-    each iterated apex staying group-like, so each is its matching pairs and
-    none solves a system."""
+    each iterated apex staying group-like, so each is read off its matching
+    pairs (coalg._grouplike_pullback) and none solves a system."""
     solves, pairs = [], []
-    solve_in, pairs_in = coalg._equalizer, coalg._matching_pairs
+    solve_in, pairs_in = coalg._equalizer, coalg._grouplike_pullback
     monkeypatch.setattr(coalg, "_equalizer", lambda *a: solves.append(a) or solve_in(*a))
-    monkeypatch.setattr(coalg, "_matching_pairs", lambda *a: pairs.append(pairs_in(*a)) or pairs[-1])
+    monkeypatch.setattr(coalg, "_grouplike_pullback", lambda *a: pairs.append(pairs_in(*a)) or pairs[-1])
     code, _ = run([argv[0], fx(argv[1]), *argv[2:], "--instance", "coalg"])
     assert code == 0
     assert pairs and None not in pairs and not solves
@@ -227,9 +227,15 @@ def test_linearized_commands_solve_no_equalizer_system(monkeypatch, argv):
 def test_linearized_commands_take_only_the_unit_kron_apply_path(monkeypatch, argv):
     """Every kron_apply of these commands has unit-column operands, so each
     returns through the index map, its result carrying its row table, or
-    returns M as it is for two square identity factors, before any test."""
+    returns M as it is for two square identity factors, before any test.
+    Their pullbacks and fillers are read off row tables with no kron_apply
+    (coalg._grouplike_pullback, coalg._grouplike_filler), so what is left is
+    each pullback's certificate (p_A⊗p_C)∘δ_E = j, on the two identities z_A
+    and l_C: one identity path per pullback."""
     paths = []
     inner = linalg.kron_apply
+    pullbacks = _counting(monkeypatch, "relative_pullback_coalg")
+    fillers = _counting(monkeypatch, "_grouplike_filler")
 
     def spy(a, b, m):
         out = inner(a, b, m)
@@ -243,7 +249,8 @@ def test_linearized_commands_take_only_the_unit_kron_apply_path(monkeypatch, arg
     monkeypatch.setattr(linalg, "kron_apply", spy)
     code, _ = run([argv[0], fx(argv[1]), *argv[2:], "--instance", "coalg"])
     assert code == 0
-    assert "unit" in paths and "general" not in paths
+    assert pullbacks and paths == ["identity"] * len(pullbacks)
+    assert fillers and None not in [h for _, h in fillers]
 
 
 def _spy_kron_difference_paths(monkeypatch):
@@ -696,28 +703,31 @@ def _counting(monkeypatch, name, calls=None):
 
 def test_pullback_compare_cotensor_decides_class_S_three_times(monkeypatch):
     checks = _counting(monkeypatch, "_subcoalgebra")
+    builds = _counting(monkeypatch, "_grouplike_pullback")
     calls = _counting(monkeypatch, "class_S_witness")
     code, _ = run(["pullback", fx("cospan_coalg.json"), "--cospan", "cs", "--compare-cotensor"])
     assert code == 0
     assert len(calls) == 3  # the two legs, then the projection span of the filler
-    # one closure check, which certifies the pullback's equalizer; the
-    # cotensor stays linear
-    assert len(checks) == 1 and checks[0][1] is not None
+    # one closure check, which certifies the pullback's equalizer, made on its
+    # matching pairs as it is built; the cotensor stays linear
+    assert len(builds) == 1 and builds[0][1] is not None and not checks
 
 
 def test_cotensor_command_decides_the_legs_once(monkeypatch):
     calls = []
-    for name in ("_subcoalgebra", "cotensor"):
+    for name in ("_subcoalgebra", "_grouplike_pullback", "cotensor"):
         _counting(monkeypatch, name, calls)
     decisions = _counting(monkeypatch, "class_S_witness")
     checked = _counting(monkeypatch, "check_coalgebra")
     code, doc = run_json(["cotensor", fx("cospan_coalg.json"), "--cospan", "cs"])
     assert code == 0 and any(c["name"].startswith("induced structure") for c in doc["checks"])
-    # the pullback's closure check first, so that the cotensor can read its
-    # elimination, then the cotensor; its basis is the pullback's j, so the
-    # pullback's payload is the induced structure, with no second closure check
-    assert len(calls) == 2 and isinstance(calls[0][1], coalg.CoalgEqualizer) and isinstance(calls[1][1], linalg.Matrix)
-    eq, ct = calls[0][1], calls[1][1]
+    # the pullback first, its closure check made on its matching pairs, then
+    # the cotensor, which solves its own system; its basis is the pullback's
+    # j, so the pullback's payload is the induced structure, with no second
+    # closure check
+    assert len(calls) == 2 and isinstance(calls[0][1][0], coalg.CoalgEqualizer)
+    assert isinstance(calls[1][1], linalg.Matrix)
+    eq, ct = calls[0][1][0], calls[1][1]
     assert ct == eq.j.mat
     assert len(checked) == 1 and checked[0][0][0] is eq.object
     assert len(decisions) == 2

@@ -760,7 +760,7 @@ def test_pullback_builds_t_and_z_from_the_factors(monkeypatch):
             g = CoalgMap(c, b, rand_sparse_matrix(rng, field, nb, nc, 0.6))
             _outcome(relative_pullback_coalg, CoalgCategory(field), f, g)
             if not systems:
-                assert coalg._matching_pairs(f, g) is not None
+                assert f._pullback[1][0].index is not None  # read off its matching pairs
                 continue
             x, t, z = systems.pop()
             fe, eg = _legs_on_tensor(f, g)
@@ -872,17 +872,19 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
     (1⊗c⊗1)∘(δ_A⊗δ_C)∘K', and never the ε of A⊗C, and its K' is that of
     the R∘z path with z the identity on the full system.  A linearized
     cospan builds no t at all: its one closure check is on its matching
-    pairs.  Non-counital input takes the kernels of t∘z and of the second
-    system (t⊗1)∘δ∘K', the one kron_apply that takes t, each eliminated
-    unless every row of it holds one nonzero or none: that kernel is read
-    off its empty columns.  Over F_p a K' without a row table has its
-    closure decided in packed slots (linalg._closed_delta), with no δ∘K'
-    built, and that decision is the dict path's; otherwise δ∘K' is built
-    once and handed to the check."""
+    pairs, made as they are read off the tables (_grouplike_pullback), and
+    its one kron_apply is the certificate's, on j.  Non-counital input takes
+    the kernels of t∘z and of the second system (t⊗1)∘δ∘K', the one
+    kron_apply that takes t, each eliminated unless every row of it holds
+    one nonzero or none: that kernel is read off its empty columns.  Over
+    F_p a K' without a row table has its closure decided in packed slots
+    (linalg._closed_delta), with no δ∘K' built, and that decision is the
+    dict path's; otherwise δ∘K' is built once and handed to the check."""
     sub_in = coalg._subcoalgebra
     reduces = _spy(monkeypatch, linalg, "_reduce")
     kernels = _spy(monkeypatch, coalg, "kernel_basis_sparse")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    builds = _spy(monkeypatch, coalg, "_grouplike_pullback")
     packs = _spy(monkeypatch, coalg, "_closed_delta")
     deltas = _spy(monkeypatch, coalg, "_delta_apply")
     solves = _spy(monkeypatch, coalg, "_equalizer")
@@ -892,7 +894,7 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                         lambda self, j: columns.append((self, j)) or column_in(self, j))
 
     def pullback(f, g):
-        for calls in (reduces, kernels, checks, packs, deltas, solves, krons, columns):
+        for calls in (reduces, kernels, checks, builds, packs, deltas, solves, krons, columns):
             calls.clear()
         _outcome(relative_pullback_coalg, CoalgCategory(f.mat.field), f, g)
         if not solves:
@@ -912,19 +914,25 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                 f = rebased_map(f, random_basis(rng, field, f.src.dim), p_b)
                 g = rebased_map(g, random_basis(rng, field, g.src.dim), p_b)
             system = pullback(f, g)
-            (((x, k, delta_k), eq),) = checks
-            assert eq is not None
-            packed = coalg._packs_closure(x, k)
-            packed_routes.add(packed)
-            assert (delta_k is None) == packed and len(packs) == packed and len(deltas) == (not packed)
-            assert system is None or (dense and system[0] is x and system[2] is None)
-            assert [args for args, _ in kernels] == ([] if system is None else [(system[1],)])
-            assert system is None or not any(args[0] is system[1] for args, _ in krons)
-            assert len(reduces) == (system is not None and not _count_one(system[1]))
+            if system is None:  # the matching pairs: no kernel, no δ∘K', no product but the certificate's
+                (((_, _, x), (eq, _, _)),) = builds
+                assert not dense and eq is not None and not (checks or kernels or reduces or packs or deltas)
+                k, packed = eq.j.mat, False
+                assert [args[2] for args, _ in krons] == [k]
+            else:
+                (((x, k, delta_k), eq),) = checks
+                assert eq is not None and builds == [((f, g, x), None)]
+                packed = coalg._packs_closure(x, k)
+                packed_routes.add(packed)
+                assert (delta_k is None) == packed and len(packs) == packed and len(deltas) == (not packed)
+                assert dense and system[0] is x and system[2] is None
+                assert [args for args, _ in kernels] == [(system[1],)]
+                assert not any(args[0] is system[1] for args, _ in krons)
+                assert len(reduces) == (not _count_one(system[1]))
             routes.add(system is None)
             assert "delta" not in vars(x) and "epsilon" not in vars(x)
             assert not any(c is x for c, _ in columns)
-            assert delta_k is None or delta_k == x.delta @ k
+            assert system is None or delta_k is None or delta_k == x.delta @ k
             if packed:
                 want = sub_in(x, k, x.delta @ k)
                 assert (eq.object.delta, eq.object.epsilon, eq.left_inv) == (
@@ -947,27 +955,36 @@ def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypa
     """N = ker((R⊗1)∘δ∘K') is the identity exactly when that system has rank
     0, and then the equalizer is K' itself: a counital pullback hands the
     closure check K' and δ∘K' as the kernel of t gave them, or, on a
-    linearized cospan, as its matching pairs give them, and takes no other
-    kernel, so it builds no second system; over F_p a K' without a row
-    table is handed without δ∘K', whose closure is decided in packed slots
-    (linalg._closed_delta), once.  Random non-counital data, where the
-    reference's N is not the identity, gets K'∘N and δ∘K'∘N."""
+    linearized cospan, makes it on its matching pairs as it reads them
+    (_grouplike_pullback), and takes no other kernel, so it builds no
+    second system; over F_p a K' without a row table is handed without
+    δ∘K', whose closure is decided in packed slots (linalg._closed_delta),
+    once.  Random non-counital data, where the reference's N is not the
+    identity, gets K'∘N and δ∘K'∘N."""
     kernels = _spy(monkeypatch, coalg, "kernel_basis_sparse")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    builds = _spy(monkeypatch, coalg, "_grouplike_pullback")
     packs = _spy(monkeypatch, coalg, "_closed_delta")
     rng = rng_for("eq-skip-n")
-    eliminated = packed = 0
+    eliminated = packed = read = 0
     for field in FIELDS:
         f = linearize_fun(rand_finfun(rng, 4, 2), field)
         g = linearize_fun(rand_finfun(rng, 3, 2), field)
         for f, g in ((f, g), _counital_cospan(rng, field)):
+            builds.clear()
             relative_pullback_coalg(CoalgCategory(field), f, g)
-            (((x, k_used, delta_k_used), _),) = checks
-            if coalg._packs_closure(x, k_used):
-                assert delta_k_used is None and [args[2] for args, _ in packs] == [k_used]
-                packed += 1
+            if builds[0][1] is not None:
+                (((_, _, x), (eq, _, _)),) = builds
+                k_used = eq.j.mat
+                assert not checks and not packs
+                read += 1
             else:
-                assert delta_k_used == x.delta @ k_used and not packs
+                (((x, k_used, delta_k_used), _),) = checks
+                if coalg._packs_closure(x, k_used):
+                    assert delta_k_used is None and [args[2] for args, _ in packs] == [k_used]
+                    packed += 1
+                else:
+                    assert delta_k_used == x.delta @ k_used and not packs
             # K' is the kernel of the full system, as its elimination or the pairs give it
             fe, eg = _legs_on_tensor(f, g)
             full = kron_apply(Matrix.identity(field, x.dim), fe.mat - eg.mat, x.delta)
@@ -977,7 +994,7 @@ def test_equalizer_multiplies_by_n_only_when_the_second_system_has_rank(monkeypa
             kernels.clear()
             checks.clear()
             packs.clear()
-    assert eliminated and packed
+    assert eliminated and packed and read
     multiplied = 0
     for field in RESTRICTION_FIELDS:
         for _ in range(30):
@@ -1966,11 +1983,13 @@ def _sheared(f):
 
 
 def test_grouplike_pullback_is_its_matching_pairs(monkeypatch):
-    """A linearized cospan over Q or F_5 solves no system: its one closure
-    check is on the unit columns at a⊗c for the pairs (a, c) that
-    finset.pullback lists, and the pullback is the reference on the full T
-    bit for bit, on empty A, empty C, a one-point B and random fibers."""
+    """A linearized cospan over Q or F_5 solves no system: it is read off
+    the unit columns at a⊗c for the pairs (a, c) that finset.pullback lists,
+    its one closure check made there, with no generic one, and the pullback
+    is the reference on the full T bit for bit, on empty A, empty C, a
+    one-point B and random fibers."""
     solves = _spy(monkeypatch, coalg, "_equalizer")
+    builds = _spy(monkeypatch, coalg, "_grouplike_pullback")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
     rng = rng_for("matching-pairs")
     sizes = [(0, 2, 3), (3, 2, 0), (0, 1, 0), (3, 1, 2)] + [
@@ -1978,12 +1997,94 @@ def test_grouplike_pullback_is_its_matching_pairs(monkeypatch):
     for field in (QQ, GF(5)):
         for na, nb, nc in sizes:
             f0, g0 = rand_finfun(rng, na, nb), rand_finfun(rng, nc, nb)
+            f, g = linearize_fun(f0, field), linearize_fun(g0, field)
+            builds.clear()
             checks.clear()
-            assert not _assert_pullback_is_the_reference(solves, linearize_fun(f0, field),
-                                                         linearize_fun(g0, field))
-            (_, k, _), eq = checks[0]
-            assert eq is not None
-            assert k.columns == [{a * nc + c: field.one} for a, c in pullback(f0, g0).payload]
+            relative_pullback_coalg(CoalgCategory(field), f, g)
+            ((_, (eq, _, _)),) = builds
+            assert not checks and not solves
+            assert eq.j.mat.columns == [{a * nc + c: field.one} for a, c in pullback(f0, g0).payload]
+            f, g = linearize_fun(f0, field), linearize_fun(g0, field)
+            assert not _assert_pullback_is_the_reference(solves, f, g)
+
+
+def _generic(f, g):
+    """The pullback of f and g by the generic route, which solves T, on fresh
+    copies of the legs, so that nothing kept on f is read."""
+    f, g = (CoalgMap(m.src, m.tgt, _unit_matrix(m.mat.field, m.mat.rows, list(m.mat._units)))
+            for m in (f, g))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(coalg, "_grouplike_pullback", lambda *a: None)
+        return relative_pullback_coalg(CoalgCategory(f.mat.field), f, g)
+
+
+def _outcome_bits(fn, *args):
+    """fn(*args) bit for bit, a map's matrix or a matrix, or the class and
+    message of the failure it raises."""
+    try:
+        out = fn(*args)
+    except (SquareDoesNotCommute, InternalSolveFailure) as e:
+        return type(e), str(e)
+    return _bits(out.mat if isinstance(out, CoalgMap) else out)
+
+
+def test_grouplike_pullback_and_its_table_fillers_are_the_generic_route():
+    """On random linearized cospans over Q, F_2, F_5 and F_32003, with an
+    empty fiber, an empty pullback and unequal |A| and |C|, the pullback read
+    off the matching pairs (_grouplike_pullback) and its table filler
+    (_grouplike_filler) give the generic route's δ_E, ε_E, j, L, p_A, p_C
+    and h bit for bit; planted failures raise on both routes as one class
+    with one message: a span whose square fails, a 0/1 δ_D that is not
+    diagonal and leaves the image of j, and one that stays in it but does
+    not reproduce the span."""
+    rng = rng_for("grouplike-oracle")
+    fixed = [([0, 0, 1], [1, 1], 3), ([0, 0], [1, 1, 1], 2), ([1, 0, 2, 2], [2, 0], 4)]
+    seen = Counter()
+    for field in (QQ, GF(2), GF(5), GF(32003)):
+        cospans = fixed + [([rng.randrange(nb) for _ in range(rng.randint(1, 4))],
+                            [rng.randrange(nb) for _ in range(rng.randint(1, 4))], nb)
+                           for nb in (rng.randint(1, 3) for _ in range(4))]
+        for fa, gc, nb in cospans:
+            f0, g0 = (FinFun(FinSetObj(len(t)), FinSetObj(nb), t) for t in (fa, gc))
+            f, g = linearize_fun(f0, field), linearize_fun(g0, field)
+            pb, ref = relative_pullback_coalg(CoalgCategory(field), f, g), _generic(f, g)
+            assert pb.payload.index is not None and ref.payload.index is None
+            assert [_bits(m) for m in (pb.payload.object.delta, pb.payload.object.epsilon, pb.payload.j.mat,
+                                       pb.payload.left_inv, pb.p_a.mat, pb.p_c.mat)] == [
+                _bits(m) for m in (ref.payload.object.delta, ref.payload.object.epsilon, ref.payload.j.mat,
+                                   ref.payload.left_inv, ref.p_a.mat, ref.p_c.mat)]
+            assert pb.jointly_monic and ref.jointly_monic
+            pairs = pullback(f0, g0).payload
+            others = [(a, c) for a in range(len(fa)) for c in range(len(gc)) if fa[a] != gc[c]]
+            seen["empty pullback"] += not pairs
+            seen["empty fiber"] += len(set(fa) & set(gc)) < nb
+            for d in (0, 1, 3):
+                # a span through the pairs and one whose first column is off them, over k[d] and
+                # over a D whose δ sends e_x to e_{x+1}⊗e_x or to e_{x+1}⊗e_{x+1}
+                spans = [[rng.choice(pairs) for _ in range(d)]] if pairs else []
+                if d and others:
+                    spans.append([rng.choice(others)] + [rng.choice(pairs or others) for _ in range(d - 1)])
+                for span in spans:
+                    for move in [None] + [(1, 0), (1, 1)] * (d > 1):
+                        dd = [x * d + x if move is None else (x + move[0]) % d * d + (x + move[1]) % d
+                              for x in range(d)]
+                        src = Coalgebra(d, field, delta=_unit_matrix(field, d * d, dd),
+                                        epsilon=_unit_matrix(field, 1, [0] * d))
+                        k, l = (CoalgMap(src, m.src, _unit_matrix(field, m.src.dim, [p[i] for p in span]))
+                                for i, m in enumerate((f, g)))
+                        got = _outcome_bits(coalg._grouplike_filler, pb, k, l)
+                        assert got == _outcome_bits(pullback_factor_coalg, ref, k, l)
+                        seen[got[1] if isinstance(got[0], type) else "filler"] += 1
+            h = pullback_factor_coalg(pb, pb.p_a, pb.p_c).mat
+            assert h == Matrix.identity(field, pb.apex.dim) and isinstance(h._units, list)
+            # a leg with a zero column has no row table: the generic route, on both
+            zero = CoalgMap(pb.apex, g.src, Matrix.from_cols(field, g.src.dim, [{}] * pb.apex.dim))
+            assert pb.apex.dim == 0 or coalg._grouplike_filler(pb, pb.p_a, zero) is None
+            assert _outcome_bits(pullback_factor_coalg, pb, pb.p_a, zero) == _outcome_bits(
+                pullback_factor_coalg, ref, pb.p_a, zero)
+    assert seen["empty pullback"] and seen["empty fiber"] and seen["filler"] > 20
+    assert {"f∘k != g∘l", "filler does not factor through the inclusion",
+            "filler does not reproduce the test span"} <= seen.keys()
 
 
 def test_near_grouplike_pullbacks_solve_the_full_system(monkeypatch):

@@ -627,11 +627,14 @@ def test_recognizing_k_x_tensor_k_y_and_a_linearized_pentagon_build_no_tensor_de
 def test_group_like_apexes_get_their_delta_with_its_row_table(monkeypatch):
     """Every pullback apex of a linearized pentagon and of linearized
     cospans over two points gets its δ_E with its row table handed over at
-    build time, before the closure check (K⊗K)∘δ_E = δ∘K reads it; the
-    apex of a cospan in random bases takes the dict path.  On the cospans,
-    the pullback, its square, filler and apex check and the cotensor
-    comparison read no column of a matrix built from its table alone."""
+    build time, read off the matching pairs, whose closure check is made on
+    the tables as δ_E is built (coalg._grouplike_pullback); the apex of a
+    cospan in random bases takes the dict path, whose closure check
+    (K⊗K)∘δ_E = δ∘K reads δ_E as built.  On the cospans, the pullback, its
+    square, filler and apex check and the cotensor comparison read no
+    column of a matrix built from its table alone."""
     sub_in, kron_in, current, handed = coalg._subcoalgebra, coalg.kron_apply, [None], []
+    build_in = coalg._grouplike_pullback
     reads, getattr_in = [], linalg._TableMatrix.__getattr__
     monkeypatch.setattr(linalg._TableMatrix, "__getattr__", lambda m, name: reads.append(name) or getattr_in(m, name))
 
@@ -644,8 +647,14 @@ def test_group_like_apexes_get_their_delta_with_its_row_table(monkeypatch):
             handed.append(isinstance(m._units, list))
         return kron_in(a, b, m)
 
+    def build_spy(f, g, x):
+        if (out := build_in(f, g, x)) is not None:  # δ_E as built, its closure checked
+            handed.append(isinstance(out[0].object.delta._units, list))
+        return out
+
     monkeypatch.setattr(coalg, "_subcoalgebra", sub_spy)
     monkeypatch.setattr(coalg, "kron_apply", kron_spy)
+    monkeypatch.setattr(coalg, "_grouplike_pullback", build_spy)
     rng = rng_for("row-table-route")
     sizes = (2, 3, 2, 2, 3, 1, 2)
     chain = [rand_finfun(rng, sizes[i], sizes[i + 1]) if i % 2 == 0
