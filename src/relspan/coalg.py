@@ -30,10 +30,9 @@ subspace E is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘
 it inherits δ_E = (L⊗L)∘δ∘j, L the left inverse of the inclusion j.  L is
 the 0/1 projection onto the free coordinates of j's canonical basis, so
 δ_E is read off δ∘j, its rows at pairs of free coordinates, renumbered,
-with no product; when δ∘j has a row table whose rows all lie at such
-pairs, δ_E is that table renumbered, and keeps it.  The closure check
-(j⊗j)∘δ_E = δ∘j holds exactly when δ(E) ⊆ E⊗E; the theory guarantees
-it, so failure raises InternalSolveFailure.  f_hat - g_hat is (T⊗1)∘δ with
+with no product.  The closure check (j⊗j)∘δ_E = δ∘j holds exactly when
+δ(E) ⊆ E⊗E; the theory guarantees it, so failure raises
+InternalSolveFailure.  f_hat - g_hat is (T⊗1)∘δ with
 T = (1⊗(f-g))∘δ.  As (1⊗1⊗ε)∘(T⊗1)∘δ = T∘z for z = (1⊗ε)∘δ, E lies in
 K' = ker(T∘z), with no counit law assumed, and E = K'·N for
 N = ker((T⊗1)∘δ∘K'), the second system.  Both are kernel bases
@@ -71,19 +70,18 @@ e_a⊗e_f(a)⊗e_c - e_a⊗e_g(c)⊗e_c: zero exactly when f(a) = g(c), and
 otherwise two entries on rows that no other column uses.  So ker T is
 spanned by the matching pairs, and its canonical basis K' is their unit
 columns e_a⊗e_c, in ascending order, with no condition on ε_B.
-_grouplike_pullback reads the pullback off them in one pass, with no
-product: the row of δ∘K' at each pair, from δ_A's and δ_C's tables with
-_delta_apply's index move, so δ is read and not assumed; the closure
-check, that each such row lies at a pair of free coordinates, δ_E being
-then its renumbering; ε_E, p_A and p_C from the counit tables; L with
-kernel_left_inverse's check; and the square f∘p_A = g∘p_C as tables.  Its
-equalizer keeps the index from free coordinate to apex basis, and a filler
-whose k, l and δ_D have row tables is read off it (_grouplike_filler): the
-square as tables, each row of (k⊗l)∘δ_D looked up in the index, and
-p_A∘h = k and p_C∘h = l as tables.  Both raise what the generic route
-raises, with its message, in its order.  The cotensor, which builds and
-eliminates its own system, still cross-checks this pullback.  Every other
-cospan solves T.
+The recognition of k[X] has read δ_A, δ_C, ε_A and ε_C, so at the t-th
+pair (a, c) δ∘K' is e_t⊗e_t of K'⊗K', ε_E is 1, p_A(e_t) = e_a and
+p_C(e_t) = e_c, and the square commutes: the pullback is k[P], P the
+matching pairs.  _grouplike_pullback builds it so, with no product: the
+apex grouplike(k, |P|), j = K', L with kernel_left_inverse's check, and
+p_A and p_C the pair coordinates.  Its equalizer keeps the index from
+free coordinate to apex basis, and a filler whose k, l and δ_D have row
+tables is read off it (_grouplike_filler): the square as tables, each row
+of (k⊗l)∘δ_D looked up in the index, and p_A∘h = k and p_C∘h = l as
+tables, each failure raised as the generic route words it, in its order.
+The cotensor, which builds and eliminates its own system, still
+cross-checks this pullback.  Every other cospan solves T.
 
 Tensor products of coalgebras keep their factors.  δ∘M is
 (1⊗c⊗1)∘(δ_A⊗δ_C)∘M, one kron_apply whose entries then move to their rows
@@ -284,8 +282,7 @@ class CoalgMap:
 def _delta_apply(x: Coalgebra, m: Matrix) -> Matrix:
     """δ∘m.  Of a tensor product A⊗B whose δ is not built, (1⊗c⊗1)∘(δ_A⊗δ_B)∘m,
     without the δ of A⊗B: the entry of kron_apply(δ_A, δ_B, m) at
-    (a1⊗a2)⊗(b1⊗b2) moves to (a1⊗b1)⊗(a2⊗b2).  When that product has a row
-    table, the move is an index map on it, and the result keeps it."""
+    (a1⊗a2)⊗(b1⊗b2) moves to (a1⊗b1)⊗(a2⊗b2)."""
     if "delta" in vars(x):
         return x.delta @ m
     a, b = x._factors
@@ -294,8 +291,6 @@ def _delta_apply(x: Coalgebra, m: Matrix) -> Matrix:
     to_a = {i: i // na * nb * n + i % na * nb for i in _rows_used(a.delta)}
     to_b = {k: k // nb * n + k % nb for k in _rows_used(b.delta)}
     prod = kron_apply(a.delta, b.delta, m)
-    if isinstance(prod._units, list):
-        return _unit_matrix(x.field, n * n, [to_a[r // s] + to_b[r % s] for r in prod._units])
     cols = [{to_a[r // s] + to_b[r % s]: v for r, v in col.items()} for col in prod.columns]
     return Matrix.from_cols(x.field, n * n, cols)
 
@@ -582,9 +577,7 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix | None) -> CoalgEqual
     reads δ_E and decides the check.  L is the 0/1 projection onto k's free
     coordinates, so δ_E = (L⊗L)∘δ∘k is the rows of delta_k at pairs of
     them, renumbered: L maps the free coordinate of column t to e_t and the
-    others to 0.  When delta_k has a row table whose rows all lie at such
-    pairs, δ_E is that table renumbered, with its table; a row elsewhere
-    takes the dict path, whose δ_E then fails the check."""
+    others to 0."""
     lk, n, kc = kernel_left_inverse(k), x.dim, k.cols
     free = k._units if isinstance(k._units, list) else [max(col) for col in k.columns]
     at = dict(zip(free, range(kc)))
@@ -593,12 +586,9 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix | None) -> CoalgEqual
             return None
         delta_e = Matrix.from_cols(x.field, kc * kc, cols)
     else:
-        if isinstance(rows := delta_k._units, list) and all(r // n in at and r % n in at for r in rows):
-            delta_e = _unit_matrix(x.field, kc * kc, [at[r // n] * kc + at[r % n] for r in rows])
-        else:
-            delta_e = Matrix.from_cols(x.field, kc * kc, [
-                {at[u] * kc + at[w]: v for r, v in col.items() if (u := r // n) in at and (w := r % n) in at}
-                for col in delta_k.columns])
+        delta_e = Matrix.from_cols(x.field, kc * kc, [
+            {at[u] * kc + at[w]: v for r, v in col.items() if (u := r // n) in at and (w := r % n) in at}
+            for col in delta_k.columns])
         if kron_apply(k, k, delta_e) != delta_k:
             return None
     eps_k = x.epsilon @ k if x._factors is None else kron_apply(*(f.epsilon for f in x._factors), k)
@@ -683,41 +673,25 @@ def _grouplike_pullback(f: CoalgMap, g: CoalgMap, x: Coalgebra):
     """_pullback_equalizer's equalizer and projections on counital input,
     when every column of f and g is one entry equal to one (their row
     tables are read, f's first, so a dense f fails at its first column) and
-    A and C are k[X] (_grouplike, which on counital input says no more than
-    that δ_A and δ_C are group-like); else None.  They are read off the
-    matching pairs in one pass with no product (module docstring), each
-    failure raised as the generic route words it, in its order, and the
-    equalizer keeps its index from free coordinate to apex basis for
-    _grouplike_filler."""
+    A and C are k[X] (Coalgebra._grouplike); else None.  The pullback is
+    then k[P], P the matching pairs (a, c), f(a) = g(c), in ascending order:
+    the apex grouplike(k, |P|), j the unit columns e_a⊗e_c and p_A, p_C the
+    pair coordinates (module docstring).  The equalizer keeps its index from
+    free coordinate to apex basis for _grouplike_filler."""
     legs = []
     for m in (f, g):
         if (rows := _unit_rows(m.mat)) is False or not m.src._grouplike:
             return None
         legs.append(rows)
-    (fa, gc), a, c, fld = legs, f.src, g.src, f.mat.field
-    na, nc, over = a.dim, c.dim, {}
+    (fa, gc), fld, over = legs, f.mat.field, {}
     for y, b in enumerate(gc):
         over.setdefault(b, []).append(y)
-    k = _unit_matrix(fld, x.dim, [s * nc + y for s, b in enumerate(fa) for y in over.get(b, ())])
-    lk, kc = kernel_left_inverse(k), k.cols
-    at = dict(zip(k._units, range(kc)))
-    da, dc, ea, ec = (_unit_rows(m) for m in (a.delta, c.delta, a.epsilon, c.epsilon))
-    delta_e, eps_e, p_a, p_c = [], [], [], []
-    for r in k._units:
-        s, y = divmod(r, nc)
-        (s1, s2), (y1, y2) = divmod(da[s], na), divmod(dc[y], nc)
-        u, w = at.get(s1 * nc + y1), at.get(s2 * nc + y2)
-        if u is None or w is None:
-            raise InternalSolveFailure("δ∘j does not factor through j⊗j")
-        delta_e.append(u * kc + w)
-        eps_e.append(ea[s] + ec[y])
-        p_a.append(s + ec[y])
-        p_c.append(ea[s] * nc + y)
-    if f.mat.rows != g.mat.rows or [fa[s] for s in p_a] != [gc[y] for y in p_c]:
-        raise InternalSolveFailure("pullback square does not commute")
-    obj = Coalgebra(kc, fld, delta=_unit_matrix(fld, kc * kc, delta_e), epsilon=_unit_matrix(fld, 1, eps_e))
-    eq = CoalgEqualizer(obj, CoalgMap(obj, x, k), lk, at)
-    return eq, CoalgMap(obj, a, _unit_matrix(fld, na, p_a)), CoalgMap(obj, c, _unit_matrix(fld, nc, p_c))
+    pairs = [(s, y) for s, b in enumerate(fa) for y in over.get(b, ())]
+    a, c, obj = f.src, g.src, grouplike(fld, len(pairs))
+    k = _unit_matrix(fld, x.dim, [s * c.dim + y for s, y in pairs])
+    eq = CoalgEqualizer(obj, CoalgMap(obj, x, k), kernel_left_inverse(k), dict(zip(k._units, range(k.cols))))
+    return (eq, CoalgMap(obj, a, _unit_matrix(fld, a.dim, [s for s, _ in pairs])),
+            CoalgMap(obj, c, _unit_matrix(fld, c.dim, [y for _, y in pairs])))
 
 
 def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> RelPullback:
@@ -764,15 +738,15 @@ def pullback_factor_coalg(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap
 
 def _grouplike_filler(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> Matrix | None:
     """pullback_factor_coalg's h, as a row table, on a pullback that
-    _grouplike_pullback built, when k, l and δ_D have row tables and k and l
-    compose with the legs; else None, before any check.  The square is
-    compared as tables, each row of (k⊗l)∘δ_D is looked up in the index of
-    the free coordinates (a row outside it is a column that L sends to 0,
-    on which the inclusion fails), and p_A∘h = k and p_C∘h = l are compared
-    as tables: each failure raises as the generic route words it."""
+    _grouplike_pullback built, when k, l and δ_D have row tables; else
+    None, before any check (relpull.universal_factor has checked that k and
+    l end at the legs' domains).  The square is compared as tables, each
+    row of (k⊗l)∘δ_D is looked up in the index of the free coordinates (a
+    row outside it is a column that L sends to 0, on which the inclusion
+    fails), and p_A∘h = k and p_C∘h = l are compared as tables: each
+    failure raises as the generic route words it."""
     f, g, fld, at = pb.f.mat, pb.g.mat, pb.f.mat.field, pb.payload.index
     if (at is None or (kr := _unit_rows(k.mat)) is False or (lr := _unit_rows(l.mat)) is False
-            or not (k.mat.field == fld == l.mat.field and k.mat.rows == f.cols and l.mat.rows == g.cols)
             or (dd := _unit_rows(k.src.delta)) is False):
         return None
     fa, gc = f._units, g._units

@@ -32,19 +32,18 @@ matrix per field and size.
 Group-like data (δ, ε, 0/1 maps, identities) has every column a unit vector
 {r: one}.  A matrix keeps the row table of such columns.  The builders of
 0/1 matrices hand it over (_unit_matrix): Matrix.identity, swap_map,
-coalg.grouplike's δ and ε, the K', δ_E, ε_E and projections of a
-group-like pullback (coalg._grouplike_pullback) and its fillers
-(coalg._grouplike_filler), the kernel of a count-one system (below),
-finset.linearize_fun, the d of relcat.linearize_relcat,
-coalg._delta_apply on a tensor product and the δ_E of
-coalg._subcoalgebra; for any other matrix _unit_rows finds it on
-first use.  As matrices never change, it never goes stale.  A matrix those
-builders make, the shared identities aside, holds its table alone and
-makes its column dicts when they are first read; a relative pullback of
-linearized finite sets, its filler, apex check and cotensor comparison
-read none: coalg._grouplike_pullback and coalg._grouplike_filler make its
-closure check, its square and the filler's checks on index lists, with no
-product, and the cotensor, which solves its own system, cross-checks
+coalg.grouplike's δ and ε, the K' and projections of a group-like
+pullback (coalg._grouplike_pullback), whose apex is coalg.grouplike, and
+its fillers (coalg._grouplike_filler), the kernel of a count-one system
+(below), finset.linearize_fun and the d of relcat.linearize_relcat; for
+any other matrix _unit_rows finds it on first use.  As matrices never
+change, it never goes stale.  A matrix those builders make, the shared
+identities aside, holds its table alone and makes its column dicts when
+they are first read; a relative pullback of linearized finite sets, its
+filler, apex check and cotensor comparison read none:
+coalg._grouplike_pullback builds it from the matching pairs and
+coalg._grouplike_filler makes the filler's checks on index lists, with
+no product, and the cotensor, which solves its own system, cross-checks
 them.  The table is the one fast path for such data: kron_apply on
 three tables, and A @ B on B's, is an index map that keeps the result's
 table (A @ B when A has one, reading no column of A), and X⊗Z - W⊗Y on

@@ -708,8 +708,8 @@ def test_pullback_compare_cotensor_decides_class_S_three_times(monkeypatch):
     code, _ = run(["pullback", fx("cospan_coalg.json"), "--cospan", "cs", "--compare-cotensor"])
     assert code == 0
     assert len(calls) == 3  # the two legs, then the projection span of the filler
-    # one closure check, which certifies the pullback's equalizer, made on its
-    # matching pairs as it is built; the cotensor stays linear
+    # no closure check: the pullback is k of its matching pairs as it is
+    # built; the cotensor stays linear
     assert len(builds) == 1 and builds[0][1] is not None and not checks
 
 
@@ -721,10 +721,10 @@ def test_cotensor_command_decides_the_legs_once(monkeypatch):
     checked = _counting(monkeypatch, "check_coalgebra")
     code, doc = run_json(["cotensor", fx("cospan_coalg.json"), "--cospan", "cs"])
     assert code == 0 and any(c["name"].startswith("induced structure") for c in doc["checks"])
-    # the pullback first, its closure check made on its matching pairs, then
-    # the cotensor, which solves its own system; its basis is the pullback's
-    # j, so the pullback's payload is the induced structure, with no second
-    # closure check
+    # the pullback first, read off its matching pairs with no closure check,
+    # then the cotensor, which solves its own system; its basis is the
+    # pullback's j, so the pullback's payload is the induced structure, with
+    # no closure check
     assert len(calls) == 2 and isinstance(calls[0][1][0], coalg.CoalgEqualizer)
     assert isinstance(calls[1][1], linalg.Matrix)
     eq, ct = calls[0][1][0], calls[1][1]

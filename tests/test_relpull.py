@@ -627,8 +627,8 @@ def test_recognizing_k_x_tensor_k_y_and_a_linearized_pentagon_build_no_tensor_de
 def test_group_like_apexes_get_their_delta_with_its_row_table(monkeypatch):
     """Every pullback apex of a linearized pentagon and of linearized
     cospans over two points gets its δ_E with its row table handed over at
-    build time, read off the matching pairs, whose closure check is made on
-    the tables as δ_E is built (coalg._grouplike_pullback); the apex of a
+    build time, as grouplike of the matching pairs
+    (coalg._grouplike_pullback); the apex of a
     cospan in random bases takes the dict path, whose closure check
     (K⊗K)∘δ_E = δ∘K reads δ_E as built.  On the cospans, the pullback, its
     square, filler and apex check and the cotensor comparison read no
@@ -648,7 +648,7 @@ def test_group_like_apexes_get_their_delta_with_its_row_table(monkeypatch):
         return kron_in(a, b, m)
 
     def build_spy(f, g, x):
-        if (out := build_in(f, g, x)) is not None:  # δ_E as built, its closure checked
+        if (out := build_in(f, g, x)) is not None:  # δ_E as built
             handed.append(isinstance(out[0].object.delta._units, list))
         return out
 
