@@ -93,19 +93,24 @@ Unit identifications k⊗V ≅ V ≅ V⊗k are implicit: a Kronecker factor of
 dimension 1 changes no indices, so the dimension bookkeeping is the coercion.
 
 A coalgebra keeps six facts about itself as cached properties, each built
-on first use unless given to the constructor: ε and δ of a tensor product;
-whether it is k[X], δe_x = e_x⊗e_x and ε(e_x) = 1, recognized once from
-the row tables of δ and ε, and of a tensor product from its factors, with
-neither of its own built; z = (1⊗ε)∘δ, which the right counit law, the
-equalizer and the relative pullback (Z_A, Z_C) read; l = (ε⊗1)∘δ, which
-the left counit law and the pullback's certificate (l_C) read; and whether
-c∘δ = δ, which decides class S on a cocommutative apex and gives c∘δ_C.
-On k[X] the last three are read off the recognition with no product: z
-and l are the shared identity, so the certificate's kron_apply returns j,
-and c∘δ = δ; check_coalgebra reports it coassociative, both sides being
-e_x⊗e_x⊗e_x, and _grouplike_pullback reads it.  So the pullbacks of linearized
-cospans, iterated as in the pentagon, and the axiom checks of their apexes
-build none of these products, nor any δ or ε of a tensor product.  A
+on first use unless given to the constructor or set by its builder: ε and
+δ of a tensor product; whether it is k[X], δe_x = e_x⊗e_x and
+ε(e_x) = 1; z = (1⊗ε)∘δ, which the right counit law, the equalizer and
+the relative pullback (Z_A, Z_C) read; l = (ε⊗1)∘δ, which the left counit
+law and the pullback's certificate (l_C) read; and whether c∘δ = δ, which
+decides class S on a cocommutative apex and gives c∘δ_C.  grouplike,
+which builds every linearized set, group-like pullback apex and the unit,
+sets the last four on the object it returns, so those objects work none
+out.  Any other coalgebra, as a decoded one, recognizes once whether it
+is k[X] from the row tables of δ and ε, and a tensor product from its
+factors, with neither of its own built; on k[X] the last three are then
+read off the recognition with no product.  Either way z and l are the
+shared identity, so the certificate's kron_apply returns j and each
+counit law compares the identity with itself, and c∘δ = δ;
+check_coalgebra reports it coassociative, both sides being e_x⊗e_x⊗e_x,
+and _grouplike_pullback reads it.  So the pullbacks of linearized
+cospans, iterated as in the pentagon, and the axiom checks of their
+apexes build none of these products, nor any δ or ε of a tensor product.  A
 command's iterated pullbacks read the facts on objects they share (a
 linearization gives equal sets one k[X]), so each is built once per
 object.  They live and die with the object, so nothing outlives the
@@ -308,13 +313,20 @@ def cid(c: Coalgebra) -> CoalgMap:
 
 
 def trivial(field) -> Coalgebra:
-    return Coalgebra(1, field, delta=Matrix.identity(field, 1), epsilon=Matrix.identity(field, 1))
+    """k, the unit: k[X] for |X| = 1, whose δ and ε are the 1 x 1 identity."""
+    return grouplike(field, 1)
 
 
 def grouplike(field, n: int) -> Coalgebra:
-    """k[X] for |X| = n: δ(e_x) = e_x⊗e_x, ε(e_x) = 1."""
+    """k[X] for |X| = n: δ(e_x) = e_x⊗e_x, ε(e_x) = 1.  The facts a
+    coalgebra keeps are set on it here, as Matrix.identity hands over its
+    row table, so none is worked out again: that it is k[X], that z = l = 1,
+    the shared identity, and that c∘δ = δ."""
     delta = _unit_matrix(field, n * n, [x * n + x for x in range(n)])
-    return Coalgebra(n, field, delta=delta, epsilon=_unit_matrix(field, 1, [0] * n))
+    c = Coalgebra(n, field, delta=delta, epsilon=_unit_matrix(field, 1, [0] * n))
+    c._grouplike = c.cocommutative = True
+    c.right_counit = c.left_counit = Matrix.identity(field, n)
+    return c
 
 
 def path_coalgebra(field) -> Coalgebra:
@@ -446,11 +458,14 @@ def _swapped(d: Matrix, n: int) -> Matrix:
 
 
 class CoalgCategory(BaseCategory):
+    """Coalgebras over one field, their maps and the class S.  The unit k is
+    built on the first unit_obj() call and kept: a category built for one
+    pullback, as compare_cotensor_pullback's on every call, never reads it."""
+
     name = "coalg"
 
     def __init__(self, field):
         self.field = field
-        self._unit = trivial(field)
 
     def identity(self, obj):
         return cid(obj)
@@ -476,6 +491,10 @@ class CoalgCategory(BaseCategory):
         return CoalgMap(
             tensor_coalgebra(f.src, g.src), tensor_coalgebra(f.tgt, g.tgt), kron(f.mat, g.mat)
         )
+
+    @cached_property
+    def _unit(self) -> Coalgebra:
+        return trivial(self.field)
 
     def unit_obj(self):
         return self._unit

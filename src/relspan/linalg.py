@@ -427,7 +427,10 @@ def left_inverse(a: Matrix) -> Matrix:
 
 
 def first_difference(a: Matrix, b: Matrix):
-    """The first column index at which two matrices of one shape differ, or None."""
+    """The first column index at which two matrices of one shape differ, or
+    None: at once, reading no column, when they are one matrix."""
+    if a is b:
+        return None
     return next((j for j, (x, y) in enumerate(zip(a.columns, b.columns)) if x != y), None)
 
 

@@ -1,5 +1,6 @@
 """Coalgebras: axiom checks, class S, equalizers, relative pullbacks, cotensor."""
 
+import os
 import time
 from collections import Counter
 from fractions import Fraction
@@ -70,6 +71,7 @@ from relspan.coalg import (
 )
 from relspan.catcore import Report, Span
 from relspan.finset import pullback
+from relspan.jsonio import load_context
 from relspan.errors import (
     CodomainMismatch,
     CompositionMismatch,
@@ -183,10 +185,27 @@ def test_check_coalg_map_grouplike_and_violations():
 GROUPLIKE_FIELDS = (QQ, GF(2), GF(5), GF(32003))
 
 
+def _plain_grouplike(field, n):
+    """k[X] for |X| = n, built from plain columns: no row table, no fact set."""
+    one = field.one
+    return Coalgebra(n, field, delta=Matrix.from_cols(field, n * n, [{x * n + x: one} for x in range(n)]),
+                     epsilon=Matrix.from_cols(field, 1, [{0: one}] * n))
+
+
+def _decoded_grouplikes():
+    """A, B and C of cospan_coalg.json, k[X] over F_5 decoded from JSON."""
+    ctx = load_context(os.path.join(os.path.dirname(__file__), "..", "fixtures", "cospan_coalg.json"))
+    return [ctx[name].value for name in "ABC"]
+
+
 def _grouplike_cases(rng, field):
-    """k[X] for |X| ≤ 6, apexes of linearized pullbacks, and k[X]⊗k[Y],
-    nested too."""
+    """k[X] for |X| ≤ 6, built by grouplike, which sets its facts, and from
+    plain columns or decoded, which are recognized from their tables;
+    apexes of linearized pullbacks, and k[X]⊗k[Y], nested too."""
     yield from (grouplike(field, n) for n in range(7))
+    yield from (_plain_grouplike(field, n) for n in range(7))
+    if field == GF(5):
+        yield from _decoded_grouplikes()
     for _ in range(4):
         f0 = rand_finfun(rng, rng.randint(1, 4), rng.randint(1, 3))
         g0 = rand_finfun(rng, rng.randint(1, 4), f0.cod.size)
@@ -242,13 +261,15 @@ def _formula_facts(c):
 
 
 def test_grouplike_recognizer_reads_what_the_formulas_compute():
-    """k[X] is recognized from its row tables, and its right and left
-    counits, the shared identity, its cocommutativity and the report of
-    check_coalgebra equal what the formulas compute from δ and ε: on k[X]
-    for |X| ≤ 6, linearized pullback apexes and k[X]⊗k[Y], over Q, F_2, F_5
-    and F_32003.  The near misses are not recognized, and get the formulas'
-    values too.  The recognized facts are read first, so a tensor product's
-    are read before its δ and ε are built."""
+    """k[X] is recognized from its row tables, or handed its facts by
+    grouplike, and its right and left counits, the shared identity, its
+    cocommutativity and the report of check_coalgebra equal what the
+    formulas compute from δ and ε: on k[X] for |X| ≤ 6 built by grouplike
+    and from plain columns, A, B and C decoded from cospan_coalg.json,
+    linearized pullback apexes and k[X]⊗k[Y], over Q, F_2, F_5 and F_32003.
+    The near misses are not recognized, and get the formulas' values too.
+    The recognized facts are read first, so a tensor product's are read
+    before its δ and ε are built."""
     rng = rng_for("grouplike-recognizer")
     seen = Counter()
     for field in GROUPLIKE_FIELDS:
@@ -262,6 +283,56 @@ def test_grouplike_recognizer_reads_what_the_formulas_compute():
                     assert got[0] is got[1] is Matrix.identity(field, c.dim)
                 seen[expected, all(x["status"] == "pass" for x in got[3])] += 1
     assert seen[True, True] and seen[False, True] and seen[False, False] and not seen[True, False]
+
+
+_FACTS = ("_grouplike", "right_counit", "left_counit", "cocommutative")
+
+
+def _answers_as_kx(c):
+    """Whether c says it is k[X], cocommutative with z = l the shared
+    identity, and check_coalgebra passes."""
+    return (c._grouplike is c.cocommutative is True
+            and c.right_counit is c.left_counit is Matrix.identity(c.field, c.dim) and check_coalgebra(c).ok)
+
+
+def test_grouplike_hands_its_facts_over_and_decoded_kx_reads_its_tables(monkeypatch):
+    """k[X] built by grouplike or linearize_obj answers its four facts and
+    check_coalgebra with no call to the recognizer's _unit_rows, kron_apply
+    or _swapped: grouplike sets them.  The same k[X] from plain columns, and
+    A, B and C decoded from cospan_coalg.json, are recognized from both
+    tables, ε's then δ's, and read off that recognition."""
+    units, krons, swaps = (_spy(monkeypatch, coalg, name) for name in ("_unit_rows", "kron_apply", "_swapped"))
+    for field in GROUPLIKE_FIELDS:
+        for n in range(5):
+            for c in (grouplike(field, n), linearize_obj(FinSetObj(n), field)):
+                assert vars(c).keys() >= set(_FACTS)
+                assert _answers_as_kx(c)
+                assert not units and not krons and not swaps
+    for c in [_plain_grouplike(QQ, 3)] + _decoded_grouplikes():
+        assert not vars(c).keys() & set(_FACTS)
+        assert _answers_as_kx(c)
+        assert [args for args, _ in units] == [(c.epsilon,), (c.delta,)]
+        assert not krons and not swaps
+        units.clear()
+
+
+def test_coalg_category_builds_its_unit_on_first_use(monkeypatch):
+    """CoalgCategory(F) builds no coalgebra until unit_obj() is called, and
+    then returns one k, grouplike(F, 1), on every call."""
+    built, init = [], Coalgebra.__init__
+
+    def spy(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Coalgebra, "__init__", spy)
+    for field in GROUPLIKE_FIELDS:
+        base = CoalgCategory(field)
+        assert not built
+        unit = base.unit_obj()
+        assert base.unit_obj() is unit and base.unit_obj() is unit and built == [unit]
+        assert unit == trivial(field) == grouplike(field, 1) and unit._grouplike
+        built.clear()
 
 
 # -- class S ---------------------------------------------------------------------

@@ -1533,6 +1533,25 @@ def test_row_table_readers_equal_their_dict_paths(field):
     assert {(True, True), (True, False), (False, False), "refused", ("inverted", True)} <= seen.keys(), seen
 
 
+def test_first_difference_of_one_matrix_reads_no_column():
+    """first_difference(m, m) is None without making the columns of a matrix
+    built from its table; equal but distinct matrices still compare as None,
+    and different ones name their first differing column."""
+    for field in FIELDS:
+        m = linalg._unit_matrix(field, 4, [2, 0, 3])
+        assert linalg.first_difference(m, m) is None
+        with pytest.raises(AttributeError):
+            object.__getattribute__(m, "columns")
+        one = field.one
+        same = Matrix.from_cols(field, 4, [{2: one}, {0: one}, {3: one}])
+        assert linalg.first_difference(m, same) is None and linalg.first_difference(same, m) is None
+        for j in range(3):
+            cols = [dict(c) for c in same.columns]
+            cols[j] = {1: one}
+            other = Matrix.from_cols(field, 4, cols)
+            assert linalg.first_difference(m, other) == j == linalg.first_difference(other, same)
+
+
 def test_a_matrix_built_from_its_table_makes_its_columns_on_first_read():
     """_unit_matrix and kron_apply on tables build no column until one is
     read; the columns are then made once and kept, equal to those the
