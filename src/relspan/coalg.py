@@ -25,6 +25,13 @@ first difference of the two whole products, index maps on group-like data.
 On decoded input jsonio.MAX_COASSOC_PRODUCTS bounds the products those two
 would make.
 
+Equalizers and relative pullbacks are of comonoids, which are counital.
+Before anything is built, the maps' domain, or A and C of a cospan, is
+decided to satisfy both counit laws, l = 1 and z = 1, on the facts each
+keeps (_require_counital, which reads them as check_coalgebra does); one
+that fails raises NotCounital, naming the law and its basis witness, and
+the CLI reports that with exit 2.
+
 Equalizers of coalgebra maps are computed in two steps: the underlying
 subspace E is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and
 it inherits δ_E = (L⊗L)∘δ∘j, L the left inverse of the inclusion j.  L is
@@ -33,15 +40,14 @@ the 0/1 projection onto the free coordinates of j's canonical basis, so
 with no product.  The closure check (j⊗j)∘δ_E = δ∘j holds exactly when
 δ(E) ⊆ E⊗E; the theory guarantees it, so failure raises
 InternalSolveFailure.  f_hat - g_hat is (T⊗1)∘δ with
-T = (1⊗(f-g))∘δ.  As (1⊗1⊗ε)∘(T⊗1)∘δ = T∘z for z = (1⊗ε)∘δ, E lies in
-K' = ker(T∘z), with no counit law assumed, and E = K'·N for
-N = ker((T⊗1)∘δ∘K'), the second system.  Both are kernel bases
-(linalg.kernel_basis_sparse) of systems built here.  On counital input
-z = 1, so K' = ker T, and T∘K' = 0.  The closure check on K' is then the
-certificate: when it passes, (T⊗1)∘δ∘K' = (T∘K'⊗K')∘δ_E = 0, so N = 1 and
-E = K'.  The second system is built only when z ≠ 1 or that check fails.
-This basis is canonical: each column is 1 at its largest nonzero
-coordinate, where the others are 0.  Over F_p on a tensor product A⊗C,
+T = (1⊗(f-g))∘δ.  As (1⊗1⊗ε)∘(T⊗1)∘δ = T by the right counit law, E lies
+in K' = ker T, and E = K'·N for N = ker((T⊗1)∘δ∘K'), the second system.
+Both are kernel bases (linalg.kernel_basis_sparse) of systems built here.
+T∘K' = 0, so the closure check on K' is the certificate: when it passes,
+(T⊗1)∘δ∘K' = (T∘K'⊗K')∘δ_E = 0, so N = 1 and E = K'.  The second system
+is built only when that check fails, as it can on input that is not
+coassociative.  This basis is canonical: each column is 1 at its largest
+nonzero coordinate, where the others are 0.  Over F_p on a tensor product A⊗C,
 when K' has no row table and the gate of linalg's packed F_p layer admits
 n² products of three residues per slot, n = dim A⊗C (linalg._fits_closure),
 the check is decided in 64-bit slots by the layer's closure decider
@@ -50,21 +56,21 @@ matrix only off that gate, as over Q, a wide prime or a row table, or
 when the check fails and the second system needs it.
 
 A relative pullback's payload is the equalizer of f⊗ε and ε⊗g on A⊗C;
-there δ = (1⊗c⊗1)∘(δ_A⊗δ_C) gives z = Z_A⊗Z_C, taken as 1 when Z_A and Z_C
-are, and T, rows in A⊗B⊗C order, as X_f⊗Z_C - Z_A⊗(c∘Y_g), for
-X_f = (1⊗f)∘δ_A, Y_g = (1⊗g)∘δ_C and Z = (1⊗ε)∘δ on each factor; each
-column of that difference is built in one pass, without either Kronecker
-product.  c∘Y_g is (g⊗1)∘c∘δ_C, one product, and c∘δ_C = δ_C when C is
-cocommutative.  Once the closure check has passed, the projections
-p_A = (1⊗ε_C)∘j and p_C = (ε_A⊗1)∘j give (p_A⊗p_C)∘δ_E = (z_A⊗l_C)∘j, for
-l = (ε⊗1)∘δ, so the joint-mono certificate (p_A⊗p_C)∘δ_E = j holds at once
-on counital A and C.  The cotensor product, the independent one-step
-linear equalizer on A⊗C that cross-checks it, is an unchecked linear
-subspace; once the legs are decided to be in S, subcoalgebra gives its
+there δ = (1⊗c⊗1)∘(δ_A⊗δ_C) gives T, rows in A⊗B⊗C order, as
+X_f⊗1 - 1⊗(c∘Y_g), for X_f = (1⊗f)∘δ_A and Y_g = (1⊗g)∘δ_C; each column
+of that difference is built in one pass, without either Kronecker
+product (linalg._kron_difference).  c∘Y_g is (g⊗1)∘c∘δ_C, one product,
+and c∘δ_C = δ_C when C is cocommutative.  Once the closure check has
+passed, the projections p_A = (1⊗ε_C)∘j and p_C = (ε_A⊗1)∘j give
+(p_A⊗p_C)∘δ_E = (z_A⊗l_C)∘j, so the joint-mono certificate
+(p_A⊗p_C)∘δ_E = j holds at once on the counital A and C decided before
+the build; it is still checked.  The cotensor product, the independent
+one-step linear equalizer on A⊗C that cross-checks it, is an unchecked
+linear subspace; once the legs are decided to be in S, subcoalgebra gives its
 induced structure.  The comparison settles on equal canonical bases.
 
-On counital input, when every column of f and g is one entry equal to one
-and A and C are k[X] (δe_x = e_x⊗e_x), as on a linearized cospan, K' is
+When every column of f and g is one entry equal to one and A and C are
+k[X] (δe_x = e_x⊗e_x), as on a linearized cospan, K' is
 read off the legs with no system.  Column a⊗c of T is
 e_a⊗e_f(a)⊗e_c - e_a⊗e_g(c)⊗e_c: zero exactly when f(a) = g(c), and
 otherwise two entries on rows that no other column uses.  So ker T is
@@ -95,10 +101,10 @@ dimension 1 changes no indices, so the dimension bookkeeping is the coercion.
 A coalgebra keeps six facts about itself as cached properties, each built
 on first use unless given to the constructor or set by its builder: ε and
 δ of a tensor product; whether it is k[X], δe_x = e_x⊗e_x and
-ε(e_x) = 1; z = (1⊗ε)∘δ, which the right counit law, the equalizer and
-the relative pullback (Z_A, Z_C) read; l = (ε⊗1)∘δ, which the left counit
-law and the pullback's certificate (l_C) read; and whether c∘δ = δ, which
-decides class S on a cocommutative apex and gives c∘δ_C.  grouplike,
+ε(e_x) = 1; z = (1⊗ε)∘δ and l = (ε⊗1)∘δ, which the counit laws read, in
+check_coalgebra and in the decision before an equalizer or a pullback,
+and the pullback's certificate reads as z_A and l_C; and whether
+c∘δ = δ, which decides class S on a cocommutative apex and gives c∘δ_C.  grouplike,
 which builds every linearized set, group-like pullback apex and the unit,
 sets the last four on the object it returns, so those objects work none
 out.  Any other coalgebra, as a decoded one, recognizes once whether it
@@ -119,13 +125,14 @@ not kept.  A map f keeps the equalizer and projections of the pullback
 last built on it as left leg, keyed on the right leg g as an object (is,
 not ==); a build that raises keeps nothing.
 Beside them it keeps the system T the pullback solved and K' = ker T, only
-when the inclusion is K': on counital input whose closure check passed,
-not on a group-like cospan, which solves no T.  They are a deterministic
+when the inclusion is K': on input whose closure check on K' passed, not
+on a group-like cospan, which solves no T.  They are a deterministic
 function of f and g, so relative_pullback and compare_cotensor_pullback on
 the same legs build them once, and the entry dies with f.  cotensor
 returns the kept K' only when its own system equals T entry for entry; it
-is then the kernel cotensor would take.  On counital A and C with legs in
-S the two are equal: class S of (g, 1_C) gives (g⊗1)∘c∘δ_C = (g⊗1)∘δ_C.
+is then the kernel cotensor would take.  On legs in S, out of the counital
+A and C the pullback has decided, the two are equal: class S of (g, 1_C)
+gives (g⊗1)∘c∘δ_C = (g⊗1)∘δ_C.
 Elsewhere cotensor takes the kernel of its own system: on a group-like
 cospan every row of it has count one, and kernel_basis_sparse reads its
 kernel off the system's empty columns with no elimination.
@@ -145,6 +152,7 @@ from .errors import (
     CompositionMismatch,
     InternalSolveFailure,
     LegsNotInClass,
+    NotCounital,
     ShapeMismatch,
     SquareDoesNotCommute,
 )
@@ -354,13 +362,28 @@ def _add_equation(rep: Report, name, lhs: Matrix, rhs: Matrix):
 def check_coalgebra(c: Coalgebra) -> Report:
     """Coassociativity and both counit laws, exactly, with a basis witness.
     k[X] is coassociative with no product: both sides are e_x⊗e_x⊗e_x."""
-    i_n = Matrix.identity(c.field, c.dim)
     rep = Report()
     j = None if c._grouplike else _coassoc_difference(c.delta)
     rep.add("coassociativity", j is None, f"basis {j}")
+    rep.extend(_counit_laws(c))
+    return rep
+
+
+def _counit_laws(c: Coalgebra) -> Report:
+    """The left and right counit laws, l = 1 and z = 1, read off the facts
+    c keeps, each with the first basis vector at which it fails."""
+    i_n, rep = Matrix.identity(c.field, c.dim), Report()
     _add_equation(rep, "left counit law", c.left_counit, i_n)
     _add_equation(rep, "right counit law", c.right_counit, i_n)
     return rep
+
+
+def _require_counital(c: Coalgebra, name: str):
+    """Raise NotCounital, naming the first counit law that c fails and its
+    witness as check_coalgebra reports them; the equalizer and the relative
+    pullback decide their input with this before they build."""
+    if failed := _counit_laws(c).failures():
+        raise NotCounital(f"{name} is not counital: {failed[0].name} fails at {failed[0].witness}")
 
 
 def check_coalg_map(m: CoalgMap) -> Report:
@@ -615,18 +638,17 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix | None) -> CoalgEqual
     return CoalgEqualizer(obj, CoalgMap(obj, x, k), lk)
 
 
-def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None):
-    """The equalizer that t and z describe in x, z None when it is the
-    identity, on the basis K'∘N of the module docstring, and (t, K') when
-    K' is that basis, else None.  On counital input K' = ker t is returned
-    when its closure check passes, which certifies N = 1; δ∘K' is built
-    only when that check is not packed (_packs_closure) or fails.
-    Otherwise K' = ker(t∘z) when z is given, and N is the kernel of the
-    second system (t⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ; K'∘N is
+def _equalizer(x: Coalgebra, t: Matrix):
+    """The equalizer that t describes in counital x, on the basis K'∘N of
+    the module docstring, and (t, K') when K' is that basis, else None.
+    K' = ker t is returned when its closure check passes, which certifies
+    N = 1; δ∘K' is built only when that check is not packed
+    (_packs_closure) or fails.  Otherwise N is the kernel of the second
+    system (t⊗1)∘δ∘K', which keeps the bracketing (δ⊗1)∘δ; K'∘N is
     checked, and a product with N = 1 returns its left operand."""
-    k = kernel_basis_sparse(t if z is None else t @ z)
-    delta_k = None if z is None and _packs_closure(x, k) else _delta_apply(x, k)
-    if z is None and (eq := _subcoalgebra(x, k, delta_k)) is not None:
+    k = kernel_basis_sparse(t)
+    delta_k = None if _packs_closure(x, k) else _delta_apply(x, k)
+    if (eq := _subcoalgebra(x, k, delta_k)) is not None:
         return eq, (t, k)
     delta_k = _delta_apply(x, k) if delta_k is None else delta_k
     n = kernel_basis_sparse(kron_apply(t, Matrix.identity(t.field, x.dim), delta_k))
@@ -634,14 +656,15 @@ def _equalizer(x: Coalgebra, t: Matrix, z: Matrix | None):
 
 
 def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
-    """Equalizer of parallel coalgebra maps, as a coalgebra with inclusion."""
+    """Equalizer of parallel coalgebra maps, as a coalgebra with inclusion;
+    a domain that is not counital raises NotCounital."""
     if f.src != g.src:
         raise ShapeMismatch("equalizer needs a shared domain coalgebra")
     if f.tgt != g.tgt:
         raise ShapeMismatch("equalizer needs a shared codomain coalgebra")
-    x, i_x = f.src, Matrix.identity(f.src.field, f.src.dim)
-    z = x.right_counit
-    return _equalizer(x, kron_apply(i_x, f.mat - g.mat, x.delta), None if z == i_x else z)[0]
+    x = f.src
+    _require_counital(x, "the maps' domain")
+    return _equalizer(x, kron_apply(Matrix.identity(x.field, x.dim), f.mat - g.mat, x.delta))[0]
 
 
 def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
@@ -660,24 +683,24 @@ def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
 
 def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     """The equalizer of f⊗ε and ε⊗g on A⊗C and its projections p_A, p_C,
-    once the square f∘p_A = g∘p_C is checked; kept on f for this g object,
-    with (T, K') when the inclusion is K' = ker T, else None.  Unchecked:
-    every caller decides the legs with catcore.legs_in_class, which checks
-    the common codomain."""
+    once A and C are decided counital and the square f∘p_A = g∘p_C is
+    checked; kept on f for this g object, with (T, K') when the inclusion
+    is K' = ker T, else None.  Unchecked: every caller decides the legs with
+    catcore.legs_in_class, which checks the common codomain."""
     if (hit := f._pullback) is not None and hit[0] is g:
         return hit[1]
     a, c, fld = f.src, g.src, f.mat.field
-    i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
-    z_a, z_c = a.right_counit, c.right_counit
-    z = None if z_a == i_a and z_c == i_c else kron(z_a, z_c)
+    _require_counital(a, "the left leg's domain")
+    _require_counital(c, "the right leg's domain")
     x = tensor_coalgebra(a, c)
-    # on counital input, K' of a group-like cospan is its matching pairs (module docstring)
-    if z is None and (built := _grouplike_pullback(f, g, x)) is not None:
+    # K' of a group-like cospan is its matching pairs (module docstring)
+    if (built := _grouplike_pullback(f, g, x)) is not None:
         system = None
     else:
+        i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
         # Y_g = c∘(1⊗g)∘δ_C = (g⊗1)∘c∘δ_C, and c∘δ_C = δ_C on a cocommutative C
         y_g = kron_apply(g.mat, i_c, c.delta if c.cocommutative else _swapped(c.delta, c.dim))
-        eq, system = _equalizer(x, _kron_difference(kron_apply(i_a, f.mat, a.delta), z_c, z_a, y_g), z)
+        eq, system = _equalizer(x, _kron_difference(kron_apply(i_a, f.mat, a.delta), y_g))
         j = eq.j.mat
         p_a = CoalgMap(eq.object, a, kron_apply(i_a, c.epsilon, j))
         p_c = CoalgMap(eq.object, c, kron_apply(a.epsilon, i_c, j))
@@ -689,13 +712,13 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
 
 
 def _grouplike_pullback(f: CoalgMap, g: CoalgMap, x: Coalgebra):
-    """_pullback_equalizer's equalizer and projections on counital input,
-    when every column of f and g is one entry equal to one (their row
-    tables are read, f's first, so a dense f fails at its first column) and
-    A and C are k[X] (Coalgebra._grouplike); else None.  The pullback is
-    then k[P], P the matching pairs (a, c), f(a) = g(c), in ascending order:
-    the apex grouplike(k, |P|), j the unit columns e_a⊗e_c and p_A, p_C the
-    pair coordinates (module docstring).  The equalizer keeps its index from
+    """_pullback_equalizer's equalizer and projections when every column of
+    f and g is one entry equal to one (their row tables are read, f's
+    first, so a dense f fails at its first column) and A and C are k[X]
+    (Coalgebra._grouplike); else None.  The pullback is then k[P], P the
+    matching pairs (a, c), f(a) = g(c), in ascending order: the apex
+    grouplike(k, |P|), j the unit columns e_a⊗e_c and p_A, p_C the pair
+    coordinates (module docstring).  The equalizer keeps its index from
     free coordinate to apex basis for _grouplike_filler."""
     legs = []
     for m in (f, g):
@@ -727,8 +750,9 @@ def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> Re
     # a 2x2 rectangle of matching group-like pairs already has a joint kernel
     # vector.)  The closure check gave (j⊗j)∘δ_E = δ∘j, and
     # ((1⊗ε_C)⊗(ε_A⊗1))∘(1⊗c⊗1)∘(δ_A⊗δ_C) = z_A⊗l_C, so
-    # (p_A⊗p_C)∘δ_E = (z_A⊗l_C)∘j, which is j itself on counital A and C,
-    # where z_A and l_C are identities and kron_apply returns j.
+    # (p_A⊗p_C)∘δ_E = (z_A⊗l_C)∘j.  _pullback_equalizer has decided A and
+    # C counital, so z_A and l_C are identities, kron_apply returns j with
+    # no product, and this check, kept as a check of that decision, passes.
     cert = kron_apply(a.right_counit, c.left_counit, j) == j
     return RelPullback(base, f, g, eq.object, p_a, p_c, cert, eq)
 
@@ -796,7 +820,7 @@ def cotensor(f: CoalgMap, g: CoalgMap) -> Matrix:
         raise CodomainMismatch("cospan needs a common codomain")
     a, c = f.src, g.src
     i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(a.field, c.dim)
-    t = _kron_difference(kron_apply(i_a, f.mat, a.delta), i_c, i_a, kron_apply(g.mat, i_c, c.delta))
+    t = _kron_difference(kron_apply(i_a, f.mat, a.delta), kron_apply(g.mat, i_c, c.delta))
     if (kept := f._pullback) and kept[0] is g and kept[2] and kept[2][0] == t:
         return kept[2][1]
     return kernel_basis_sparse(t)

@@ -65,5 +65,9 @@ class BaseMismatch(RelspanError):
     pass
 
 
+class NotCounital(RelspanError):
+    """A coalgebra fails a counit law that a construction needs."""
+
+
 class InternalSolveFailure(RelspanError):
     """A solve the theory guarantees to succeed failed: library bug, not user error."""

@@ -21,10 +21,12 @@ kron_apply's packed column unpacks a block sum mod p; _coassoc_difference
 compares (δ⊗1)∘δ with (1⊗δ)∘δ on a dense δ, building neither; and
 _closed_delta decides whether a subspace K of a tensor coalgebra is
 closed, (K⊗K)∘δ_E = δ∘K, both sides block sums, building neither, and
-reads δ_E off them.  X⊗Z - W⊗Y is built one column at a time, without
-either product.  These two normalize a product of entries only when a
-factor is not one (a Q product of two Fractions can be integral, an F_p
-product needs its reduction).  A product with a square
+reads δ_E off them.  X⊗1 - 1⊗Y, the system of a relative pullback and
+of the cotensor (see coalg), is built one column at a time, without
+either product, and multiplies no entries.  A column of kron_apply with
+one term normalizes its product of entries only when a factor is not one
+(a Q product of two Fractions can be integral, an F_p product needs its
+reduction).  A product with a square
 identity operand is its other operand, and kron_apply with two square
 identity factors is M, each returned as it is; an identity is one shared
 matrix per field and size.
@@ -46,8 +48,8 @@ coalg._grouplike_filler makes the filler's checks on index lists, with
 no product, and the cotensor, which solves its own system, cross-checks
 them.  The table is the one fast path for such data: kron_apply on
 three tables, and A @ B on B's, is an index map that keeps the result's
-table (A @ B when A has one, reading no column of A), and X⊗Z - W⊗Y on
-four tables has each column {r: one, t: -one}, or nothing where r = t, r
+table (A @ B when A has one, reading no column of A), and X⊗1 - 1⊗Y on
+two tables has each column {r: one, t: -one}, or nothing where r = t, r
 and t read off two index lists.  == and _is_identity on two tables
 compare the tables, and kernel_left_inverse on one checks only that its
 rows are distinct.
@@ -92,7 +94,7 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import cache
-from itertools import chain, product
+from itertools import chain
 
 from .errors import InternalSolveFailure, ShapeMismatch
 from .fields import PrimeField, require_same_field
@@ -441,45 +443,35 @@ def kron(a: Matrix, b: Matrix) -> Matrix:
     return kron_apply(a, b, Matrix.identity(a.field, a.cols * b.cols))
 
 
-def _kron_difference(x: Matrix, z: Matrix, w: Matrix, y: Matrix) -> Matrix:
-    """kron(x, z) - kron(w, y) in one pass, without either product: the
-    columns of each product are the pairs of factor columns in order, for
-    any two splits of one shape; each column is built as kron builds it, and
-    the entries of the second product are subtracted into it, dropping those
-    that cancel.  When all four factors have row tables, column c is
-    {r: one, t: -one}, or nothing when r = t, r and t the rows of column c
-    of each product's table, built as two index lists."""
-    for m in (z, w, y):
-        require_same_field(x.field, m.field)
-    rows, cols = x.rows * z.rows, x.cols * z.cols
-    if (rows, cols) != (w.rows * y.rows, w.cols * y.cols):
-        raise ShapeMismatch(f"cannot subtract a {w.rows * y.rows}x{w.cols * y.cols} Kronecker "
-                            f"product from a {rows}x{cols} one")
-    fld = x.field
-    norm, neg, one = fld.normalize, fld.neg, fld.one
-    if False not in (tables := [_unit_rows(m) for m in (x, z, w, y)]):
-        (xr, zr, wr, yr), minus = tables, neg(one)
-        left = [i + k for i in [i * z.rows for i in xr] for k in zr]
-        right = [i + k for i in [i * y.rows for i in wr] for k in yr]
+def _kron_difference(x: Matrix, y: Matrix) -> Matrix:
+    """x⊗1 - 1⊗y in one pass, without either product, the identities of
+    y.cols and x.cols dimensions, for x and y of one ratio of rows to
+    columns: column (p, q) is x's column p at the rows i·m + q, m = y.cols,
+    and y's column q at the rows p·y.rows + k subtracted into it, dropping
+    the entries that cancel.  When x and y have row tables, column (p, q)
+    is {r: one, t: -one}, or nothing when r = t, r and t read off two
+    index lists."""
+    require_same_field(x.field, y.field)
+    fld, m, s, rows = x.field, y.cols, y.rows, x.rows * y.cols
+    if rows != x.cols * s:
+        raise ShapeMismatch(f"cannot subtract 1⊗y, {x.cols * s} rows, from x⊗1, {rows} rows")
+    if (xr := _unit_rows(x)) is not False and (yr := _unit_rows(y)) is not False:
+        one, minus = fld.one, fld.neg(fld.one)
+        left = [r * m + q for r in xr for q in range(m)]
+        right = [p * s + k for p in range(x.cols) for k in yr]
         return Matrix.from_cols(fld, rows, [{r: one, t: minus} if r != t else {} for r, t in zip(left, right)])
-    # each product's columns in order, as pairs of factor columns, the left factor's rows pre-scaled
-    xs, zs = [[(i * z.rows, a) for i, a in c.items()] for c in x.columns], [c.items() for c in z.columns]
-    ws, ys = [[(i * y.rows, a) for i, a in c.items()] for c in w.columns], [c.items() for c in y.columns]
-    out = []
-    for (xp, zq), (wp, yq) in zip(product(xs, zs), product(ws, ys)):
-        col = {i + k: b if a == one else a if b == one else norm(a * b) for i, a in xp for k, b in zq}
-        get = col.get
-        for i, a in wp:
-            for k, b in yq:
-                v = b if a == one else a if b == one else norm(a * b)
-                c = get(i + k)
-                if c is None:
-                    col[i + k] = neg(v)
-                elif s := norm(c - v):
-                    col[i + k] = s
+    norm, out = fld.normalize, []
+    for p, xc in enumerate(x.columns):
+        xs = [(i * m, a) for i, a in xc.items()]
+        for q, yc in enumerate(y.columns):
+            col, at = {i + q: a for i, a in xs}, p * s
+            for k, b in yc.items():
+                # an entry that x⊗1 lacks is -b, never 0; one that cancels is dropped
+                if v := norm(col.get(at + k, 0) - b):
+                    col[at + k] = v
                 else:
-                    del col[i + k]
-        out.append(col)
+                    del col[at + k]
+            out.append(col)
     return Matrix.from_cols(fld, rows, out)
 
 

@@ -254,9 +254,9 @@ def test_linearized_commands_take_only_the_unit_kron_apply_path(monkeypatch, arg
 
 
 def _spy_kron_difference_paths(monkeypatch):
-    """The path each coalg._kron_difference call takes: "table" when all
-    four factors have row tables after it, which is exactly when it reads
-    the difference off them (else a factor's table is a cached "no")."""
+    """The path each coalg._kron_difference call takes: "table" when both
+    factors have row tables after it, which is exactly when it reads the
+    difference off them (else a factor's table is a cached "no")."""
     paths, inner = [], coalg._kron_difference
 
     def spy(*factors):
@@ -733,33 +733,76 @@ def test_cotensor_command_decides_the_legs_once(monkeypatch):
     assert len(decisions) == 2
 
 
-def test_cotensor_command_builds_the_induced_structure_when_the_bases_differ(tmp_path, monkeypatch):
-    """On non-counital A and C over F_3 (δ_A = 0) with legs in S, the cotensor
-    basis has 2 columns and the pullback's j has 4, so the induced structure
-    is subcoalgebra(A⊗C, ct), checked, and the comparison fails: exit 1."""
+def test_cotensor_command_refuses_an_unclosed_cotensor_basis_with_exit_2(tmp_path, monkeypatch):
+    """On counital A = k[2] and C over F_3 with legs in S, C not
+    coassociative, the pullback's closure check on K' = ker T fails, so its
+    j is K'∘N, one column, while the cotensor basis is K', two columns.  The
+    command then takes its subcoalgebra(A⊗C, ct) branch, whose closure check
+    fails as well: exit 2, with no traceback.  On counital input this is the
+    only way the two bases differ."""
     def grid(rows):
         return {"field": {"Fp": 3}, "rows": len(rows), "cols": len(rows[0]),
                 "entries": [[str(x) for x in row] for row in rows]}
 
     def coalgebra(delta, eps):
-        return {"kind": "coalgebra", "field": {"Fp": 3}, "dim": 2, "delta": grid(delta), "epsilon": grid(eps)}
+        return {"kind": "coalgebra", "field": {"Fp": 3}, "dim": len(eps[0]), "delta": grid(delta),
+                "epsilon": grid(eps)}
 
-    p = tmp_path / "unequal.json"
+    k2 = coalgebra([[1, 0], [0, 0], [0, 0], [0, 1]], [[1, 1]])
+    p = tmp_path / "unclosed.json"
     p.write_text(json.dumps({
-        "A": coalgebra([[0, 0]] * 4, [[1, 0]]), "C": coalgebra([[0, 1], [0, 0], [0, 0], [1, 0]], [[2, 0]]),
-        "B": coalgebra([[0, 0], [0, 0], [0, 2], [0, 1]], [[0, 0]]),
-        "f": {"kind": "coalgebra_map", "src": "A", "tgt": "B", "matrix": grid([[0, 0], [2, 0]])},
-        "g": {"kind": "coalgebra_map", "src": "C", "tgt": "B", "matrix": grid([[0, 0], [1, 0]])},
+        "A": k2, "B": k2,
+        "C": coalgebra([[0, 0, 0], [2, 0, 0], [2, 0, 0], [2, 0, 0], [0, 1, 0], [1, 0, 0], [2, 0, 0],
+                        [1, 0, 0], [0, 0, 1]], [[1, 1, 1]]),
+        "f": {"kind": "coalgebra_map", "src": "A", "tgt": "B", "matrix": grid([[0, 0], [0, 1]])},
+        "g": {"kind": "coalgebra_map", "src": "C", "tgt": "B", "matrix": grid([[0, 0, 0], [0, 2, 0]])},
         "cs": {"kind": "cospan", "left": "f", "right": "g"},
     }))
-    subs = _counting(monkeypatch, "subcoalgebra")
+    code, doc = run_no_traceback(["check", str(p)])
+    laws = {c["name"]: c["status"] for c in doc["checks"]}
+    assert code == 1 and laws["C: coassociativity"] == "fail"
+    assert all(laws[f"{x}: {law} counit law"] == "pass" for x in "AC" for law in ("left", "right"))
+    subs, sub_in = [], coalg.subcoalgebra
+    monkeypatch.setattr(coalg, "subcoalgebra", lambda x, k: subs.append(k) or sub_in(x, k))
     cotensors = _counting(monkeypatch, "cotensor")
-    code, doc = run_json(["cotensor", str(p), "--cospan", "cs"])
-    assert code == 1 and doc["result"]["dim"] == 2
-    ((_, ct),), ((args, _),) = cotensors, subs
-    assert args[1] is ct
-    assert any(c["name"].startswith("induced structure") for c in doc["checks"])
-    assert {"name": "pullback comparison: dimensions agree", "status": "fail", "witness": "4 vs 2"} in doc["checks"]
+    pullbacks = _counting(monkeypatch, "_pullback_equalizer")
+    code, doc = run_no_traceback(["cotensor", str(p), "--cospan", "cs"])
+    assert code == 2 and doc == {"command": ["cotensor", str(p), "--cospan", "cs"],
+                                 "error": "δ∘j does not factor through j⊗j", "exit": 2}
+    ((_, ct),), ((_, (eq, _, _)),) = cotensors, pullbacks
+    assert (ct.cols, eq.j.mat.cols) == (2, 1) and subs == [ct]
+
+
+def _planted_cospan_coalg(tmp_path):
+    """cospan_coalg.json with A's ε planted as (1, 2, 1): A then fails both
+    counit laws at basis 1, and its legs stay in S."""
+    with open(fx("cospan_coalg.json")) as fh:
+        doc = json.load(fh)
+    doc["A"]["epsilon"]["entries"] = [["1", "2", "1"]]
+    p = tmp_path / "planted.json"
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+@pytest.mark.parametrize("argv", [
+    ["pullback", "--cospan", "cs"],
+    ["pullback", "--cospan", "cs", "--compare-cotensor"],
+    ["cotensor", "--cospan", "cs"],
+], ids=["pullback", "compare", "cotensor"])
+def test_a_cospan_out_of_a_coalgebra_that_is_not_counital_exits_2_naming_the_law(tmp_path, argv):
+    """A relative pullback needs counital A and C: each command on the
+    planted cospan prints one JSON document that names the failing law and
+    its witness and exits 2, with no traceback, while check still reports
+    both laws of A failing with exit 1."""
+    path = _planted_cospan_coalg(tmp_path)
+    code, doc = run_no_traceback(["check", path, "--name", "A"])
+    assert code == 1 and [c for c in doc["checks"] if c["status"] == "fail"] == [
+        {"name": f"A: {law} counit law", "status": "fail", "witness": "basis 1"} for law in ("left", "right")]
+    command = [argv[0], path, *argv[1:]]
+    code, doc = run_no_traceback(command)
+    assert code == 2 and doc == {
+        "command": command, "exit": 2,
+        "error": "the left leg's domain is not counital: left counit law fails at basis 1"}
 
 
 def _eliminations(monkeypatch):

@@ -266,37 +266,59 @@ def _with_columns_of(rng, m, other):
     return Matrix.from_cols(m.field, m.rows, cols)
 
 
+def _difference_oracle(x, y, kron=kron):
+    """x⊗1 - 1⊗y as two Kronecker products, the identities of y.cols and
+    x.cols dimensions."""
+    return kron(x, Matrix.identity(x.field, y.cols)) - kron(Matrix.identity(x.field, x.cols), y)
+
+
+def _matched(rng, x, y, nb):
+    """x, (na·nb) x na, and y, (nb·nc) x nc, with a random column a of x and
+    c of y made to match: x_a = Σ v_b·e_(a·nb+b) and y_c = Σ v_b·e_(b·nc+c),
+    so that x_a⊗e_c = e_a⊗y_c and column (a, c) of x⊗1 - 1⊗y cancels."""
+    fld, nc = x.field, y.cols
+    a, c = rng.randrange(x.cols), rng.randrange(nc)
+    v = {b: rng.choice(_scalars(fld)) for b in range(nb) if rng.random() < 0.7} or {0: fld.one}
+    xs, ys = list(x.columns), list(y.columns)
+    xs[a], ys[c] = {a * nb + b: s for b, s in v.items()}, {b * nc + c: s for b, s in v.items()}
+    return Matrix.from_cols(fld, x.rows, xs), Matrix.from_cols(fld, y.rows, ys)
+
+
 @pytest.mark.parametrize("field", [QQ, GF(2), F5])
 def test_kron_difference_is_kron_minus_kron(field):
-    """kron(x, z) - kron(w, y) in one pass, on sparse random factors of
-    different splits of one shape, and with w, y sharing columns with x, z so
-    that whole columns cancel."""
+    """x⊗1 - 1⊗y in one pass is kron(x, 1) - kron(1, y), on sparse random x
+    and y of one ratio of rows to columns: (na·nb) x na and (nb·nc) x nc, as
+    in a pullback's system, in half the draws with a pair of columns matched
+    (_matched) so that a whole column cancels, and (k·u) x (k·v) and
+    (m·u) x (m·v), of a ratio that need not be whole."""
     rng = rng_for(f"kron-diff-{field!r}")
     draw = (lambda r, c: rand_q_matrix(rng, r, c, 0.4)) if field == QQ else (
         lambda r, c: rand_sparse_matrix(rng, field, r, c, 0.4))
     cancelled = 0
-    for _ in range(30):
-        xr, xc, zr, zc = (rng.randint(1, 3) for _ in range(4))
-        x, z = draw(xr, xc), draw(zr, zc)
-        if rng.random() < 0.5:
-            w, y = _with_columns_of(rng, draw(xr, xc), x), z
+    for t in range(40):
+        if t % 4 == 3:
+            u, v, k, m = (rng.randint(1, 3) for _ in range(4))
+            x, y = draw(k * u, k * v), draw(m * u, m * v)
         else:
-            # another split of the same shape: (xr·zr) x (xc·zc) as (zr·xr) x (zc·xc)
-            w, y = draw(zr, zc), draw(xr, xc)
-        got = _kron_difference(x, z, w, y)
-        want = kron(x, z) - kron(w, y)
-        assert got == want
+            na, nb, nc = (rng.randint(1, 3) for _ in range(3))
+            x, y = draw(na * nb, na), draw(nb * nc, nc)
+            if t % 2:
+                x, y = _matched(rng, x, y, nb)
+        got = _kron_difference(x, y)
+        left = kron(x, Matrix.identity(field, y.cols))
+        assert got == _difference_oracle(x, y) == left - kron(Matrix.identity(field, x.cols), y)
         _assert_canonical(got)
-        cancelled += sum(not c and bool(k) for c, k in zip(got.columns, kron(x, z).columns))
+        cancelled += sum(not c and bool(k) for c, k in zip(got.columns, left.columns))
     assert cancelled, "no column cancelled completely"
     # one nonzero per factor column: the two entries of a column meet on a row, or not
     met = Counter()
-    for x, z, w, y in _one_nonzero_factors(rng_for(f"kron-diff-one-{field!r}"), field, 40):
-        got = _kron_difference(x, z, w, y)
-        assert got == kron(x, z) - kron(w, y)
+    for x, y in _one_nonzero_factors(rng_for(f"kron-diff-one-{field!r}"), field, 40):
+        got = _kron_difference(x, y)
+        assert got == _difference_oracle(x, y)
         _assert_canonical(got)
-        if all(len(col) == 1 for m in (x, z, w, y) for col in m.columns):
-            for col, u, v in zip(got.columns, kron(x, z).columns, kron(w, y).columns):
+        if all(len(col) == 1 for m in (x, y) for col in m.columns):
+            left, right = kron(x, Matrix.identity(field, y.cols)), kron(Matrix.identity(field, x.cols), y)
+            for col, u, v in zip(got.columns, left.columns, right.columns):
                 met["apart" if u.keys() != v.keys() else "u - v" if col else "cancelled"] += 1
         else:
             met["two-entry column"] += 1
@@ -304,40 +326,48 @@ def test_kron_difference_is_kron_minus_kron(field):
 
 
 def _one_nonzero_factors(rng, field, n):
-    """n draws of x, z, w, y with one nonzero per column (_monomial) over one
-    to three rows, on both splits of one shape; on the split of x⊗z, w
-    shares about half of x's columns and y is z, so that the two entries of
-    a column of x⊗z - w⊗y often meet on a row and cancel.  In every fourth
-    draw one factor has a single column of two entries."""
+    """n draws of x, (na·nb) x na, and y, (nb·nc) x nc, with one nonzero per
+    column (_monomial); in every other draw some columns of y are made to
+    meet a column of x on one row of x⊗1 - 1⊗y, x_a = λ·e_(a·nb+b) and
+    y_c = μ·e_(b·nc+c), with μ = λ about half the time, so that they often
+    cancel.  In every fourth draw one factor has a single column of two
+    entries."""
     def draw(r, c):
-        return Matrix.from_cols(field, r, _monomial(rng, field, r, c))
+        return _monomial(rng, field, r, c)
 
     for t in range(n):
-        xr, xc, zr, zc = (rng.randint(1, 3) for _ in range(4))
-        xr = 2 if t % 4 == 3 else xr
-        x, z = draw(xr, xc), draw(zr, zc)
+        na, nb, nc = (rng.randint(1, 3) for _ in range(3))
+        nb = 2 if t % 4 == 3 else nb
+        xs, ys = draw(na * nb, na), draw(nb * nc, nc)
         if t % 2:
-            factors = [x, z, _with_columns_of(rng, draw(xr, xc), x), z]
-        else:
-            factors = [x, z, draw(zr, zc), draw(xr, xc)]
+            for c in range(nc):
+                if rng.random() < 0.7:
+                    a, b = rng.randrange(na), rng.randrange(nb)
+                    ((_, lam),) = xs[a].items()
+                    xs[a] = {a * nb + b: lam}
+                    ys[c] = {b * nc + c: lam if rng.random() < 0.5 else rng.choice(_scalars(field))}
         if t % 4 == 3:
-            k = rng.choice([k for k, m in enumerate(factors) if m.rows > 1])
-            cols = [dict(c) for c in factors[k].columns]
-            col = rng.choice(cols)
-            col[(min(col) + 1) % factors[k].rows] = rng.choice(_scalars(field))
-            factors[k] = Matrix.from_cols(field, factors[k].rows, cols)
-        yield factors
+            cols, rows = rng.choice([(xs, na * nb), (ys, nb * nc)])
+            k = rng.randrange(len(cols))
+            col = dict(cols[k])
+            col[(min(col) + 1) % rows] = rng.choice(_scalars(field))
+            cols[k] = col
+        yield Matrix.from_cols(field, na * nb, xs), Matrix.from_cols(field, nb * nc, ys)
 
 
 def test_kron_difference_refuses_mismatched_shapes_and_fields():
+    """x⊗1 - 1⊗y needs x.rows·y.cols = x.cols·y.rows and one field."""
+    x_f = Matrix.from_cols(QQ, 6, [{1: 1}, {3: 1}, {4: 1}])
+    y_g = Matrix.from_cols(QQ, 4, [{0: 1}, {3: 1}])
+    assert _kron_difference(x_f, y_g) == _difference_oracle(x_f, y_g)
     a, b = Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)
-    assert _kron_difference(a, b, b, a) == kron(a, b) - kron(b, a)
+    assert _kron_difference(a, b) == Matrix.from_cols(QQ, 6, [{}] * 6)
     with pytest.raises(ShapeMismatch):
-        _kron_difference(a, b, a, a)
+        _kron_difference(x_f, a)
     with pytest.raises(ShapeMismatch):
-        _kron_difference(a, b, Matrix.from_cols(QQ, 6, [{}]), Matrix.from_cols(QQ, 1, [{}] * 3))
+        _kron_difference(a, Matrix.from_cols(QQ, 6, [{}]))
     with pytest.raises(FieldMismatch):
-        _kron_difference(a, b, Matrix.identity(F5, 2), b)
+        _kron_difference(a, Matrix.identity(F5, 2))
 
 
 def test_rref_and_kernel_come_from_one_elimination():
@@ -824,14 +854,14 @@ def test_kron_apply_on_monomial_factors_matches_a_dense_product(field):
 
 @pytest.mark.parametrize("field", MONOMIAL_FIELDS, ids=str)
 def test_kron_difference_on_monomial_factors_cancels_whole_columns(field):
-    """kron(x, z) - kron(w, y) on factors with one nonzero per column, on the
-    split of x⊗z and on the other split of its shape, with w and y drawn so
-    that some columns of w⊗y equal those of x⊗z and cancel whole.  Every
-    other draw has unit columns {r: one}: then all four factors have row
-    tables and the difference is read off them, which leaves each factor's
-    table found; a draw with another nonzero takes the general path, which
-    leaves a factor's table a cached "no".  Both paths equal the general
-    path forced on the same factors."""
+    """x⊗1 - 1⊗y on x, (na·nb) x na, and y, (nb·nc) x nc, with one nonzero
+    per column, with some columns of y drawn to match one of x,
+    x_a = v·e_(a·nb+b) and y_c = v·e_(b·nc+c), so that the column (a, c)
+    cancels whole.  Every other draw has unit columns {r: one}: then both
+    factors have row tables and the difference is read off them, which
+    leaves each factor's table found; a draw with another nonzero takes the
+    general path, which leaves a factor's table a cached "no".  Both paths
+    equal the general path forced on the same factors."""
     rng = rng_for(f"kron-diff-monomial-{field!r}")
     cancelled, paths = Counter(), Counter()
     for t in range(80):
@@ -841,29 +871,27 @@ def test_kron_difference_on_monomial_factors_cancels_whole_columns(field):
                 return [{rng.randrange(r): field.one} for _ in range(c)]
         else:
             draw = partial(_monomial, rng, field)
-        xr, xc, zr, zc = (rng.randint(1, 3) for _ in range(4))
-        x, z = Matrix.from_cols(field, xr, draw(xr, xc)), Matrix.from_cols(field, zr, draw(zr, zc))
-        other = rng.random() < 0.5
-        (wr, wc), (yr, yc) = ((zr, zc), (xr, xc)) if other else ((xr, xc), (zr, zc))
-        wcols, ycols = draw(wr, wc), draw(yr, yc)
-        for j, col in enumerate(kron_oracle(x, z).columns):
-            if rng.random() < 0.4:  # column j of w⊗y becomes column j of x⊗z
-                ((r, v),) = col.items()
-                wcols[j // yc], ycols[j % yc] = {r // yr: v}, {r % yr: field.one}
-        w, y = Matrix.from_cols(field, wr, wcols), Matrix.from_cols(field, yr, ycols)
-        factors = (x, z, w, y)
-        got = _kron_difference(*factors)
-        path = "table" if all(isinstance(m._units, list) for m in factors) else "general"
-        assert path == ("table" if all(_fresh_table(m) is not False for m in factors) else "general")
-        assert path == "table" or not unit and False in [m._units for m in factors]
+        na, nb, nc = (rng.randint(1, 3) for _ in range(3))
+        xcols, ycols = draw(na * nb, na), draw(nb * nc, nc)
+        for c in range(nc):
+            if rng.random() < 0.4:  # column (a, c) of x⊗1 becomes that of 1⊗y
+                a, b = rng.randrange(na), rng.randrange(nb)
+                ((_, v),) = xcols[a].items()
+                xcols[a], ycols[c] = {a * nb + b: v}, {b * nc + c: v}
+        x, y = Matrix.from_cols(field, na * nb, xcols), Matrix.from_cols(field, nb * nc, ycols)
+        got = _kron_difference(x, y)
+        path = "table" if all(isinstance(m._units, list) for m in (x, y)) else "general"
+        assert path == ("table" if all(_fresh_table(m) is not False for m in (x, y)) else "general")
+        assert path == "table" or not unit and False in [m._units for m in (x, y)]
         paths[unit, path] += 1
-        assert got == kron_oracle(x, z) - kron_oracle(w, y) == _kron_difference(*map(general, factors))
+        assert got == _difference_oracle(x, y, kron_oracle) == _kron_difference(general(x), general(y))
         assert all(len(col) <= 2 for col in got.columns)
         _assert_canonical(got)
-        cancelled[other] += sum(not col for col in got.columns)
-    assert all(cancelled.values()), cancelled
-    # over F_2 every nonzero is one, so every draw has tables
-    assert paths.keys() == {(True, "table"), (False, "table" if field == GF(2) else "general")}, paths
+        cancelled[unit] += sum(not col for col in got.columns)
+    assert cancelled[True] and cancelled[False], cancelled
+    # unit draws have tables; over F_2 every nonzero is one, so every draw has them, and
+    # elsewhere a draw of other nonzeros takes the general path unless it drew only ones
+    assert not paths[True, "general"] and (field == GF(2)) == (not paths[False, "general"]), paths
 
 
 @pytest.mark.parametrize("field", [QQ, F5, GF(7)])
@@ -1088,7 +1116,7 @@ def test_grouplike_cotensor_system_peels_every_row_and_agrees_with_sympy():
         f, g = [rng.randrange(nb) for _ in range(na)], [rng.randrange(nb) for _ in range(nc)]
         x_f = Matrix.from_cols(QQ, na * nb, [{a * nb + f[a]: 1} for a in range(na)])
         y_g = Matrix.from_cols(QQ, nb * nc, [{g[c] * nc + c: 1} for c in range(nc)])
-        t = _kron_difference(x_f, Matrix.identity(QQ, nc), Matrix.identity(QQ, na), y_g)
+        t = _kron_difference(x_f, y_g)
         assert set(Counter(chain.from_iterable(t.columns)).values()) <= {1}
         sa = _to_sympy(sp, t)
         r, pivots = t.rref()
@@ -1282,7 +1310,7 @@ def test_no_operation_changes_an_operand_or_a_result_it_shares_columns_with(fiel
             (Matrix.__sub__, a, a2),
             (kron, a, bb),
             (kron_apply, a, bb, m),
-            (_kron_difference, a, bb, a2, draw(br, bc)),
+            (_kron_difference, a, a2),
             (Matrix.rref, a),
             (solve, a, rhs),
             (kernel_basis_sparse, a),
