@@ -86,8 +86,9 @@ free coordinate to apex basis, and a filler whose k, l and δ_D have row
 tables is read off it (_grouplike_filler): the square as tables, each row
 of (k⊗l)∘δ_D looked up in the index, and p_A∘h = k and p_C∘h = l as
 tables, each failure raised as the generic route words it, in its order.
-The cotensor, which builds and eliminates its own system, still
-cross-checks this pullback.  Every other cospan solves T.
+The cotensor, which derives its own system from δ_A, f, g and δ_C and
+reads none of the pullback's pairs, still cross-checks this pullback.
+Every other cospan solves T.
 
 Tensor products of coalgebras keep their factors.  δ∘M is
 (1⊗c⊗1)∘(δ_A⊗δ_C)∘M, one kron_apply whose entries then move to their rows
@@ -133,9 +134,12 @@ returns the kept K' only when its own system equals T entry for entry; it
 is then the kernel cotensor would take.  On legs in S, out of the counital
 A and C the pullback has decided, the two are equal: class S of (g, 1_C)
 gives (g⊗1)∘c∘δ_C = (g⊗1)∘δ_C.
-Elsewhere cotensor takes the kernel of its own system: on a group-like
-cospan every row of it has count one, and kernel_basis_sparse reads its
-kernel off the system's empty columns with no elimination.
+Elsewhere cotensor takes the kernel of its own system.  On a group-like
+cospan its X = (1⊗f)∘δ_A and Y = (g⊗1)∘δ_C have row tables and every row
+of X⊗1 - 1⊗Y has count one, so linalg._difference_kernel reads the kernel,
+the unit columns at the columns r = t, off the two index lists of the r
+and the t, with no system built; any other system is built and
+kernel_basis_sparse takes its kernel.
 All of this is exact because matrices, coalgebras and maps are never
 changed once built.
 """
@@ -161,6 +165,7 @@ from .linalg import (
     Matrix,
     _closed_delta,
     _coassoc_difference,
+    _difference_kernel,
     _fits_closure,
     _kron_difference,
     _unit_matrix,
@@ -180,8 +185,9 @@ from .linalg import (
 
 class Coalgebra:
     """A comonoid in exact finite-dimensional vector spaces, given by δ and
-    ε, both checked, or as the tensor product of two factors, whose δ and ε
-    are built on first use."""
+    ε, both checked (grouplike builds them to shape and skips the checks),
+    or as the tensor product of two factors, whose δ and ε are built on
+    first use."""
 
     def __init__(self, dim, field, delta=None, epsilon=None, factors=None):
         self.dim = dim
@@ -283,6 +289,15 @@ class CoalgMap:
         self.mat = mat
         self._pullback = None  # (g, the pullback of self and g, (T, K') or None) once one is built
 
+    @classmethod
+    def _valid(cls, src: Coalgebra, tgt: Coalgebra, mat: Matrix) -> CoalgMap:
+        """A CoalgMap whose matrix is tgt.dim x src.dim over their field by
+        construction, as the package's own constructions build it; not
+        re-validated."""
+        m = cls.__new__(cls)
+        m.src, m.tgt, m.mat, m._pullback = src, tgt, mat, None
+        return m
+
     def __eq__(self, other):
         if not isinstance(other, CoalgMap):
             return NotImplemented
@@ -314,7 +329,7 @@ def _rows_used(d: Matrix):
 
 
 def cid(c: Coalgebra) -> CoalgMap:
-    return CoalgMap(c, c, Matrix.identity(c.field, c.dim))
+    return CoalgMap._valid(c, c, Matrix.identity(c.field, c.dim))
 
 
 # -- stock coalgebras ---------------------------------------------------------
@@ -326,14 +341,15 @@ def trivial(field) -> Coalgebra:
 
 
 def grouplike(field, n: int) -> Coalgebra:
-    """k[X] for |X| = n: δ(e_x) = e_x⊗e_x, ε(e_x) = 1.  The facts a
-    coalgebra keeps are set on it here, as Matrix.identity hands over its
-    row table, so none is worked out again: that it is k[X], that z = l = 1,
-    the shared identity, and that c∘δ = δ."""
-    delta = _unit_matrix(field, n * n, [x * n + x for x in range(n)])
-    c = Coalgebra(n, field, delta=delta, epsilon=_unit_matrix(field, 1, [0] * n))
-    c._grouplike = c.cocommutative = True
-    c.right_counit = c.left_counit = Matrix.identity(field, n)
+    """k[X] for |X| = n: δ(e_x) = e_x⊗e_x, ε(e_x) = 1.  δ and ε have their
+    shapes by construction, so Coalgebra.__init__'s checks are not run.
+    The facts a coalgebra keeps are set on it here, as Matrix.identity
+    hands over its row table, so none is worked out again: that it is k[X],
+    that z = l = 1, the shared identity, and that c∘δ = δ."""
+    c, eye = Coalgebra.__new__(Coalgebra), Matrix.identity(field, n)
+    vars(c).update(dim=n, field=field, _factors=None, _grouplike=True, cocommutative=True,
+                   delta=_unit_matrix(field, n * n, [x * n + x for x in range(n)]),
+                   epsilon=_unit_matrix(field, 1, [0] * n), right_counit=eye, left_counit=eye)
     return c
 
 
@@ -496,7 +512,7 @@ class CoalgCategory(BaseCategory):
     def compose(self, g: CoalgMap, f: CoalgMap) -> CoalgMap:
         if f.tgt != g.src:
             raise CodomainMismatch("compose: cod(f) != dom(g)")
-        return CoalgMap(f.src, g.tgt, g.mat @ f.mat)
+        return CoalgMap._valid(f.src, g.tgt, g.mat @ f.mat)
 
     def dom(self, f):
         return f.src
@@ -511,7 +527,7 @@ class CoalgCategory(BaseCategory):
         return tensor_coalgebra(x, y)
 
     def tensor_mor(self, f: CoalgMap, g: CoalgMap) -> CoalgMap:
-        return CoalgMap(
+        return CoalgMap._valid(
             tensor_coalgebra(f.src, g.src), tensor_coalgebra(f.tgt, g.tgt), kron(f.mat, g.mat)
         )
 
@@ -523,8 +539,8 @@ class CoalgCategory(BaseCategory):
         return self._unit
 
     def symmetry(self, x: Coalgebra, y: Coalgebra) -> CoalgMap:
-        return CoalgMap(
-            tensor_coalgebra(x, y), tensor_coalgebra(y, x), swap_map(self.field, x.dim, y.dim)
+        return CoalgMap._valid(
+            tensor_coalgebra(x, y), tensor_coalgebra(y, x), swap_map(x.field, x.dim, y.dim)
         )
 
     def first_difference(self, lhs, rhs):
@@ -559,7 +575,7 @@ class CoalgCategory(BaseCategory):
         inv = solve(f.mat, Matrix.identity(self.field, f.tgt.dim))
         if inv is None or (inv @ f.mat) != Matrix.identity(self.field, f.src.dim):
             return None
-        return CoalgMap(f.tgt, f.src, inv)
+        return CoalgMap._valid(f.tgt, f.src, inv)
 
     def failure_witness(self, span) -> str | None:
         """Class S: the paired legs composed with δ form a comonoid morphism."""
@@ -635,7 +651,7 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix | None) -> CoalgEqual
             return None
     eps_k = x.epsilon @ k if x._factors is None else kron_apply(*(f.epsilon for f in x._factors), k)
     obj = Coalgebra(k.cols, x.field, delta=delta_e, epsilon=eps_k)
-    return CoalgEqualizer(obj, CoalgMap(obj, x, k), lk)
+    return CoalgEqualizer(obj, CoalgMap._valid(obj, x, k), lk)
 
 
 def _equalizer(x: Coalgebra, t: Matrix):
@@ -675,7 +691,7 @@ def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
     u = eq.left_inv @ h.mat
     if eq.j.mat @ u != h.mat:
         raise SquareDoesNotCommute("map does not factor through the equalizer")
-    return CoalgMap(h.src, eq.object, u)
+    return CoalgMap._valid(h.src, eq.object, u)
 
 
 # -- relative pullbacks and the cotensor product ----------------------------------
@@ -683,10 +699,13 @@ def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
 
 def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     """The equalizer of f⊗ε and ε⊗g on A⊗C and its projections p_A, p_C,
-    once A and C are decided counital and the square f∘p_A = g∘p_C is
-    checked; kept on f for this g object, with (T, K') when the inclusion
-    is K' = ker T, else None.  Unchecked: every caller decides the legs with
-    catcore.legs_in_class, which checks the common codomain."""
+    once A and C are decided counital; kept on f for this g object, with
+    (T, K') when the inclusion is K' = ker T, else None.  Unchecked: every
+    caller decides the legs with catcore.legs_in_class, which checks the
+    common codomain.  The square f∘p_A = g∘p_C then holds without a check:
+    (ε⊗1)∘X_f = f∘l_A and (1⊗ε)∘c∘Y_g = g∘l_C, so on counital A and C
+    (ε⊗1⊗ε)∘T = f⊗ε - ε⊗g, and T∘j = 0 gives
+    f∘p_A - g∘p_C = (f⊗ε - ε⊗g)∘j = 0."""
     if (hit := f._pullback) is not None and hit[0] is g:
         return hit[1]
     a, c, fld = f.src, g.src, f.mat.field
@@ -702,10 +721,8 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
         y_g = kron_apply(g.mat, i_c, c.delta if c.cocommutative else _swapped(c.delta, c.dim))
         eq, system = _equalizer(x, _kron_difference(kron_apply(i_a, f.mat, a.delta), y_g))
         j = eq.j.mat
-        p_a = CoalgMap(eq.object, a, kron_apply(i_a, c.epsilon, j))
-        p_c = CoalgMap(eq.object, c, kron_apply(a.epsilon, i_c, j))
-        if f.mat @ p_a.mat != g.mat @ p_c.mat:
-            raise InternalSolveFailure("pullback square does not commute")
+        p_a = CoalgMap._valid(eq.object, a, kron_apply(i_a, c.epsilon, j))
+        p_c = CoalgMap._valid(eq.object, c, kron_apply(a.epsilon, i_c, j))
         built = eq, p_a, p_c
     f._pullback = g, built, system
     return built
@@ -731,9 +748,9 @@ def _grouplike_pullback(f: CoalgMap, g: CoalgMap, x: Coalgebra):
     pairs = [(s, y) for s, b in enumerate(fa) for y in over.get(b, ())]
     a, c, obj = f.src, g.src, grouplike(fld, len(pairs))
     k = _unit_matrix(fld, x.dim, [s * c.dim + y for s, y in pairs])
-    eq = CoalgEqualizer(obj, CoalgMap(obj, x, k), kernel_left_inverse(k), dict(zip(k._units, range(k.cols))))
-    return (eq, CoalgMap(obj, a, _unit_matrix(fld, a.dim, [s for s, _ in pairs])),
-            CoalgMap(obj, c, _unit_matrix(fld, c.dim, [y for _, y in pairs])))
+    eq = CoalgEqualizer(obj, CoalgMap._valid(obj, x, k), kernel_left_inverse(k), dict(zip(k._units, range(k.cols))))
+    return (eq, CoalgMap._valid(obj, a, _unit_matrix(fld, a.dim, [s for s, _ in pairs])),
+            CoalgMap._valid(obj, c, _unit_matrix(fld, c.dim, [y for _, y in pairs])))
 
 
 def relative_pullback_coalg(base: CoalgCategory, f: CoalgMap, g: CoalgMap) -> RelPullback:
@@ -764,10 +781,10 @@ def pullback_factor_coalg(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap
     decides class S, which checks its apex, before calling this.  On a
     group-like pullback (_grouplike_pullback) with k, l and δ_D row tables,
     _grouplike_filler makes the same checks on the tables, with no product;
-    the cotensor, which solves its own system, still cross-checks that
+    the cotensor, which derives its own system, still cross-checks that
     pullback."""
     if (h := _grouplike_filler(pb, k, l)) is not None:
-        return CoalgMap(k.src, pb.apex, h)
+        return CoalgMap._valid(k.src, pb.apex, h)
     if pb.f.mat @ k.mat != pb.g.mat @ l.mat:
         raise SquareDoesNotCommute("f∘k != g∘l")
     pair = kron_apply(k.mat, l.mat, k.src.delta)
@@ -776,7 +793,7 @@ def pullback_factor_coalg(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> CoalgMap
         raise InternalSolveFailure("filler does not factor through the inclusion")
     if pb.p_a.mat @ h != k.mat or pb.p_c.mat @ h != l.mat:
         raise InternalSolveFailure("filler does not reproduce the test span")
-    return CoalgMap(k.src, pb.apex, h)
+    return CoalgMap._valid(k.src, pb.apex, h)
 
 
 def _grouplike_filler(pb: RelPullback, k: CoalgMap, l: CoalgMap) -> Matrix | None:
@@ -812,15 +829,21 @@ def cotensor(f: CoalgMap, g: CoalgMap) -> Matrix:
     a linear subspace given by its canonical basis, the columns of its
     inclusion into A⊗C.  Unchecked: only for legs in S is it a subcoalgebra
     (see subcoalgebra) and the relative pullback (compare_cotensor_pullback).
-    Its system is built here, by its own formula, on every call.  When it
-    equals the T of the pullback kept on f for g, entry for entry, the K'
-    kept with T is its canonical kernel basis, and is returned instead of
-    eliminating the system again."""
+    Its system X⊗1 - 1⊗Y, X = (1⊗f)∘δ_A and Y = (g⊗1)∘δ_C, is derived here,
+    by its own formula, on every call.  When X and Y have row tables and the
+    system has count one, its kernel is read off their two index lists
+    (linalg._difference_kernel), with no system built.  Otherwise the system
+    is built, and when it equals the T of the pullback kept on f for g,
+    entry for entry, the K' kept with T is its canonical kernel basis, and
+    is returned instead of eliminating the system again."""
     if f.tgt != g.tgt:
         raise CodomainMismatch("cospan needs a common codomain")
     a, c = f.src, g.src
     i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(a.field, c.dim)
-    t = _kron_difference(kron_apply(i_a, f.mat, a.delta), kron_apply(g.mat, i_c, c.delta))
+    x, y = kron_apply(i_a, f.mat, a.delta), kron_apply(g.mat, i_c, c.delta)
+    if (k := _difference_kernel(x, y)) is not None:
+        return k
+    t = _kron_difference(x, y)
     if (kept := f._pullback) and kept[0] is g and kept[2] and kept[2][0] == t:
         return kept[2][1]
     return kernel_basis_sparse(t)
@@ -830,12 +853,13 @@ def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
     """Decide that the legs are in S, then verify that the cotensor product and
     the relative pullback are the same subobject: the mutual universal
     factorizations compose to identities.  Of the pullback it reads the
-    equalizer and projections kept on f for g, or builds them and checks the
-    square as relative_pullback_coalg does; the certificate is not read here.
-    The cotensor stays an independent oracle: its system is built by its own
-    formula on every call and compared with the pullback's kept T, entry for
-    entry, and only an equal system reuses the kernel kept with T
-    (cotensor).  The checks then compare the two bases."""
+    equalizer and projections kept on f for g, or builds them as
+    relative_pullback_coalg does; the certificate is not read here.  The
+    cotensor stays an independent oracle: its system is derived by its own
+    formula on every call, and its kernel read off two index lists when it
+    has count one on row tables; a system it builds is compared with the
+    pullback's kept T, entry for entry, and only an equal system reuses the
+    kernel kept with T (cotensor).  The checks then compare the two bases."""
     base = CoalgCategory(f.mat.field)
     if not legs_in_class(base, f, g):
         raise LegsNotInClass("cotensor comparison needs legs in class S")

@@ -142,8 +142,8 @@ def pullback(f: FinFun, g: FinFun) -> RelPullback:
         fibers.setdefault(y, []).append(c)
     pairs = tuple((a, c) for a, y in enumerate(f.table) for c in fibers.get(y, ()))
     p = FinSetObj(len(pairs))
-    p_a = FinFun(p, f.dom, tuple(a for a, _ in pairs))
-    p_c = FinFun(p, g.dom, tuple(c for _, c in pairs))
+    p_a = FinFun._valid(p, f.dom, tuple(a for a, _ in pairs))
+    p_c = FinFun._valid(p, g.dom, tuple(c for _, c in pairs))
     return RelPullback(FINSET, f, g, p, p_a, p_c, True, pairs)
 
 
@@ -171,7 +171,7 @@ def universal_factor(pb: RelPullback, a: FinFun, c: FinFun) -> FinFun:
         if pb.f.table[a.table[x]] != pb.g.table[c.table[x]]:
             raise SquareDoesNotCommute(f"f(a({x})) != g(c({x}))")
         table.append(idx[(a.table[x], c.table[x])])
-    return FinFun(a.dom, pb.apex, table)
+    return FinFun._valid(a.dom, pb.apex, tuple(table))
 
 
 def finset_monoid_check(m_obj: FinSetObj, m: FinFun, u: int) -> Report:
@@ -209,4 +209,4 @@ def linearize_fun(f: FinFun, fld, objs=None) -> coalg.CoalgMap:
     for x in (f.dom, f.cod):
         if x not in objs:
             objs[x] = linearize_obj(x, fld)
-    return coalg.CoalgMap(objs[f.dom], objs[f.cod], _unit_matrix(fld, f.cod.size, list(f.table)))
+    return coalg.CoalgMap._valid(objs[f.dom], objs[f.cod], _unit_matrix(fld, f.cod.size, list(f.table)))

@@ -31,28 +31,31 @@ identity operand is its other operand, and kron_apply with two square
 identity factors is M, each returned as it is; an identity is one shared
 matrix per field and size.
 
-Group-like data (δ, ε, 0/1 maps, identities) has every column a unit vector
-{r: one}.  A matrix keeps the row table of such columns.  The builders of
-0/1 matrices hand it over (_unit_matrix): Matrix.identity, swap_map,
-coalg.grouplike's δ and ε, the K' and projections of a group-like
-pullback (coalg._grouplike_pullback), whose apex is coalg.grouplike, and
-its fillers (coalg._grouplike_filler), the kernel of a count-one system
-(below), finset.linearize_fun and the d of relcat.linearize_relcat; for
-any other matrix _unit_rows finds it on first use.  As matrices never
-change, it never goes stale.  A matrix those builders make, the shared
-identities aside, holds its table alone and makes its column dicts when
-they are first read; a relative pullback of linearized finite sets, its
-filler, apex check and cotensor comparison read none:
-coalg._grouplike_pullback builds it from the matching pairs and
-coalg._grouplike_filler makes the filler's checks on index lists, with
-no product, and the cotensor, which solves its own system, cross-checks
-them.  The table is the one fast path for such data: kron_apply on
-three tables, and A @ B on B's, is an index map that keeps the result's
-table (A @ B when A has one, reading no column of A), and X⊗1 - 1⊗Y on
-two tables has each column {r: one, t: -one}, or nothing where r = t, r
-and t read off two index lists.  == and _is_identity on two tables
-compare the tables, and kernel_left_inverse on one checks only that its
-rows are distinct.
+Group-like data (δ, ε, 0/1 maps, identities) has every column a unit
+vector {r: one}.  A matrix keeps the row table of such columns.  The
+builders of 0/1 matrices hand it over (_unit_matrix): Matrix.identity,
+swap_map, coalg.grouplike's δ and ε, the K' and projections of a
+group-like pullback (coalg._grouplike_pullback), whose apex is
+coalg.grouplike, and its fillers (coalg._grouplike_filler), the kernel
+of a count-one system (below, and _difference_kernel),
+finset.linearize_fun and the d of relcat.linearize_relcat; for any other
+matrix _unit_rows finds it on first use.  As matrices never change, it
+never goes stale.  A matrix those builders make, the shared identities
+aside, holds its table alone and makes its column dicts when they are
+first read; a relative pullback of linearized finite sets, its filler,
+apex check and cotensor comparison read none: coalg._grouplike_pullback
+builds it from the matching pairs and coalg._grouplike_filler makes the
+filler's checks on index lists, with no product, and the cotensor, which
+derives its own X and Y, cross-checks them.  The table is the one fast
+path for such data: kron_apply on three tables, and A @ B on B's, is an
+index map that keeps the result's table (A @ B when A has one, reading
+no column of A), and the kernel of X⊗1 - 1⊗Y on two tables, whose column
+(p, q) is e_r - e_t, or nothing where r = t, is read off the two index
+lists of the r and the t (_difference_kernel) when the system has count
+one, with no system built; one that is not count one is built on the
+dict path as any other.  == and _is_identity on two tables compare the
+tables, and kernel_left_inverse on one checks only that its rows are
+distinct.
 
 Matrices act on column vectors: a matrix with shape (rows, cols) is a linear
 map from a cols-dimensional space to a rows-dimensional space, and composition
@@ -81,12 +84,13 @@ does: each row's nonzeros are counted once, and a row of count one at column
 c puts the unit row e_c in the form and deletes c from every other row
 without arithmetic, which leaves the form as it is.  Only the entries of the
 columns left are gathered into rows, so a row left with one nonzero is
-reduced like any other.  A system whose rows all have count one, as the
-cotensor system of linearized finite sets, is read by kernel_basis_sparse
-alone, which builds no form: the free columns of such a system are its
-empty ones, so its kernel is their unit columns, read off the system's
-empty columns with their row table.  The elimination has no route of its
-own for such a system: the peel alone gives its form.
+reduced like any other.  A system whose rows all have count one is read
+by kernel_basis_sparse alone, which builds no form: the free columns of
+such a system are its empty ones, so its kernel is their unit columns,
+read off the system's empty columns with their row table (the cotensor
+system of linearized finite sets is not even built: _difference_kernel
+reads the same columns off its factors' tables).  The elimination has no
+route of its own for such a system: the peel alone gives its form.
 """
 
 from __future__ import annotations
@@ -94,7 +98,8 @@ from __future__ import annotations
 import sys
 from collections import Counter
 from functools import cache
-from itertools import chain
+from itertools import chain, compress, count
+from operator import eq
 
 from .errors import InternalSolveFailure, ShapeMismatch
 from .fields import PrimeField, require_same_field
@@ -448,18 +453,13 @@ def _kron_difference(x: Matrix, y: Matrix) -> Matrix:
     y.cols and x.cols dimensions, for x and y of one ratio of rows to
     columns: column (p, q) is x's column p at the rows i·m + q, m = y.cols,
     and y's column q at the rows p·y.rows + k subtracted into it, dropping
-    the entries that cancel.  When x and y have row tables, column (p, q)
-    is {r: one, t: -one}, or nothing when r = t, r and t read off two
-    index lists."""
+    the entries that cancel.  Row tables take no path of their own here:
+    the cotensor reads its kernel off them (_difference_kernel), and a
+    system of tables that is not count one is built here as any other."""
     require_same_field(x.field, y.field)
     fld, m, s, rows = x.field, y.cols, y.rows, x.rows * y.cols
     if rows != x.cols * s:
         raise ShapeMismatch(f"cannot subtract 1⊗y, {x.cols * s} rows, from x⊗1, {rows} rows")
-    if (xr := _unit_rows(x)) is not False and (yr := _unit_rows(y)) is not False:
-        one, minus = fld.one, fld.neg(fld.one)
-        left = [r * m + q for r in xr for q in range(m)]
-        right = [p * s + k for p in range(x.cols) for k in yr]
-        return Matrix.from_cols(fld, rows, [{r: one, t: minus} if r != t else {} for r, t in zip(left, right)])
     norm, out = fld.normalize, []
     for p, xc in enumerate(x.columns):
         xs = [(i * m, a) for i, a in xc.items()]
@@ -473,6 +473,31 @@ def _kron_difference(x: Matrix, y: Matrix) -> Matrix:
                     del col[at + k]
             out.append(col)
     return Matrix.from_cols(fld, rows, out)
+
+
+def _difference_kernel(x: Matrix, y: Matrix) -> Matrix | None:
+    """kernel_basis_sparse(_kron_difference(x, y)), read off two index lists
+    with no system built, when x and y, of the shapes _kron_difference
+    takes, have row tables and the system has count one; else None.
+    Column (p, q) of x⊗1 - 1⊗y is then e_r - e_t, r = x_p·m + q and
+    t = p·s + y_q (m = y.cols, s = y.rows), and nothing where r = t.  Of n
+    columns, k with r = t, the rows that the r and t reach are at most
+    2n - k, and exactly that many only when every r and t of the other
+    columns is distinct: every row then has count one, and the kernel is
+    the unit columns at the columns r = t, with their row table.  A system
+    of count one falls short of 2n - k only when one of those rows is also
+    that of a column r = t, which needs a row repeated in x's or y's table,
+    as (1⊗f)∘δ and (g⊗1)∘δ of k[X] never have; it is then built, and
+    kernel_basis_sparse reads it."""
+    if (xr := _unit_rows(x)) is False or (yr := _unit_rows(y)) is False:
+        return None
+    m, s = y.cols, y.rows
+    left = [r * m + q for r in xr for q in range(m)]
+    right = [p * s + t for p in range(x.cols) for t in yr]
+    free = list(compress(count(), map(eq, left, right)))
+    if len(set(left).union(right)) != 2 * len(left) - len(free):
+        return None
+    return _unit_matrix(x.field, len(left), free)
 
 
 def kron_apply(a: Matrix, b: Matrix, m: Matrix) -> Matrix:

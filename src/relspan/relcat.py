@@ -280,5 +280,5 @@ def linearize_relcat(rc: RelativeCategory, fld) -> RelativeCategory:
         raise ShapeMismatch("linearized pullback dimension does not match the pair count")
     if _unit_rows(pb.payload.j.mat) != [x * a.dim + y for x, y in pairs]:
         raise ShapeMismatch("pullback basis is not the group-like pair basis; cannot identify")
-    d = _coalg.CoalgMap(pb.apex, a, _unit_matrix(fld, a.dim, list(rc.d.table)))
+    d = _coalg.CoalgMap._valid(pb.apex, a, _unit_matrix(fld, a.dim, list(rc.d.table)))
     return RelativeCategory(base, b, a, s, t, i, d, pb)

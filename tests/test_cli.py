@@ -253,46 +253,53 @@ def test_linearized_commands_take_only_the_unit_kron_apply_path(monkeypatch, arg
     assert fillers and None not in [h for _, h in fillers]
 
 
-def _spy_kron_difference_paths(monkeypatch):
-    """The path each coalg._kron_difference call takes: "table" when both
-    factors have row tables after it, which is exactly when it reads the
-    difference off them (else a factor's table is a cached "no")."""
-    paths, inner = [], coalg._kron_difference
+def _spy_cotensor_routes(monkeypatch):
+    """The route of each cotensor kernel: "index lists" for a
+    coalg._difference_kernel call that read it off the two index lists,
+    "built" for one that did not, and the name of each call to
+    coalg._kron_difference or coalg.kernel_basis_sparse."""
+    calls = []
 
-    def spy(*factors):
-        out = inner(*factors)
-        paths.append("table" if all(isinstance(m._units, list) for m in factors) else "general")
-        return out
+    def spy(name, fn):
+        def call(*args):
+            out = fn(*args)
+            calls.append(("built" if out is None else "index lists") if name == "_difference_kernel" else name)
+            return out
+        monkeypatch.setattr(coalg, name, call)
 
-    monkeypatch.setattr(coalg, "_kron_difference", spy)
-    return paths
+    for name in ("_difference_kernel", "_kron_difference", "kernel_basis_sparse"):
+        spy(name, getattr(coalg, name))
+    return calls
 
 
 @pytest.mark.parametrize("argv", [
     ["cotensor", "--cospan", "cs"],
     ["pullback", "--cospan", "cs", "--instance", "coalg", "--compare-cotensor"],
 ])
-def test_linearized_cotensor_takes_only_the_table_path_of_kron_difference(monkeypatch, argv):
+def test_linearized_cotensor_reads_its_kernel_off_two_index_lists(monkeypatch, argv):
     """The cotensor of a linearized finite-set cospan, alone or as the
-    pullback's comparison, builds its one system on the table path."""
-    paths = _spy_kron_difference_paths(monkeypatch)
+    pullback's comparison, reads its kernel off the two index lists of its
+    system and builds no system: no call to _kron_difference or to
+    kernel_basis_sparse, from the cotensor or from the pullback."""
+    calls = _spy_cotensor_routes(monkeypatch)
     code, _ = run([argv[0], fx("cospan_finset.json"), *argv[1:]])
     assert code == 0
-    assert paths == ["table"]
+    assert calls == ["index lists"]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)], ids=str)
-def test_grouplike_cotensor_comparison_takes_only_the_table_path_of_kron_difference(monkeypatch, field):
+def test_grouplike_cotensor_comparison_reads_its_kernel_off_two_index_lists(monkeypatch, field):
     """compare_cotensor_pullback on linearized cospans A -> B <- C, as a
-    group-like benchmark job builds them, eliminates its cotensor system
-    from the factors' row tables; the pullback itself takes none."""
-    paths = _spy_kron_difference_paths(monkeypatch)
+    group-like benchmark job builds them, reads its cotensor's kernel off
+    the two index lists of the system and builds no system; the pullback
+    itself takes no kernel."""
+    calls = _spy_cotensor_routes(monkeypatch)
     rng = rng_for(f"grouplike-compare-{field!r}")
     for _ in range(10):
         nb = rng.randint(1, 3)
         f, g = finset.linearize_funs([rand_finfun(rng, rng.randint(1, 5), nb) for _ in range(2)], field)
         assert coalg.compare_cotensor_pullback(f, g).ok
-    assert paths == ["table"] * 10
+    assert calls == ["index lists"] * 10
 
 
 def test_relcat_violations_each_fail_with_witness():

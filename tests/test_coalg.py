@@ -59,7 +59,7 @@ from relspan import (
     trivial,
     universal_factor,
 )
-from relspan import coalg, linalg
+from relspan import coalg, finset, linalg
 from relspan.coalg import (
     cid,
     compare_with_pullback,
@@ -319,13 +319,8 @@ def test_grouplike_hands_its_facts_over_and_decoded_kx_reads_its_tables(monkeypa
 def test_coalg_category_builds_its_unit_on_first_use(monkeypatch):
     """CoalgCategory(F) builds no coalgebra until unit_obj() is called, and
     then returns one k, grouplike(F, 1), on every call."""
-    built, init = [], Coalgebra.__init__
-
-    def spy(self, *args, **kwargs):
-        built.append(self)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Coalgebra, "__init__", spy)
+    built, inner = [], coalg.grouplike
+    monkeypatch.setattr(coalg, "grouplike", lambda *args: built.append(inner(*args)) or built[-1])
     for field in GROUPLIKE_FIELDS:
         base = CoalgCategory(field)
         assert not built
@@ -1195,6 +1190,31 @@ def test_counital_pullback_falls_back_to_the_second_system_as_the_reference_does
                 want = "pullback square does not commute"
             assert (got if isinstance(got, str) else got.payload) == want
     assert seen == {True, False} and False in packed_seen
+
+
+def test_a_generic_counital_pullback_square_commutes_with_no_check(monkeypatch):
+    """f∘p_A = g∘p_C on every pullback the generic route builds, which no
+    longer checks it: on counital A and C, (ε⊗1⊗ε)∘T = f⊗ε - ε⊗g, so the
+    inclusion lies in ker(f⊗ε - ε⊗g).  Dense cospans over F_p, linearized
+    maps in random bases, and twisted cospans over Q, counital and in
+    general not coassociative, with random sparse legs; a pullback whose
+    closure check fails builds no square."""
+    builds = _spy(monkeypatch, coalg, "_grouplike_pullback")
+    rng = rng_for("pb-square-commutes")
+    squares = Counter()
+    for field, draw in ((GF(5), _counital_cospan), (GF(32003), _counital_cospan),
+                        (QQ, lambda rng, field: _raw_cospan(rng, field, _twisted))):
+        base = CoalgCategory(field)
+        for _ in range(25):
+            f, g = draw(rng, field)
+            builds.clear()
+            pb = _outcome(relative_pullback_coalg, base, f, g)
+            assert [out for _, out in builds] == [None]
+            if not isinstance(pb, str):
+                assert f.mat @ pb.p_a.mat == g.mat @ pb.p_c.mat
+                assert base.compose(f, pb.p_a) == base.compose(g, pb.p_c)
+                squares[field] += 1
+    assert all(squares[field] >= 5 for field in (GF(5), GF(32003), QQ)), squares
 
 
 def _unclosed_cospan(field):
@@ -2545,6 +2565,12 @@ def _fold():
      "a coalgebra takes either delta and epsilon or factors"),
     (lambda: CoalgMap(_k(2), _k(3), Matrix.identity(QQ, 2)), ShapeMismatch,
      "matrix shape does not match the coalgebras"),
+    (lambda: CoalgMap(_k(3), _k(2), Matrix.identity(QQ, 2)), ShapeMismatch,
+     "matrix shape does not match the coalgebras"),
+    (lambda: CoalgMap(_k(2, GF(5)), _k(2), Matrix.identity(QQ, 2)), FieldMismatch,
+     "field mismatch: GF(5) vs QQ"),
+    (lambda: CoalgMap(_k(2), _k(2, GF(5)), Matrix.identity(QQ, 2)), FieldMismatch,
+     "field mismatch: GF(5) vs QQ"),
     (lambda: CoalgCategory(QQ).first_difference(("∘", cid(_k(3)), cid(_k(2))), cid(_k(2))),
      CodomainMismatch, "compose: cod(f) != dom(g)"),
     (lambda: coalg_equalizer(cid(_k(2)), _fold()), ShapeMismatch,
@@ -2556,8 +2582,51 @@ def _fold():
      CompositionMismatch, "span legs must share their apex"),
 ], ids=["no-counit", "counit-shape", "counit-field", "no-comultiplication", "comultiplication-shape",
         "comultiplication-field", "comultiplication-and-factors", "counit-and-factors", "map-shape",
-        "unmatched-composite", "equalizer-domains", "equalizer-codomains", "filler-span-domains"])
+        "map-columns", "map-source-field", "map-target-field", "unmatched-composite", "equalizer-domains",
+        "equalizer-codomains", "filler-span-domains"])
 def test_coalgebra_refusals(call, error, message):
     with pytest.raises(error) as info:
         call()
     assert type(info.value) is error and str(info.value) == message
+
+
+def test_the_package_builds_its_own_maps_and_kx_without_the_public_checks(monkeypatch):
+    """grouplike and the constructions (identities, composites, tensor
+    products, symmetries, inverses, equalizers, projections, fillers and
+    linearizations) build their coalgebras and maps without the public
+    constructors' checks, and build what those constructors build: the
+    same attributes, equal to a checked copy.  A relative pullback of a
+    linearized cospan, its filler and its cotensor comparison call
+    CoalgMap.__init__ never, and Coalgebra.__init__ only for tensor
+    products, which take their factors."""
+    inits, maps, map_init, init = [], [], CoalgMap.__init__, Coalgebra.__init__
+    monkeypatch.setattr(Coalgebra, "__init__", lambda self, *a, **kw: inits.append(kw) or init(self, *a, **kw))
+    monkeypatch.setattr(CoalgMap, "__init__", lambda self, *a: maps.append(a) or map_init(self, *a))
+    rng = rng_for("trusted-constructors")
+    for field in (QQ, GF(5)):
+        base = CoalgCategory(field)
+        for _ in range(6):
+            f, g = finset.linearize_funs([rand_finfun(rng, rng.randint(1, 4), 2) for _ in "fg"], field)
+            pb = relative_pullback(base, f, g)
+            h = universal_factor(pb, pb.p_a, pb.p_c)
+            assert compare_cotensor_pullback(f, g).ok
+            swap = base.symmetry(f.src, g.src)
+            built = [f, g, pb.p_a, pb.p_c, pb.payload.j, h, swap, base.identity(f.src), base.compose(f, pb.p_a),
+                     base.tensor_mor(f, g), base.invert(swap), base.compose(swap, base.invert(swap))]
+            assert not maps and all(kw.keys() == {"factors"} for kw in inits)
+            for m in built:
+                assert (m.mat.rows, m.mat.cols, m.mat.field) == (m.tgt.dim, m.src.dim, m.src.field)
+                assert m == _map_copy(m) and (m._pullback is None or m is f)
+            for x in (f.src, f.tgt, g.src, pb.apex):
+                assert x == Coalgebra(x.dim, field, delta=general(x.delta), epsilon=general(x.epsilon))
+            inits.clear()
+            maps.clear()
+    fold = _fold()
+    maps.clear()
+    eq = coalg_equalizer(fold, fold)
+    assert not maps and eq.j == _map_copy(eq.j)
+
+
+def _map_copy(m):
+    """m built again by the public constructor, which checks it."""
+    return CoalgMap(m.src, m.tgt, m.mat)

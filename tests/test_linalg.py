@@ -857,13 +857,13 @@ def test_kron_difference_on_monomial_factors_cancels_whole_columns(field):
     """x⊗1 - 1⊗y on x, (na·nb) x na, and y, (nb·nc) x nc, with one nonzero
     per column, with some columns of y drawn to match one of x,
     x_a = v·e_(a·nb+b) and y_c = v·e_(b·nc+c), so that the column (a, c)
-    cancels whole.  Every other draw has unit columns {r: one}: then both
-    factors have row tables and the difference is read off them, which
-    leaves each factor's table found; a draw with another nonzero takes the
-    general path, which leaves a factor's table a cached "no".  Both paths
-    equal the general path forced on the same factors."""
+    cancels whole.  Every other draw has unit columns {r: one}, whose row
+    tables _kron_difference does not read: it builds them on the dict path
+    as any other, leaving each factor's table unfound, equal to the
+    general path forced on the same factors (the cotensor reads the kernel
+    of such a system off the tables, _difference_kernel)."""
     rng = rng_for(f"kron-diff-monomial-{field!r}")
-    cancelled, paths = Counter(), Counter()
+    cancelled = Counter()
     for t in range(80):
         unit = t % 2 == 0
         if unit:
@@ -880,18 +880,105 @@ def test_kron_difference_on_monomial_factors_cancels_whole_columns(field):
                 xcols[a], ycols[c] = {a * nb + b: v}, {b * nc + c: v}
         x, y = Matrix.from_cols(field, na * nb, xcols), Matrix.from_cols(field, nb * nc, ycols)
         got = _kron_difference(x, y)
-        path = "table" if all(isinstance(m._units, list) for m in (x, y)) else "general"
-        assert path == ("table" if all(_fresh_table(m) is not False for m in (x, y)) else "general")
-        assert path == "table" or not unit and False in [m._units for m in (x, y)]
-        paths[unit, path] += 1
+        assert x._units is None and y._units is None
+        assert not unit or all(_fresh_table(m) is not False for m in (x, y))
         assert got == _difference_oracle(x, y, kron_oracle) == _kron_difference(general(x), general(y))
         assert all(len(col) <= 2 for col in got.columns)
         _assert_canonical(got)
         cancelled[unit] += sum(not col for col in got.columns)
     assert cancelled[True] and cancelled[False], cancelled
-    # unit draws have tables; over F_2 every nonzero is one, so every draw has them, and
-    # elsewhere a draw of other nonzeros takes the general path unless it drew only ones
-    assert not paths[True, "general"] and (field == GF(2)) == (not paths[False, "general"]), paths
+
+
+def _table_pair(rng, field, shape, plant):
+    """x and y with row tables, in the shapes x⊗1 - 1⊗y takes: "cotensor"
+    is (1⊗f)∘δ_A and (g⊗1)∘δ_C of linearized random maps, x_a = e_a⊗e_f(a)
+    and y_c = e_g(c)⊗e_c; "pullback" is (na·nb) x na and (nb·nc) x nc, and
+    "ratio" (k·u) x (k·v) and (m·u) x (m·v), both with random rows.  Half
+    are handed over as tables and half found on first use.  plant makes
+    the system not count one: for a column (p, q) with r ≠ t, y's row at
+    another column q2 is set so that column (r // s, q2) has t = r, s =
+    y.rows, a collision of an r and a t of two columns with r ≠ t."""
+    while True:
+        na, nb, nc = (rng.randint(1, 4) for _ in range(3))
+        if shape == "ratio":
+            u, v, k, m = (rng.randint(1, 3) for _ in range(4))
+            (xrows, xcols), (yrows, ycols) = (k * u, k * v), (m * u, m * v)
+            xr, yr = ([rng.randrange(r) for _ in range(c)] for r, c in ((xrows, xcols), (yrows, ycols)))
+        else:
+            (xrows, xcols), (yrows, ycols) = (na * nb, na), (nb * nc, nc)
+            if shape == "cotensor":
+                xr = [a * nb + rng.randrange(nb) for a in range(na)]
+                yr = [rng.randrange(nb) * nc + c for c in range(nc)]
+            else:
+                xr, yr = [rng.randrange(xrows) for _ in range(na)], [rng.randrange(yrows) for _ in range(nc)]
+        if not plant:
+            break
+        moved = [r * ycols + q for p, r in enumerate(xr) for q in range(ycols) if r * ycols + q != p * yrows + yr[q]]
+        if moved and ycols > 1:
+            r = rng.choice(moved)
+            yr[rng.choice([q for q in range(ycols) if q != r % ycols])] = r % yrows
+            break
+    if rng.random() < 0.5:
+        return linalg._unit_matrix(field, xrows, xr), linalg._unit_matrix(field, yrows, yr)
+    return (Matrix.from_cols(field, xrows, [{r: field.one} for r in xr]),
+            Matrix.from_cols(field, yrows, [{r: field.one} for r in yr]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), F5, GF(32003)], ids=str)
+def test_difference_kernel_is_the_kernel_of_the_built_system_bit_for_bit(field):
+    """The kernel of x⊗1 - 1⊗y that _difference_kernel reads off the row
+    tables of x and y is kernel_basis_sparse(_kron_difference(x, y)) bit
+    for bit, with its row table, on random row-table pairs of the cotensor's
+    shape, of a pullback's and of a fractional ratio, a quarter of them
+    with a planted r/t collision.  A system that is not count one gives
+    None, as every planted one must, and so does a count-one system only
+    when one of its rows is also that of a column r = t, which needs a row
+    repeated in a table; every cotensor-shaped system without a plant is
+    count one.  A factor without a row table gives None."""
+    rng = rng_for(f"difference-kernel-{field!r}")
+    routes = Counter()
+    for t in range(240):
+        shape, plant = ("cotensor", "pullback", "ratio")[t % 3], t % 4 == 3
+        x, y = _table_pair(rng, field, shape, plant)
+        got = linalg._difference_kernel(x, y)
+        system = _kron_difference(x, y)
+        count_one = set(Counter(chain.from_iterable(system.columns)).values()) <= {1}
+        want = kernel_basis_sparse(system)
+        repeated = any(len(set(m._units)) < len(m._units) for m in (x, y))
+        if got is not None:
+            assert count_one and _typed(got) == _typed(want) and (got.rows, got.cols) == (want.rows, want.cols)
+            assert got._units == want._units == [c for c, col in enumerate(system.columns) if not col]
+        else:
+            assert not count_one or repeated
+        assert (got is None) == (not count_one) or repeated
+        assert not plant or not count_one
+        assert shape != "cotensor" or plant or got is not None
+        routes[shape, got is not None, count_one, plant] += 1
+    for shape in ("cotensor", "pullback", "ratio"):
+        assert routes[shape, True, True, False] and routes[shape, False, False, True], routes
+    assert routes["pullback", False, False, False], routes
+    x, y = _table_pair(rng, field, "cotensor", False)
+    assert linalg._difference_kernel(general(x), y) is None
+    assert linalg._difference_kernel(x, general(y)) is None
+
+
+def test_difference_kernel_agrees_with_sympy():
+    """On small row-table pairs, a cotensor's and random ones, the kernel
+    read off the index lists is sympy's nullspace of the built system over
+    Q; every cotensor's is read off them."""
+    sp = pytest.importorskip("sympy")
+    rng = rng_for("difference-kernel-sympy")
+    seen = Counter()
+    for t in range(60):
+        shape = ("cotensor", "pullback")[t % 2]
+        x, y = _table_pair(rng, QQ, shape, False)
+        if (got := linalg._difference_kernel(x, y)) is None:
+            assert shape == "pullback"
+            continue
+        null = _to_sympy(sp, _kron_difference(x, y)).nullspace()
+        assert got == (_from_sympy(sp.Matrix.hstack(*null)) if null else Matrix.from_cols(QQ, got.rows, []))
+        seen[shape] += 1
+    assert seen["cotensor"] == 30 and seen["pullback"], seen
 
 
 @pytest.mark.parametrize("field", [QQ, F5, GF(7)])
