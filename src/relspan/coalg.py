@@ -105,7 +105,11 @@ on first use unless given to the constructor or set by its builder: ε and
 ε(e_x) = 1; z = (1⊗ε)∘δ and l = (ε⊗1)∘δ, which the counit laws read, in
 check_coalgebra and in the decision before an equalizer or a pullback,
 and the pullback's certificate reads as z_A and l_C; and whether
-c∘δ = δ, which decides class S on a cocommutative apex and gives c∘δ_C.  grouplike,
+c∘δ = δ, which decides class S on a cocommutative apex, gives c∘δ_C,
+makes l the kept z, as (ε⊗1)∘c∘δ = (1⊗ε)∘δ, and lets check_coalgebra
+build one side of coassociativity.  It is decided in place, each nonzero
+of δ against its swapped entry, and of a tensor product whose factors
+are both cocommutative with no δ built.  grouplike,
 which builds every linearized set, group-like pullback apex and the unit,
 sets the last four on the object it returns, so those objects work none
 out.  Any other coalgebra, as a decoded one, recognizes once whether it
@@ -228,14 +232,22 @@ class Coalgebra:
 
     @cached_property
     def left_counit(self) -> Matrix:
-        """l = (ε⊗1)∘δ; the left counit law is l = 1, the shared identity on k[X]."""
-        i_n = Matrix.identity(self.field, self.dim)
-        return i_n if self._grouplike else kron_apply(self.epsilon, i_n, self.delta)
+        """l = (ε⊗1)∘δ; the left counit law is l = 1.  On a cocommutative
+        coalgebra l = (ε⊗1)∘c∘δ = (1⊗ε)∘δ = z, so it is right_counit, the
+        shared identity on k[X]."""
+        if self.cocommutative:
+            return self.right_counit
+        return kron_apply(self.epsilon, Matrix.identity(self.field, self.dim), self.delta)
 
     @cached_property
     def cocommutative(self) -> bool:
-        """c∘δ = δ, true of k[X]."""
-        return self._grouplike or _swapped(self.delta, self.dim) == self.delta
+        """c∘δ = δ: true of k[X], and of a tensor product whose factors both
+        are, with no δ read; otherwise each nonzero of δ at v1⊗v2 is compared
+        with δ's entry at v2⊗v1, with no c∘δ built, to the first that differs."""
+        if self._grouplike or self._factors is not None and all(x.cocommutative for x in self._factors):
+            return True
+        n = self.dim
+        return all(col.get(i % n * n + i // n) == v for col in self.delta.columns for i, v in col.items())
 
     @cached_property
     def delta(self) -> Matrix:
@@ -377,9 +389,11 @@ def _add_equation(rep: Report, name, lhs: Matrix, rhs: Matrix):
 
 def check_coalgebra(c: Coalgebra) -> Report:
     """Coassociativity and both counit laws, exactly, with a basis witness.
-    k[X] is coassociative with no product: both sides are e_x⊗e_x⊗e_x."""
+    k[X] is coassociative with no product: both sides are e_x⊗e_x⊗e_x.
+    On a cocommutative δ coassociativity is decided on one side
+    (linalg._coassoc_difference), and the left counit law reads z (left_counit)."""
     rep = Report()
-    j = None if c._grouplike else _coassoc_difference(c.delta)
+    j = None if c._grouplike else _coassoc_difference(c.delta, c.cocommutative)
     rep.add("coassociativity", j is None, f"basis {j}")
     rep.extend(_counit_laws(c))
     return rep
@@ -649,7 +663,11 @@ def _subcoalgebra(x: Coalgebra, k: Matrix, delta_k: Matrix | None) -> CoalgEqual
             for col in delta_k.columns])
         if kron_apply(k, k, delta_e) != delta_k:
             return None
-    eps_k = x.epsilon @ k if x._factors is None else kron_apply(*(f.epsilon for f in x._factors), k)
+    if x._factors is None:
+        eps_k = x.epsilon @ k
+    else:  # ε_A⊗ε_C = ε_A∘(1⊗ε_C): a contraction, then a one-row product
+        a, c = x._factors
+        eps_k = a.epsilon @ kron_apply(Matrix.identity(x.field, a.dim), c.epsilon, k)
     obj = Coalgebra(k.cols, x.field, delta=delta_e, epsilon=eps_k)
     return CoalgEqualizer(obj, CoalgMap._valid(obj, x, k), lk)
 

@@ -130,7 +130,8 @@ MAX_LINEARIZED = 100_000
 MAX_EQUALIZER_DIM = 10_000
 # The most products of (δ⊗1)∘δ and (1⊗δ)∘δ a coalgebra's axiom check is
 # allowed: at the bound, a dense 34-dimensional coalgebra.
-# coalg.check_coalgebra builds both sides over Q, a large p or a sparse δ;
+# coalg.check_coalgebra builds both sides over Q, a large p or a sparse δ,
+# and one on a cocommutative δ;
 # on a dense δ over F_p within the gate of linalg's packed layer it decides
 # them in 64-bit slots instead (linalg._coassoc_difference), at less cost,
 # and the count is the same.

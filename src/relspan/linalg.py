@@ -684,9 +684,10 @@ def _slot_test(field, n):
     return differs
 
 
-def _coassoc_difference(d: Matrix):
+def _coassoc_difference(d: Matrix, cocommutative=False):
     """The first column j at which (δ⊗1)∘δ and (1⊗δ)∘δ differ, δ = d of
-    shape n² x n, or None; on the packed path neither side is built.
+    shape n² x n, or None; on the packed path neither side is built, and on
+    a cocommutative d, c∘δ = δ as the caller knows, one side.
 
     The path runs over F_p when d is dense enough that the products of the
     two sides, about 2·nnz(d)²/n, cover the n⁴ slots it reads, nnz(d)² ≥ n⁵
@@ -695,26 +696,37 @@ def _coassoc_difference(d: Matrix):
     n² slots as δ̂_q, and D[a, b] = d[a·n + b, j] for the column j at hand.
     The left side, in (c, a, b) order, is the blocks Σ_a D[a, c]·δ̂_a; the
     right side, in (a, b, c) order, is the blocks Σ_b D[a, b]·δ̂_b, moved
-    to (c, a, b) order by n strided copies.  _slot_test decides the column,
-    and the first that fails is j.  Every other d keeps the two kron_apply
-    products: Q and a larger p have no slot bound, and a sparse d makes
-    fewer products than the slots it would read."""
+    to (c, a, b) order by n strided copies.  On a cocommutative d,
+    D[a, b] = D[b, a], so the right blocks are the left ones: one list and
+    one join, compared with their strided copy.  _slot_test decides the
+    column, and the first that fails is j.  Every other d keeps the
+    kron_apply products: Q and a larger p have no slot bound, and a sparse d
+    makes fewer products than the slots it would read.  On a cocommutative
+    d only (1⊗δ)∘δ is built: (δ⊗1)∘δ is it with its rows moved,
+    (x, y, b) ← (b, x, y), so each column is compared with its moved self."""
     fld, n, cols = d.field, d.cols, d.columns
+    nn = n * n
     if n > _most_terms(fld, 2) or sum(map(len, cols)) ** 2 < n**5:
         i_n = Matrix.identity(fld, n)
-        return first_difference(kron_apply(d, i_n, d), kron_apply(i_n, d, d))
-    nn = n * n
+        right = kron_apply(i_n, d, d)
+        if not cocommutative:
+            return first_difference(kron_apply(d, i_n, d), right)
+        return next((j for j, col in enumerate(right.columns)
+                     if {i % nn * n + i // nn: v for i, v in col.items()} != col), None)
     packed, differs = [_pack(col, nn) for col in cols], _slot_test(fld, nn * n)
     for j, col in enumerate(cols):
         left, right = [0] * n, [0] * n
         for r, v in col.items():
             a, b = divmod(r, n)
             left[b] += v * packed[a]
-            right[a] += v * packed[b]
-        abc, cab = memoryview(_join(right, nn)).cast("Q"), memoryview(bytearray(8 * nn * n)).cast("Q")
+            if not cocommutative:
+                right[a] += v * packed[b]
+        lhs = _join(left, nn)
+        abc = memoryview(lhs if cocommutative else _join(right, nn)).cast("Q")
+        cab = memoryview(bytearray(8 * nn * n)).cast("Q")
         for c in range(n):
             cab[c * nn:c * nn + nn] = abc[c::n]
-        if differs(_join(left, nn), cab):
+        if differs(lhs, cab):
             return j
     return None
 

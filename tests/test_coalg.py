@@ -316,6 +316,96 @@ def test_grouplike_hands_its_facts_over_and_decoded_kx_reads_its_tables(monkeypa
         units.clear()
 
 
+def _planted(rng, c, symmetric):
+    """c with a nonzero v added to one column of δ at v_a⊗v_b, a ≠ b, and
+    at v_b⊗v_a too when symmetric: on a cocommutative c, a symmetric δ that
+    is in general not coassociative, or one that is not cocommutative."""
+    field, n = c.field, c.dim
+    j, (a, b), v = rng.randrange(n), rng.sample(range(n), 2), field.zero
+    while not v:
+        v = field.of(rng.randint(1, 6))
+    planted = {a * n + b: v, b * n + a: v} if symmetric else {a * n + b: v}
+    extra = Matrix.from_cols(field, n * n, [planted if k == j else {} for k in range(n)])
+    return Coalgebra(n, field, delta=c.delta + extra, epsilon=c.epsilon)
+
+
+def _one_sided_cases(rng, field):
+    """Rebased k[X], tensor products, divided powers, duals of matrix
+    coalgebras (plain and rebased), the path coalgebra, and rebased k[X]
+    with a symmetric entry planted in δ, or an asymmetric one."""
+    kx = [rebased(grouplike(field, n), random_basis(rng, field, n)) for n in (1, 2, 3, 5)]
+    yield from kx
+    yield from (divided_power(field, m) for m in (1, 2, 4))
+    yield matrix_coalgebra(field, 2)
+    yield rebased(matrix_coalgebra(field, 2), random_basis(rng, field, 4))
+    yield path_coalgebra(field)
+    yield tensor_coalgebra(kx[1], kx[2])
+    yield tensor_coalgebra(kx[1], divided_power(field, 3))
+    yield tensor_coalgebra(tensor_coalgebra(kx[0], kx[1]), kx[1])
+    yield tensor_coalgebra(path_coalgebra(field), kx[1])
+    yield tensor_coalgebra(divided_power(field, 2), matrix_coalgebra(field, 2))
+    for k in kx[1:]:
+        for symmetric in (True, False):
+            yield _planted(rng, k, symmetric)
+
+
+def _two_sided_facts(c):
+    """check_coalgebra's report, whether c∘δ = δ and l, each with both
+    sides built: (δ⊗1)∘δ and (1⊗δ)∘δ whole, l and z each by kron_apply,
+    and c∘δ by _swapped."""
+    i_n, d, e = Matrix.identity(c.field, c.dim), c.delta, c.epsilon
+    l, rep = kron_apply(e, i_n, d), Report()
+    j = linalg.first_difference(kron_apply(d, i_n, d), kron_apply(i_n, d, d))
+    rep.add("coassociativity", j is None, f"basis {j}")
+    for name, side in (("left counit law", l), ("right counit law", kron_apply(i_n, e, d))):
+        j = linalg.first_difference(side, i_n)
+        rep.add(name, j is None, f"basis {j}")
+    return [x.as_dict() for x in rep.checks], coalg._swapped(d, c.dim) == d, l
+
+
+def test_one_sided_deciders_agree_with_both_sides_built():
+    """cocommutative decided in place, or off a tensor product's factors
+    with no δ built, left_counit read off z on a cocommutative δ, and
+    check_coalgebra deciding coassociativity on one side there, agree with
+    both sides built (_two_sided_facts): the report's verdicts and
+    witnesses, cocommutative and left_counit, over Q, F_2, F_5 and F_32003.
+    The cases reach the packed and the dict path of
+    linalg._coassoc_difference on cocommutative δ, coassociative and not,
+    and on δ that is not cocommutative."""
+    rng, seen = rng_for("one-sided-deciders"), set()
+    for field in GROUPLIKE_FIELDS:
+        for c in _one_sided_cases(rng, field):
+            lazy = c._factors is not None and all(is_cocommutative(x) for x in c._factors)
+            cocommutative = c.cocommutative
+            assert ("delta" in vars(c)) != lazy
+            got = [x.as_dict() for x in check_coalgebra(c).checks], cocommutative, c.left_counit
+            assert got == _two_sided_facts(c)
+            n, d = c.dim, c.delta
+            packed = n <= linalg._most_terms(field, 2) and sum(map(len, d.columns)) ** 2 >= n**5
+            seen.add((packed, cocommutative, got[0][0]["status"] == "pass"))
+    assert seen == {(packed, sym, ok) for packed in (True, False) for sym in (True, False) for ok in (True, False)}
+
+
+def test_coassociativity_builds_one_side_on_a_symmetric_delta(monkeypatch):
+    """check_coalgebra hands linalg._coassoc_difference the fact c∘δ = δ,
+    and it builds one side on a cocommutative δ and two otherwise: on the
+    packed path one join of blocks per column where there are two, on the
+    dict path one kron_apply product where there are two."""
+    joins, krons = _spy(monkeypatch, linalg, "_join"), _spy(monkeypatch, linalg, "kron_apply")
+    rng = rng_for("one-side-guard")
+    for field in (QQ, GF(5), GF(32003)):
+        dense_sym = rebased(grouplike(field, 4), random_basis(rng, field, 4))
+        dense_asym = rebased(matrix_coalgebra(field, 2), random_basis(rng, field, 4))
+        cases = [(dense_sym, 1), (dense_asym, 2), (divided_power(field, 4), 1), (matrix_coalgebra(field, 2), 2)]
+        for c, sides in cases:
+            d = c.delta
+            packed = field != QQ and sum(map(len, d.columns)) ** 2 >= c.dim**5
+            joins.clear()
+            krons.clear()
+            assert check_coalgebra(c).ok
+            assert (len(joins), len(krons)) == ((sides * c.dim, 0) if packed else (0, sides))
+
+
 def test_coalg_category_builds_its_unit_on_first_use(monkeypatch):
     """CoalgCategory(F) builds no coalgebra until unit_obj() is called, and
     then returns one k, grouplike(F, 1), on every call."""
@@ -469,22 +559,27 @@ def _refused(fn, *args):
 
 
 def test_counit_maps_and_projections_of_dense_data_are_contractions(monkeypatch):
-    """z = (1⊗ε)∘δ and l = (ε⊗1)∘δ of k[X] in a random basis, whose δ has
-    no row table, and the projections p_A = (1⊗ε_C)∘j and p_C = (ε_A⊗1)∘j
-    of a dense pullback, are each one contraction pass of kron_apply
-    (linalg._contract), with no packed column, and equal the Kronecker
-    products they stand for."""
+    """z = (1⊗ε)∘δ and l = (ε⊗1)∘δ of dense data and the projections
+    p_A = (1⊗ε_C)∘j and p_C = (ε_A⊗1)∘j of a dense pullback are contraction
+    passes of kron_apply (linalg._contract), with no packed column, and
+    equal the Kronecker products they stand for.  Of k[X] in a random
+    basis, whose δ has no row table and is cocommutative, z is one pass and
+    l is z; of the dual of M_2 in a random basis, which is not
+    cocommutative, z and l are one pass each."""
     contractions, packed = _spy(monkeypatch, linalg, "_contract"), _spy(monkeypatch, linalg, "_packed_column")
     rng = rng_for("dense-contractions")
     for field in (QQ, GF(5), GF(32003)):
         i4 = Matrix.identity(field, 4)
         x = rebased(grouplike(field, 4), random_basis(rng, field, 4))
-        contractions.clear()
-        packed.clear()
-        z, l = x.right_counit, x.left_counit
-        assert [out is not None for _, out in contractions] == [True, True] and not packed
-        assert z == kron(i4, x.epsilon) @ x.delta and l == kron(x.epsilon, i4) @ x.delta
-        assert z == l == i4
+        m = rebased(matrix_coalgebra(field, 2), random_basis(rng, field, 4))
+        for c, passes in ((x, 1), (m, 2)):
+            contractions.clear()
+            packed.clear()
+            z, l = c.right_counit, c.left_counit
+            assert [out is not None for _, out in contractions] == [True] * passes and not packed
+            assert (l is z) == (passes == 1)
+            assert z == kron(i4, c.epsilon) @ c.delta and l == kron(c.epsilon, i4) @ c.delta
+            assert z == l == i4
         f, g = _counital_cospan(rng, field)
         pb = relative_pullback_coalg(CoalgCategory(field), f, g)
         a, c, j = f.src, g.src, pb.payload.j.mat
