@@ -27,6 +27,15 @@ behind BaseCategory.pullback and factor check none of them:
   CodomainMismatch; coalg.cotensor, a public construction with no class
   decision in front of it, checks its own, which repeats legs_in_class's
   behind compare_cotensor_pullback and the CLI.
+
+Every reported equation of morphisms is decided by its base category's
+first_difference, the one equation decider, and added to a Report by
+Report.equation: the monoid laws (monoids), a coalgebra map's two laws
+(coalg.check_coalg_map), a relative category's axioms (b)–(e) and a
+relative functor's laws (relcat), the coherence shapes (relpull) and the
+pullback command's square (cli).  Sides with different ends raise
+ShapeMismatch there.  A coalgebra's own axioms and class S keep deciders
+of their own (coalg).
 """
 
 from __future__ import annotations
@@ -63,6 +72,14 @@ class Report:
 
     def add(self, name, ok, witness=None):
         self.checks.append(Check(name, ok, witness if not ok else None))
+
+    def equation(self, name, base: BaseCategory, lhs, rhs, witness):
+        """Add the check lhs = rhs of two sides in base's term language,
+        decided by base.first_difference; witness is the failure's text, or
+        a function of the first basis index on which the sides differ."""
+        if (j := base.first_difference(lhs, rhs)) is not None and callable(witness):
+            witness = witness(j)
+        self.add(name, j is None, witness)
 
     def extend(self, other: "Report", prefix: str = ""):
         for c in other.checks:

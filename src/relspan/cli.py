@@ -193,11 +193,7 @@ def cmd_pullback(ctx, args):
         report.add("legs in class", False, str(exc))
         return report, None
     report.add("legs in class", True)
-    report.add(
-        "square commutes",
-        base.compose(pb.f, pb.p_a) == base.compose(pb.g, pb.p_c),
-        "f∘p_A != g∘p_C",
-    )
+    report.equation("square commutes", base, ("∘", pb.f, pb.p_a), ("∘", pb.g, pb.p_c), "f∘p_A != g∘p_C")
     report.add("jointly monic projections", pb.jointly_monic, "joint kernel is nonzero")
     return report, _PULLBACK_RESULTS[base.name](pb, args, report, label)
 

@@ -10,9 +10,11 @@ without it when A is cocommutative, c∘δ = δ.
 Every construction is a product of column-sparse matrices (see linalg).
 An axiom holds when two such products are equal, and its witness names the
 first basis vector on which they differ.  The sides of an equation of
-coalgebra maps (CoalgCategory.first_difference, through which monoids
-checks every monoid equation) and the comultiplication of check_coalg_map
-are evaluated on _BLOCK basis vectors of the domain at a time, so neither
+coalgebra maps are evaluated by CoalgCategory.first_difference, the one
+equation decider (catcore): the monoid laws, check_coalg_map's two laws,
+the relative-category and functor axioms and the coherence shapes.  A
+coalgebra in a term stands for its δ, applied by _delta_apply.  Each side
+is evaluated on _BLOCK basis vectors of the domain at a time, so neither
 side is built: m∘(m⊗1) of a 144-dimensional bialgebra has 144³ columns.
 A side g∘(f⊗h)∘… is read one basis vector e_p of f's domain at a time, as
 the columns of g∘(f(e_p)⊗1), a combination of column slices of g, applied
@@ -151,7 +153,7 @@ changed once built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as _field
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 
 from .catcore import BaseCategory, RelPullback, Report, build, legs_in_class, require_same_ends
@@ -417,31 +419,18 @@ def _require_counital(c: Coalgebra, name: str):
 
 
 def check_coalg_map(m: CoalgMap) -> Report:
-    """δ_tgt∘f = (f⊗f)∘δ_src and ε_tgt∘f = ε_src, exactly.  The first is
-    taken _BLOCK basis vectors at a time (_walk), so no δ of a tensor
-    product is built (_delta_apply)."""
-    f, n = m.mat, m.mat.cols
-    rep = Report()
-    j = _walk(n, lambda lo, hi: _delta_apply(m.tgt, f @ _basis(f.field, n, lo, hi)),
-              lambda lo, hi: kron_apply(f, f, _delta_apply(m.src, _basis(f.field, n, lo, hi))))
-    rep.add("comultiplication intertwined", j is None, f"basis {j}")
-    _add_equation(rep, "counit preserved", m.tgt.epsilon @ f, m.src.epsilon)
+    """δ_tgt∘f = (f⊗f)∘δ_src and ε_tgt∘f = ε_src, exactly, each decided by
+    CoalgCategory.first_difference, where a coalgebra in a term stands for
+    its δ: no δ of a tensor product is built (_delta_apply)."""
+    base, basis, rep = CoalgCategory(m.src.field), "basis {}".format, Report()
+    eps_tgt, eps_src = (CoalgMap._valid(c, base.unit_obj(), c.epsilon) for c in (m.tgt, m.src))
+    rep.equation("comultiplication intertwined", base, ("∘", m.tgt, m), ("∘", ("⊗", m, m), m.src), basis)
+    rep.equation("counit preserved", base, ("∘", eps_tgt, m), eps_src, basis)
     return rep
 
 
 # The most basis vectors of a domain that an equation is evaluated on at once.
 _BLOCK = 1024
-
-
-def _walk(n, *sides):
-    """The first of n basis indices at which the two sides, side(lo, hi) the
-    matrix of one on the basis vectors lo, …, hi - 1, differ, taken _BLOCK
-    indices at a time; None when they never do."""
-    for lo in range(0, n, _BLOCK):
-        a, b = (side(lo, min(lo + _BLOCK, n)) for side in sides)
-        if a.columns != b.columns:
-            return lo + first_difference(a, b)
-    return None
 
 
 def _basis(fld, n, lo, hi) -> Matrix:
@@ -480,7 +469,8 @@ def _block(fld, chain: list, n, lo, hi) -> Matrix:
     else:
         x = _basis(fld, n, lo, hi)
     for m in chain:
-        x = m @ x if isinstance(m, Matrix) else kron_apply(*m, x)
+        x = (m @ x if isinstance(m, Matrix) else _delta_apply(m, x) if isinstance(m, Coalgebra)
+             else kron_apply(*m, x))
     return x
 
 
@@ -559,17 +549,26 @@ class CoalgCategory(BaseCategory):
 
     def first_difference(self, lhs, rhs):
         """Each side is taken as its factors (_chain) on _BLOCK basis vectors
-        of the domain at a time (_block), so neither is built."""
+        of the domain at a time (_block), so neither is built; a coalgebra in
+        a term stands for its δ.  The blocks are compared as matrices, so
+        two with row tables compare the tables and make no column dicts."""
         left, right = [], []
         ends = self._chain(lhs, left)
         require_same_ends(ends, self._chain(rhs, right))
         n = ends[0].dim
-        return _walk(n, partial(_block, self.field, left, n), partial(_block, self.field, right, n))
+        for lo in range(0, n, _BLOCK):
+            a, b = (_block(self.field, side, n, lo, min(lo + _BLOCK, n)) for side in (left, right))
+            if a != b:
+                return lo + first_difference(a, b)
+        return None
 
     def _chain(self, term, out: list) -> tuple:
         """Append the factors of term to out, first applied first: a matrix,
-        or the pair of matrices of a ⊗, whose composite operands are built;
-        the (domain, codomain) of term."""
+        a coalgebra for its δ, or the pair of matrices of a ⊗, whose
+        composite operands are built; the (domain, codomain) of term."""
+        if isinstance(term, Coalgebra):
+            out.append(term)
+            return term, tensor_coalgebra(term, term)
         if not isinstance(term, tuple):
             out.append(term.mat)
             return term.src, term.tgt

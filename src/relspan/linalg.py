@@ -37,7 +37,7 @@ builders of 0/1 matrices hand it over (_unit_matrix): Matrix.identity,
 swap_map, coalg.grouplike's δ and ε, the K' and projections of a
 group-like pullback (coalg._grouplike_pullback), whose apex is
 coalg.grouplike, and its fillers (coalg._grouplike_filler), the kernel
-of a count-one system (below, and _difference_kernel),
+that _difference_kernel reads off two index lists,
 finset.linearize_fun and the d of relcat.linearize_relcat; for any other
 matrix _unit_rows finds it on first use.  As matrices never change, it
 never goes stale.  A matrix those builders make, the shared identities
@@ -84,13 +84,10 @@ does: each row's nonzeros are counted once, and a row of count one at column
 c puts the unit row e_c in the form and deletes c from every other row
 without arithmetic, which leaves the form as it is.  Only the entries of the
 columns left are gathered into rows, so a row left with one nonzero is
-reduced like any other.  A system whose rows all have count one is read
-by kernel_basis_sparse alone, which builds no form: the free columns of
-such a system are its empty ones, so its kernel is their unit columns,
-read off the system's empty columns with their row table (the cotensor
-system of linearized finite sets is not even built: _difference_kernel
-reads the same columns off its factors' tables).  The elimination has no
-route of its own for such a system: the peel alone gives its form.
+reduced like any other.  A system whose rows all have count one is all
+peel: its free columns are its empty ones, so its kernel is their unit
+columns (the cotensor system of linearized finite sets is not even built:
+_difference_kernel reads the same columns off its factors' tables).
 """
 
 from __future__ import annotations
@@ -319,8 +316,7 @@ def _reduce(field, columns):
     its leading entry reduced against the rows already inserted and scaled
     to 1; back-substitution in descending pivot order then makes every pivot
     column a unit vector.  The unit rows need none: no row left holds their
-    columns.  A system whose rows all have count one is all peel; only
-    kernel_basis_sparse reads such a system without this form."""
+    columns.  A system whose rows all have count one is all peel."""
     norm, one = field.normalize, field.one
     counts = Counter(chain.from_iterable(columns))
     single = {i for i, n in counts.items() if n == 1}
@@ -384,13 +380,8 @@ def solve(a: Matrix, b: Matrix):
 
 def kernel_basis_sparse(a: Matrix) -> Matrix:
     """Canonical basis of ker A as columns: one per free column c, equal to 1
-    at c and to minus the reduced row echelon entries at the pivots; A·K = 0.
-    When every row has count one, the free columns are the empty ones, and
-    the basis is their unit columns, with its row table, and no form built."""
-    cols = a.columns
-    if len(set(chain.from_iterable(cols))) == sum(map(len, cols)):
-        return _unit_matrix(a.field, a.cols, [c for c, col in enumerate(cols) if not col])
-    return _kernel(a.field, _reduce(a.field, cols), a.cols)
+    at c and to minus the reduced row echelon entries at the pivots; A·K = 0."""
+    return _kernel(a.field, _reduce(a.field, a.columns), a.cols)
 
 
 def _kernel(field, red, n):

@@ -48,22 +48,25 @@ class DistLaw:
     x: object  # B⊗A -> A⊗B
 
 
-def _difference(base: BaseCategory, lhs, rhs, *factors) -> str | None:
-    """None when lhs = rhs, else the first basis element of their domain,
-    the tensor product of factors, on which they differ, by its factor
+def _at(base: BaseCategory, factors, j) -> str:
+    """Basis index j of the tensor product of factors by its factor
     indices: "a" for one factor, "(a,b,c)" for three."""
-    j, idx = base.first_difference(lhs, rhs), []
-    if j is None:
-        return None
+    idx = []
     for x in reversed(factors):
         j, i = divmod(j, base.size(x))
         idx.insert(0, str(i))
     return idx[0] if len(idx) == 1 else f"({','.join(idx)})"
 
 
-def _equation(rep: Report, name, *args):
-    witness = _difference(*args)
-    rep.add(name, witness is None, witness)
+def _difference(base: BaseCategory, lhs, rhs, *factors) -> str | None:
+    """None when lhs = rhs, else the first basis element of their domain,
+    the tensor product of factors, on which they differ (_at)."""
+    j = base.first_difference(lhs, rhs)
+    return None if j is None else _at(base, factors, j)
+
+
+def _equation(rep: Report, name, base: BaseCategory, lhs, rhs, *factors):
+    rep.equation(name, base, lhs, rhs, lambda j: _at(base, factors, j))
 
 
 def check_monoid(mon: MonoidObj) -> Report:

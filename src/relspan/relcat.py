@@ -93,35 +93,23 @@ def check_relative_category(rc: RelativeCategory) -> Report:
         legs_in_class(base, rc.s, rc.t),
         "a leg span escapes the class",
     )
-    rep.add(
-        "(b) s∘i = 1",
-        base.compose(rc.s, rc.i) == id_b,
-        "i is not a section of s",
-    )
-    rep.add(
-        "(b) t∘i = 1",
-        base.compose(rc.t, rc.i) == id_b,
-        "i is not a section of t",
-    )
     pb = rc.pb
-    rep.add(
-        "(c) t∘d = t∘p1",
-        base.compose(rc.t, rc.d) == base.compose(rc.t, pb.p_a),
-        "target of a composite is not the target of the first factor",
-    )
-    rep.add(
-        "(c) s∘d = s∘p2",
-        base.compose(rc.s, rc.d) == base.compose(rc.s, pb.p_c),
-        "source of a composite is not the source of the second factor",
-    )
+    for name, lhs, rhs, witness in (
+            ("(b) s∘i = 1", ("∘", rc.s, rc.i), id_b, "i is not a section of s"),
+            ("(b) t∘i = 1", ("∘", rc.t, rc.i), id_b, "i is not a section of t"),
+            ("(c) t∘d = t∘p1", ("∘", rc.t, rc.d), ("∘", rc.t, pb.p_a),
+             "target of a composite is not the target of the first factor"),
+            ("(c) s∘d = s∘p2", ("∘", rc.s, rc.d), ("∘", rc.s, pb.p_c),
+             "source of a composite is not the source of the second factor")):
+        rep.equation(name, base, lhs, rhs, witness)
 
     def left_unit():
         pb_ba = relative_pullback(base, id_b, rc.t)
-        return base.compose(rc.d, box(pb_ba, pb, rc.i, base.identity(rc.a), id_b)) == pb_ba.p_c
+        return ("∘", rc.d, box(pb_ba, pb, rc.i, base.identity(rc.a), id_b)), pb_ba.p_c
 
     def right_unit():
         pb_ab = relative_pullback(base, rc.s, id_b)
-        return base.compose(rc.d, box(pb_ab, pb, base.identity(rc.a), rc.i, id_b)) == pb_ab.p_a
+        return ("∘", rc.d, box(pb_ab, pb, base.identity(rc.a), rc.i, id_b)), pb_ab.p_a
 
     def associativity():
         pb_left = relative_pullback(base, base.compose(rc.s, pb.p_c), rc.t)
@@ -129,7 +117,7 @@ def check_relative_category(rc: RelativeCategory) -> Report:
         d_box = box(pb_left, pb, rc.d, base.identity(rc.a), id_b)
         d_box2 = box(pb_right, pb, base.identity(rc.a), rc.d, id_b)
         l, _ = assoc_iso(pb, pb_left, pb, pb_right)
-        return base.compose(rc.d, d_box) == base.compose(base.compose(rc.d, d_box2), l)
+        return ("∘", rc.d, d_box), ("∘", rc.d, ("∘", d_box2, l))
 
     # (d): d∘(i□1) and d∘(1□i) equal the materialized unit isomorphisms;
     # (e): d∘(d□1) = d∘(1□d)∘l with the materialized rebracketing iso l.
@@ -137,14 +125,14 @@ def check_relative_category(rc: RelativeCategory) -> Report:
     # cannot be built (d not a coalgebra map, say) fails with the reason,
     # and the axioms after it are skipped.
     skip = not rep.ok
-    for name, holds, witness in (("(d) left unit law", left_unit, "d∘(i□1) is not the unit isomorphism"),
+    for name, sides, witness in (("(d) left unit law", left_unit, "d∘(i□1) is not the unit isomorphism"),
                                  ("(d) right unit law", right_unit, "d∘(1□i) is not the unit isomorphism"),
                                  ("(e) associativity", associativity, "d∘(d□1) != d∘(1□d)∘l")):
         if skip:
             rep.add(name, False, "skipped: earlier axiom failed")
             continue
         try:
-            rep.add(name, holds(), witness)
+            rep.equation(name, base, *sides(), witness)
         except RelspanError as e:
             rep.add(name, False, str(e))
             skip = True
@@ -154,31 +142,18 @@ def check_relative_category(rc: RelativeCategory) -> Report:
 def check_relative_functor(fun: RelativeFunctor, src: RelativeCategory, tgt: RelativeCategory) -> Report:
     base = src.base
     rep = Report()
-    rep.add(
-        "span morphism: b∘s = s'∘a",
-        base.compose(fun.b, src.s) == base.compose(tgt.s, fun.a),
-        "sources not preserved",
-    )
-    rep.add(
-        "span morphism: b∘t = t'∘a",
-        base.compose(fun.b, src.t) == base.compose(tgt.t, fun.a),
-        "targets not preserved",
-    )
-    rep.add(
-        "unit compatibility: a∘i = i'∘b",
-        base.compose(fun.a, src.i) == base.compose(tgt.i, fun.b),
-        "identities not preserved",
-    )
+    for name, lhs, rhs, witness in (
+            ("span morphism: b∘s = s'∘a", ("∘", fun.b, src.s), ("∘", tgt.s, fun.a), "sources not preserved"),
+            ("span morphism: b∘t = t'∘a", ("∘", fun.b, src.t), ("∘", tgt.t, fun.a), "targets not preserved"),
+            ("unit compatibility: a∘i = i'∘b", ("∘", fun.a, src.i), ("∘", tgt.i, fun.b),
+             "identities not preserved")):
+        rep.equation(name, base, lhs, rhs, witness)
+    name = "composition compatibility: a∘d = d'∘(a□a)"
     if not (rep.checks[0].ok and rep.checks[1].ok):
-        rep.add("composition compatibility: a∘d = d'∘(a□a)", False,
-                "skipped: a□a needs the span-morphism equations")
+        rep.add(name, False, "skipped: a□a needs the span-morphism equations")
         return rep
     aa = box(src.pb, tgt.pb, fun.a, fun.a, fun.b)
-    rep.add(
-        "composition compatibility: a∘d = d'∘(a□a)",
-        base.compose(fun.a, src.d) == base.compose(tgt.d, aa),
-        "composition not preserved",
-    )
+    rep.equation(name, base, ("∘", fun.a, src.d), ("∘", tgt.d, aa), "composition not preserved")
     return rep
 
 

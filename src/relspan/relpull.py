@@ -12,7 +12,8 @@ pullback of monoid morphisms, and instance checks of the reflection
 property.
 
 The associativity and unit isomorphisms are materialized morphisms, never
-identities; every coherence statement here composes with them explicitly.
+identities; every coherence statement here composes with them explicitly,
+and is decided by the base's first_difference (catcore).
 """
 
 from __future__ import annotations
@@ -131,7 +132,7 @@ def coherence_triangle(base: BaseCategory, f, g) -> bool:
     l, _ = assoc_iso(pb_ab, pb_ab_c, pb_bc, pb_a_bc)
     lam = box(pb_a_bc, pb_ac, base.identity(base.dom(f)), pb_bc.p_c, id_b)
     rho = box(pb_ab_c, pb_ac, pb_ab.p_a, base.identity(base.dom(g)), id_b)
-    return base.compose(lam, l) == rho
+    return base.first_difference(("∘", lam, l), rho) is None
 
 
 def coherence_pentagon(base: BaseCategory, f, g, h, k, r, s) -> bool:
@@ -160,7 +161,6 @@ def coherence_pentagon(base: BaseCategory, f, g, h, k, r, s) -> bool:
     # path 1: alpha_{A□C, E, G} then alpha_{A, C, E□G}
     a1, _ = assoc_iso(pb_ac_e, pb_ac_e_g, pb_eg, pb_ac_eg)
     a2, _ = assoc_iso(pb_ac, pb_ac_eg, pb_c_eg, pb_a_c_eg)
-    path1 = base.compose(a2, a1)
 
     # path 2: (alpha_{A,C,E}□1), alpha_{A, C□E, G}, then (1□alpha_{C,E,G})
     a3, _ = assoc_iso(pb_ac, pb_ac_e, pb_ce, pb_a_ce)
@@ -170,9 +170,7 @@ def coherence_pentagon(base: BaseCategory, f, g, h, k, r, s) -> bool:
     a5, _ = assoc_iso(pb_ce, pb_ce_g, pb_eg, pb_c_eg)
     a5_box = box(pb_a__ce_g, pb_a_c_eg, base.identity(base.dom(f)), a5,
                  base.identity(base.cod(f)))
-    path2 = base.compose(a5_box, base.compose(a4, a3_box))
-
-    return path1 == path2
+    return base.first_difference(("∘", a2, a1), ("∘", a5_box, ("∘", a4, a3_box))) is None
 
 
 def monoid_on_pullback(fm: MonoidMorphism, gm: MonoidMorphism, pb: RelPullback) -> MonoidObj:

@@ -1031,7 +1031,7 @@ def _spy(monkeypatch, owner, name):
 
 def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(monkeypatch):
     """On counital input z = 1 a pullback takes one kernel, of t, eliminated
-    unless every row of t holds one nonzero or none, and one closure check,
+    once, and one closure check,
     on K' = ker t, which passes, so no kron_apply takes t and the second
     system is never built.  It builds no δ column of A⊗C, since δ∘K' is
     (1⊗c⊗1)∘(δ_A⊗δ_C)∘K', and never the ε of A⊗C, and its K' is that of
@@ -1044,8 +1044,7 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
     dict path's; otherwise δ∘K' is built once and handed to the check.
     Twisted input whose check on K' fails takes the kernels of t and of the
     second system (t⊗1)∘δ∘K', the one kron_apply that takes t, each
-    eliminated unless every row of it holds one nonzero or none: that
-    kernel is read off its empty columns.  Input that is not counital is
+    eliminated once.  Input that is not counital is
     refused before any kernel, δ∘K' or check."""
     sub_in = coalg._subcoalgebra
     reduces = _spy(monkeypatch, linalg, "_reduce")
@@ -1095,7 +1094,7 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
                 assert dense and system[0] is x
                 assert [args for args, _ in kernels] == [(system[1],)]
                 assert not any(args[0] is system[1] for args, _ in krons)
-                assert len(reduces) == (not _count_one(system[1]))
+                assert len(reduces) == 1
             routes.add(system is None)
             assert "delta" not in vars(x) and "epsilon" not in vars(x)
             assert not any(c is x for c, _ in columns)
@@ -1119,7 +1118,7 @@ def test_counital_pullback_eliminates_t_once_and_reads_only_the_delta_it_uses(mo
         pytest.fail("no check on K' failed")
     x, t = system
     assert len(kernels) == 2 and kernels[0][0][0] is t and len(checks) == 2
-    assert len(reduces) == sum(not _count_one(system) for (system,), _ in kernels)
+    assert len(reduces) == 2
     assert sum(args[0] is t for args, _ in krons) == 1
     a, c = (rand_raw_coalgebra(rng, field, 2) for _ in "ac")
     f = CoalgMap(a, b, rand_matrix(rng, field, 2, 2))
@@ -2107,7 +2106,7 @@ def test_the_cotensor_after_the_pullback_is_its_fresh_elimination_bit_for_bit(mo
 def test_the_comparison_eliminates_an_equal_system_once(monkeypatch):
     """relative_pullback then compare_cotensor_pullback runs at most one
     elimination on a dense counital cospan, the pullback's kernel of t,
-    none when every row of t holds one nonzero or none, and none on a
+    and none on a
     linearized cospan: its pullback solves no system, and every row of the cotensor's
     system holds one nonzero or none, so its kernel is read off its empty
     columns.  A cospan
@@ -2126,20 +2125,21 @@ def test_the_comparison_eliminates_an_equal_system_once(monkeypatch):
             relative_pullback(base, f, g)
             assert compare_cotensor_pullback(f, g).ok
             kept = f._pullback[2]
-            assert len(reduces) == (kept is not None and not _count_one(kept[0]))
+            assert len(reduces) == (kept is not None)
             routes.add(f._pullback[2] is None)
     assert routes == {True, False}
 
 
 def test_an_unequal_kept_system_is_not_read(monkeypatch):
     """A kept t that differs from the cotensor's system, with its own kernel
-    kept beside it, makes cotensor take the kernel of its own system,
-    eliminated unless every row holds one nonzero or none, and return the
+    kept beside it, makes cotensor take the kernel of its own system, read
+    off two index lists or else eliminated once, and return the
     fresh basis: a planted entry on dense counital cospans.  A pullback of
     twisted cocommutative cospans whose check on K' fails, so that its
     inclusion is K'∘N, keeps no system, and cotensor does the same there."""
     reduces = _spy(monkeypatch, linalg, "_reduce")
     checks = _spy(monkeypatch, coalg, "_subcoalgebra")
+    reads = _spy(monkeypatch, coalg, "_difference_kernel")
     rng = rng_for("cotensor-unequal")
     planted, natural = 0, 0
     for field in RESTRICTION_FIELDS:
@@ -2155,7 +2155,7 @@ def test_an_unequal_kept_system_is_not_read(monkeypatch):
             bad = mutate_one_entry(rng, field, t)
             monkeypatch.setattr(f, "_pullback", (kept_g, kept, (bad, kernel_basis_sparse(bad))))
             del reduces[:]
-            assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == (not _count_one(system))
+            assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == (reads[-1][1] is None)
             planted += kernel_basis_sparse(bad) != want
         for _ in range(30):
             f, g = _raw_cospan(rng, field, _symmetric_twisted)
@@ -2166,7 +2166,7 @@ def test_an_unequal_kept_system_is_not_read(monkeypatch):
             system = _cotensor_system(f, g)
             want = kernel_basis_sparse(system)
             del reduces[:]
-            assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == (not _count_one(system))
+            assert _bits(cotensor(f, g)) == _bits(want) and len(reduces) == (reads[-1][1] is None)
             natural += 1
     assert planted and natural
 

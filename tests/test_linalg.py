@@ -947,7 +947,7 @@ def test_difference_kernel_is_the_kernel_of_the_built_system_bit_for_bit(field):
         repeated = any(len(set(m._units)) < len(m._units) for m in (x, y))
         if got is not None:
             assert count_one and _typed(got) == _typed(want) and (got.rows, got.cols) == (want.rows, want.cols)
-            assert got._units == want._units == [c for c, col in enumerate(system.columns) if not col]
+            assert got._units == linalg._unit_rows(want) == [c for c, col in enumerate(system.columns) if not col]
         else:
             assert not count_one or repeated
         assert (got is None) == (not count_one) or repeated
@@ -1232,33 +1232,38 @@ def test_grouplike_cotensor_system_peels_every_row_and_agrees_with_sympy():
 
 
 def test_count_one_kernel_is_the_unit_columns_at_the_empty_columns(monkeypatch):
-    """When every row of a system holds one nonzero or none,
-    kernel_basis_sparse reads its kernel off the empty columns: the unit
-    columns there, with their row table, and no form built.  It is the
-    elimination's kernel, _kernel(_reduce(...)), bit for bit, and sympy's
-    nullspace over Q: on random systems with entries such as -3 and 1/2
-    over Q and 2 over F_5, with empty columns, all columns empty, no rows
-    and no columns.  A row with a second nonzero takes the elimination."""
+    """When every row of a system holds one nonzero or none, the one
+    elimination kernel_basis_sparse makes is all peel: every row of its
+    form is a unit row, and the kernel is the unit columns at the empty
+    columns, bit for bit the kernel of that form and sympy's nullspace
+    over Q: on random systems with entries such as -3 and 1/2 over Q and 2
+    over F_5, with empty columns, all columns empty, no rows and no
+    columns.  A row with a second nonzero is eliminated past the peel."""
     sp = pytest.importorskip("sympy")
     rng = rng_for("count-one-kernel")
     reduce_in, calls = linalg._reduce, []
-    monkeypatch.setattr(linalg, "_reduce", lambda *args: calls.append(args) or reduce_in(*args))
+    monkeypatch.setattr(linalg, "_reduce", lambda *args: calls.append(reduce_in(*args)) or calls[-1])
     values = {QQ: [QQ.of(v) for v in (1, -1, -3, 2, Fraction(1, 2), Fraction(-5, 3))],
               F5: [F5.of(v) for v in (1, 2, 3, 4)]}
     shapes = [(0, 0), (0, 4), (4, 0)] + [(rng.randint(1, 7), rng.randint(1, 6)) for _ in range(40)]
     for field, pool in values.items():
         for rows, cols in shapes:
             for a in (_rows_once(rng, field, rows, cols, pool), Matrix.from_cols(field, rows, [{}] * cols)):
+                calls.clear()
                 k = kernel_basis_sparse(a)
-                assert not calls
-                want = linalg._kernel(field, reduce_in(field, a.columns), a.cols)
+                (red,) = calls
+                assert all(row == {c: field.one} for c, row in red.items())
+                want = linalg._kernel(field, red, a.cols)
                 assert (k.rows, k.cols, _typed(k)) == (want.rows, want.cols, _typed(want))
-                assert k._units == [c for c, col in enumerate(a.columns) if not col]
+                assert linalg._unit_rows(k) == [c for c, col in enumerate(a.columns) if not col]
                 if field == QQ:
                     null = _to_sympy(sp, a).nullspace()
                     assert k == (_from_sympy(sp.Matrix.hstack(*null)) if null else Matrix.from_cols(QQ, cols, []))
+    calls.clear()
     a = Matrix.from_cols(QQ, 2, [{0: 1}, {0: -3}, {1: Fraction(1, 2)}])
-    assert kernel_basis_sparse(a).columns == [{0: 3, 1: 1}] and len(calls) == 1
+    assert kernel_basis_sparse(a).columns == [{0: 3, 1: 1}]
+    (red,) = calls
+    assert red[0] == {0: 1, 1: -3}
 
 
 def _typed(m):
