@@ -30,9 +30,10 @@ would make.
 Equalizers and relative pullbacks are of comonoids, which are counital.
 Before anything is built, the maps' domain, or A and C of a cospan, is
 decided to satisfy both counit laws, l = 1 and z = 1, on the facts each
-keeps (_require_counital, which reads them as check_coalgebra does); one
-that fails raises NotCounital, naming the law and its basis witness, and
-the CLI reports that with exit 2.
+keeps (_require_counital, which reads them as check_coalgebra does, with
+first_difference, _counital); one that fails raises NotCounital, naming
+the law and its basis witness, which only then builds check_coalgebra's
+Report of the two laws, and the CLI reports that with exit 2.
 
 Equalizers of coalgebra maps are computed in two steps: the underlying
 subspace E is the kernel of f_hat - g_hat with f_hat = (1⊗f⊗1)∘(δ⊗1)∘δ, and
@@ -42,8 +43,10 @@ the 0/1 projection onto the free coordinates of j's canonical basis, so
 with no product.  The closure check (j⊗j)∘δ_E = δ∘j holds exactly when
 δ(E) ⊆ E⊗E; the theory guarantees it, so failure raises
 InternalSolveFailure.  f_hat - g_hat is (T⊗1)∘δ with
-T = (1⊗(f-g))∘δ.  As (1⊗1⊗ε)∘(T⊗1)∘δ = T by the right counit law, E lies
-in K' = ker T, and E = K'·N for N = ker((T⊗1)∘δ∘K'), the second system.
+T = (1⊗(f-g))∘δ, built without the rows that B's counit makes redundant
+when f and g preserve ε (see below).  As (1⊗1⊗ε)∘(T⊗1)∘δ = T by the
+right counit law, E lies in K' = ker T, and E = K'·N for
+N = ker((T⊗1)∘δ∘K'), the second system.
 Both are kernel bases (linalg.kernel_basis_sparse) of systems built here.
 T∘K' = 0, so the closure check on K' is the certificate: when it passes,
 (T⊗1)∘δ∘K' = (T∘K'⊗K')∘δ_E = 0, so N = 1 and E = K'.  The second system
@@ -70,6 +73,24 @@ the build; it is still checked.  The cotensor product, the independent
 one-step linear equalizer on A⊗C that cross-checks it, is an unchecked
 linear subspace; once the legs are decided to be in S, subcoalgebra gives its
 induced structure.  The comparison settles on equal canonical bases.
+
+The rows of these systems run over A⊗B⊗C, and B's counit makes those at
+one coordinate of B redundant.  When A and C are counital and the legs
+preserve ε, ε_B∘f = ε_A and ε_B∘g = ε_C (_off_counit decides both, two
+one-row products, with _counital on A and C), (1⊗ε_B)∘X_f = z_A, and
+(ε_B⊗1)∘Y is z_C for the pullback's Y = c∘Y_g and l_C for the cotensor's
+Y = (g⊗1)∘δ_C: all are 1, so im T ⊆ A⊗ker ε_B⊗C.  Let j be the first
+coordinate with ε_B(e_j) != 0 and π_j delete it.  π_j is injective on
+ker ε_B, where π_j(v) = 0 leaves v = v_j·e_j and ε_B(v) = v_j·ε_B(e_j) = 0,
+so with Π = 1⊗π_j⊗1, ker(Π∘T) = ker T; Π∘T is X⊗1 - 1⊗Y built from π_j∘f
+and π_j∘g, a·(b-1)·c rows.  Π⊗1 is injective on im T⊗(A⊗C), so the
+second system (Π∘T⊗1)∘δ∘K' keeps the kernel of (T⊗1)∘δ∘K'.  A subspace
+has one canonical basis, so K', the apex and every result are those of
+the full system, bit for bit.  The kept (T, K') is the reduced system,
+and the cotensor, which decides the premise on its own legs, builds that
+system too.  coalg_equalizer drops the rows of T = (1⊗(f-g))∘δ at j the
+same way, as (1⊗ε_B)∘T = z - z = 0.  A leg that does not preserve ε keeps
+the full system, as does a one-dimensional B, whose system is then zero.
 
 When every column of f and g is one entry equal to one and A and C are
 k[X] (δe_x = e_x⊗e_x), as on a linearized cospan, K' is
@@ -131,7 +152,8 @@ objects of one command.  The class-S witness depends on the legs and is
 not kept.  A map f keeps the equalizer and projections of the pullback
 last built on it as left leg, keyed on the right leg g as an object (is,
 not ==); a build that raises keeps nothing.
-Beside them it keeps the system T the pullback solved and K' = ker T, only
+Beside them it keeps the system T the pullback solved, reduced when its
+legs preserve ε, and K' = ker T, only
 when the inclusion is K': on input whose closure check on K' passed, not
 on a group-like cospan, which solves no T.  They are a deterministic
 function of f and g, so relative_pullback and compare_cotensor_pullback on
@@ -144,8 +166,10 @@ Elsewhere cotensor takes the kernel of its own system.  On a group-like
 cospan its X = (1⊗f)∘δ_A and Y = (g⊗1)∘δ_C have row tables and every row
 of X⊗1 - 1⊗Y has count one, so linalg._difference_kernel reads the kernel,
 the unit columns at the columns r = t, off the two index lists of the r
-and the t, with no system built; any other system is built and
-kernel_basis_sparse takes its kernel.
+and the t, with no system built.  Only legs with row tables, as a
+group-like cospan's, build X and Y unreduced, for that read; any other
+system is built as the pullback builds it, reduced when the legs
+preserve ε, and kernel_basis_sparse takes its kernel.
 All of this is exact because matrices, coalgebras and maps are never
 changed once built.
 """
@@ -410,12 +434,21 @@ def _counit_laws(c: Coalgebra) -> Report:
     return rep
 
 
+def _counital(c: Coalgebra) -> bool:
+    """Whether c satisfies l = 1 and z = 1, decided on the facts it keeps
+    with first_difference, in _counit_laws' order, and with no Report."""
+    i_n = Matrix.identity(c.field, c.dim)
+    return first_difference(c.left_counit, i_n) is None and first_difference(c.right_counit, i_n) is None
+
+
 def _require_counital(c: Coalgebra, name: str):
     """Raise NotCounital, naming the first counit law that c fails and its
     witness as check_coalgebra reports them; the equalizer and the relative
-    pullback decide their input with this before they build."""
-    if failed := _counit_laws(c).failures():
-        raise NotCounital(f"{name} is not counital: {failed[0].name} fails at {failed[0].witness}")
+    pullback decide their input with this before they build.  The Report
+    of _counit_laws is built only to word the message."""
+    if not _counital(c):
+        failed = _counit_laws(c).failures()[0]
+        raise NotCounital(f"{name} is not counital: {failed.name} fails at {failed.witness}")
 
 
 def check_coalg_map(m: CoalgMap) -> Report:
@@ -688,16 +721,40 @@ def _equalizer(x: Coalgebra, t: Matrix):
     return _closed(_subcoalgebra(x, k @ n, delta_k @ n)), None
 
 
+def _off_counit(f: CoalgMap, g: CoalgMap):
+    """The matrices of the legs f and g into B as π_j∘f and π_j∘g, their
+    row j deleted, j the first coordinate with ε_B(e_j) != 0, when their
+    domains are counital (_counital) and ε_B∘f and ε_B∘g, two one-row
+    products, are their domains' ε; else f.mat and g.mat.  Each system
+    built from them is a difference of two terms that ε_B contracts to the
+    same counit law, 1, so its image lies in ker ε_B at B's factor, where
+    π_j is injective: the rows at j are combinations of the others, and
+    the kernel is unchanged (module docstring).  A one-dimensional B keeps
+    its row: the system is then zero, and its elimination touches no
+    entry."""
+    eps, fm, gm = f.tgt.epsilon, f.mat, g.mat
+    j = next((j for j, col in enumerate(eps.columns) if col), None)
+    if (eps.cols < 2 or j is None or not (_counital(f.src) and _counital(g.src))
+            or eps @ fm != f.src.epsilon or eps @ gm != g.src.epsilon):
+        return fm, gm
+    return tuple(Matrix.from_cols(m.field, m.rows - 1, [{r - (r > j): v for r, v in col.items() if r != j}
+                                                        for col in m.columns]) for m in (fm, gm))
+
+
 def coalg_equalizer(f: CoalgMap, g: CoalgMap) -> CoalgEqualizer:
     """Equalizer of parallel coalgebra maps, as a coalgebra with inclusion;
-    a domain that is not counital raises NotCounital."""
+    a domain that is not counital raises NotCounital.  Its system is
+    T = (1⊗π_j(f - g))∘δ when f and g preserve ε (_off_counit):
+    (1⊗ε_B)∘(1⊗(f - g))∘δ = z - z = 0, so the rows at j are dropped with
+    the same kernel, and the same second system's kernel."""
     if f.src != g.src:
         raise ShapeMismatch("equalizer needs a shared domain coalgebra")
     if f.tgt != g.tgt:
         raise ShapeMismatch("equalizer needs a shared codomain coalgebra")
     x = f.src
     _require_counital(x, "the maps' domain")
-    return _equalizer(x, kron_apply(Matrix.identity(x.field, x.dim), f.mat - g.mat, x.delta))[0]
+    fm, gm = _off_counit(f, g)
+    return _equalizer(x, kron_apply(Matrix.identity(x.field, x.dim), fm - gm, x.delta))[0]
 
 
 def equalizer_factor(eq: CoalgEqualizer, h: CoalgMap) -> CoalgMap:
@@ -719,10 +776,14 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
     once A and C are decided counital; kept on f for this g object, with
     (T, K') when the inclusion is K' = ker T, else None.  Unchecked: every
     caller decides the legs with catcore.legs_in_class, which checks the
-    common codomain.  The square f∘p_A = g∘p_C then holds without a check:
-    (ε⊗1)∘X_f = f∘l_A and (1⊗ε)∘c∘Y_g = g∘l_C, so on counital A and C
-    (ε⊗1⊗ε)∘T = f⊗ε - ε⊗g, and T∘j = 0 gives
-    f∘p_A - g∘p_C = (f⊗ε - ε⊗g)∘j = 0."""
+    common codomain.  The generic route solves T without its rows at B's
+    counit coordinate j when the legs preserve ε (_off_counit): im T lies
+    in A⊗ker ε_B⊗C, on which 1⊗π_j⊗1 is injective, so the kernel, and the
+    second system's, are T's (module docstring).  The square
+    f∘p_A = g∘p_C then holds without a check: (ε⊗1)∘X_f = f∘l_A and
+    (1⊗ε)∘c∘Y_g = g∘l_C, so on counital A and C
+    (ε⊗1⊗ε)∘T = f⊗ε - ε⊗g, and T∘j = 0 for the full T, whose kernel the
+    reduced one shares, gives f∘p_A - g∘p_C = (f⊗ε - ε⊗g)∘j = 0."""
     if (hit := f._pullback) is not None and hit[0] is g:
         return hit[1]
     a, c, fld = f.src, g.src, f.mat.field
@@ -734,9 +795,10 @@ def _pullback_equalizer(f: CoalgMap, g: CoalgMap):
         system = None
     else:
         i_a, i_c = Matrix.identity(fld, a.dim), Matrix.identity(fld, c.dim)
+        fm, gm = _off_counit(f, g)
         # Y_g = c∘(1⊗g)∘δ_C = (g⊗1)∘c∘δ_C, and c∘δ_C = δ_C on a cocommutative C
-        y_g = kron_apply(g.mat, i_c, c.delta if c.cocommutative else _swapped(c.delta, c.dim))
-        eq, system = _equalizer(x, _kron_difference(kron_apply(i_a, f.mat, a.delta), y_g))
+        y_g = kron_apply(gm, i_c, c.delta if c.cocommutative else _swapped(c.delta, c.dim))
+        eq, system = _equalizer(x, _kron_difference(kron_apply(i_a, fm, a.delta), y_g))
         j = eq.j.mat
         p_a = CoalgMap._valid(eq.object, a, kron_apply(i_a, c.epsilon, j))
         p_c = CoalgMap._valid(eq.object, c, kron_apply(a.epsilon, i_c, j))
@@ -849,17 +911,27 @@ def cotensor(f: CoalgMap, g: CoalgMap) -> Matrix:
     Its system X⊗1 - 1⊗Y, X = (1⊗f)∘δ_A and Y = (g⊗1)∘δ_C, is derived here,
     by its own formula, on every call.  When X and Y have row tables and the
     system has count one, its kernel is read off their two index lists
-    (linalg._difference_kernel), with no system built.  Otherwise the system
-    is built, and when it equals the T of the pullback kept on f for g,
-    entry for entry, the K' kept with T is its canonical kernel basis, and
-    is returned instead of eliminating the system again."""
+    (linalg._difference_kernel), with no system built; X and Y are built
+    whole for that read only on legs with row tables.  Otherwise the system
+    is built without the rows at B's counit coordinate j when the legs
+    decide the premise on their own (_off_counit: A and C counital, ε
+    preserved): (1⊗ε_B)∘X = z_A and (ε_B⊗1)∘Y = l_C are 1, so im lies in
+    A⊗ker ε_B⊗C, where 1⊗π_j⊗1 is injective, and the kernel is unchanged
+    (module docstring).  When it equals the T of the pullback kept on f for
+    g, entry for entry, the K' kept with T is its canonical kernel basis,
+    and is returned instead of eliminating the system again."""
     if f.tgt != g.tgt:
         raise CodomainMismatch("cospan needs a common codomain")
     a, c = f.src, g.src
     i_a, i_c = Matrix.identity(a.field, a.dim), Matrix.identity(a.field, c.dim)
-    x, y = kron_apply(i_a, f.mat, a.delta), kron_apply(g.mat, i_c, c.delta)
+    # only legs with row tables give X and Y tables to read, and π_j∘f of one has none
+    tables = _unit_rows(f.mat) is not False and _unit_rows(g.mat) is not False
+    fm, gm = (f.mat, g.mat) if tables else _off_counit(f, g)
+    x, y = kron_apply(i_a, fm, a.delta), kron_apply(gm, i_c, c.delta)
     if (k := _difference_kernel(x, y)) is not None:
         return k
+    if tables and (legs := _off_counit(f, g))[0] is not fm:
+        x, y = kron_apply(i_a, legs[0], a.delta), kron_apply(legs[1], i_c, c.delta)
     t = _kron_difference(x, y)
     if (kept := f._pullback) and kept[0] is g and kept[2] and kept[2][0] == t:
         return kept[2][1]
@@ -874,9 +946,11 @@ def compare_cotensor_pullback(f: CoalgMap, g: CoalgMap) -> Report:
     relative_pullback_coalg does; the certificate is not read here.  The
     cotensor stays an independent oracle: its system is derived by its own
     formula on every call, and its kernel read off two index lists when it
-    has count one on row tables; a system it builds is compared with the
-    pullback's kept T, entry for entry, and only an equal system reuses the
-    kernel kept with T (cotensor).  The checks then compare the two bases."""
+    has count one on row tables; a system it builds, without the rows at
+    B's counit coordinate when the legs preserve ε, as the pullback builds
+    its own, is compared with the pullback's kept T, entry for entry, and
+    only an equal system reuses the kernel kept with T (cotensor).  The
+    checks then compare the two bases."""
     base = CoalgCategory(f.mat.field)
     if not legs_in_class(base, f, g):
         raise LegsNotInClass("cotensor comparison needs legs in class S")

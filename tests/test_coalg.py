@@ -912,13 +912,21 @@ def test_pullback_matches_the_oracle_where_the_restriction_matters():
     assert seen
 
 
+def _rows_off(m, j, nb, inner):
+    """m without its rows (i·nb + j)·inner + q, those at coordinate j of a
+    middle factor of dimension nb, the others renumbered in order."""
+    at = {r: k for k, r in enumerate(r for r in range(m.rows) if r // inner % nb != j)}
+    return Matrix.from_cols(m.field, len(at), [{at[r]: v for r, v in col.items() if r in at} for col in m.columns])
+
+
 def test_pullback_builds_t_from_the_factors(monkeypatch):
     """The t that the pullback hands the solve, X_f⊗1 - 1⊗(c∘Y_g) built from
     the factors, is T = (1⊗(f⊗ε - ε⊗g))∘δ_{A⊗C} with its rows in A⊗B⊗C
-    order (so rref(t) = rref(T)), on twisted group-like A and C, counital
-    and in general neither coassociative nor cocommutative; a cospan that
-    is group-like hands it none."""
-    systems = []
+    order, on twisted group-like A and C, counital and in general neither
+    coassociative nor cocommutative, without the rows at coordinate 0 of
+    B = k[Y] when |Y| > 1 and both legs preserve ε; its kernel is T's.  A
+    cospan that is group-like hands it none."""
+    systems, reduced = [], Counter()
     solve_in = coalg._equalizer
     monkeypatch.setattr(coalg, "_equalizer", lambda *a: systems.append(a) or solve_in(*a))
     rng = rng_for("pb-factors")
@@ -935,9 +943,13 @@ def test_pullback_builds_t_from_the_factors(monkeypatch):
             x, t = systems.pop()
             fe, eg = _legs_on_tensor(f, g)
             big_t = kron_apply(Matrix.identity(field, x.dim), fe.mat - eg.mat, x.delta)
-            assert t == kron(Matrix.identity(field, na), swap_map(field, nc, nb)) @ big_t
-            assert t.rref() == big_t.rref()
+            ordered = kron(Matrix.identity(field, na), swap_map(field, nc, nb)) @ big_t
+            preserved = nb > 1 and b.epsilon @ f.mat == a.epsilon and b.epsilon @ g.mat == c.epsilon
+            assert t == (_rows_off(ordered, 0, nb, nc) if preserved else ordered)
+            assert kernel_basis_sparse(t) == kernel_basis_sparse(big_t)
             assert not systems
+            reduced[preserved] += 1
+    assert reduced[True] and reduced[False]
 
 
 def _tensor_delta_oracle(a, b):
@@ -2394,13 +2406,204 @@ def test_pullback_apex_is_sympys_nullspace_of_the_full_system():
         cospans += [(f, CoalgMap(g.src, f.tgt, g.mat)), (linearize_fun(f0, QQ), linearize_fun(g0, QQ))]
     for f, g in cospans:
         j = relative_pullback_coalg(CoalgCategory(QQ), f, g).payload.j.mat
-        t = _t(*_legs_on_tensor(f, g))
-        st = sp.zeros(t.rows, t.cols)
-        for c, col in enumerate(t.columns):
-            for i, v in col.items():
-                st[i, c] = sp.Rational(v.numerator, v.denominator)
-        want = [{i: Fraction(int(v.p), int(v.q)) for i, v in enumerate(vec) if v} for vec in st.nullspace()]
-        assert j.columns == want
+        assert j.columns == _sympy_nullspace(sp, _t(*_legs_on_tensor(f, g)))
+
+
+def _sympy_nullspace(sp, m):
+    """sympy's nullspace of m over Q, as sparse columns."""
+    sm = sp.zeros(m.rows, m.cols)
+    for c, col in enumerate(m.columns):
+        for i, v in col.items():
+            sm[i, c] = sp.Rational(v.numerator, v.denominator)
+    return [{i: Fraction(int(v.p), int(v.q)) for i, v in enumerate(vec) if v} for vec in sm.nullspace()]
+
+
+# -- the systems without the rows at B's counit coordinate ---------------------------
+
+
+def _preserving(rng, field, src, tgt):
+    """A random map src -> tgt with ε_tgt∘m = ε_src: row j, the first
+    coordinate at which ε_tgt is not 0, solved for."""
+    e_t, e_s = (x.epsilon.columns for x in (tgt, src))
+    j = next(b for b, col in enumerate(e_t) if col)
+    cols = []
+    for s, col in enumerate(rand_matrix(rng, field, tgt.dim, src.dim).columns):
+        col = {b: v for b, v in col.items() if b != j}
+        rest = sum(e_t[b].get(0, 0) * v for b, v in col.items())
+        if v := field.normalize((e_s[s].get(0, 0) - rest) * field.inv(e_t[j][0])):
+            col[j] = v
+        cols.append(col)
+    return CoalgMap(src, tgt, Matrix.from_cols(field, tgt.dim, cols))
+
+
+def _basis_off_counit(rng, field, n):
+    """A random basis of k^n, n >= 2, whose first vector e_0 - e_1 is in the
+    kernel of k[n]'s ε: k[n] rebased by it has ε zero at coordinate 0."""
+    while True:
+        first = {0: field.one, 1: field.neg(field.one)}
+        pm = Matrix.from_cols(field, n, [first] + rand_matrix(rng, field, n, n - 1).columns)
+        if len(pm.rref()[1]) == n:
+            return pm
+
+
+def _counital_domain(rng, field):
+    """A counital coalgebra: k[n] or the path coalgebra in a random basis,
+    or twisted k[n] (_rand_twisted), neither coassociative nor
+    cocommutative in general."""
+    n = rng.randint(1, 3)
+    kind = rng.choice(("grouplike", "path", "twisted"))
+    if kind == "twisted":
+        return _rand_twisted(rng, field, n)[0]
+    x = path_coalgebra(field) if kind == "path" else grouplike(field, n)
+    return rebased(x, random_basis(rng, field, x.dim))
+
+
+def _preserving_cospan(rng, field):
+    """Counital A and C (_counital_domain) into k[nb], nb in {1, 2, 3}, in a
+    random basis, or one with ε zero at coordinate 0, by legs that preserve ε."""
+    nb = rng.randint(1, 3)
+    pm = _basis_off_counit(rng, field, nb) if nb > 1 and rng.random() < 0.5 else random_basis(rng, field, nb)
+    b = rebased(grouplike(field, nb), pm)
+    return (_preserving(rng, field, _counital_domain(rng, field), b),
+            _preserving(rng, field, _counital_domain(rng, field), b))
+
+
+def _first_counit_coordinate(b):
+    """The first coordinate at which ε_B is not 0."""
+    return next(j for j, col in enumerate(b.epsilon.columns) if col)
+
+
+def _off_the_counit(m):
+    """m with one added at its column 0 and row j, the first coordinate at
+    which ε_B is not 0: ε_B∘m is not the domain's ε."""
+    fld, j = m.mat.field, _first_counit_coordinate(m.tgt)
+    col = {**m.mat.columns[0], j: fld.normalize(m.mat.columns[0].get(j, 0) + fld.one)}
+    if not col[j]:
+        del col[j]
+    out = _with_column(m, 0, col)
+    assert m.tgt.epsilon @ out.mat != m.src.epsilon
+    return out
+
+
+def _equalizer_bits(eq):
+    """An equalizer bit for bit, or the message of its failure."""
+    return eq if isinstance(eq, str) else [_bits(m) for m in (eq.j.mat, eq.left_inv, eq.object.delta,
+                                                               eq.object.epsilon)]
+
+
+def test_the_reduced_systems_give_the_full_systems_results_bit_for_bit(monkeypatch):
+    """On counital cospans whose legs preserve ε, over Q, F_2, F_5 and
+    F_32003, with |B| in {1, 2, 3}, ε_B zero at coordinate 0 in some, and
+    C non-cocommutative with c∘Y_g != Y_g in some, the pullback solves T
+    without the rows at j, the first coordinate where ε_B is not 0, when
+    |B| > 1: a·(b-1)·c rows, whose canonical kernel is that of the full T
+    of the oracle.  Its j, δ_E, ε_E, L and projections are those of the
+    reference built on the full T.  The cotensor is the kernel of its own
+    full system, and coalg_equalizer of parallel maps that preserve ε is
+    the reference on (1⊗(f - g))∘δ.  A left or right leg planted with
+    ε_B∘f != ε_A takes the full system, and the results stay the
+    reference's."""
+    solves = _spy(monkeypatch, coalg, "_equalizer")
+    seen = Counter()
+    for field in (QQ, GF(2), GF(5), GF(32003)):
+        rng = rng_for(f"reduced-systems-{field}")
+        for trial in range(24):
+            f, g = _preserving_cospan(rng, field)
+            a, b, c = f.src, f.tgt, g.src
+            planted = (None, None, "f", "g")[trial % 4]
+            if planted == "f":
+                f = _off_the_counit(f)
+            elif planted == "g":
+                g = _off_the_counit(g)
+            reduced = not planted and b.dim > 1
+            full = _t(*_legs_on_tensor(f, g))
+            solved = _assert_pullback_is_the_reference(solves, f, g)
+            if solved:
+                (((_, t), _),) = solves
+                assert t.rows == (a.dim * (b.dim - 1) * c.dim if reduced else full.rows)
+                assert _bits(kernel_basis_sparse(t)) == _bits(kernel_basis_sparse(full))
+            assert _bits(cotensor(_fresh(f), _fresh(g))) == _bits(kernel_basis_sparse(_cotensor_system(f, g)))
+            assert (coalg._off_counit(f, g)[0] is f.mat) == (not reduced)
+            # h agrees with f at the last basis vector; a planted h is f's or g's pair in the equalizer
+            h = _with_column(_preserving(rng, field, a, b), a.dim - 1, f.mat.columns[a.dim - 1])
+            if planted == "f":
+                h = _with_column(h, 0, f.mat.columns[0])
+            elif planted == "g":
+                f, h = _with_column(f, 0, h.mat.columns[0]), _off_the_counit(h)
+            solves.clear()
+            got = _equalizer_bits(_outcome(coalg_equalizer, f, h))
+            assert got == _equalizer_bits(_reference_equalizer(a, _t(f, h)))
+            (((_, t), _),) = solves
+            assert t.rows == (a.dim * (b.dim - 1) if reduced else a.dim * b.dim)
+            assert _bits(kernel_basis_sparse(t)) == _bits(kernel_basis_sparse(_t(f, h)))
+            noncocommutative = not c.cocommutative and (
+                kron_apply(g.mat, Matrix.identity(field, c.dim), coalg._swapped(c.delta, c.dim))
+                != kron_apply(g.mat, Matrix.identity(field, c.dim), c.delta))
+            seen.update({"reduced": reduced and solved, f"planted {planted}": solved, "j != 0": reduced
+                         and _first_counit_coordinate(b) != 0, "c∘Y_g != Y_g": reduced and noncocommutative,
+                         "one-dimensional B": b.dim == 1})
+    assert all(seen[key] for key in ("reduced", "planted f", "planted g", "j != 0", "c∘Y_g != Y_g",
+                                     "one-dimensional B")), seen
+
+
+def test_the_reduced_system_is_sympys_nullspace_of_the_full_system(monkeypatch):
+    """Over Q, on counital cospans whose legs preserve ε into a B of 2 or 3
+    dimensions, sympy's nullspace of the system the pullback solves, with
+    the rows at B's counit coordinate deleted, is sympy's nullspace of the
+    full T, and is the canonical kernel basis of either."""
+    sp = pytest.importorskip("sympy")
+    solves = _spy(monkeypatch, coalg, "_equalizer")
+    rng, reduced = rng_for("reduced-sympy"), 0
+    for _ in range(12):
+        f, g = _preserving_cospan(rng, QQ)
+        solves.clear()
+        if f.tgt.dim < 2 or isinstance(_outcome(relative_pullback_coalg, CoalgCategory(QQ), f, g), str):
+            continue
+        (((_, t), _),) = solves
+        full = _t(*_legs_on_tensor(f, g))
+        assert t.rows < full.rows
+        assert _sympy_nullspace(sp, t) == _sympy_nullspace(sp, full) == kernel_basis_sparse(full).columns
+        reduced += 1
+    assert reduced
+
+
+def test_a_dense_pullback_eliminates_one_reduced_system_and_its_comparison_none(monkeypatch):
+    """A dense pullback over F_32003, random functions linearized in random
+    bases with |B| in {2, 3}, takes one kernel, of a system of a·(b-1)·c
+    rows; compare_cotensor_pullback after it takes none: its cotensor
+    builds the same reduced system and reuses the K' kept with it.  So does
+    the cotensor of legs with row tables out of cocommutative twisted k[n]
+    when X or Y has none, after their index lists are tried."""
+    kernels = _spy(monkeypatch, coalg, "kernel_basis_sparse")
+    rng, field = rng_for("reduced-route"), GF(32003)
+    for _ in range(6):
+        f0 = rand_finfun(rng, rng.randint(1, 3), rng.randint(2, 3))
+        g0 = rand_finfun(rng, rng.randint(1, 3), f0.cod.size)
+        p_b = random_basis(rng, field, f0.cod.size)
+        f, g = (rebased_map(linearize_fun(x, field), random_basis(rng, field, x.dom.size), p_b) for x in (f0, g0))
+        kernels.clear()
+        relative_pullback(CoalgCategory(field), f, g)
+        (((t,), k),) = kernels
+        assert t.rows == f.src.dim * (f.tgt.dim - 1) * g.src.dim and f._pullback[2] == (t, k)
+        kernels.clear()
+        assert compare_cotensor_pullback(f, g).ok
+        assert not kernels
+    reads, shared = _spy(monkeypatch, coalg, "_difference_kernel"), 0
+    for _ in range(20):
+        b = grouplike(field, rng.randint(2, 3))
+        f, g = (CoalgMap(_symmetric_twisted(rng, field, n), b, linearize_fun(rand_finfun(rng, n, b.dim), field).mat)
+                for n in (rng.randint(2, 3), rng.randint(2, 3)))
+        if isinstance(_outcome(relative_pullback_coalg, CoalgCategory(field), f, g), str) or not f._pullback[2]:
+            continue
+        t, k = f._pullback[2]
+        assert t.rows == f.src.dim * (b.dim - 1) * g.src.dim
+        kernels.clear()
+        reads.clear()
+        got = cotensor(f, g)
+        ((_, read),) = reads
+        assert not kernels and (got is k if read is None else _bits(got) == _bits(k))
+        shared += read is None
+    assert shared
 
 
 def _full_comparison(ct, eq):

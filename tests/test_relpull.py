@@ -570,18 +570,21 @@ def test_pentagon_over_a_linearized_chain_builds_each_right_counit_once(monkeypa
     and its fillers build no (1⊗ε)∘δ: every coalgebra they read it on is
     k[X], recognized from its row tables, whose right counit is the shared
     identity.  Over the same chain in random bases, one per object, they
-    build it once for each coalgebra they read it on."""
-    calls = []
-    kron_apply_in = coalg.kron_apply
+    build it once for each coalgebra they read it on.  A right counit is
+    the kron_apply of an identity with a coalgebra's own ε on its own δ: a
+    leg with B's counit row deleted has one row too."""
+    calls, made = [], []
+    kron_apply_in, init = coalg.kron_apply, coalg.Coalgebra.__init__
     monkeypatch.setattr(coalg, "kron_apply", lambda *a: calls.append(a) or kron_apply_in(*a))
+    monkeypatch.setattr(coalg.Coalgebra, "__init__", lambda self, *a, **k: made.append(self) or init(self, *a, **k))
     rng = rng_for("pentagon-right-counit")
     sizes = (2, 2, 3, 2, 3, 2, 2)
     chain = [rand_finfun(rng, sizes[i], sizes[i + 1]) if i % 2 == 0
              else rand_finfun(rng, sizes[i + 1], sizes[i]) for i in range(6)]
 
     def right_counits():
-        out = [a[2] for a in calls if a[1].rows == 1 and a[0] == Matrix.identity(QQ, a[0].rows)
-               and (a[2].rows, a[2].cols) == (a[0].rows ** 2, a[0].rows)]
+        own = {(id(vars(x).get("epsilon")), id(vars(x).get("delta"))) for x in made}
+        out = [a[2] for a in calls if a[0] == Matrix.identity(QQ, a[0].rows) and (id(a[1]), id(a[2])) in own]
         del calls[:]
         return out
 
